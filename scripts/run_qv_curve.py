@@ -15,10 +15,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from deqscores.dequantize import DequantizerConfig, assemble
+from deqscores.dequantize import DequantizerConfig, compile_dataset
 from deqscores.metrics import ScoreVectorPair, kendall_tau_error
 from deqscores.qp import solve
-from deqscores.qv import QVConfig, select_lambda
+from deqscores.qv import select_lambda
 from deqscores.synth import SynthConfig, generate
 
 
@@ -32,15 +32,14 @@ def main() -> int:
     args = parser.parse_args()
 
     instance = generate(SynthConfig(num_papers=args.papers, sigma=args.sigma, seed=args.seed))
-    config = DequantizerConfig(lam=1.0, epsilon=args.epsilon)
-    qv_report = select_lambda(instance.dataset, QVConfig(), config)
+    qv_report = select_lambda(instance.dataset, deq_config=DequantizerConfig(epsilon=args.epsilon))
 
+    compiled = compile_dataset(instance.dataset, args.epsilon)
     index = instance.dataset.pair_index
     true_errors = []
     start = None
     for lam in qv_report.lambdas:
-        problem = assemble(instance.dataset, DequantizerConfig(lam=lam, epsilon=args.epsilon))
-        solution = solve(problem, start=start)
+        solution = solve(compiled.problem(lam), start=start)
         start = solution.values
         estimate = {pair: float(solution.values[i]) for pair, i in index.items()}
         true_errors.append(

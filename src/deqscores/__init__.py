@@ -15,11 +15,13 @@ from .baselines import (
 )
 from .dequantize import (
     AUTO,
+    CompiledDataset,
+    DequantizeResult,
     DequantizerConfig,
     assemble,
+    compile_dataset,
     consistency_report,
     dequantize,
-    thurstone_joint_loglikelihood,
 )
 from .experiment import ExperimentReport, ExperimentSpec, FileSource, run_experiment
 from .metrics import (
@@ -45,12 +47,12 @@ from .model import (
 )
 from .qp import (
     ConstraintCycle,
+    Constraints,
     InfeasibleProblem,
     MaxIterationsExceeded,
     QPProblem,
     Solution,
     SolverSettings,
-    brute_force_minimize,
     check_feasibility,
     solve,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from .dequantize import AUTO, DequantizerConfig, consistency_report, dequantize
 from .experiment import ExperimentSpec, FileSource, run_experiment
 from .model import ValidationError, validate
 from .qp import SolverError, SolverSettings
-from .qv import QVConfig, select_lambda
+from .qv import select_lambda
 from .synth import SynthConfig, generate
 
 EXIT_OK = 0
@@ -40,8 +41,8 @@ def _parse_lambda(text: str):
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"--lambda must be a positive number or 'auto', got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("--lambda must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"--lambda must be a positive finite number, got {text!r}")
     return value
 
 
@@ -150,15 +151,8 @@ def _cmd_validate(args) -> int:
 def _cmd_dequantize(args) -> int:
     dataset = _load(args)
     settings = SolverSettings(feasibility_tolerance=args.feastol)
-    lam = args.lam
-    selected = None
-    if lam == AUTO:
-        report = select_lambda(
-            dataset, QVConfig(), DequantizerConfig(lam=1.0, epsilon=args.epsilon, solver=settings)
-        )
-        lam = selected = report.selected_lambda
-    config = DequantizerConfig(lam=lam, epsilon=args.epsilon, solver=settings)
-    scores = dequantize(dataset, config)
+    scores = dequantize(dataset, DequantizerConfig(lam=args.lam, epsilon=args.epsilon, solver=settings))
+    selected = None if scores.validation is None else scores.lam
     io.write_scores(scores, dataset, args.output)
     box_viol, margin = consistency_report(dataset, scores, args.epsilon)
     print(f"wrote {args.output} ({dataset.num_reviews} reviews)")
@@ -204,9 +198,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_qv(args) -> int:
     dataset = _load(args)
     settings = SolverSettings(feasibility_tolerance=args.feastol)
-    report = select_lambda(
-        dataset, QVConfig(), DequantizerConfig(lam=1.0, epsilon=args.epsilon, solver=settings)
-    )
+    report = select_lambda(dataset, deq_config=DequantizerConfig(epsilon=args.epsilon, solver=settings))
     print("lambda      validation_error")
     for lam, err in zip(report.lambdas, report.errors):
         marker = "  <- selected" if lam == report.selected_lambda else ""

@@ -14,20 +14,21 @@ reported rankings strict in the output.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from .model import DequantizedScores, ReviewDataset, require_valid
-from .qp import QPProblem, Solution, SolverSettings, solve
+from .qp import Constraints, QPProblem, SolverSettings, solve
+
+if TYPE_CHECKING:
+    from .qv import QVReport
 
 AUTO = "auto"
-
-# stand-in for lam -> 0 when only the consensus term should drive the output;
-# kept strictly positive so the objective stays strictly convex
-CONSENSUS_ONLY_WEIGHT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -38,101 +39,111 @@ class DequantizerConfig:
     lam: float | str = AUTO
     epsilon: float = 0.05
     solver: SolverSettings = field(default_factory=SolverSettings)
-    consensus_only: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(self.lam, str):
             if self.lam != AUTO:
                 raise ValueError(f"lam must be a positive number or {AUTO!r}")
-        elif self.lam <= 0:
-            raise ValueError("lam must be positive")
+        elif not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("lam must be a positive finite number")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie strictly between 0 and 1")
 
     def fit_weight(self) -> float:
-        if self.consensus_only:
-            return CONSENSUS_ONLY_WEIGHT
         if isinstance(self.lam, str):
             raise ValueError("fit weight is unresolved (AUTO); select a value first")
         return float(self.lam)
 
 
-def assemble(dataset: ReviewDataset, config: DequantizerConfig) -> QPProblem:
-    """Build the QP for a validated dataset and a concrete fit weight.
+@dataclass(frozen=True)
+class DequantizeResult(DequantizedScores):
+    """Dequantized scores with the fit weight ``lam`` that produced them.
 
-    The quadratic matrix is the Hessian of the objective above, so the
-    stored problem's 0.5*y'Qy + c'y + constant equals the objective exactly
-    (constant = lam * ||z||^2); per paper the consensus term contributes the
-    centering block 2*(I - (1/mu) 11'), the fit term 2*lam on the diagonal.
+    ``validation`` is the quantization-validation report when the weight was
+    selected from the data (``lam=AUTO``), None when it was given.
     """
+
+    lam: float
+    validation: QVReport | None = None
+
+
+@dataclass(frozen=True)
+class CompiledDataset:
+    """The part of a dataset's QP that does not depend on the fit weight.
+
+    ``z`` holds the reported scores in ``pair_index`` order, ``consensus`` the
+    Hessian C of the consensus term (per paper the centering block
+    2*(I - (1/mu) 11'), nothing for single-review papers) and ``constraints``
+    the half-unit boxes and epsilon-gap ranking rows. Every problem built by
+    ``problem`` shares ``constraints``, so the solver derives its constraint
+    data once per dataset, however many weights are solved.
+    """
+
+    z: np.ndarray
+    consensus: sp.csc_matrix
+    constraints: Constraints
+
+    def problem(self, lam: float) -> QPProblem:
+        """The QP at fit weight ``lam``: Q = C + 2*lam*I, c = -2*lam*z and
+        constant lam*||z||^2, so 0.5*y'Qy + c'y + constant equals the
+        objective exactly."""
+        fit = sp.identity(self.z.shape[0], format="csc") * (2.0 * lam)
+        return QPProblem(
+            quadratic=(self.consensus + fit).tocsc(),
+            linear=-2.0 * lam * self.z,
+            constraints=self.constraints,
+            constant=lam * float(self.z @ self.z),
+        )
+
+
+def compile_dataset(dataset: ReviewDataset, epsilon: float) -> CompiledDataset:
+    """Validate a dataset and build its fit-weight-free QP data."""
     require_valid(dataset)
-    lam = config.fit_weight()
     index = dataset.pair_index
     n = len(index)
-    z = np.empty(n)
-    for pair, i in index.items():
-        z[i] = dataset.scores[pair]
+    z = np.array([dataset.scores[pair] for pair in index], dtype=float)
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for paper, reviewers in dataset.assignment.reviewers_of_paper.items():
-        mu = len(reviewers)
-        if mu < 2:
-            continue
-        idx = [index[(r, paper)] for r in reviewers]
-        for a in idx:
-            rows.append(a)
-            cols.append(a)
-            vals.append(2.0 * (1.0 - 1.0 / mu))
-            for b in idx:
-                if b != a:
-                    rows.append(a)
-                    cols.append(b)
-                    vals.append(-2.0 / mu)
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend([2.0 * lam] * n)
+    papers: dict[str, int] = {}
+    paper_of = np.array([papers.setdefault(p, len(papers)) for _, p in index], dtype=int)
+    membership = sp.csr_matrix((np.ones(n), (np.arange(n), paper_of)), shape=(n, len(papers)))
+    paper_mean = membership @ sp.diags(1.0 / np.bincount(paper_of)) @ membership.T
+    consensus = (2.0 * (sp.identity(n) - paper_mean)).tocsc()
+    consensus.eliminate_zeros()  # single-review papers have no consensus term
 
-    quadratic = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-    linear = -2.0 * lam * z
-    constant = lam * float(z @ z)
-
-    pair_constraints = [
-        (index[(r, better)], index[(r, worse)], config.epsilon)
+    pair_constraints = tuple(
+        (index[(r, better)], index[(r, worse)], float(epsilon))
         for r, better, worse in dataset.ranking_pairs()
-    ]
-    return QPProblem.build(
-        quadratic, linear, pair_constraints, z - 0.5, z + 0.5, constant=constant
     )
+    return CompiledDataset(z, consensus, Constraints(z - 0.5, z + 0.5, pair_constraints))
+
+
+def assemble(dataset: ReviewDataset, config: DequantizerConfig) -> QPProblem:
+    """Build the QP for a valid dataset and a concrete fit weight."""
+    lam = config.fit_weight()
+    return compile_dataset(dataset, config.epsilon).problem(lam)
 
 
 def dequantize(
     dataset: ReviewDataset, config: DequantizerConfig = DequantizerConfig()
-) -> DequantizedScores:
+) -> DequantizeResult:
     """Merge scores and rankings into per-review real values.
 
     With ``lam=AUTO`` the fit weight is first selected by quantization
-    validation on the dataset itself. The output is the unique minimizer of
-    the assembled QP: every value stays within half a unit of its reported
+    validation on the dataset itself; the result carries the weight used and
+    the validation report. The output is the unique minimizer of the
+    assembled QP: every value stays within half a unit of its reported
     score and every reported ranking pair is separated by at least epsilon
     (both up to the solver's feasibility tolerance).
     """
-    if config.lam == AUTO and not config.consensus_only:
-        from .qv import QVConfig, select_lambda
+    validation = None
+    if config.lam == AUTO:
+        from .qv import select_lambda
 
-        report = select_lambda(dataset, QVConfig(), config)
-        config = DequantizerConfig(
-            lam=report.selected_lambda, epsilon=config.epsilon, solver=config.solver
-        )
-    problem = assemble(dataset, config)
-    solution = solve(problem, config.solver)
-    return _to_scores(dataset, solution)
-
-
-def _to_scores(dataset: ReviewDataset, solution: Solution) -> DequantizedScores:
+        validation = select_lambda(dataset, deq_config=config)
+        config = dataclasses.replace(config, lam=validation.selected_lambda)
+    solution = solve(assemble(dataset, config), config.solver)
     values = {pair: float(solution.values[i]) for pair, i in dataset.pair_index.items()}
-    return DequantizedScores(values=values)
+    return DequantizeResult(values=values, lam=config.lam, validation=validation)
 
 
 def consistency_report(
@@ -153,42 +164,3 @@ def consistency_report(
         margin = scores.values[(r, better)] - scores.values[(r, worse)]
         min_margin = min(min_margin, margin)
     return worst_box, min_margin
-
-
-def thurstone_joint_loglikelihood(
-    dataset: ReviewDataset,
-    scores: DequantizedScores,
-    x_star: dict[str, float],
-    sigma: float,
-) -> float:
-    """Joint log-density of latent review values and their quantization.
-
-    The quantization factor is an indicator: any value outside its score's
-    half-unit box gives -inf. Otherwise the value is Gaussian around the
-    paper quality ``x_star[p]``, so the result is
-    sum [-(y_rp - x*_p)^2 / (2 sigma^2) - log(sigma sqrt(2 pi))].
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    total = 0.0
-    norm = -math.log(sigma * math.sqrt(2.0 * math.pi))
-    for pair, value in scores.values.items():
-        z = dataset.scores[pair]
-        if value < z - 0.5 - 1e-9 or value > z + 0.5 + 1e-9:
-            return -math.inf
-        resid = value - x_star[pair[1]]
-        total += -(resid * resid) / (2.0 * sigma * sigma) + norm
-    return total
-
-
-def profiled_paper_qualities(
-    dataset: ReviewDataset, scores: DequantizedScores
-) -> dict[str, float]:
-    """Per-paper quality maximizing the joint log-likelihood: the mean of the
-    paper's review values."""
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for (r, p), value in scores.values.items():
-        sums[p] = sums.get(p, 0.0) + value
-        counts[p] = counts.get(p, 0) + 1
-    return {p: sums[p] / counts[p] for p in sums}

@@ -12,6 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +33,6 @@ from .metrics import (
 )
 from .model import DequantizedScores, ReviewDataset
 from .qp import SolverSettings
-from .qv import QVConfig, select_lambda
 from .synth import SynthConfig, generate, trial_seed
 
 REPORT_VERSION = 1
@@ -79,8 +79,12 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if not self.sweep_values:
             raise ValueError("sweep needs at least one value")
-        if self.sweep_parameter == "lambda" and any(v <= 0 for v in self.sweep_values):
-            raise ValueError("swept lambda values must be positive")
+        if self.sweep_parameter == "lambda" and not all(
+            math.isfinite(v) and v > 0 for v in self.sweep_values
+        ):
+            raise ValueError("swept lambda values must be positive and finite")
+        # fail before any trial runs on a bad weight, separation or tolerance
+        DequantizerConfig(lam=self.lam, epsilon=self.epsilon, solver=_solver_settings(self))
 
 
 @dataclass
@@ -159,17 +163,8 @@ def _run_method(
     """Returns the method's scores and, for the proposed method under AUTO,
     the selected fit weight."""
     if method == "proposed":
-        selected = None
-        if lam == AUTO:
-            report = select_lambda(
-                dataset, QVConfig(), DequantizerConfig(lam=1.0, epsilon=epsilon, solver=solver)
-            )
-            lam = report.selected_lambda
-            selected = lam
-        scores = dequantize(
-            dataset, DequantizerConfig(lam=lam, epsilon=epsilon, solver=solver)
-        )
-        return scores, selected
+        scores = dequantize(dataset, DequantizerConfig(lam=lam, epsilon=epsilon, solver=solver))
+        return scores, None if scores.validation is None else scores.lam
     if method == "quantized":
         return quantized_baseline(dataset), None
     if method == "bre_adjusted":

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 
 class AllTiedError(ValueError):
@@ -52,9 +51,8 @@ def kendall_tau_error(pair: ScoreVectorPair) -> float:
     count 1 for each pair the estimate orders the other way and 1/2 for each
     pair the estimate ties (absolute difference below ``tie_tolerance``),
     divided by the number of truth-ordered pairs. Comparisons are global
-    across the whole vector, not per reviewer. Direct O(n^2) computation;
-    this is the reference implementation that the sorting-based variant is
-    verified against.
+    across the whole vector, not per reviewer. Direct O(n^2) computation,
+    in row blocks to bound memory.
     """
     t, e = pair.arrays()
     n = t.shape[0]
@@ -76,74 +74,6 @@ def kendall_tau_error(pair: ScoreVectorPair) -> float:
     if ordered == 0:
         raise AllTiedError("no strictly ordered truth pair")
     return penalty / ordered
-
-
-def kendall_tau_error_fast(pair: ScoreVectorPair) -> float:
-    """O(n log n) variant via merge-sort inversion counting.
-
-    Only supports exact-equality ties (both tolerances zero): a positive
-    tolerance makes "tied" non-transitive, which has no sorting-based
-    formulation. Verified against ``kendall_tau_error`` in the test suite.
-    """
-    if pair.tie_tolerance != 0.0 or pair.truth_tie_tolerance != 0.0:
-        raise ValueError("fast path requires exact-equality ties (zero tolerances)")
-    t, e = pair.arrays()
-    n = t.shape[0]
-    order = np.lexsort((e, t))
-    ts, es = t[order], e[order]
-
-    total_pairs = n * (n - 1) // 2
-    ordered = total_pairs - _tied_pairs(ts)
-    if ordered == 0:
-        raise AllTiedError("no strictly ordered truth pair")
-
-    # lexsort puts estimate values inside each truth-tie run in ascending
-    # order, so inversions of es count exactly the cross-run discordances;
-    # estimate ties inside a run must likewise be excluded from the 1/2 term
-    discordant = _count_inversions(es)
-    e_ties_within = 0
-    run_start = 0
-    for i in range(1, n + 1):
-        if i == n or ts[i] != ts[run_start]:
-            e_ties_within += _tied_pairs(es[run_start:i])
-            run_start = i
-    e_ties_across = _tied_pairs(np.sort(e)) - e_ties_within
-    return (discordant + 0.5 * e_ties_across) / ordered
-
-
-def _tied_pairs(sorted_values: np.ndarray) -> int:
-    count = 0
-    n = sorted_values.shape[0]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        run = j - i + 1
-        count += run * (run - 1) // 2
-        i = j + 1
-    return count
-
-
-def _count_inversions(values: np.ndarray) -> int:
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    if n < 2:
-        return 0
-    mid = n // 2
-    left = values[:mid].copy()
-    right = values[mid:].copy()
-    inv = _count_inversions(left) + _count_inversions(right)
-    left.sort()
-    right.sort()
-    i = j = 0
-    while i < left.shape[0] and j < right.shape[0]:
-        if left[i] > right[j]:
-            inv += left.shape[0] - i
-            j += 1
-        else:
-            i += 1
-    return inv
 
 
 def l2_error(pair: ScoreVectorPair) -> float:
@@ -185,9 +115,21 @@ def percentiles(values: dict) -> dict:
     the mean rank: with n values, the k-th smallest sits at 100*(k - 0.5)/n."""
     keys = sorted(values)
     arr = np.array([values[k] for k in keys], dtype=float)
-    ranks = scipy.stats.rankdata(arr, method="average")
-    pct = 100.0 * (ranks - 0.5) / arr.shape[0]
+    pct = 100.0 * (_average_ranks(arr) - 0.5) / arr.shape[0]
     return {k: float(p) for k, p in zip(keys, pct)}
+
+
+def _average_ranks(arr: np.ndarray) -> np.ndarray:
+    """1-based ranks, each run of equal values sharing the mean of its ranks:
+    a run at sorted positions [start, end) gets (start + end + 1) / 2."""
+    order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    run_start = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.flatnonzero(run_start)
+    ends = np.append(starts[1:], arr.shape[0])
+    ranks = np.empty(arr.shape[0])
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(run_start) - 1]
+    return ranks
 
 
 def trial_statistics(errors) -> tuple[float, float]:

@@ -150,6 +150,11 @@ class ReviewDataset:
     def ranking_of(self) -> dict[str, PartialRanking]:
         return {rk.reviewer_id: rk for rk in self.rankings}
 
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """``validate(self)``, computed once per dataset."""
+        return tuple(validate(self))
+
     @property
     def num_reviews(self) -> int:
         return len(self.assignment.pairs)
@@ -166,15 +171,6 @@ class DequantizedScores:
     """Real-valued output scores, defined exactly on the originating assignment."""
 
     values: dict[Pair, float]
-
-    def as_vector(self, dataset: ReviewDataset):
-        import numpy as np
-
-        index = dataset.pair_index
-        out = np.empty(len(index))
-        for pair, i in index.items():
-            out[i] = self.values[pair]
-        return out
 
 
 def _strongly_connected_components(nodes, edges) -> list[list[str]]:
@@ -297,9 +293,8 @@ def validate(dataset: ReviewDataset) -> list[Violation]:
 
 
 def require_valid(dataset: ReviewDataset) -> None:
-    violations = validate(dataset)
-    if violations:
-        raise ValidationError(violations)
+    if dataset.violations:
+        raise ValidationError(list(dataset.violations))
 
 
 def derive_rankings_from_raw_scores(raw: dict[Pair, float]) -> list[PartialRanking]:

@@ -13,15 +13,18 @@ Feasibility is pre-checked by longest-path propagation of the pairwise gaps
 through the constraint graph, so infeasible inputs fail fast instead of
 iterating.
 
-``brute_force_minimize`` is an independent oracle for small problems: grid
-search over the feasible box lattice followed by projected-gradient
-refinement (projections computed by Dykstra's alternating method). It shares
-no iteration machinery with ``solve`` and exists for cross-checking.
+The constraints live in a ``Constraints`` object that problems may share:
+everything the solver derives from the constraints alone (the feasibility
+check, the stacked constraint matrix, its transpose and A'A) is computed on
+first use and reused by every problem built on the same object.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,8 +61,55 @@ class MaxIterationsExceeded(SolverError):
         self.residuals = residuals
 
 
-class DimensionTooLarge(SolverError):
-    pass
+class StackedRows(NamedTuple):
+    """Boxes (identity rows) stacked over pair rows as l <= A y <= u, with
+    A' and A'A."""
+
+    A: sp.csc_matrix
+    At: sp.csr_matrix
+    AtA: sp.csc_matrix
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+@dataclass(frozen=True)
+class Constraints:
+    """Boxes and pair constraints of a QP, independent of its objective.
+
+    The feasibility check and the stacked rows are computed on first use and
+    cached, so problems sharing one ``Constraints`` (a dataset solved along a
+    fit-weight grid) pay for them once.
+    """
+
+    box_lower: np.ndarray
+    box_upper: np.ndarray
+    pair_constraints: tuple[tuple[int, int, float], ...]
+
+    @property
+    def n(self) -> int:
+        return self.box_lower.shape[0]
+
+    @cached_property
+    def feasibility(self) -> FeasibilityResult:
+        return check_feasibility(self)
+
+    @cached_property
+    def rows(self) -> StackedRows:
+        n = self.n
+        m = len(self.pair_constraints)
+        blocks = [sp.identity(n, format="csc")]
+        lower = [self.box_lower]
+        upper = [self.box_upper]
+        if m:
+            i, j, gaps = (np.array(col) for col in zip(*self.pair_constraints))
+            cols = np.column_stack([i, j]).ravel()
+            vals = np.tile([1.0, -1.0], m)
+            blocks.append(sp.csc_matrix((vals, (np.repeat(np.arange(m), 2), cols)), shape=(m, n)))
+            lower.append(gaps)
+            upper.append(np.full(m, np.inf))
+        A = sp.vstack(blocks, format="csc")
+        At = A.T
+        return StackedRows(A, At, (At @ A).tocsc(), np.concatenate(lower), np.concatenate(upper))
 
 
 @dataclass(frozen=True)
@@ -68,13 +118,26 @@ class QPProblem:
     i.e. the objective is 0.5*y'Qy + c'y + constant (the factor-of-2 bookkeeping
     lives with whoever assembles Q, not here)."""
 
-    n: int
     quadratic: sp.csc_matrix
     linear: np.ndarray
-    pair_constraints: tuple[tuple[int, int, float], ...]
-    box_lower: np.ndarray
-    box_upper: np.ndarray
+    constraints: Constraints
     constant: float = 0.0
+
+    @property
+    def n(self) -> int:
+        return self.constraints.n
+
+    @property
+    def pair_constraints(self) -> tuple[tuple[int, int, float], ...]:
+        return self.constraints.pair_constraints
+
+    @property
+    def box_lower(self) -> np.ndarray:
+        return self.constraints.box_lower
+
+    @property
+    def box_upper(self) -> np.ndarray:
+        return self.constraints.box_upper
 
     @classmethod
     def build(cls, quadratic, linear, pair_constraints, box_lower, box_upper, constant=0.0):
@@ -99,12 +162,9 @@ class QPProblem:
                 raise ValueError(f"bad pair constraint indices ({i}, {j}) for n={n}")
             pairs.append((int(i), int(j), float(gap)))
         return cls(
-            n=n,
             quadratic=quadratic,
             linear=linear,
-            pair_constraints=tuple(pairs),
-            box_lower=box_lower,
-            box_upper=box_upper,
+            constraints=Constraints(box_lower, box_upper, tuple(pairs)),
             constant=float(constant),
         )
 
@@ -139,8 +199,9 @@ class SolverSettings:
     max_iterations: int = 50_000
 
     def __post_init__(self) -> None:
-        if min(self.feasibility_tolerance, self.optimality_tolerance) <= 0:
-            raise ValueError("tolerances must be positive")
+        tolerances = (self.feasibility_tolerance, self.optimality_tolerance)
+        if not all(math.isfinite(t) and t > 0 for t in tolerances):
+            raise ValueError("tolerances must be positive finite numbers")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
 
@@ -157,22 +218,21 @@ class Solution:
 class FeasibilityResult:
     feasible: bool
     witness: tuple[int, ...] | None
-    tightened_lower: np.ndarray | None = field(repr=False, default=None)
-    tightened_upper: np.ndarray | None = field(repr=False, default=None)
+    tightened_lower: np.ndarray = field(repr=False)
 
 
-def check_feasibility(problem: QPProblem) -> FeasibilityResult:
+def check_feasibility(problem: QPProblem | Constraints) -> FeasibilityResult:
     """Propagate pairwise gaps through the constraint graph and test the boxes.
 
     Lower bounds travel upward along each constraint y_i >= y_j + gap
     (longest-path relaxation); the system is feasible iff every tightened
     lower bound stays below its box upper bound. A positive-gap cycle raises
     ``ConstraintCycle``; an empty interval yields the chain of variables
-    whose accumulated gaps overflow the box as witness.
+    whose accumulated gaps overflow the box as witness. Only the constraints
+    are read, so a problem's ``Constraints`` can be checked directly.
     """
     n = problem.n
     lo = problem.box_lower.copy()
-    hi = problem.box_upper.copy()
     pred: list[int | None] = [None] * n
 
     changed = True
@@ -192,18 +252,6 @@ def check_feasibility(problem: QPProblem) -> FeasibilityResult:
             cycle = _walk_cycle(pred, last_changed, n)
             raise ConstraintCycle(cycle)
 
-    # mirror pass so callers get usable upper bounds too
-    changed = True
-    rounds = 0
-    while changed and rounds <= n:
-        changed = False
-        for i, j, gap in problem.pair_constraints:
-            cand = hi[i] - gap
-            if cand < hi[j] - 1e-15:
-                hi[j] = cand
-                changed = True
-        rounds += 1
-
     bad = np.nonzero(lo > problem.box_upper + 1e-12)[0]
     if bad.size:
         start = int(bad[0])
@@ -212,8 +260,8 @@ def check_feasibility(problem: QPProblem) -> FeasibilityResult:
         while pred[node] is not None and len(chain) <= n:
             node = pred[node]
             chain.append(node)
-        return FeasibilityResult(False, tuple(chain), lo, hi)
-    return FeasibilityResult(True, None, lo, np.maximum(hi, lo))
+        return FeasibilityResult(False, tuple(chain), lo)
+    return FeasibilityResult(True, None, lo)
 
 
 def _walk_cycle(pred: list[int | None], start: int, n: int) -> list[int]:
@@ -229,31 +277,6 @@ def _walk_cycle(pred: list[int | None], start: int, n: int) -> list[int]:
     cycle = path[seen[node]:]
     cycle.reverse()
     return cycle
-
-
-def _constraint_matrix(problem: QPProblem):
-    """Stack boxes (identity rows) and pair rows into l <= A y <= u."""
-    n = problem.n
-    m = len(problem.pair_constraints)
-    blocks = [sp.identity(n, format="csc")]
-    l = [problem.box_lower]
-    u = [problem.box_upper]
-    if m:
-        rows = np.repeat(np.arange(m), 2)
-        cols = np.empty(2 * m, dtype=int)
-        vals = np.empty(2 * m)
-        gaps = np.empty(m)
-        for k, (i, j, gap) in enumerate(problem.pair_constraints):
-            cols[2 * k] = i
-            cols[2 * k + 1] = j
-            vals[2 * k] = 1.0
-            vals[2 * k + 1] = -1.0
-            gaps[k] = gap
-        blocks.append(sp.csc_matrix((vals, (rows, cols)), shape=(m, n)))
-        l.append(gaps)
-        u.append(np.full(m, np.inf))
-    A = sp.vstack(blocks, format="csc")
-    return A, np.concatenate(l), np.concatenate(u)
 
 
 def _polish(Q, c, A, l, u, act_lower, act_upper):
@@ -300,7 +323,7 @@ def _polish(Q, c, A, l, u, act_lower, act_upper):
     return x, w_full
 
 
-def _residuals(Q, c, A, l, u, x, w, z=None):
+def _residuals(Q, c, rows: StackedRows, x, w, z=None):
     """(primal infeasibility, scaled stationarity) of a primal-dual pair.
 
     When ``z`` (the projected constraint copy) is given, the primal residual
@@ -309,16 +332,16 @@ def _residuals(Q, c, A, l, u, x, w, z=None):
     (polished candidates, where w is nonzero only on rows pinned to their
     bound) the true constraint violation alone is the right measure.
     """
-    Ax = A @ x
+    Ax = rows.A @ x
     primal = max(
-        float(np.max(l - Ax, initial=0.0)),
-        float(np.max(Ax - u, initial=0.0)),
+        float(np.max(rows.lower - Ax, initial=0.0)),
+        float(np.max(Ax - rows.upper, initial=0.0)),
         0.0,
     )
     if z is not None:
         primal = max(primal, float(np.max(np.abs(Ax - z))))
     Qx = Q @ x
-    Atw = A.T @ w
+    Atw = rows.At @ w
     stat_num = float(np.max(np.abs(Qx + c + Atw)))
     stat_den = max(
         1.0,
@@ -341,7 +364,7 @@ def solve(
     ``InfeasibleProblem``/``ConstraintCycle`` when the constraint set is
     empty and ``MaxIterationsExceeded`` when tolerances are not met.
     """
-    feas = check_feasibility(problem)
+    feas = problem.constraints.feasibility
     if not feas.feasible:
         raise InfeasibleProblem(
             "pair-constraint gaps overflow the boxes along chain "
@@ -349,7 +372,8 @@ def solve(
         )
 
     n = problem.n
-    A, l, u = _constraint_matrix(problem)
+    rows = problem.constraints.rows
+    A, At, AtA, l, u = rows
 
     # normalize the objective so rho has a consistent meaning across fit weights
     scale = max(1.0, float(problem.quadratic.diagonal().max()) / 2.0)
@@ -360,7 +384,6 @@ def solve(
     alpha = 1.6
     rho = 1.0
     eye = sp.identity(n, format="csc")
-    AtA = (A.T @ A).tocsc()
     lu = spla.splu((Q + sigma * eye + rho * AtA).tocsc())
 
     x = np.asarray(start, dtype=float).copy() if start is not None else feas.tightened_lower.copy()
@@ -376,7 +399,7 @@ def solve(
     it = 0
     while it < settings.max_iterations:
         it += 1
-        rhs = sigma * x - c + A.T @ (rho * z - w)
+        rhs = sigma * x - c + At @ (rho * z - w)
         x_tilde = lu.solve(rhs)
         z_tilde = A @ x_tilde
         x = alpha * x_tilde + (1.0 - alpha) * x
@@ -387,7 +410,7 @@ def solve(
 
         if it % check_every:
             continue
-        primal, stat = _residuals(Q, c, A, l, u, x, w, z)
+        primal, stat = _residuals(Q, c, rows, x, w, z)
         if best is None or primal + stat < best[0]:
             best = (primal + stat, x.copy(), w.copy(), z.copy())
         converged = primal <= feastol and stat <= opttol
@@ -398,7 +421,7 @@ def solve(
             if polished is not None:
                 xp, wp = polished
                 good_signs = np.all(wp[act_lower] <= 1e-9) and np.all(wp[act_upper] >= -1e-9)
-                pp, ps = _residuals(Q, c, A, l, u, xp, wp)
+                pp, ps = _residuals(Q, c, rows, xp, wp)
                 if good_signs and pp <= feastol and ps <= opttol:
                     return Solution(xp, problem.objective(xp), it, (pp, ps))
         if converged:
@@ -410,134 +433,10 @@ def solve(
                 rho = float(np.clip(rho * np.sqrt(ratio), 1e-4, 1e4))
                 lu = spla.splu((Q + sigma * eye + rho * AtA).tocsc())
 
-    primal, stat = _residuals(Q, c, A, l, u, x, w, z)
+    primal, stat = _residuals(Q, c, rows, x, w, z)
     if best is not None and best[0] < primal + stat:
         x, w, z = best[1], best[2], best[3]
-        primal, stat = _residuals(Q, c, A, l, u, x, w, z)
+        primal, stat = _residuals(Q, c, rows, x, w, z)
     if primal <= feastol and stat <= opttol:
         return Solution(x.copy(), problem.objective(x), it, (primal, stat))
     raise MaxIterationsExceeded(it, (primal, stat))
-
-
-def _dykstra_project(y, lo, hi, pairs, max_cycles=400):
-    """Euclidean projection onto {box} intersect {pair halfspaces}."""
-    if not pairs:
-        return np.clip(y, lo, hi)
-    x = y.copy()
-    corrections = np.zeros((len(pairs) + 1, y.shape[0]))
-    for _ in range(max_cycles):
-        delta = 0.0
-        v = x + corrections[0]
-        px = np.clip(v, lo, hi)
-        corrections[0] = v - px
-        delta = max(delta, float(np.max(np.abs(px - x))))
-        x = px
-        for k, (i, j, gap) in enumerate(pairs, start=1):
-            v = x + corrections[k]
-            shortfall = gap - (v[i] - v[j])
-            px = v.copy()
-            if shortfall > 0:
-                px[i] += shortfall / 2.0
-                px[j] -= shortfall / 2.0
-            corrections[k] = v - px
-            delta = max(delta, float(np.max(np.abs(px - x))))
-            x = px
-        if delta < 1e-14:
-            break
-    return x
-
-
-def brute_force_minimize(problem: QPProblem, grid_step: float = 1e-3) -> Solution:
-    """Oracle minimization for tiny instances (n <= 6), used only in tests.
-
-    Enumerates the feasible box lattice (coarsening the step when the full
-    lattice would exceed a fixed evaluation budget, then zooming back in
-    around the incumbent until the requested step is reached) and finishes
-    with projected-gradient refinement from the best lattice point.
-    """
-    if problem.n > 6:
-        raise DimensionTooLarge(f"brute force limited to n <= 6, got n={problem.n}")
-    feas = check_feasibility(problem)
-    if not feas.feasible:
-        raise InfeasibleProblem(
-            f"pair-constraint gaps overflow the boxes along chain {list(feas.witness)}",
-            list(feas.witness),
-        )
-    n = problem.n
-    lo = feas.tightened_lower
-    hi = feas.tightened_upper
-    pairs = problem.pair_constraints
-    Q = problem.quadratic.toarray()
-    c = problem.linear
-    budget = 300_000
-
-    def lattice_axes(center_lo, center_hi, step):
-        axes = []
-        for d in range(n):
-            pts = np.arange(center_lo[d], center_hi[d] + 1e-12, step)
-            if pts.size == 0:
-                pts = np.array([center_lo[d]])
-            if pts[-1] < center_hi[d] - 1e-12:
-                pts = np.append(pts, center_hi[d])
-            axes.append(pts)
-        return axes
-
-    def evaluate(points):
-        vals = 0.5 * np.einsum("kd,dj,kj->k", points, Q, points) + points @ c
-        return vals
-
-    def feasible_mask(points):
-        mask = np.ones(points.shape[0], dtype=bool)
-        for i, j, gap in pairs:
-            mask &= points[:, i] - points[:, j] >= gap - 1e-9
-        return mask
-
-    widths = np.maximum(hi - lo, 1e-12)
-    step = float(max(widths.max(), grid_step))
-    while True:
-        count = 1.0
-        for d in range(n):
-            count *= np.floor(widths[d] / step) + 2
-        if count > budget or step <= grid_step:
-            break
-        step /= 2.0
-    step = max(step, grid_step)
-
-    incumbent = feas.tightened_lower.copy()
-    incumbent_val = problem.objective(incumbent)
-    window_lo, window_hi = lo.copy(), hi.copy()
-    while True:
-        axes = lattice_axes(window_lo, window_hi, step)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([m.ravel() for m in mesh], axis=1)
-        mask = feasible_mask(points)
-        if mask.any():
-            pts = points[mask]
-            vals = evaluate(pts)
-            k = int(np.argmin(vals))
-            if vals[k] + problem.constant < incumbent_val:
-                incumbent = pts[k]
-                incumbent_val = float(vals[k]) + problem.constant
-        if step <= grid_step:
-            break
-        new_step = max(step / 4.0, grid_step)
-        window_lo = np.maximum(lo, incumbent - 2.0 * step)
-        window_hi = np.minimum(hi, incumbent + 2.0 * step)
-        step = new_step
-
-    # projected-gradient refinement; the objective is strongly convex so a
-    # fixed 1/L step converges linearly from the lattice incumbent
-    L = float(np.linalg.eigvalsh(Q).max())
-    t = 1.0 / max(L, 1e-12)
-    y = _dykstra_project(incumbent, problem.box_lower, problem.box_upper, pairs)
-    for iteration in range(20_000):
-        g = Q @ y + c
-        y_new = _dykstra_project(y - t * g, problem.box_lower, problem.box_upper, pairs)
-        if float(np.max(np.abs(y_new - y))) < 1e-13:
-            y = y_new
-            break
-        y = y_new
-    value = problem.objective(y)
-    if value > incumbent_val:
-        y, value = incumbent, incumbent_val
-    return Solution(y, value, iteration + 1, (problem.constraint_violation(y), float("nan")))

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dequantize import DequantizerConfig, assemble
+from .dequantize import DequantizerConfig, compile_dataset
 from .metrics import ScoreVectorPair, kendall_tau_error
 from .model import (
     Pair,
@@ -42,25 +42,16 @@ def halve_score(z: int) -> int:
     return math.ceil(z / 2)
 
 
-LOSSES: dict[str, Callable[[ScoreVectorPair], float]] = {
-    "kendall": kendall_tau_error,
-}
-
-
 @dataclass(frozen=True)
 class QVConfig:
     lambda_grid: tuple[float, ...] = field(default_factory=default_lambda_grid)
-    quantizer: Callable[[int], int] = halve_score
-    loss: str = "kendall"
 
     def __post_init__(self) -> None:
         grid = self.lambda_grid
-        if not grid or any(g <= 0 for g in grid):
-            raise ValueError("lambda grid must be nonempty and positive")
+        if not grid or not all(math.isfinite(g) and g > 0 for g in grid):
+            raise ValueError("lambda grid must be nonempty, positive and finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("lambda grid must be strictly increasing")
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}; known: {sorted(LOSSES)}")
 
 
 @dataclass(frozen=True)
@@ -104,13 +95,15 @@ def coarsen(dataset: ReviewDataset, quantizer: Callable[[int], int] = halve_scor
 def select_lambda(
     dataset: ReviewDataset,
     config: QVConfig = QVConfig(),
-    deq_config: DequantizerConfig = DequantizerConfig(lam=1.0),
+    deq_config: DequantizerConfig = DequantizerConfig(),
 ) -> QVReport:
     """Evaluate every candidate weight on the coarsened dataset and pick the
     one whose dequantization best recovers the original score ordering.
 
-    Candidates are solved in ascending order, warm-starting each solve from
-    the previous solution (the minimizer is unique, so this only saves
+    Only ``epsilon`` and the solver settings of ``deq_config`` are used. The
+    coarsened dataset is compiled once and every candidate's QP is built on
+    it; candidates are solved in ascending order, warm-starting each solve
+    from the previous solution (the minimizer is unique, so this only saves
     iterations). The original scores act as validation truth with exact-tie
     omission; all-tied originals raise ``DegenerateValidation``.
     """
@@ -119,21 +112,17 @@ def select_lambda(
     if len(set(truth.values())) < 2:
         raise DegenerateValidation("all original scores are tied; loss is undefined")
 
-    coarse = coarsen(dataset, config.quantizer)
-    loss = LOSSES[config.loss]
+    coarse = coarsen(dataset)
+    compiled = compile_dataset(coarse, deq_config.epsilon)
     index = coarse.pair_index
 
     errors: list[float] = []
     start: np.ndarray | None = None
     for lam in config.lambda_grid:
-        problem = assemble(
-            coarse,
-            DequantizerConfig(lam=lam, epsilon=deq_config.epsilon, solver=deq_config.solver),
-        )
-        solution = solve(problem, deq_config.solver, start=start)
+        solution = solve(compiled.problem(lam), deq_config.solver, start=start)
         start = solution.values
         estimate = {pair: float(solution.values[i]) for pair, i in index.items()}
-        errors.append(loss(ScoreVectorPair(truth=truth, estimate=estimate)))
+        errors.append(kendall_tau_error(ScoreVectorPair(truth=truth, estimate=estimate)))
 
     best = min(range(len(errors)), key=lambda i: (errors[i], config.lambda_grid[i]))
     return QVReport(

@@ -1,0 +1,203 @@
+"""Independent oracles for the tests: they share no iteration machinery
+with the package's solver and exist only to cross-check it.
+
+``brute_force_minimize`` solves small QPs by grid search over the feasible
+box lattice followed by projected-gradient refinement (projections computed
+by Dykstra's alternating method). ``thurstone_joint_loglikelihood`` and
+``profiled_paper_qualities`` state the Thurstone model whose box-constrained
+maximizer the consensus-only solution should be.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from deqscores.model import DequantizedScores, ReviewDataset
+from deqscores.qp import InfeasibleProblem, QPProblem, Solution, SolverError, check_feasibility
+
+
+class DimensionTooLarge(SolverError):
+    pass
+
+
+def _tightened_upper(problem: QPProblem, tightened_lower: np.ndarray) -> np.ndarray:
+    """Upper bounds pushed down along each pair constraint y_i >= y_j + gap
+    (the mirror of ``check_feasibility``'s lower-bound pass), never below the
+    tightened lower bounds."""
+    hi = problem.box_upper.copy()
+    changed = True
+    rounds = 0
+    while changed and rounds <= problem.n:
+        changed = False
+        for i, j, gap in problem.pair_constraints:
+            cand = hi[i] - gap
+            if cand < hi[j] - 1e-15:
+                hi[j] = cand
+                changed = True
+        rounds += 1
+    return np.maximum(hi, tightened_lower)
+
+
+def _dykstra_project(y, lo, hi, pairs, max_cycles=400):
+    """Euclidean projection onto {box} intersect {pair halfspaces}."""
+    if not pairs:
+        return np.clip(y, lo, hi)
+    x = y.copy()
+    corrections = np.zeros((len(pairs) + 1, y.shape[0]))
+    for _ in range(max_cycles):
+        delta = 0.0
+        v = x + corrections[0]
+        px = np.clip(v, lo, hi)
+        corrections[0] = v - px
+        delta = max(delta, float(np.max(np.abs(px - x))))
+        x = px
+        for k, (i, j, gap) in enumerate(pairs, start=1):
+            v = x + corrections[k]
+            shortfall = gap - (v[i] - v[j])
+            px = v.copy()
+            if shortfall > 0:
+                px[i] += shortfall / 2.0
+                px[j] -= shortfall / 2.0
+            corrections[k] = v - px
+            delta = max(delta, float(np.max(np.abs(px - x))))
+            x = px
+        if delta < 1e-14:
+            break
+    return x
+
+
+def brute_force_minimize(problem: QPProblem, grid_step: float = 1e-3) -> Solution:
+    """Oracle minimization for tiny instances (n <= 6).
+
+    Enumerates the feasible box lattice (coarsening the step when the full
+    lattice would exceed a fixed evaluation budget, then zooming back in
+    around the incumbent until the requested step is reached) and finishes
+    with projected-gradient refinement from the best lattice point.
+    """
+    if problem.n > 6:
+        raise DimensionTooLarge(f"brute force limited to n <= 6, got n={problem.n}")
+    feas = check_feasibility(problem)
+    if not feas.feasible:
+        raise InfeasibleProblem(
+            f"pair-constraint gaps overflow the boxes along chain {list(feas.witness)}",
+            list(feas.witness),
+        )
+    n = problem.n
+    lo = feas.tightened_lower
+    hi = _tightened_upper(problem, lo)
+    pairs = problem.pair_constraints
+    Q = problem.quadratic.toarray()
+    c = problem.linear
+    budget = 300_000
+
+    def lattice_axes(center_lo, center_hi, step):
+        axes = []
+        for d in range(n):
+            pts = np.arange(center_lo[d], center_hi[d] + 1e-12, step)
+            if pts.size == 0:
+                pts = np.array([center_lo[d]])
+            if pts[-1] < center_hi[d] - 1e-12:
+                pts = np.append(pts, center_hi[d])
+            axes.append(pts)
+        return axes
+
+    def evaluate(points):
+        vals = 0.5 * np.einsum("kd,dj,kj->k", points, Q, points) + points @ c
+        return vals
+
+    def feasible_mask(points):
+        mask = np.ones(points.shape[0], dtype=bool)
+        for i, j, gap in pairs:
+            mask &= points[:, i] - points[:, j] >= gap - 1e-9
+        return mask
+
+    widths = np.maximum(hi - lo, 1e-12)
+    step = float(max(widths.max(), grid_step))
+    while True:
+        count = 1.0
+        for d in range(n):
+            count *= np.floor(widths[d] / step) + 2
+        if count > budget or step <= grid_step:
+            break
+        step /= 2.0
+    step = max(step, grid_step)
+
+    incumbent = feas.tightened_lower.copy()
+    incumbent_val = problem.objective(incumbent)
+    window_lo, window_hi = lo.copy(), hi.copy()
+    while True:
+        axes = lattice_axes(window_lo, window_hi, step)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        points = np.stack([m.ravel() for m in mesh], axis=1)
+        mask = feasible_mask(points)
+        if mask.any():
+            pts = points[mask]
+            vals = evaluate(pts)
+            k = int(np.argmin(vals))
+            if vals[k] + problem.constant < incumbent_val:
+                incumbent = pts[k]
+                incumbent_val = float(vals[k]) + problem.constant
+        if step <= grid_step:
+            break
+        new_step = max(step / 4.0, grid_step)
+        window_lo = np.maximum(lo, incumbent - 2.0 * step)
+        window_hi = np.minimum(hi, incumbent + 2.0 * step)
+        step = new_step
+
+    # projected-gradient refinement; the objective is strongly convex so a
+    # fixed 1/L step converges linearly from the lattice incumbent
+    L = float(np.linalg.eigvalsh(Q).max())
+    t = 1.0 / max(L, 1e-12)
+    y = _dykstra_project(incumbent, problem.box_lower, problem.box_upper, pairs)
+    for iteration in range(20_000):
+        g = Q @ y + c
+        y_new = _dykstra_project(y - t * g, problem.box_lower, problem.box_upper, pairs)
+        if float(np.max(np.abs(y_new - y))) < 1e-13:
+            y = y_new
+            break
+        y = y_new
+    value = problem.objective(y)
+    if value > incumbent_val:
+        y, value = incumbent, incumbent_val
+    return Solution(y, value, iteration + 1, (problem.constraint_violation(y), float("nan")))
+
+
+def thurstone_joint_loglikelihood(
+    dataset: ReviewDataset,
+    scores: DequantizedScores,
+    x_star: dict[str, float],
+    sigma: float,
+) -> float:
+    """Joint log-density of latent review values and their quantization.
+
+    The quantization factor is an indicator: any value outside its score's
+    half-unit box gives -inf. Otherwise the value is Gaussian around the
+    paper quality ``x_star[p]``, so the result is
+    sum [-(y_rp - x*_p)^2 / (2 sigma^2) - log(sigma sqrt(2 pi))].
+    """
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    total = 0.0
+    norm = -math.log(sigma * math.sqrt(2.0 * math.pi))
+    for pair, value in scores.values.items():
+        z = dataset.scores[pair]
+        if value < z - 0.5 - 1e-9 or value > z + 0.5 + 1e-9:
+            return -math.inf
+        resid = value - x_star[pair[1]]
+        total += -(resid * resid) / (2.0 * sigma * sigma) + norm
+    return total
+
+
+def profiled_paper_qualities(
+    dataset: ReviewDataset, scores: DequantizedScores
+) -> dict[str, float]:
+    """Per-paper quality maximizing the joint log-likelihood: the mean of the
+    paper's review values."""
+    sums: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for (r, p), value in scores.values.items():
+        sums[p] = sums.get(p, 0.0) + value
+        counts[p] = counts.get(p, 0) + 1
+    return {p: sums[p] / counts[p] for p in sums}

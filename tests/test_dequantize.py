@@ -4,16 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from deqscores import model, qp
 from deqscores.baselines import bre_adjusted_scores, score_only_closed_form
 from deqscores.dequantize import (
     AUTO,
-    CONSENSUS_ONLY_WEIGHT,
     DequantizerConfig,
     assemble,
     consistency_report,
     dequantize,
-    profiled_paper_qualities,
-    thurstone_joint_loglikelihood,
 )
 from deqscores.model import DequantizedScores, ValidationError
 from deqscores.qp import InfeasibleProblem, solve
@@ -21,6 +19,7 @@ from deqscores.qv import QVConfig, select_lambda
 from deqscores.synth import SynthConfig, generate, trial_seed
 
 from conftest import likelihood_lattice_maximizer, make_dataset
+from oracles import profiled_paper_qualities, thurstone_joint_loglikelihood
 
 
 def literal_objective(dataset, values, lam):
@@ -86,6 +85,11 @@ class TestAssemble:
         with pytest.raises(ValueError, match="AUTO"):
             assemble(ds, DequantizerConfig(lam=AUTO))
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_lam_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            DequantizerConfig(lam=lam)
+
 
 class TestDequantize:
     def test_unanimous_scores_stay_put(self):
@@ -130,6 +134,30 @@ class TestDequantize:
         manual = dequantize(instance.dataset, DequantizerConfig(lam=report.selected_lambda))
         for pair in manual.values:
             assert auto.values[pair] == pytest.approx(manual.values[pair], abs=1e-9)
+
+    def test_auto_compiles_each_dataset_once(self, monkeypatch):
+        calls = {"validate": 0, "check_feasibility": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(model, "validate", counting("validate", model.validate))
+        monkeypatch.setattr(qp, "check_feasibility", counting("check_feasibility", qp.check_feasibility))
+        instance = generate(SynthConfig(num_papers=12, seed=21))
+        auto = dequantize(instance.dataset, DequantizerConfig(lam=AUTO))
+        # one feasibility check for the coarsened copy's whole grid, one for
+        # the final solve on the dataset itself
+        assert calls["validate"] <= 3
+        assert calls["check_feasibility"] == 2
+        assert auto.validation.selected_lambda == auto.lam
+        assert len(auto.validation.errors) == 40
+        manual = dequantize(instance.dataset, DequantizerConfig(lam=auto.lam))
+        assert manual.values == auto.values
+        assert manual.lam == auto.lam and manual.validation is None
 
     def test_few_output_ties_on_default_instance(self):
         from deqscores.metrics import tie_fraction
@@ -274,10 +302,7 @@ class TestThurstoneConnection:
         ]
         for scores in cases:
             ds = make_dataset(scores)
-            deq = dequantize(ds, DequantizerConfig(lam=1.0, consensus_only=True))
+            deq = dequantize(ds, DequantizerConfig(lam=1e-6))  # consensus only
             oracle = likelihood_lattice_maximizer(ds)
             for pair in deq.values:
                 assert deq.values[pair] == pytest.approx(oracle[pair], abs=1e-3)
-
-    def test_consensus_only_weight_is_tiny_but_positive(self):
-        assert 0 < CONSENSUS_ONLY_WEIGHT <= 1e-6

@@ -157,6 +157,30 @@ class TestCli:
         assert exit_info.value.code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda_exits_one(self, tmp_path, capsys, value):
+        reviews = tmp_path / "reviews.csv"
+        reviews.write_text("reviewer_id,paper_id,score\nr1,A,5\nr2,A,4\n")
+        with pytest.raises(SystemExit) as exit_info:
+            self.run(
+                "dequantize", "--reviews", str(reviews),
+                f"--lambda={value}", "--output", str(tmp_path / "o.csv"),
+            )
+        assert exit_info.value.code == 1
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_feastol_exits_one(self, tmp_path, capsys, value):
+        reviews = tmp_path / "reviews.csv"
+        reviews.write_text("reviewer_id,paper_id,score\nr1,A,5\nr2,A,4\n")
+        rc = self.run(
+            "dequantize", "--reviews", str(reviews), "--lambda", "1",
+            "--feastol", value, "--output", str(tmp_path / "o.csv"),
+        )
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_qv_command_reports_selection(self, tmp_path, capsys):
         prefix = tmp_path / "demo"
         self.run(

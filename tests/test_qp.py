@@ -4,15 +4,15 @@ import scipy.optimize
 
 from deqscores.qp import (
     ConstraintCycle,
-    DimensionTooLarge,
     InfeasibleProblem,
     MaxIterationsExceeded,
     QPProblem,
     SolverSettings,
-    brute_force_minimize,
     check_feasibility,
     solve,
 )
+
+from oracles import DimensionTooLarge, brute_force_minimize
 
 
 def single_variable_problem():
@@ -220,3 +220,10 @@ class TestProblemConstruction:
     def test_settings_must_be_positive(self):
         with pytest.raises(ValueError):
             SolverSettings(feasibility_tolerance=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_settings_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            SolverSettings(feasibility_tolerance=value)
+        with pytest.raises(ValueError, match="finite"):
+            SolverSettings(optimality_tolerance=value)
