@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import DequantizedScores, ReviewDataset, require_valid
-from .qp import Constraints, QPProblem, SolverSettings, solve
+from .qp import Constraints, InfeasibleProblem, QPProblem, SolverSettings, solve
 
 if TYPE_CHECKING:
     from .qv import QVReport
@@ -97,7 +97,12 @@ class CompiledDataset:
 
 
 def compile_dataset(dataset: ReviewDataset, epsilon: float) -> CompiledDataset:
-    """Validate a dataset and build its fit-weight-free QP data."""
+    """Validate a dataset and build its fit-weight-free QP data.
+
+    Raises ``InfeasibleProblem`` when a reviewer's ranking chain needs more
+    than the half-unit score boxes allow at separation ``epsilon``, naming
+    the chain's reviews by (reviewer, paper) ids.
+    """
     require_valid(dataset)
     index = dataset.pair_index
     n = len(index)
@@ -114,7 +119,18 @@ def compile_dataset(dataset: ReviewDataset, epsilon: float) -> CompiledDataset:
         (index[(r, better)], index[(r, worse)], float(epsilon))
         for r, better, worse in dataset.ranking_pairs()
     )
-    return CompiledDataset(z, consensus, Constraints(z - 0.5, z + 0.5, pair_constraints))
+    constraints = Constraints(z - 0.5, z + 0.5, pair_constraints)
+    feasibility = constraints.feasibility
+    if not feasibility.feasible:
+        chain = list(feasibility.witness)
+        pairs = list(index)
+        reviews = " > ".join("({}, {})".format(*pairs[i]) for i in chain)
+        raise InfeasibleProblem(
+            f"ranked chain of {len(chain)} reviews cannot be separated by epsilon={epsilon:g} "
+            f"within their half-unit score boxes: {reviews}",
+            chain,
+        )
+    return CompiledDataset(z, consensus, constraints)
 
 
 def assemble(dataset: ReviewDataset, config: DequantizerConfig) -> QPProblem:

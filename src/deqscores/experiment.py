@@ -220,8 +220,9 @@ def _run_trial(spec: ExperimentSpec, sweep_value, trial: int) -> dict:
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run every (sweep value, trial) cell and aggregate with mean/SEM.
 
-    A failing trial aborts the run with its sweep value and trial index in
-    the exception context.
+    A failing trial aborts the run with an exception of its original class
+    whose message starts with the trial index and sweep value, with or
+    without worker processes.
     """
     per_value_rows: dict = {}
     for sweep_value in spec.sweep_values:
@@ -274,11 +275,45 @@ def _run_trial_with_context(spec: ExperimentSpec, sweep_value, trial: int) -> di
     try:
         return _run_trial(spec, sweep_value, trial)
     except Exception as exc:
-        raise RuntimeError(
-            f"trial {trial} at {spec.sweep_parameter}={sweep_value} failed: {exc}"
-        ) from exc
+        message = f"trial {trial} at {spec.sweep_parameter}={sweep_value} failed: {exc}"
+        raise _with_message(exc, message) from exc
+
+
+def _with_message(exc: Exception, message: str) -> BaseException:
+    """A copy of ``exc`` whose text is ``message``, of its own class where
+    that class prints its args (most do), else of its nearest base class
+    that does (``UnicodeDecodeError`` prints its own fields, for one)."""
+    for cls in type(exc).__mro__:
+        copy = _rebuild_exception(cls, (message,), vars(exc))
+        if str(copy) == message or cls is BaseException:
+            return copy
+
+
+def _rebuild_exception(cls, args: tuple, state: dict) -> BaseException:
+    """An exception of class ``cls`` with ``args`` and attributes ``state``,
+    made without calling ``cls.__init__`` (whose signature may differ)."""
+    exc = cls.__new__(cls, *args)
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
+
+
+class _PortableError(Exception):
+    """Carries a worker's exception to the parent process, where it unpickles
+    as the original class with the original message and attributes, even
+    when that class's ``__init__`` takes other arguments than its message."""
+
+    def __init__(self, exc: Exception):
+        super().__init__(str(exc))
+        self.exc = exc
+
+    def __reduce__(self):
+        return _rebuild_exception, (type(self.exc), self.exc.args, vars(self.exc))
 
 
 def _trial_worker(args) -> dict:
     spec, sweep_value, trial = args
-    return _run_trial_with_context(spec, sweep_value, trial)
+    try:
+        return _run_trial_with_context(spec, sweep_value, trial)
+    except Exception as exc:
+        raise _PortableError(exc) from None

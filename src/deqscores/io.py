@@ -113,14 +113,15 @@ def load_reviews(
 def write_scores(scores: DequantizedScores, dataset: ReviewDataset, path) -> None:
     """Write per-review output rows, one paper block at a time, best first.
 
-    Rows are sorted by (paper_id, dequantized score descending, reviewer_id)
-    and floats printed with 12 significant digits, so rewriting the same
-    result is byte-identical and a reload preserves values.
+    Floats are printed with 12 significant digits, so rewriting the same
+    result is byte-identical and a reload preserves values. Rows are sorted
+    by (paper_id, printed score descending, reviewer_id) and percentiles
+    are ranks of the printed scores, so reviews that print the same score
+    share one percentile and order by reviewer.
     """
-    pct = percentiles(scores.values)
-    rows = sorted(
-        scores.values.items(), key=lambda kv: (kv[0][1], -kv[1], kv[0][0])
-    )
+    printed = {pair: float(format(value, ".12g")) for pair, value in scores.values.items()}
+    pct = percentiles(printed)
+    rows = sorted(printed.items(), key=lambda kv: (kv[0][1], -kv[1], kv[0][0]))
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")

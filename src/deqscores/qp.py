@@ -13,6 +13,15 @@ Feasibility is pre-checked by longest-path propagation of the pairwise gaps
 through the constraint graph, so infeasible inputs fail fast instead of
 iterating.
 
+The ADMM x-update solves (Q + sigma I + rho A'A) x = b. It is never
+factored: each iteration runs a Jacobi-preconditioned conjugate gradient,
+warm-started from the previous iteration's solution. The box rows make the
+matrix at least rho*I, and for the score-merging QP it is well conditioned,
+so a few CG steps suffice; a sparse LU of it would fill in heavily, because
+consensus and ranking couplings make its graph an expander. The only
+factorization left is the polish's sparse LU of the much smaller active-set
+KKT system, tried at every residual check.
+
 The constraints live in a ``Constraints`` object that problems may share:
 everything the solver derives from the constraints alone (the feasibility
 check, the stacked constraint matrix, its transpose and A'A) is computed on
@@ -212,6 +221,7 @@ class Solution:
     objective_value: float
     iterations: int
     residuals: tuple[float, float]  # (primal infeasibility, scaled stationarity)
+    cg_iterations: int  # conjugate-gradient steps over all ADMM x-updates
 
 
 @dataclass(frozen=True)
@@ -297,21 +307,15 @@ def _polish(Q, c, A, l, u, act_lower, act_upper):
     A_act = A[rows]
     k = rows.size
     delta = 1e-9
-    kkt = sp.bmat(
-        [
-            [Q + delta * sp.identity(n), A_act.T],
-            [A_act, -delta * sp.identity(k)],
-        ],
-        format="csc",
-    )
+    kkt0 = sp.bmat([[Q, A_act.T], [A_act, None]], format="csc")
+    regularization = sp.diags(np.concatenate([np.full(n, delta), np.full(k, -delta)]))
     rhs = np.concatenate([-c, b])
     try:
-        lu = spla.splu(kkt)
+        lu = spla.splu((kkt0 + regularization).tocsc())
     except RuntimeError:
         return None
     sol = lu.solve(rhs)
     # a couple of refinement sweeps against the unregularized system
-    kkt0 = sp.bmat([[Q, A_act.T], [A_act, None]], format="csc")
     for _ in range(2):
         resid = rhs - kkt0 @ sol
         if np.max(np.abs(resid)) < 1e-14:
@@ -321,6 +325,44 @@ def _polish(Q, c, A, l, u, act_lower, act_upper):
     w_full = np.zeros(A.shape[0])
     w_full[rows] = sol[n:]
     return x, w_full
+
+
+def _x_update_system(Q, sigma: float, rho: float, AtA):
+    """The ADMM x-update matrix Q + sigma I + rho A'A as CSR, with the
+    inverse of its diagonal (the Jacobi preconditioner)."""
+    K = (Q + sigma * sp.identity(Q.shape[0], format="csc") + rho * AtA).tocsr()
+    return K, 1.0 / K.diagonal()
+
+
+_CG_TOLERANCE = 1e-10
+_CG_MAX_STEPS = 1000
+
+
+def _pcg(K, inv_diag, b, x0):
+    """Jacobi-preconditioned conjugate gradient for K x = b from ``x0``.
+
+    Stops once ||b - K x||_inf <= 1e-10 * max(1, ||b||_inf), or after a fixed
+    number of steps. Returns (x, steps taken).
+    """
+    tol = _CG_TOLERANCE * max(1.0, float(np.max(np.abs(b))))
+    x = x0.copy()
+    r = b - K @ x
+    if np.max(np.abs(r)) <= tol:
+        return x, 0
+    d = inv_diag * r
+    p = d
+    rd = float(r @ d)
+    for step in range(1, _CG_MAX_STEPS + 1):
+        Kp = K @ p
+        a = rd / float(p @ Kp)
+        x += a * p
+        r -= a * Kp
+        if np.max(np.abs(r)) <= tol:
+            return x, step
+        d = inv_diag * r
+        rd, rd_old = float(r @ d), rd
+        p = d + (rd / rd_old) * p
+    return x, _CG_MAX_STEPS
 
 
 def _residuals(Q, c, rows: StackedRows, x, w, z=None):
@@ -371,7 +413,6 @@ def solve(
             f"{list(feas.witness)}", list(feas.witness),
         )
 
-    n = problem.n
     rows = problem.constraints.rows
     A, At, AtA, l, u = rows
 
@@ -383,24 +424,25 @@ def solve(
     sigma = 1e-6
     alpha = 1.6
     rho = 1.0
-    eye = sp.identity(n, format="csc")
-    lu = spla.splu((Q + sigma * eye + rho * AtA).tocsc())
+    K, inv_diag = _x_update_system(Q, sigma, rho, AtA)
 
     x = np.asarray(start, dtype=float).copy() if start is not None else feas.tightened_lower.copy()
+    x_tilde = x
     z = np.clip(A @ x, l, u)
     w = np.zeros_like(z)
 
     feastol = settings.feasibility_tolerance
     opttol = settings.optimality_tolerance
     check_every = 25
-    polish_every = 100
     best: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     it = 0
+    cg_steps = 0
     while it < settings.max_iterations:
         it += 1
         rhs = sigma * x - c + At @ (rho * z - w)
-        x_tilde = lu.solve(rhs)
+        x_tilde, steps = _pcg(K, inv_diag, rhs, x_tilde)
+        cg_steps += steps
         z_tilde = A @ x_tilde
         x = alpha * x_tilde + (1.0 - alpha) * x
         v = alpha * z_tilde + (1.0 - alpha) * z + w / rho
@@ -413,30 +455,28 @@ def solve(
         primal, stat = _residuals(Q, c, rows, x, w, z)
         if best is None or primal + stat < best[0]:
             best = (primal + stat, x.copy(), w.copy(), z.copy())
-        converged = primal <= feastol and stat <= opttol
-        if converged or it % polish_every == 0:
-            act_lower = w < -1e-12
-            act_upper = w > 1e-12
-            polished = _polish(Q, c, A, l, u, act_lower, act_upper)
-            if polished is not None:
-                xp, wp = polished
-                good_signs = np.all(wp[act_lower] <= 1e-9) and np.all(wp[act_upper] >= -1e-9)
-                pp, ps = _residuals(Q, c, rows, xp, wp)
-                if good_signs and pp <= feastol and ps <= opttol:
-                    return Solution(xp, problem.objective(xp), it, (pp, ps))
-        if converged:
-            return Solution(x.copy(), problem.objective(x), it, (primal, stat))
+        act_lower = w < -1e-12
+        act_upper = w > 1e-12
+        polished = _polish(Q, c, A, l, u, act_lower, act_upper)
+        if polished is not None:
+            xp, wp = polished
+            good_signs = np.all(wp[act_lower] <= 1e-9) and np.all(wp[act_upper] >= -1e-9)
+            pp, ps = _residuals(Q, c, rows, xp, wp)
+            if good_signs and pp <= feastol and ps <= opttol:
+                return Solution(xp, problem.objective(xp), it, (pp, ps), cg_steps)
+        if primal <= feastol and stat <= opttol:
+            return Solution(x.copy(), problem.objective(x), it, (primal, stat), cg_steps)
         if it % 2000 == 0:
             # slow progress: re-balance the penalty between primal and dual work
             ratio = (primal + 1e-16) / (stat + 1e-16)
             if ratio > 100.0 or ratio < 0.01:
                 rho = float(np.clip(rho * np.sqrt(ratio), 1e-4, 1e4))
-                lu = spla.splu((Q + sigma * eye + rho * AtA).tocsc())
+                K, inv_diag = _x_update_system(Q, sigma, rho, AtA)
 
     primal, stat = _residuals(Q, c, rows, x, w, z)
     if best is not None and best[0] < primal + stat:
         x, w, z = best[1], best[2], best[3]
         primal, stat = _residuals(Q, c, rows, x, w, z)
     if primal <= feastol and stat <= opttol:
-        return Solution(x.copy(), problem.objective(x), it, (primal, stat))
+        return Solution(x.copy(), problem.objective(x), it, (primal, stat), cg_steps)
     raise MaxIterationsExceeded(it, (primal, stat))

@@ -161,7 +161,7 @@ def brute_force_minimize(problem: QPProblem, grid_step: float = 1e-3) -> Solutio
     value = problem.objective(y)
     if value > incumbent_val:
         y, value = incumbent, incumbent_val
-    return Solution(y, value, iteration + 1, (problem.constraint_violation(y), float("nan")))
+    return Solution(y, value, iteration + 1, (problem.constraint_violation(y), float("nan")), 0)
 
 
 def thurstone_joint_loglikelihood(

@@ -124,8 +124,12 @@ class TestDequantize:
         order = sorted(p for _, p in scores)
         pairs = [(order[i], order[i + 1]) for i in range(21)]
         ds = make_dataset(scores, {"r1": pairs})
-        with pytest.raises(InfeasibleProblem):
+        with pytest.raises(InfeasibleProblem) as info:
             dequantize(ds, DequantizerConfig(lam=1.0, epsilon=0.05))
+        # the chain is named by (reviewer, paper) ids, best first
+        message = str(info.value)
+        assert "(r1, p00) > (r1, p01) > " in message
+        assert message.endswith("(r1, p20) > (r1, p21)")
 
     def test_auto_matches_explicit_selection(self):
         instance = generate(SynthConfig(num_papers=12, seed=21))

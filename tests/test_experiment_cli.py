@@ -3,8 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from deqscores import experiment
 from deqscores.cli import main
 from deqscores.experiment import ExperimentSpec, FileSource, run_experiment
+from deqscores.io import ParseError
+from deqscores.qp import MaxIterationsExceeded
 from deqscores.synth import SynthConfig
 
 DATA = Path(__file__).parent / "data"
@@ -244,3 +247,53 @@ class TestCli:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "contents, code",
+        [(None, 1), (b"paper_id,score\npaper01,x\n", 2), (b"\xff\xfe", 1)],
+        ids=["missing-file", "unparsable-file", "undecodable-file"],
+    )
+    def test_failing_trial_exits_with_documented_code(self, tmp_path, capsys, jobs, contents, code):
+        raw = tmp_path / "raw.csv"
+        if contents is not None:
+            raw.write_bytes(contents)
+        rc = self.run(
+            "experiment", "--raw-scores", str(raw), "--sweep", "papers_per_reviewer",
+            "--values", "3", "--trials", "1", "--jobs", jobs,
+            "--output", str(tmp_path / "report.json"),
+        )
+        assert rc == code
+        err = capsys.readouterr().err
+        prefix = "error: trial 0 at papers_per_reviewer=3.0 failed: "
+        assert err.startswith(prefix)
+        # one line, and the cause's own text follows the context
+        assert len(err.splitlines()) == 1 and err[len(prefix):].strip()
+
+    def test_failing_trial_solver_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise MaxIterationsExceeded(7, (1e-3, 2e-3))
+
+        monkeypatch.setattr(experiment, "dequantize", fail)
+        rc = self.run(
+            "experiment", "--values", "0.5", "--trials", "1", "--papers", "8",
+            "--reviews-per-paper", "2", "--papers-per-reviewer", "2", "--lambda", "2",
+            "--output", str(tmp_path / "report.json"),
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: trial 0 at sigma=0.5 failed: no solution")
+
+
+def test_worker_failure_keeps_class_and_attributes(tmp_path):
+    # ParseError's constructor takes (path, line, message), so it only
+    # survives the trip back from a worker process if rebuilt from its state
+    raw = tmp_path / "raw.csv"
+    raw.write_text("paper_id,score\npaper01,x\n")
+    spec = ExperimentSpec(
+        methods=("quantized",), sweep_parameter="papers_per_reviewer", sweep_values=(3,),
+        trials=2, base=FileSource(raw_path=str(raw)), jobs=2,
+    )
+    with pytest.raises(ParseError, match=r"^trial 0 at papers_per_reviewer=3 failed: ") as info:
+        run_experiment(spec)
+    assert info.value.line == 2

@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from deqscores.dequantize import DequantizerConfig, dequantize
@@ -14,8 +15,10 @@ from deqscores.io import (
     write_synthetic,
 )
 from deqscores.metrics import percentiles
-from deqscores.model import ValidationError, derive_rankings_from_raw_scores
+from deqscores.model import DequantizedScores, ValidationError, derive_rankings_from_raw_scores
 from deqscores.synth import SynthConfig, generate
+
+from conftest import make_dataset
 
 DATA = Path(__file__).parent / "data"
 
@@ -143,10 +146,28 @@ class TestWriteScores:
         scores = dequantize(instance.dataset, DequantizerConfig(lam=2.0))
         out = tmp_path / "out.csv"
         write_scores(scores, instance.dataset, out)
-        expected = percentiles(scores.values)
+        printed = {pair: float(format(value, ".12g")) for pair, value in scores.values.items()}
+        expected = percentiles(printed)
         for line in out.read_text().splitlines()[1:]:
             reviewer, paper, _, _, pct = line.split(",")
             assert float(pct) == pytest.approx(expected[(reviewer, paper)], rel=1e-11)
+
+    def test_equal_printed_scores_share_one_percentile(self, tmp_path):
+        # values one ulp apart print alike, so they must rank alike and
+        # order by reviewer within their paper
+        scores = {("r1", "A"): 1, ("r2", "A"): 1, ("r3", "A"): 1, ("r1", "B"): 2}
+        above = float(np.nextafter(1.125, 2.0))
+        output = DequantizedScores(
+            values={("r1", "A"): 1.125, ("r2", "A"): above, ("r3", "A"): 1.0, ("r1", "B"): 2.0}
+        )
+        out = tmp_path / "out.csv"
+        write_scores(output, make_dataset(scores, scale=(1, 2)), out)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(r, p, y) for r, p, _, y, _ in rows] == [
+            ("r1", "A", "1.125"), ("r2", "A", "1.125"), ("r3", "A", "1"), ("r1", "B", "2"),
+        ]
+        pct = {(r, p): float(q) for r, p, _, _, q in rows}
+        assert pct[("r1", "A")] == pct[("r2", "A")] == 50.0
 
 
 class TestPrepareHalfScale:

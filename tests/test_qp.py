@@ -1,7 +1,14 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.optimize
 
+from deqscores import qp
+from deqscores.baselines import score_only_closed_form
+from deqscores.dequantize import compile_dataset, consistency_report
+from deqscores.model import DequantizedScores
 from deqscores.qp import (
     ConstraintCycle,
     InfeasibleProblem,
@@ -11,6 +18,7 @@ from deqscores.qp import (
     check_feasibility,
     solve,
 )
+from deqscores.synth import SynthConfig, generate
 
 from oracles import DimensionTooLarge, brute_force_minimize
 
@@ -137,6 +145,63 @@ class TestSolve:
         )
         solution = solve(problem)
         assert solution.values == pytest.approx([5.025, 4.975], abs=1e-6)
+
+
+@pytest.fixture(scope="module")
+def large_dataset():
+    """A default synthetic instance at P=1500: n = 6 000 reviews."""
+    return generate(SynthConfig(num_papers=1500, seed=11)).dataset
+
+
+class TestLargeScale:
+    """The x-update at a scale where a sparse LU of it fills in heavily."""
+
+    def test_only_the_polish_factors(self, large_dataset, monkeypatch):
+        calls = {"splu": 0, "polish": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        linalg = qp.spla
+        monkeypatch.setattr(
+            qp, "spla", SimpleNamespace(**{**vars(linalg), "splu": counting("splu", linalg.splu)})
+        )
+        monkeypatch.setattr(qp, "_polish", counting("polish", qp._polish))
+        solve(compile_dataset(large_dataset, 0.05).problem(1.0))
+        assert calls["polish"] >= 1
+        assert calls["splu"] <= calls["polish"]
+
+    def test_ranking_free_matches_closed_form(self, large_dataset):
+        # an independent certificate at n = 6 000: without rankings the
+        # minimizer has an exact per-paper form
+        dataset = dataclasses.replace(large_dataset, rankings=())
+        lam = 1.0
+        solution = solve(compile_dataset(dataset, 0.05).problem(lam))
+        exact = score_only_closed_form(dataset, lam).values
+        expected = np.array([exact[pair] for pair in dataset.pair_index])
+        assert np.max(np.abs(solution.values - expected)) <= 1e-7
+
+    def test_ranked_solve_is_start_independent_and_consistent(self, large_dataset):
+        problem = compile_dataset(large_dataset, 0.05).problem(1.0)
+        a = solve(problem)
+        b = solve(problem, start=problem.box_upper.copy())
+        assert np.max(np.abs(a.values - b.values)) <= 1e-9
+        scores = DequantizedScores(
+            values={pair: float(a.values[i]) for pair, i in large_dataset.pair_index.items()}
+        )
+        box_violation, margin = consistency_report(large_dataset, scores, 0.05)
+        assert box_violation <= 1e-6
+        assert margin >= 0.05 - 1e-6
+
+    @pytest.mark.parametrize("num_papers", [60, 1500])
+    def test_few_cg_steps_per_iteration(self, num_papers):
+        dataset = generate(SynthConfig(num_papers=num_papers, seed=11)).dataset
+        solution = solve(compile_dataset(dataset, 0.05).problem(1.0))
+        assert solution.cg_iterations <= 20 * solution.iterations
 
 
 class TestCheckFeasibility:
