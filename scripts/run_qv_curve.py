@@ -17,8 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from deqscores.dequantize import DequantizerConfig, compile_dataset
 from deqscores.metrics import ScoreVectorPair, kendall_tau_error
-from deqscores.qp import solve
-from deqscores.qv import select_lambda
+from deqscores.qv import lambda_path, select_lambda
 from deqscores.synth import SynthConfig, generate
 
 
@@ -37,10 +36,7 @@ def main() -> int:
     compiled = compile_dataset(instance.dataset, args.epsilon)
     index = instance.dataset.pair_index
     true_errors = []
-    start = None
-    for lam in qv_report.lambdas:
-        solution = solve(compiled.problem(lam), start=start)
-        start = solution.values
+    for solution in lambda_path(compiled, qv_report.lambdas):
         estimate = {pair: float(solution.values[i]) for pair, i in index.items()}
         true_errors.append(
             kendall_tau_error(

@@ -15,10 +15,10 @@ import sys
 from pathlib import Path
 
 from . import baselines, io
-from .dequantize import AUTO, DequantizerConfig, consistency_report, dequantize
+from .dequantize import AUTO, DequantizerConfig, compile_dataset, consistency_report, dequantize
 from .experiment import ExperimentSpec, FileSource, run_experiment
 from .model import ValidationError, validate
-from .qp import SolverError, SolverSettings
+from .qp import InfeasibleProblem, SolverError, SolverSettings
 from .qv import select_lambda
 from .synth import SynthConfig, generate
 
@@ -84,6 +84,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="check a dataset against the model invariants")
     _add_dataset_args(p)
+    p.add_argument(
+        "--epsilon", type=float, default=0.05,
+        help="ranking separation the score boxes must leave room for (default 0.05)",
+    )
 
     p = sub.add_parser("dequantize", help="merge scores and rankings into real-valued scores")
     _add_dataset_args(p)
@@ -138,11 +142,15 @@ def build_parser() -> _Parser:
 
 
 def _cmd_validate(args) -> int:
+    config = DequantizerConfig(epsilon=args.epsilon)
     try:
-        _load(args)
+        compile_dataset(_load(args), config.epsilon)
     except ValidationError as exc:
         for violation in exc.violations:
             print(violation)
+        return EXIT_VALIDATION
+    except InfeasibleProblem as exc:
+        print(exc)
         return EXIT_VALIDATION
     print("ok")
     return EXIT_OK

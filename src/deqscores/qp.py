@@ -22,6 +22,17 @@ consensus and ranking couplings make its graph an expander. The only
 factorization left is the polish's sparse LU of the much smaller active-set
 KKT system, tried at every residual check.
 
+Along a path of related problems (one dataset solved at increasing fit
+weights) neighbouring minimizers almost always hold the same constraints at
+their bounds. A ``Solution`` therefore records its active set, and passing
+it as the ``start`` of the next solve makes the solver try one polish on that
+active set before it builds the x-update system or iterates at all (the
+parametric active-set warm start of qpOASES). The polished point is accepted
+only through the same certificate as every other polish: multiplier signs,
+primal residual and scaled stationarity within the settings' tolerances.
+Otherwise the solve falls back to the ADMM iteration, started from the
+previous solution's values.
+
 The constraints live in a ``Constraints`` object that problems may share:
 everything the solver derives from the constraints alone (the feasibility
 check, the stacked constraint matrix, its transpose and A'A) is computed on
@@ -217,11 +228,16 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class Solution:
+    """A certified minimizer. ``active`` marks, per stacked constraint row
+    (the boxes, then the pair rows), whether the solution holds it at its
+    lower bound (-1), its upper bound (+1) or neither (0); None when unknown."""
+
     values: np.ndarray
     objective_value: float
     iterations: int
     residuals: tuple[float, float]  # (primal infeasibility, scaled stationarity)
     cg_iterations: int  # conjugate-gradient steps over all ADMM x-updates
+    active: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -394,17 +410,50 @@ def _residuals(Q, c, rows: StackedRows, x, w, z=None):
     return primal, stat_num / stat_den
 
 
+def _active_rows(w: np.ndarray) -> np.ndarray:
+    """Rows a multiplier vector holds at a bound: -1 lower, +1 upper, 0 free."""
+    return (w > 1e-12).astype(np.int8) - (w < -1e-12).astype(np.int8)
+
+
+def _certified_polish(Q, c, rows: StackedRows, signs: np.ndarray, settings: SolverSettings):
+    """Polish on a guessed active set; return (x, residuals) when the polished
+    point is certified optimal, else None.
+
+    ``signs`` is a multiplier vector or a stored active set: rows below
+    -1e-12 are held at their lower bound, rows above 1e-12 at their upper
+    bound. The certificate: every polished multiplier has the sign of the
+    bound it holds, the primal residual is within the feasibility tolerance
+    and the scaled stationarity within the optimality tolerance.
+    """
+    act_lower = signs < -1e-12
+    act_upper = signs > 1e-12
+    polished = _polish(Q, c, rows.A, rows.lower, rows.upper, act_lower, act_upper)
+    if polished is None:
+        return None
+    xp, wp = polished
+    good_signs = np.all(wp[act_lower] <= 1e-9) and np.all(wp[act_upper] >= -1e-9)
+    pp, ps = _residuals(Q, c, rows, xp, wp)
+    if good_signs and pp <= settings.feasibility_tolerance and ps <= settings.optimality_tolerance:
+        return xp, (pp, ps)
+    return None
+
+
 def solve(
     problem: QPProblem,
     settings: SolverSettings = SolverSettings(),
-    start: np.ndarray | None = None,
+    start: np.ndarray | Solution | None = None,
 ) -> Solution:
     """Return the unique minimizer of a strictly convex instance.
 
-    ``start`` warm-starts the splitting iteration (the result is the same
-    minimizer either way; a good start only saves iterations). Raises
-    ``InfeasibleProblem``/``ConstraintCycle`` when the constraint set is
-    empty and ``MaxIterationsExceeded`` when tolerances are not met.
+    ``start`` is a starting point or a previous ``Solution`` of a problem
+    with the same constraints; the result is the same minimizer either way,
+    a good start only saves work. A previous solution's values start the
+    splitting iteration, and before that its active set is tried with one
+    polish: if the polished point passes the certificate every polish must
+    pass, it is returned with ``iterations`` 0, otherwise the solve iterates
+    as without it. Raises ``InfeasibleProblem``/``ConstraintCycle`` when the
+    constraint set is empty and ``MaxIterationsExceeded`` when tolerances
+    are not met.
     """
     feas = problem.constraints.feasibility
     if not feas.feasible:
@@ -420,6 +469,19 @@ def solve(
     scale = max(1.0, float(problem.quadratic.diagonal().max()) / 2.0)
     Q = (problem.quadratic / scale).tocsc()
     c = problem.linear / scale
+
+    if isinstance(start, Solution):
+        active = start.active
+        if active is not None:
+            if active.shape != l.shape:
+                raise ValueError(
+                    f"start's active set covers {active.shape[0]} rows, the problem has {l.shape[0]}"
+                )
+            certified = _certified_polish(Q, c, rows, active, settings)
+            if certified is not None:
+                xp, residuals = certified
+                return Solution(xp, problem.objective(xp), 0, residuals, 0, active)
+        start = start.values
 
     sigma = 1e-6
     alpha = 1.6
@@ -455,17 +517,12 @@ def solve(
         primal, stat = _residuals(Q, c, rows, x, w, z)
         if best is None or primal + stat < best[0]:
             best = (primal + stat, x.copy(), w.copy(), z.copy())
-        act_lower = w < -1e-12
-        act_upper = w > 1e-12
-        polished = _polish(Q, c, A, l, u, act_lower, act_upper)
-        if polished is not None:
-            xp, wp = polished
-            good_signs = np.all(wp[act_lower] <= 1e-9) and np.all(wp[act_upper] >= -1e-9)
-            pp, ps = _residuals(Q, c, rows, xp, wp)
-            if good_signs and pp <= feastol and ps <= opttol:
-                return Solution(xp, problem.objective(xp), it, (pp, ps), cg_steps)
+        certified = _certified_polish(Q, c, rows, w, settings)
+        if certified is not None:
+            xp, residuals = certified
+            return Solution(xp, problem.objective(xp), it, residuals, cg_steps, _active_rows(w))
         if primal <= feastol and stat <= opttol:
-            return Solution(x.copy(), problem.objective(x), it, (primal, stat), cg_steps)
+            return Solution(x.copy(), problem.objective(x), it, (primal, stat), cg_steps, _active_rows(w))
         if it % 2000 == 0:
             # slow progress: re-balance the penalty between primal and dual work
             ratio = (primal + 1e-16) / (stat + 1e-16)
@@ -478,5 +535,5 @@ def solve(
         x, w, z = best[1], best[2], best[3]
         primal, stat = _residuals(Q, c, rows, x, w, z)
     if primal <= feastol and stat <= opttol:
-        return Solution(x.copy(), problem.objective(x), it, (primal, stat), cg_steps)
+        return Solution(x.copy(), problem.objective(x), it, (primal, stat), cg_steps, _active_rows(w))
     raise MaxIterationsExceeded(it, (primal, stat))

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
-import numpy as np
-
-from .dequantize import DequantizerConfig, compile_dataset
+from .dequantize import CompiledDataset, DequantizerConfig, compile_dataset
 from .metrics import ScoreVectorPair, kendall_tau_error
 from .model import (
     Pair,
@@ -25,7 +23,7 @@ from .model import (
     derive_rankings_from_raw_scores,
     require_valid,
 )
-from .qp import solve
+from .qp import Solution, SolverSettings, solve
 
 
 class DegenerateValidation(ValueError):
@@ -92,6 +90,27 @@ def coarsen(dataset: ReviewDataset, quantizer: Callable[[int], int] = halve_scor
     )
 
 
+def lambda_path(
+    compiled: CompiledDataset,
+    lambdas: Sequence[float],
+    settings: SolverSettings = SolverSettings(),
+) -> list[Solution]:
+    """Solve ``compiled`` at each fit weight in order, as one path.
+
+    Each solve is started from the previous weight's solution, so it first
+    tries that solution's active set with a single certified polish and
+    iterates only when the polished point fails the certificate. Every
+    returned solution is the certified unique minimizer at its weight, as a
+    solve from no start would be.
+    """
+    solutions: list[Solution] = []
+    previous: Solution | None = None
+    for lam in lambdas:
+        previous = solve(compiled.problem(lam), settings, start=previous)
+        solutions.append(previous)
+    return solutions
+
+
 def select_lambda(
     dataset: ReviewDataset,
     config: QVConfig = QVConfig(),
@@ -101,10 +120,11 @@ def select_lambda(
     one whose dequantization best recovers the original score ordering.
 
     Only ``epsilon`` and the solver settings of ``deq_config`` are used. The
-    coarsened dataset is compiled once and every candidate's QP is built on
-    it; candidates are solved in ascending order, warm-starting each solve
-    from the previous solution (the minimizer is unique, so this only saves
-    iterations). The original scores act as validation truth with exact-tie
+    coarsened dataset is compiled once and the candidates are solved in
+    ascending order by ``lambda_path``, each warm-started from the previous
+    candidate's solution and active set. The warm start never skips the
+    solver's optimality certificate and the minimizer is unique, so it only
+    saves work. The original scores act as validation truth with exact-tie
     omission; all-tied originals raise ``DegenerateValidation``.
     """
     require_valid(dataset)
@@ -117,10 +137,7 @@ def select_lambda(
     index = coarse.pair_index
 
     errors: list[float] = []
-    start: np.ndarray | None = None
-    for lam in config.lambda_grid:
-        solution = solve(compiled.problem(lam), deq_config.solver, start=start)
-        start = solution.values
+    for solution in lambda_path(compiled, config.lambda_grid, deq_config.solver):
         estimate = {pair: float(solution.values[i]) for pair, i in index.items()}
         errors.append(kendall_tau_error(ScoreVectorPair(truth=truth, estimate=estimate)))
 

@@ -143,6 +143,29 @@ class TestCli:
         assert rc == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("epsilon, code", [(None, 2), ("0.04", 0)])
+    def test_validate_checks_ranked_chains_fit_their_boxes(self, tmp_path, capsys, epsilon, code):
+        # one reviewer scores 25 papers 5 and ranks them in one chain: 24 gaps
+        # of 0.05 need 1.2 units inside a box 1 unit wide, 24 of 0.04 fit
+        papers = [f"p{i:02d}" for i in range(25)]
+        reviews = tmp_path / "reviews.csv"
+        rankings = tmp_path / "rankings.csv"
+        reviews.write_text("reviewer_id,paper_id,score\n" + "".join(f"r1,{p},5\n" for p in papers))
+        rankings.write_text(
+            "reviewer_id,better_paper_id,worse_paper_id\n"
+            + "".join(f"r1,{a},{b}\n" for a, b in zip(papers, papers[1:]))
+        )
+        argv = ["validate", "--reviews", str(reviews), "--rankings", str(rankings)]
+        if epsilon is not None:
+            argv += ["--epsilon", epsilon]
+        assert self.run(*argv) == code
+        out = capsys.readouterr().out
+        if code:
+            assert "ranked chain of 25 reviews" in out
+            assert "(r1, p00)" in out and "(r1, p24)" in out
+        else:
+            assert out == "ok\n"
+
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             self.run("dequantize")  # missing required flags

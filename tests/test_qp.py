@@ -147,6 +147,38 @@ class TestSolve:
         assert solution.values == pytest.approx([5.025, 4.975], abs=1e-6)
 
 
+class TestWarmStart:
+    """A previous solution's active set is tried first, never trusted."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
+        return compile_dataset(dataset, 0.05).problem(1.0)
+
+    def test_own_active_set_is_certified_without_iterating(self, problem):
+        cold = solve(problem)
+        warm = solve(problem, start=cold)
+        assert (warm.iterations, warm.cg_iterations) == (0, 0)
+        assert np.max(np.abs(warm.values - cold.values)) <= 1e-9
+
+    @pytest.mark.parametrize("guess", [-1, 1, 0], ids=["all-lower", "all-upper", "none"])
+    def test_wrong_active_set_falls_back_to_iterating(self, problem, guess):
+        settings = SolverSettings()
+        cold = solve(problem, settings)
+        wrong = dataclasses.replace(cold, active=np.full_like(cold.active, guess))
+        warm = solve(problem, settings, start=wrong)
+        assert warm.iterations > 0
+        assert np.max(np.abs(warm.values - cold.values)) <= 1e-9
+        primal, stationarity = warm.residuals
+        assert primal <= settings.feasibility_tolerance
+        assert stationarity <= settings.optimality_tolerance
+
+    def test_active_set_of_other_constraints_rejected(self, problem):
+        other = solve(two_variable_pair_problem())
+        with pytest.raises(ValueError, match="active set"):
+            solve(problem, start=other)
+
+
 @pytest.fixture(scope="module")
 def large_dataset():
     """A default synthetic instance at P=1500: n = 6 000 reviews."""

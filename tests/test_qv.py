@@ -1,13 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 
+from deqscores.dequantize import compile_dataset
+from deqscores.metrics import ScoreVectorPair, kendall_tau_error
+from deqscores.qp import solve
 from deqscores.qv import (
     DegenerateValidation,
     QVConfig,
     coarsen,
     default_lambda_grid,
     halve_score,
+    lambda_path,
     select_lambda,
 )
 from deqscores.synth import SynthConfig, generate
@@ -111,3 +116,36 @@ class TestSelectLambda:
         lam_quiet = select_lambda(quiet.dataset).selected_lambda
         lam_noisy = select_lambda(noisy.dataset).selected_lambda
         assert lam_noisy >= lam_quiet
+
+
+class TestLambdaPath:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_warm_path_matches_cold_solves(self, seed):
+        # the selection a cold solve at every weight would make, computed
+        # independently of select_lambda's warm path
+        dataset = generate(SynthConfig(num_papers=60, seed=seed)).dataset
+        coarse = coarsen(dataset)
+        compiled = compile_dataset(coarse, 0.05)
+        grid = default_lambda_grid()
+        warm = lambda_path(compiled, grid)
+        cold = [solve(compiled.problem(lam)) for lam in grid]
+        assert max(np.max(np.abs(w.values - c.values)) for w, c in zip(warm, cold)) <= 1e-9
+
+        truth = {pair: float(z) for pair, z in dataset.scores.items()}
+        errors = tuple(
+            kendall_tau_error(
+                ScoreVectorPair(
+                    truth=truth,
+                    estimate={pair: float(c.values[i]) for pair, i in coarse.pair_index.items()},
+                )
+            )
+            for c in cold
+        )
+        report = select_lambda(dataset)
+        assert report.errors == errors
+        assert report.selected_lambda == grid[min(range(len(grid)), key=lambda i: (errors[i], grid[i]))]
+
+    def test_most_grid_solves_skip_the_iteration(self):
+        dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
+        path = lambda_path(compile_dataset(coarsen(dataset), 0.05), default_lambda_grid())
+        assert sum(solution.iterations == 0 for solution in path) >= len(path) // 2
