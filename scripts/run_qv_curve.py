@@ -13,10 +13,12 @@ import csv
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from deqscores.dequantize import DequantizerConfig, compile_dataset
-from deqscores.metrics import ScoreVectorPair, kendall_tau_error
+from deqscores.metrics import kendall_tau_error
 from deqscores.qv import lambda_path, select_lambda
 from deqscores.synth import SynthConfig, generate
 
@@ -34,16 +36,11 @@ def main() -> int:
     qv_report = select_lambda(instance.dataset, deq_config=DequantizerConfig(epsilon=args.epsilon))
 
     compiled = compile_dataset(instance.dataset, args.epsilon)
-    index = instance.dataset.pair_index
-    true_errors = []
-    for solution in lambda_path(compiled, qv_report.lambdas):
-        estimate = {pair: float(solution.values[i]) for pair, i in index.items()}
-        true_errors.append(
-            kendall_tau_error(
-                ScoreVectorPair(truth=instance.truth_y, estimate=estimate,
-                                truth_tie_tolerance=1e-12)
-            )
-        )
+    truth = np.array([instance.truth_y[pair] for pair in instance.dataset.pair_index])
+    true_errors = [
+        kendall_tau_error(truth, solution.values)
+        for solution in lambda_path(compiled, qv_report.lambdas)
+    ]
     oracle_index = min(range(len(true_errors)), key=lambda i: true_errors[i])
 
     print(f"{'lambda':>12}  {'validation':>10}  {'true_error':>10}")

@@ -26,7 +26,6 @@ from .dequantize import (
 from .experiment import ExperimentReport, ExperimentSpec, FileSource, run_experiment
 from .metrics import (
     AllTiedError,
-    ScoreVectorPair,
     kendall_tau_error,
     l2_error,
     percentiles,

@@ -74,8 +74,19 @@ def _load(args):
     return io.load_reviews(args.reviews, args.rankings, scale=scale)
 
 
-def _parameters(args, keys) -> dict:
-    return {key: getattr(args, key) for key in keys}
+def _write_report(path, args, **fields) -> None:
+    """Write a JSON run report: the shared run parameters plus ``fields``."""
+    report = {
+        "report_version": 1,
+        "parameters": {
+            "epsilon": args.epsilon,
+            "seed": args.seed,
+            "feastol": args.feastol,
+            "lambda": args.lam,
+        },
+        **fields,
+    }
+    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def build_parser() -> _Parser:
@@ -168,22 +179,9 @@ def _cmd_dequantize(args) -> int:
         print(f"selected lambda: {selected:.6g}")
     print(f"max box violation: {box_viol:.3g}; min ranked-pair margin: {margin:.6g}")
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(
-                {
-                    "report_version": 1,
-                    "parameters": {
-                        **_parameters(args, ["epsilon", "seed", "feastol"]),
-                        "lambda": args.lam,
-                    },
-                    "selected_lambda": selected,
-                    "max_box_violation": box_viol,
-                    "min_pair_margin": margin,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
+        _write_report(
+            args.report, args,
+            selected_lambda=selected, max_box_violation=box_viol, min_pair_margin=margin,
         )
     return EXIT_OK
 
@@ -212,22 +210,11 @@ def _cmd_qv(args) -> int:
         marker = "  <- selected" if lam == report.selected_lambda else ""
         print(f"{lam:<12.6g}{err:.6f}{marker}")
     if args.output:
-        Path(args.output).write_text(
-            json.dumps(
-                {
-                    "report_version": 1,
-                    "parameters": {
-                        **_parameters(args, ["epsilon", "seed", "feastol"]),
-                        "lambda": args.lam,
-                    },
-                    "lambdas": list(report.lambdas),
-                    "errors": list(report.errors),
-                    "selected_lambda": report.selected_lambda,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
+        _write_report(
+            args.output, args,
+            lambdas=list(report.lambdas),
+            errors=list(report.errors),
+            selected_lambda=report.selected_lambda,
         )
     return EXIT_OK
 

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .baselines import (
     bre_adjusted_scores,
     partial_rankings_adjusted_scores,
@@ -24,7 +26,6 @@ from .baselines import (
 from .dequantize import AUTO, DequantizerConfig, dequantize
 from .io import prepare_half_scale
 from .metrics import (
-    ScoreVectorPair,
     kendall_tau_error,
     l2_error,
     project_to_original_scale,
@@ -185,19 +186,18 @@ def _run_method(
 
 
 def _evaluate(estimate: DequantizedScores, truth, metrics, project_l2: bool) -> dict:
+    if set(truth) != set(estimate.values):
+        raise ValueError("truth and estimate must be defined on the same keys")
+    keys = sorted(truth)
+    t = np.array([truth[k] for k in keys], dtype=float)
+    e = np.array([estimate.values[k] for k in keys], dtype=float)
     out: dict = {}
     if "kendall" in metrics:
-        out["kendall"] = kendall_tau_error(
-            ScoreVectorPair(truth=truth, estimate=estimate.values, truth_tie_tolerance=1e-12)
-        )
+        out["kendall"] = kendall_tau_error(t, e)
     if "l2" in metrics:
-        if project_l2:
-            projected = {k: float(project_to_original_scale(v)) for k, v in estimate.values.items()}
-            out["l2"] = l2_error(ScoreVectorPair(truth=truth, estimate=projected))
-        else:
-            out["l2"] = l2_error(ScoreVectorPair(truth=truth, estimate=estimate.values))
+        out["l2"] = l2_error(t, project_to_original_scale(e) if project_l2 else e)
     if "ties" in metrics:
-        out["ties"] = tie_fraction(estimate.values)
+        out["ties"] = tie_fraction(e)
     return out
 
 

@@ -1,8 +1,10 @@
-"""Evaluation metrics: ranking error, l2 error, ties, percentiles, trial stats."""
+"""Evaluation metrics: ranking error, l2 error, ties, percentiles, trial stats.
+
+The error metrics take aligned 1-D vectors: the caller puts truth and
+estimate in one review order, once, and a shape mismatch raises
+``ValueError``."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,45 +18,35 @@ class EmptyStatisticsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ScoreVectorPair:
-    """Aligned truth/estimate vectors keyed by review pair.
-
-    ``tie_tolerance`` decides when two *estimate* values count as tied.
-    Truth ties use ``truth_tie_tolerance``, exact equality by default since
-    synthetic truths are constructed; loaders of file-borne reals set 1e-12.
-    """
-
-    truth: dict
-    estimate: dict
-    tie_tolerance: float = 1e-4
-    truth_tie_tolerance: float = 0.0
-
-    def __post_init__(self) -> None:
-        if set(self.truth) != set(self.estimate):
-            raise ValueError("truth and estimate must be defined on the same keys")
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        keys = sorted(self.truth)
-        t = np.array([self.truth[k] for k in keys], dtype=float)
-        e = np.array([self.estimate[k] for k in keys], dtype=float)
-        return t, e
-
+TIE_TOLERANCE = 1e-4
+"""Two estimate values closer than this are tied. Truth values tie only when
+exactly equal, so truth ties are transitive and form runs of equal values."""
 
 _BLOCK = 512
 
 
-def kendall_tau_error(pair: ScoreVectorPair) -> float:
-    """Normalized ranking error of the estimate against the truth.
+def _aligned(truth, estimate) -> tuple[np.ndarray, np.ndarray]:
+    t = np.asarray(truth, dtype=float)
+    e = np.asarray(estimate, dtype=float)
+    if t.ndim != 1 or t.shape != e.shape:
+        raise ValueError(
+            f"truth and estimate must be aligned 1-D vectors, got shapes {t.shape} and {e.shape}"
+        )
+    return t, e
 
-    Over all key pairs whose truth values differ (truth ties are omitted),
-    count 1 for each pair the estimate orders the other way and 1/2 for each
-    pair the estimate ties (absolute difference below ``tie_tolerance``),
-    divided by the number of truth-ordered pairs. Comparisons are global
-    across the whole vector, not per reviewer. Direct O(n^2) computation,
-    in row blocks to bound memory.
+
+def kendall_tau_error(truth, estimate) -> float:
+    """Normalized ranking error of ``estimate`` against ``truth``, two aligned
+    1-D vectors (entry i of each describes the same review).
+
+    Over all index pairs whose truth values differ (exactly equal truth values
+    are omitted), count 1 for each pair the estimate orders the other way and
+    1/2 for each pair the estimate ties (absolute difference below
+    ``TIE_TOLERANCE``), divided by the number of truth-ordered pairs.
+    Comparisons are global across the whole vector, not per reviewer. Direct
+    O(n^2) computation, in row blocks to bound memory.
     """
-    t, e = pair.arrays()
+    t, e = _aligned(truth, estimate)
     n = t.shape[0]
     ordered = 0
     penalty = 0.0
@@ -63,12 +55,12 @@ def kendall_tau_error(pair: ScoreVectorPair) -> float:
         dt = t[start:stop, None] - t[None, :]
         de = e[start:stop, None] - e[None, :]
         upper = np.arange(n)[None, :] > np.arange(start, stop)[:, None]
-        is_ordered = upper & (np.abs(dt) > pair.truth_tie_tolerance)
+        is_ordered = upper & (dt != 0.0)
         ordered += int(is_ordered.sum())
         oriented = np.sign(dt) * de
         # exact equality always ties, whatever the tolerance: equal values
         # order nothing, so the half penalty is the only sound treatment
-        tied = (np.abs(de) < pair.tie_tolerance) | (de == 0.0)
+        tied = (np.abs(de) < TIE_TOLERANCE) | (de == 0.0)
         penalty += float((is_ordered & tied).sum()) * 0.5
         penalty += float((is_ordered & ~tied & (oriented < 0)).sum())
     if ordered == 0:
@@ -76,8 +68,9 @@ def kendall_tau_error(pair: ScoreVectorPair) -> float:
     return penalty / ordered
 
 
-def l2_error(pair: ScoreVectorPair) -> float:
-    t, e = pair.arrays()
+def l2_error(truth, estimate) -> float:
+    """Euclidean distance between two aligned 1-D vectors."""
+    t, e = _aligned(truth, estimate)
     return float(np.linalg.norm(t - e))
 
 
@@ -91,12 +84,11 @@ def project_to_original_scale(y_hat):
     return arr
 
 
-def tie_fraction(values, tolerance: float = 1e-4) -> float:
-    """Fraction of unordered value pairs closer than ``tolerance``."""
-    if isinstance(values, dict):
-        values = np.array([values[k] for k in sorted(values)], dtype=float)
-    else:
-        values = np.asarray(values, dtype=float)
+def tie_fraction(values) -> float:
+    """Fraction of unordered pairs of a 1-D vector closer than ``TIE_TOLERANCE``."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"values must be a 1-D vector, got shape {values.shape}")
     n = values.shape[0]
     total = n * (n - 1) // 2
     if total == 0:
@@ -106,7 +98,7 @@ def tie_fraction(values, tolerance: float = 1e-4) -> float:
         stop = min(start + _BLOCK, n)
         diff = np.abs(values[start:stop, None] - values[None, :])
         upper = np.arange(n)[None, :] > np.arange(start, stop)[:, None]
-        tied += int((upper & (diff < tolerance)).sum())
+        tied += int((upper & (diff < TIE_TOLERANCE)).sum())
     return tied / total
 
 

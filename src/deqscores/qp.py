@@ -192,16 +192,6 @@ class QPProblem:
         y = np.asarray(y, dtype=float)
         return float(0.5 * y @ (self.quadratic @ y) + self.linear @ y + self.constant)
 
-    def constraint_violation(self, y: np.ndarray) -> float:
-        """Largest violation over boxes and pair constraints (0 if feasible)."""
-        viol = max(
-            float(np.max(self.box_lower - y, initial=0.0)),
-            float(np.max(y - self.box_upper, initial=0.0)),
-        )
-        for i, j, gap in self.pair_constraints:
-            viol = max(viol, gap - (y[i] - y[j]))
-        return max(viol, 0.0)
-
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -306,19 +296,14 @@ def _walk_cycle(pred: list[int | None], start: int, n: int) -> list[int]:
 
 
 def _polish(Q, c, A, l, u, act_lower, act_upper):
-    """Solve the KKT equality system on the guessed active set.
+    """Solve the KKT equality system on the guessed active set (which may be
+    empty: the system is then Q x = -c alone).
 
     Returns (x, w_full) or None when the regularized system cannot be solved.
     Verification against the full problem is the caller's job.
     """
     n = Q.shape[0]
     rows = np.concatenate([np.nonzero(act_lower)[0], np.nonzero(act_upper)[0]])
-    if rows.size == 0:
-        try:
-            x = spla.spsolve(Q.tocsc() + 1e-12 * sp.identity(n, format="csc"), -c)
-        except RuntimeError:
-            return None
-        return x, np.zeros(A.shape[0])
     b = np.concatenate([l[np.nonzero(act_lower)[0]], u[np.nonzero(act_upper)[0]]])
     A_act = A[rows]
     k = rows.size
@@ -496,7 +481,6 @@ def solve(
     feastol = settings.feasibility_tolerance
     opttol = settings.optimality_tolerance
     check_every = 25
-    best: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     it = 0
     cg_steps = 0
@@ -515,8 +499,6 @@ def solve(
         if it % check_every:
             continue
         primal, stat = _residuals(Q, c, rows, x, w, z)
-        if best is None or primal + stat < best[0]:
-            best = (primal + stat, x.copy(), w.copy(), z.copy())
         certified = _certified_polish(Q, c, rows, w, settings)
         if certified is not None:
             xp, residuals = certified
@@ -531,9 +513,6 @@ def solve(
                 K, inv_diag = _x_update_system(Q, sigma, rho, AtA)
 
     primal, stat = _residuals(Q, c, rows, x, w, z)
-    if best is not None and best[0] < primal + stat:
-        x, w, z = best[1], best[2], best[3]
-        primal, stat = _residuals(Q, c, rows, x, w, z)
     if primal <= feastol and stat <= opttol:
         return Solution(x.copy(), problem.objective(x), it, (primal, stat), cg_steps, _active_rows(w))
     raise MaxIterationsExceeded(it, (primal, stat))

@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .dequantize import CompiledDataset, DequantizerConfig, compile_dataset
-from .metrics import ScoreVectorPair, kendall_tau_error
+from .metrics import kendall_tau_error
 from .model import (
     Pair,
     ReviewDataset,
@@ -58,10 +60,6 @@ class QVReport:
     errors: tuple[float, ...]
     selected_lambda: float
     selected_index: int
-
-    @property
-    def selected_error(self) -> float:
-        return self.errors[self.selected_index]
 
 
 def coarsen(dataset: ReviewDataset, quantizer: Callable[[int], int] = halve_score) -> ReviewDataset:
@@ -124,27 +122,26 @@ def select_lambda(
     ascending order by ``lambda_path``, each warm-started from the previous
     candidate's solution and active set. The warm start never skips the
     solver's optimality certificate and the minimizer is unique, so it only
-    saves work. The original scores act as validation truth with exact-tie
-    omission; all-tied originals raise ``DegenerateValidation``.
+    saves work. The original scores, in the solution vectors' review order,
+    act as validation truth with exact-tie omission; all-tied originals raise
+    ``DegenerateValidation``.
     """
     require_valid(dataset)
-    truth = {pair: float(z) for pair, z in dataset.scores.items()}
-    if len(set(truth.values())) < 2:
+    if len(set(dataset.scores.values())) < 2:
         raise DegenerateValidation("all original scores are tied; loss is undefined")
 
     coarse = coarsen(dataset)
     compiled = compile_dataset(coarse, deq_config.epsilon)
-    index = coarse.pair_index
+    truth = np.array([dataset.scores[pair] for pair in coarse.pair_index], dtype=float)
+    errors = [
+        kendall_tau_error(truth, solution.values)
+        for solution in lambda_path(compiled, config.lambda_grid, deq_config.solver)
+    ]
 
-    errors: list[float] = []
-    for solution in lambda_path(compiled, config.lambda_grid, deq_config.solver):
-        estimate = {pair: float(solution.values[i]) for pair, i in index.items()}
-        errors.append(kendall_tau_error(ScoreVectorPair(truth=truth, estimate=estimate)))
-
-    best = min(range(len(errors)), key=lambda i: (errors[i], config.lambda_grid[i]))
+    selected = min(range(len(errors)), key=lambda i: (errors[i], config.lambda_grid[i]))
     return QVReport(
         lambdas=tuple(config.lambda_grid),
         errors=tuple(errors),
-        selected_lambda=config.lambda_grid[best],
-        selected_index=best,
+        selected_lambda=config.lambda_grid[selected],
+        selected_index=selected,
     )

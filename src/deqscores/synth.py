@@ -18,7 +18,6 @@ import numpy as np
 
 from .model import (
     Assignment,
-    DequantizedScores,
     Pair,
     ReviewDataset,
     ScoreScale,
@@ -61,9 +60,6 @@ class SynthInstance:
     dataset: ReviewDataset
     truth_x_star: dict[str, float]
     truth_y: dict[Pair, float]
-
-    def truth_scores(self) -> DequantizedScores:
-        return DequantizedScores(values=dict(self.truth_y))
 
 
 def _ids(prefix: str, count: int) -> list[str]:

@@ -5,7 +5,8 @@ with the package's solver and exist only to cross-check it.
 box lattice followed by projected-gradient refinement (projections computed
 by Dykstra's alternating method). ``thurstone_joint_loglikelihood`` and
 ``profiled_paper_qualities`` state the Thurstone model whose box-constrained
-maximizer the consensus-only solution should be.
+maximizer the consensus-only solution should be. ``constraint_violation``
+measures how far a point lies outside a problem's constraints.
 """
 
 from __future__ import annotations
@@ -20,6 +21,17 @@ from deqscores.qp import InfeasibleProblem, QPProblem, Solution, SolverError, ch
 
 class DimensionTooLarge(SolverError):
     pass
+
+
+def constraint_violation(problem: QPProblem, y: np.ndarray) -> float:
+    """Largest violation over boxes and pair constraints (0 if feasible)."""
+    viol = max(
+        float(np.max(problem.box_lower - y, initial=0.0)),
+        float(np.max(y - problem.box_upper, initial=0.0)),
+    )
+    for i, j, gap in problem.pair_constraints:
+        viol = max(viol, gap - (y[i] - y[j]))
+    return max(viol, 0.0)
 
 
 def _tightened_upper(problem: QPProblem, tightened_lower: np.ndarray) -> np.ndarray:
@@ -161,7 +173,7 @@ def brute_force_minimize(problem: QPProblem, grid_step: float = 1e-3) -> Solutio
     value = problem.objective(y)
     if value > incumbent_val:
         y, value = incumbent, incumbent_val
-    return Solution(y, value, iteration + 1, (problem.constraint_violation(y), float("nan")), 0)
+    return Solution(y, value, iteration + 1, (constraint_violation(problem, y), float("nan")), 0)
 
 
 def thurstone_joint_loglikelihood(

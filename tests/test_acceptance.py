@@ -24,7 +24,6 @@ from deqscores.dequantize import (
 from deqscores.experiment import ExperimentSpec, run_experiment
 from deqscores.io import prepare_half_scale
 from deqscores.metrics import (
-    ScoreVectorPair,
     kendall_tau_error,
     l2_error,
     project_to_original_scale,
@@ -298,8 +297,7 @@ def test_criterion_08_validation_quality():
     gaps = []
     for trial in range(20):
         instance = generate(SynthConfig(seed=trial_seed(7, trial)))
-        truth = instance.truth_y
-        index = instance.dataset.pair_index
+        truth = np.array([instance.truth_y[pair] for pair in instance.dataset.pair_index])
         errors = []
         start = None
         for lam in GRID:
@@ -308,12 +306,7 @@ def test_criterion_08_validation_quality():
             )
             solution = solve(problem, start=start)
             start = solution.values
-            estimate = {pair: float(solution.values[i]) for pair, i in index.items()}
-            errors.append(
-                kendall_tau_error(
-                    ScoreVectorPair(truth=truth, estimate=estimate, truth_tie_tolerance=1e-12)
-                )
-            )
+            errors.append(kendall_tau_error(truth, solution.values))
         oracle_index = min(range(len(GRID)), key=lambda i: (errors[i], GRID[i]))
         selected = select_lambda(
             instance.dataset, QVConfig(), DequantizerConfig(lam=1.0, epsilon=EPSILON)
@@ -371,15 +364,11 @@ def test_criterion_10_preprocessing_golden():
 
 
 def test_criterion_11_metric_units():
-    def vec(truth, estimate):
-        keys = [f"k{i}" for i in range(len(truth))]
-        return ScoreVectorPair(truth=dict(zip(keys, truth)), estimate=dict(zip(keys, estimate)))
-
     checks = [
-        kendall_tau_error(vec([1, 2, 3], [1, 2, 3])) == 0.0,
-        kendall_tau_error(vec([1, 2, 3], [-1, -2, -3])) == 1.0,
-        abs(kendall_tau_error(vec([1, 2, 3], [1, 3, 2])) - 1 / 3) < 1e-15,
-        l2_error(vec([0, 0], [3, 4])) == 5.0,
+        kendall_tau_error([1, 2, 3], [1, 2, 3]) == 0.0,
+        kendall_tau_error([1, 2, 3], [-1, -2, -3]) == 1.0,
+        abs(kendall_tau_error([1, 2, 3], [1, 3, 2]) - 1 / 3) < 1e-15,
+        l2_error([0, 0], [3, 4]) == 5.0,
         project_to_original_scale(1.2) == 2,
         project_to_original_scale(1.5) == 3,
         project_to_original_scale(1.0) == 2,
@@ -403,10 +392,11 @@ def test_criterion_12_epsilon_robustness():
                 instance.dataset,
                 DequantizerConfig(lam=selected.selected_lambda, epsilon=epsilon),
             )
+            index = instance.dataset.pair_index
             errors.append(
                 kendall_tau_error(
-                    ScoreVectorPair(truth=instance.truth_y, estimate=scores.values,
-                                    truth_tie_tolerance=1e-12)
+                    [instance.truth_y[pair] for pair in index],
+                    [scores.values[pair] for pair in index],
                 )
             )
         means[epsilon] = float(np.mean(errors))

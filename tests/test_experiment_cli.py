@@ -7,6 +7,7 @@ from deqscores import experiment
 from deqscores.cli import main
 from deqscores.experiment import ExperimentSpec, FileSource, run_experiment
 from deqscores.io import ParseError
+from deqscores.model import DequantizedScores
 from deqscores.qp import MaxIterationsExceeded
 from deqscores.synth import SynthConfig
 
@@ -92,6 +93,12 @@ class TestRunExperiment:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
             tiny_spec(methods=("nonsense",))
+
+    def test_estimate_on_other_keys_rejected(self):
+        truth = {("r1", "A"): 1.0, ("r1", "B"): 2.0}
+        estimate = DequantizedScores(values={("r1", "A"): 1.0, ("r1", "C"): 2.0})
+        with pytest.raises(ValueError, match="same keys"):
+            experiment._evaluate(estimate, truth, ("kendall", "l2", "ties"), False)
 
 
 class TestCli:

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deqscores.metrics import (
+    TIE_TOLERANCE,
     AllTiedError,
     EmptyStatisticsError,
-    ScoreVectorPair,
     kendall_tau_error,
     l2_error,
     percentiles,
@@ -19,67 +19,79 @@ from deqscores.metrics import (
 )
 
 
-def vectors(truth, estimate):
-    keys = [f"k{i}" for i in range(len(truth))]
-    return ScoreVectorPair(
-        truth=dict(zip(keys, truth)), estimate=dict(zip(keys, estimate))
-    )
-
-
 class TestKendall:
     def test_identical_vectors_score_zero(self):
-        assert kendall_tau_error(vectors([1, 2, 3], [1, 2, 3])) == 0.0
+        assert kendall_tau_error([1, 2, 3], [1, 2, 3]) == 0.0
 
     def test_full_reversal_scores_one(self):
-        assert kendall_tau_error(vectors([1, 2, 3], [-1, -2, -3])) == 1.0
+        assert kendall_tau_error([1, 2, 3], [-1, -2, -3]) == 1.0
 
     def test_one_swap_out_of_three(self):
-        assert kendall_tau_error(vectors([1, 2, 3], [1, 3, 2])) == pytest.approx(1 / 3)
+        assert kendall_tau_error([1, 2, 3], [1, 3, 2]) == pytest.approx(1 / 3)
 
     def test_all_tied_estimate_scores_half(self):
-        assert kendall_tau_error(vectors([1, 2, 3, 4], [7, 7, 7, 7])) == 0.5
+        assert kendall_tau_error([1, 2, 3, 4], [7, 7, 7, 7]) == 0.5
 
     def test_truth_ties_are_omitted(self):
-        # only (k0, k2) and (k1, k2) are truth-ordered; one is reversed
-        pair = vectors([5, 5, 3], [1, 2, 1.5])
-        assert kendall_tau_error(pair) == pytest.approx(0.5)
+        # only (0, 2) and (1, 2) are truth-ordered; one is reversed
+        assert kendall_tau_error([5, 5, 3], [1, 2, 1.5]) == pytest.approx(0.5)
+
+    def test_truth_ties_are_exact(self):
+        # truth values 1e-13 apart are ordered, not tied
+        assert kendall_tau_error([0.0, 1e-13], [0.0, 1.0]) == 0.0
+        assert kendall_tau_error([0.0, 1e-13], [1.0, 0.0]) == 1.0
 
     def test_near_ties_below_tolerance_count_half(self):
-        pair = vectors([1, 2], [5.0, 5.0 + 5e-5])
-        assert kendall_tau_error(pair) == 0.5
+        assert kendall_tau_error([1, 2], [5.0, 5.0 + 5e-5]) == 0.5
 
     def test_all_tied_truth_raises(self):
         with pytest.raises(AllTiedError):
-            kendall_tau_error(vectors([2, 2], [1, 3]))
+            kendall_tau_error([2, 2], [1, 3])
 
-    def test_mismatched_keys_rejected(self):
+    def test_misaligned_lengths_rejected(self):
         with pytest.raises(ValueError):
-            ScoreVectorPair(truth={"a": 1}, estimate={"b": 1})
+            kendall_tau_error([1, 2, 3], [1, 2])
+        with pytest.raises(ValueError):
+            l2_error([1, 2], [1, 2, 3])
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(-50, 50), min_size=2, max_size=40, unique=True))
     def test_invariant_under_increasing_transform(self, truth):
         rng = np.random.default_rng(0)
         estimate = list(rng.permutation(truth))
-        base = kendall_tau_error(vectors(truth, estimate))
+        base = kendall_tau_error(truth, estimate)
         stretched = kendall_tau_error(
-            vectors([math.exp(t / 10.0) for t in truth], [e**3 for e in estimate])
+            [math.exp(t / 10.0) for t in truth], [e**3 for e in estimate]
         )
         assert stretched == pytest.approx(base, abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 4).map(lambda v: v / 8.0)),
+            min_size=2,
+            max_size=40,
+        ).filter(lambda rows: len({t for t, _ in rows}) > 1),
+        st.randoms(use_true_random=False),
+    )
+    def test_invariant_under_common_permutation(self, rows, random):
+        truth, estimate = (np.array(col, dtype=float) for col in zip(*rows))
+        order = np.array(random.sample(range(len(rows)), len(rows)))
+        assert kendall_tau_error(truth[order], estimate[order]) == kendall_tau_error(truth, estimate)
 
 
 class TestL2:
     def test_identical_vectors(self):
-        assert l2_error(vectors([1, 2], [1, 2])) == 0.0
+        assert l2_error([1, 2], [1, 2]) == 0.0
 
     def test_three_four_five(self):
-        assert l2_error(vectors([0, 0], [3, 4])) == pytest.approx(5.0)
+        assert l2_error([0, 0], [3, 4]) == pytest.approx(5.0)
 
     def test_computes_on_projected_integers(self):
         coarse = [1.2, 1.5, 1.0]
         projected = [float(project_to_original_scale(v)) for v in coarse]
         assert projected == [2.0, 3.0, 2.0]
-        assert l2_error(vectors([2, 3, 2], projected)) == 0.0
+        assert l2_error([2, 3, 2], projected) == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -91,9 +103,9 @@ class TestL2:
     )
     def test_triangle_inequality(self, rows):
         a, b, c = (list(col) for col in zip(*rows))
-        ab = l2_error(vectors(a, b))
-        bc = l2_error(vectors(b, c))
-        ac = l2_error(vectors(a, c))
+        ab = l2_error(a, b)
+        bc = l2_error(b, c)
+        ac = l2_error(a, c)
         assert ac <= ab + bc + 1e-9
 
 
@@ -110,14 +122,15 @@ class TestProjection:
 
 class TestTieFraction:
     def test_all_distinct(self):
-        assert tie_fraction({"a": 1.0, "b": 2.0, "c": 3.0}) == 0.0
+        assert tie_fraction([1.0, 2.0, 3.0]) == 0.0
 
     def test_all_equal(self):
-        assert tie_fraction({"a": 1.0, "b": 1.0, "c": 1.0}) == 1.0
+        assert tie_fraction([1.0, 1.0, 1.0]) == 1.0
 
     def test_threshold_is_strict(self):
-        assert tie_fraction({"a": 0.0, "b": 1e-4}, tolerance=1e-4) == 0.0
-        assert tie_fraction({"a": 0.0, "b": 9e-5}, tolerance=1e-4) == 1.0
+        assert TIE_TOLERANCE == 1e-4
+        assert tie_fraction([0.0, 1e-4]) == 0.0
+        assert tie_fraction([0.0, 9e-5]) == 1.0
 
 
 class TestPercentiles:

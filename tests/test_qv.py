@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deqscores.dequantize import compile_dataset
-from deqscores.metrics import ScoreVectorPair, kendall_tau_error
+from deqscores.metrics import kendall_tau_error
 from deqscores.qp import solve
 from deqscores.qv import (
     DegenerateValidation,
@@ -131,16 +131,8 @@ class TestLambdaPath:
         cold = [solve(compiled.problem(lam)) for lam in grid]
         assert max(np.max(np.abs(w.values - c.values)) for w, c in zip(warm, cold)) <= 1e-9
 
-        truth = {pair: float(z) for pair, z in dataset.scores.items()}
-        errors = tuple(
-            kendall_tau_error(
-                ScoreVectorPair(
-                    truth=truth,
-                    estimate={pair: float(c.values[i]) for pair, i in coarse.pair_index.items()},
-                )
-            )
-            for c in cold
-        )
+        truth = np.array([dataset.scores[pair] for pair in coarse.pair_index], dtype=float)
+        errors = tuple(kendall_tau_error(truth, c.values) for c in cold)
         report = select_lambda(dataset)
         assert report.errors == errors
         assert report.selected_lambda == grid[min(range(len(grid)), key=lambda i: (errors[i], grid[i]))]
