@@ -51,11 +51,10 @@ from .qp import (
     MaxIterationsExceeded,
     QPProblem,
     Solution,
-    SolverSettings,
     check_feasibility,
     solve,
 )
-from .qv import DegenerateValidation, QVConfig, QVReport, coarsen, lambda_path, select_lambda
+from .qv import DegenerateValidation, QVReport, coarsen, lambda_path, select_lambda
 from .synth import SynthConfig, SynthInstance, generate, random_regular_assignment, trial_seed
 
 __version__ = "0.1.0"

@@ -152,9 +152,7 @@ def verify_groups(
 
 
 def partial_rankings_adjusted_scores(
-    dataset: ReviewDataset,
-    epsilon: float = DEFAULT_EPSILON,
-    groups: dict[str, list[RankedGroup]] | None = None,
+    dataset: ReviewDataset, epsilon: float = DEFAULT_EPSILON
 ) -> DequantizedScores:
     """Group-wise tie breaking for group-total partial rankings.
 
@@ -166,12 +164,8 @@ def partial_rankings_adjusted_scores(
     """
     values: dict = {}
     for reviewer in sorted(dataset.assignment.reviewer_ids):
-        if groups is None:
-            reviewer_groups = ranked_groups(dataset, reviewer)
-        else:
-            reviewer_groups = groups.get(reviewer, [])
-            verify_groups(dataset, reviewer, reviewer_groups)
-        level = {p: g.group_index for g in reviewer_groups for p in g.members}
+        groups = ranked_groups(dataset, reviewer)
+        level = {p: g.group_index for g in groups for p in g.members}
         for bin_ in quantization_bins(dataset, reviewer):
             present = sorted({level[p] for p in bin_.members})
             if len(present) <= 1:

@@ -16,9 +16,16 @@ from pathlib import Path
 
 from . import baselines, io
 from .dequantize import AUTO, DequantizerConfig, compile_dataset, consistency_report, dequantize
-from .experiment import ExperimentSpec, FileSource, run_experiment
+from .experiment import (
+    METHODS,
+    METRIC_NAMES,
+    SWEEPABLE,
+    ExperimentSpec,
+    FileSource,
+    run_experiment,
+)
 from .model import ValidationError, validate
-from .qp import InfeasibleProblem, SolverError, SolverSettings
+from .qp import InfeasibleProblem, SolverError
 from .qv import select_lambda
 from .synth import SynthConfig, generate
 
@@ -121,8 +128,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("baseline", help="run a reference method")
     p.add_argument(
-        "--method", required=True,
-        choices=["quantized", "bre_adjusted", "partial_rankings_adjusted"],
+        "--method", required=True, choices=[m for m in METHODS if m != "proposed"],
     )
     _add_dataset_args(p)
     p.add_argument("--epsilon", type=float, default=0.05)
@@ -130,17 +136,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("experiment", help="run trial sweeps and aggregate errors")
     _add_shared_args(p)
-    p.add_argument(
-        "--sweep", default="sigma",
-        choices=["sigma", "papers_per_reviewer", "reviews_per_paper", "lambda"],
-    )
+    p.add_argument("--sweep", default="sigma", choices=SWEEPABLE)
     p.add_argument("--values", default="0.1,0.5,1.0", help="comma-separated sweep values")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument(
         "--methods", default="proposed,quantized,bre_adjusted",
-        help="comma-separated subset of proposed,quantized,bre_adjusted,partial_rankings_adjusted",
+        help=f"comma-separated subset of {','.join(METHODS)}",
     )
-    p.add_argument("--metrics", default="kendall,l2,ties", help="comma-separated subset of kendall,l2,ties")
+    p.add_argument(
+        "--metrics", default="kendall,l2,ties",
+        help=f"comma-separated subset of {','.join(METRIC_NAMES)}",
+    )
     p.add_argument("--papers", type=int, default=60, help="synthetic papers (default 60)")
     p.add_argument("--sigma", type=float, default=0.5, help="synthetic noise level (default 0.5)")
     p.add_argument("--reviews-per-paper", type=int, default=4)
@@ -169,8 +175,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_dequantize(args) -> int:
     dataset = _load(args)
-    settings = SolverSettings(feasibility_tolerance=args.feastol)
-    scores = dequantize(dataset, DequantizerConfig(lam=args.lam, epsilon=args.epsilon, solver=settings))
+    scores = dequantize(
+        dataset, DequantizerConfig(lam=args.lam, epsilon=args.epsilon, feastol=args.feastol)
+    )
     selected = None if scores.validation is None else scores.lam
     io.write_scores(scores, dataset, args.output)
     box_viol, margin = consistency_report(dataset, scores, args.epsilon)
@@ -203,8 +210,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_qv(args) -> int:
     dataset = _load(args)
-    settings = SolverSettings(feasibility_tolerance=args.feastol)
-    report = select_lambda(dataset, deq_config=DequantizerConfig(epsilon=args.epsilon, solver=settings))
+    report = select_lambda(
+        dataset, deq_config=DequantizerConfig(epsilon=args.epsilon, feastol=args.feastol)
+    )
     print("lambda      validation_error")
     for lam, err in zip(report.lambdas, report.errors):
         marker = "  <- selected" if lam == report.selected_lambda else ""
@@ -220,13 +228,14 @@ def _cmd_qv(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    epsilon = DequantizerConfig(epsilon=args.epsilon).epsilon
     dataset = _load(args)
     if args.method == "quantized":
         scores = baselines.quantized_baseline(dataset)
     elif args.method == "bre_adjusted":
-        scores = baselines.bre_adjusted_scores(dataset, args.epsilon)
+        scores = baselines.bre_adjusted_scores(dataset, epsilon)
     else:
-        scores = baselines.partial_rankings_adjusted_scores(dataset, args.epsilon)
+        scores = baselines.partial_rankings_adjusted_scores(dataset, epsilon)
     io.write_scores(scores, dataset, args.output)
     print(f"wrote {args.output} ({dataset.num_reviews} reviews)")
     return EXIT_OK

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from .model import DequantizedScores, ReviewDataset, require_valid
-from .qp import Constraints, InfeasibleProblem, QPProblem, SolverSettings, solve
+from .qp import Constraints, InfeasibleProblem, QPProblem, solve
 
 if TYPE_CHECKING:
     from .qv import QVReport
@@ -34,11 +34,12 @@ AUTO = "auto"
 @dataclass(frozen=True)
 class DequantizerConfig:
     """Hyperparameters: fit weight ``lam`` (or AUTO for data-driven selection),
-    ranking separation ``epsilon``, and solver tolerances."""
+    ranking separation ``epsilon``, and the solver's feasibility tolerance
+    ``feastol``."""
 
     lam: float | str = AUTO
     epsilon: float = 0.05
-    solver: SolverSettings = field(default_factory=SolverSettings)
+    feastol: float = 1e-6
 
     def __post_init__(self) -> None:
         if isinstance(self.lam, str):
@@ -48,6 +49,8 @@ class DequantizerConfig:
             raise ValueError("lam must be a positive finite number")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie strictly between 0 and 1")
+        if not (math.isfinite(self.feastol) and self.feastol > 0):
+            raise ValueError("feastol must be a positive finite number")
 
     def fit_weight(self) -> float:
         if isinstance(self.lam, str):
@@ -149,7 +152,7 @@ def dequantize(
     the validation report. The output is the unique minimizer of the
     assembled QP: every value stays within half a unit of its reported
     score and every reported ranking pair is separated by at least epsilon
-    (both up to the solver's feasibility tolerance).
+    (both up to ``feastol``).
     """
     validation = None
     if config.lam == AUTO:
@@ -157,7 +160,7 @@ def dequantize(
 
         validation = select_lambda(dataset, deq_config=config)
         config = dataclasses.replace(config, lam=validation.selected_lambda)
-    solution = solve(assemble(dataset, config), config.solver)
+    solution = solve(assemble(dataset, config), config.feastol)
     values = {pair: float(solution.values[i]) for pair, i in dataset.pair_index.items()}
     return DequantizeResult(values=values, lam=config.lam, validation=validation)
 

@@ -33,13 +33,13 @@ from .metrics import (
     trial_statistics,
 )
 from .model import DequantizedScores, ReviewDataset
-from .qp import SolverSettings
 from .synth import SynthConfig, generate, trial_seed
 
 REPORT_VERSION = 1
 
 METHODS = ("proposed", "quantized", "bre_adjusted", "partial_rankings_adjusted")
 SWEEPABLE = ("sigma", "papers_per_reviewer", "reviews_per_paper", "lambda")
+INTEGER_SWEEPS = ("papers_per_reviewer", "reviews_per_paper")
 METRIC_NAMES = ("kendall", "l2", "ties")
 
 
@@ -80,12 +80,25 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if not self.sweep_values:
             raise ValueError("sweep needs at least one value")
+        if len(set(self.sweep_values)) != len(self.sweep_values):
+            raise ValueError(f"sweep values must be distinct, got {list(self.sweep_values)}")
+        if self.sweep_parameter in INTEGER_SWEEPS and not all(
+            float(v).is_integer() for v in self.sweep_values
+        ):
+            raise ValueError(
+                f"{self.sweep_parameter} values must be whole numbers, "
+                f"got {list(self.sweep_values)}"
+            )
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.sweep_parameter == "lambda" and not all(
             math.isfinite(v) and v > 0 for v in self.sweep_values
         ):
             raise ValueError("swept lambda values must be positive and finite")
         # fail before any trial runs on a bad weight, separation or tolerance
-        DequantizerConfig(lam=self.lam, epsilon=self.epsilon, solver=_solver_settings(self))
+        DequantizerConfig(
+            lam=self.lam, epsilon=self.epsilon, feastol=self.feasibility_tolerance
+        )
 
 
 @dataclass
@@ -123,10 +136,6 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _solver_settings(spec: ExperimentSpec) -> SolverSettings:
-    return SolverSettings(feasibility_tolerance=spec.feasibility_tolerance)
-
-
 def _instance_for(spec: ExperimentSpec, sweep_value, trial: int):
     """Build the (dataset, truth, projected-l2 flag) for one trial."""
     seed = trial_seed(spec.seed, trial)
@@ -155,16 +164,13 @@ def _instance_for(spec: ExperimentSpec, sweep_value, trial: int):
 
 
 def _run_method(
-    method: str,
-    dataset: ReviewDataset,
-    epsilon: float,
-    lam,
-    solver: SolverSettings,
+    method: str, dataset: ReviewDataset, config: DequantizerConfig
 ) -> tuple[DequantizedScores, float | None]:
     """Returns the method's scores and, for the proposed method under AUTO,
-    the selected fit weight."""
+    the selected fit weight. The baselines read only ``config.epsilon``."""
+    epsilon = config.epsilon
     if method == "proposed":
-        scores = dequantize(dataset, DequantizerConfig(lam=lam, epsilon=epsilon, solver=solver))
+        scores = dequantize(dataset, config)
         return scores, None if scores.validation is None else scores.lam
     if method == "quantized":
         return quantized_baseline(dataset), None
@@ -203,13 +209,13 @@ def _evaluate(estimate: DequantizedScores, truth, metrics, project_l2: bool) -> 
 
 def _run_trial(spec: ExperimentSpec, sweep_value, trial: int) -> dict:
     dataset, truth, project_l2 = _instance_for(spec, sweep_value, trial)
-    solver = _solver_settings(spec)
     lam = spec.lam
     if spec.sweep_parameter == "lambda":
         lam = float(sweep_value)
+    config = DequantizerConfig(lam=lam, epsilon=spec.epsilon, feastol=spec.feasibility_tolerance)
     row: dict = {}
     for method in spec.methods:
-        scores, selected = _run_method(method, dataset, spec.epsilon, lam, solver)
+        scores, selected = _run_method(method, dataset, config)
         row[method] = {
             "metrics": _evaluate(scores, truth, spec.metrics, project_l2),
             "selected_lambda": selected,

@@ -112,9 +112,6 @@ class PartialRanking:
     def is_empty(self) -> bool:
         return not self.ordered_pairs
 
-    def papers(self) -> frozenset[str]:
-        return frozenset(p for pair in self.ordered_pairs for p in pair)
-
     def is_total_over(self, papers) -> bool:
         """True if every pair of distinct papers is ordered one way or the other."""
         papers = list(papers)

@@ -29,9 +29,9 @@ it as the ``start`` of the next solve makes the solver try one polish on that
 active set before it builds the x-update system or iterates at all (the
 parametric active-set warm start of qpOASES). The polished point is accepted
 only through the same certificate as every other polish: multiplier signs,
-primal residual and scaled stationarity within the settings' tolerances.
-Otherwise the solve falls back to the ADMM iteration, started from the
-previous solution's values.
+primal residual within the caller's ``feastol`` and scaled stationarity
+within ``OPTIMALITY_TOLERANCE``. Otherwise the solve falls back to the ADMM
+iteration, started from the previous solution's values.
 
 The constraints live in a ``Constraints`` object that problems may share:
 everything the solver derives from the constraints alone (the feasibility
@@ -193,27 +193,13 @@ class QPProblem:
         return float(0.5 * y @ (self.quadratic @ y) + self.linear @ y + self.constant)
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Termination controls.
-
-    ``optimality_tolerance`` bounds the scaled stationarity residual
-    ||Qy + c + A'w||_inf / max(1, ||Qy||_inf, ||c||_inf, ||A'w||_inf),
-    where w are the constraint multipliers; the scaling keeps the criterion
-    meaningful when the fit weight (and hence Q) spans several orders of
-    magnitude.
-    """
-
-    feasibility_tolerance: float = 1e-6
-    optimality_tolerance: float = 1e-8
-    max_iterations: int = 50_000
-
-    def __post_init__(self) -> None:
-        tolerances = (self.feasibility_tolerance, self.optimality_tolerance)
-        if not all(math.isfinite(t) and t > 0 for t in tolerances):
-            raise ValueError("tolerances must be positive finite numbers")
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
+# ``solve`` accepts a point when its scaled stationarity residual
+# ||Qy + c + A'w||_inf / max(1, ||Qy||_inf, ||c||_inf, ||A'w||_inf) is within
+# OPTIMALITY_TOLERANCE, w being the constraint multipliers; the scaling keeps
+# the criterion meaningful when the fit weight (and hence Q) spans several
+# orders of magnitude.
+OPTIMALITY_TOLERANCE = 1e-8
+MAX_ITERATIONS = 50_000
 
 
 @dataclass(frozen=True)
@@ -400,15 +386,15 @@ def _active_rows(w: np.ndarray) -> np.ndarray:
     return (w > 1e-12).astype(np.int8) - (w < -1e-12).astype(np.int8)
 
 
-def _certified_polish(Q, c, rows: StackedRows, signs: np.ndarray, settings: SolverSettings):
+def _certified_polish(Q, c, rows: StackedRows, signs: np.ndarray, feastol: float):
     """Polish on a guessed active set; return (x, residuals) when the polished
     point is certified optimal, else None.
 
     ``signs`` is a multiplier vector or a stored active set: rows below
     -1e-12 are held at their lower bound, rows above 1e-12 at their upper
     bound. The certificate: every polished multiplier has the sign of the
-    bound it holds, the primal residual is within the feasibility tolerance
-    and the scaled stationarity within the optimality tolerance.
+    bound it holds, the primal residual is within ``feastol`` and the scaled
+    stationarity within ``OPTIMALITY_TOLERANCE``.
     """
     act_lower = signs < -1e-12
     act_upper = signs > 1e-12
@@ -418,17 +404,21 @@ def _certified_polish(Q, c, rows: StackedRows, signs: np.ndarray, settings: Solv
     xp, wp = polished
     good_signs = np.all(wp[act_lower] <= 1e-9) and np.all(wp[act_upper] >= -1e-9)
     pp, ps = _residuals(Q, c, rows, xp, wp)
-    if good_signs and pp <= settings.feasibility_tolerance and ps <= settings.optimality_tolerance:
+    if good_signs and pp <= feastol and ps <= OPTIMALITY_TOLERANCE:
         return xp, (pp, ps)
     return None
 
 
 def solve(
     problem: QPProblem,
-    settings: SolverSettings = SolverSettings(),
+    feastol: float = 1e-6,
     start: np.ndarray | Solution | None = None,
 ) -> Solution:
     """Return the unique minimizer of a strictly convex instance.
+
+    The result's primal infeasibility is at most ``feastol`` (a positive
+    finite number, else ``ValueError``) and its scaled stationarity at most
+    ``OPTIMALITY_TOLERANCE``.
 
     ``start`` is a starting point or a previous ``Solution`` of a problem
     with the same constraints; the result is the same minimizer either way,
@@ -437,9 +427,11 @@ def solve(
     polish: if the polished point passes the certificate every polish must
     pass, it is returned with ``iterations`` 0, otherwise the solve iterates
     as without it. Raises ``InfeasibleProblem``/``ConstraintCycle`` when the
-    constraint set is empty and ``MaxIterationsExceeded`` when tolerances
-    are not met.
+    constraint set is empty and ``MaxIterationsExceeded`` when the
+    tolerances are not met within ``MAX_ITERATIONS`` iterations.
     """
+    if not (math.isfinite(feastol) and feastol > 0):
+        raise ValueError(f"feastol must be a positive finite number, got {feastol!r}")
     feas = problem.constraints.feasibility
     if not feas.feasible:
         raise InfeasibleProblem(
@@ -462,7 +454,7 @@ def solve(
                 raise ValueError(
                     f"start's active set covers {active.shape[0]} rows, the problem has {l.shape[0]}"
                 )
-            certified = _certified_polish(Q, c, rows, active, settings)
+            certified = _certified_polish(Q, c, rows, active, feastol)
             if certified is not None:
                 xp, residuals = certified
                 return Solution(xp, problem.objective(xp), 0, residuals, 0, active)
@@ -478,13 +470,11 @@ def solve(
     z = np.clip(A @ x, l, u)
     w = np.zeros_like(z)
 
-    feastol = settings.feasibility_tolerance
-    opttol = settings.optimality_tolerance
     check_every = 25
 
     it = 0
     cg_steps = 0
-    while it < settings.max_iterations:
+    while it < MAX_ITERATIONS:
         it += 1
         rhs = sigma * x - c + At @ (rho * z - w)
         x_tilde, steps = _pcg(K, inv_diag, rhs, x_tilde)
@@ -499,11 +489,11 @@ def solve(
         if it % check_every:
             continue
         primal, stat = _residuals(Q, c, rows, x, w, z)
-        certified = _certified_polish(Q, c, rows, w, settings)
+        certified = _certified_polish(Q, c, rows, w, feastol)
         if certified is not None:
             xp, residuals = certified
             return Solution(xp, problem.objective(xp), it, residuals, cg_steps, _active_rows(w))
-        if primal <= feastol and stat <= opttol:
+        if primal <= feastol and stat <= OPTIMALITY_TOLERANCE:
             return Solution(x.copy(), problem.objective(x), it, (primal, stat), cg_steps, _active_rows(w))
         if it % 2000 == 0:
             # slow progress: re-balance the penalty between primal and dual work
@@ -513,6 +503,6 @@ def solve(
                 K, inv_diag = _x_update_system(Q, sigma, rho, AtA)
 
     primal, stat = _residuals(Q, c, rows, x, w, z)
-    if primal <= feastol and stat <= opttol:
+    if primal <= feastol and stat <= OPTIMALITY_TOLERANCE:
         return Solution(x.copy(), problem.objective(x), it, (primal, stat), cg_steps, _active_rows(w))
     raise MaxIterationsExceeded(it, (primal, stat))

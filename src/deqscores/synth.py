@@ -12,6 +12,7 @@ config, so (config, seed) fully determines the instance on any platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .model import (
 )
 
 
-class AssignmentError(Exception):
+class AssignmentError(ValueError):
     """Raised when the duplicate-repair loop cannot produce a simple regular
     assignment (RETRY_EXHAUSTED)."""
 
@@ -42,8 +43,11 @@ class SynthConfig:
     score_range: tuple[int, int] = (0, 10)
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be a nonnegative finite number, got {self.sigma!r}")
+        for name in ("num_papers", "reviews_per_paper", "papers_per_reviewer"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if (self.num_papers * self.reviews_per_paper) % self.papers_per_reviewer:
             raise ValueError(
                 "papers * reviews_per_paper must be divisible by papers_per_reviewer "
@@ -74,7 +78,6 @@ def random_regular_assignment(
     reviews_per_paper: int,
     rng: np.random.Generator,
     paper_ids: list[str] | None = None,
-    reviewer_ids: list[str] | None = None,
 ) -> Assignment:
     """Sample an assignment where every reviewer gets exactly
     ``papers_per_reviewer`` papers and every paper ``reviews_per_paper``
@@ -122,12 +125,11 @@ def random_regular_assignment(
     else:
         raise AssignmentError("duplicate repair failed; assignment constraints too tight")
 
-    if reviewer_ids is None:
-        reviewer_ids = _ids("r", num_reviewers)
+    reviewer_ids = _ids("r", num_reviewers)
     if paper_ids is None:
         paper_ids = _ids("p", num_papers)
-    if len(reviewer_ids) != num_reviewers or len(paper_ids) != num_papers:
-        raise ValueError("id list lengths must match the requested counts")
+    if len(paper_ids) != num_papers:
+        raise ValueError(f"{len(paper_ids)} paper ids for {num_papers} papers")
     pairs = {
         (reviewer_ids[r], paper_ids[int(hands[r, k])])
         for r in range(num_reviewers)

@@ -31,7 +31,7 @@ from deqscores.metrics import (
 )
 from deqscores.model import derive_rankings_from_raw_scores
 from deqscores.qp import QPProblem, check_feasibility, solve
-from deqscores.qv import QVConfig, default_lambda_grid, select_lambda
+from deqscores.qv import LAMBDA_GRID, select_lambda
 from deqscores.synth import SynthConfig, generate, trial_seed
 
 from conftest import likelihood_lattice_maximizer
@@ -39,7 +39,7 @@ from oracles import brute_force_minimize
 
 EPSILON = 0.05
 FEASTOL = 1e-6
-GRID = default_lambda_grid()
+GRID = LAMBDA_GRID
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -308,9 +308,7 @@ def test_criterion_08_validation_quality():
             start = solution.values
             errors.append(kendall_tau_error(truth, solution.values))
         oracle_index = min(range(len(GRID)), key=lambda i: (errors[i], GRID[i]))
-        selected = select_lambda(
-            instance.dataset, QVConfig(), DequantizerConfig(lam=1.0, epsilon=EPSILON)
-        )
+        selected = select_lambda(instance.dataset, DequantizerConfig(lam=1.0, epsilon=EPSILON))
         gaps.append(errors[selected.selected_index] - errors[oracle_index])
     mean_gap, _ = trial_statistics(gaps)
     report(
@@ -387,7 +385,7 @@ def test_criterion_12_epsilon_robustness():
         for trial in range(20):
             instance = generate(SynthConfig(seed=trial_seed(121, trial)))
             config = DequantizerConfig(lam=1.0, epsilon=epsilon)
-            selected = select_lambda(instance.dataset, QVConfig(), config)
+            selected = select_lambda(instance.dataset, config)
             scores = dequantize(
                 instance.dataset,
                 DequantizerConfig(lam=selected.selected_lambda, epsilon=epsilon),

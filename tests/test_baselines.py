@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from deqscores.baselines import (
     GroupsInconsistent,
     NotTotalRanking,
-    RankedGroup,
     UnequalReviewCounts,
     bre_adjusted_scores,
     partial_rankings_adjusted_scores,
@@ -158,15 +157,6 @@ class TestGroupAdjusted:
         )
         with pytest.raises(GroupsInconsistent):
             partial_rankings_adjusted_scores(ds)
-
-    def test_explicit_groups_are_verified(self):
-        ds = make_dataset(
-            {("r1", "A"): 5, ("r1", "B"): 5},
-            {"r1": [("A", "B")]},
-        )
-        bad = {"r1": [RankedGroup(1, ("A", "B"))]}  # claims a tie that is ranked
-        with pytest.raises(GroupsInconsistent):
-            partial_rankings_adjusted_scores(ds, groups=bad)
 
     def test_group_recovery_from_raw_derived_ranking(self):
         ds = make_dataset(

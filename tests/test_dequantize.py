@@ -15,7 +15,7 @@ from deqscores.dequantize import (
 )
 from deqscores.model import DequantizedScores, ValidationError
 from deqscores.qp import InfeasibleProblem, solve
-from deqscores.qv import QVConfig, select_lambda
+from deqscores.qv import select_lambda
 from deqscores.synth import SynthConfig, generate, trial_seed
 
 from conftest import likelihood_lattice_maximizer, make_dataset
@@ -111,8 +111,8 @@ class TestDequantize:
         config = DequantizerConfig(lam=2.0)
         scores = dequantize(instance.dataset, config)
         box_violation, margin = consistency_report(instance.dataset, scores, config.epsilon)
-        assert box_violation <= config.solver.feasibility_tolerance
-        assert margin >= config.epsilon - config.solver.feasibility_tolerance
+        assert box_violation <= config.feastol
+        assert margin >= config.epsilon - config.feastol
 
     def test_single_review_returns_score(self):
         ds = make_dataset({("r1", "A"): 7})
@@ -133,7 +133,7 @@ class TestDequantize:
 
     def test_auto_matches_explicit_selection(self):
         instance = generate(SynthConfig(num_papers=12, seed=21))
-        report = select_lambda(instance.dataset, QVConfig(), DequantizerConfig(lam=1.0))
+        report = select_lambda(instance.dataset, DequantizerConfig(lam=1.0))
         auto = dequantize(instance.dataset, DequantizerConfig(lam=AUTO))
         manual = dequantize(instance.dataset, DequantizerConfig(lam=report.selected_lambda))
         for pair in manual.values:

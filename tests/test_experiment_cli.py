@@ -214,6 +214,77 @@ class TestCli:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--sigma", "nan"],
+            ["--papers-per-reviewer", "0"],
+            ["--papers", "3", "--papers-per-reviewer", "4"],
+        ],
+        ids=["nan-sigma", "zero-load", "load-above-papers"],
+    )
+    def test_bad_synthetic_config_exits_one(self, tmp_path, capsys, argv):
+        rc = self.run("simulate", *argv, "--output-prefix", str(tmp_path / "demo"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_impossible_assignment_in_trial_exits_one(self, tmp_path, capsys, jobs):
+        rc = self.run(
+            "experiment", "--values", "0.5", "--trials", "1", "--papers", "3",
+            "--papers-per-reviewer", "4", "--jobs", jobs,
+            "--output", str(tmp_path / "report.json"),
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: trial 0 at sigma=0.5 failed: cannot assign 4 distinct papers")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--sweep", "papers_per_reviewer", "--values", "2.5"], "whole numbers"),
+            (["--values", "0.5,0.5"], "distinct"),
+            (["--jobs", "0"], "jobs"),
+            (["--jobs", "-3"], "jobs"),
+        ],
+        ids=["fractional-load", "repeated-value", "zero-jobs", "negative-jobs"],
+    )
+    def test_mislabelled_sweep_rejected_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiment, "_run_trial", no_trial)
+        report = tmp_path / "report.json"
+        rc = self.run(
+            "experiment", *argv, "--trials", "1", "--papers", "8",
+            "--reviews-per-paper", "2", "--papers-per-reviewer", "2", "--lambda", "2",
+            "--output", str(report),
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("epsilon", ["nan", "-3", "1.5"])
+    def test_baseline_bad_epsilon_exits_one(self, tmp_path, capsys, epsilon):
+        reviews = tmp_path / "reviews.csv"
+        rankings = tmp_path / "rankings.csv"
+        reviews.write_text("reviewer_id,paper_id,score\nr1,A,5\nr1,B,5\n")
+        rankings.write_text("reviewer_id,better_paper_id,worse_paper_id\nr1,A,B\n")
+        out = tmp_path / "base.csv"
+        rc = self.run(
+            "baseline", "--method", "partial_rankings_adjusted", "--reviews", str(reviews),
+            "--rankings", str(rankings), f"--epsilon={epsilon}", "--output", str(out),
+        )
+        assert rc == 1
+        assert "epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_qv_command_reports_selection(self, tmp_path, capsys):
         prefix = tmp_path / "demo"
         self.run(

@@ -14,7 +14,6 @@ from deqscores.qp import (
     InfeasibleProblem,
     MaxIterationsExceeded,
     QPProblem,
-    SolverSettings,
     check_feasibility,
     solve,
 )
@@ -63,19 +62,17 @@ class TestSolve:
         assert solution.values == pytest.approx([5.025, 4.975], abs=1e-7)
 
     def test_residuals_meet_settings(self):
-        settings = SolverSettings()
-        solution = solve(two_variable_pair_problem(), settings)
+        solution = solve(two_variable_pair_problem())
         primal, stationarity = solution.residuals
-        assert primal <= settings.feasibility_tolerance
-        assert stationarity <= settings.optimality_tolerance
+        assert primal <= 1e-6
+        assert stationarity <= qp.OPTIMALITY_TOLERANCE
 
     def test_uniqueness_across_starting_points(self):
         rng = np.random.default_rng(3)
         problem = random_problem(rng, 4)
-        settings = SolverSettings()
-        a = solve(problem, settings, start=problem.box_lower.copy())
-        b = solve(problem, settings, start=problem.box_upper.copy())
-        assert np.max(np.abs(a.values - b.values)) <= 10 * settings.optimality_tolerance
+        a = solve(problem, start=problem.box_lower.copy())
+        b = solve(problem, start=problem.box_upper.copy())
+        assert np.max(np.abs(a.values - b.values)) <= 10 * qp.OPTIMALITY_TOLERANCE
 
     def test_kkt_gradient_in_active_cone(self):
         # with every constraint written a.y >= b, stationarity makes the
@@ -118,11 +115,13 @@ class TestSolve:
         after = solve(shrunk).values
         assert np.max(np.abs(after - before)) <= 1e-7
 
-    def test_max_iterations_raises(self):
+    def test_max_iterations_raises(self, monkeypatch):
         rng = np.random.default_rng(5)
         problem = random_problem(rng, 4)
+        monkeypatch.setattr(qp, "MAX_ITERATIONS", 20)
+        monkeypatch.setattr(qp, "OPTIMALITY_TOLERANCE", 1e-16)
         with pytest.raises(MaxIterationsExceeded):
-            solve(problem, SolverSettings(optimality_tolerance=1e-16, max_iterations=20))
+            solve(problem)
 
     def test_infeasible_raises_before_iterating(self):
         problem = QPProblem.build(
@@ -163,15 +162,14 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("guess", [-1, 1, 0], ids=["all-lower", "all-upper", "none"])
     def test_wrong_active_set_falls_back_to_iterating(self, problem, guess):
-        settings = SolverSettings()
-        cold = solve(problem, settings)
+        cold = solve(problem)
         wrong = dataclasses.replace(cold, active=np.full_like(cold.active, guess))
-        warm = solve(problem, settings, start=wrong)
+        warm = solve(problem, start=wrong)
         assert warm.iterations > 0
         assert np.max(np.abs(warm.values - cold.values)) <= 1e-9
         primal, stationarity = warm.residuals
-        assert primal <= settings.feasibility_tolerance
-        assert stationarity <= settings.optimality_tolerance
+        assert primal <= 1e-6
+        assert stationarity <= qp.OPTIMALITY_TOLERANCE
 
     def test_active_set_of_other_constraints_rejected(self, problem):
         other = solve(two_variable_pair_problem())
@@ -314,13 +312,8 @@ class TestProblemConstruction:
         with pytest.raises(ValueError, match="pair constraint"):
             QPProblem.build(np.eye(2), [0.0, 0.0], [(0, 2, 0.1)], [0, 0], [1, 1])
 
-    def test_settings_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SolverSettings(feasibility_tolerance=0.0)
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [0.0, -1e-6, float("nan"), float("inf")])
     def test_settings_must_be_finite(self, value):
+        # feastol, the solver's one setting, must be a positive finite number
         with pytest.raises(ValueError, match="finite"):
-            SolverSettings(feasibility_tolerance=value)
-        with pytest.raises(ValueError, match="finite"):
-            SolverSettings(optimality_tolerance=value)
+            solve(two_variable_pair_problem(), feastol=value)

@@ -1,0 +1,40 @@
+"""Smoke tests of the scripts in ``scripts/``: each runs as its own process on
+a small input and must exit 0 with its documented outputs."""
+
+import csv
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *argv):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *argv],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_qv_curve_writes_csv(tmp_path):
+    path = tmp_path / "curve.csv"
+    result = run_script("run_qv_curve.py", "--papers", "12", "--seed", "7", "--csv", str(path))
+    assert result.returncode == 0, result.stderr
+    rows = list(csv.reader(path.open(newline="")))
+    assert rows[0] == ["lambda", "validation_error", "true_error", "selected", "oracle_best"]
+    assert len(rows) == 1 + 40
+    assert sum(int(row[3]) for row in rows[1:]) == 1
+    assert "selected lambda" in result.stdout
+
+
+def test_synthetic_sweeps_write_report(tmp_path):
+    result = run_script(
+        "run_synthetic_sweeps.py", "--sweeps", "sigma", "--trials", "1", "--out", str(tmp_path)
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads((tmp_path / "sweep_sigma.json").read_text())
+    assert report["report_version"] == 1
+    assert report["parameters"]["sweep_parameter"] == "sigma"
+    assert report["parameters"]["sweep_values"] == [0.1, 0.5, 1.0]
+    assert len(report["results"]) == 3 * 3  # sweep values x methods
