@@ -151,7 +151,11 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma", type=float, default=0.5, help="synthetic noise level (default 0.5)")
     p.add_argument("--reviews-per-paper", type=int, default=4)
     p.add_argument("--papers-per-reviewer", type=int, default=4)
-    p.add_argument("--raw-scores", help="raw ten-level score CSV; trials re-prepare it instead of simulating")
+    p.add_argument(
+        "--raw-scores",
+        help="raw ten-level score CSV; trials re-prepare it instead of simulating "
+        "(sweep papers_per_reviewer, reviews_per_paper or lambda)",
+    )
     p.add_argument("--jobs", type=int, default=1, help="parallel trial workers (default 1)")
     p.add_argument("--output", required=True, help="JSON report path")
     p.add_argument("--table", help="optional per-sweep CSV (method,sweep_value,metric,mean,sem)")

@@ -40,6 +40,8 @@ REPORT_VERSION = 1
 METHODS = ("proposed", "quantized", "bre_adjusted", "partial_rankings_adjusted")
 SWEEPABLE = ("sigma", "papers_per_reviewer", "reviews_per_paper", "lambda")
 INTEGER_SWEEPS = ("papers_per_reviewer", "reviews_per_paper")
+SYNTH_SWEEPS = ("sigma", "papers_per_reviewer", "reviews_per_paper")
+FILE_SWEEPS = ("papers_per_reviewer", "reviews_per_paper", "lambda")
 METRIC_NAMES = ("kendall", "l2", "ties")
 
 
@@ -95,6 +97,19 @@ class ExperimentSpec:
             math.isfinite(v) and v > 0 for v in self.sweep_values
         ):
             raise ValueError("swept lambda values must be positive and finite")
+        if isinstance(self.base, FileSource):
+            if self.sweep_parameter not in FILE_SWEEPS:
+                # a score file fixes the review values, so every row would
+                # repeat the same trials under another label
+                raise ValueError(
+                    f"a score-file experiment cannot sweep {self.sweep_parameter}; "
+                    f"sweep one of {', '.join(FILE_SWEEPS)}"
+                )
+        else:
+            # fail before any trial runs on a swept sigma or load the
+            # generator would reject
+            for value in self.sweep_values:
+                _swept_config(self.base, self.sweep_parameter, value)
         # fail before any trial runs on a bad weight, separation or tolerance
         DequantizerConfig(
             lam=self.lam, epsilon=self.epsilon, feastol=self.feasibility_tolerance
@@ -154,13 +169,17 @@ def _instance_for(spec: ExperimentSpec, sweep_value, trial: int):
             seed=seed,
         )
         return dataset, truth, True
-    config = spec.base
-    overrides: dict = {"seed": seed}
-    if spec.sweep_parameter in ("sigma", "papers_per_reviewer", "reviews_per_paper"):
-        key = spec.sweep_parameter
-        overrides[key] = type(getattr(config, key))(sweep_value)
-    instance = generate(dataclasses.replace(config, **overrides))
+    config = _swept_config(spec.base, spec.sweep_parameter, sweep_value)
+    instance = generate(dataclasses.replace(config, seed=seed))
     return instance.dataset, instance.truth_y, False
+
+
+def _swept_config(base: SynthConfig, parameter: str, value) -> SynthConfig:
+    """``base`` with the swept generator parameter set to ``value``; a sweep
+    that is not a generator parameter leaves it as it is."""
+    if parameter not in SYNTH_SWEEPS:
+        return base
+    return dataclasses.replace(base, **{parameter: type(getattr(base, parameter))(value)})
 
 
 def _run_method(

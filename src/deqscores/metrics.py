@@ -1,8 +1,10 @@
 """Evaluation metrics: ranking error, l2 error, ties, percentiles, trial stats.
 
 The error metrics take aligned 1-D vectors: the caller puts truth and
-estimate in one review order, once, and a shape mismatch raises
-``ValueError``."""
+estimate in one review order, once, and a shape mismatch or a non-finite
+value raises ``ValueError``. The pair counts of ``kendall_tau_error`` and
+``tie_fraction`` are sort-based (O(n log^2 n) and O(n log n)) and decide
+every pair exactly as a direct pairwise comparison would."""
 
 from __future__ import annotations
 
@@ -22,17 +24,46 @@ TIE_TOLERANCE = 1e-4
 """Two estimate values closer than this are tied. Truth values tie only when
 exactly equal, so truth ties are transitive and form runs of equal values."""
 
-_BLOCK = 512
-
 
 def _aligned(truth, estimate) -> tuple[np.ndarray, np.ndarray]:
-    t = np.asarray(truth, dtype=float)
-    e = np.asarray(estimate, dtype=float)
+    t = _finite(truth, "truth")
+    e = _finite(estimate, "estimate")
     if t.ndim != 1 or t.shape != e.shape:
         raise ValueError(
             f"truth and estimate must be aligned 1-D vectors, got shapes {t.shape} and {e.shape}"
         )
     return t, e
+
+
+def _finite(values, name: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        # NaN compares False with everything, so it would tie nothing and
+        # order nothing: a perfect score for a vector that holds no values
+        raise ValueError(f"{name} contains non-finite values")
+    return arr
+
+
+def _tie_bounds(s: np.ndarray) -> np.ndarray:
+    """For ascending ``s``, the first position p > r with
+    ``s[p] - s[r] >= TIE_TOLERANCE`` as computed in floating point (``n`` if
+    none), for each position r: positions r+1 .. p-1 are r's ties above it.
+
+    Rounding is monotone, so the rounded difference never decreases as p
+    grows: the positions at or past the tolerance form a suffix. A
+    ``searchsorted`` against ``s + TIE_TOLERANCE`` finds its start up to the
+    rounding of that sum; the loop then moves each guess over whole runs of
+    equal values until the direct difference agrees on both sides of it.
+    """
+    padded = np.append(s, np.inf)
+    bound = np.searchsorted(s, s + TIE_TOLERANCE)
+    while True:
+        low = padded[bound] - s < TIE_TOLERANCE
+        high = (bound > 0) & (padded[bound - 1] - s >= TIE_TOLERANCE)
+        if not (low.any() or high.any()):
+            return bound
+        bound[low] = np.searchsorted(s, s[bound[low]], side="right")
+        bound[high] = np.searchsorted(s, s[bound[high] - 1], side="left")
 
 
 def kendall_tau_error(truth, estimate) -> float:
@@ -41,31 +72,68 @@ def kendall_tau_error(truth, estimate) -> float:
 
     Over all index pairs whose truth values differ (exactly equal truth values
     are omitted), count 1 for each pair the estimate orders the other way and
-    1/2 for each pair the estimate ties (absolute difference below
-    ``TIE_TOLERANCE``), divided by the number of truth-ordered pairs.
-    Comparisons are global across the whole vector, not per reviewer. Direct
-    O(n^2) computation, in row blocks to bound memory.
+    1/2 for each pair the estimate ties, divided by the number of
+    truth-ordered pairs. Comparisons are global across the whole vector, not
+    per reviewer. A pair ties when its estimates' difference, computed in
+    floating point, is below ``TIE_TOLERANCE`` in absolute value; the result
+    equals that pairwise rule's bit for bit. Non-finite inputs raise
+    ``ValueError``.
+
+    Sort-based, O(n log^2 n): one sort by (truth, estimate), tied pairs from
+    the tie boundary of each estimate, discordant pairs from a bottom-up merge
+    tree over truth order.
     """
     t, e = _aligned(truth, estimate)
     n = t.shape[0]
-    ordered = 0
-    penalty = 0.0
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        dt = t[start:stop, None] - t[None, :]
-        de = e[start:stop, None] - e[None, :]
-        upper = np.arange(n)[None, :] > np.arange(start, stop)[:, None]
-        is_ordered = upper & (dt != 0.0)
-        ordered += int(is_ordered.sum())
-        oriented = np.sign(dt) * de
-        # exact equality always ties, whatever the tolerance: equal values
-        # order nothing, so the half penalty is the only sound treatment
-        tied = (np.abs(de) < TIE_TOLERANCE) | (de == 0.0)
-        penalty += float((is_ordered & tied).sum()) * 0.5
-        penalty += float((is_ordered & ~tied & (oriented < 0)).sum())
+    order = np.lexsort((e, t))
+    t, e = t[order], e[order]
+    new_run = np.concatenate(([True], t[1:] != t[:-1]))
+    run = np.cumsum(new_run) - 1
+    run_sizes = np.bincount(run)
+    ordered = n * (n - 1) // 2 - int((run_sizes * (run_sizes - 1) // 2).sum())
     if ordered == 0:
         raise AllTiedError("no strictly ordered truth pair")
-    return penalty / ordered
+
+    # rank: position in a stable sort of the estimates; within a truth run the
+    # estimates ascend, so ranks ascend too
+    by_estimate = np.argsort(e, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_estimate] = np.arange(n)
+    bound = _tie_bounds(e[by_estimate])
+    # the estimates ranked at or above ``above`` are the ones at least
+    # TIE_TOLERANCE higher than this one, by the rounded difference
+    above = bound[rank]
+    tied = int((bound - np.arange(n) - 1).sum())
+    # subtract tied pairs inside one truth run: the run's ties of each review
+    # are its later entries ranked below ``above``
+    keys = run * (n + 1) + rank
+    tied -= int((np.searchsorted(keys, keys - rank + above) - np.arange(n) - 1).sum())
+
+    # a pair (a before b in truth order) is discordant when a is ranked at or
+    # above b's ``above``; an earlier review of b's own run never is. A merge
+    # tree counts each pair at the level where a falls in a left block and b
+    # in its right sibling. Padding to a power of two adds left entries
+    # ranked -1 and right entries with ``above`` n, which count nothing.
+    size = 1 << (n - 1).bit_length()
+    ranks = np.full(size, -1, dtype=np.int64)
+    ranks[:n] = rank
+    thresholds = np.full(size, n, dtype=np.int64)
+    thresholds[:n] = above
+    discordant = 0
+    width = 1
+    while width < size:
+        blocks = size // (2 * width)
+        # keys of block j lie in [j(n+1) - 1, j(n+1) + n - 1], so one sorted
+        # array holds every left block in turn, block j from j * width on
+        offset = np.arange(blocks)[:, None] * (n + 1)
+        left = (np.sort(ranks.reshape(blocks, 2, width)[:, 0], axis=1) + offset).ravel()
+        query = (thresholds.reshape(blocks, 2, width)[:, 1] + offset).ravel()
+        # b of block j is discordant with (j + 1) * width - searchsorted(b)
+        # entries of its left sibling; summed over the width b's of each block
+        at_or_above = width * width * blocks * (blocks + 1) // 2
+        discordant += at_or_above - int(np.searchsorted(left, query).sum())
+        width *= 2
+    return (tied * 0.5 + discordant) / ordered
 
 
 def l2_error(truth, estimate) -> float:
@@ -85,20 +153,18 @@ def project_to_original_scale(y_hat):
 
 
 def tie_fraction(values) -> float:
-    """Fraction of unordered pairs of a 1-D vector closer than ``TIE_TOLERANCE``."""
-    values = np.asarray(values, dtype=float)
+    """Fraction of unordered pairs of a 1-D vector whose difference, computed
+    in floating point, is below ``TIE_TOLERANCE`` in absolute value: the tie
+    rule of ``kendall_tau_error``, counted by sorting in O(n log n).
+    Non-finite values raise ``ValueError``."""
+    values = _finite(values, "values")
     if values.ndim != 1:
         raise ValueError(f"values must be a 1-D vector, got shape {values.shape}")
     n = values.shape[0]
     total = n * (n - 1) // 2
     if total == 0:
         return 0.0
-    tied = 0
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        diff = np.abs(values[start:stop, None] - values[None, :])
-        upper = np.arange(n)[None, :] > np.arange(start, stop)[:, None]
-        tied += int((upper & (diff < TIE_TOLERANCE)).sum())
+    tied = int((_tie_bounds(np.sort(values)) - np.arange(n) - 1).sum())
     return tied / total
 
 

@@ -7,6 +7,9 @@ by Dykstra's alternating method). ``thurstone_joint_loglikelihood`` and
 ``profiled_paper_qualities`` state the Thurstone model whose box-constrained
 maximizer the consensus-only solution should be. ``constraint_violation``
 measures how far a point lies outside a problem's constraints.
+``pairwise_kendall_tau_error`` and ``pairwise_tie_fraction`` decide every
+pair of a vector directly, O(n^2), as the reference for the sort-based
+metrics.
 """
 
 from __future__ import annotations
@@ -15,12 +18,60 @@ import math
 
 import numpy as np
 
+from deqscores.metrics import TIE_TOLERANCE, AllTiedError
 from deqscores.model import DequantizedScores, ReviewDataset
 from deqscores.qp import InfeasibleProblem, QPProblem, Solution, SolverError, check_feasibility
 
 
 class DimensionTooLarge(SolverError):
     pass
+
+
+_BLOCK = 512
+
+
+def pairwise_kendall_tau_error(truth, estimate) -> float:
+    """Kendall-tau error by direct comparison of every pair (i, j), i < j:
+    a pair is truth-ordered when ``t_i != t_j``, tied when
+    ``abs(e_i - e_j) < TIE_TOLERANCE or e_i == e_j``, and discordant when not
+    tied and ``sign(t_i - t_j) * (e_i - e_j) < 0``. In row blocks to bound
+    memory."""
+    t = np.asarray(truth, dtype=float)
+    e = np.asarray(estimate, dtype=float)
+    n = t.shape[0]
+    ordered = 0
+    penalty = 0.0
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        dt = t[start:stop, None] - t[None, :]
+        de = e[start:stop, None] - e[None, :]
+        upper = np.arange(n)[None, :] > np.arange(start, stop)[:, None]
+        is_ordered = upper & (dt != 0.0)
+        ordered += int(is_ordered.sum())
+        oriented = np.sign(dt) * de
+        tied = (np.abs(de) < TIE_TOLERANCE) | (de == 0.0)
+        penalty += float((is_ordered & tied).sum()) * 0.5
+        penalty += float((is_ordered & ~tied & (oriented < 0)).sum())
+    if ordered == 0:
+        raise AllTiedError("no strictly ordered truth pair")
+    return penalty / ordered
+
+
+def pairwise_tie_fraction(values) -> float:
+    """Fraction of pairs (i, j), i < j, with ``abs(v_i - v_j) < TIE_TOLERANCE``,
+    by direct comparison of every pair."""
+    v = np.asarray(values, dtype=float)
+    n = v.shape[0]
+    total = n * (n - 1) // 2
+    if total == 0:
+        return 0.0
+    tied = 0
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        diff = np.abs(v[start:stop, None] - v[None, :])
+        upper = np.arange(n)[None, :] > np.arange(start, stop)[:, None]
+        tied += int((upper & (diff < TIE_TOLERANCE)).sum())
+    return tied / total
 
 
 def constraint_violation(problem: QPProblem, y: np.ndarray) -> float:

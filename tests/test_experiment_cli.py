@@ -90,6 +90,12 @@ class TestRunExperiment:
         cell = report.cell("quantized", 3, "l2")
         assert cell["mean"] > 0
 
+    def test_file_source_rejects_sigma_sweep(self):
+        # the file fixes the review values, so sigma would only relabel rows
+        with pytest.raises(ValueError, match="cannot sweep sigma") as info:
+            tiny_spec(base=FileSource(str(DATA / "raw_ten_level.csv")))
+        assert "papers_per_reviewer, reviews_per_paper, lambda" in str(info.value)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
             tiny_spec(methods=("nonsense",))
@@ -249,8 +255,14 @@ class TestCli:
             (["--values", "0.5,0.5"], "distinct"),
             (["--jobs", "0"], "jobs"),
             (["--jobs", "-3"], "jobs"),
+            (["--values", "0.5,nan"], "sigma must be"),
+            (["--sweep", "reviews_per_paper", "--values", "2,0"], "at least 1"),
+            (["--raw-scores", str(DATA / "raw_ten_level.csv")], "cannot sweep sigma"),
         ],
-        ids=["fractional-load", "repeated-value", "zero-jobs", "negative-jobs"],
+        ids=[
+            "fractional-load", "repeated-value", "zero-jobs", "negative-jobs",
+            "nan-sigma", "zero-load", "file-sigma",
+        ],
     )
     def test_mislabelled_sweep_rejected_before_any_trial(
         self, tmp_path, capsys, monkeypatch, argv, message
@@ -268,6 +280,7 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
         assert not report.exists()
 
     @pytest.mark.parametrize("epsilon", ["nan", "-3", "1.5"])

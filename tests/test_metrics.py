@@ -17,6 +17,42 @@ from deqscores.metrics import (
     tie_fraction,
     trial_statistics,
 )
+from oracles import pairwise_kendall_tau_error, pairwise_tie_fraction
+
+TRUTH_LEVELS = st.integers(0, 3).map(float)
+# k * TIE_TOLERANCE / 2: many exact ties, and differences of TIE_TOLERANCE
+# that round to either side of it
+HALF_STEPS = st.integers(0, 8).map(lambda k: k * TIE_TOLERANCE / 2)
+
+
+def _nudge(value: float, steps: int) -> float:
+    """``value`` moved ``steps`` ulps up (positive) or down (negative)."""
+    direction = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, direction)
+    return value
+
+
+# x next to x + TIE_TOLERANCE +- k ulp, k <= 3: the pairs the rounded
+# difference decides. Across zero (x in -1e-4 .. -7.5e-5) a sum that rounds
+# down can sit one ulp above a value whose difference already rounds up to
+# the tolerance.
+ULP_ADJACENT = st.builds(
+    lambda x, shift, steps: _nudge(x + shift * TIE_TOLERANCE, steps),
+    st.sampled_from([0.0, 1.0, -0.3, 2.5, 3.7, 9.25, 1234.5678, -7.5e-5, -1e-4, -1.25e-4]),
+    st.integers(0, 1),
+    st.integers(-3, 3),
+)
+
+
+def _rows(values):
+    return st.lists(st.tuples(TRUTH_LEVELS, values), min_size=2, max_size=60).filter(
+        lambda rows: len({t for t, _ in rows}) > 1
+    )
+
+
+def _columns(rows):
+    return tuple(np.array(col, dtype=float) for col in zip(*rows))
 
 
 class TestKendall:
@@ -80,6 +116,97 @@ class TestKendall:
         assert kendall_tau_error(truth[order], estimate[order]) == kendall_tau_error(truth, estimate)
 
 
+    def test_non_finite_inputs_rejected(self):
+        # NaN compares False with everything, so it would score a perfect 0
+        with pytest.raises(ValueError, match="estimate contains non-finite"):
+            kendall_tau_error([1, 2, 3], [math.nan] * 3)
+        with pytest.raises(ValueError, match="truth contains non-finite"):
+            kendall_tau_error([1, math.inf, 3], [1, 2, 3])
+        with pytest.raises(ValueError, match="non-finite"):
+            l2_error([1, 2], [1, math.nan])
+
+
+class TestKendallMatchesPairwiseOracle:
+    """The sort-based kernel against the direct pairwise rule, with ``==``."""
+
+    @pytest.mark.parametrize(
+        "low, high, tied",
+        [
+            # a search for 0.2 + tol lands on it, yet its difference from 0.2
+            # rounds below tol: the boundary must step up
+            (0.2, 0.2 + TIE_TOLERANCE, True),
+            # a search for x + tol lands above this value, yet its difference
+            # from x rounds up to tol: the boundary must step down
+            (-7.5e-5, math.nextafter(-7.5e-5 + TIE_TOLERANCE, -math.inf), False),
+        ],
+        ids=["sum-rounds-up", "difference-rounds-up"],
+    )
+    def test_boundary_pair_follows_rounded_difference(self, low, high, tied):
+        assert (high - low < TIE_TOLERANCE) is tied
+        assert kendall_tau_error([0.0, 1.0], [low, high]) == (0.5 if tied else 0.0)
+        assert tie_fraction([low, high]) == (1.0 if tied else 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rows(HALF_STEPS))
+    def test_tie_heavy(self, rows):
+        truth, estimate = _columns(rows)
+        assert kendall_tau_error(truth, estimate) == pairwise_kendall_tau_error(truth, estimate)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rows(ULP_ADJACENT))
+    def test_ulp_adjacent(self, rows):
+        truth, estimate = _columns(rows)
+        assert kendall_tau_error(truth, estimate) == pairwise_kendall_tau_error(truth, estimate)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-10, 10, allow_subnormal=False),
+                st.floats(-10, 10, allow_subnormal=False),
+            ),
+            min_size=2,
+            max_size=60,
+            unique_by=lambda row: row[0],
+        )
+    )
+    def test_all_distinct_real_truth(self, rows):
+        truth, estimate = _columns(rows)
+        assert kendall_tau_error(truth, estimate) == pairwise_kendall_tau_error(truth, estimate)
+
+    def test_validation_sized_spot_check(self):
+        # n = 2 400, the review count of a P=600 instance, with ten truth
+        # levels and estimates on a 1e-4 grid so ties and near ties abound
+        rng = np.random.default_rng(2400)
+        truth = rng.integers(1, 11, 2400).astype(float)
+        estimate = np.round(truth / 2 + rng.normal(scale=0.3, size=2400), 4)
+        assert kendall_tau_error(truth, estimate) == pairwise_kendall_tau_error(truth, estimate)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 5)), min_size=2, max_size=40
+        ).filter(lambda rows: len({t for t, _ in rows}) > 1 and len({e for _, e in rows}) > 1)
+    )
+    def test_matches_scipy_at_exact_ties(self, rows):
+        # integer estimates tie only when equal, so TIE_TOLERANCE is not in
+        # play; scipy's tau-b gives concordant minus discordant pairs, and
+        # error = (ordered - (concordant - discordant)) / (2 ordered)
+        truth, estimate = _columns(rows)
+
+        def untied_pairs(values):
+            _, counts = np.unique(values, return_counts=True)
+            n = len(values)
+            return n * (n - 1) // 2 - int((counts * (counts - 1) // 2).sum())
+
+        ordered = untied_pairs(truth)
+        tau_b = scipy.stats.kendalltau(truth, estimate).statistic
+        surplus = tau_b * math.sqrt(ordered * untied_pairs(estimate))
+        assert surplus == pytest.approx(round(surplus), abs=1e-6)
+        expected = (ordered - round(surplus)) / (2 * ordered)
+        assert kendall_tau_error(truth, estimate) == expected
+
+
 class TestL2:
     def test_identical_vectors(self):
         assert l2_error([1, 2], [1, 2]) == 0.0
@@ -131,6 +258,21 @@ class TestTieFraction:
         assert TIE_TOLERANCE == 1e-4
         assert tie_fraction([0.0, 1e-4]) == 0.0
         assert tie_fraction([0.0, 9e-5]) == 1.0
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ValueError, match="values contains non-finite"):
+            tie_fraction([math.nan, math.nan])
+        with pytest.raises(ValueError, match="non-finite"):
+            tie_fraction([1.0, -math.inf])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(HALF_STEPS, ULP_ADJACENT), max_size=60))
+    def test_matches_pairwise_oracle(self, values):
+        assert tie_fraction(values) == pairwise_tie_fraction(values)
+
+    def test_large_spot_check(self):
+        values = np.round(np.random.default_rng(7).normal(size=2400), 4)
+        assert tie_fraction(values) == pairwise_tie_fraction(values)
 
 
 class TestPercentiles:
