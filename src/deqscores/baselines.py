@@ -3,6 +3,11 @@
 All of them operate per reviewer and only ever move values inside a
 quantization bin (a reviewer's papers sharing one score), preserving the bin
 mean so the adjusted outputs stay centered on the reported score.
+
+Tie breaking inside bins has one rule: the group-wise adjustment of
+``partial_rankings_adjusted_scores``, which orders a bin by the tie groups
+of a group-total ranking. The rank-wise ``bre_adjusted_scores`` (BRE) is
+that rule restricted to total rankings, where every group is one paper.
 """
 
 from __future__ import annotations
@@ -59,37 +64,31 @@ def quantized_baseline(dataset: ReviewDataset) -> DequantizedScores:
     return DequantizedScores(values={pair: float(z) for pair, z in dataset.scores.items()})
 
 
+def _ranking(dataset: ReviewDataset, reviewer_id: str) -> PartialRanking:
+    """The reviewer's reported ranking; empty when they reported none."""
+    return dataset.ranking_of.get(
+        reviewer_id, PartialRanking(reviewer_id=reviewer_id, ordered_pairs=frozenset())
+    )
+
+
 def bre_adjusted_scores(
     dataset: ReviewDataset, epsilon: float = DEFAULT_EPSILON
 ) -> DequantizedScores:
     """Break ties inside each quantization bin by rank, preserving bin means.
 
-    Requires a total ranking from every reviewer. Papers in a bin of size m
-    get equally spaced epsilon increments by their rank within the bin and
-    are then recentered onto the bin's score, which works out to
-    z + epsilon * (rank_in_bin - 1/2 - m/2).
+    The group-wise rule of ``partial_rankings_adjusted_scores`` restricted to
+    total rankings, where every tie group is one paper: papers in a bin of
+    size m get equally spaced epsilon increments by their rank within the bin
+    and are then recentered onto the bin's score, which works out to
+    z + epsilon * (rank_in_bin - 1/2 - m/2). Raises ``NotTotalRanking``
+    naming the first reviewer, in sorted order, whose ranking leaves a pair
+    of their papers unordered.
     """
-    values: dict = {}
     for reviewer in sorted(dataset.assignment.reviewer_ids):
         papers = dataset.assignment.papers_of_reviewer[reviewer]
-        ranking = dataset.ranking_of.get(
-            reviewer, PartialRanking(reviewer_id=reviewer, ordered_pairs=frozenset())
-        )
-        if not ranking.is_total_over(papers):
+        if not _ranking(dataset, reviewer).is_total_over(papers):
             raise NotTotalRanking(f"reviewer {reviewer!r} has an incomplete ranking")
-        beats = {p: 0 for p in papers}
-        for better, _worse in ranking.ordered_pairs:
-            beats[better] += 1
-        for bin_ in quantization_bins(dataset, reviewer):
-            members = sorted(bin_.members, key=lambda p: beats[p])
-            raw = {
-                p: bin_.score_value + position * epsilon
-                for position, p in enumerate(members)
-            }
-            excess = sum(raw.values()) / len(members) - bin_.score_value
-            for p in members:
-                values[(reviewer, p)] = raw[p] - excess
-    return DequantizedScores(values=values)
+    return partial_rankings_adjusted_scores(dataset, epsilon)
 
 
 def ranked_groups(
@@ -97,58 +96,31 @@ def ranked_groups(
 ) -> list[RankedGroup]:
     """Recover the tie groups of a reviewer's group-total order.
 
-    Papers are grouped by how many papers they beat; the grouping is then
-    verified to totally order the groups (every cross-group pair reported in
-    the right direction, no within-group pair reported). Raises
-    ``GroupsInconsistent`` when the reported pairs admit no such structure.
+    Papers are grouped by how many papers they beat. The ranking is
+    group-total exactly when its reported pairs are the pairs this grouping
+    implies: every paper over every paper that beats fewer. A total ranking
+    is the case where every group is one paper. Raises
+    ``GroupsInconsistent`` naming the least pair reported or implied but not
+    both.
     """
     papers = dataset.assignment.papers_of_reviewer[reviewer_id]
-    ranking = dataset.ranking_of.get(
-        reviewer_id, PartialRanking(reviewer_id=reviewer_id, ordered_pairs=frozenset())
-    )
+    reported = _ranking(dataset, reviewer_id).ordered_pairs
     beats = {p: 0 for p in papers}
-    for better, worse in ranking.ordered_pairs:
+    for better, _worse in reported:
         beats[better] += 1
+    implied = {(p, q) for p in papers for q in papers if beats[p] > beats[q]}
+    if reported != implied:
+        raise GroupsInconsistent(
+            f"reviewer {reviewer_id!r}: the reported pairs are no total order over "
+            f"tie groups; first mismatch {min(reported ^ implied)!r}"
+        )
     levels: dict[int, list[str]] = {}
     for p in papers:
         levels.setdefault(beats[p], []).append(p)
-    groups = [
+    return [
         RankedGroup(group_index=i + 1, members=tuple(sorted(levels[k])))
         for i, k in enumerate(sorted(levels))
     ]
-    verify_groups(dataset, reviewer_id, groups)
-    return groups
-
-
-def verify_groups(
-    dataset: ReviewDataset, reviewer_id: str, groups: list[RankedGroup]
-) -> None:
-    papers = set(dataset.assignment.papers_of_reviewer[reviewer_id])
-    ranking = dataset.ranking_of.get(
-        reviewer_id, PartialRanking(reviewer_id=reviewer_id, ordered_pairs=frozenset())
-    )
-    listed = [p for g in groups for p in g.members]
-    if sorted(listed) != sorted(papers):
-        raise GroupsInconsistent(
-            f"groups for reviewer {reviewer_id!r} do not partition the assigned papers"
-        )
-    level = {p: g.group_index for g in groups for p in g.members}
-    pairs = ranking.ordered_pairs
-    for i, p in enumerate(listed):
-        for q in listed[i + 1 :]:
-            reported = ((p, q) in pairs, (q, p) in pairs)
-            if level[p] == level[q]:
-                if any(reported):
-                    raise GroupsInconsistent(
-                        f"reviewer {reviewer_id!r}: tied papers {p!r}, {q!r} are ranked"
-                    )
-            else:
-                expected = (level[p] > level[q], level[q] > level[p])
-                if reported != expected:
-                    raise GroupsInconsistent(
-                        f"reviewer {reviewer_id!r}: pair ({p!r}, {q!r}) not ordered "
-                        "as its groups require"
-                    )
 
 
 def partial_rankings_adjusted_scores(
@@ -156,26 +128,24 @@ def partial_rankings_adjusted_scores(
 ) -> DequantizedScores:
     """Group-wise tie breaking for group-total partial rankings.
 
-    Within each quantization bin whose papers span more than one tie group,
-    the t-th lowest group present gets offset t*epsilon (all its papers
-    together) and the bin is recentered onto its score. Bins spanned by a
-    single group keep the reported score. With all groups singletons this
-    coincides with ``bre_adjusted_scores``.
+    Within each quantization bin, the t-th lowest tie group present gets
+    offset t*epsilon (all its papers together) and the bin is recentered onto
+    its score, its members summed in group order. A bin spanned by a single
+    group keeps the reported score exactly. On total rankings this is
+    ``bre_adjusted_scores``, bit for bit.
     """
     values: dict = {}
     for reviewer in sorted(dataset.assignment.reviewer_ids):
-        groups = ranked_groups(dataset, reviewer)
-        level = {p: g.group_index for g in groups for p in g.members}
+        level = {
+            p: g.group_index for g in ranked_groups(dataset, reviewer) for p in g.members
+        }
         for bin_ in quantization_bins(dataset, reviewer):
-            present = sorted({level[p] for p in bin_.members})
-            if len(present) <= 1:
-                for p in bin_.members:
-                    values[(reviewer, p)] = float(bin_.score_value)
-                continue
+            members = sorted(bin_.members, key=level.get)
+            present = sorted({level[p] for p in members})
             offset_of = {g: t * epsilon for t, g in enumerate(present)}
-            raw = {p: bin_.score_value + offset_of[level[p]] for p in bin_.members}
-            excess = sum(raw.values()) / len(bin_.members) - bin_.score_value
-            for p in bin_.members:
+            raw = {p: bin_.score_value + offset_of[level[p]] for p in members}
+            excess = sum(raw.values()) / len(members) - bin_.score_value
+            for p in members:
                 values[(reviewer, p)] = raw[p] - excess
     return DequantizedScores(values=values)
 

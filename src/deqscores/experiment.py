@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import (
+    NotTotalRanking,
     bre_adjusted_scores,
     partial_rankings_adjusted_scores,
     quantized_baseline,
@@ -40,7 +41,6 @@ REPORT_VERSION = 1
 METHODS = ("proposed", "quantized", "bre_adjusted", "partial_rankings_adjusted")
 SWEEPABLE = ("sigma", "papers_per_reviewer", "reviews_per_paper", "lambda")
 INTEGER_SWEEPS = ("papers_per_reviewer", "reviews_per_paper")
-SYNTH_SWEEPS = ("sigma", "papers_per_reviewer", "reviews_per_paper")
 FILE_SWEEPS = ("papers_per_reviewer", "reviews_per_paper", "lambda")
 METRIC_NAMES = ("kendall", "l2", "ties")
 
@@ -73,11 +73,15 @@ class ExperimentSpec:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; known: {METHODS}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods must be distinct, got {list(self.methods)}")
         if self.sweep_parameter not in SWEEPABLE:
             raise ValueError(f"cannot sweep {self.sweep_parameter!r}; known: {SWEEPABLE}")
         unknown = set(self.metrics) - set(METRIC_NAMES)
         if unknown:
             raise ValueError(f"unknown metrics {sorted(unknown)}; known: {METRIC_NAMES}")
+        if len(set(self.metrics)) != len(self.metrics):
+            raise ValueError(f"metrics must be distinct, got {list(self.metrics)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.sweep_values:
@@ -97,19 +101,17 @@ class ExperimentSpec:
             math.isfinite(v) and v > 0 for v in self.sweep_values
         ):
             raise ValueError("swept lambda values must be positive and finite")
-        if isinstance(self.base, FileSource):
-            if self.sweep_parameter not in FILE_SWEEPS:
-                # a score file fixes the review values, so every row would
-                # repeat the same trials under another label
-                raise ValueError(
-                    f"a score-file experiment cannot sweep {self.sweep_parameter}; "
-                    f"sweep one of {', '.join(FILE_SWEEPS)}"
-                )
-        else:
-            # fail before any trial runs on a swept sigma or load the
-            # generator would reject
-            for value in self.sweep_values:
-                _swept_config(self.base, self.sweep_parameter, value)
+        if isinstance(self.base, FileSource) and self.sweep_parameter not in FILE_SWEEPS:
+            # a score file fixes the review values, so every row would
+            # repeat the same trials under another label
+            raise ValueError(
+                f"a score-file experiment cannot sweep {self.sweep_parameter}; "
+                f"sweep one of {', '.join(FILE_SWEEPS)}"
+            )
+        # fail before any trial runs on a swept sigma or load the generator
+        # would reject
+        for value in self.sweep_values:
+            _swept_config(self.base, self.sweep_parameter, value)
         # fail before any trial runs on a bad weight, separation or tolerance
         DequantizerConfig(
             lam=self.lam, epsilon=self.epsilon, feastol=self.feasibility_tolerance
@@ -154,30 +156,26 @@ class ExperimentReport:
 def _instance_for(spec: ExperimentSpec, sweep_value, trial: int):
     """Build the (dataset, truth, projected-l2 flag) for one trial."""
     seed = trial_seed(spec.seed, trial)
-    if isinstance(spec.base, FileSource):
-        source = spec.base
-        papers_per_reviewer = source.papers_per_reviewer
-        reviews_per_paper = source.reviews_per_paper
-        if spec.sweep_parameter == "papers_per_reviewer":
-            papers_per_reviewer = int(sweep_value)
-        elif spec.sweep_parameter == "reviews_per_paper":
-            reviews_per_paper = int(sweep_value)
+    source = _swept_config(spec.base, spec.sweep_parameter, sweep_value)
+    if isinstance(source, FileSource):
         dataset, truth = prepare_half_scale(
             source.raw_path,
-            reviews_per_paper=reviews_per_paper,
-            papers_per_reviewer=papers_per_reviewer,
+            reviews_per_paper=source.reviews_per_paper,
+            papers_per_reviewer=source.papers_per_reviewer,
             seed=seed,
         )
         return dataset, truth, True
-    config = _swept_config(spec.base, spec.sweep_parameter, sweep_value)
-    instance = generate(dataclasses.replace(config, seed=seed))
+    instance = generate(dataclasses.replace(source, seed=seed))
     return instance.dataset, instance.truth_y, False
 
 
-def _swept_config(base: SynthConfig, parameter: str, value) -> SynthConfig:
-    """``base`` with the swept generator parameter set to ``value``; a sweep
-    that is not a generator parameter leaves it as it is."""
-    if parameter not in SYNTH_SWEEPS:
+def _swept_config(
+    base: SynthConfig | FileSource, parameter: str, value
+) -> SynthConfig | FileSource:
+    """``base`` with its field named ``parameter`` set to ``value``. Both
+    sources name their loads alike; ``lambda`` is no field of either and
+    leaves ``base`` as it is."""
+    if parameter == "lambda":
         return base
     return dataclasses.replace(base, **{parameter: type(getattr(base, parameter))(value)})
 
@@ -194,17 +192,12 @@ def _run_method(
     if method == "quantized":
         return quantized_baseline(dataset), None
     if method == "bre_adjusted":
-        # group-wise adjustment generalizes the rank-wise one and coincides
-        # with it on total rankings, so tied inputs degrade gracefully
-        total = all(
-            dataset.ranking_of[r].is_total_over(papers)
-            if r in dataset.ranking_of
-            else len(papers) <= 1
-            for r, papers in dataset.assignment.papers_of_reviewer.items()
-        )
-        if total:
+        # BRE is the group-wise rule restricted to total rankings, so tied
+        # inputs fall back to the rule itself
+        try:
             return bre_adjusted_scores(dataset, epsilon), None
-        return partial_rankings_adjusted_scores(dataset, epsilon), None
+        except NotTotalRanking:
+            return partial_rankings_adjusted_scores(dataset, epsilon), None
     if method == "partial_rankings_adjusted":
         return partial_rankings_adjusted_scores(dataset, epsilon), None
     raise ValueError(f"unknown method {method!r}")

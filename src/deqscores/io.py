@@ -12,7 +12,6 @@ Formats (UTF-8, header row required, '.' decimal separator):
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +24,9 @@ from .model import (
     PartialRanking,
     ReviewDataset,
     ScoreScale,
-    derive_rankings_from_raw_scores,
     require_valid,
 )
+from .qv import coarsen
 from .synth import random_regular_assignment
 
 
@@ -90,9 +89,9 @@ def load_reviews(
         ):
             ranking_pairs.setdefault(reviewer, set()).add((better, worse))
 
+    if not scores:
+        raise ParseError(reviews_path, 2, "no reviews")
     if scale is None:
-        if not scores:
-            raise ParseError(reviews_path, 2, "no reviews")
         lo = min(scores.values())
         hi = max(scores.values())
         scale = (lo, hi if hi > lo else lo + 1)
@@ -166,8 +165,9 @@ def prepare_half_scale(
     dropped uniformly at random, seeded). Because raw files carry no reviewer
     identities, a random regular assignment at the requested
     ``papers_per_reviewer`` load is synthesized over the retained reviews.
-    Scores become ceil(y/2) on a 1..5 scale; rankings are derived from the
-    raw values by strict comparison; the retained raw values are returned as
+    The retained raw values form a ten-level dataset, which ``coarsen``
+    turns into the five-level one (scores ceil(y/2), rankings derived from
+    the raw values by strict comparison); the raw values are returned as
     evaluation truth.
     """
     raw_by_paper: dict[str, list[int]] = {}
@@ -217,15 +217,13 @@ def prepare_half_scale(
         for reviewer, value in zip(reviewers, retained[paper]):
             truth_y[(reviewer, paper)] = float(value)
 
-    scores = {pair: math.ceil(y / 2.0) for pair, y in truth_y.items()}
-    dataset = ReviewDataset(
-        scale=ScoreScale(1, 5),
+    fine = ReviewDataset(
+        scale=ScoreScale(1, 10),
         assignment=assignment,
-        scores=scores,
-        rankings=tuple(derive_rankings_from_raw_scores(truth_y)),
+        scores={pair: int(y) for pair, y in truth_y.items()},
+        rankings=(),
     )
-    require_valid(dataset)
-    return dataset, truth_y
+    return coarsen(fine), truth_y
 
 
 def write_synthetic(instance, prefix) -> tuple[Path, Path, Path]:

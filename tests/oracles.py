@@ -9,7 +9,10 @@ maximizer the consensus-only solution should be. ``constraint_violation``
 measures how far a point lies outside a problem's constraints.
 ``pairwise_kendall_tau_error`` and ``pairwise_tie_fraction`` decide every
 pair of a vector directly, O(n^2), as the reference for the sort-based
-metrics.
+metrics. ``pairwise_ranked_groups`` checks a grouping against every pair of
+papers, the reference for ``baselines.ranked_groups``, and
+``rank_adjusted_reference`` is the rank-wise tie breaking written directly,
+the reference for ``baselines.bre_adjusted_scores``.
 """
 
 from __future__ import annotations
@@ -72,6 +75,50 @@ def pairwise_tie_fraction(values) -> float:
         upper = np.arange(n)[None, :] > np.arange(start, stop)[:, None]
         tied += int((upper & (diff < TIE_TOLERANCE)).sum())
     return tied / total
+
+
+def pairwise_ranked_groups(papers, ordered_pairs) -> list[tuple[str, ...]] | None:
+    """Tie groups of a group-total ranking, worst first, or None when the
+    pairs admit none. Papers are grouped by how many papers they beat, then
+    every pair of papers is checked directly: tied papers must be unranked,
+    others reported exactly in the direction of their groups."""
+    beats = {p: 0 for p in papers}
+    for better, _worse in ordered_pairs:
+        beats[better] += 1
+    levels = sorted(set(beats.values()))
+    groups = [tuple(sorted(p for p in papers if beats[p] == k)) for k in levels]
+    level = {p: levels.index(beats[p]) for p in papers}
+    listed = [p for g in groups for p in g]
+    for i, p in enumerate(listed):
+        for q in listed[i + 1 :]:
+            reported = ((p, q) in ordered_pairs, (q, p) in ordered_pairs)
+            if level[p] == level[q]:
+                if any(reported):
+                    return None
+            elif reported != (level[p] > level[q], level[q] > level[p]):
+                return None
+    return groups
+
+
+def rank_adjusted_reference(dataset: ReviewDataset, epsilon: float) -> dict:
+    """Rank-wise tie breaking over total rankings: inside each of a
+    reviewer's score bins, the paper beating the fewest others gets the
+    score, the next one epsilon more, and so on; the bin is then recentered
+    onto its score, summed in that rank order."""
+    values = {}
+    for reviewer, papers in dataset.assignment.papers_of_reviewer.items():
+        beats = {p: 0 for p in papers}
+        for better, _worse in dataset.ranking_of[reviewer].ordered_pairs:
+            beats[better] += 1
+        for score in {dataset.scores[(reviewer, p)] for p in papers}:
+            members = sorted(
+                (p for p in papers if dataset.scores[(reviewer, p)] == score), key=beats.get
+            )
+            raw = [score + rank * epsilon for rank in range(len(members))]
+            excess = sum(raw) / len(members) - score
+            for p, value in zip(members, raw):
+                values[(reviewer, p)] = value - excess
+    return values
 
 
 def constraint_violation(problem: QPProblem, y: np.ndarray) -> float:

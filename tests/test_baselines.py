@@ -17,6 +17,7 @@ from deqscores.metrics import kendall_tau_error, tie_fraction
 from deqscores.synth import SynthConfig, generate
 
 from conftest import make_dataset
+from oracles import pairwise_ranked_groups, rank_adjusted_reference
 
 
 def total_ranking(papers_best_to_worst):
@@ -115,6 +116,12 @@ class TestRankAdjusted:
             expected = 5 + (epsilon / 2.0) * (preceding - succeeding)
             assert out[("r1", paper)] == pytest.approx(expected, abs=1e-12)
 
+    def test_matches_rank_wise_reference_bit_for_bit(self):
+        for seed in range(10):
+            ds = generate(SynthConfig(num_papers=60, sigma=0.5, seed=seed)).dataset
+            expected = rank_adjusted_reference(ds, 0.05)
+            assert bre_adjusted_scores(ds, 0.05).values == expected, f"seed {seed}"
+
 
 class TestGroupAdjusted:
     def test_two_groups_in_one_bin(self):
@@ -136,18 +143,16 @@ class TestGroupAdjusted:
         assert out[("r1", "B")] == pytest.approx(5.0)
 
     def test_reduces_to_rank_adjusted_on_total_rankings(self):
-        instance = generate(SynthConfig(num_papers=12, reviews_per_paper=3,
-                                        papers_per_reviewer=3, seed=15))
-        ds = instance.dataset
-        total = all(
-            ds.ranking_of[r].is_total_over(papers)
-            for r, papers in ds.assignment.papers_of_reviewer.items()
-        )
-        assert total, "seed must give a tie-free instance"
-        fine = bre_adjusted_scores(ds).values
-        grouped = partial_rankings_adjusted_scores(ds).values
-        for pair in fine:
-            assert grouped[pair] == pytest.approx(fine[pair], abs=1e-12)
+        for seed in range(10):
+            ds = generate(SynthConfig(num_papers=60, sigma=0.5, seed=seed)).dataset
+            total = all(
+                ds.ranking_of[r].is_total_over(papers)
+                for r, papers in ds.assignment.papers_of_reviewer.items()
+            )
+            assert total, "seed must give a tie-free instance"
+            fine = bre_adjusted_scores(ds).values
+            grouped = partial_rankings_adjusted_scores(ds).values
+            assert grouped == fine, f"seed {seed}"
 
     def test_inconsistent_pairs_rejected(self):
         # A beats B but neither is compared with C: no group-total order exists
@@ -157,6 +162,51 @@ class TestGroupAdjusted:
         )
         with pytest.raises(GroupsInconsistent):
             partial_rankings_adjusted_scores(ds)
+
+    @pytest.mark.parametrize(
+        "pairs, offending",
+        [
+            # A beats one paper, C none: A must be reported over C
+            ([("A", "B")], ("A", "C")),
+            # A and B each beat one paper, so they are tied yet ranked
+            ([("A", "B"), ("B", "C")], ("A", "B")),
+        ],
+        ids=["unreported", "tied-but-ranked"],
+    )
+    def test_inconsistency_names_the_offending_pair(self, pairs, offending):
+        ds = make_dataset(
+            {("r1", "A"): 5, ("r1", "B"): 5, ("r1", "C"): 5}, {"r1": pairs}
+        )
+        with pytest.raises(GroupsInconsistent, match="'r1'") as err:
+            ranked_groups(ds, "r1")
+        assert repr(offending) in str(err.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.sets(
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                        lambda pq: pq[0] != pq[1]
+                    )
+                ),
+            )
+        )
+    )
+    def test_matches_pairwise_oracle(self, case):
+        n, index_pairs = case
+        papers = [f"P{i}" for i in range(n)]
+        pairs = {(papers[i], papers[j]) for i, j in index_pairs}
+        ds = make_dataset({("r1", p): 5 for p in papers}, {"r1": pairs})
+        expected = pairwise_ranked_groups(papers, pairs)
+        if expected is None:
+            with pytest.raises(GroupsInconsistent):
+                ranked_groups(ds, "r1")
+        else:
+            groups = ranked_groups(ds, "r1")
+            assert [g.members for g in groups] == expected
+            assert [g.group_index for g in groups] == list(range(1, len(expected) + 1))
 
     def test_group_recovery_from_raw_derived_ranking(self):
         ds = make_dataset(

@@ -283,6 +283,57 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--methods", "proposed,proposed"], "methods must be distinct"),
+            (["--metrics", "kendall,kendall"], "metrics must be distinct"),
+        ],
+        ids=["repeated-method", "repeated-metric"],
+    )
+    def test_repeated_method_or_metric_rejected_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiment, "_run_trial", no_trial)
+        report = tmp_path / "report.json"
+        rc = self.run(
+            "experiment", *argv, "--values", "0.5", "--trials", "1", "--papers", "8",
+            "--reviews-per-paper", "2", "--papers-per-reviewer", "2",
+            "--output", str(report),
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["dequantize", "--lambda", "1"],
+            ["dequantize"],
+            ["qv"],
+            ["baseline", "--method", "quantized"],
+        ],
+        ids=["validate", "dequantize-fixed", "dequantize-auto", "qv", "baseline"],
+    )
+    def test_empty_reviews_rejected_with_explicit_scale(self, tmp_path, capsys, argv):
+        reviews = tmp_path / "reviews.csv"
+        reviews.write_text("reviewer_id,paper_id,score\n")
+        out = tmp_path / "out.csv"
+        if argv[0] in ("dequantize", "baseline"):
+            argv = [*argv, "--output", str(out)]
+        rc = self.run(*argv, "--reviews", str(reviews), "--scale", "0", "10")
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {reviews}:2: no reviews\n"
+        assert "ok" not in captured.out
+        assert not out.exists()
+
     @pytest.mark.parametrize("epsilon", ["nan", "-3", "1.5"])
     def test_baseline_bad_epsilon_exits_one(self, tmp_path, capsys, epsilon):
         reviews = tmp_path / "reviews.csv"

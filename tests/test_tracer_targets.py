@@ -1,0 +1,28 @@
+"""Every function the layer tracer of ``perfbench/tracer.py`` wraps must
+exist, so that renaming or deleting one fails here, in seconds, rather than
+only in a traced benchmark run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _targets():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [(module, attribute) for _span, module, attribute in tracer.TARGETS]
+
+
+@pytest.mark.parametrize(
+    "module, attribute", _targets() + [("deqscores.qp", "spla.splu")]
+)
+def test_traced_binding_is_callable(module, attribute):
+    value = importlib.import_module(module)
+    for name in attribute.split("."):
+        value = getattr(value, name)
+    assert callable(value)
