@@ -19,6 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from deqscores.dequantize import DequantizerConfig, compile_dataset
 from deqscores.metrics import kendall_tau_error
+from deqscores.model import DEFAULT_EPSILON
 from deqscores.qv import lambda_path, select_lambda
 from deqscores.synth import SynthConfig, generate
 
@@ -28,7 +29,7 @@ def main() -> int:
     parser.add_argument("--papers", type=int, default=60)
     parser.add_argument("--sigma", type=float, default=0.5)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--epsilon", type=float, default=0.05)
+    parser.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     parser.add_argument("--csv", default=None, help="optional CSV output path")
     args = parser.parse_args()
 

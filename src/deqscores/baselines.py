@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import DequantizedScores, PartialRanking, ReviewDataset
-
-DEFAULT_EPSILON = 0.05
+from .model import DEFAULT_EPSILON, DequantizedScores, PartialRanking, ReviewDataset
 
 
 class NotTotalRanking(ValueError):

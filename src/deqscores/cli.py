@@ -24,8 +24,8 @@ from .experiment import (
     FileSource,
     run_experiment,
 )
-from .model import ValidationError, validate
-from .qp import InfeasibleProblem, SolverError
+from .model import DEFAULT_EPSILON, ValidationError, validate
+from .qp import DEFAULT_FEASTOL, InfeasibleProblem, SolverError
 from .qv import select_lambda
 from .synth import SynthConfig, generate
 
@@ -53,6 +53,11 @@ def _parse_lambda(text: str):
     return value
 
 
+def _default(value: float) -> str:
+    """``value`` for a help string: ``%g`` without the exponent's leading zero."""
+    return f"{value:g}".replace("e-0", "e-")
+
+
 def _add_dataset_args(parser: _Parser) -> None:
     parser.add_argument("--reviews", required=True, help="reviews CSV (reviewer_id,paper_id,score)")
     parser.add_argument(
@@ -65,14 +70,18 @@ def _add_dataset_args(parser: _Parser) -> None:
 
 
 def _add_shared_args(parser: _Parser) -> None:
-    parser.add_argument("--epsilon", type=float, default=0.05, help="ranking separation (default 0.05)")
+    parser.add_argument(
+        "--epsilon", type=float, default=DEFAULT_EPSILON,
+        help=f"ranking separation (default {_default(DEFAULT_EPSILON)})",
+    )
     parser.add_argument(
         "--lambda", dest="lam", type=_parse_lambda, default=AUTO,
         help="fit weight, or 'auto' to select by quantization validation (default auto)",
     )
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     parser.add_argument(
-        "--feastol", type=float, default=1e-6, help="solver feasibility tolerance (default 1e-6)"
+        "--feastol", type=float, default=DEFAULT_FEASTOL,
+        help=f"solver feasibility tolerance (default {_default(DEFAULT_FEASTOL)})",
     )
 
 
@@ -93,7 +102,7 @@ def _write_report(path, args, **fields) -> None:
         },
         **fields,
     }
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def build_parser() -> _Parser:
@@ -103,8 +112,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("validate", help="check a dataset against the model invariants")
     _add_dataset_args(p)
     p.add_argument(
-        "--epsilon", type=float, default=0.05,
-        help="ranking separation the score boxes must leave room for (default 0.05)",
+        "--epsilon", type=float, default=DEFAULT_EPSILON,
+        help="ranking separation the score boxes must leave room for "
+        f"(default {_default(DEFAULT_EPSILON)})",
     )
 
     p = sub.add_parser("dequantize", help="merge scores and rankings into real-valued scores")
@@ -131,7 +141,7 @@ def build_parser() -> _Parser:
         "--method", required=True, choices=[m for m in METHODS if m != "proposed"],
     )
     _add_dataset_args(p)
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--output", required=True, help="output CSV path")
 
     p = sub.add_parser("experiment", help="run trial sweeps and aggregate errors")
@@ -192,7 +202,8 @@ def _cmd_dequantize(args) -> int:
     if args.report:
         _write_report(
             args.report, args,
-            selected_lambda=selected, max_box_violation=box_viol, min_pair_margin=margin,
+            selected_lambda=selected, max_box_violation=box_viol,
+            min_pair_margin=margin if math.isfinite(margin) else None,  # inf is not JSON
         )
     return EXIT_OK
 

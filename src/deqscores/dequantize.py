@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
-from .model import DequantizedScores, ReviewDataset, require_valid
-from .qp import Constraints, InfeasibleProblem, QPProblem, solve
+from .model import DEFAULT_EPSILON, DequantizedScores, ReviewDataset, require_valid
+from .qp import DEFAULT_FEASTOL, Constraints, InfeasibleProblem, QPProblem, solve
 
 if TYPE_CHECKING:
     from .qv import QVReport
@@ -38,8 +38,8 @@ class DequantizerConfig:
     ``feastol``."""
 
     lam: float | str = AUTO
-    epsilon: float = 0.05
-    feastol: float = 1e-6
+    epsilon: float = DEFAULT_EPSILON
+    feastol: float = DEFAULT_FEASTOL
 
     def __post_init__(self) -> None:
         if isinstance(self.lam, str):

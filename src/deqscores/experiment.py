@@ -33,8 +33,9 @@ from .metrics import (
     tie_fraction,
     trial_statistics,
 )
-from .model import DequantizedScores, ReviewDataset
-from .synth import SynthConfig, generate, trial_seed
+from .model import DEFAULT_EPSILON, DequantizedScores, ReviewDataset
+from .qp import DEFAULT_FEASTOL
+from .synth import SynthConfig, generate, require_counts, trial_seed
 
 REPORT_VERSION = 1
 
@@ -54,6 +55,12 @@ class FileSource:
     reviews_per_paper: int = 3
     papers_per_reviewer: int = 3
 
+    def __post_init__(self) -> None:
+        require_counts(
+            reviews_per_paper=self.reviews_per_paper,
+            papers_per_reviewer=self.papers_per_reviewer,
+        )
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -63,10 +70,10 @@ class ExperimentSpec:
     trials: int = 20
     base: SynthConfig | FileSource = field(default_factory=SynthConfig)
     metrics: tuple[str, ...] = ("kendall", "l2", "ties")
-    epsilon: float = 0.05
+    epsilon: float = DEFAULT_EPSILON
     lam: float | str = AUTO
     seed: int = 0
-    feasibility_tolerance: float = 1e-6
+    feasibility_tolerance: float = DEFAULT_FEASTOL
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -108,7 +115,7 @@ class ExperimentSpec:
                 f"a score-file experiment cannot sweep {self.sweep_parameter}; "
                 f"sweep one of {', '.join(FILE_SWEEPS)}"
             )
-        # fail before any trial runs on a swept sigma or load the generator
+        # fail before any trial runs on a swept sigma or load the source
         # would reject
         for value in self.sweep_values:
             _swept_config(self.base, self.sweep_parameter, value)

@@ -27,7 +27,7 @@ from .model import (
     require_valid,
 )
 from .qv import coarsen
-from .synth import random_regular_assignment
+from .synth import random_regular_assignment, require_counts
 
 
 class ParseError(Exception):
@@ -170,6 +170,7 @@ def prepare_half_scale(
     the raw values by strict comparison); the raw values are returned as
     evaluation truth.
     """
+    require_counts(reviews_per_paper=reviews_per_paper, papers_per_reviewer=papers_per_reviewer)
     raw_by_paper: dict[str, list[int]] = {}
     for line_no, (paper, score_text) in _read_rows(raw_path, ["paper_id", "score"]):
         try:

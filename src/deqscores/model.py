@@ -10,12 +10,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+
 Pair = tuple[str, str]
 
 OUT_OF_RANGE = "OUT_OF_RANGE"
 UNASSIGNED_PAIR = "UNASSIGNED_PAIR"
 RANK_SCORE_INCONSISTENT = "RANK_SCORE_INCONSISTENT"
 RANK_CYCLE = "RANK_CYCLE"
+
+DEFAULT_EPSILON = 0.05  # ranking separation: the gap every reported pair must leave
 
 
 class ValidationError(Exception):
@@ -170,62 +176,16 @@ class DequantizedScores:
     values: dict[Pair, float]
 
 
-def _strongly_connected_components(nodes, edges) -> list[list[str]]:
-    """Tarjan SCC, iterative. ``edges`` maps node -> iterable of successors."""
-    index_counter = [0]
-    stack: list[str] = []
-    lowlink: dict[str, int] = {}
-    index: dict[str, int] = {}
-    on_stack: set[str] = set()
-    components: list[list[str]] = []
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(edges.get(root, ())))]
-        index[root] = lowlink[root] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for succ in successors:
-                if succ not in index:
-                    index[succ] = lowlink[succ] = index_counter[0]
-                    index_counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(edges.get(succ, ()))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == node:
-                        break
-                components.append(component)
-    return components
-
-
 def validate(dataset: ReviewDataset) -> list[Violation]:
     """Check every dataset invariant; an empty result means the dataset is valid.
 
     Reason codes: OUT_OF_RANGE (score outside the scale), UNASSIGNED_PAIR
     (scores or ranking pairs not matching the assignment), RANK_SCORE_INCONSISTENT
     (a reported pair contradicting the scores), RANK_CYCLE (cyclic ranking
-    relation, including self-pairs).
+    relation, including self-pairs). Each cycle is named once, by the papers
+    of one strongly connected component of the reviewer's usable pairs. Each
+    reviewer's cycles follow that reviewer's pair-level violations, ordered
+    by their sorted member lists.
     """
     violations: list[Violation] = []
     pairs = dataset.assignment.pairs
@@ -246,25 +206,32 @@ def validate(dataset: ReviewDataset) -> list[Violation]:
         if (r, p) not in dataset.scores:
             violations.append(Violation(UNASSIGNED_PAIR, r, f"missing score for paper {p!r}"))
 
+    # rankings never link two reviewers, so each strong component of the
+    # whole dataset's ranking graph lies inside one reviewer's papers
+    index = dataset.pair_index
+    better_nodes: list[int] = []
+    worse_nodes: list[int] = []
+    by_reviewer: dict[str, list[Violation]] = {}
     for ranking in dataset.rankings:
         r = ranking.reviewer_id
-        usable_pairs: list[Pair] = []
+        found = by_reviewer[r] = []
         for better, worse in sorted(ranking.ordered_pairs):
             if better == worse:
-                violations.append(Violation(RANK_CYCLE, r, f"self-pair ({better!r}, {worse!r})"))
+                found.append(Violation(RANK_CYCLE, r, f"self-pair ({better!r}, {worse!r})"))
                 continue
             ok = True
             for paper in (better, worse):
                 if (r, paper) not in pairs or (r, paper) not in dataset.scores:
-                    violations.append(
+                    found.append(
                         Violation(UNASSIGNED_PAIR, r, f"ranking references unscored paper {paper!r}")
                     )
                     ok = False
             if not ok:
                 continue
-            usable_pairs.append((better, worse))
+            better_nodes.append(index[(r, better)])
+            worse_nodes.append(index[(r, worse)])
             if dataset.scores[(r, better)] < dataset.scores[(r, worse)]:
-                violations.append(
+                found.append(
                     Violation(
                         RANK_SCORE_INCONSISTENT,
                         r,
@@ -273,19 +240,20 @@ def validate(dataset: ReviewDataset) -> list[Violation]:
                     )
                 )
 
-        successors: dict[str, list[str]] = {}
-        nodes: list[str] = []
-        for better, worse in usable_pairs:
-            for node in (better, worse):
-                if node not in successors:
-                    successors[node] = []
-                    nodes.append(node)
-            successors[better].append(worse)
-        for component in _strongly_connected_components(sorted(nodes), successors):
-            if len(component) > 1:
-                violations.append(
-                    Violation(RANK_CYCLE, r, "cycle through " + " > ".join(sorted(component)))
-                )
+    ones = np.ones(len(better_nodes))
+    graph = sp.csr_matrix((ones, (better_nodes, worse_nodes)), shape=(len(index), len(index)))
+    _, labels = connected_components(graph, connection="strong")
+    keys = list(index)
+    cycles: dict[int, list[Pair]] = {}
+    for node in np.flatnonzero(np.bincount(labels)[labels] > 1):
+        cycles.setdefault(labels[node], []).append(keys[node])
+    for members in sorted(cycles.values()):
+        r = members[0][0]
+        by_reviewer[r].append(
+            Violation(RANK_CYCLE, r, "cycle through " + " > ".join(p for _, p in members))
+        )
+    for found in by_reviewer.values():
+        violations.extend(found)
     return violations
 
 

@@ -200,6 +200,7 @@ class QPProblem:
 # orders of magnitude.
 OPTIMALITY_TOLERANCE = 1e-8
 MAX_ITERATIONS = 50_000
+DEFAULT_FEASTOL = 1e-6  # the primal residual ``solve`` accepts unless told otherwise
 
 
 @dataclass(frozen=True)
@@ -411,7 +412,7 @@ def _certified_polish(Q, c, rows: StackedRows, signs: np.ndarray, feastol: float
 
 def solve(
     problem: QPProblem,
-    feastol: float = 1e-6,
+    feastol: float = DEFAULT_FEASTOL,
     start: np.ndarray | Solution | None = None,
 ) -> Solution:
     """Return the unique minimizer of a strictly convex instance.

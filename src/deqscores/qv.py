@@ -25,7 +25,7 @@ from .model import (
     derive_rankings_from_raw_scores,
     require_valid,
 )
-from .qp import Solution, solve
+from .qp import DEFAULT_FEASTOL, Solution, solve
 
 
 class DegenerateValidation(ValueError):
@@ -77,7 +77,7 @@ def coarsen(dataset: ReviewDataset) -> ReviewDataset:
 def lambda_path(
     compiled: CompiledDataset,
     lambdas: Sequence[float],
-    feastol: float = 1e-6,
+    feastol: float = DEFAULT_FEASTOL,
 ) -> list[Solution]:
     """Solve ``compiled`` at each fit weight in order, as one path, each to
     the feasibility tolerance ``feastol``.

@@ -31,6 +31,13 @@ class AssignmentError(ValueError):
     assignment (RETRY_EXHAUSTED)."""
 
 
+def require_counts(**counts: int) -> None:
+    """Raise ``ValueError`` naming the first count below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     num_papers: int = 60
@@ -45,9 +52,11 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be a nonnegative finite number, got {self.sigma!r}")
-        for name in ("num_papers", "reviews_per_paper", "papers_per_reviewer"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        require_counts(
+            num_papers=self.num_papers,
+            reviews_per_paper=self.reviews_per_paper,
+            papers_per_reviewer=self.papers_per_reviewer,
+        )
         if (self.num_papers * self.reviews_per_paper) % self.papers_per_reviewer:
             raise ValueError(
                 "papers * reviews_per_paper must be divisible by papers_per_reviewer "

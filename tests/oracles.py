@@ -13,6 +13,8 @@ metrics. ``pairwise_ranked_groups`` checks a grouping against every pair of
 papers, the reference for ``baselines.ranked_groups``, and
 ``rank_adjusted_reference`` is the rank-wise tie breaking written directly,
 the reference for ``baselines.bre_adjusted_scores``.
+``ranking_cycles_reference`` names ranking cycles from a transitive closure,
+the reference for the RANK_CYCLE cycles of ``model.validate``.
 """
 
 from __future__ import annotations
@@ -119,6 +121,38 @@ def rank_adjusted_reference(dataset: ReviewDataset, epsilon: float) -> dict:
             for p, value in zip(members, raw):
                 values[(reviewer, p)] = value - excess
     return values
+
+
+def ranking_cycles_reference(dataset: ReviewDataset) -> list[tuple[str, str]]:
+    """(reviewer_id, detail) of every ranking cycle: reviewers in ranking
+    order, each reviewer's cycles ordered by their sorted member lists.
+    Two papers share a cycle when each reaches the other in the transitive
+    closure (Warshall's algorithm) of the reviewer's usable pairs: no self
+    pair, both papers assigned to the reviewer and scored."""
+    cycles = []
+    for ranking in dataset.rankings:
+        r = ranking.reviewer_id
+        reach = {
+            (better, worse)
+            for better, worse in ranking.ordered_pairs
+            if better != worse
+            and all(
+                (r, p) in dataset.assignment.pairs and (r, p) in dataset.scores
+                for p in (better, worse)
+            )
+        }
+        papers = sorted({p for pair in reach for p in pair})
+        for k in papers:
+            for i in papers:
+                for j in papers:
+                    if (i, k) in reach and (k, j) in reach:
+                        reach.add((i, j))
+        groups = {
+            tuple(q for q in papers if q == p or {(p, q), (q, p)} <= reach) for p in papers
+        }
+        for group in sorted(g for g in groups if len(g) > 1):
+            cycles.append((r, "cycle through " + " > ".join(group)))
+    return cycles
 
 
 def constraint_violation(problem: QPProblem, y: np.ndarray) -> float:

@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import deqscores
 from deqscores import experiment
 from deqscores.cli import main
 from deqscores.experiment import ExperimentSpec, FileSource, run_experiment
@@ -128,6 +131,22 @@ class TestCli:
         ) == 0
         assert out.exists()
         capsys.readouterr()
+
+    def test_report_without_ranked_pairs_is_strict_json(self, tmp_path, capsys):
+        reviews = tmp_path / "reviews.csv"
+        reviews.write_text("reviewer_id,paper_id,score\nr1,A,3\nr1,B,4\nr2,A,5\nr2,B,2\n")
+        report = tmp_path / "report.json"
+        assert self.run(
+            "dequantize", "--reviews", str(reviews), "--lambda", "1",
+            "--output", str(tmp_path / "out.csv"), "--report", str(report),
+        ) == 0
+        assert "min ranked-pair margin: inf" in capsys.readouterr().out
+
+        def reject(name):
+            raise AssertionError(f"report holds {name}, which is not JSON")
+
+        payload = json.loads(report.read_text(), parse_constant=reject)
+        assert payload["min_pair_margin"] is None
 
     def test_validation_failure_exits_two(self, tmp_path, capsys):
         reviews = tmp_path / "reviews.csv"
@@ -258,10 +277,20 @@ class TestCli:
             (["--values", "0.5,nan"], "sigma must be"),
             (["--sweep", "reviews_per_paper", "--values", "2,0"], "at least 1"),
             (["--raw-scores", str(DATA / "raw_ten_level.csv")], "cannot sweep sigma"),
+            (
+                ["--raw-scores", str(DATA / "raw_ten_level.csv"),
+                 "--sweep", "reviews_per_paper", "--values", "3,0"],
+                "reviews_per_paper must be at least 1, got 0",
+            ),
+            (
+                ["--raw-scores", str(DATA / "raw_ten_level.csv"),
+                 "--sweep", "papers_per_reviewer", "--values", "3,-1"],
+                "papers_per_reviewer must be at least 1, got -1",
+            ),
         ],
         ids=[
             "fractional-load", "repeated-value", "zero-jobs", "negative-jobs",
-            "nan-sigma", "zero-load", "file-sigma",
+            "nan-sigma", "zero-load", "file-sigma", "file-zero-load", "file-negative-load",
         ],
     )
     def test_mislabelled_sweep_rejected_before_any_trial(
@@ -462,3 +491,17 @@ def test_worker_failure_keeps_class_and_attributes(tmp_path):
     with pytest.raises(ParseError, match=r"^trial 0 at papers_per_reviewer=3 failed: ") as info:
         run_experiment(spec)
     assert info.value.line == 2
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone costs most of a second of every command's start-up
+    src = str(Path(deqscores.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import deqscores.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

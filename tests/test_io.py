@@ -227,6 +227,17 @@ class TestPrepareHalfScale:
         with pytest.raises(InsufficientReviews):
             prepare_half_scale(path, reviews_per_paper=3, papers_per_reviewer=1)
 
+    @pytest.mark.parametrize(
+        "loads, message",
+        [
+            ({"reviews_per_paper": 0}, "reviews_per_paper must be at least 1, got 0"),
+            ({"papers_per_reviewer": -1}, "papers_per_reviewer must be at least 1, got -1"),
+        ],
+    )
+    def test_load_below_one_rejected(self, loads, message):
+        with pytest.raises(ValueError, match=message):
+            prepare_half_scale(DATA / "raw_ten_level.csv", **loads)
+
     def test_out_of_range_raw_score_rejected(self, tmp_path):
         path = tmp_path / "raw.csv"
         write_csv(path, ["paper_id", "score"], [("p1", 11)])

@@ -16,6 +16,31 @@ from deqscores.model import (
 )
 
 from conftest import make_dataset
+from oracles import ranking_cycles_reference
+
+REVIEWERS = ("r0", "r1", "r2")
+PAPERS = ("A", "B", "C", "D", "E")
+
+
+@st.composite
+def small_ranked_datasets(draw):
+    """Random small datasets whose rankings hold self pairs, pairs on papers
+    the reviewer has no score for, pairs against the scores, and cycles."""
+    pair = st.tuples(st.sampled_from(REVIEWERS), st.sampled_from(PAPERS))
+    assigned = sorted(draw(st.sets(pair, min_size=1)))
+    unscored = draw(st.sets(st.sampled_from(assigned)))
+    scores = {p: draw(st.integers(0, 3)) for p in assigned if p not in unscored}
+    ranked = st.lists(st.tuples(st.sampled_from(PAPERS), st.sampled_from(PAPERS)), max_size=10)
+    rankings = tuple(
+        PartialRanking(r, frozenset(draw(ranked)))
+        for r in sorted(draw(st.sets(st.sampled_from(REVIEWERS))))
+    )
+    return ReviewDataset(
+        scale=ScoreScale(0, 3),
+        assignment=Assignment.from_pairs(assigned),
+        scores=scores,
+        rankings=rankings,
+    )
 
 
 class TestValidate:
@@ -55,6 +80,31 @@ class TestValidate:
     def test_self_pair_is_a_cycle(self):
         ds = make_dataset({("r1", "A"): 5}, {"r1": [("A", "A")]})
         assert [v.code for v in validate(ds)] == [RANK_CYCLE]
+
+    def test_cycles_follow_their_reviewers_pair_violations_in_member_order(self):
+        ds = make_dataset(
+            {**{("r1", p): 5 for p in "ABCD"}, ("r2", "A"): 3, ("r2", "B"): 4},
+            {
+                "r1": [("A", "B"), ("B", "A"), ("A", "C"), ("C", "D"), ("D", "C"), ("A", "Z")],
+                "r2": [("A", "B")],
+            },
+        )
+        assert [(v.code, v.reviewer_id, v.detail) for v in validate(ds)] == [
+            (UNASSIGNED_PAIR, "r1", "ranking references unscored paper 'Z'"),
+            (RANK_CYCLE, "r1", "cycle through A > B"),
+            (RANK_CYCLE, "r1", "cycle through C > D"),
+            (RANK_SCORE_INCONSISTENT, "r2", "('A', 'B') but scores are 3 < 4"),
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(dataset=small_ranked_datasets())
+    def test_cycles_match_transitive_closure_reference(self, dataset):
+        named = [
+            (v.reviewer_id, v.detail)
+            for v in validate(dataset)
+            if v.code == RANK_CYCLE and v.detail.startswith("cycle through")
+        ]
+        assert named == ranking_cycles_reference(dataset)
 
     def test_all_violations_reported_together(self):
         ds = make_dataset(
