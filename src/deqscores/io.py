@@ -139,20 +139,6 @@ def write_scores(scores: DequantizedScores, dataset: ReviewDataset, path) -> Non
             )
 
 
-def load_scores(path) -> dict[Pair, float]:
-    """Read back the (reviewer, paper) -> dequantized value column of an
-    output file."""
-    values: dict[Pair, float] = {}
-    for line_no, row in _read_rows(
-        path, ["reviewer_id", "paper_id", "quantized_score", "dequantized_score", "percentile"]
-    ):
-        try:
-            values[(row[0], row[1])] = float(row[3])
-        except ValueError:
-            raise ParseError(path, line_no, f"bad dequantized value {row[3]!r}")
-    return values
-
-
 def prepare_half_scale(
     raw_path,
     reviews_per_paper: int = 3,

@@ -20,18 +20,23 @@ matrix at least rho*I, and for the score-merging QP it is well conditioned,
 so a few CG steps suffice; a sparse LU of it would fill in heavily, because
 consensus and ranking couplings make its graph an expander. The only
 factorization left is the polish's sparse LU of the much smaller active-set
-KKT system, tried at every residual check.
+KKT system, tried at every residual check; its CSC arrays are written
+directly from Q's and from the constraint rows' arrays.
 
 Along a path of related problems (one dataset solved at increasing fit
 weights) neighbouring minimizers almost always hold the same constraints at
 their bounds. A ``Solution`` therefore records its active set, and passing
 it as the ``start`` of the next solve makes the solver try one polish on that
 active set before it builds the x-update system or iterates at all (the
-parametric active-set warm start of qpOASES). The polished point is accepted
-only through the same certificate as every other polish: multiplier signs,
-primal residual within the caller's ``feastol`` and scaled stationarity
-within ``OPTIMALITY_TOLERANCE``. Otherwise the solve falls back to the ADMM
-iteration, started from the previous solution's values.
+parametric active-set warm start of qpOASES). When that point fails, the
+failed polish's own primal and dual values propose a corrected active set
+(a primal-dual active-set step) and the solver polishes again, at most
+``PDAS_CORRECTIONS`` times and never twice on one set. A polished point is
+accepted only through the same certificate as every other polish: multiplier
+signs, primal residual within the caller's ``feastol`` and scaled
+stationarity within ``OPTIMALITY_TOLERANCE``. When no corrected set passes,
+the solve falls back to the ADMM iteration, started from the previous
+solution's values.
 
 The constraints live in a ``Constraints`` object that problems may share:
 everything the solver derives from the constraints alone (the feasibility
@@ -130,6 +135,12 @@ class Constraints:
         A = sp.vstack(blocks, format="csc")
         At = A.T
         return StackedRows(A, At, (At @ A).tocsc(), np.concatenate(lower), np.concatenate(upper))
+
+    @cached_property
+    def row_entries(self) -> sp.csr_matrix:
+        """The stacked rows' A in CSR form: the polish gathers each active
+        row's (column, value) pairs from its arrays."""
+        return self.rows.A.tocsr()
 
 
 @dataclass(frozen=True)
@@ -282,24 +293,86 @@ def _walk_cycle(pred: list[int | None], start: int, n: int) -> list[int]:
     return cycle
 
 
-def _polish(Q, c, A, l, u, act_lower, act_upper):
-    """Solve the KKT equality system on the guessed active set (which may be
-    empty: the system is then Q x = -c alone).
+# the polish regularizes its KKT system by +delta on Q's diagonal and
+# -delta on the active rows' diagonal, then refines against the exact system
+_REGULARIZATION = 1e-9
+
+
+def _kkt(Q, rows_csr: sp.csr_matrix, active_rows: np.ndarray):
+    """The polish's KKT matrix [[Q + delta I, A_S'], [A_S, -delta I]] and its
+    unregularized part [[Q, A_S'], [A_S, 0]], A_S being the stacked rows
+    ``active_rows`` in that order, as two CSC matrices that share
+    ``indices`` and ``indptr`` (the unregularized one stores its lower-right
+    diagonal as explicit zeros, the last entry of each of those rows).
+
+    The arrays are written directly: column j < n holds Q's column j, then
+    the active rows that touch variable j in ``active_rows`` order; column
+    n + r holds active row r's entries, gathered from A's CSR arrays
+    ``rows_csr``, then its diagonal. For a Q that stores its whole diagonal
+    and no zero, this is ``(bmat([[Q, A_S'], [A_S, None]]) + diags(...))``
+    in CSC form, bit for bit.
+    """
+    n = Q.shape[0]
+    k = active_rows.size
+    starts = rows_csr.indptr[active_rows]
+    counts = rows_csr.indptr[active_rows + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if k else 0
+    # where each active row's entries sit in A's CSR arrays, row after row
+    gather = np.arange(total) + np.repeat(starts - (ends - counts), counts)
+    cols = rows_csr.indices[gather]
+    vals = rows_csr.data[gather]
+    row_of = np.repeat(np.arange(k), counts)
+
+    q_counts = np.diff(Q.indptr)
+    indptr = np.zeros(n + k + 1, dtype=np.int32)
+    np.cumsum(
+        np.concatenate([q_counts + np.bincount(cols, minlength=n), counts + 1]), out=indptr[1:]
+    )
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data0 = np.empty(indptr[-1])
+
+    q_dest = np.arange(Q.nnz) + np.repeat(indptr[:n] - Q.indptr[:n], q_counts)
+    indices[q_dest] = Q.indices
+    data0[q_dest] = Q.data
+    by_column = np.argsort(cols, kind="stable")
+    right_dest = Q.indptr[1:][cols[by_column]] + np.arange(total)
+    indices[right_dest] = n + row_of[by_column]
+    data0[right_dest] = vals[by_column]
+    lower_dest = indptr[n] + np.arange(total) + row_of
+    indices[lower_dest] = cols
+    data0[lower_dest] = vals
+    lower_diagonal = indptr[n + 1:] - 1
+    indices[lower_diagonal] = np.arange(n, n + k)
+    data0[lower_diagonal] = 0.0
+
+    data = data0.copy()
+    data[q_dest[Q.indices == np.repeat(np.arange(n), q_counts)]] += _REGULARIZATION
+    data[lower_diagonal] = -_REGULARIZATION
+    shape = (n + k, n + k)
+    return (
+        sp.csc_matrix((data, indices, indptr), shape=shape),
+        sp.csc_matrix((data0, indices, indptr), shape=shape),
+    )
+
+
+def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
+    """Solve the KKT equality system on the active set ``signs`` marks (rows
+    below -1e-12 held at their lower bound, above 1e-12 at their upper
+    bound; it may be empty: the system is then Q x = -c alone).
 
     Returns (x, w_full) or None when the regularized system cannot be solved.
     Verification against the full problem is the caller's job.
     """
+    rows = constraints.rows
+    lower = np.nonzero(signs < -1e-12)[0]
+    upper = np.nonzero(signs > 1e-12)[0]
+    active_rows = np.concatenate([lower, upper])
     n = Q.shape[0]
-    rows = np.concatenate([np.nonzero(act_lower)[0], np.nonzero(act_upper)[0]])
-    b = np.concatenate([l[np.nonzero(act_lower)[0]], u[np.nonzero(act_upper)[0]]])
-    A_act = A[rows]
-    k = rows.size
-    delta = 1e-9
-    kkt0 = sp.bmat([[Q, A_act.T], [A_act, None]], format="csc")
-    regularization = sp.diags(np.concatenate([np.full(n, delta), np.full(k, -delta)]))
-    rhs = np.concatenate([-c, b])
+    kkt, kkt0 = _kkt(Q, constraints.row_entries, active_rows)
+    rhs = np.concatenate([-c, rows.lower[lower], rows.upper[upper]])
     try:
-        lu = spla.splu((kkt0 + regularization).tocsc())
+        lu = spla.splu(kkt)
     except RuntimeError:
         return None
     sol = lu.solve(rhs)
@@ -310,8 +383,8 @@ def _polish(Q, c, A, l, u, act_lower, act_upper):
             break
         sol = sol + lu.solve(resid)
     x = sol[:n]
-    w_full = np.zeros(A.shape[0])
-    w_full[rows] = sol[n:]
+    w_full = np.zeros(rows.lower.shape[0])
+    w_full[active_rows] = sol[n:]
     return x, w_full
 
 
@@ -387,26 +460,52 @@ def _active_rows(w: np.ndarray) -> np.ndarray:
     return (w > 1e-12).astype(np.int8) - (w < -1e-12).astype(np.int8)
 
 
-def _certified_polish(Q, c, rows: StackedRows, signs: np.ndarray, feastol: float):
-    """Polish on a guessed active set; return (x, residuals) when the polished
-    point is certified optimal, else None.
+def _certificate(Q, c, rows: StackedRows, signs: np.ndarray, x, w, feastol: float):
+    """The residuals of a point polished on the active set ``signs`` when it
+    is certified optimal, else None. The certificate: every polished
+    multiplier has the sign of the bound it holds, the primal residual is
+    within ``feastol`` and the scaled stationarity within
+    ``OPTIMALITY_TOLERANCE``."""
+    good_signs = np.all(w[signs < -1e-12] <= 1e-9) and np.all(w[signs > 1e-12] >= -1e-9)
+    primal, stat = _residuals(Q, c, rows, x, w)
+    if good_signs and primal <= feastol and stat <= OPTIMALITY_TOLERANCE:
+        return primal, stat
+    return None
 
-    ``signs`` is a multiplier vector or a stored active set: rows below
-    -1e-12 are held at their lower bound, rows above 1e-12 at their upper
-    bound. The certificate: every polished multiplier has the sign of the
-    bound it holds, the primal residual is within ``feastol`` and the scaled
-    stationarity within ``OPTIMALITY_TOLERANCE``.
+
+# A warm start whose active set fails the certificate gets at most this many
+# primal-dual active-set corrections before the solve iterates.
+PDAS_CORRECTIONS = 3
+
+
+def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray, feastol: float):
+    """Polish on ``active``, then on up to ``PDAS_CORRECTIONS`` primal-dual
+    active-set corrections of it; return (x, residuals, active set) of the
+    first certified point, else None.
+
+    Each correction is the semismooth Newton step of Hintermueller, Ito and
+    Kunisch (SIAM J. Optim. 13(3), 2002) from the failed polish's own
+    (x, w): a row is held at its lower bound iff -w + (l - Ax) > 0 and at its
+    upper bound iff w + (Ax - u) > 0. The corrections stop early when an
+    active set repeats, and every point still has to pass the certificate.
     """
-    act_lower = signs < -1e-12
-    act_upper = signs > 1e-12
-    polished = _polish(Q, c, rows.A, rows.lower, rows.upper, act_lower, act_upper)
-    if polished is None:
-        return None
-    xp, wp = polished
-    good_signs = np.all(wp[act_lower] <= 1e-9) and np.all(wp[act_upper] >= -1e-9)
-    pp, ps = _residuals(Q, c, rows, xp, wp)
-    if good_signs and pp <= feastol and ps <= OPTIMALITY_TOLERANCE:
-        return xp, (pp, ps)
+    rows = constraints.rows
+    tried: list[np.ndarray] = []
+    for _ in range(1 + PDAS_CORRECTIONS):
+        polished = _polish(Q, c, constraints, active)
+        if polished is None:
+            return None
+        x, w = polished
+        residuals = _certificate(Q, c, rows, active, x, w, feastol)
+        if residuals is not None:
+            return x, residuals, active
+        tried.append(active)
+        Ax = rows.A @ x
+        active = (w + (Ax - rows.upper) > 0).astype(np.int8) - (
+            -w + (rows.lower - Ax) > 0
+        ).astype(np.int8)
+        if any(np.array_equal(active, seen) for seen in tried):
+            return None
     return None
 
 
@@ -423,13 +522,16 @@ def solve(
 
     ``start`` is a starting point or a previous ``Solution`` of a problem
     with the same constraints; the result is the same minimizer either way,
-    a good start only saves work. A previous solution's values start the
-    splitting iteration, and before that its active set is tried with one
-    polish: if the polished point passes the certificate every polish must
-    pass, it is returned with ``iterations`` 0, otherwise the solve iterates
-    as without it. Raises ``InfeasibleProblem``/``ConstraintCycle`` when the
-    constraint set is empty and ``MaxIterationsExceeded`` when the
-    tolerances are not met within ``MAX_ITERATIONS`` iterations.
+    a good start only saves work. A previous solution's active set is first
+    tried with one polish and, when that fails, with at most
+    ``PDAS_CORRECTIONS`` primal-dual active-set corrections: the first
+    polished point that passes the certificate every polish must pass is
+    returned with ``iterations`` 0 and the set it was polished on as
+    ``active``. Otherwise the solve iterates as without the active set,
+    from the previous solution's values. Raises
+    ``InfeasibleProblem``/``ConstraintCycle`` when the constraint set is
+    empty and ``MaxIterationsExceeded`` when the tolerances are not met
+    within ``MAX_ITERATIONS`` iterations.
     """
     if not (math.isfinite(feastol) and feastol > 0):
         raise ValueError(f"feastol must be a positive finite number, got {feastol!r}")
@@ -455,10 +557,10 @@ def solve(
                 raise ValueError(
                     f"start's active set covers {active.shape[0]} rows, the problem has {l.shape[0]}"
                 )
-            certified = _certified_polish(Q, c, rows, active, feastol)
+            certified = _corrected_polish(Q, c, problem.constraints, _active_rows(active), feastol)
             if certified is not None:
-                xp, residuals = certified
-                return Solution(xp, problem.objective(xp), 0, residuals, 0, active)
+                xp, residuals, polished_on = certified
+                return Solution(xp, problem.objective(xp), 0, residuals, 0, polished_on)
         start = start.values
 
     sigma = 1e-6
@@ -490,10 +592,12 @@ def solve(
         if it % check_every:
             continue
         primal, stat = _residuals(Q, c, rows, x, w, z)
-        certified = _certified_polish(Q, c, rows, w, feastol)
-        if certified is not None:
-            xp, residuals = certified
-            return Solution(xp, problem.objective(xp), it, residuals, cg_steps, _active_rows(w))
+        polished = _polish(Q, c, problem.constraints, w)
+        if polished is not None:
+            xp, wp = polished
+            residuals = _certificate(Q, c, rows, w, xp, wp, feastol)
+            if residuals is not None:
+                return Solution(xp, problem.objective(xp), it, residuals, cg_steps, _active_rows(w))
         if primal <= feastol and stat <= OPTIMALITY_TOLERANCE:
             return Solution(x.copy(), problem.objective(x), it, (primal, stat), cg_steps, _active_rows(w))
         if it % 2000 == 0:

@@ -83,10 +83,11 @@ def lambda_path(
     the feasibility tolerance ``feastol``.
 
     Each solve is started from the previous weight's solution, so it first
-    tries that solution's active set with a single certified polish and
-    iterates only when the polished point fails the certificate. Every
-    returned solution is the certified unique minimizer at its weight, as a
-    solve from no start would be.
+    tries that solution's active set with a certified polish, then at most
+    ``qp.PDAS_CORRECTIONS`` primal-dual active-set corrections of it, and
+    iterates only when none of those polished points passes the
+    certificate. Every returned solution is the certified unique minimizer
+    at its weight, as a solve from no start would be.
     """
     solutions: list[Solution] = []
     previous: Solution | None = None
@@ -106,9 +107,10 @@ def select_lambda(
     Only ``epsilon`` and ``feastol`` of ``deq_config`` are used. The
     coarsened dataset is compiled once and the grid is solved in ascending
     order by ``lambda_path``, each weight warm-started from the previous
-    one's solution and active set. The warm start never skips the
-    solver's optimality certificate and the minimizer is unique, so it only
-    saves work. The original scores, in the solution vectors' review order,
+    one's solution and active set, which the solver corrects by active-set
+    steps before it would iterate. The warm start never skips the solver's
+    optimality certificate and the minimizer is unique, so it only saves
+    work. The original scores, in the solution vectors' review order,
     act as validation truth with exact-tie omission; all-tied originals raise
     ``DegenerateValidation``.
     """

@@ -15,13 +15,22 @@ papers, the reference for ``baselines.ranked_groups``, and
 the reference for ``baselines.bre_adjusted_scores``.
 ``ranking_cycles_reference`` names ranking cycles from a transitive closure,
 the reference for the RANK_CYCLE cycles of ``model.validate``.
+``polish_kkt_reference`` builds the polish's KKT matrix with ``sp.bmat`` and
+``sp.diags``, the reference for the solver's direct CSC assembly.
+``certify`` checks a point's optimality from the KKT conditions alone, with
+multipliers from nonnegative least squares. ``load_scores`` reads an output
+file's dequantized values back.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.optimize
+import scipy.sparse as sp
 
 from deqscores.metrics import TIE_TOLERANCE, AllTiedError
 from deqscores.model import DequantizedScores, ReviewDataset
@@ -164,6 +173,87 @@ def constraint_violation(problem: QPProblem, y: np.ndarray) -> float:
     for i, j, gap in problem.pair_constraints:
         viol = max(viol, gap - (y[i] - y[j]))
     return max(viol, 0.0)
+
+
+def load_scores(path) -> dict[tuple[str, str], float]:
+    """(reviewer, paper) -> dequantized value of a file ``io.write_scores``
+    wrote."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == [
+        "reviewer_id", "paper_id", "quantized_score", "dequantized_score", "percentile"
+    ]
+    return {(row[0], row[1]): float(row[3]) for row in rows}
+
+
+def polish_kkt_reference(Q, A, signs, delta: float = 1e-9) -> sp.csc_matrix:
+    """The polish's regularized KKT matrix on the rows ``signs`` marks (below
+    -1e-12 at the lower bound, above 1e-12 at the upper, lower-bound rows
+    first), built from scipy's block and diagonal constructors:
+    (bmat([[Q, A_S'], [A_S, None]]) + diags(delta on n, -delta on k)) in CSC."""
+    rows = np.concatenate([np.nonzero(signs < -1e-12)[0], np.nonzero(signs > 1e-12)[0]])
+    A_act = A[rows]
+    kkt0 = sp.bmat([[Q, A_act.T], [A_act, None]], format="csc")
+    n, k = Q.shape[0], rows.size
+    return (kkt0 + sp.diags(np.concatenate([np.full(n, delta), np.full(k, -delta)]))).tocsc()
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """KKT residuals of a point: ``primal`` the largest constraint violation,
+    ``active`` the number of rows within the tolerance of their bound,
+    ``stationarity`` ||Qy + c - N mu||_inf / max(1, ||Qy||_inf, ||c||_inf)
+    for the best multipliers mu >= 0 on the active normals N, and
+    ``complementarity`` max_a mu_a * slack_a over those rows."""
+
+    primal: float
+    active: int
+    stationarity: float
+    complementarity: float
+
+
+def certify(problem: QPProblem, y, tolerance: float = 1e-9) -> Certificate:
+    """Optimality certificate of ``y`` from the KKT conditions alone.
+
+    A row is active when its slack (y_i - lo_i, hi_i - y_i, or
+    y_i - y_j - gap) is at most ``tolerance``. Its inward normal (e_i, -e_i
+    or e_i - e_j) is a column of N, and the multipliers are the nonnegative
+    least-squares solution of N mu = Qy + c (``scipy.optimize.nnls``); the
+    gradient of a minimizer lies in the cone of its active normals.
+    """
+    y = np.asarray(y, dtype=float)
+    n = problem.n
+    normals, slacks = [], []
+    for i in range(n):
+        for sign, slack in ((1.0, y[i] - problem.box_lower[i]), (-1.0, problem.box_upper[i] - y[i])):
+            if slack <= tolerance:
+                column = np.zeros(n)
+                column[i] = sign
+                normals.append(column)
+                slacks.append(slack)
+    for i, j, gap in problem.pair_constraints:
+        slack = y[i] - y[j] - gap
+        if slack <= tolerance:
+            column = np.zeros(n)
+            column[i], column[j] = 1.0, -1.0
+            normals.append(column)
+            slacks.append(slack)
+    Qy = problem.quadratic @ y
+    gradient = Qy + problem.linear
+    if normals:
+        N = np.column_stack(normals)
+        mu, _ = scipy.optimize.nnls(N, gradient, maxiter=50 * N.shape[1])
+        residual = gradient - N @ mu
+        complementarity = float(np.max(np.abs(mu * np.array(slacks))))
+    else:
+        residual, complementarity = gradient, 0.0
+    scale = max(1.0, float(np.max(np.abs(Qy))), float(np.max(np.abs(problem.linear))))
+    return Certificate(
+        primal=constraint_violation(problem, y),
+        active=len(normals),
+        stationarity=float(np.max(np.abs(residual))) / scale,
+        complementarity=complementarity,
+    )
 
 
 def _tightened_upper(problem: QPProblem, tightened_lower: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ from deqscores.io import (
     InsufficientReviews,
     ParseError,
     load_reviews,
-    load_scores,
     prepare_half_scale,
     write_scores,
     write_synthetic,
@@ -19,6 +18,7 @@ from deqscores.model import DequantizedScores, ValidationError, derive_rankings_
 from deqscores.synth import SynthConfig, generate
 
 from conftest import make_dataset
+from oracles import load_scores
 
 DATA = Path(__file__).parent / "data"
 

@@ -17,9 +17,15 @@ from deqscores.qp import (
     check_feasibility,
     solve,
 )
+from deqscores.qv import LAMBDA_GRID, coarsen, lambda_path
 from deqscores.synth import SynthConfig, generate
 
-from oracles import DimensionTooLarge, brute_force_minimize, constraint_violation
+from oracles import (
+    DimensionTooLarge,
+    brute_force_minimize,
+    constraint_violation,
+    polish_kkt_reference,
+)
 
 
 def single_variable_problem():
@@ -161,11 +167,28 @@ class TestWarmStart:
         assert np.max(np.abs(warm.values - cold.values)) <= 1e-9
 
     @pytest.mark.parametrize("guess", [-1, 1, 0], ids=["all-lower", "all-upper", "none"])
-    def test_wrong_active_set_falls_back_to_iterating(self, problem, guess):
+    def test_wrong_active_set_is_corrected_or_iterated(self, problem, guess, monkeypatch):
         cold = solve(problem)
         wrong = dataclasses.replace(cold, active=np.full_like(cold.active, guess))
+        calls = {"polish": 0, "before_iterating": None}
+        polish, x_update_system = qp._polish, qp._x_update_system
+
+        def counted_polish(*args):
+            calls["polish"] += 1
+            return polish(*args)
+
+        def iterating(*args):  # the solve builds this system before its first iteration
+            if calls["before_iterating"] is None:
+                calls["before_iterating"] = calls["polish"]
+            return x_update_system(*args)
+
+        monkeypatch.setattr(qp, "_polish", counted_polish)
+        monkeypatch.setattr(qp, "_x_update_system", iterating)
         warm = solve(problem, start=wrong)
-        assert warm.iterations > 0
+        polishes_first = calls["polish"] if warm.iterations == 0 else calls["before_iterating"]
+        assert 1 <= polishes_first <= 1 + qp.PDAS_CORRECTIONS
+        if guess != 0:  # these wrong sets are not corrected in time: the ADMM loop finds the point
+            assert warm.iterations > 0
         assert np.max(np.abs(warm.values - cold.values)) <= 1e-9
         primal, stationarity = warm.residuals
         assert primal <= 1e-6
@@ -175,6 +198,67 @@ class TestWarmStart:
         other = solve(two_variable_pair_problem())
         with pytest.raises(ValueError, match="active set"):
             solve(problem, start=other)
+
+
+class TestPolishKKT:
+    """The polish's directly assembled KKT equals the bmat/diags construction
+    bit for bit, so the matrix factored and its LU are unchanged."""
+
+    @staticmethod
+    def _factored(monkeypatch):
+        """Record every matrix given to the LU, as it arrives (the LU may
+        sort a matrix's indices in place), and the (Q, A, active set) of
+        every polish."""
+        seen = {"matrices": [], "polishes": []}
+        linalg, polish = qp.spla, qp._polish
+
+        def splu(matrix, *args, **kwargs):
+            seen["matrices"].append(matrix.copy())
+            return linalg.splu(matrix, *args, **kwargs)
+
+        def recorded(Q, c, constraints, signs):
+            seen["polishes"].append((Q, constraints.rows.A, np.array(signs)))
+            return polish(Q, c, constraints, signs)
+
+        monkeypatch.setattr(qp, "spla", SimpleNamespace(**{**vars(linalg), "splu": splu}))
+        monkeypatch.setattr(qp, "_polish", recorded)
+        return seen
+
+    @staticmethod
+    def _assert_identical(matrix, reference):
+        assert matrix.shape == reference.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(matrix, name), getattr(reference, name)), name
+
+    def test_every_set_of_the_lambda_path(self, monkeypatch):
+        seen = self._factored(monkeypatch)
+        dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
+        path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
+        # warm polishes, corrections and the cold first step's polishes
+        assert len(seen["polishes"]) > len(path)
+        assert len(seen["matrices"]) == len(seen["polishes"])
+        for matrix, (Q, A, signs) in zip(seen["matrices"], seen["polishes"]):
+            self._assert_identical(matrix, polish_kkt_reference(Q, A, signs))
+
+    @pytest.mark.parametrize(
+        "num_papers, guess", [(60, "empty"), (60, "boxes-lower"), (1500, "accepted")]
+    )
+    def test_chosen_sets(self, num_papers, guess, monkeypatch):
+        problem = compile_dataset(
+            generate(SynthConfig(num_papers=num_papers, seed=0)).dataset, 0.05
+        ).problem(1.0)
+        constraints = problem.constraints
+        signs = np.zeros(constraints.rows.lower.shape[0])
+        if guess == "boxes-lower":
+            signs[: problem.n] = -1.0
+        elif guess == "accepted":
+            signs = solve(problem).active
+        seen = self._factored(monkeypatch)
+        qp._polish(problem.quadratic, problem.linear, constraints, signs)
+        [matrix] = seen["matrices"]
+        self._assert_identical(
+            matrix, polish_kkt_reference(problem.quadratic, constraints.rows.A, signs)
+        )
 
 
 @pytest.fixture(scope="module")

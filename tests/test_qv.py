@@ -17,6 +17,7 @@ from deqscores.qv import (
 from deqscores.synth import SynthConfig, generate
 
 from conftest import make_dataset
+from oracles import certify
 
 
 class TestCoarsen:
@@ -124,7 +125,27 @@ class TestLambdaPath:
         assert report.errors == errors
         assert report.selected_lambda == grid[min(range(len(grid)), key=lambda i: (errors[i], grid[i]))]
 
-    def test_most_grid_solves_skip_the_iteration(self):
+    def test_grid_solves_after_the_first_skip_the_iteration(self):
         dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
         path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
-        assert sum(solution.iterations == 0 for solution in path) >= len(path) // 2
+        assert [solution.iterations for solution in path[1:]] == [0] * (len(path) - 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_step_passes_an_independent_certificate(self, seed):
+        # the KKT conditions checked from scratch, with no solver code, at
+        # every step, including those a corrected active set was accepted on
+        dataset = generate(SynthConfig(num_papers=60, seed=seed)).dataset
+        compiled = compile_dataset(coarsen(dataset), 0.05)
+        path = lambda_path(compiled, LAMBDA_GRID)
+        corrected = 0
+        for lam, previous, solution in zip(LAMBDA_GRID, [None, *path], path):
+            certificate = certify(compiled.problem(lam), solution.values)
+            assert certificate.primal <= 1e-9
+            assert certificate.active > 0
+            assert certificate.stationarity <= 1e-9
+            assert certificate.complementarity <= 1e-9
+            if previous is not None and not np.array_equal(solution.active, previous.active):
+                corrected += solution.iterations == 0
+        assert corrected > 0
+        # a point off the minimizer fails it
+        assert certify(compiled.problem(LAMBDA_GRID[1]), path[0].values).stationarity > 1e-6
