@@ -167,7 +167,9 @@ class TestWarmStart:
         assert np.max(np.abs(warm.values - cold.values)) <= 1e-9
 
     @pytest.mark.parametrize("guess", [-1, 1, 0], ids=["all-lower", "all-upper", "none"])
-    def test_wrong_active_set_is_corrected_or_iterated(self, problem, guess, monkeypatch):
+    def test_wrong_active_set_falls_back_to_iterating(self, problem, guess, monkeypatch):
+        # a wrong set falls back first to at most PDAS_CORRECTIONS corrected
+        # polishes, then to the ADMM loop
         cold = solve(problem)
         wrong = dataclasses.replace(cold, active=np.full_like(cold.active, guess))
         calls = {"polish": 0, "before_iterating": None}

@@ -125,7 +125,8 @@ class TestLambdaPath:
         assert report.errors == errors
         assert report.selected_lambda == grid[min(range(len(grid)), key=lambda i: (errors[i], grid[i]))]
 
-    def test_grid_solves_after_the_first_skip_the_iteration(self):
+    def test_most_grid_solves_skip_the_iteration(self):
+        # every grid step after the first is certified without iterating
         dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
         path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
         assert [solution.iterations for solution in path[1:]] == [0] * (len(path) - 1)
