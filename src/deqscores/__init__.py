@@ -45,6 +45,7 @@ from .model import (
     validate,
 )
 from .qp import (
+    ActiveSet,
     ConstraintCycle,
     Constraints,
     InfeasibleProblem,

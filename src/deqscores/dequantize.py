@@ -76,23 +76,30 @@ class CompiledDataset:
 
     ``z`` holds the reported scores in ``pair_index`` order, ``consensus`` the
     Hessian C of the consensus term (per paper the centering block
-    2*(I - (1/mu) 11'), nothing for single-review papers) and ``constraints``
-    the half-unit boxes and epsilon-gap ranking rows. Every problem built by
-    ``problem`` shares ``constraints``, so the solver derives its constraint
+    2*(I - (1/mu) 11'), with its whole diagonal stored, as explicit zeros
+    for single-review papers), ``diagonal`` the positions of that diagonal
+    in ``consensus.data``, and ``constraints`` the half-unit boxes and
+    epsilon-gap ranking rows. Every problem built by ``problem`` shares
+    ``constraints`` and C's pattern, so the solver derives its constraint
     data once per dataset, however many weights are solved.
     """
 
     z: np.ndarray
     consensus: sp.csc_matrix
+    diagonal: np.ndarray
     constraints: Constraints
 
     def problem(self, lam: float) -> QPProblem:
         """The QP at fit weight ``lam``: Q = C + 2*lam*I, c = -2*lam*z and
         constant lam*||z||^2, so 0.5*y'Qy + c'y + constant equals the
-        objective exactly."""
-        fit = sp.identity(self.z.shape[0], format="csc") * (2.0 * lam)
+        objective exactly. Q is C's pattern with 2*lam added to the stored
+        diagonal, so it equals ``(C + 2*lam*I).tocsc()`` bit for bit."""
+        data = self.consensus.data.copy()
+        data[self.diagonal] += 2.0 * lam
         return QPProblem(
-            quadratic=(self.consensus + fit).tocsc(),
+            quadratic=sp.csc_matrix(
+                (data, self.consensus.indices, self.consensus.indptr), shape=self.consensus.shape
+            ),
             linear=-2.0 * lam * self.z,
             constraints=self.constraints,
             constant=lam * float(self.z @ self.z),
@@ -114,9 +121,13 @@ def compile_dataset(dataset: ReviewDataset, epsilon: float) -> CompiledDataset:
     papers: dict[str, int] = {}
     paper_of = np.array([papers.setdefault(p, len(papers)) for _, p in index], dtype=int)
     membership = sp.csr_matrix((np.ones(n), (np.arange(n), paper_of)), shape=(n, len(papers)))
-    paper_mean = membership @ sp.diags(1.0 / np.bincount(paper_of)) @ membership.T
-    consensus = (2.0 * (sp.identity(n) - paper_mean)).tocsc()
-    consensus.eliminate_zeros()  # single-review papers have no consensus term
+    # the pattern of C: every two reviews of one paper, the diagonal included
+    consensus = (membership @ membership.T).tocsc()
+    consensus.sort_indices()
+    rows = consensus.indices
+    cols = np.repeat(np.arange(n), np.diff(consensus.indptr))
+    on_diagonal = rows == cols
+    consensus.data = 2.0 * (on_diagonal - 1.0 / np.bincount(paper_of)[paper_of[rows]])
 
     pair_constraints = tuple(
         (index[(r, better)], index[(r, worse)], float(epsilon))
@@ -133,7 +144,7 @@ def compile_dataset(dataset: ReviewDataset, epsilon: float) -> CompiledDataset:
             f"within their half-unit score boxes: {reviews}",
             chain,
         )
-    return CompiledDataset(z, consensus, constraints)
+    return CompiledDataset(z, consensus, np.nonzero(on_diagonal)[0], constraints)
 
 
 def assemble(dataset: ReviewDataset, config: DequantizerConfig) -> QPProblem:

@@ -1,7 +1,8 @@
 """CSV ingestion and serialization, plus coarse-scale preprocessing of raw
 ten-level review files.
 
-Formats (UTF-8, header row required, '.' decimal separator):
+Formats (UTF-8, an Excel byte-order mark allowed, strict CSV quoting, header
+row required, '.' decimal separator):
 
     reviews.csv   reviewer_id,paper_id,score
     rankings.csv  reviewer_id,better_paper_id,worse_paper_id
@@ -42,20 +43,44 @@ class InsufficientReviews(ValueError):
 
 
 def _read_rows(path, expected_header: list[str]):
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    """Yield (line number, stripped fields) of every non-blank data row.
+
+    The file is UTF-8, with or without the byte-order mark Excel writes, and
+    quoting is strict. A header mismatch, a wrong field count, text that is
+    not UTF-8 and anything the CSV reader rejects (an unterminated quote, a
+    field over its size limit) raise ``ParseError`` with the line.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle, strict=True)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(path, 1, "empty file") from None
-        if [h.strip() for h in header] != expected_header:
-            raise ParseError(path, 1, f"expected header {','.join(expected_header)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(path, line_no, f"expected {len(expected_header)} fields")
-            yield line_no, [cell.strip() for cell in row]
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(path, 1, "empty file") from None
+            if [h.strip() for h in header] != expected_header:
+                raise ParseError(path, 1, f"expected header {','.join(expected_header)}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(expected_header):
+                    raise ParseError(path, line_no, f"expected {len(expected_header)} fields")
+                yield line_no, [cell.strip() for cell in row]
+        except csv.Error as exc:
+            raise ParseError(path, reader.line_num, str(exc)) from None
+        except UnicodeDecodeError as exc:
+            line = _undecodable_line(path)
+            raise ParseError(path, line, f"not UTF-8 text ({exc.reason})") from None
+
+
+def _undecodable_line(path) -> int:
+    """The line of the first byte of ``path`` that is not UTF-8 (the file is
+    decoded in chunks, ahead of the reader's line count)."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 1
 
 
 def load_reviews(

@@ -20,8 +20,10 @@ matrix at least rho*I, and for the score-merging QP it is well conditioned,
 so a few CG steps suffice; a sparse LU of it would fill in heavily, because
 consensus and ranking couplings make its graph an expander. The only
 factorization left is the polish's sparse LU of the much smaller active-set
-KKT system, tried at every residual check; its CSC arrays are written
-directly from Q's and from the constraint rows' arrays.
+KKT system, tried at every residual check. Its CSC arrays are written
+directly from Q's and from the constraint rows' arrays, in two steps: a
+pattern step fixed by the active rows and Q's sparsity pattern, and a fill
+step that writes Q's values. The scaled Q keeps the problem's pattern.
 
 Along a path of related problems (one dataset solved at increasing fit
 weights) neighbouring minimizers almost always hold the same constraints at
@@ -30,18 +32,27 @@ it as the ``start`` of the next solve makes the solver try one polish on that
 active set before it builds the x-update system or iterates at all (the
 parametric active-set warm start of qpOASES). When that point fails, the
 failed polish's own primal and dual values propose a corrected active set
-(a primal-dual active-set step) and the solver polishes again, at most
-``PDAS_CORRECTIONS`` times and never twice on one set. A polished point is
-accepted only through the same certificate as every other polish: multiplier
-signs, primal residual within the caller's ``feastol`` and scaled
-stationarity within ``OPTIMALITY_TOLERANCE``. When no corrected set passes,
-the solve falls back to the ADMM iteration, started from the previous
-solution's values.
+(a primal-dual active-set step, Hintermueller, Ito and Kunisch, SIAM J.
+Optim. 13(3), 2002) and the solver polishes again, at most
+``PDAS_CORRECTIONS`` times and never twice on one set. A path's first
+problem has no previous solution; an ``ActiveSet`` start (the empty set)
+gives it the same corrections. A polished point is accepted only through the
+same certificate as every other polish: multiplier signs, primal residual
+within the caller's ``feastol`` and scaled stationarity within
+``OPTIMALITY_TOLERANCE``. When no corrected set passes, the solve falls back
+to the ADMM iteration, started from the previous solution's values (from the
+cold start after an ``ActiveSet``). A solve with no start runs ADMM from the
+cold start: on large problems with total rankings, corrections from the
+empty set can cycle and cost more than the iteration they would save.
 
 The constraints live in a ``Constraints`` object that problems may share:
 everything the solver derives from the constraints alone (the feasibility
 check, the stacked constraint matrix, its transpose and A'A) is computed on
-first use and reused by every problem built on the same object.
+first use and reused by every problem built on the same object. It also
+keeps the KKT pattern of its last polish, so a polish on the same active set
+and the same pattern of Q (the next weight of a path) only writes Q's values
+into it (OSQP-style reuse of what does not change, Stellato et al., Math.
+Prog. Comp. 2020).
 """
 
 from __future__ import annotations
@@ -103,7 +114,9 @@ class Constraints:
 
     The feasibility check and the stacked rows are computed on first use and
     cached, so problems sharing one ``Constraints`` (a dataset solved along a
-    fit-weight grid) pay for them once.
+    fit-weight grid) pay for them once. The KKT pattern of the last polish is
+    kept too; each pattern is immutable and replacing it is one assignment,
+    so threads sharing the object at worst build a pattern again.
     """
 
     box_lower: np.ndarray
@@ -141,6 +154,12 @@ class Constraints:
         """The stacked rows' A in CSR form: the polish gathers each active
         row's (column, value) pairs from its arrays."""
         return self.rows.A.tocsr()
+
+    @cached_property
+    def last_kkt_pattern(self) -> dict:
+        """One slot, ``"pattern"``, for the KKT pattern of the last polish on
+        these constraints (see ``qp._memoized_kkt_pattern``)."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -228,6 +247,15 @@ class Solution:
     active: np.ndarray | None = None
 
 
+class ActiveSet(NamedTuple):
+    """A ``start`` for ``solve`` that is an active set alone, marked per
+    stacked row as in ``Solution.active``. The solve polishes on it and its
+    corrections first and, when none is certified, iterates from the same
+    point as a solve with no start."""
+
+    signs: np.ndarray
+
+
 @dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
@@ -298,19 +326,34 @@ def _walk_cycle(pred: list[int | None], start: int, n: int) -> list[int]:
 _REGULARIZATION = 1e-9
 
 
-def _kkt(Q, rows_csr: sp.csr_matrix, active_rows: np.ndarray):
-    """The polish's KKT matrix [[Q + delta I, A_S'], [A_S, -delta I]] and its
-    unregularized part [[Q, A_S'], [A_S, 0]], A_S being the stacked rows
-    ``active_rows`` in that order, as two CSC matrices that share
-    ``indices`` and ``indptr`` (the unregularized one stores its lower-right
-    diagonal as explicit zeros, the last entry of each of those rows).
+class _KKTPattern(NamedTuple):
+    """What a polish's KKT matrix takes from its active rows and from Q's
+    sparsity pattern alone: the CSC ``indptr`` and ``indices``, where Q's
+    entries go (``q_dest``) and which of them are its diagonal
+    (``q_diagonal``), the lower-right diagonal's positions, and ``data0``, the
+    unregularized values with the active rows' entries in place and zeros for
+    Q's. The first three fields are the key it was built for."""
+
+    active_rows: np.ndarray
+    q_indptr: np.ndarray
+    q_indices: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    q_dest: np.ndarray
+    q_diagonal: np.ndarray
+    lower_diagonal: np.ndarray
+    data0: np.ndarray
+
+
+def _kkt_pattern(Q, rows_csr: sp.csr_matrix, active_rows: np.ndarray) -> _KKTPattern:
+    """The pattern of the polish's KKT matrix [[Q, A_S'], [A_S, 0]], A_S
+    being the stacked rows ``active_rows`` in that order.
 
     The arrays are written directly: column j < n holds Q's column j, then
     the active rows that touch variable j in ``active_rows`` order; column
     n + r holds active row r's entries, gathered from A's CSR arrays
-    ``rows_csr``, then its diagonal. For a Q that stores its whole diagonal
-    and no zero, this is ``(bmat([[Q, A_S'], [A_S, None]]) + diags(...))``
-    in CSC form, bit for bit.
+    ``rows_csr``, then its diagonal (stored even where it is zero, as the
+    last entry of each of those columns).
     """
     n = Q.shape[0]
     k = active_rows.size
@@ -330,11 +373,10 @@ def _kkt(Q, rows_csr: sp.csr_matrix, active_rows: np.ndarray):
         np.concatenate([q_counts + np.bincount(cols, minlength=n), counts + 1]), out=indptr[1:]
     )
     indices = np.empty(indptr[-1], dtype=np.int32)
-    data0 = np.empty(indptr[-1])
+    data0 = np.zeros(indptr[-1])
 
     q_dest = np.arange(Q.nnz) + np.repeat(indptr[:n] - Q.indptr[:n], q_counts)
     indices[q_dest] = Q.indices
-    data0[q_dest] = Q.data
     by_column = np.argsort(cols, kind="stable")
     right_dest = Q.indptr[1:][cols[by_column]] + np.arange(total)
     indices[right_dest] = n + row_of[by_column]
@@ -344,16 +386,47 @@ def _kkt(Q, rows_csr: sp.csr_matrix, active_rows: np.ndarray):
     data0[lower_dest] = vals
     lower_diagonal = indptr[n + 1:] - 1
     indices[lower_diagonal] = np.arange(n, n + k)
-    data0[lower_diagonal] = 0.0
-
-    data = data0.copy()
-    data[q_dest[Q.indices == np.repeat(np.arange(n), q_counts)]] += _REGULARIZATION
-    data[lower_diagonal] = -_REGULARIZATION
-    shape = (n + k, n + k)
-    return (
-        sp.csc_matrix((data, indices, indptr), shape=shape),
-        sp.csc_matrix((data0, indices, indptr), shape=shape),
+    q_diagonal = q_dest[Q.indices == np.repeat(np.arange(n), q_counts)]
+    return _KKTPattern(
+        active_rows, Q.indptr.copy(), Q.indices.copy(),
+        indptr, indices, q_dest, q_diagonal, lower_diagonal, data0,
     )
+
+
+def _kkt(Q, pattern: _KKTPattern):
+    """The polish's KKT matrix [[Q + delta I, A_S'], [A_S, -delta I]] and its
+    unregularized part [[Q, A_S'], [A_S, 0]] on ``pattern``, as two CSC
+    matrices that share its ``indices`` and ``indptr``. Only Q's values are
+    written; for a Q that stores its whole diagonal and no zero, this is
+    ``(bmat([[Q, A_S'], [A_S, None]]) + diags(...))`` in CSC form, bit for
+    bit."""
+    data0 = pattern.data0.copy()
+    data0[pattern.q_dest] = Q.data
+    data = data0.copy()
+    data[pattern.q_diagonal] += _REGULARIZATION
+    data[pattern.lower_diagonal] = -_REGULARIZATION
+    shape = (pattern.indptr.size - 1,) * 2
+    return (
+        sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=shape),
+        sp.csc_matrix((data0, pattern.indices, pattern.indptr), shape=shape),
+    )
+
+
+def _memoized_kkt_pattern(Q, constraints: Constraints, active_rows: np.ndarray) -> _KKTPattern:
+    """The KKT pattern of the last polish on ``constraints`` when it had the
+    same active rows and the same sparsity of Q, else a new one, which then
+    replaces it. Along a path of weights Q's pattern stays put and one active
+    set usually serves several polishes in a row."""
+    last = constraints.last_kkt_pattern.get("pattern")
+    if not (
+        last is not None
+        and np.array_equal(last.active_rows, active_rows)
+        and np.array_equal(last.q_indptr, Q.indptr)
+        and np.array_equal(last.q_indices, Q.indices)
+    ):
+        last = _kkt_pattern(Q, constraints.row_entries, active_rows)
+        constraints.last_kkt_pattern["pattern"] = last
+    return last
 
 
 def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
@@ -369,7 +442,7 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     upper = np.nonzero(signs > 1e-12)[0]
     active_rows = np.concatenate([lower, upper])
     n = Q.shape[0]
-    kkt, kkt0 = _kkt(Q, constraints.row_entries, active_rows)
+    kkt, kkt0 = _kkt(Q, _memoized_kkt_pattern(Q, constraints, active_rows))
     rhs = np.concatenate([-c, rows.lower[lower], rows.upper[upper]])
     try:
         lu = spla.splu(kkt)
@@ -512,7 +585,7 @@ def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray, feasto
 def solve(
     problem: QPProblem,
     feastol: float = DEFAULT_FEASTOL,
-    start: np.ndarray | Solution | None = None,
+    start: np.ndarray | Solution | ActiveSet | None = None,
 ) -> Solution:
     """Return the unique minimizer of a strictly convex instance.
 
@@ -520,15 +593,16 @@ def solve(
     finite number, else ``ValueError``) and its scaled stationarity at most
     ``OPTIMALITY_TOLERANCE``.
 
-    ``start`` is a starting point or a previous ``Solution`` of a problem
-    with the same constraints; the result is the same minimizer either way,
-    a good start only saves work. A previous solution's active set is first
-    tried with one polish and, when that fails, with at most
-    ``PDAS_CORRECTIONS`` primal-dual active-set corrections: the first
-    polished point that passes the certificate every polish must pass is
-    returned with ``iterations`` 0 and the set it was polished on as
-    ``active``. Otherwise the solve iterates as without the active set,
-    from the previous solution's values. Raises
+    ``start`` is a starting point, a previous ``Solution`` of a problem
+    with the same constraints or an ``ActiveSet`` of such a problem; the
+    result is the same minimizer either way, a good start only saves work.
+    A previous solution's active set, or the ``ActiveSet``, is first tried
+    with one polish and, when that fails, with at most ``PDAS_CORRECTIONS``
+    primal-dual active-set corrections: the first polished point that passes
+    the certificate every polish must pass is returned with ``iterations`` 0
+    and the set it was polished on as ``active``. Otherwise the solve
+    iterates as without the active set, from the previous solution's values
+    (from the cold start for an ``ActiveSet``). Raises
     ``InfeasibleProblem``/``ConstraintCycle`` when the constraint set is
     empty and ``MaxIterationsExceeded`` when the tolerances are not met
     within ``MAX_ITERATIONS`` iterations.
@@ -545,23 +619,31 @@ def solve(
     rows = problem.constraints.rows
     A, At, AtA, l, u = rows
 
-    # normalize the objective so rho has a consistent meaning across fit weights
-    scale = max(1.0, float(problem.quadratic.diagonal().max()) / 2.0)
-    Q = (problem.quadratic / scale).tocsc()
+    # normalize the objective so rho has a consistent meaning across fit weights;
+    # the scaled Q keeps the problem's pattern (data * (1/scale) is what
+    # scipy's division by a scalar computes)
+    quadratic = problem.quadratic.tocsc()
+    scale = max(1.0, float(quadratic.diagonal().max()) / 2.0)
+    Q = sp.csc_matrix(
+        (quadratic.data * (1.0 / scale), quadratic.indices, quadratic.indptr),
+        shape=quadratic.shape,
+    )
     c = problem.linear / scale
 
+    active = None
     if isinstance(start, Solution):
-        active = start.active
-        if active is not None:
-            if active.shape != l.shape:
-                raise ValueError(
-                    f"start's active set covers {active.shape[0]} rows, the problem has {l.shape[0]}"
-                )
-            certified = _corrected_polish(Q, c, problem.constraints, _active_rows(active), feastol)
-            if certified is not None:
-                xp, residuals, polished_on = certified
-                return Solution(xp, problem.objective(xp), 0, residuals, 0, polished_on)
-        start = start.values
+        active, start = start.active, start.values
+    elif isinstance(start, ActiveSet):
+        active, start = start.signs, None
+    if active is not None:
+        if active.shape != l.shape:
+            raise ValueError(
+                f"start's active set covers {active.shape[0]} rows, the problem has {l.shape[0]}"
+            )
+        certified = _corrected_polish(Q, c, problem.constraints, _active_rows(active), feastol)
+        if certified is not None:
+            xp, residuals, polished_on = certified
+            return Solution(xp, problem.objective(xp), 0, residuals, 0, polished_on)
 
     sigma = 1e-6
     alpha = 1.6

@@ -25,7 +25,7 @@ from .model import (
     derive_rankings_from_raw_scores,
     require_valid,
 )
-from .qp import DEFAULT_FEASTOL, Solution, solve
+from .qp import DEFAULT_FEASTOL, ActiveSet, Solution, solve
 
 
 class DegenerateValidation(ValueError):
@@ -82,15 +82,18 @@ def lambda_path(
     """Solve ``compiled`` at each fit weight in order, as one path, each to
     the feasibility tolerance ``feastol``.
 
-    Each solve is started from the previous weight's solution, so it first
-    tries that solution's active set with a certified polish, then at most
-    ``qp.PDAS_CORRECTIONS`` primal-dual active-set corrections of it, and
-    iterates only when none of those polished points passes the
-    certificate. Every returned solution is the certified unique minimizer
-    at its weight, as a solve from no start would be.
+    Every step starts from an active set: the first from the empty one, each
+    later one from the previous weight's solution. The solver tries that set
+    with a certified polish, then at most ``qp.PDAS_CORRECTIONS``
+    primal-dual active-set corrections of it, and iterates only when none of
+    those polished points passes the certificate (the first step then
+    iterates from the cold start). Every returned solution is the certified
+    unique minimizer at its weight, as a solve from no start would be.
     """
     solutions: list[Solution] = []
-    previous: Solution | None = None
+    previous: Solution | ActiveSet = ActiveSet(
+        np.zeros(compiled.constraints.rows.lower.shape[0], dtype=np.int8)
+    )
     for lam in lambdas:
         previous = solve(compiled.problem(lam), feastol, start=previous)
         solutions.append(previous)
@@ -106,13 +109,13 @@ def select_lambda(
 
     Only ``epsilon`` and ``feastol`` of ``deq_config`` are used. The
     coarsened dataset is compiled once and the grid is solved in ascending
-    order by ``lambda_path``, each weight warm-started from the previous
-    one's solution and active set, which the solver corrects by active-set
-    steps before it would iterate. The warm start never skips the solver's
-    optimality certificate and the minimizer is unique, so it only saves
-    work. The original scores, in the solution vectors' review order,
-    act as validation truth with exact-tie omission; all-tied originals raise
-    ``DegenerateValidation``.
+    order by ``lambda_path``: the first weight starts from the empty active
+    set, each later one from the previous one's solution and active set, and
+    the solver corrects that set by active-set steps before it would
+    iterate. The start never skips the solver's optimality certificate and
+    the minimizer is unique, so it only saves work. The original scores, in
+    the solution vectors' review order, act as validation truth with
+    exact-tie omission; all-tied originals raise ``DegenerateValidation``.
     """
     require_valid(dataset)
     if len(set(dataset.scores.values())) < 2:

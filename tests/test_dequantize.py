@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from deqscores import model, qp
 from deqscores.baselines import bre_adjusted_scores, score_only_closed_form
@@ -10,12 +11,13 @@ from deqscores.dequantize import (
     AUTO,
     DequantizerConfig,
     assemble,
+    compile_dataset,
     consistency_report,
     dequantize,
 )
 from deqscores.model import DequantizedScores, ValidationError
 from deqscores.qp import InfeasibleProblem, solve
-from deqscores.qv import select_lambda
+from deqscores.qv import LAMBDA_GRID, coarsen, select_lambda
 from deqscores.synth import SynthConfig, generate, trial_seed
 
 from conftest import likelihood_lattice_maximizer, make_dataset
@@ -89,6 +91,70 @@ class TestAssemble:
     def test_non_finite_lam_rejected(self, lam):
         with pytest.raises(ValueError, match="finite"):
             DequantizerConfig(lam=lam)
+
+
+def consensus_plus_fit(dataset, lam):
+    """Q = C + 2*lam*I built as scipy sums it: C from the paper-mean
+    projection with its zeros eliminated, plus a scaled identity."""
+    index = dataset.pair_index
+    n = len(index)
+    papers: dict = {}
+    paper_of = np.array([papers.setdefault(p, len(papers)) for _, p in index])
+    membership = sp.csr_matrix((np.ones(n), (np.arange(n), paper_of)), shape=(n, len(papers)))
+    paper_mean = membership @ sp.diags(1.0 / np.bincount(paper_of)) @ membership.T
+    consensus = (2.0 * (sp.identity(n) - paper_mean)).tocsc()
+    consensus.eliminate_zeros()
+    return (consensus + sp.identity(n, format="csc") * (2.0 * lam)).tocsc()
+
+
+SINGLE_REVIEW_PAPER = make_dataset(
+    {("r1", "A"): 5, ("r1", "B"): 3, ("r2", "A"): 4, ("r2", "C"): 4, ("r3", "B"): 2,
+     ("r3", "A"): 5, ("r3", "D"): 1},
+    {"r1": [("A", "B")], "r2": [("C", "A")], "r3": [("A", "B")]},
+)
+
+
+class TestCompiledStructure:
+    """Q's pattern is built once per compiled dataset; each weight only
+    writes values, which equal scipy's own construction bit for bit."""
+
+    @staticmethod
+    def _assert_identical(matrix, reference):
+        assert matrix.shape == reference.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(matrix, name), getattr(reference, name)), name
+
+    @pytest.mark.parametrize("source", ["single-review paper", "coarsened P=60"])
+    def test_problem_equals_consensus_plus_fit_on_every_grid_weight(self, source):
+        if source == "single-review paper":
+            dataset = SINGLE_REVIEW_PAPER
+        else:
+            dataset = coarsen(generate(SynthConfig(num_papers=60, seed=0)).dataset)
+        compiled = compile_dataset(dataset, 0.05)
+        for lam in LAMBDA_GRID:
+            self._assert_identical(
+                compiled.problem(lam).quadratic, consensus_plus_fit(dataset, lam)
+            )
+
+    def test_solver_scales_q_as_scipy_divides(self, monkeypatch):
+        compiled = compile_dataset(SINGLE_REVIEW_PAPER, 0.05)
+        seen = []
+        polish = qp._polish
+
+        def recorded(Q, c, constraints, signs):
+            seen.append(Q)
+            return polish(Q, c, constraints, signs)
+
+        monkeypatch.setattr(qp, "_polish", recorded)
+        for lam in LAMBDA_GRID[::7]:
+            problem = compiled.problem(lam)
+            scale = max(1.0, float(problem.quadratic.diagonal().max()) / 2.0)
+            assert scale > 1.0
+            seen.clear()
+            solve(problem)
+            assert seen
+            for Q in seen:
+                self._assert_identical(Q, (problem.quadratic / scale).tocsc())
 
 
 class TestDequantize:

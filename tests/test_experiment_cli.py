@@ -445,7 +445,7 @@ class TestCli:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(
         "contents, code",
-        [(None, 1), (b"paper_id,score\npaper01,x\n", 2), (b"\xff\xfe", 1)],
+        [(None, 1), (b"paper_id,score\npaper01,x\n", 2), (b"\xff\xfe", 2)],
         ids=["missing-file", "unparsable-file", "undecodable-file"],
     )
     def test_failing_trial_exits_with_documented_code(self, tmp_path, capsys, jobs, contents, code):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from deqscores import cli
 from deqscores.dequantize import DequantizerConfig, dequantize
 from deqscores.io import (
     InsufficientReviews,
@@ -100,6 +101,54 @@ class TestLoadReviews:
         write_csv(path, ["reviewer_id", "paper_id", "score"], [("r1", "A", 9)])
         with pytest.raises(ValidationError):
             load_reviews(path, scale=(1, 5))
+
+
+class TestCsvRobustness:
+    """Each malformed-file probe ends in a ``ParseError`` naming the line,
+    which the CLI reports as one ``error:`` line with exit 2."""
+
+    HEADER = "reviewer_id,paper_id,score\n"
+
+    @staticmethod
+    def _cli_validate(path, capsys):
+        status = cli.main(["validate", "--reviews", str(path)])
+        return status, capsys.readouterr().err.splitlines()
+
+    def test_excel_byte_order_mark_is_accepted(self, tmp_path):
+        path = tmp_path / "reviews.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (self.HEADER + "r1,A,5\nr1,B,3\n").encode())
+        ds = load_reviews(path)
+        assert ds.scores == {("r1", "A"): 5, ("r1", "B"): 3}
+
+    def test_unterminated_quote_at_end_of_file_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "reviews.csv"
+        path.write_text(self.HEADER + 'r1,A,5\nr1,B,"3\n')
+        with pytest.raises(ParseError) as err:
+            load_reviews(path)
+        assert err.value.line == 3
+        assert self._cli_validate(path, capsys) == (
+            cli.EXIT_VALIDATION, [f"error: {path}:3: unexpected end of data"]
+        )
+
+    def test_field_over_the_size_limit_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "reviews.csv"
+        path.write_text(self.HEADER + "r1,A,5\n" + "r1," + "B" * 140_000 + ",3\n")
+        with pytest.raises(ParseError) as err:
+            load_reviews(path)
+        assert err.value.line == 3
+        status, errors = self._cli_validate(path, capsys)
+        assert status == cli.EXIT_VALIDATION
+        assert len(errors) == 1 and errors[0].startswith(f"error: {path}:3: field larger")
+
+    def test_undecodable_bytes_are_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "reviews.csv"
+        path.write_bytes((self.HEADER + "r1,A,5\n").encode() + b"r1,\xff\xfeB,3\n")
+        with pytest.raises(ParseError) as err:
+            load_reviews(path)
+        assert err.value.line == 3
+        assert self._cli_validate(path, capsys) == (
+            cli.EXIT_VALIDATION, [f"error: {path}:3: not UTF-8 text (invalid start byte)"]
+        )
 
 
 class TestWriteScores:

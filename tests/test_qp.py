@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -403,3 +405,76 @@ class TestProblemConstruction:
         # feastol, the solver's one setting, must be a positive finite number
         with pytest.raises(ValueError, match="finite"):
             solve(two_variable_pair_problem(), feastol=value)
+
+
+class TestKKTPatternMemo:
+    """A polish on the same constraints, active rows and sparsity of Q as the
+    polish before it reuses that polish's KKT pattern and only writes Q's
+    values."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        built = []
+        pattern = qp._kkt_pattern
+
+        def counted(Q, rows_csr, active_rows):
+            built.append(active_rows.copy())
+            return pattern(Q, rows_csr, active_rows)
+
+        monkeypatch.setattr(qp, "_kkt_pattern", counted)
+        return built
+
+    def test_a_repeated_active_set_builds_the_pattern_once(self, monkeypatch):
+        compiled = compile_dataset(generate(SynthConfig(num_papers=60, seed=0)).dataset, 0.05)
+        signs = solve(compiled.problem(1.0)).active
+        compiled.constraints.last_kkt_pattern.clear()  # that solve's last polish was on signs
+        built = self._counted(monkeypatch)
+        results = [
+            qp._polish(problem.quadratic, problem.linear, compiled.constraints, signs)
+            for problem in (compiled.problem(lam) for lam in LAMBDA_GRID[:5])
+        ]
+        assert len(built) == 1
+        # reused or built afresh, the pattern gives the same polish
+        for lam, (x, w) in zip(LAMBDA_GRID[:5], results):
+            compiled.constraints.last_kkt_pattern.clear()
+            problem = compiled.problem(lam)
+            fresh_x, fresh_w = qp._polish(
+                problem.quadratic, problem.linear, compiled.constraints, signs
+            )
+            assert np.array_equal(x, fresh_x) and np.array_equal(w, fresh_w)
+
+    def test_a_changed_set_or_pattern_builds_anew(self, monkeypatch):
+        problem = two_variable_pair_problem()
+        signs = np.array([0.0, 0.0, -1.0])
+        built = self._counted(monkeypatch)
+        Q, c, constraints = problem.quadratic, problem.linear, problem.constraints
+        qp._polish(Q, c, constraints, signs)
+        qp._polish(Q, c, constraints, np.zeros(3))  # another active set
+        qp._polish(Q, c, constraints, signs)  # one slot: the first set is gone
+        dense = qp.sp.csc_matrix(np.array([[2.0, 0.5], [0.5, 2.0]]))
+        qp._polish(dense, c, constraints, signs)  # another pattern of Q
+        assert [rows.tolist() for rows in built] == [[2], [], [2], [2]]
+
+    def test_threads_sharing_constraints_get_the_serial_polishes(self):
+        # the memo is shared state: threads that keep replacing each other's
+        # pattern must still polish exactly as one thread does
+        compiled = compile_dataset(generate(SynthConfig(num_papers=60, seed=0)).dataset, 0.05)
+        sets = [solve(compiled.problem(lam)).active for lam in (LAMBDA_GRID[0], LAMBDA_GRID[-1])]
+        assert not np.array_equal(*sets)
+        jobs = [(lam, signs) for lam in LAMBDA_GRID[::4] for signs in sets]
+
+        def polish(job):
+            lam, signs = job
+            problem = compiled.problem(lam)
+            return qp._polish(problem.quadratic, problem.linear, compiled.constraints, signs)
+
+        expected = [polish(job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(5):
+                    for (x, w), (ex, ew) in zip(pool.map(polish, jobs, timeout=60), expected):
+                        assert np.array_equal(x, ex) and np.array_equal(w, ew)
+        finally:
+            sys.setswitchinterval(interval)

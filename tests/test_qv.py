@@ -132,6 +132,14 @@ class TestLambdaPath:
         assert [solution.iterations for solution in path[1:]] == [0] * (len(path) - 1)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_grid_step_iterates(self, seed):
+        # the first step starts from the empty active set and is certified
+        # after active-set corrections, like every later step
+        dataset = generate(SynthConfig(num_papers=60, seed=seed)).dataset
+        path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
+        assert [solution.iterations for solution in path] == [0] * len(path)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_step_passes_an_independent_certificate(self, seed):
         # the KKT conditions checked from scratch, with no solver code, at
         # every step, including those a corrected active set was accepted on
