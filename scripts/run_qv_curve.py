@@ -37,7 +37,7 @@ def main() -> int:
     qv_report = select_lambda(instance.dataset, deq_config=DequantizerConfig(epsilon=args.epsilon))
 
     compiled = compile_dataset(instance.dataset, args.epsilon)
-    truth = np.array([instance.truth_y[pair] for pair in instance.dataset.pair_index])
+    truth = np.array([instance.truth_y[pair] for pair in instance.dataset.pairs()])
     true_errors = [
         kendall_tau_error(truth, solution.values)
         for solution in lambda_path(compiled, qv_report.lambdas)

@@ -34,9 +34,7 @@ from .metrics import (
     trial_statistics,
 )
 from .model import (
-    Assignment,
     DequantizedScores,
-    PartialRanking,
     ReviewDataset,
     ScoreScale,
     ValidationError,

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import DEFAULT_EPSILON, DequantizedScores, PartialRanking, ReviewDataset
+import numpy as np
+
+from .model import DEFAULT_EPSILON, DequantizedScores, ReviewDataset
 
 
 class NotTotalRanking(ValueError):
@@ -47,25 +49,31 @@ class RankedGroup:
     members: tuple[str, ...]
 
 
+def _reviewer(dataset: ReviewDataset, reviewer_id: str) -> int:
+    """The position of ``reviewer_id`` in the dataset's reviewer table."""
+    r = int(dataset.reviewer_ids.searchsorted(reviewer_id))
+    if dataset.reviewer_ids[r : r + 1].tolist() != [reviewer_id]:
+        raise KeyError(reviewer_id)
+    return r
+
+
 def quantization_bins(dataset: ReviewDataset, reviewer_id: str) -> list[QuantizationBin]:
+    reviews = dataset.reviews_of(_reviewer(dataset, reviewer_id))
     by_score: dict[int, list[str]] = {}
-    for paper in dataset.assignment.papers_of_reviewer[reviewer_id]:
-        by_score.setdefault(dataset.scores[(reviewer_id, paper)], []).append(paper)
+    for paper, score in zip(
+        dataset.paper_ids[dataset.paper[reviews]], dataset.scores[reviews].tolist()
+    ):
+        by_score.setdefault(score, []).append(paper)
     return [
-        QuantizationBin(reviewer_id, score, tuple(sorted(papers)))
+        QuantizationBin(reviewer_id, score, tuple(papers))
         for score, papers in sorted(by_score.items())
     ]
 
 
 def quantized_baseline(dataset: ReviewDataset) -> DequantizedScores:
     """The reported scores themselves, as reals."""
-    return DequantizedScores(values={pair: float(z) for pair, z in dataset.scores.items()})
-
-
-def _ranking(dataset: ReviewDataset, reviewer_id: str) -> PartialRanking:
-    """The reviewer's reported ranking; empty when they reported none."""
-    return dataset.ranking_of.get(
-        reviewer_id, PartialRanking(reviewer_id=reviewer_id, ordered_pairs=frozenset())
+    return DequantizedScores(
+        values=dict(zip(dataset.pairs(), dataset.scores.astype(float).tolist()))
     )
 
 
@@ -82,10 +90,17 @@ def bre_adjusted_scores(
     naming the first reviewer, in sorted order, whose ranking leaves a pair
     of their papers unordered.
     """
-    for reviewer in sorted(dataset.assignment.reviewer_ids):
-        papers = dataset.assignment.papers_of_reviewer[reviewer]
-        if not _ranking(dataset, reviewer).is_total_over(papers):
-            raise NotTotalRanking(f"reviewer {reviewer!r} has an incomplete ranking")
+    # each reviewer's distinct pairs of scored papers that a row orders, one
+    # way or the other, as (lower, higher) review positions
+    ends = np.sort(dataset.ranked_reviews, axis=0)
+    ordered = np.unique(ends[:, (ends[0] >= 0) & (ends[0] != ends[1])], axis=1)
+    width = dataset.reviewer_ids.shape[0]
+    covered = np.bincount(dataset.reviewer[ordered[0]], minlength=width)
+    load = np.bincount(dataset.reviewer, minlength=width)
+    short = np.flatnonzero(covered < load * (load - 1) // 2)
+    if short.size:
+        reviewer = dataset.reviewer_ids[short[0]]
+        raise NotTotalRanking(f"reviewer {reviewer!r} has an incomplete ranking")
     return partial_rankings_adjusted_scores(dataset, epsilon)
 
 
@@ -101,8 +116,12 @@ def ranked_groups(
     ``GroupsInconsistent`` naming the least pair reported or implied but not
     both.
     """
-    papers = dataset.assignment.papers_of_reviewer[reviewer_id]
-    reported = _ranking(dataset, reviewer_id).ordered_pairs
+    r = _reviewer(dataset, reviewer_id)
+    papers = dataset.paper_ids[dataset.paper[dataset.reviews_of(r)]].tolist()
+    rows = dataset.rankings_of(r)
+    reported = set(
+        zip(dataset.paper_ids[dataset.better[rows]], dataset.paper_ids[dataset.worse[rows]])
+    )
     beats = {p: 0 for p in papers}
     for better, _worse in reported:
         beats[better] += 1
@@ -133,7 +152,7 @@ def partial_rankings_adjusted_scores(
     ``bre_adjusted_scores``, bit for bit.
     """
     values: dict = {}
-    for reviewer in sorted(dataset.assignment.reviewer_ids):
+    for reviewer in dataset.reviewer_ids[np.unique(dataset.reviewer)]:
         level = {
             p: g.group_index for g in ranked_groups(dataset, reviewer) for p in g.members
         }
@@ -165,15 +184,18 @@ def score_only_closed_form(dataset: ReviewDataset, lam: float) -> DequantizedSco
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    counts = {len(rs) for rs in dataset.assignment.reviewers_of_paper.values()}
+    counts = set(np.unique(dataset.paper, return_counts=True)[1].tolist())
     if len(counts) != 1:
         raise UnequalReviewCounts(f"papers have differing review counts {sorted(counts)}")
+    pairs = dataset.pairs()
     values: dict = {}
-    for p, reviewers in dataset.assignment.reviewers_of_paper.items():
-        z = [float(dataset.scores[(r, p)]) for r in reviewers]
+    # one row per paper, its reviews in reviewer order
+    by_paper = np.lexsort((dataset.reviewer, dataset.paper)).reshape(-1, counts.pop())
+    for reviews in by_paper.tolist():
+        z = [float(dataset.scores[i]) for i in reviews]
         m = _output_mean(z, lam)
-        for r, zr in zip(reviewers, z):
-            values[(r, p)] = _boxed_pull(m, zr, lam)
+        for i, zr in zip(reviews, z):
+            values[pairs[i]] = _boxed_pull(m, zr, lam)
     return DequantizedScores(values=values)
 
 

@@ -35,6 +35,10 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
 
+# an id may hold line breaks: an error prints them escaped, on one line
+_ONE_LINE = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -323,13 +327,13 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (io.ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
+        print(f"solver error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return EXIT_SOLVER
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -74,7 +74,7 @@ class DequantizeResult(DequantizedScores):
 class CompiledDataset:
     """The part of a dataset's QP that does not depend on the fit weight.
 
-    ``z`` holds the reported scores in ``pair_index`` order, ``consensus`` the
+    ``z`` holds the reported scores in review order, ``consensus`` the
     Hessian C of the consensus term (per paper the centering block
     2*(I - (1/mu) 11'), with its whole diagonal stored, as explicit zeros
     for single-review papers), ``diagonal`` the positions of that diagonal
@@ -114,13 +114,11 @@ def compile_dataset(dataset: ReviewDataset, epsilon: float) -> CompiledDataset:
     the chain's reviews by (reviewer, paper) ids.
     """
     require_valid(dataset)
-    index = dataset.pair_index
-    n = len(index)
-    z = np.array([dataset.scores[pair] for pair in index], dtype=float)
-
-    papers: dict[str, int] = {}
-    paper_of = np.array([papers.setdefault(p, len(papers)) for _, p in index], dtype=int)
-    membership = sp.csr_matrix((np.ones(n), (np.arange(n), paper_of)), shape=(n, len(papers)))
+    z = dataset.scores.astype(float)
+    n = z.shape[0]
+    paper_of = dataset.paper
+    shape = (n, dataset.paper_ids.shape[0])
+    membership = sp.csr_matrix((np.ones(n), (np.arange(n), paper_of)), shape=shape)
     # the pattern of C: every two reviews of one paper, the diagonal included
     consensus = (membership @ membership.T).tocsc()
     consensus.sort_indices()
@@ -129,15 +127,13 @@ def compile_dataset(dataset: ReviewDataset, epsilon: float) -> CompiledDataset:
     on_diagonal = rows == cols
     consensus.data = 2.0 * (on_diagonal - 1.0 / np.bincount(paper_of)[paper_of[rows]])
 
-    pair_constraints = tuple(
-        (index[(r, better)], index[(r, worse)], float(epsilon))
-        for r, better, worse in dataset.ranking_pairs()
-    )
+    better, worse = dataset.ranked_reviews.tolist()
+    pair_constraints = tuple((i, j, float(epsilon)) for i, j in zip(better, worse))
     constraints = Constraints(z - 0.5, z + 0.5, pair_constraints)
     feasibility = constraints.feasibility
     if not feasibility.feasible:
         chain = list(feasibility.witness)
-        pairs = list(index)
+        pairs = dataset.pairs()
         reviews = " > ".join("({}, {})".format(*pairs[i]) for i in chain)
         raise InfeasibleProblem(
             f"ranked chain of {len(chain)} reviews cannot be separated by epsilon={epsilon:g} "
@@ -172,7 +168,7 @@ def dequantize(
         validation = select_lambda(dataset, deq_config=config)
         config = dataclasses.replace(config, lam=validation.selected_lambda)
     solution = solve(assemble(dataset, config), config.feastol)
-    values = {pair: float(solution.values[i]) for pair, i in dataset.pair_index.items()}
+    values = dict(zip(dataset.pairs(), solution.values.tolist()))
     return DequantizeResult(values=values, lam=config.lam, validation=validation)
 
 
@@ -185,12 +181,8 @@ def consistency_report(
     no pairs exist); a consistent output has violation ~0 and margin >=
     epsilon - tolerance.
     """
-    worst_box = 0.0
-    for pair, value in scores.values.items():
-        z = dataset.scores[pair]
-        worst_box = max(worst_box, (z - 0.5) - value, value - (z + 0.5))
-    min_margin = math.inf
-    for r, better, worse in dataset.ranking_pairs():
-        margin = scores.values[(r, better)] - scores.values[(r, worse)]
-        min_margin = min(min_margin, margin)
-    return worst_box, min_margin
+    y = np.array([scores.values[pair] for pair in dataset.pairs()], dtype=float)
+    z = dataset.scores.astype(float)
+    worst_box = float(np.max(np.maximum((z - 0.5) - y, y - (z + 0.5)), initial=0.0))
+    better, worse = dataset.ranked_reviews
+    return worst_box, float(np.min(y[better] - y[worse], initial=math.inf))

@@ -210,12 +210,13 @@ def _run_method(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _evaluate(estimate: DequantizedScores, truth, metrics, project_l2: bool) -> dict:
+def _evaluate(estimate: DequantizedScores, truth, pairs, metrics, project_l2: bool) -> dict:
+    """The metrics of ``estimate`` against ``truth``, both dicts over the
+    review ``pairs``, read in that order."""
     if set(truth) != set(estimate.values):
         raise ValueError("truth and estimate must be defined on the same keys")
-    keys = sorted(truth)
-    t = np.array([truth[k] for k in keys], dtype=float)
-    e = np.array([estimate.values[k] for k in keys], dtype=float)
+    t = np.array([truth[k] for k in pairs], dtype=float)
+    e = np.array([estimate.values[k] for k in pairs], dtype=float)
     out: dict = {}
     if "kendall" in metrics:
         out["kendall"] = kendall_tau_error(t, e)
@@ -232,11 +233,12 @@ def _run_trial(spec: ExperimentSpec, sweep_value, trial: int) -> dict:
     if spec.sweep_parameter == "lambda":
         lam = float(sweep_value)
     config = DequantizerConfig(lam=lam, epsilon=spec.epsilon, feastol=spec.feasibility_tolerance)
+    pairs = dataset.pairs()
     row: dict = {}
     for method in spec.methods:
         scores, selected = _run_method(method, dataset, config)
         row[method] = {
-            "metrics": _evaluate(scores, truth, spec.metrics, project_l2),
+            "metrics": _evaluate(scores, truth, pairs, spec.metrics, project_l2),
             "selected_lambda": selected,
         }
     return row

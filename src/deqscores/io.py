@@ -18,15 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import percentiles
-from .model import (
-    Assignment,
-    DequantizedScores,
-    Pair,
-    PartialRanking,
-    ReviewDataset,
-    ScoreScale,
-    require_valid,
-)
+from .model import DequantizedScores, Pair, ReviewDataset, ScoreScale, require_valid
 from .qv import coarsen
 from .synth import random_regular_assignment, require_counts
 
@@ -59,7 +51,9 @@ def _read_rows(path, expected_header: list[str]):
                 raise ParseError(path, 1, "empty file") from None
             if [h.strip() for h in header] != expected_header:
                 raise ParseError(path, 1, f"expected header {','.join(expected_header)}")
-            for line_no, row in enumerate(reader, start=2):
+            end = reader.line_num
+            for row in reader:  # a quoted field may span lines: a row's first counts
+                line_no, end = end + 1, reader.line_num
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 if len(row) != len(expected_header):
@@ -91,9 +85,10 @@ def load_reviews(
     """Parse reviews (and optional rankings) into a validated dataset.
 
     Without an explicit ``scale`` the bounds are inferred as the min/max
-    observed score (widened by one when all scores coincide). Parse problems
-    raise ``ParseError`` with the offending line; a dataset violating the
-    model invariants raises ``ValidationError`` listing every violation.
+    observed score (widened by one when all scores coincide). Parse problems,
+    a score that does not fit int64 among them, raise ``ParseError`` with the
+    offending line; a dataset violating the model invariants raises
+    ``ValidationError`` listing every violation.
     """
     scores: dict[Pair, int] = {}
     for line_no, (reviewer, paper, score_text) in _read_rows(
@@ -103,16 +98,16 @@ def load_reviews(
             score = int(score_text)
         except ValueError:
             raise ParseError(reviews_path, line_no, f"score {score_text!r} is not an integer")
+        if not -(2**63) <= score < 2**63:
+            raise ParseError(reviews_path, line_no, f"score {score_text!r} does not fit int64")
         if (reviewer, paper) in scores:
             raise ParseError(reviews_path, line_no, f"duplicate review ({reviewer}, {paper})")
         scores[(reviewer, paper)] = score
 
-    ranking_pairs: dict[str, set[Pair]] = {}
+    rankings = []
     if rankings_path is not None:
-        for line_no, (reviewer, better, worse) in _read_rows(
-            rankings_path, ["reviewer_id", "better_paper_id", "worse_paper_id"]
-        ):
-            ranking_pairs.setdefault(reviewer, set()).add((better, worse))
+        header = ["reviewer_id", "better_paper_id", "worse_paper_id"]
+        rankings = [tuple(row) for _, row in _read_rows(rankings_path, header)]
 
     if not scores:
         raise ParseError(reviews_path, 2, "no reviews")
@@ -121,15 +116,7 @@ def load_reviews(
         hi = max(scores.values())
         scale = (lo, hi if hi > lo else lo + 1)
 
-    dataset = ReviewDataset(
-        scale=ScoreScale(*scale),
-        assignment=Assignment.from_pairs(scores.keys()),
-        scores=scores,
-        rankings=tuple(
-            PartialRanking(reviewer_id=r, ordered_pairs=frozenset(pairs))
-            for r, pairs in sorted(ranking_pairs.items())
-        ),
-    )
+    dataset = ReviewDataset.from_records(ScoreScale(*scale), scores, rankings)
     require_valid(dataset)
     return dataset
 
@@ -143,25 +130,18 @@ def write_scores(scores: DequantizedScores, dataset: ReviewDataset, path) -> Non
     are ranks of the printed scores, so reviews that print the same score
     share one percentile and order by reviewer.
     """
-    printed = {pair: float(format(value, ".12g")) for pair, value in scores.values.items()}
-    pct = percentiles(printed)
-    rows = sorted(printed.items(), key=lambda kv: (kv[0][1], -kv[1], kv[0][0]))
-    path = Path(path)
+    pairs = dataset.pairs()
+    text = [format(scores.values[pair], ".12g") for pair in pairs]
+    printed = np.array([float(t) for t in text])
+    pct = [format(p, ".12g") for p in percentiles(printed).tolist()]
+    order = np.lexsort((dataset.reviewer, -printed, dataset.paper)).tolist()
+    quantized = dataset.scores.tolist()
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["reviewer_id", "paper_id", "quantized_score", "dequantized_score", "percentile"]
         )
-        for (reviewer, paper), value in rows:
-            writer.writerow(
-                [
-                    reviewer,
-                    paper,
-                    dataset.scores[(reviewer, paper)],
-                    format(value, ".12g"),
-                    format(pct[(reviewer, paper)], ".12g"),
-                ]
-            )
+        writer.writerows((*pairs[i], quantized[i], text[i], pct[i]) for i in order)
 
 
 def prepare_half_scale(
@@ -215,7 +195,7 @@ def prepare_half_scale(
         keep = rng.choice(len(values), size=reviews_per_paper, replace=False)
         retained[paper] = [values[i] for i in sorted(keep)]
 
-    assignment = random_regular_assignment(
+    pairs = random_regular_assignment(
         len(papers),
         num_reviewers,
         papers_per_reviewer,
@@ -223,18 +203,11 @@ def prepare_half_scale(
         rng,
         paper_ids=papers,
     )
-    truth_y: dict[Pair, float] = {}
-    for paper in papers:
-        reviewers = assignment.reviewers_of_paper[paper]
-        for reviewer, value in zip(reviewers, retained[paper]):
-            truth_y[(reviewer, paper)] = float(value)
-
-    fine = ReviewDataset(
-        scale=ScoreScale(1, 10),
-        assignment=assignment,
-        scores={pair: int(y) for pair, y in truth_y.items()},
-        rankings=(),
-    )
+    # each paper's reviewers, in id order, take its retained values in order
+    by_paper = sorted(pairs, key=lambda pair: (pair[1], pair[0]))
+    values = [value for paper in papers for value in retained[paper]]
+    truth_y = {pair: float(value) for pair, value in zip(by_paper, values)}
+    fine = ReviewDataset.from_records(ScoreScale(1, 10), dict(zip(by_paper, values)))
     return coarsen(fine), truth_y
 
 
@@ -244,16 +217,18 @@ def write_synthetic(instance, prefix) -> tuple[Path, Path, Path]:
     reviews_path = prefix.with_name(prefix.name + "_reviews.csv")
     rankings_path = prefix.with_name(prefix.name + "_rankings.csv")
     truth_path = prefix.with_name(prefix.name + "_truth.csv")
+    dataset = instance.dataset
     with open(reviews_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["reviewer_id", "paper_id", "score"])
-        for (reviewer, paper), z in sorted(instance.dataset.scores.items()):
-            writer.writerow([reviewer, paper, z])
+        writer.writerows((*pair, z) for pair, z in zip(dataset.pairs(), dataset.scores.tolist()))
     with open(rankings_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["reviewer_id", "better_paper_id", "worse_paper_id"])
-        for reviewer, better, worse in instance.dataset.ranking_pairs():
-            writer.writerow([reviewer, better, worse])
+        reviewers, papers = dataset.reviewer_ids, dataset.paper_ids
+        writer.writerows(
+            zip(reviewers[dataset.ranked_by], papers[dataset.better], papers[dataset.worse])
+        )
     with open(truth_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["reviewer_id", "paper_id", "true_value"])

@@ -44,6 +44,13 @@ def _finite(values, name: str) -> np.ndarray:
     return arr
 
 
+def _vector(values) -> np.ndarray:
+    arr = _finite(values, "values")
+    if arr.ndim != 1:
+        raise ValueError(f"values must be a 1-D vector, got shape {arr.shape}")
+    return arr
+
+
 def _tie_bounds(s: np.ndarray) -> np.ndarray:
     """For ascending ``s``, the first position p > r with
     ``s[p] - s[r] >= TIE_TOLERANCE`` as computed in floating point (``n`` if
@@ -157,9 +164,7 @@ def tie_fraction(values) -> float:
     in floating point, is below ``TIE_TOLERANCE`` in absolute value: the tie
     rule of ``kendall_tau_error``, counted by sorting in O(n log n).
     Non-finite values raise ``ValueError``."""
-    values = _finite(values, "values")
-    if values.ndim != 1:
-        raise ValueError(f"values must be a 1-D vector, got shape {values.shape}")
+    values = _vector(values)
     n = values.shape[0]
     total = n * (n - 1) // 2
     if total == 0:
@@ -168,13 +173,12 @@ def tie_fraction(values) -> float:
     return tied / total
 
 
-def percentiles(values: dict) -> dict:
-    """Percentile rank (0..100) of each value among all values, ties sharing
-    the mean rank: with n values, the k-th smallest sits at 100*(k - 0.5)/n."""
-    keys = sorted(values)
-    arr = np.array([values[k] for k in keys], dtype=float)
-    pct = 100.0 * (_average_ranks(arr) - 0.5) / arr.shape[0]
-    return {k: float(p) for k, p in zip(keys, pct)}
+def percentiles(values) -> np.ndarray:
+    """Percentile rank (0..100) of each entry of a 1-D vector among all its
+    entries, ties sharing the mean rank: with n values, the k-th smallest
+    sits at 100*(k - 0.5)/n. Non-finite values raise ``ValueError``."""
+    arr = _vector(values)
+    return 100.0 * (_average_ranks(arr) - 0.5) / arr.shape[0]
 
 
 def _average_ranks(arr: np.ndarray) -> np.ndarray:

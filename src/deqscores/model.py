@@ -1,13 +1,14 @@
-"""Domain types for review data: scales, assignments, scores, and partial rankings.
+"""Domain types for review data: scales, scores and partial rankings.
 
-Reviewer and paper ids are opaque strings. Wherever a dense vector layout is
-needed, review pairs are indexed in lexicographic (reviewer_id, paper_id)
-order so that matrix layouts are reproducible across runs.
+Reviewer and paper ids are opaque strings, interned once into sorted id
+tables. Reviews are held in lexicographic (reviewer_id, paper_id) order, the
+order of every dense vector over them, so that matrix layouts are
+reproducible across runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -59,99 +60,58 @@ class ScoreScale:
                 f"score scale needs lower < upper, got [{self.lower_bound}, {self.upper_bound}]"
             )
 
-    def contains(self, score: int) -> bool:
-        return self.lower_bound <= score <= self.upper_bound
 
+@dataclass(frozen=True, eq=False)
+class ReviewDataset:
+    """Quantized scores plus per-reviewer partial rankings, as interned arrays.
 
-@dataclass(frozen=True)
-class Assignment:
-    """The set of (reviewer_id, paper_id) pairs under review."""
+    ``reviewer_ids`` and ``paper_ids`` are sorted id tables covering every id
+    that a review or a ranking row names. Review i is reviewer
+    ``reviewer[i]``'s score ``scores[i]`` for paper ``paper[i]`` (indices
+    into the tables); the reviews are in lexicographic (reviewer_id,
+    paper_id) order, so each reviewer's reviews are one contiguous slice.
+    Ranking row k says that reviewer ``ranked_by[k]`` put paper ``better[k]``
+    over paper ``worse[k]``; the rows are distinct and in lexicographic
+    (reviewer, better, worse) order. ``from_records`` builds a dataset.
 
-    pairs: frozenset[Pair]
-    reviewer_ids: frozenset[str]
-    paper_ids: frozenset[str]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "Assignment":
-        pairs = frozenset(pairs)
-        return cls(
-            pairs=pairs,
-            reviewer_ids=frozenset(r for r, _ in pairs),
-            paper_ids=frozenset(p for _, p in pairs),
-        )
-
-    def __post_init__(self) -> None:
-        missing_r = {r for r, _ in self.pairs} - self.reviewer_ids
-        missing_p = {p for _, p in self.pairs} - self.paper_ids
-        if missing_r or missing_p:
-            raise ValueError(f"ids in pairs missing from id sets: {missing_r | missing_p}")
-
-    @cached_property
-    def papers_of_reviewer(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {r: [] for r in self.reviewer_ids}
-        for r, p in sorted(self.pairs):
-            out[r].append(p)
-        return {r: tuple(ps) for r, ps in out.items()}
-
-    @cached_property
-    def reviewers_of_paper(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {p: [] for p in self.paper_ids}
-        for r, p in sorted(self.pairs):
-            out[p].append(r)
-        return {p: tuple(rs) for p, rs in out.items()}
-
-
-@dataclass(frozen=True)
-class PartialRanking:
-    """Strict ordered pairs (better_paper, worse_paper) reported by one reviewer.
-
-    Invariants (checked by ``validate``, not at construction, so that invalid
-    input can be diagnosed): both papers of every pair are assigned to the
-    reviewer, the relation is irreflexive, and its transitive closure is
-    acyclic.
+    Invariants such as "a ranked paper has the reviewer's score" are checked
+    by ``validate``, not at construction, so that invalid input can be
+    diagnosed.
     """
 
-    reviewer_id: str
-    ordered_pairs: frozenset[Pair]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.ordered_pairs
-
-    def is_total_over(self, papers) -> bool:
-        """True if every pair of distinct papers is ordered one way or the other."""
-        papers = list(papers)
-        for i, p in enumerate(papers):
-            for q in papers[i + 1 :]:
-                if (p, q) not in self.ordered_pairs and (q, p) not in self.ordered_pairs:
-                    return False
-        return True
-
-
-@dataclass(frozen=True)
-class ReviewDataset:
-    """Quantized scores plus per-reviewer partial rankings over an assignment."""
-
     scale: ScoreScale
-    assignment: Assignment
-    scores: dict[Pair, int]
-    rankings: tuple[PartialRanking, ...]
+    reviewer_ids: np.ndarray
+    paper_ids: np.ndarray
+    reviewer: np.ndarray
+    paper: np.ndarray
+    scores: np.ndarray
+    ranked_by: np.ndarray
+    better: np.ndarray
+    worse: np.ndarray
 
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for ranking in self.rankings:
-            if ranking.reviewer_id in seen:
-                raise ValueError(f"multiple rankings for reviewer {ranking.reviewer_id!r}")
-            seen.add(ranking.reviewer_id)
-
-    @cached_property
-    def pair_index(self) -> dict[Pair, int]:
-        """Dense variable index per review pair, lexicographic by (reviewer, paper)."""
-        return {pair: i for i, pair in enumerate(sorted(self.assignment.pairs))}
-
-    @cached_property
-    def ranking_of(self) -> dict[str, PartialRanking]:
-        return {rk.reviewer_id: rk for rk in self.rankings}
+    @classmethod
+    def from_records(
+        cls, scale: ScoreScale, scores: dict[Pair, int], rankings=()
+    ) -> ReviewDataset:
+        """Intern ``{(reviewer_id, paper_id): score}`` and ranking rows
+        ``(reviewer_id, better_paper_id, worse_paper_id)`` (repeats count
+        once) into the sorted array layout. Scores must fit int64."""
+        rows = set(rankings)
+        reviewer_ids = sorted({r for r, _ in scores} | {r for r, _, _ in rows})
+        paper_ids = sorted({p for _, p in scores} | {p for _, *papers in rows for p in papers})
+        r_index = {r: i for i, r in enumerate(reviewer_ids)}
+        p_index = {p: i for i, p in enumerate(paper_ids)}
+        reviews = np.array(
+            [(r_index[r], p_index[p], z) for (r, p), z in scores.items()], dtype=np.int64
+        ).reshape(-1, 3)
+        ranked = np.array(
+            [(r_index[r], p_index[b], p_index[w]) for r, b, w in rows], dtype=np.int64
+        ).reshape(-1, 3)
+        # reviews by (reviewer, paper), rows by (reviewer, better, worse)
+        reviews = reviews[np.lexsort(reviews.T[1::-1])]
+        ranked = ranked[np.lexsort(ranked.T[::-1])]
+        ids = np.array(reviewer_ids, dtype=object), np.array(paper_ids, dtype=object)
+        return cls(scale, *ids, *reviews.T, *ranked.T)
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -160,18 +120,41 @@ class ReviewDataset:
 
     @property
     def num_reviews(self) -> int:
-        return len(self.assignment.pairs)
+        return self.scores.shape[0]
 
-    def ranking_pairs(self):
-        """Yield (reviewer_id, better_paper, worse_paper) over all reported pairs."""
-        for ranking in self.rankings:
-            for better, worse in sorted(ranking.ordered_pairs):
-                yield ranking.reviewer_id, better, worse
+    def pairs(self) -> list[Pair]:
+        """The (reviewer_id, paper_id) of each review, in review order."""
+        return list(zip(self.reviewer_ids[self.reviewer], self.paper_ids[self.paper]))
+
+    def reviews_of(self, reviewer: int) -> slice:
+        """The reviews of the reviewer at ``reviewer_ids[reviewer]``."""
+        return slice(*self._bounds[0][reviewer : reviewer + 2])
+
+    def rankings_of(self, reviewer: int) -> slice:
+        """The ranking rows of the reviewer at ``reviewer_ids[reviewer]``."""
+        return slice(*self._bounds[1][reviewer : reviewer + 2])
+
+    @cached_property
+    def _bounds(self) -> list[list[int]]:
+        everyone = np.arange(self.reviewer_ids.shape[0] + 1)
+        return [np.searchsorted(a, everyone).tolist() for a in (self.reviewer, self.ranked_by)]
+
+    @cached_property
+    def ranked_reviews(self) -> np.ndarray:
+        """The review positions of each ranking row's better paper (row 0)
+        and worse paper (row 1), -1 where the reviewer scored no such paper."""
+        width = self.paper_ids.shape[0]
+        keys = self.reviewer * width + self.paper  # ascending
+        query = self.ranked_by * width + np.stack([self.better, self.worse])
+        at = np.searchsorted(keys, query)
+        at[np.append(keys, -1)[at] != query] = -1
+        return at
 
 
 @dataclass(frozen=True)
 class DequantizedScores:
-    """Real-valued output scores, defined exactly on the originating assignment."""
+    """Real-valued output scores, keyed by the (reviewer_id, paper_id) of each
+    review of the originating dataset."""
 
     values: dict[Pair, float]
 
@@ -180,81 +163,59 @@ def validate(dataset: ReviewDataset) -> list[Violation]:
     """Check every dataset invariant; an empty result means the dataset is valid.
 
     Reason codes: OUT_OF_RANGE (score outside the scale), UNASSIGNED_PAIR
-    (scores or ranking pairs not matching the assignment), RANK_SCORE_INCONSISTENT
-    (a reported pair contradicting the scores), RANK_CYCLE (cyclic ranking
-    relation, including self-pairs). Each cycle is named once, by the papers
-    of one strongly connected component of the reviewer's usable pairs. Each
-    reviewer's cycles follow that reviewer's pair-level violations, ordered
-    by their sorted member lists.
+    (a ranking pair naming a paper the reviewer did not score),
+    RANK_SCORE_INCONSISTENT (a reported pair contradicting the scores),
+    RANK_CYCLE (cyclic ranking relation, including self-pairs). The
+    out-of-range scores come first, in review order; then each reviewer's
+    ranking rows in order, each reviewer's cycles after its rows. Each cycle
+    is named once, by the papers of one strongly connected component of the
+    reviewer's usable pairs, and a reviewer's cycles are ordered by their
+    sorted member lists.
     """
-    violations: list[Violation] = []
-    pairs = dataset.assignment.pairs
+    reviewer_ids, paper_ids, z = dataset.reviewer_ids, dataset.paper_ids, dataset.scores
+    lo, hi = dataset.scale.lower_bound, dataset.scale.upper_bound
+    bad = (z < lo) | (z > hi)
+    violations = [
+        Violation(
+            OUT_OF_RANGE,
+            reviewer_ids[r],
+            f"score {s} for paper {paper_ids[p]!r} outside [{lo}, {hi}]",
+        )
+        for r, p, s in zip(dataset.reviewer[bad], dataset.paper[bad], z[bad].tolist())
+    ]
 
-    for (r, p), z in sorted(dataset.scores.items()):
-        if (r, p) not in pairs:
-            violations.append(Violation(UNASSIGNED_PAIR, r, f"score for unassigned paper {p!r}"))
-        elif not dataset.scale.contains(z):
-            violations.append(
-                Violation(
-                    OUT_OF_RANGE,
-                    r,
-                    f"score {z} for paper {p!r} outside "
-                    f"[{dataset.scale.lower_bound}, {dataset.scale.upper_bound}]",
-                )
-            )
-    for r, p in sorted(pairs):
-        if (r, p) not in dataset.scores:
-            violations.append(Violation(UNASSIGNED_PAIR, r, f"missing score for paper {p!r}"))
+    better, worse = dataset.ranked_reviews
+    self_pair = dataset.better == dataset.worse
+    usable = ~self_pair & (better >= 0) & (worse >= 0)
+    inconsistent = np.zeros_like(usable)
+    inconsistent[usable] = z[better[usable]] < z[worse[usable]]
+    # (reviewer, 0 for a ranking row or 1 for a cycle, code, detail)
+    found: list[tuple[int, int, str, str]] = []
+    for k in np.flatnonzero(~usable | inconsistent).tolist():
+        r, b, w = dataset.ranked_by[k], paper_ids[dataset.better[k]], paper_ids[dataset.worse[k]]
+        if self_pair[k]:
+            found.append((r, 0, RANK_CYCLE, f"self-pair ({b!r}, {w!r})"))
+        elif usable[k]:
+            detail = f"({b!r}, {w!r}) but scores are {z[better[k]]} < {z[worse[k]]}"
+            found.append((r, 0, RANK_SCORE_INCONSISTENT, detail))
+        else:
+            for paper in [p for p, at in ((b, better[k]), (w, worse[k])) if at < 0]:
+                detail = f"ranking references unscored paper {paper!r}"
+                found.append((r, 0, UNASSIGNED_PAIR, detail))
 
     # rankings never link two reviewers, so each strong component of the
-    # whole dataset's ranking graph lies inside one reviewer's papers
-    index = dataset.pair_index
-    better_nodes: list[int] = []
-    worse_nodes: list[int] = []
-    by_reviewer: dict[str, list[Violation]] = {}
-    for ranking in dataset.rankings:
-        r = ranking.reviewer_id
-        found = by_reviewer[r] = []
-        for better, worse in sorted(ranking.ordered_pairs):
-            if better == worse:
-                found.append(Violation(RANK_CYCLE, r, f"self-pair ({better!r}, {worse!r})"))
-                continue
-            ok = True
-            for paper in (better, worse):
-                if (r, paper) not in pairs or (r, paper) not in dataset.scores:
-                    found.append(
-                        Violation(UNASSIGNED_PAIR, r, f"ranking references unscored paper {paper!r}")
-                    )
-                    ok = False
-            if not ok:
-                continue
-            better_nodes.append(index[(r, better)])
-            worse_nodes.append(index[(r, worse)])
-            if dataset.scores[(r, better)] < dataset.scores[(r, worse)]:
-                found.append(
-                    Violation(
-                        RANK_SCORE_INCONSISTENT,
-                        r,
-                        f"({better!r}, {worse!r}) but scores are "
-                        f"{dataset.scores[(r, better)]} < {dataset.scores[(r, worse)]}",
-                    )
-                )
-
-    ones = np.ones(len(better_nodes))
-    graph = sp.csr_matrix((ones, (better_nodes, worse_nodes)), shape=(len(index), len(index)))
-    _, labels = connected_components(graph, connection="strong")
-    keys = list(index)
-    cycles: dict[int, list[Pair]] = {}
-    for node in np.flatnonzero(np.bincount(labels)[labels] > 1):
-        cycles.setdefault(labels[node], []).append(keys[node])
+    # whole dataset's ranking graph lies inside one reviewer's reviews
+    n = z.shape[0]
+    edges = (np.ones(int(usable.sum())), (better[usable], worse[usable]))
+    _, labels = connected_components(sp.csr_matrix(edges, shape=(n, n)), connection="strong")
+    cycles: dict[int, list[int]] = {}
+    for node in np.flatnonzero(np.bincount(labels)[labels] > 1).tolist():
+        cycles.setdefault(labels[node], []).append(node)
     for members in sorted(cycles.values()):
-        r = members[0][0]
-        by_reviewer[r].append(
-            Violation(RANK_CYCLE, r, "cycle through " + " > ".join(p for _, p in members))
-        )
-    for found in by_reviewer.values():
-        violations.extend(found)
-    return violations
+        detail = "cycle through " + " > ".join(paper_ids[dataset.paper[members]])
+        found.append((dataset.reviewer[members[0]], 1, RANK_CYCLE, detail))
+    found.sort(key=lambda entry: entry[:2])
+    return violations + [Violation(code, reviewer_ids[r], detail) for r, _, code, detail in found]
 
 
 def require_valid(dataset: ReviewDataset) -> None:
@@ -262,24 +223,26 @@ def require_valid(dataset: ReviewDataset) -> None:
         raise ValidationError(list(dataset.violations))
 
 
-def derive_rankings_from_raw_scores(raw: dict[Pair, float]) -> list[PartialRanking]:
-    """Build per-reviewer rankings from real-valued scores by strict comparison.
+def derive_rankings_from_raw_scores(dataset: ReviewDataset, raw) -> ReviewDataset:
+    """``dataset`` with its rankings derived from real values ``raw``,
+    aligned with its reviews, by strict comparison.
 
-    For each reviewer, every pair of assigned papers with strictly different
-    raw values yields one ordered pair; exact ties yield none.
+    For each reviewer, every pair of scored papers with strictly different
+    raw values yields one ordered pair, the higher value better; exact ties
+    yield none.
     """
-    by_reviewer: dict[str, list[tuple[str, float]]] = {}
-    for (r, p), value in raw.items():
-        by_reviewer.setdefault(r, []).append((p, value))
-    rankings = []
-    for r in sorted(by_reviewer):
-        entries = by_reviewer[r]
-        ordered = set()
-        for i, (p, vp) in enumerate(entries):
-            for q, vq in entries[i + 1 :]:
-                if vp > vq:
-                    ordered.add((p, q))
-                elif vq > vp:
-                    ordered.add((q, p))
-        rankings.append(PartialRanking(reviewer_id=r, ordered_pairs=frozenset(ordered)))
-    return rankings
+    raw = np.asarray(raw)
+    # each review against every review of its reviewer's slice, in row-major
+    # order, so the rows come out sorted by (reviewer, better, worse)
+    start = np.searchsorted(dataset.reviewer, dataset.reviewer)
+    size = np.searchsorted(dataset.reviewer, dataset.reviewer, side="right") - start
+    first = np.repeat(np.arange(raw.shape[0]), size)
+    second = np.repeat(start - np.cumsum(size) + size, size) + np.arange(first.shape[0])
+    keep = raw[first] > raw[second]
+    first, second = first[keep], second[keep]
+    return replace(
+        dataset,
+        ranked_by=dataset.reviewer[first],
+        better=dataset.paper[first],
+        worse=dataset.paper[second],
+    )

@@ -11,20 +11,14 @@ validation error, ties broken toward the smallest value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .dequantize import CompiledDataset, DequantizerConfig, compile_dataset
 from .metrics import kendall_tau_error
-from .model import (
-    Pair,
-    ReviewDataset,
-    ScoreScale,
-    derive_rankings_from_raw_scores,
-    require_valid,
-)
+from .model import ReviewDataset, ScoreScale, derive_rankings_from_raw_scores, require_valid
 from .qp import DEFAULT_FEASTOL, ActiveSet, Solution, solve
 
 
@@ -36,9 +30,9 @@ class DegenerateValidation(ValueError):
 LAMBDA_GRID = tuple(math.exp(t / 4.0) for t in range(40))
 
 
-def halve_score(z: int) -> int:
-    """The coarsener: ceil(z / 2)."""
-    return math.ceil(z / 2)
+def halve_score(z):
+    """The coarsener: ceil(z / 2), exact for integers and integer arrays."""
+    return z // 2 + z % 2
 
 
 @dataclass(frozen=True)
@@ -63,15 +57,8 @@ def coarsen(dataset: ReviewDataset) -> ReviewDataset:
     if lower == upper:
         raise DegenerateValidation("halving collapses the scale to one level")
 
-    coarse_scores = {pair: halve_score(z) for pair, z in dataset.scores.items()}
-    raw: dict[Pair, float] = {pair: float(z) for pair, z in dataset.scores.items()}
-    rankings = tuple(derive_rankings_from_raw_scores(raw))
-    return ReviewDataset(
-        scale=ScoreScale(lower, upper),
-        assignment=dataset.assignment,
-        scores=coarse_scores,
-        rankings=rankings,
-    )
+    coarse = replace(dataset, scale=ScoreScale(lower, upper), scores=halve_score(dataset.scores))
+    return derive_rankings_from_raw_scores(coarse, dataset.scores)
 
 
 def lambda_path(
@@ -118,12 +105,11 @@ def select_lambda(
     exact-tie omission; all-tied originals raise ``DegenerateValidation``.
     """
     require_valid(dataset)
-    if len(set(dataset.scores.values())) < 2:
+    if np.unique(dataset.scores).shape[0] < 2:
         raise DegenerateValidation("all original scores are tied; loss is undefined")
 
-    coarse = coarsen(dataset)
-    compiled = compile_dataset(coarse, deq_config.epsilon)
-    truth = np.array([dataset.scores[pair] for pair in coarse.pair_index], dtype=float)
+    compiled = compile_dataset(coarsen(dataset), deq_config.epsilon)
+    truth = dataset.scores.astype(float)
     errors = [
         kendall_tau_error(truth, solution.values)
         for solution in lambda_path(compiled, LAMBDA_GRID, deq_config.feastol)

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Assignment,
-    Pair,
-    ReviewDataset,
-    ScoreScale,
-    derive_rankings_from_raw_scores,
-)
+from .model import Pair, ReviewDataset, ScoreScale, derive_rankings_from_raw_scores
 
 
 class AssignmentError(ValueError):
@@ -87,10 +81,11 @@ def random_regular_assignment(
     reviews_per_paper: int,
     rng: np.random.Generator,
     paper_ids: list[str] | None = None,
-) -> Assignment:
+) -> list[Pair]:
     """Sample an assignment where every reviewer gets exactly
     ``papers_per_reviewer`` papers and every paper ``reviews_per_paper``
-    reviews, approximately uniformly over such bipartite graphs.
+    reviews, approximately uniformly over such bipartite graphs, as its
+    sorted (reviewer_id, paper_id) pairs.
 
     Paper slots are shuffled and dealt to reviewers; duplicate pairs inside a
     hand are then repaired by random slot swaps that keep the degrees intact.
@@ -139,12 +134,11 @@ def random_regular_assignment(
         paper_ids = _ids("p", num_papers)
     if len(paper_ids) != num_papers:
         raise ValueError(f"{len(paper_ids)} paper ids for {num_papers} papers")
-    pairs = {
+    return sorted(
         (reviewer_ids[r], paper_ids[int(hands[r, k])])
         for r in range(num_reviewers)
         for k in range(papers_per_reviewer)
-    }
-    return Assignment.from_pairs(pairs)
+    )
 
 
 def generate(config: SynthConfig) -> SynthInstance:
@@ -157,14 +151,13 @@ def generate(config: SynthConfig) -> SynthInstance:
             rng.uniform(config.truth_range[0], config.truth_range[1], config.num_papers)
         )
     }
-    assignment = random_regular_assignment(
+    pairs = random_regular_assignment(
         config.num_papers,
         config.num_reviewers,
         config.papers_per_reviewer,
         config.reviews_per_paper,
         rng,
     )
-    pairs = sorted(assignment.pairs)
     lo_clip, hi_clip = config.clip_range
     truth_y: dict[Pair, float] = {}
     for r, p in pairs:
@@ -175,13 +168,9 @@ def generate(config: SynthConfig) -> SynthInstance:
     scores = {
         pair: int(min(max(np.floor(y + 0.5), lo_z), hi_z)) for pair, y in truth_y.items()
     }
-    rankings = tuple(derive_rankings_from_raw_scores(truth_y))
-    dataset = ReviewDataset(
-        scale=ScoreScale(lo_z, hi_z),
-        assignment=assignment,
-        scores=scores,
-        rankings=rankings,
-    )
+    dataset = ReviewDataset.from_records(ScoreScale(lo_z, hi_z), scores)
+    # the records are in review order, so the truth values align with it
+    dataset = derive_rankings_from_raw_scores(dataset, list(truth_y.values()))
     return SynthInstance(dataset=dataset, truth_x_star=x_star, truth_y=truth_y)
 
 

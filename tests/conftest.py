@@ -5,27 +5,69 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from deqscores.model import (
-    Assignment,
-    PartialRanking,
-    ReviewDataset,
-    ScoreScale,
-)
+from deqscores.model import ReviewDataset, ScoreScale
 
 
 def make_dataset(scores, ranking_pairs=None, scale=(0, 10)):
     """Build a dataset from {(reviewer, paper): score} and optional
     {reviewer: [(better, worse), ...]}."""
-    rankings = []
-    for reviewer, pairs in sorted((ranking_pairs or {}).items()):
-        rankings.append(
-            PartialRanking(reviewer_id=reviewer, ordered_pairs=frozenset(pairs))
+    rows = [
+        (reviewer, better, worse)
+        for reviewer, pairs in (ranking_pairs or {}).items()
+        for better, worse in pairs
+    ]
+    return ReviewDataset.from_records(ScoreScale(*scale), scores, rows)
+
+
+def score_records(dataset) -> dict:
+    """{(reviewer_id, paper_id): score} of a dataset's reviews."""
+    return dict(zip(dataset.pairs(), dataset.scores.tolist()))
+
+
+def ranking_records(dataset) -> list[tuple[str, str, str]]:
+    """(reviewer_id, better_paper_id, worse_paper_id) of each ranking row."""
+    return list(
+        zip(
+            dataset.reviewer_ids[dataset.ranked_by].tolist(),
+            dataset.paper_ids[dataset.better].tolist(),
+            dataset.paper_ids[dataset.worse].tolist(),
         )
-    return ReviewDataset(
-        scale=ScoreScale(*scale),
-        assignment=Assignment.from_pairs(scores.keys()),
-        scores=dict(scores),
-        rankings=tuple(rankings),
+    )
+
+
+def rankings_by_reviewer(dataset) -> dict[str, frozenset]:
+    """{reviewer_id: frozenset of (better, worse)} over reviewers with rows."""
+    out: dict[str, set] = {}
+    for reviewer, better, worse in ranking_records(dataset):
+        out.setdefault(reviewer, set()).add((better, worse))
+    return {r: frozenset(pairs) for r, pairs in out.items()}
+
+
+def papers_by_reviewer(dataset) -> dict[str, list[str]]:
+    """{reviewer_id: the papers they scored, in id order}."""
+    out: dict[str, list[str]] = {}
+    for reviewer, paper in dataset.pairs():
+        out.setdefault(reviewer, []).append(paper)
+    return out
+
+
+def reviewers_by_paper(dataset) -> dict[str, list[str]]:
+    """{paper_id: the reviewers who scored it, in id order}."""
+    out: dict[str, list[str]] = {}
+    for reviewer, paper in sorted(dataset.pairs(), key=lambda pair: pair[::-1]):
+        out.setdefault(paper, []).append(reviewer)
+    return out
+
+
+def rankings_are_total(dataset) -> bool:
+    """True when every reviewer orders every two of their papers, one way or
+    the other."""
+    ranked = rankings_by_reviewer(dataset)
+    return all(
+        (p, q) in ranked.get(r, ()) or (q, p) in ranked.get(r, ())
+        for r, papers in papers_by_reviewer(dataset).items()
+        for i, p in enumerate(papers)
+        for q in papers[i + 1 :]
     )
 
 
@@ -42,8 +84,8 @@ def likelihood_lattice_maximizer(dataset, sigma=1.0):
     maximizer, profiling the paper qualities as each candidate's per-paper
     mean. Independent of the QP machinery; only usable for a handful of
     variables."""
-    pairs = sorted(dataset.assignment.pairs)
-    z = np.array([dataset.scores[p] for p in pairs], dtype=float)
+    pairs = dataset.pairs()
+    z = dataset.scores.astype(float)
     papers = sorted({p for _, p in pairs})
     membership = np.zeros((len(pairs), len(papers)))
     for row, (_, paper) in enumerate(pairs):

@@ -14,7 +14,11 @@ papers, the reference for ``baselines.ranked_groups``, and
 ``rank_adjusted_reference`` is the rank-wise tie breaking written directly,
 the reference for ``baselines.bre_adjusted_scores``.
 ``ranking_cycles_reference`` names ranking cycles from a transitive closure,
-the reference for the RANK_CYCLE cycles of ``model.validate``.
+the reference for the RANK_CYCLE cycles of ``model.validate``, and
+``validate_reference`` walks a dataset's records pair by pair, the reference
+for all of ``model.validate``. ``derive_rankings_reference`` compares every
+two reviews of a reviewer, the reference for
+``model.derive_rankings_from_raw_scores``.
 ``polish_kkt_reference`` builds the polish's KKT matrix with ``sp.bmat`` and
 ``sp.diags``, the reference for the solver's direct CSC assembly.
 ``certify`` checks a point's optimality from the KKT conditions alone, with
@@ -33,7 +37,14 @@ import scipy.optimize
 import scipy.sparse as sp
 
 from deqscores.metrics import TIE_TOLERANCE, AllTiedError
-from deqscores.model import DequantizedScores, ReviewDataset
+from deqscores.model import (
+    OUT_OF_RANGE,
+    RANK_CYCLE,
+    RANK_SCORE_INCONSISTENT,
+    UNASSIGNED_PAIR,
+    DequantizedScores,
+    ReviewDataset,
+)
 from deqscores.qp import InfeasibleProblem, QPProblem, Solution, SolverError, check_feasibility
 
 
@@ -116,39 +127,42 @@ def rank_adjusted_reference(dataset: ReviewDataset, epsilon: float) -> dict:
     reviewer's score bins, the paper beating the fewest others gets the
     score, the next one epsilon more, and so on; the bin is then recentered
     onto its score, summed in that rank order."""
+    scores = dict(zip(dataset.pairs(), dataset.scores.tolist()))
+    beats = {pair: 0 for pair in scores}
+    for r, better, worse in zip(
+        dataset.reviewer_ids[dataset.ranked_by],
+        dataset.paper_ids[dataset.better],
+        dataset.paper_ids[dataset.worse],
+    ):
+        beats[(r, better)] += 1
+    bins: dict[tuple[str, int], list[tuple[str, str]]] = {}
+    for pair, score in scores.items():
+        bins.setdefault((pair[0], score), []).append(pair)
     values = {}
-    for reviewer, papers in dataset.assignment.papers_of_reviewer.items():
-        beats = {p: 0 for p in papers}
-        for better, _worse in dataset.ranking_of[reviewer].ordered_pairs:
-            beats[better] += 1
-        for score in {dataset.scores[(reviewer, p)] for p in papers}:
-            members = sorted(
-                (p for p in papers if dataset.scores[(reviewer, p)] == score), key=beats.get
-            )
-            raw = [score + rank * epsilon for rank in range(len(members))]
-            excess = sum(raw) / len(members) - score
-            for p, value in zip(members, raw):
-                values[(reviewer, p)] = value - excess
+    for (_reviewer, score), members in bins.items():
+        members.sort(key=beats.get)
+        raw = [score + rank * epsilon for rank in range(len(members))]
+        excess = sum(raw) / len(members) - score
+        for pair, value in zip(members, raw):
+            values[pair] = value - excess
     return values
 
 
-def ranking_cycles_reference(dataset: ReviewDataset) -> list[tuple[str, str]]:
-    """(reviewer_id, detail) of every ranking cycle: reviewers in ranking
-    order, each reviewer's cycles ordered by their sorted member lists.
-    Two papers share a cycle when each reaches the other in the transitive
-    closure (Warshall's algorithm) of the reviewer's usable pairs: no self
-    pair, both papers assigned to the reviewer and scored."""
+def ranking_cycles_reference(scores: dict, rows) -> list[tuple[str, str]]:
+    """(reviewer_id, detail) of every ranking cycle of a dataset given as
+    records, ``scores`` {(reviewer, paper): score} and ranking ``rows``
+    (reviewer, better, worse): reviewers in id order, each reviewer's cycles
+    ordered by their sorted member lists. Two papers share a cycle when each
+    reaches the other in the transitive closure (Warshall's algorithm) of
+    the reviewer's usable pairs: no self pair, both papers scored by the
+    reviewer."""
     cycles = []
-    for ranking in dataset.rankings:
-        r = ranking.reviewer_id
+    for r in sorted({row[0] for row in rows}):
         reach = {
             (better, worse)
-            for better, worse in ranking.ordered_pairs
-            if better != worse
-            and all(
-                (r, p) in dataset.assignment.pairs and (r, p) in dataset.scores
-                for p in (better, worse)
-            )
+            for reviewer, better, worse in rows
+            if reviewer == r and better != worse
+            and (r, better) in scores and (r, worse) in scores
         }
         papers = sorted({p for pair in reach for p in pair})
         for k in papers:
@@ -162,6 +176,55 @@ def ranking_cycles_reference(dataset: ReviewDataset) -> list[tuple[str, str]]:
         for group in sorted(g for g in groups if len(g) > 1):
             cycles.append((r, "cycle through " + " > ".join(group)))
     return cycles
+
+
+def validate_reference(scale: tuple[int, int], scores: dict, rows) -> list[tuple[str, str, str]]:
+    """(code, reviewer_id, detail) of every violation of a dataset given as
+    records: ``scale`` (lower, upper), ``scores`` {(reviewer, paper): score}
+    and ranking ``rows`` (reviewer, better, worse), repeats counting once.
+    Out-of-range scores come first, in (reviewer, paper) order; then each
+    reviewer's sorted ranking pairs, checked one at a time against the score
+    dict, followed by that reviewer's cycles from
+    ``ranking_cycles_reference``."""
+    lower, upper = scale
+    violations = [
+        (OUT_OF_RANGE, r, f"score {z} for paper {p!r} outside [{lower}, {upper}]")
+        for (r, p), z in sorted(scores.items())
+        if not lower <= z <= upper
+    ]
+    by_reviewer: dict[str, list[tuple[str, str, str]]] = {}
+    for r, better, worse in sorted(set(rows)):
+        found = by_reviewer.setdefault(r, [])
+        if better == worse:
+            found.append((RANK_CYCLE, r, f"self-pair ({better!r}, {worse!r})"))
+            continue
+        unscored = [p for p in (better, worse) if (r, p) not in scores]
+        for paper in unscored:
+            found.append((UNASSIGNED_PAIR, r, f"ranking references unscored paper {paper!r}"))
+        if not unscored and scores[(r, better)] < scores[(r, worse)]:
+            detail = f"({better!r}, {worse!r}) but scores are {scores[(r, better)]} < {scores[(r, worse)]}"
+            found.append((RANK_SCORE_INCONSISTENT, r, detail))
+    for r, detail in ranking_cycles_reference(scores, rows):
+        by_reviewer[r].append((RANK_CYCLE, r, detail))
+    return violations + [v for found in by_reviewer.values() for v in found]
+
+
+def derive_rankings_reference(raw: dict) -> list[tuple[str, str, str]]:
+    """Sorted ranking rows (reviewer, better, worse) from real values
+    ``raw`` {(reviewer, paper): value}: every two papers of one reviewer
+    with strictly different values, the higher one better."""
+    by_reviewer: dict[str, list[tuple[str, float]]] = {}
+    for (r, p), value in raw.items():
+        by_reviewer.setdefault(r, []).append((p, value))
+    rows = set()
+    for r, entries in by_reviewer.items():
+        for i, (p, vp) in enumerate(entries):
+            for q, vq in entries[i + 1 :]:
+                if vp > vq:
+                    rows.add((r, p, q))
+                elif vq > vp:
+                    rows.add((r, q, p))
+    return sorted(rows)
 
 
 def constraint_violation(problem: QPProblem, y: np.ndarray) -> float:
@@ -415,8 +478,9 @@ def thurstone_joint_loglikelihood(
         raise ValueError("sigma must be positive")
     total = 0.0
     norm = -math.log(sigma * math.sqrt(2.0 * math.pi))
+    reported = dict(zip(dataset.pairs(), dataset.scores.tolist()))
     for pair, value in scores.values.items():
-        z = dataset.scores[pair]
+        z = reported[pair]
         if value < z - 0.5 - 1e-9 or value > z + 0.5 + 1e-9:
             return -math.inf
         resid = value - x_star[pair[1]]

@@ -5,7 +5,6 @@ The two eighty-second sweep fixtures are shared by the criteria that read
 them; everything else builds its own instances from fixed seeds.
 """
 
-import dataclasses
 import math
 import sys
 import time
@@ -29,13 +28,20 @@ from deqscores.metrics import (
     project_to_original_scale,
     trial_statistics,
 )
-from deqscores.model import derive_rankings_from_raw_scores
 from deqscores.qp import QPProblem, check_feasibility, solve
 from deqscores.qv import LAMBDA_GRID, select_lambda
 from deqscores.synth import SynthConfig, generate, trial_seed
 
-from conftest import likelihood_lattice_maximizer
-from oracles import brute_force_minimize
+from conftest import (
+    likelihood_lattice_maximizer,
+    make_dataset,
+    papers_by_reviewer,
+    ranking_records,
+    rankings_are_total,
+    reviewers_by_paper,
+    score_records,
+)
+from oracles import brute_force_minimize, derive_rankings_reference
 
 EPSILON = 0.05
 FEASTOL = 1e-6
@@ -121,7 +127,7 @@ def test_criterion_02_closed_form_equivalence():
                 seed=trial_seed(11, i),
             )
         )
-        ds = dataclasses.replace(instance.dataset, rankings=())
+        ds = make_dataset(score_records(instance.dataset))
         deq = dequantize(ds, DequantizerConfig(lam=lam, epsilon=EPSILON))
         closed = score_only_closed_form(ds, lam)
         diff = max(abs(deq.values[k] - closed.values[k]) for k in deq.values)
@@ -147,17 +153,13 @@ def test_criterion_03_limit_equivalence():
         )
         bump += 1
         ds = instance.dataset
-        total = all(
-            ds.ranking_of[r].is_total_over(papers)
-            for r, papers in ds.assignment.papers_of_reviewer.items()
-        )
-        if not total:
+        if not rankings_are_total(ds):
             continue
         collected += 1
         bre = bre_adjusted_scores(ds, epsilon=EPSILON)
         deq = dequantize(ds, DequantizerConfig(lam=1e6, epsilon=EPSILON))
         worst = max(worst, max(abs(deq.values[k] - bre.values[k]) for k in deq.values))
-        for reviewer, papers in ds.assignment.papers_of_reviewer.items():
+        for reviewer, papers in papers_by_reviewer(ds).items():
             by_deq = sorted(papers, key=lambda p: deq.values[(reviewer, p)])
             by_bre = sorted(papers, key=lambda p: bre.values[(reviewer, p)])
             order_mismatches += by_deq != by_bre
@@ -183,10 +185,11 @@ def test_criterion_04_thurstone_equivalence():
                         seed=trial_seed(31, bump))
         )
         bump += 1
-        ds = dataclasses.replace(instance.dataset, rankings=())
+        ds = make_dataset(score_records(instance.dataset))
+        scores = score_records(ds)
         degenerate = any(
-            len({ds.scores[(r, p)] for r in reviewers}) == 1
-            for p, reviewers in ds.assignment.reviewers_of_paper.items()
+            len({scores[(r, p)] for r in reviewers}) == 1
+            for p, reviewers in reviewers_by_paper(ds).items()
         )
         if degenerate:  # a flat direction would make the argmax non-unique
             continue
@@ -297,7 +300,7 @@ def test_criterion_08_validation_quality():
     gaps = []
     for trial in range(20):
         instance = generate(SynthConfig(seed=trial_seed(7, trial)))
-        truth = np.array([instance.truth_y[pair] for pair in instance.dataset.pair_index])
+        truth = np.array([instance.truth_y[pair] for pair in instance.dataset.pairs()])
         errors = []
         start = None
         for lam in GRID:
@@ -342,15 +345,11 @@ def test_criterion_10_preprocessing_golden():
         test_io.DATA / "raw_ten_level.csv", reviews_per_paper=3,
         papers_per_reviewer=3, seed=0,
     )
-    golden = {k: (truth[k], dataset.scores[k]) for k in truth} == test_io.GOLDEN_PREPARED
-    halving = all(dataset.scores[k] == math.ceil(y / 2.0) for k, y in truth.items())
-    retention = all(
-        len(rs) == 3 for rs in dataset.assignment.reviewers_of_paper.values()
-    )
-    expected_rankings = {
-        r.reviewer_id: r.ordered_pairs for r in derive_rankings_from_raw_scores(truth)
-    }
-    rankings = {r.reviewer_id: r.ordered_pairs for r in dataset.rankings} == expected_rankings
+    scores = score_records(dataset)
+    golden = {k: (truth[k], scores[k]) for k in truth} == test_io.GOLDEN_PREPARED
+    halving = all(scores[k] == math.ceil(y / 2.0) for k, y in truth.items())
+    retention = all(len(rs) == 3 for rs in reviewers_by_paper(dataset).values())
+    rankings = ranking_records(dataset) == derive_rankings_reference(truth)
     report(
         10,
         golden and halving and retention and rankings,
@@ -390,7 +389,7 @@ def test_criterion_12_epsilon_robustness():
                 instance.dataset,
                 DequantizerConfig(lam=selected.selected_lambda, epsilon=epsilon),
             )
-            index = instance.dataset.pair_index
+            index = instance.dataset.pairs()
             errors.append(
                 kendall_tau_error(
                     [instance.truth_y[pair] for pair in index],

@@ -16,7 +16,7 @@ from deqscores.baselines import (
 from deqscores.metrics import kendall_tau_error, tie_fraction
 from deqscores.synth import SynthConfig, generate
 
-from conftest import make_dataset
+from conftest import make_dataset, rankings_are_total, rankings_by_reviewer, score_records
 from oracles import pairwise_ranked_groups, rank_adjusted_reference
 
 
@@ -40,8 +40,9 @@ class TestQuantizedBaseline:
     def test_tie_fraction_matches_scores(self):
         ds = make_dataset({("r1", "A"): 7, ("r1", "B"): 7, ("r2", "A"): 5})
         out = quantized_baseline(ds).values
-        assert tie_fraction([out[k] for k in ds.pair_index]) == tie_fraction(
-            [float(ds.scores[k]) for k in ds.pair_index]
+        scores = score_records(ds)
+        assert tie_fraction([out[k] for k in ds.pairs()]) == tie_fraction(
+            [float(scores[k]) for k in ds.pairs()]
         )
 
 
@@ -80,12 +81,22 @@ class TestRankAdjusted:
         with pytest.raises(NotTotalRanking):
             bre_adjusted_scores(ds)
 
+    def test_first_incomplete_reviewer_is_named(self):
+        # r3 orders its pair once each way and names an unscored paper; r2
+        # reports nothing, so r2 is the first whose pair stays unordered
+        ds = make_dataset(
+            {(r, p): 5 for r in ("r1", "r2", "r3") for p in ("A", "B")},
+            {"r1": [("A", "B")], "r3": [("A", "B"), ("B", "A"), ("A", "Z")]},
+        )
+        with pytest.raises(NotTotalRanking, match="^reviewer 'r2' has an incomplete ranking$"):
+            bre_adjusted_scores(ds)
+
     def test_bin_means_preserved_exactly(self):
         instance = generate(SynthConfig(num_papers=12, reviews_per_paper=3,
                                         papers_per_reviewer=3, seed=8))
         ds = instance.dataset
         out = bre_adjusted_scores(ds).values
-        for reviewer in ds.assignment.reviewer_ids:
+        for reviewer in ds.reviewer_ids:
             for bin_ in quantization_bins(ds, reviewer):
                 mean = sum(out[(reviewer, p)] for p in bin_.members) / len(bin_.members)
                 assert mean == pytest.approx(bin_.score_value, abs=1e-12)
@@ -108,11 +119,11 @@ class TestRankAdjusted:
             {"r1": total_ranking(["A", "B", "C", "D"])},
         )
         out = bre_adjusted_scores(ds, epsilon).values
-        ranking = ds.ranking_of["r1"]
+        ranking = rankings_by_reviewer(ds)["r1"]
         for paper in "ABCD":
             bin_members = {"A", "B", "C", "D"} - {paper}
-            preceding = sum(1 for q in bin_members if (paper, q) in ranking.ordered_pairs)
-            succeeding = sum(1 for q in bin_members if (q, paper) in ranking.ordered_pairs)
+            preceding = sum(1 for q in bin_members if (paper, q) in ranking)
+            succeeding = sum(1 for q in bin_members if (q, paper) in ranking)
             expected = 5 + (epsilon / 2.0) * (preceding - succeeding)
             assert out[("r1", paper)] == pytest.approx(expected, abs=1e-12)
 
@@ -145,11 +156,7 @@ class TestGroupAdjusted:
     def test_reduces_to_rank_adjusted_on_total_rankings(self):
         for seed in range(10):
             ds = generate(SynthConfig(num_papers=60, sigma=0.5, seed=seed)).dataset
-            total = all(
-                ds.ranking_of[r].is_total_over(papers)
-                for r, papers in ds.assignment.papers_of_reviewer.items()
-            )
-            assert total, "seed must give a tie-free instance"
+            assert rankings_are_total(ds), "seed must give a tie-free instance"
             fine = bre_adjusted_scores(ds).values
             grouped = partial_rankings_adjusted_scores(ds).values
             assert grouped == fine, f"seed {seed}"

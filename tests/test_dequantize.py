@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -20,18 +19,25 @@ from deqscores.qp import InfeasibleProblem, solve
 from deqscores.qv import LAMBDA_GRID, coarsen, select_lambda
 from deqscores.synth import SynthConfig, generate, trial_seed
 
-from conftest import likelihood_lattice_maximizer, make_dataset
+from conftest import (
+    likelihood_lattice_maximizer,
+    make_dataset,
+    papers_by_reviewer,
+    rankings_are_total,
+    reviewers_by_paper,
+    score_records,
+)
 from oracles import profiled_paper_qualities, thurstone_joint_loglikelihood
 
 
 def literal_objective(dataset, values, lam):
     """The consensus + fit objective computed straight from its definition."""
     total = 0.0
-    for paper, reviewers in dataset.assignment.reviewers_of_paper.items():
+    for paper, reviewers in reviewers_by_paper(dataset).items():
         mean = sum(values[(r, paper)] for r in reviewers) / len(reviewers)
         total += sum((values[(r, paper)] - mean) ** 2 for r in reviewers)
     total += lam * sum(
-        (values[pair] - z) ** 2 for pair, z in dataset.scores.items()
+        (values[pair] - z) ** 2 for pair, z in score_records(dataset).items()
     )
     return total
 
@@ -55,7 +61,7 @@ class TestAssemble:
     def test_ranking_pair_becomes_one_constraint(self):
         ds = make_dataset({("r1", "A"): 5, ("r1", "B"): 5}, {"r1": [("A", "B")]})
         problem = assemble(ds, DequantizerConfig(lam=1.0, epsilon=0.05))
-        i, j = ds.pair_index[("r1", "A")], ds.pair_index[("r1", "B")]
+        i, j = ds.pairs().index(("r1", "A")), ds.pairs().index(("r1", "B"))
         assert problem.pair_constraints == ((i, j, 0.05),)
 
     def test_boxes_are_half_unit_around_scores(self):
@@ -69,10 +75,7 @@ class TestAssemble:
         lam = 3.7
         problem = assemble(instance.dataset, DequantizerConfig(lam=lam))
         solution = solve(problem)
-        values = {
-            pair: float(solution.values[i])
-            for pair, i in instance.dataset.pair_index.items()
-        }
+        values = dict(zip(instance.dataset.pairs(), solution.values.tolist()))
         assert solution.objective_value == pytest.approx(
             literal_objective(instance.dataset, values, lam), rel=1e-9, abs=1e-9
         )
@@ -96,7 +99,7 @@ class TestAssemble:
 def consensus_plus_fit(dataset, lam):
     """Q = C + 2*lam*I built as scipy sums it: C from the paper-mean
     projection with its zeros eliminated, plus a scaled identity."""
-    index = dataset.pair_index
+    index = dataset.pairs()
     n = len(index)
     papers: dict = {}
     paper_of = np.array([papers.setdefault(p, len(papers)) for _, p in index])
@@ -163,7 +166,7 @@ class TestDequantize:
             {("r1", "A"): 6, ("r2", "A"): 6, ("r1", "B"): 3, ("r2", "B"): 3}
         )
         scores = dequantize(ds, DequantizerConfig(lam=2.0))
-        for pair, z in ds.scores.items():
+        for pair, z in score_records(ds).items():
             assert scores.values[pair] == pytest.approx(z, abs=1e-7)
 
     def test_scores_only_two_reviewers(self):
@@ -248,11 +251,7 @@ class TestLimitBehavior:
                 SynthConfig(num_papers=12, reviews_per_paper=3, papers_per_reviewer=3,
                             seed=trial_seed(seed, bump))
             )
-            total = all(
-                instance.dataset.ranking_of[r].is_total_over(papers)
-                for r, papers in instance.dataset.assignment.papers_of_reviewer.items()
-            )
-            if total:
+            if rankings_are_total(instance.dataset):
                 return instance
         raise AssertionError("could not draw an instance with total rankings")
 
@@ -272,7 +271,7 @@ class TestLimitBehavior:
         instance = self._total_ranking_instance(29)
         bre = bre_adjusted_scores(instance.dataset, epsilon=0.05)
         deq = dequantize(instance.dataset, DequantizerConfig(lam=1e6))
-        for reviewer, papers in instance.dataset.assignment.papers_of_reviewer.items():
+        for reviewer, papers in papers_by_reviewer(instance.dataset).items():
             by_deq = sorted(papers, key=lambda p: deq.values[(reviewer, p)])
             by_bre = sorted(papers, key=lambda p: bre.values[(reviewer, p)])
             assert by_deq == by_bre
@@ -292,7 +291,7 @@ class TestClosedFormAgreement:
                 SynthConfig(num_papers=8, reviews_per_paper=2, papers_per_reviewer=2,
                             sigma=1.0, seed=trial_seed(3, i))
             )
-            ds = dataclasses.replace(instance.dataset, rankings=())
+            ds = make_dataset(score_records(instance.dataset))
             deq = dequantize(ds, DequantizerConfig(lam=lam))
             closed = score_only_closed_form(ds, lam)
             for pair in deq.values:
@@ -305,10 +304,10 @@ class TestClosedFormAgreement:
                 SynthConfig(num_papers=6, reviews_per_paper=4, papers_per_reviewer=4,
                             seed=trial_seed(17, i))
             )
-            ds = dataclasses.replace(instance.dataset, rankings=())
+            ds = make_dataset(score_records(instance.dataset))
             closed = score_only_closed_form(ds, lam)
             clipped = any(
-                abs(v - ds.scores[k]) >= 0.5 - 1e-12 for k, v in closed.values.items()
+                abs(v - score_records(ds)[k]) >= 0.5 - 1e-12 for k, v in closed.values.items()
             )
             if clipped:
                 continue
@@ -332,10 +331,7 @@ class TestClosedFormAgreement:
         assert closed.values[("r2", "A")] == pytest.approx(5.375, abs=1e-7)
         assert closed.values[("r3", "A")] == pytest.approx(5.375, abs=1e-7)
         problem = assemble(ds, DequantizerConfig(lam=lam))
-        index = ds.pair_index
-        as_vec = lambda scores: np.array(
-            [scores.values[pair] for pair, _ in sorted(index.items(), key=lambda kv: kv[1])]
-        )
+        as_vec = lambda scores: np.array([scores.values[pair] for pair in ds.pairs()])
         assert problem.objective(as_vec(closed)) <= problem.objective(as_vec(deq)) + 1e-9
 
 

@@ -107,7 +107,7 @@ class TestRunExperiment:
         truth = {("r1", "A"): 1.0, ("r1", "B"): 2.0}
         estimate = DequantizedScores(values={("r1", "A"): 1.0, ("r1", "C"): 2.0})
         with pytest.raises(ValueError, match="same keys"):
-            experiment._evaluate(estimate, truth, ("kendall", "l2", "ties"), False)
+            experiment._evaluate(estimate, truth, list(truth), ("kendall", "l2", "ties"), False)
 
 
 class TestCli:

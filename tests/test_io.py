@@ -15,11 +15,11 @@ from deqscores.io import (
     write_synthetic,
 )
 from deqscores.metrics import percentiles
-from deqscores.model import DequantizedScores, ValidationError, derive_rankings_from_raw_scores
+from deqscores.model import DequantizedScores, ValidationError
 from deqscores.synth import SynthConfig, generate
 
-from conftest import make_dataset
-from oracles import load_scores
+from conftest import make_dataset, ranking_records, reviewers_by_paper, score_records
+from oracles import derive_rankings_reference, load_scores
 
 DATA = Path(__file__).parent / "data"
 
@@ -64,7 +64,7 @@ class TestLoadReviews:
                   [("r1", "A", 5), ("r1", "B", 3), ("r2", "A", 4)])
         ds = load_reviews(path)
         assert ds.num_reviews == 3
-        assert ds.rankings == ()
+        assert ranking_records(ds) == []
         assert (ds.scale.lower_bound, ds.scale.upper_bound) == (3, 5)
 
     def test_duplicate_review_row_names_the_line(self, tmp_path):
@@ -118,7 +118,7 @@ class TestCsvRobustness:
         path = tmp_path / "reviews.csv"
         path.write_bytes(b"\xef\xbb\xbf" + (self.HEADER + "r1,A,5\nr1,B,3\n").encode())
         ds = load_reviews(path)
-        assert ds.scores == {("r1", "A"): 5, ("r1", "B"): 3}
+        assert score_records(ds) == {("r1", "A"): 5, ("r1", "B"): 3}
 
     def test_unterminated_quote_at_end_of_file_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "reviews.csv"
@@ -139,6 +139,34 @@ class TestCsvRobustness:
         status, errors = self._cli_validate(path, capsys)
         assert status == cli.EXIT_VALIDATION
         assert len(errors) == 1 and errors[0].startswith(f"error: {path}:3: field larger")
+
+    @pytest.mark.parametrize("score", [2**63, -(2**63) - 1, 99999999999999999999999])
+    def test_score_beyond_int64_is_a_parse_error(self, tmp_path, capsys, score):
+        path = tmp_path / "reviews.csv"
+        path.write_text(self.HEADER + f"r1,A,5\nr1,B,{score}\n")
+        with pytest.raises(ParseError) as err:
+            load_reviews(path)
+        assert err.value.line == 3
+        out = tmp_path / "out.csv"
+        status = cli.main(["dequantize", "--reviews", str(path), "--lambda", "1",
+                           "--output", str(out)])
+        assert (status, capsys.readouterr().err.splitlines()) == (
+            cli.EXIT_VALIDATION, [f"error: {path}:3: score '{score}' does not fit int64"]
+        )
+        assert not out.exists()
+
+    def test_line_breaks_in_an_error_print_escaped(self, tmp_path, capsys):
+        # a quoted id may hold line breaks; the error stays one line
+        path = tmp_path / "reviews.csv"
+        path.write_text(self.HEADER + '"two\nlines",A,5\n"two\nlines",A,4\n', newline="")
+        assert self._cli_validate(path, capsys) == (
+            cli.EXIT_VALIDATION, [f"error: {path}:4: duplicate review (two\\nlines, A)"]
+        )
+
+    def test_int64_bounds_load_exactly(self, tmp_path):
+        path = tmp_path / "reviews.csv"
+        path.write_text(self.HEADER + f"r1,A,{2**63 - 1}\nr1,B,{-(2**63)}\n")
+        assert score_records(load_reviews(path)) == {("r1", "A"): 2**63 - 1, ("r1", "B"): -(2**63)}
 
     def test_undecodable_bytes_are_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "reviews.csv"
@@ -195,8 +223,9 @@ class TestWriteScores:
         scores = dequantize(instance.dataset, DequantizerConfig(lam=2.0))
         out = tmp_path / "out.csv"
         write_scores(scores, instance.dataset, out)
-        printed = {pair: float(format(value, ".12g")) for pair, value in scores.values.items()}
-        expected = percentiles(printed)
+        pairs = list(scores.values)
+        printed = [float(format(scores.values[pair], ".12g")) for pair in pairs]
+        expected = dict(zip(pairs, percentiles(printed)))
         for line in out.read_text().splitlines()[1:]:
             reviewer, paper, _, _, pct = line.split(",")
             assert float(pct) == pytest.approx(expected[(reviewer, paper)], rel=1e-11)
@@ -224,17 +253,19 @@ class TestPrepareHalfScale:
         ds, truth = prepare_half_scale(
             DATA / "raw_ten_level.csv", reviews_per_paper=3, papers_per_reviewer=3, seed=0
         )
-        assert {k: (truth[k], ds.scores[k]) for k in truth} == GOLDEN_PREPARED
+        scores = score_records(ds)
+        assert {k: (truth[k], scores[k]) for k in truth} == GOLDEN_PREPARED
 
     def test_half_scale_map_per_row(self):
         ds, truth = prepare_half_scale(DATA / "raw_ten_level.csv", seed=0)
+        scores = score_records(ds)
         for pair, y in truth.items():
-            assert ds.scores[pair] == math.ceil(y / 2.0)
-            assert 1 <= ds.scores[pair] <= 5
+            assert scores[pair] == math.ceil(y / 2.0)
+            assert 1 <= scores[pair] <= 5
 
     def test_exactly_three_reviews_retained_from_input(self):
         ds, truth = prepare_half_scale(DATA / "raw_ten_level.csv", seed=0)
-        for paper, reviewers in ds.assignment.reviewers_of_paper.items():
+        for paper, reviewers in reviewers_by_paper(ds).items():
             assert len(reviewers) == 3
             kept = sorted(truth[(r, paper)] for r in reviewers)
             available = sorted(RAW_INPUT[paper])
@@ -244,23 +275,20 @@ class TestPrepareHalfScale:
     def test_papers_with_exactly_three_reviews_keep_all(self):
         ds, truth = prepare_half_scale(DATA / "raw_ten_level.csv", seed=0)
         for paper in ("paper01", "paper04", "paper06", "paper08"):
-            kept = sorted(
-                truth[(r, paper)] for r in ds.assignment.reviewers_of_paper[paper]
-            )
+            kept = sorted(truth[(r, paper)] for r in reviewers_by_paper(ds)[paper])
             assert kept == sorted(float(v) for v in RAW_INPUT[paper])
 
     def test_rankings_re_derived_from_raw_values(self):
         ds, truth = prepare_half_scale(DATA / "raw_ten_level.csv", seed=0)
-        expected = {r.reviewer_id: r.ordered_pairs for r in derive_rankings_from_raw_scores(truth)}
-        actual = {r.reviewer_id: r.ordered_pairs for r in ds.rankings}
-        assert actual == expected
+        assert ranking_records(ds) == derive_rankings_reference(truth)
 
     def test_within_bin_pairs_survive(self):
         # raw 7 vs 8 quantize to the same coarse score but stay ranked
         ds, truth = prepare_half_scale(DATA / "raw_ten_level.csv", seed=0)
         found = False
-        for r, better, worse in ds.ranking_pairs():
-            if ds.scores[(r, better)] == ds.scores[(r, worse)]:
+        scores = score_records(ds)
+        for r, better, worse in ranking_records(ds):
+            if scores[(r, better)] == scores[(r, worse)]:
                 assert truth[(r, better)] > truth[(r, worse)]
                 found = True
         assert found
@@ -268,7 +296,7 @@ class TestPrepareHalfScale:
     def test_deterministic_per_seed(self):
         a = prepare_half_scale(DATA / "raw_ten_level.csv", seed=3)
         b = prepare_half_scale(DATA / "raw_ten_level.csv", seed=3)
-        assert a[0].scores == b[0].scores and a[1] == b[1]
+        assert score_records(a[0]) == score_records(b[0]) and a[1] == b[1]
 
     def test_insufficient_reviews_rejected(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -300,7 +328,5 @@ class TestWriteSynthetic:
                                         papers_per_reviewer=2, seed=19))
         reviews, rankings, _ = write_synthetic(instance, tmp_path / "demo")
         ds = load_reviews(reviews, rankings, scale=(0, 10))
-        assert ds.scores == instance.dataset.scores
-        assert {r.reviewer_id: r.ordered_pairs for r in ds.rankings} == {
-            r.reviewer_id: r.ordered_pairs for r in instance.dataset.rankings if r.ordered_pairs
-        }
+        assert score_records(ds) == score_records(instance.dataset)
+        assert ranking_records(ds) == ranking_records(instance.dataset)

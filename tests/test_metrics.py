@@ -277,25 +277,28 @@ class TestTieFraction:
 
 class TestPercentiles:
     def test_four_distinct_values(self):
-        out = percentiles({"a": 10.0, "b": 20.0, "c": 30.0, "d": 40.0})
-        assert [out[k] for k in "abcd"] == [12.5, 37.5, 62.5, 87.5]
+        out = percentiles([10.0, 20.0, 30.0, 40.0])
+        assert out.tolist() == [12.5, 37.5, 62.5, 87.5]
 
     def test_all_equal_is_fifty(self):
-        out = percentiles({"a": 3.0, "b": 3.0, "c": 3.0})
-        assert all(v == 50.0 for v in out.values())
+        out = percentiles([3.0, 3.0, 3.0])
+        assert out.tolist() == [50.0, 50.0, 50.0]
 
     def test_max_gets_highest(self):
-        out = percentiles({"a": 1.0, "b": 9.0, "c": 4.0})
-        assert max(out, key=out.get) == "b"
+        out = percentiles([1.0, 9.0, 4.0])
+        assert int(np.argmax(out)) == 1
+
+    @pytest.mark.parametrize("values", [[[1.0, 2.0]], [1.0, float("nan")], [float("inf")]])
+    def test_non_vector_or_non_finite_rejected(self, values):
+        with pytest.raises(ValueError):
+            percentiles(values)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 5).map(lambda v: v / 3.0), min_size=1, max_size=40))
     def test_matches_scipy_average_ranks_exactly(self, values):
-        keyed = {f"k{i:02d}": v for i, v in enumerate(values)}
-        ranks = scipy.stats.rankdata([keyed[k] for k in sorted(keyed)], method="average")
+        ranks = scipy.stats.rankdata(values, method="average")
         expected = 100.0 * (ranks - 0.5) / len(values)
-        out = percentiles(keyed)
-        assert [out[k] for k in sorted(keyed)] == list(expected)
+        assert percentiles(values).tolist() == list(expected)
 
 
 class TestTrialStatistics:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,40 +8,34 @@ from deqscores.model import (
     RANK_CYCLE,
     RANK_SCORE_INCONSISTENT,
     UNASSIGNED_PAIR,
-    Assignment,
-    PartialRanking,
     ReviewDataset,
     ScoreScale,
     derive_rankings_from_raw_scores,
     validate,
 )
 
-from conftest import make_dataset
-from oracles import ranking_cycles_reference
+from conftest import make_dataset, ranking_records, rankings_by_reviewer, score_records
+from oracles import derive_rankings_reference, ranking_cycles_reference, validate_reference
 
 REVIEWERS = ("r0", "r1", "r2")
 PAPERS = ("A", "B", "C", "D", "E")
+SCALE = (0, 3)
 
 
 @st.composite
-def small_ranked_datasets(draw):
-    """Random small datasets whose rankings hold self pairs, pairs on papers
-    the reviewer has no score for, pairs against the scores, and cycles."""
+def small_ranked_records(draw):
+    """Random small datasets as records, (scores, ranking rows), whose
+    scores leave the scale and whose rankings hold self pairs, repeated
+    pairs, pairs on papers the reviewer has no score for (reviewers without
+    any score among them), pairs against the scores, and cycles."""
     pair = st.tuples(st.sampled_from(REVIEWERS), st.sampled_from(PAPERS))
-    assigned = sorted(draw(st.sets(pair, min_size=1)))
-    unscored = draw(st.sets(st.sampled_from(assigned)))
-    scores = {p: draw(st.integers(0, 3)) for p in assigned if p not in unscored}
-    ranked = st.lists(st.tuples(st.sampled_from(PAPERS), st.sampled_from(PAPERS)), max_size=10)
-    rankings = tuple(
-        PartialRanking(r, frozenset(draw(ranked)))
-        for r in sorted(draw(st.sets(st.sampled_from(REVIEWERS))))
-    )
-    return ReviewDataset(
-        scale=ScoreScale(0, 3),
-        assignment=Assignment.from_pairs(assigned),
-        scores=scores,
-        rankings=rankings,
-    )
+    scores = {p: draw(st.integers(-1, 4)) for p in sorted(draw(st.sets(pair, min_size=1)))}
+    row = st.tuples(st.sampled_from(REVIEWERS), st.sampled_from(PAPERS), st.sampled_from(PAPERS))
+    return scores, draw(st.lists(row, max_size=20))
+
+
+def from_records(scores, rows):
+    return ReviewDataset.from_records(ScoreScale(*SCALE), scores, rows)
 
 
 class TestValidate:
@@ -68,15 +63,6 @@ class TestValidate:
         ds = make_dataset({("r1", "A"): 5, ("r1", "B"): 4}, {"r1": [("A", "Z")]})
         assert UNASSIGNED_PAIR in {v.code for v in validate(ds)}
 
-    def test_missing_score_for_assigned_pair(self):
-        ds = ReviewDataset(
-            scale=ScoreScale(0, 10),
-            assignment=Assignment.from_pairs({("r1", "A"), ("r1", "B")}),
-            scores={("r1", "A"): 5},
-            rankings=(),
-        )
-        assert [v.code for v in validate(ds)] == [UNASSIGNED_PAIR]
-
     def test_self_pair_is_a_cycle(self):
         ds = make_dataset({("r1", "A"): 5}, {"r1": [("A", "A")]})
         assert [v.code for v in validate(ds)] == [RANK_CYCLE]
@@ -97,14 +83,20 @@ class TestValidate:
         ]
 
     @settings(max_examples=300, deadline=None)
-    @given(dataset=small_ranked_datasets())
-    def test_cycles_match_transitive_closure_reference(self, dataset):
+    @given(records=small_ranked_records())
+    def test_cycles_match_transitive_closure_reference(self, records):
         named = [
             (v.reviewer_id, v.detail)
-            for v in validate(dataset)
+            for v in validate(from_records(*records))
             if v.code == RANK_CYCLE and v.detail.startswith("cycle through")
         ]
-        assert named == ranking_cycles_reference(dataset)
+        assert named == ranking_cycles_reference(*records)
+
+    @settings(max_examples=400, deadline=None)
+    @given(records=small_ranked_records())
+    def test_violations_match_the_record_walk_reference(self, records):
+        found = [(v.code, v.reviewer_id, v.detail) for v in validate(from_records(*records))]
+        assert found == validate_reference(SCALE, *records)
 
     def test_all_violations_reported_together(self):
         ds = make_dataset(
@@ -117,21 +109,36 @@ class TestValidate:
         assert RANK_CYCLE in codes
 
 
+def derived_rows(raw: dict) -> list[tuple[str, str, str]]:
+    """The ranking rows ``derive_rankings_from_raw_scores`` gives a dataset
+    of ``raw``'s reviews."""
+    dataset = make_dataset({pair: 0 for pair in raw})
+    values = [raw[pair] for pair in dataset.pairs()]
+    return ranking_records(derive_rankings_from_raw_scores(dataset, values))
+
+
 class TestDeriveRankings:
     def test_ties_are_omitted(self):
         raw = {("r1", "A"): 8.0, ("r1", "B"): 8.0, ("r1", "C"): 4.0}
-        (ranking,) = derive_rankings_from_raw_scores(raw)
-        assert ranking.ordered_pairs == frozenset({("A", "C"), ("B", "C")})
+        assert derived_rows(raw) == [("r1", "A", "C"), ("r1", "B", "C")]
 
     def test_single_paper_gives_empty_ranking(self):
-        (ranking,) = derive_rankings_from_raw_scores({("r1", "A"): 8.0})
-        assert ranking.is_empty
+        assert derived_rows({("r1", "A"): 8.0}) == []
 
     def test_distinct_values_give_total_ranking(self):
         raw = {("r1", "A"): 7.0, ("r1", "B"): 6.0, ("r1", "C"): 5.0}
-        (ranking,) = derive_rankings_from_raw_scores(raw)
-        assert ranking.ordered_pairs == frozenset({("A", "B"), ("A", "C"), ("B", "C")})
-        assert ranking.is_total_over(["A", "B", "C"])
+        assert derived_rows(raw) == [("r1", "A", "B"), ("r1", "A", "C"), ("r1", "B", "C")]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        raw=st.dictionaries(
+            st.tuples(st.sampled_from(REVIEWERS), st.sampled_from(PAPERS)),
+            st.integers(0, 3) | st.floats(0, 3, allow_subnormal=False),
+            min_size=1,
+        )
+    )
+    def test_derived_rows_match_the_pairwise_reference(self, raw):
+        assert derived_rows(raw) == derive_rankings_reference(raw)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -140,14 +147,9 @@ class TestDeriveRankings:
     )
     def test_derived_rankings_validate_after_monotone_quantization(self, values, divisor):
         raw = {("r1", f"p{i}"): v for i, v in enumerate(values)}
-        rankings = derive_rankings_from_raw_scores(raw)
         scores = {pair: int(v // divisor) for pair, v in raw.items()}
-        ds = ReviewDataset(
-            scale=ScoreScale(0, 11),
-            assignment=Assignment.from_pairs(raw.keys()),
-            scores=scores,
-            rankings=tuple(rankings),
-        )
+        ds = make_dataset(scores, scale=(0, 11))
+        ds = derive_rankings_from_raw_scores(ds, [raw[pair] for pair in ds.pairs()])
         assert validate(ds) == []
 
 
@@ -158,12 +160,12 @@ class TestEqualScoreSubgraphIsAcyclic:
             {"r1": [("A", "B"), ("B", "C"), ("A", "D")]},
         )
         assert validate(ds) == []
-        ranking = ds.ranking_of["r1"]
+        scores = score_records(ds)
         nodes = ["A", "B", "C"]
         edges = {
             (p, q)
-            for p, q in ranking.ordered_pairs
-            if ds.scores[("r1", p)] == ds.scores[("r1", q)]
+            for p, q in rankings_by_reviewer(ds)["r1"]
+            if scores[("r1", p)] == scores[("r1", q)]
         }
         order: list[str] = []
         remaining = set(nodes)
@@ -180,24 +182,23 @@ class TestTypes:
         with pytest.raises(ValueError):
             ScoreScale(5, 5)
 
-    def test_assignment_from_pairs_collects_ids(self):
-        a = Assignment.from_pairs({("r1", "A"), ("r2", "A"), ("r1", "B")})
-        assert a.reviewer_ids == frozenset({"r1", "r2"})
-        assert a.papers_of_reviewer["r1"] == ("A", "B")
-        assert a.reviewers_of_paper["A"] == ("r1", "r2")
-
-    def test_one_ranking_per_reviewer_enforced(self):
-        with pytest.raises(ValueError, match="multiple rankings"):
-            ReviewDataset(
-                scale=ScoreScale(0, 10),
-                assignment=Assignment.from_pairs({("r1", "A")}),
-                scores={("r1", "A"): 5},
-                rankings=(
-                    PartialRanking("r1", frozenset()),
-                    PartialRanking("r1", frozenset()),
-                ),
-            )
+    def test_records_intern_into_id_tables_and_reviewer_slices(self):
+        ds = make_dataset(
+            {("r2", "A"): 5, ("r1", "B"): 4, ("r1", "A"): 3},
+            {"r3": [("C", "A")], "r1": [("B", "A"), ("A", "B"), ("B", "A")]},
+        )
+        # the tables cover the ranking-only reviewer r3 and paper C
+        assert ds.reviewer_ids.tolist() == ["r1", "r2", "r3"]
+        assert ds.paper_ids.tolist() == ["A", "B", "C"]
+        assert (ds.reviewer.tolist(), ds.paper.tolist()) == ([0, 0, 1], [0, 1, 0])
+        assert ds.scores.dtype == np.int64 and ds.scores.tolist() == [3, 4, 5]
+        # repeated rows count once
+        assert ranking_records(ds) == [("r1", "A", "B"), ("r1", "B", "A"), ("r3", "C", "A")]
+        assert [ds.reviews_of(r) for r in range(3)] == [slice(0, 2), slice(2, 3), slice(3, 3)]
+        assert [ds.rankings_of(r) for r in range(3)] == [slice(0, 2), slice(2, 2), slice(2, 3)]
+        better, worse = ds.ranked_reviews
+        assert (better.tolist(), worse.tolist()) == ([0, 1, -1], [1, 0, -1])
 
     def test_pair_index_is_lexicographic(self):
         ds = make_dataset({("r2", "A"): 5, ("r1", "B"): 4, ("r1", "A"): 3})
-        assert ds.pair_index == {("r1", "A"): 0, ("r1", "B"): 1, ("r2", "A"): 2}
+        assert ds.pairs() == [("r1", "A"), ("r1", "B"), ("r2", "A")]

@@ -22,6 +22,7 @@ from deqscores.qp import (
 from deqscores.qv import LAMBDA_GRID, coarsen, lambda_path
 from deqscores.synth import SynthConfig, generate
 
+from conftest import make_dataset, score_records
 from oracles import (
     DimensionTooLarge,
     brute_force_minimize,
@@ -296,11 +297,11 @@ class TestLargeScale:
     def test_ranking_free_matches_closed_form(self, large_dataset):
         # an independent certificate at n = 6 000: without rankings the
         # minimizer has an exact per-paper form
-        dataset = dataclasses.replace(large_dataset, rankings=())
+        dataset = make_dataset(score_records(large_dataset))
         lam = 1.0
         solution = solve(compile_dataset(dataset, 0.05).problem(lam))
         exact = score_only_closed_form(dataset, lam).values
-        expected = np.array([exact[pair] for pair in dataset.pair_index])
+        expected = np.array([exact[pair] for pair in dataset.pairs()])
         assert np.max(np.abs(solution.values - expected)) <= 1e-7
 
     def test_ranked_solve_is_start_independent_and_consistent(self, large_dataset):
@@ -309,7 +310,7 @@ class TestLargeScale:
         b = solve(problem, start=problem.box_upper.copy())
         assert np.max(np.abs(a.values - b.values)) <= 1e-9
         scores = DequantizedScores(
-            values={pair: float(a.values[i]) for pair, i in large_dataset.pair_index.items()}
+            values=dict(zip(large_dataset.pairs(), a.values.tolist()))
         )
         box_violation, margin = consistency_report(large_dataset, scores, 0.05)
         assert box_violation <= 1e-6

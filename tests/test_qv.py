@@ -16,7 +16,7 @@ from deqscores.qv import (
 )
 from deqscores.synth import SynthConfig, generate
 
-from conftest import make_dataset
+from conftest import make_dataset, ranking_records, score_records
 from oracles import certify
 
 
@@ -26,23 +26,25 @@ class TestCoarsen:
         assert halve_score(8) == 4
         assert halve_score(1) == 1
         assert halve_score(10) == 5
+        assert halve_score(-3) == -1
+        assert halve_score(np.array([-3, 7, 2**62 + 1])).tolist() == [-1, 4, 2**61 + 1]
 
     def test_scores_mapped_and_scale_shrunk(self):
         ds = make_dataset({("r1", "A"): 7, ("r1", "B"): 8}, scale=(0, 10))
         coarse = coarsen(ds)
-        assert coarse.scores == {("r1", "A"): 4, ("r1", "B"): 4}
+        assert score_records(coarse) == {("r1", "A"): 4, ("r1", "B"): 4}
         assert (coarse.scale.lower_bound, coarse.scale.upper_bound) == (0, 5)
 
     def test_rankings_come_from_original_scores(self):
         # 7 and 8 land in the same coarse bin, yet the pair survives
         ds = make_dataset({("r1", "A"): 7, ("r1", "B"): 8}, scale=(0, 10))
         coarse = coarsen(ds)
-        assert coarse.ranking_of["r1"].ordered_pairs == frozenset({("B", "A")})
+        assert ranking_records(coarse) == [("r1", "B", "A")]
 
     def test_tied_original_scores_give_no_pair(self):
         ds = make_dataset({("r1", "A"): 7, ("r1", "B"): 7}, scale=(0, 10))
         coarse = coarsen(ds)
-        assert coarse.ranking_of["r1"].is_empty
+        assert ranking_records(coarse) == []
 
     def test_halving_keeps_strict_rankings_of_original_scores(self):
         # 5 and 6 share a coarse bin, yet only the exact tie gives no pair
@@ -50,8 +52,8 @@ class TestCoarsen:
             {("r1", "A"): 6, ("r1", "B"): 5, ("r1", "C"): 5}, scale=(0, 10)
         )
         coarse = coarsen(ds)
-        assert coarse.scores == {("r1", "A"): 3, ("r1", "B"): 3, ("r1", "C"): 3}
-        assert coarse.ranking_of["r1"].ordered_pairs == frozenset({("A", "B"), ("A", "C")})
+        assert score_records(coarse) == {("r1", "A"): 3, ("r1", "B"): 3, ("r1", "C"): 3}
+        assert ranking_records(coarse) == [("r1", "A", "B"), ("r1", "A", "C")]
 
     def test_collapsing_quantizer_is_degenerate(self):
         ds = make_dataset({("r1", "A"): 1, ("r1", "B"): 2}, scale=(1, 2))
@@ -119,7 +121,8 @@ class TestLambdaPath:
         cold = [solve(compiled.problem(lam)) for lam in grid]
         assert max(np.max(np.abs(w.values - c.values)) for w, c in zip(warm, cold)) <= 1e-9
 
-        truth = np.array([dataset.scores[pair] for pair in coarse.pair_index], dtype=float)
+        scores = score_records(dataset)
+        truth = np.array([scores[pair] for pair in coarse.pairs()], dtype=float)
         errors = tuple(kendall_tau_error(truth, c.values) for c in cold)
         report = select_lambda(dataset)
         assert report.errors == errors

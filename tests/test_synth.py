@@ -11,14 +11,22 @@ from deqscores.synth import (
     trial_seed,
 )
 
+from conftest import ranking_records, score_records
+
+
+def loads(pairs):
+    """(papers per reviewer, reviewers per paper) of assignment pairs."""
+    reviewers, papers = zip(*pairs)
+    return {reviewers.count(r) for r in reviewers}, {papers.count(p) for p in papers}
+
 
 class TestAssignment:
     def test_degree_one_is_a_perfect_matching(self):
         rng = np.random.default_rng(0)
         a = random_regular_assignment(4, 4, 1, 1, rng)
-        assert len(a.pairs) == 4
-        assert {r for r, _ in a.pairs} == a.reviewer_ids
-        assert {p for _, p in a.pairs} == a.paper_ids
+        assert len(a) == 4 and a == sorted(a)
+        assert [r for r, _ in a] == ["r0", "r1", "r2", "r3"]
+        assert sorted(p for _, p in a) == ["p0", "p1", "p2", "p3"]
 
     def test_default_config_degrees(self):
         config = SynthConfig()
@@ -28,16 +36,15 @@ class TestAssignment:
             config.papers_per_reviewer, config.reviews_per_paper, rng,
         )
         assert config.num_reviewers == 60
-        assert all(len(ps) == 4 for ps in a.papers_of_reviewer.values())
-        assert all(len(rs) == 4 for rs in a.reviewers_of_paper.values())
-        assert len(a.pairs) == 240  # no duplicates survived repair
+        assert loads(a) == ({4}, {4})
+        assert len(set(a)) == 240  # no duplicates survived repair
 
     def test_different_seeds_differ(self):
         collisions = 0
         for seed in range(100):
             a = random_regular_assignment(8, 8, 2, 2, np.random.default_rng(seed))
             b = random_regular_assignment(8, 8, 2, 2, np.random.default_rng(seed + 1000))
-            collisions += a.pairs == b.pairs
+            collisions += a == b
         assert collisions <= 2
 
     def test_slot_mismatch_rejected(self):
@@ -53,31 +60,32 @@ class TestAssignment:
         # every reviewer reads every paper; repair must remove all duplicates
         rng = np.random.default_rng(5)
         a = random_regular_assignment(4, 3, 4, 3, rng)
-        assert all(len(set(ps)) == 4 for ps in a.papers_of_reviewer.values())
+        assert len(set(a)) == 12 and loads(a) == ({4}, {3})
 
 
 class TestGenerate:
     def test_deterministic_per_seed(self):
         a = generate(SynthConfig(seed=7))
         b = generate(SynthConfig(seed=7))
-        assert a.dataset.scores == b.dataset.scores
+        assert score_records(a.dataset) == score_records(b.dataset)
         assert a.truth_y == b.truth_y
-        assert a.dataset.assignment.pairs == b.dataset.assignment.pairs
+        assert ranking_records(a.dataset) == ranking_records(b.dataset)
         c = generate(SynthConfig(seed=8))
         assert c.truth_y != a.truth_y
 
     def test_zero_noise_reproduces_qualities(self):
         instance = generate(SynthConfig(num_papers=12, sigma=0.0, seed=3))
+        scores = score_records(instance.dataset)
         for (r, p), y in instance.truth_y.items():
             assert y == instance.truth_x_star[p]
-            assert instance.dataset.scores[(r, p)] == int(np.floor(y + 0.5))
+            assert scores[(r, p)] == int(np.floor(y + 0.5))
 
     def test_scores_center_near_the_truth_mean(self):
         # qualities are uniform on [1, 9], so scores should average about 5
         means = []
         for trial in range(20):
             instance = generate(SynthConfig(seed=trial_seed(100, trial)))
-            means.append(np.mean(list(instance.dataset.scores.values())))
+            means.append(np.mean(instance.dataset.scores))
         mean, sem = trial_statistics(means)
         assert abs(mean - 5.0) <= 3 * max(sem, 1e-9)
 
@@ -88,15 +96,15 @@ class TestGenerate:
 
     def test_rounding_keeps_ranked_pairs_consistent(self):
         instance = generate(SynthConfig(num_papers=10, sigma=2.0, seed=11))
-        ds = instance.dataset
-        for r, better, worse in ds.ranking_pairs():
+        scores = score_records(instance.dataset)
+        for r, better, worse in ranking_records(instance.dataset):
             assert instance.truth_y[(r, better)] > instance.truth_y[(r, worse)]
-            assert ds.scores[(r, better)] >= ds.scores[(r, worse)]
+            assert scores[(r, better)] >= scores[(r, worse)]
 
     def test_clipping_respects_score_range(self):
         instance = generate(SynthConfig(num_papers=10, sigma=5.0, seed=2))
-        values = instance.dataset.scores.values()
-        assert min(values) >= 0 and max(values) <= 10
+        values = instance.dataset.scores
+        assert values.min() >= 0 and values.max() <= 10
         assert all(0.0 <= y <= 10.0 for y in instance.truth_y.values())
 
     def test_indivisible_load_rejected(self):
