@@ -10,6 +10,8 @@ package's own ``simulate`` path, plus two small hand-written datasets that
 - the P=60 seed-0 ``baseline`` CSV of every method;
 - ``validate`` stdout on the P=60 seed-0 files, on a dataset with model
   violations and on one whose ranked chain ``--epsilon 0.4`` cannot separate;
+- the P=600 seed-0 ``dequantize --lambda auto`` CSV and ``--report``, a
+  size at which the lambda path's active set moves from step to step;
 - the P=1500 seed-0 ``dequantize --lambda 1`` CSV;
 - the JSON, ``--table`` CSV and stdout of a ``--trials 3`` experiment;
 - the ``scripts/run_qv_curve.py --seed 7`` CSV.
@@ -124,6 +126,12 @@ def golden_outputs(directory: Path) -> dict[str, bytes]:
         ["validate", *_files(directory, "unseparable", UNSEPARABLE), "--epsilon", "0.4"],
         cli.EXIT_VALIDATION,
     )
+    medium_csv = directory / "auto_p600_s0.csv"
+    medium_report = directory / "auto_p600_s0.json"
+    _run(directory, ["dequantize", *_simulate(directory, 600, 0), "--lambda", "auto",
+                     "--output", str(medium_csv), "--report", str(medium_report)])
+    outputs["dequantize_auto_p600_s0.csv"] = medium_csv
+    outputs["dequantize_auto_p600_s0.report.json"] = medium_report
     large_path = directory / "fixed_p1500_s0.csv"
     _run(directory, ["dequantize", *_simulate(directory, 1500, 0), "--lambda", "1",
                      "--output", str(large_path)])
