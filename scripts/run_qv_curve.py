@@ -18,7 +18,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from deqscores.dequantize import DequantizerConfig, compile_dataset
-from deqscores.metrics import kendall_tau_error
+from deqscores.metrics import kendall_tau_errors
 from deqscores.model import DEFAULT_EPSILON
 from deqscores.qv import lambda_path, select_lambda
 from deqscores.synth import SynthConfig, generate
@@ -38,10 +38,8 @@ def main() -> int:
 
     compiled = compile_dataset(instance.dataset, args.epsilon)
     truth = np.array([instance.truth_y[pair] for pair in instance.dataset.pairs()])
-    true_errors = [
-        kendall_tau_error(truth, solution.values)
-        for solution in lambda_path(compiled, qv_report.lambdas)
-    ]
+    path = lambda_path(compiled, qv_report.lambdas)
+    true_errors = kendall_tau_errors(truth, [solution.values for solution in path]).tolist()
     oracle_index = min(range(len(true_errors)), key=lambda i: true_errors[i])
 
     print(f"{'lambda':>12}  {'validation':>10}  {'true_error':>10}")

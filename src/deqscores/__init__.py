@@ -27,6 +27,7 @@ from .experiment import ExperimentReport, ExperimentSpec, FileSource, run_experi
 from .metrics import (
     AllTiedError,
     kendall_tau_error,
+    kendall_tau_errors,
     l2_error,
     percentiles,
     project_to_original_scale,

@@ -17,13 +17,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from .model import DEFAULT_EPSILON, DequantizedScores, ReviewDataset, require_valid
-from .qp import DEFAULT_FEASTOL, Constraints, InfeasibleProblem, QPProblem, solve
+from .qp import DEFAULT_FEASTOL, Constraints, InfeasibleProblem, QPProblem, solve, with_data
 
 if TYPE_CHECKING:
     from .qv import QVReport
@@ -92,18 +93,22 @@ class CompiledDataset:
     def problem(self, lam: float) -> QPProblem:
         """The QP at fit weight ``lam``: Q = C + 2*lam*I, c = -2*lam*z and
         constant lam*||z||^2, so 0.5*y'Qy + c'y + constant equals the
-        objective exactly. Q is C's pattern with 2*lam added to the stored
-        diagonal, so it equals ``(C + 2*lam*I).tocsc()`` bit for bit."""
+        objective exactly. Q is a copy of C holding C's values with 2*lam
+        added to the stored diagonal (``qp.with_data``: it shares C's pattern
+        arrays), so it equals ``(C + 2*lam*I).tocsc()`` bit for bit."""
         data = self.consensus.data.copy()
         data[self.diagonal] += 2.0 * lam
         return QPProblem(
-            quadratic=sp.csc_matrix(
-                (data, self.consensus.indices, self.consensus.indptr), shape=self.consensus.shape
-            ),
+            quadratic=with_data(self.consensus, data),
             linear=-2.0 * lam * self.z,
             constraints=self.constraints,
-            constant=lam * float(self.z @ self.z),
+            constant=lam * self._squared_norm,
         )
+
+    @cached_property
+    def _squared_norm(self) -> float:
+        """||z||^2, the weight-free factor of every problem's constant."""
+        return float(self.z @ self.z)
 
 
 def compile_dataset(dataset: ReviewDataset, epsilon: float) -> CompiledDataset:
@@ -134,7 +139,7 @@ def compile_dataset(dataset: ReviewDataset, epsilon: float) -> CompiledDataset:
     if not feasibility.feasible:
         chain = list(feasibility.witness)
         pairs = dataset.pairs()
-        reviews = " > ".join("({}, {})".format(*pairs[i]) for i in chain)
+        reviews = " > ".join("({!r}, {!r})".format(*pairs[i]) for i in chain)
         raise InfeasibleProblem(
             f"ranked chain of {len(chain)} reviews cannot be separated by epsilon={epsilon:g} "
             f"within their half-unit score boxes: {reviews}",

@@ -121,6 +121,26 @@ def load_reviews(
     return dataset
 
 
+class _LineFeedRows:
+    """Where a ``csv.writer`` with the line terminator "\r\n" writes its
+    rows (one ``write`` per row): each goes to ``handle`` ending in "\n"
+    instead. The writer quotes a field holding a line-break character only
+    when that character is in its terminator, so with "\n" alone a field
+    holding "\r" would be written bare and split its row."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, row: str) -> int:
+        return self._handle.write(row[:-2] + "\n")
+
+
+def _csv_writer(handle):
+    """A CSV writer of rows ending in "\n" that quotes every field holding a
+    comma, a quote, "\r" or "\n"."""
+    return csv.writer(_LineFeedRows(handle), lineterminator="\r\n")
+
+
 def write_scores(scores: DequantizedScores, dataset: ReviewDataset, path) -> None:
     """Write per-review output rows, one paper block at a time, best first.
 
@@ -137,7 +157,7 @@ def write_scores(scores: DequantizedScores, dataset: ReviewDataset, path) -> Non
     order = np.lexsort((dataset.reviewer, -printed, dataset.paper)).tolist()
     quantized = dataset.scores.tolist()
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        writer = _csv_writer(handle)
         writer.writerow(
             ["reviewer_id", "paper_id", "quantized_score", "dequantized_score", "percentile"]
         )
@@ -219,18 +239,18 @@ def write_synthetic(instance, prefix) -> tuple[Path, Path, Path]:
     truth_path = prefix.with_name(prefix.name + "_truth.csv")
     dataset = instance.dataset
     with open(reviews_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        writer = _csv_writer(handle)
         writer.writerow(["reviewer_id", "paper_id", "score"])
         writer.writerows((*pair, z) for pair, z in zip(dataset.pairs(), dataset.scores.tolist()))
     with open(rankings_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        writer = _csv_writer(handle)
         writer.writerow(["reviewer_id", "better_paper_id", "worse_paper_id"])
         reviewers, papers = dataset.reviewer_ids, dataset.paper_ids
         writer.writerows(
             zip(reviewers[dataset.ranked_by], papers[dataset.better], papers[dataset.worse])
         )
     with open(truth_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        writer = _csv_writer(handle)
         writer.writerow(["reviewer_id", "paper_id", "true_value"])
         for (reviewer, paper), y in sorted(instance.truth_y.items()):
             writer.writerow([reviewer, paper, format(y, ".12g")])

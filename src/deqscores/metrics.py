@@ -2,9 +2,12 @@
 
 The error metrics take aligned 1-D vectors: the caller puts truth and
 estimate in one review order, once, and a shape mismatch or a non-finite
-value raises ``ValueError``. The pair counts of ``kendall_tau_error`` and
+value raises ``ValueError``. The pair counts of the Kendall error and of
 ``tie_fraction`` are sort-based (O(n log^2 n) and O(n log n)) and decide
-every pair exactly as a direct pairwise comparison would."""
+every pair exactly as a direct pairwise comparison would. There is one
+Kendall kernel, ``kendall_tau_errors``, which scores many estimates of one
+truth (a lambda grid's solutions) in batches, each batch as one array;
+``kendall_tau_error`` is that kernel on one estimate."""
 
 from __future__ import annotations
 
@@ -27,12 +30,16 @@ exactly equal, so truth ties are transitive and form runs of equal values."""
 
 def _aligned(truth, estimate) -> tuple[np.ndarray, np.ndarray]:
     t = _finite(truth, "truth")
+    return t, _aligned_with(t, estimate)
+
+
+def _aligned_with(t: np.ndarray, estimate) -> np.ndarray:
     e = _finite(estimate, "estimate")
     if t.ndim != 1 or t.shape != e.shape:
         raise ValueError(
             f"truth and estimate must be aligned 1-D vectors, got shapes {t.shape} and {e.shape}"
         )
-    return t, e
+    return e
 
 
 def _finite(values, name: str) -> np.ndarray:
@@ -52,25 +59,150 @@ def _vector(values) -> np.ndarray:
 
 
 def _tie_bounds(s: np.ndarray) -> np.ndarray:
-    """For ascending ``s``, the first position p > r with
-    ``s[p] - s[r] >= TIE_TOLERANCE`` as computed in floating point (``n`` if
-    none), for each position r: positions r+1 .. p-1 are r's ties above it.
+    """For each row of ``s`` (k, n), ascending, and each position r in it: the
+    first position p > r with ``s[p] - s[r] >= TIE_TOLERANCE`` as computed in
+    floating point (``n`` if none). Positions r+1 .. p-1 are r's ties above it.
 
     Rounding is monotone, so the rounded difference never decreases as p
     grows: the positions at or past the tolerance form a suffix. A
-    ``searchsorted`` against ``s + TIE_TOLERANCE`` finds its start up to the
-    rounding of that sum; the loop then moves each guess over whole runs of
-    equal values until the direct difference agrees on both sides of it.
+    ``searchsorted`` of each row against ``s + TIE_TOLERANCE`` finds its
+    start up to the rounding of that sum; the loop then moves each guess over
+    whole runs of equal values until the direct difference agrees on both
+    sides of it.
     """
-    padded = np.append(s, np.inf)
-    bound = np.searchsorted(s, s + TIE_TOLERANCE)
+    bound = np.stack([np.searchsorted(values, values + TIE_TOLERANCE) for values in s])
+    padded = np.concatenate((s, np.full((s.shape[0], 1), np.inf)), axis=1)
     while True:
-        low = padded[bound] - s < TIE_TOLERANCE
-        high = (bound > 0) & (padded[bound - 1] - s >= TIE_TOLERANCE)
+        low = _gather(padded, bound) - s < TIE_TOLERANCE
+        high = (bound > 0) & (_gather(padded, bound - 1) - s >= TIE_TOLERANCE)
         if not (low.any() or high.any()):
             return bound
-        bound[low] = np.searchsorted(s, s[bound[low]], side="right")
-        bound[high] = np.searchsorted(s, s[bound[high] - 1], side="left")
+        run_start, run_end = _run_edges(s)
+        bound = np.where(low, _gather(run_end, bound), bound)
+        bound = np.where(high, _gather(run_start, bound - 1), bound)
+
+
+def _run_edges(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of ``s`` (k, n), ascending, and each position r in it:
+    the first position of r's run of equal values and the one after its
+    last, with a last column standing for position n."""
+    k, n = s.shape
+    differs = s[:, 1:] != s[:, :-1]
+    edge = np.ones((k, 1), dtype=bool)
+    positions = np.arange(n + 1)
+    run_start = np.maximum.accumulate(
+        np.where(np.concatenate((edge, differs, edge), axis=1), positions, 0), axis=1
+    )
+    ends = np.where(np.concatenate((differs, edge, edge), axis=1), positions + 1, n)
+    return run_start, np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+
+
+def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[r, index[r, j]]`` for every row r and column j of the 2-D
+    ``index`` (``np.take_along_axis`` along rows, as one flat take)."""
+    rows, width = values.shape
+    return values.ravel()[index + np.arange(rows)[:, None] * width]
+
+
+# ``kendall_tau_errors`` works on batches of at most this many entries (the
+# vectors' length padded to a power of two, times their number; one vector
+# when it is longer). At n = 240 the whole lambda grid is one batch, while
+# from n = 2 400 up a batch is no faster than one vector at a time, and its
+# arrays stay a few hundred KB however many vectors are given.
+_BATCH_ENTRIES = 1 << 14
+
+
+def kendall_tau_errors(truth, estimates) -> np.ndarray:
+    """``kendall_tau_error`` of each vector of ``estimates`` (a sequence of
+    1-D vectors, or the rows of a 2-D array) against one ``truth``, as an
+    array equal to one call per vector, bit for bit.
+
+    Sort-based, O(n log^2 n) per vector: the truth's runs of equal values
+    are found once; then per vector a stable sort by estimate and one by
+    truth run, tied pairs from the tie boundary of each estimate and
+    discordant pairs from a bottom-up merge tree over truth order. Each step
+    runs on a batch of vectors as one array; a batch holds at most
+    ``_BATCH_ENTRIES`` entries.
+    """
+    t = _finite(truth, "truth")
+    rows = [_aligned_with(t, estimate) for estimate in estimates]
+    n = t.shape[0]
+    # each review's run of equal truth, the runs numbered in ascending truth
+    run_of = np.unique(t, return_inverse=True)[1]
+    run_sizes = np.bincount(run_of)
+    ordered = n * (n - 1) // 2 - int((run_sizes * (run_sizes - 1) // 2).sum())
+    if ordered == 0:
+        raise AllTiedError("no strictly ordered truth pair")
+    per_batch = max(1, _BATCH_ENTRIES // (1 << (n - 1).bit_length()))
+    disagreement = np.empty(len(rows))
+    for first in range(0, len(rows), per_batch):
+        batch = np.stack(rows[first:first + per_batch])
+        tied, discordant = _tied_and_discordant(batch, run_of, run_sizes)
+        disagreement[first:first + batch.shape[0]] = tied * 0.5 + discordant
+    return disagreement / ordered
+
+
+def _tied_and_discordant(
+    e: np.ndarray, run_of: np.ndarray, run_sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of ``e`` (k, n), one vector of estimates: the number of
+    pairs of reviews with distinct truth that it ties, and the number it
+    orders against the truth. ``run_of`` numbers each review's run of equal
+    truth in ascending truth, and ``run_sizes`` counts each run's reviews."""
+    k, n = e.shape
+    positions = np.arange(n)
+    row = np.arange(k)
+    # rank: position in a stable sort of a row's estimates. ``order`` lists
+    # the row's reviews by (truth, estimate), a stable sort of ``by_estimate``
+    # by truth run: within a run, ranks ascend along it
+    by_estimate = np.argsort(e, axis=1, kind="stable")
+    order = _gather(by_estimate, np.argsort(run_of[by_estimate], axis=1, kind="stable"))
+    rank_of = np.empty((k, n), dtype=np.int64)
+    np.put_along_axis(rank_of, by_estimate, positions[None], axis=1)
+    rank = _gather(rank_of, order)
+    run = np.repeat(np.arange(run_sizes.shape[0]), run_sizes)  # along ``order``
+    bound = _tie_bounds(_gather(e, by_estimate))
+    # the estimates ranked at or above ``above`` are the ones at least
+    # TIE_TOLERANCE higher than this one, by the rounded difference
+    above = _gather(bound, rank)
+    tied = (bound - positions - 1).sum(axis=1)
+    # subtract tied pairs inside one truth run: the run's ties of each review
+    # are its later entries ranked below ``above``. Keys ascend along a row,
+    # and row r's lie in [r * stride, (r + 1) * stride), so one sorted array
+    # holds every row in turn
+    start = run * (n + 1) + row[:, None] * ((int(run[-1]) + 1) * (n + 1))
+    inside = np.searchsorted((start + rank).ravel(), (start + above).ravel()).reshape(k, n)
+    tied -= (inside - positions - 1).sum(axis=1) - row * n * n
+
+    # a pair (a before b in truth order) is discordant when a is ranked at or
+    # above b's ``above``; an earlier review of b's own run never is. A merge
+    # tree counts each pair at the level where a falls in a left block and b
+    # in its right sibling. Padding each row to a power of two adds left
+    # entries ranked -1 and right entries with ``above`` n, which count
+    # nothing.
+    size = 1 << (n - 1).bit_length()
+    ranks = np.full((k, size), -1, dtype=np.int64)
+    ranks[:, :n] = rank
+    thresholds = np.full((k, size), n, dtype=np.int64)
+    thresholds[:, :n] = above
+    found = np.zeros(k, dtype=np.int64)
+    at_or_above = at_or_above_per_row = 0
+    width = 1
+    while width < size:
+        # the blocks of all rows in turn; keys of block j lie in
+        # [j(n+1) - 1, j(n+1) + n - 1], so one sorted array holds every left
+        # block in turn, block j from j * width on
+        blocks = size // (2 * width)  # per row
+        offset = np.arange(k * blocks)[:, None] * (n + 1)
+        left = (np.sort(ranks.reshape(-1, 2, width)[:, 0], axis=1) + offset).ravel()
+        query = (thresholds.reshape(-1, 2, width)[:, 1] + offset).ravel()
+        found += np.searchsorted(left, query).reshape(k, -1).sum(axis=1)
+        # b of block j is discordant with (j + 1) * width - searchsorted(b)
+        # entries of its left sibling; row r's blocks are j = r * blocks ..
+        at_or_above += width * width * blocks * (blocks + 1) // 2
+        at_or_above_per_row += width * width * blocks * blocks
+        width *= 2
+    return tied, at_or_above + row * at_or_above_per_row - found
 
 
 def kendall_tau_error(truth, estimate) -> float:
@@ -84,63 +216,9 @@ def kendall_tau_error(truth, estimate) -> float:
     per reviewer. A pair ties when its estimates' difference, computed in
     floating point, is below ``TIE_TOLERANCE`` in absolute value; the result
     equals that pairwise rule's bit for bit. Non-finite inputs raise
-    ``ValueError``.
-
-    Sort-based, O(n log^2 n): one sort by (truth, estimate), tied pairs from
-    the tie boundary of each estimate, discordant pairs from a bottom-up merge
-    tree over truth order.
+    ``ValueError``. This is ``kendall_tau_errors`` on one vector.
     """
-    t, e = _aligned(truth, estimate)
-    n = t.shape[0]
-    order = np.lexsort((e, t))
-    t, e = t[order], e[order]
-    new_run = np.concatenate(([True], t[1:] != t[:-1]))
-    run = np.cumsum(new_run) - 1
-    run_sizes = np.bincount(run)
-    ordered = n * (n - 1) // 2 - int((run_sizes * (run_sizes - 1) // 2).sum())
-    if ordered == 0:
-        raise AllTiedError("no strictly ordered truth pair")
-
-    # rank: position in a stable sort of the estimates; within a truth run the
-    # estimates ascend, so ranks ascend too
-    by_estimate = np.argsort(e, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_estimate] = np.arange(n)
-    bound = _tie_bounds(e[by_estimate])
-    # the estimates ranked at or above ``above`` are the ones at least
-    # TIE_TOLERANCE higher than this one, by the rounded difference
-    above = bound[rank]
-    tied = int((bound - np.arange(n) - 1).sum())
-    # subtract tied pairs inside one truth run: the run's ties of each review
-    # are its later entries ranked below ``above``
-    keys = run * (n + 1) + rank
-    tied -= int((np.searchsorted(keys, keys - rank + above) - np.arange(n) - 1).sum())
-
-    # a pair (a before b in truth order) is discordant when a is ranked at or
-    # above b's ``above``; an earlier review of b's own run never is. A merge
-    # tree counts each pair at the level where a falls in a left block and b
-    # in its right sibling. Padding to a power of two adds left entries
-    # ranked -1 and right entries with ``above`` n, which count nothing.
-    size = 1 << (n - 1).bit_length()
-    ranks = np.full(size, -1, dtype=np.int64)
-    ranks[:n] = rank
-    thresholds = np.full(size, n, dtype=np.int64)
-    thresholds[:n] = above
-    discordant = 0
-    width = 1
-    while width < size:
-        blocks = size // (2 * width)
-        # keys of block j lie in [j(n+1) - 1, j(n+1) + n - 1], so one sorted
-        # array holds every left block in turn, block j from j * width on
-        offset = np.arange(blocks)[:, None] * (n + 1)
-        left = (np.sort(ranks.reshape(blocks, 2, width)[:, 0], axis=1) + offset).ravel()
-        query = (thresholds.reshape(blocks, 2, width)[:, 1] + offset).ravel()
-        # b of block j is discordant with (j + 1) * width - searchsorted(b)
-        # entries of its left sibling; summed over the width b's of each block
-        at_or_above = width * width * blocks * (blocks + 1) // 2
-        discordant += at_or_above - int(np.searchsorted(left, query).sum())
-        width *= 2
-    return (tied * 0.5 + discordant) / ordered
+    return float(kendall_tau_errors(truth, [estimate])[0])
 
 
 def l2_error(truth, estimate) -> float:
@@ -169,7 +247,7 @@ def tie_fraction(values) -> float:
     total = n * (n - 1) // 2
     if total == 0:
         return 0.0
-    tied = int((_tie_bounds(np.sort(values)) - np.arange(n) - 1).sum())
+    tied = int((_tie_bounds(np.sort(values)[None]) - np.arange(n) - 1).sum())
     return tied / total
 
 

@@ -212,7 +212,7 @@ def validate(dataset: ReviewDataset) -> list[Violation]:
     for node in np.flatnonzero(np.bincount(labels)[labels] > 1).tolist():
         cycles.setdefault(labels[node], []).append(node)
     for members in sorted(cycles.values()):
-        detail = "cycle through " + " > ".join(paper_ids[dataset.paper[members]])
+        detail = "cycle through " + " > ".join(map(repr, paper_ids[dataset.paper[members]]))
         found.append((dataset.reviewer[members[0]], 1, RANK_CYCLE, detail))
     found.sort(key=lambda entry: entry[:2])
     return violations + [Violation(code, reviewer_ids[r], detail) for r, _, code, detail in found]

@@ -53,10 +53,26 @@ keeps the KKT pattern of its last polish, so a polish on the same active set
 and the same pattern of Q (the next weight of a path) only writes Q's values
 into it (OSQP-style reuse of what does not change, Stellato et al., Math.
 Prog. Comp. 2020).
+
+What a warm step of a path builds. The problems of one compiled dataset
+share their ``Constraints`` and the very arrays of Q's pattern, and a
+problem's arrays are never written after it is built. A matrix whose values
+change and whose pattern does not is a shallow copy holding new values
+(``with_data``: no scipy constructor, and nothing shared is written, so
+threads may share a ``Constraints``). A step that its first polish certifies
+therefore constructs no scipy matrix: it writes Q's values (the problem's
+and the scaled Q, both copies of the dataset's pattern), finds the KKT
+pattern in the memo by the identity of Q's pattern arrays and by its active
+rows, writes the two KKT copies' values, factors once (``spla.splu``) and
+runs three triangular solves (the solve and two refinement sweeps against
+the unregularized system), then the certificate's residuals and the
+objective. Only a new active set builds a KKT pattern, with the one matrix
+its polishes copy.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -326,19 +342,29 @@ def _walk_cycle(pred: list[int | None], start: int, n: int) -> list[int]:
 _REGULARIZATION = 1e-9
 
 
+def with_data(matrix, data: np.ndarray):
+    """A shallow copy of the CSC ``matrix`` holding ``data`` in place of its
+    values: it shares the pattern arrays, constructs no matrix and leaves
+    ``matrix`` as it was."""
+    copied = copy.copy(matrix)
+    copied.data = data
+    return copied
+
+
 class _KKTPattern(NamedTuple):
     """What a polish's KKT matrix takes from its active rows and from Q's
-    sparsity pattern alone: the CSC ``indptr`` and ``indices``, where Q's
-    entries go (``q_dest``) and which of them are its diagonal
-    (``q_diagonal``), the lower-right diagonal's positions, and ``data0``, the
-    unregularized values with the active rows' entries in place and zeros for
-    Q's. The first three fields are the key it was built for."""
+    sparsity pattern alone: ``matrix``, the KKT matrix whose values each
+    polish replaces (see ``with_data``), where Q's entries go in its values
+    (``q_dest``) and which of them are its diagonal (``q_diagonal``), the
+    lower-right diagonal's positions, and ``data0``, the unregularized values
+    with the active rows' entries in place and zeros for Q's. The first three
+    fields are the key it was built for: Q's pattern arrays themselves, which
+    like every array of a problem are never written after it is built."""
 
     active_rows: np.ndarray
     q_indptr: np.ndarray
     q_indices: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
+    matrix: sp.csc_matrix
     q_dest: np.ndarray
     q_diagonal: np.ndarray
     lower_diagonal: np.ndarray
@@ -387,17 +413,19 @@ def _kkt_pattern(Q, rows_csr: sp.csr_matrix, active_rows: np.ndarray) -> _KKTPat
     lower_diagonal = indptr[n + 1:] - 1
     indices[lower_diagonal] = np.arange(n, n + k)
     q_diagonal = q_dest[Q.indices == np.repeat(np.arange(n), q_counts)]
+    matrix = sp.csc_matrix((data0, indices, indptr), shape=(n + k, n + k))
+    # computed once here, the format check travels with every copy
+    matrix.has_canonical_format
     return _KKTPattern(
-        active_rows, Q.indptr.copy(), Q.indices.copy(),
-        indptr, indices, q_dest, q_diagonal, lower_diagonal, data0,
+        active_rows, Q.indptr, Q.indices, matrix, q_dest, q_diagonal, lower_diagonal, data0,
     )
 
 
 def _kkt(Q, pattern: _KKTPattern):
     """The polish's KKT matrix [[Q + delta I, A_S'], [A_S, -delta I]] and its
-    unregularized part [[Q, A_S'], [A_S, 0]] on ``pattern``, as two CSC
-    matrices that share its ``indices`` and ``indptr``. Only Q's values are
-    written; for a Q that stores its whole diagonal and no zero, this is
+    unregularized part [[Q, A_S'], [A_S, 0]] on ``pattern``, as two copies of
+    its matrix (no matrix is constructed). Only Q's values are written; for a
+    Q that stores its whole diagonal and no zero, this is
     ``(bmat([[Q, A_S'], [A_S, None]]) + diags(...))`` in CSC form, bit for
     bit."""
     data0 = pattern.data0.copy()
@@ -405,24 +433,25 @@ def _kkt(Q, pattern: _KKTPattern):
     data = data0.copy()
     data[pattern.q_diagonal] += _REGULARIZATION
     data[pattern.lower_diagonal] = -_REGULARIZATION
-    shape = (pattern.indptr.size - 1,) * 2
-    return (
-        sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=shape),
-        sp.csc_matrix((data0, pattern.indices, pattern.indptr), shape=shape),
-    )
+    return with_data(pattern.matrix, data), with_data(pattern.matrix, data0)
+
+
+def _same(key: np.ndarray, array: np.ndarray) -> bool:
+    return key is array or np.array_equal(key, array)
 
 
 def _memoized_kkt_pattern(Q, constraints: Constraints, active_rows: np.ndarray) -> _KKTPattern:
     """The KKT pattern of the last polish on ``constraints`` when it had the
     same active rows and the same sparsity of Q, else a new one, which then
-    replaces it. Along a path of weights Q's pattern stays put and one active
-    set usually serves several polishes in a row."""
+    replaces it. Along a path of weights Q's pattern stays put (its arrays
+    are the very same objects) and one active set usually serves several
+    polishes in a row."""
     last = constraints.last_kkt_pattern.get("pattern")
     if not (
         last is not None
         and np.array_equal(last.active_rows, active_rows)
-        and np.array_equal(last.q_indptr, Q.indptr)
-        and np.array_equal(last.q_indices, Q.indices)
+        and _same(last.q_indptr, Q.indptr)
+        and _same(last.q_indices, Q.indices)
     ):
         last = _kkt_pattern(Q, constraints.row_entries, active_rows)
         constraints.last_kkt_pattern["pattern"] = last
@@ -452,7 +481,7 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     # a couple of refinement sweeps against the unregularized system
     for _ in range(2):
         resid = rhs - kkt0 @ sol
-        if np.max(np.abs(resid)) < 1e-14:
+        if np.abs(resid).max() < 1e-14:
             break
         sol = sol + lu.solve(resid)
     x = sol[:n]
@@ -478,10 +507,10 @@ def _pcg(K, inv_diag, b, x0):
     Stops once ||b - K x||_inf <= 1e-10 * max(1, ||b||_inf), or after a fixed
     number of steps. Returns (x, steps taken).
     """
-    tol = _CG_TOLERANCE * max(1.0, float(np.max(np.abs(b))))
+    tol = _CG_TOLERANCE * max(1.0, float(np.abs(b).max()))
     x = x0.copy()
     r = b - K @ x
-    if np.max(np.abs(r)) <= tol:
+    if np.abs(r).max() <= tol:
         return x, 0
     d = inv_diag * r
     p = d
@@ -491,7 +520,7 @@ def _pcg(K, inv_diag, b, x0):
         a = rd / float(p @ Kp)
         x += a * p
         r -= a * Kp
-        if np.max(np.abs(r)) <= tol:
+        if np.abs(r).max() <= tol:
             return x, step
         d = inv_diag * r
         rd, rd_old = float(r @ d), rd
@@ -510,20 +539,20 @@ def _residuals(Q, c, rows: StackedRows, x, w, z=None):
     """
     Ax = rows.A @ x
     primal = max(
-        float(np.max(rows.lower - Ax, initial=0.0)),
-        float(np.max(Ax - rows.upper, initial=0.0)),
+        float((rows.lower - Ax).max(initial=0.0)),
+        float((Ax - rows.upper).max(initial=0.0)),
         0.0,
     )
     if z is not None:
-        primal = max(primal, float(np.max(np.abs(Ax - z))))
+        primal = max(primal, float(np.abs(Ax - z).max()))
     Qx = Q @ x
     Atw = rows.At @ w
-    stat_num = float(np.max(np.abs(Qx + c + Atw)))
+    stat_num = float(np.abs(Qx + c + Atw).max())
     stat_den = max(
         1.0,
-        float(np.max(np.abs(Qx))),
-        float(np.max(np.abs(c))),
-        float(np.max(np.abs(Atw))),
+        float(np.abs(Qx).max()),
+        float(np.abs(c).max()),
+        float(np.abs(Atw).max()),
     )
     return primal, stat_num / stat_den
 
@@ -624,10 +653,7 @@ def solve(
     # scipy's division by a scalar computes)
     quadratic = problem.quadratic.tocsc()
     scale = max(1.0, float(quadratic.diagonal().max()) / 2.0)
-    Q = sp.csc_matrix(
-        (quadratic.data * (1.0 / scale), quadratic.indices, quadratic.indptr),
-        shape=quadratic.shape,
-    )
+    Q = with_data(quadratic, quadratic.data * (1.0 / scale))
     c = problem.linear / scale
 
     active = None

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .dequantize import CompiledDataset, DequantizerConfig, compile_dataset
-from .metrics import kendall_tau_error
+from .metrics import kendall_tau_errors
 from .model import ReviewDataset, ScoreScale, derive_rankings_from_raw_scores, require_valid
 from .qp import DEFAULT_FEASTOL, ActiveSet, Solution, solve
 
@@ -76,6 +76,13 @@ def lambda_path(
     those polished points passes the certificate (the first step then
     iterates from the cold start). Every returned solution is the certified
     unique minimizer at its weight, as a solve from no start would be.
+
+    Each step is one ``qp.solve`` of ``compiled.problem(lam)``. The problems
+    share the dataset's constraints and Q's pattern, so a step the solver
+    certifies on its start's active set constructs no sparse matrix: it pays
+    for one sparse LU, its solves and the certificate (see ``qp``). The
+    solutions are scored together by the batched Kendall kernel
+    (``metrics.kendall_tau_errors``) in ``select_lambda``.
     """
     solutions: list[Solution] = []
     previous: Solution | ActiveSet = ActiveSet(
@@ -103,17 +110,17 @@ def select_lambda(
     the minimizer is unique, so it only saves work. The original scores, in
     the solution vectors' review order, act as validation truth with
     exact-tie omission; all-tied originals raise ``DegenerateValidation``.
+    The grid's solutions are scored by one call of the batched Kendall
+    kernel, ``kendall_tau_errors``, equal bit for bit to one
+    ``kendall_tau_error`` per weight.
     """
     require_valid(dataset)
     if np.unique(dataset.scores).shape[0] < 2:
         raise DegenerateValidation("all original scores are tied; loss is undefined")
 
     compiled = compile_dataset(coarsen(dataset), deq_config.epsilon)
-    truth = dataset.scores.astype(float)
-    errors = [
-        kendall_tau_error(truth, solution.values)
-        for solution in lambda_path(compiled, LAMBDA_GRID, deq_config.feastol)
-    ]
+    path = lambda_path(compiled, LAMBDA_GRID, deq_config.feastol)
+    errors = kendall_tau_errors(dataset.scores, [solution.values for solution in path]).tolist()
 
     selected = errors.index(min(errors))  # the grid ascends: ties go to the smallest
     return QVReport(

@@ -174,7 +174,7 @@ def ranking_cycles_reference(scores: dict, rows) -> list[tuple[str, str]]:
             tuple(q for q in papers if q == p or {(p, q), (q, p)} <= reach) for p in papers
         }
         for group in sorted(g for g in groups if len(g) > 1):
-            cycles.append((r, "cycle through " + " > ".join(group)))
+            cycles.append((r, "cycle through " + " > ".join(map(repr, group))))
     return cycles
 
 

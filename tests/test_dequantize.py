@@ -197,8 +197,17 @@ class TestDequantize:
             dequantize(ds, DequantizerConfig(lam=1.0, epsilon=0.05))
         # the chain is named by (reviewer, paper) ids, best first
         message = str(info.value)
-        assert "(r1, p00) > (r1, p01) > " in message
-        assert message.endswith("(r1, p20) > (r1, p21)")
+        assert "('r1', 'p00') > ('r1', 'p01') > " in message
+        assert message.endswith("('r1', 'p20') > ('r1', 'p21')")
+
+    def test_infeasible_chain_names_reviews_by_their_repr(self):
+        papers = ["A > B", "C", "D\nE"]
+        ds = make_dataset(
+            {("r 1", p): 5 for p in papers}, {"r 1": [(papers[0], papers[1]), (papers[1], papers[2])]}
+        )
+        with pytest.raises(InfeasibleProblem) as info:
+            dequantize(ds, DequantizerConfig(lam=1.0, epsilon=0.6))
+        assert str(info.value).endswith("('r 1', 'A > B') > ('r 1', 'C') > ('r 1', 'D\\nE')")
 
     def test_auto_matches_explicit_selection(self):
         instance = generate(SynthConfig(num_papers=12, seed=21))

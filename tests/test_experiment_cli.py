@@ -194,7 +194,7 @@ class TestCli:
         out = capsys.readouterr().out
         if code:
             assert "ranked chain of 25 reviews" in out
-            assert "(r1, p00)" in out and "(r1, p24)" in out
+            assert "('r1', 'p00')" in out and "('r1', 'p24')" in out
         else:
             assert out == "ok\n"
 

@@ -217,6 +217,16 @@ class TestWriteScores:
         for pair, value in scores.values.items():
             assert reloaded[pair] == pytest.approx(value, rel=1e-11, abs=1e-11)
 
+    def test_ids_holding_line_breaks_or_quotes_round_trip(self, tmp_path):
+        # a bare carriage return in an id must be quoted like a line feed,
+        # or the row splits in two
+        scores = {("r\r1", "x\rx"): 3, ("r2", 'a "b", c'): 4, ("r2", "x\rx"): 5}
+        output = DequantizedScores(values={pair: float(z) for pair, z in scores.items()})
+        out = tmp_path / "out.csv"
+        write_scores(output, make_dataset(scores, scale=(1, 5)), out)
+        assert load_scores(out) == output.values
+        assert b'"r\r1","x\rx",3,3,' in out.read_bytes()
+
     def test_percentile_column_delegates_to_metrics(self, tmp_path):
         instance = generate(SynthConfig(num_papers=6, reviews_per_paper=2,
                                         papers_per_reviewer=2, seed=4))

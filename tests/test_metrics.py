@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deqscores import metrics
 from deqscores.metrics import (
     TIE_TOLERANCE,
     AllTiedError,
     EmptyStatisticsError,
     kendall_tau_error,
+    kendall_tau_errors,
     l2_error,
     percentiles,
     project_to_original_scale,
@@ -205,6 +208,89 @@ class TestKendallMatchesPairwiseOracle:
         assert surplus == pytest.approx(round(surplus), abs=1e-6)
         expected = (ordered - round(surplus)) / (2 * ordered)
         assert kendall_tau_error(truth, estimate) == expected
+
+
+def _batches(n: int):
+    """Truth levels for n reviews and a list of estimate vectors for them:
+    fresh rows, copies of earlier rows and constant rows, drawn from values
+    that tie, values within a few ulps of TIE_TOLERANCE apart, and reals."""
+    values = st.one_of(HALF_STEPS, ULP_ADJACENT, st.floats(-10, 10, allow_subnormal=False))
+    fresh = st.lists(values, min_size=n, max_size=n)
+    constant = values.map(lambda v: [v] * n)
+    return st.tuples(
+        st.lists(TRUTH_LEVELS, min_size=n, max_size=n).filter(lambda t: len(set(t)) > 1),
+        st.lists(st.one_of(fresh, constant, st.integers(0, 7)), min_size=1, max_size=8),
+    ).map(lambda drawn: (drawn[0], _resolve_copies(drawn[1])))
+
+
+def _resolve_copies(rows):
+    """Rows as drawn, an integer standing for a copy of an earlier row."""
+    resolved = []
+    for row in rows:
+        if isinstance(row, int):
+            row = resolved[row % len(resolved)] if resolved else None
+        if row is not None:
+            resolved.append(list(row))
+    return resolved
+
+
+class TestKendallBatch:
+    """``kendall_tau_errors`` against the direct pairwise rule, row by row,
+    with ``==``: in one batch, and split into batches of one or two rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 60).flatmap(_batches))
+    def test_every_row_matches_pairwise_oracle(self, drawn):
+        truth, rows = drawn
+        if not rows:
+            rows = [truth]
+        expected = [pairwise_kendall_tau_error(truth, row) for row in rows]
+        assert kendall_tau_errors(truth, rows).tolist() == expected
+        assert kendall_tau_errors(truth, np.array(rows)).tolist() == expected
+        size = 1 << (len(truth) - 1).bit_length()
+        for per_batch in (1, 2):
+            with mock.patch.object(metrics, "_BATCH_ENTRIES", per_batch * size):
+                assert kendall_tau_errors(truth, rows).tolist() == expected
+        assert [kendall_tau_error(truth, row) for row in rows] == expected
+
+    @pytest.mark.parametrize("low, high, tied", [
+        (0.2, 0.2 + TIE_TOLERANCE, True),
+        (-7.5e-5, math.nextafter(-7.5e-5 + TIE_TOLERANCE, -math.inf), False),
+    ])
+    def test_boundary_pair_in_a_batch(self, low, high, tied):
+        # the boundary pair next to rows that need no boundary step
+        rows = [[low, high], [high, low], [0.0, 1.0], [low, high]]
+        expected = [0.5, 0.5, 0.0, 0.5] if tied else [0.0, 1.0, 0.0, 0.0]
+        assert kendall_tau_errors([0.0, 1.0], rows).tolist() == expected
+
+    def test_single_and_constant_rows(self):
+        truth = [3.0, 1.0, 2.0, 2.0]
+        assert kendall_tau_errors(truth, [[7.0] * 4]).tolist() == [0.5]
+        assert kendall_tau_errors(truth, [[0.0] * 4, truth, [0.0] * 4]).tolist() == [0.5, 0.0, 0.5]
+
+    def test_no_rows(self):
+        assert kendall_tau_errors([1.0, 2.0], []).shape == (0,)
+
+    def test_all_tied_truth_raises(self):
+        with pytest.raises(AllTiedError):
+            kendall_tau_errors([2.0, 2.0, 2.0], [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+        with pytest.raises(AllTiedError):
+            kendall_tau_errors([4.0], [[1.0]])
+
+    def test_misaligned_or_non_finite_row_raises(self):
+        with pytest.raises(ValueError, match="aligned 1-D"):
+            kendall_tau_errors([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="estimate contains non-finite"):
+            kendall_tau_errors([1.0, 2.0], [[1.0, 2.0], [math.nan, 1.0]])
+
+    def test_long_vectors_are_batched_one_at_a_time(self):
+        # n = 12 000, a P=3000 review count: one vector per batch, each equal
+        # to its own call
+        rng = np.random.default_rng(12000)
+        truth = rng.integers(1, 11, 12000).astype(float)
+        rows = [np.round(truth / 2 + rng.normal(scale=s, size=12000), 4) for s in (0.2, 0.5, 1.0)]
+        batched = kendall_tau_errors(truth, rows).tolist()
+        assert batched == [kendall_tau_error(truth, row) for row in rows]
 
 
 class TestL2:

@@ -77,9 +77,20 @@ class TestValidate:
         )
         assert [(v.code, v.reviewer_id, v.detail) for v in validate(ds)] == [
             (UNASSIGNED_PAIR, "r1", "ranking references unscored paper 'Z'"),
-            (RANK_CYCLE, "r1", "cycle through A > B"),
-            (RANK_CYCLE, "r1", "cycle through C > D"),
+            (RANK_CYCLE, "r1", "cycle through 'A' > 'B'"),
+            (RANK_CYCLE, "r1", "cycle through 'C' > 'D'"),
             (RANK_SCORE_INCONSISTENT, "r2", "('A', 'B') but scores are 3 < 4"),
+        ]
+
+    def test_cycle_names_each_paper_by_its_repr(self):
+        # an id holding the separator or a line break still reads as one paper
+        papers = ["A > B", "C", "D\nE"]
+        ds = make_dataset(
+            {("r1", p): 5 for p in papers},
+            {"r1": [(papers[0], papers[1]), (papers[1], papers[2]), (papers[2], papers[0])]},
+        )
+        assert [(v.code, v.detail) for v in validate(ds)] == [
+            (RANK_CYCLE, "cycle through 'A > B' > 'C' > 'D\\nE'"),
         ]
 
     @settings(max_examples=300, deadline=None)

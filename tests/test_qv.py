@@ -1,7 +1,10 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from deqscores.dequantize import compile_dataset
 from deqscores.metrics import kendall_tau_error
@@ -108,6 +111,17 @@ class TestSelectLambda:
         assert lam_noisy >= lam_quiet
 
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_errors_equal_one_kendall_call_per_step(self, seed):
+        # the batched Kendall kernel scores the path as one call per grid
+        # step would, bit for bit
+        dataset = generate(SynthConfig(num_papers=60, seed=seed)).dataset
+        path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
+        truth = dataset.scores.astype(float)
+        errors = tuple(kendall_tau_error(truth, solution.values) for solution in path)
+        assert select_lambda(dataset).errors == errors
+
+
 class TestLambdaPath:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_warm_path_matches_cold_solves(self, seed):
@@ -161,3 +175,47 @@ class TestLambdaPath:
         assert corrected > 0
         # a point off the minimizer fails it
         assert certify(compiled.problem(LAMBDA_GRID[1]), path[0].values).stationarity > 1e-6
+
+
+class TestLambdaPathStep:
+    """What one warm step of the path builds, and that steps sharing a
+    compiled dataset across threads stay exact."""
+
+    def test_a_certified_warm_step_constructs_at_most_one_matrix(self, monkeypatch):
+        compiled = compile_dataset(coarsen(generate(SynthConfig(num_papers=60, seed=0)).dataset), 0.05)
+        previous = lambda_path(compiled, LAMBDA_GRID[:1])[0]
+        constructed = []
+        init = sp.csc_matrix.__init__
+
+        def counted(self, *args, **kwargs):
+            constructed.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csc_matrix, "__init__", counted)
+        warm = 0
+        for lam in LAMBDA_GRID[1:]:
+            constructed.clear()
+            solution = solve(compiled.problem(lam), start=previous)
+            # polished on the set it started from: no correction was needed
+            if solution.iterations == 0 and np.array_equal(solution.active, previous.active):
+                warm += 1
+                assert len(constructed) <= 1, lam
+            previous = solution
+        assert warm >= len(LAMBDA_GRID) // 2
+
+    def test_threads_sharing_a_compiled_dataset_get_the_serial_path(self):
+        compiled = compile_dataset(coarsen(generate(SynthConfig(num_papers=60, seed=1)).dataset), 0.05)
+        serial = lambda_path(compiled, LAMBDA_GRID)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                paths = list(pool.map(lambda _: lambda_path(compiled, LAMBDA_GRID), range(2), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for path in paths:
+            for step, expected in zip(path, serial):
+                assert np.array_equal(step.values, expected.values)
+                assert np.array_equal(step.active, expected.active)
+                assert step.objective_value == expected.objective_value
+                assert (step.iterations, step.residuals) == (expected.iterations, expected.residuals)
