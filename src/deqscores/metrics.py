@@ -59,42 +59,25 @@ def _vector(values) -> np.ndarray:
 
 
 def _tie_bounds(s: np.ndarray) -> np.ndarray:
-    """For each row of ``s`` (k, n), ascending, and each position r in it: the
-    first position p > r with ``s[p] - s[r] >= TIE_TOLERANCE`` as computed in
-    floating point (``n`` if none). Positions r+1 .. p-1 are r's ties above it.
+    """For ascending ``s``, the first position p > r with
+    ``s[p] - s[r] >= TIE_TOLERANCE`` as computed in floating point (``n`` if
+    none), for each position r: positions r+1 .. p-1 are r's ties above it.
 
     Rounding is monotone, so the rounded difference never decreases as p
     grows: the positions at or past the tolerance form a suffix. A
-    ``searchsorted`` of each row against ``s + TIE_TOLERANCE`` finds its
-    start up to the rounding of that sum; the loop then moves each guess over
-    whole runs of equal values until the direct difference agrees on both
-    sides of it.
+    ``searchsorted`` against ``s + TIE_TOLERANCE`` finds its start up to the
+    rounding of that sum; the loop then moves each guess over whole runs of
+    equal values until the direct difference agrees on both sides of it.
     """
-    bound = np.stack([np.searchsorted(values, values + TIE_TOLERANCE) for values in s])
-    padded = np.concatenate((s, np.full((s.shape[0], 1), np.inf)), axis=1)
+    padded = np.append(s, np.inf)
+    bound = np.searchsorted(s, s + TIE_TOLERANCE)
     while True:
-        low = _gather(padded, bound) - s < TIE_TOLERANCE
-        high = (bound > 0) & (_gather(padded, bound - 1) - s >= TIE_TOLERANCE)
+        low = padded[bound] - s < TIE_TOLERANCE
+        high = (bound > 0) & (padded[bound - 1] - s >= TIE_TOLERANCE)
         if not (low.any() or high.any()):
             return bound
-        run_start, run_end = _run_edges(s)
-        bound = np.where(low, _gather(run_end, bound), bound)
-        bound = np.where(high, _gather(run_start, bound - 1), bound)
-
-
-def _run_edges(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of ``s`` (k, n), ascending, and each position r in it:
-    the first position of r's run of equal values and the one after its
-    last, with a last column standing for position n."""
-    k, n = s.shape
-    differs = s[:, 1:] != s[:, :-1]
-    edge = np.ones((k, 1), dtype=bool)
-    positions = np.arange(n + 1)
-    run_start = np.maximum.accumulate(
-        np.where(np.concatenate((edge, differs, edge), axis=1), positions, 0), axis=1
-    )
-    ends = np.where(np.concatenate((differs, edge, edge), axis=1), positions + 1, n)
-    return run_start, np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+        bound[low] = np.searchsorted(s, s[bound[low]], side="right")
+        bound[high] = np.searchsorted(s, s[bound[high] - 1], side="left")
 
 
 def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -106,10 +89,11 @@ def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 # ``kendall_tau_errors`` works on batches of at most this many entries (the
 # vectors' length padded to a power of two, times their number; one vector
-# when it is longer). At n = 240 the whole lambda grid is one batch, while
-# from n = 2 400 up a batch is no faster than one vector at a time, and its
-# arrays stay a few hundred KB however many vectors are given.
-_BATCH_ENTRIES = 1 << 14
+# when it is longer). A batch's working memory is about a dozen arrays of
+# its size: at n = 240 eight vectors take about 180 KB, less than the memory
+# ``select_lambda`` frees before scoring, and larger batches were little
+# faster. From n = 2 400 up a batch is one vector.
+_BATCH_ENTRIES = 1 << 11
 
 
 def kendall_tau_errors(truth, estimates) -> np.ndarray:
@@ -137,49 +121,63 @@ def kendall_tau_errors(truth, estimates) -> np.ndarray:
     disagreement = np.empty(len(rows))
     for first in range(0, len(rows), per_batch):
         batch = np.stack(rows[first:first + per_batch])
-        tied, discordant = _tied_and_discordant(batch, run_of, run_sizes)
-        disagreement[first:first + batch.shape[0]] = tied * 0.5 + discordant
+        rank, above, tied = _ranks_and_ties(batch, run_of, run_sizes)
+        disagreement[first:first + rank.shape[0]] = tied * 0.5 + _discordant(rank, above)
     return disagreement / ordered
 
 
-def _tied_and_discordant(
+def _ranks_and_ties(
     e: np.ndarray, run_of: np.ndarray, run_sizes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of ``e`` (k, n), one vector of estimates: the number of
-    pairs of reviews with distinct truth that it ties, and the number it
-    orders against the truth. ``run_of`` numbers each review's run of equal
-    truth in ascending truth, and ``run_sizes`` counts each run's reviews."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each row of ``e`` (k, n), one vector of estimates, with ``run_of``
+    numbering each review's run of equal truth in ascending truth and
+    ``run_sizes`` counting each run's reviews: in (truth, estimate) order,
+    each review's ``rank`` and ``above`` (see below), and the number of pairs
+    of reviews with distinct truth that the row ties."""
     k, n = e.shape
     positions = np.arange(n)
     row = np.arange(k)
-    # rank: position in a stable sort of a row's estimates. ``order`` lists
-    # the row's reviews by (truth, estimate), a stable sort of ``by_estimate``
-    # by truth run: within a run, ranks ascend along it
     by_estimate = np.argsort(e, axis=1, kind="stable")
-    order = _gather(by_estimate, np.argsort(run_of[by_estimate], axis=1, kind="stable"))
-    rank_of = np.empty((k, n), dtype=np.int64)
-    np.put_along_axis(rank_of, by_estimate, positions[None], axis=1)
-    rank = _gather(rank_of, order)
-    run = np.repeat(np.arange(run_sizes.shape[0]), run_sizes)  # along ``order``
-    bound = _tie_bounds(_gather(e, by_estimate))
+    bound = np.stack([_tie_bounds(values) for values in _gather(e, by_estimate)])
+    tied = (bound - positions - 1).sum(axis=1)
+    rank = _rank_by_truth(by_estimate, run_of)
     # the estimates ranked at or above ``above`` are the ones at least
     # TIE_TOLERANCE higher than this one, by the rounded difference
     above = _gather(bound, rank)
-    tied = (bound - positions - 1).sum(axis=1)
     # subtract tied pairs inside one truth run: the run's ties of each review
     # are its later entries ranked below ``above``. Keys ascend along a row,
     # and row r's lie in [r * stride, (r + 1) * stride), so one sorted array
     # holds every row in turn
+    run = np.repeat(np.arange(run_sizes.shape[0]), run_sizes)
     start = run * (n + 1) + row[:, None] * ((int(run[-1]) + 1) * (n + 1))
     inside = np.searchsorted((start + rank).ravel(), (start + above).ravel()).reshape(k, n)
     tied -= (inside - positions - 1).sum(axis=1) - row * n * n
+    return rank, above, tied
 
-    # a pair (a before b in truth order) is discordant when a is ranked at or
-    # above b's ``above``; an earlier review of b's own run never is. A merge
-    # tree counts each pair at the level where a falls in a left block and b
-    # in its right sibling. Padding each row to a power of two adds left
-    # entries ranked -1 and right entries with ``above`` n, which count
-    # nothing.
+
+def _rank_by_truth(by_estimate: np.ndarray, run_of: np.ndarray) -> np.ndarray:
+    """Each review's rank, its position in a stable sort of its row's
+    estimates (``by_estimate``), listed in (truth, estimate) order: a stable
+    sort of ``by_estimate`` by truth run. Within a run, ranks ascend."""
+    order = _gather(by_estimate, np.argsort(run_of[by_estimate], axis=1, kind="stable"))
+    rank_of = np.empty_like(by_estimate)
+    np.put_along_axis(rank_of, by_estimate, np.arange(by_estimate.shape[1])[None], axis=1)
+    return _gather(rank_of, order)
+
+
+def _discordant(rank: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """For each row of ``rank`` and ``above`` (k, n), in (truth, estimate)
+    order: the number of pairs of reviews with distinct truth that the row's
+    estimates order against the truth.
+
+    A pair (a before b in truth order) is discordant when a is ranked at or
+    above b's ``above``; an earlier review of b's own run never is. A merge
+    tree counts each pair at the level where a falls in a left block and b
+    in its right sibling. Padding each row to a power of two adds left
+    entries ranked -1 and right entries with ``above`` n, which count
+    nothing.
+    """
+    k, n = rank.shape
     size = 1 << (n - 1).bit_length()
     ranks = np.full((k, size), -1, dtype=np.int64)
     ranks[:, :n] = rank
@@ -202,7 +200,7 @@ def _tied_and_discordant(
         at_or_above += width * width * blocks * (blocks + 1) // 2
         at_or_above_per_row += width * width * blocks * blocks
         width *= 2
-    return tied, at_or_above + row * at_or_above_per_row - found
+    return at_or_above + np.arange(k) * at_or_above_per_row - found
 
 
 def kendall_tau_error(truth, estimate) -> float:
@@ -247,7 +245,7 @@ def tie_fraction(values) -> float:
     total = n * (n - 1) // 2
     if total == 0:
         return 0.0
-    tied = int((_tie_bounds(np.sort(values)[None]) - np.arange(n) - 1).sum())
+    tied = int((_tie_bounds(np.sort(values)) - np.arange(n) - 1).sum())
     return tied / total
 
 

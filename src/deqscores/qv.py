@@ -118,9 +118,15 @@ def select_lambda(
     if np.unique(dataset.scores).shape[0] < 2:
         raise DegenerateValidation("all original scores are tied; loss is undefined")
 
-    compiled = compile_dataset(coarsen(dataset), deq_config.epsilon)
-    path = lambda_path(compiled, LAMBDA_GRID, deq_config.feastol)
-    errors = kendall_tau_errors(dataset.scores, [solution.values for solution in path]).tolist()
+    # only the solutions' values outlive the path, so the memory of the
+    # compiled data and of the solution records serves the Kendall batches
+    values = [
+        solution.values
+        for solution in lambda_path(
+            compile_dataset(coarsen(dataset), deq_config.epsilon), LAMBDA_GRID, deq_config.feastol
+        )
+    ]
+    errors = kendall_tau_errors(dataset.scores, values).tolist()
 
     selected = errors.index(min(errors))  # the grid ascends: ties go to the smallest
     return QVReport(
