@@ -90,7 +90,7 @@ def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
 # ``kendall_tau_errors`` works on batches of at most this many entries (the
 # vectors' length padded to a power of two, times their number; one vector
 # when it is longer). A batch's working memory is about a dozen arrays of
-# its size: at n = 240 eight vectors take about 180 KB, less than the memory
+# its size: at n = 240 eight vectors take about 200 KB, no more than the memory
 # ``select_lambda`` frees before scoring, and larger batches were little
 # faster. From n = 2 400 up a batch is one vector.
 _BATCH_ENTRIES = 1 << 11
@@ -101,19 +101,18 @@ def kendall_tau_errors(truth, estimates) -> np.ndarray:
     1-D vectors, or the rows of a 2-D array) against one ``truth``, as an
     array equal to one call per vector, bit for bit.
 
-    Sort-based, O(n log^2 n) per vector: the truth's runs of equal values
-    are found once; then per vector a stable sort by estimate and one by
-    truth run, tied pairs from the tie boundary of each estimate and
-    discordant pairs from a bottom-up merge tree over truth order. Each step
-    runs on a batch of vectors as one array; a batch holds at most
-    ``_BATCH_ENTRIES`` entries.
+    Sort-based, O(n log^2 n) per vector: a sort by (truth, estimate), tied
+    pairs from the tie boundary of each estimate and discordant pairs from a
+    bottom-up merge tree over truth order. Each step runs on a batch of
+    vectors as one array; a batch holds at most ``_BATCH_ENTRIES`` entries.
     """
     t = _finite(truth, "truth")
     rows = [_aligned_with(t, estimate) for estimate in estimates]
     n = t.shape[0]
-    # each review's run of equal truth, the runs numbered in ascending truth
-    run_of = np.unique(t, return_inverse=True)[1]
-    run_sizes = np.bincount(run_of)
+    ascending = t[np.argsort(t, kind="stable")]
+    # the run of equal truth of each position in truth order
+    run = np.cumsum(np.concatenate(([True], ascending[1:] != ascending[:-1]))) - 1
+    run_sizes = np.bincount(run)
     ordered = n * (n - 1) // 2 - int((run_sizes * (run_sizes - 1) // 2).sum())
     if ordered == 0:
         raise AllTiedError("no strictly ordered truth pair")
@@ -121,48 +120,42 @@ def kendall_tau_errors(truth, estimates) -> np.ndarray:
     disagreement = np.empty(len(rows))
     for first in range(0, len(rows), per_batch):
         batch = np.stack(rows[first:first + per_batch])
-        rank, above, tied = _ranks_and_ties(batch, run_of, run_sizes)
+        rank, above, tied = _ranks_and_ties(t, batch, run)
         disagreement[first:first + rank.shape[0]] = tied * 0.5 + _discordant(rank, above)
     return disagreement / ordered
 
 
 def _ranks_and_ties(
-    e: np.ndarray, run_of: np.ndarray, run_sizes: np.ndarray
+    t: np.ndarray, e: np.ndarray, run: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each row of ``e`` (k, n), one vector of estimates, with ``run_of``
-    numbering each review's run of equal truth in ascending truth and
-    ``run_sizes`` counting each run's reviews: in (truth, estimate) order,
-    each review's ``rank`` and ``above`` (see below), and the number of pairs
-    of reviews with distinct truth that the row ties."""
+    """For each row of ``e`` (k, n), one vector of estimates of the truth
+    ``t`` whose runs of equal values ``run`` numbers in truth order: in
+    (truth, estimate) order, each review's ``rank`` and ``above`` (see
+    below), and the number of pairs of reviews with distinct truth that the
+    row ties."""
     k, n = e.shape
     positions = np.arange(n)
     row = np.arange(k)
+    e = _gather(e, np.lexsort((e, np.broadcast_to(t, e.shape)), axis=1))
+    # rank: position in a stable sort of a row's estimates; within a truth
+    # run the estimates ascend, so ranks ascend too
     by_estimate = np.argsort(e, axis=1, kind="stable")
+    rank = np.empty(k * n, dtype=np.int64)
+    rank[(by_estimate + row[:, None] * n).ravel()] = np.tile(positions, k)
+    rank = rank.reshape(k, n)
     bound = np.stack([_tie_bounds(values) for values in _gather(e, by_estimate)])
-    tied = (bound - positions - 1).sum(axis=1)
-    rank = _rank_by_truth(by_estimate, run_of)
     # the estimates ranked at or above ``above`` are the ones at least
     # TIE_TOLERANCE higher than this one, by the rounded difference
     above = _gather(bound, rank)
+    tied = (bound - positions - 1).sum(axis=1)
     # subtract tied pairs inside one truth run: the run's ties of each review
     # are its later entries ranked below ``above``. Keys ascend along a row,
     # and row r's lie in [r * stride, (r + 1) * stride), so one sorted array
     # holds every row in turn
-    run = np.repeat(np.arange(run_sizes.shape[0]), run_sizes)
     start = run * (n + 1) + row[:, None] * ((int(run[-1]) + 1) * (n + 1))
     inside = np.searchsorted((start + rank).ravel(), (start + above).ravel()).reshape(k, n)
     tied -= (inside - positions - 1).sum(axis=1) - row * n * n
     return rank, above, tied
-
-
-def _rank_by_truth(by_estimate: np.ndarray, run_of: np.ndarray) -> np.ndarray:
-    """Each review's rank, its position in a stable sort of its row's
-    estimates (``by_estimate``), listed in (truth, estimate) order: a stable
-    sort of ``by_estimate`` by truth run. Within a run, ranks ascend."""
-    order = _gather(by_estimate, np.argsort(run_of[by_estimate], axis=1, kind="stable"))
-    rank_of = np.empty_like(by_estimate)
-    np.put_along_axis(rank_of, by_estimate, np.arange(by_estimate.shape[1])[None], axis=1)
-    return _gather(rank_of, order)
 
 
 def _discordant(rank: np.ndarray, above: np.ndarray) -> np.ndarray:
