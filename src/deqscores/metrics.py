@@ -90,9 +90,9 @@ def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
 # ``kendall_tau_errors`` works on batches of at most this many entries (the
 # vectors' length padded to a power of two, times their number; one vector
 # when it is longer). A batch's working memory is about a dozen arrays of
-# its size: at n = 240 eight vectors take about 200 KB, no more than the memory
-# ``select_lambda`` frees before scoring, and larger batches were little
-# faster. From n = 2 400 up a batch is one vector.
+# its size: at n = 240 eight vectors take about 200 KB, no more than the
+# memory ``select_lambda`` frees before scoring, and larger batches were
+# little faster. From n = 2 400 up a batch is one vector.
 _BATCH_ENTRIES = 1 << 11
 
 
@@ -151,10 +151,11 @@ def _ranks_and_ties(
     # subtract tied pairs inside one truth run: the run's ties of each review
     # are its later entries ranked below ``above``. Keys ascend along a row,
     # and row r's lie in [r * stride, (r + 1) * stride), so one sorted array
-    # holds every row in turn
-    start = run * (n + 1) + row[:, None] * ((int(run[-1]) + 1) * (n + 1))
+    # holds every row in turn, row r's keys from r * n on
+    stride = (int(run[-1]) + 1) * (n + 1)
+    start = run * (n + 1) + row[:, None] * stride
     inside = np.searchsorted((start + rank).ravel(), (start + above).ravel()).reshape(k, n)
-    tied -= (inside - positions - 1).sum(axis=1) - row * n * n
+    tied -= (inside - row[:, None] * n - positions - 1).sum(axis=1)
     return rank, above, tied
 
 

@@ -414,7 +414,8 @@ def _kkt_pattern(Q, rows_csr: sp.csr_matrix, active_rows: np.ndarray) -> _KKTPat
     indices[lower_diagonal] = np.arange(n, n + k)
     q_diagonal = q_dest[Q.indices == np.repeat(np.arange(n), q_counts)]
     matrix = sp.csc_matrix((data0, indices, indptr), shape=(n + k, n + k))
-    # computed once here, the format check travels with every copy
+    # scipy caches this check on the matrix, so each copy a polish factors
+    # carries it and the LU does not scan the arrays again
     matrix.has_canonical_format
     return _KKTPattern(
         active_rows, Q.indptr, Q.indices, matrix, q_dest, q_diagonal, lower_diagonal, data0,

@@ -80,9 +80,9 @@ def lambda_path(
     Each step is one ``qp.solve`` of ``compiled.problem(lam)``. The problems
     share the dataset's constraints and Q's pattern, so a step the solver
     certifies on its start's active set constructs no sparse matrix: it pays
-    for one sparse LU, its solves and the certificate (see ``qp``). The
-    solutions are scored together by the batched Kendall kernel
-    (``metrics.kendall_tau_errors``) in ``select_lambda``.
+    for one sparse LU, its solves and the certificate (see ``qp``). Score
+    the solutions with one call of the batched Kendall kernel,
+    ``metrics.kendall_tau_errors``, as ``select_lambda`` does.
     """
     solutions: list[Solution] = []
     previous: Solution | ActiveSet = ActiveSet(

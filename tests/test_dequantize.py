@@ -203,7 +203,8 @@ class TestDequantize:
     def test_infeasible_chain_names_reviews_by_their_repr(self):
         papers = ["A > B", "C", "D\nE"]
         ds = make_dataset(
-            {("r 1", p): 5 for p in papers}, {"r 1": [(papers[0], papers[1]), (papers[1], papers[2])]}
+            {("r 1", p): 5 for p in papers},
+            {"r 1": [(papers[0], papers[1]), (papers[1], papers[2])]},
         )
         with pytest.raises(InfeasibleProblem) as info:
             dequantize(ds, DequantizerConfig(lam=1.0, epsilon=0.6))

@@ -182,7 +182,8 @@ class TestLambdaPathStep:
     compiled dataset across threads stay exact."""
 
     def test_a_certified_warm_step_constructs_at_most_one_matrix(self, monkeypatch):
-        compiled = compile_dataset(coarsen(generate(SynthConfig(num_papers=60, seed=0)).dataset), 0.05)
+        dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
+        compiled = compile_dataset(coarsen(dataset), 0.05)
         previous = lambda_path(compiled, LAMBDA_GRID[:1])[0]
         constructed = []
         init = sp.csc_matrix.__init__
@@ -204,13 +205,15 @@ class TestLambdaPathStep:
         assert warm >= len(LAMBDA_GRID) // 2
 
     def test_threads_sharing_a_compiled_dataset_get_the_serial_path(self):
-        compiled = compile_dataset(coarsen(generate(SynthConfig(num_papers=60, seed=1)).dataset), 0.05)
+        dataset = generate(SynthConfig(num_papers=60, seed=1)).dataset
+        compiled = compile_dataset(coarsen(dataset), 0.05)
         serial = lambda_path(compiled, LAMBDA_GRID)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
-                paths = list(pool.map(lambda _: lambda_path(compiled, LAMBDA_GRID), range(2), timeout=120))
+                jobs = [pool.submit(lambda_path, compiled, LAMBDA_GRID) for _ in range(2)]
+                paths = [job.result(timeout=120) for job in jobs]
         finally:
             sys.setswitchinterval(interval)
         for path in paths:
@@ -218,4 +221,5 @@ class TestLambdaPathStep:
                 assert np.array_equal(step.values, expected.values)
                 assert np.array_equal(step.active, expected.active)
                 assert step.objective_value == expected.objective_value
-                assert (step.iterations, step.residuals) == (expected.iterations, expected.residuals)
+                assert step.iterations == expected.iterations
+                assert step.residuals == expected.residuals
