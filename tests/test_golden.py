@@ -14,9 +14,13 @@ package's own ``simulate`` path, plus two small hand-written datasets that
   size at which the lambda path's active set moves from step to step;
 - the P=1500 seed-0 ``dequantize --lambda 1`` CSV;
 - the JSON, ``--table`` CSV and stdout of a ``--trials 3`` experiment;
+- the JSON of a ``--trials 3`` experiment of the three baselines on
+  ``tests/data/raw_ten_level.csv``, whose tied rankings put several tie
+  groups in one quantization bin;
 - the ``scripts/run_qv_curve.py --seed 7`` CSV.
 
-Printed paths are replaced by ``<tmp>`` before hashing. A change that alters
+Printed paths, and the raw-score path the raw-score report names, are
+replaced by ``<tmp>`` before hashing. A change that alters
 an output on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why.
 """
@@ -36,6 +40,7 @@ from deqscores import cli, io
 from deqscores.synth import SynthConfig, generate
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden.json"
+RAW_SCORES = Path(__file__).resolve().parent / "data" / "raw_ten_level.csv"
 QV_CURVE = Path(__file__).resolve().parent.parent / "scripts" / "run_qv_curve.py"
 BASELINES = ("quantized", "bre_adjusted", "partial_rankings_adjusted")
 
@@ -145,6 +150,19 @@ def golden_outputs(directory: Path) -> dict[str, bytes]:
     )
     outputs["experiment_trials3.json"] = experiment_path
     outputs["experiment_trials3.table.csv"] = table_path
+    raw_scores = directory / RAW_SCORES.name  # the report names it: under <tmp>
+    raw_scores.write_bytes(RAW_SCORES.read_bytes())
+    raw_path = directory / "experiment_raw.json"
+    _run(
+        directory,
+        ["experiment", "--raw-scores", str(raw_scores), "--reviews-per-paper", "3",
+         "--papers-per-reviewer", "3", "--sweep", "lambda", "--values", "1",
+         "--trials", "3", "--methods", ",".join(BASELINES),
+         "--metrics", "kendall,l2,ties", "--output", str(raw_path)],
+    )
+    printed["experiment_raw_baselines_trials3.json"] = (
+        raw_path.read_text().replace(str(directory), "<tmp>").encode()
+    )
     outputs["qv_curve_p60_s7.csv"] = _qv_curve(directory, 7)
     return {**{name: path.read_bytes() for name, path in outputs.items()}, **printed}
 
