@@ -13,8 +13,6 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from deqscores.dequantize import DequantizerConfig, compile_dataset
@@ -37,9 +35,10 @@ def main() -> int:
     qv_report = select_lambda(instance.dataset, deq_config=DequantizerConfig(epsilon=args.epsilon))
 
     compiled = compile_dataset(instance.dataset, args.epsilon)
-    truth = np.array([instance.truth_y[pair] for pair in instance.dataset.pairs()])
     path = lambda_path(compiled, qv_report.lambdas)
-    true_errors = kendall_tau_errors(truth, [solution.values for solution in path]).tolist()
+    true_errors = kendall_tau_errors(
+        instance.truth_y, [solution.values for solution in path]
+    ).tolist()
     oracle_index = min(range(len(true_errors)), key=lambda i: true_errors[i])
 
     print(f"{'lambda':>12}  {'validation':>10}  {'true_error':>10}")

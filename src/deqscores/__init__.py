@@ -4,13 +4,10 @@ into per-review real values by solving a small constrained QP."""
 from .baselines import (
     GroupsInconsistent,
     NotTotalRanking,
-    QuantizationBin,
-    RankedGroup,
     UnequalReviewCounts,
     bre_adjusted_scores,
     partial_rankings_adjusted_scores,
     quantized_baseline,
-    ranked_groups,
     score_only_closed_form,
 )
 from .dequantize import (
@@ -35,7 +32,6 @@ from .metrics import (
     trial_statistics,
 )
 from .model import (
-    DequantizedScores,
     ReviewDataset,
     ScoreScale,
     ValidationError,

@@ -1,8 +1,10 @@
 """Reference methods the QP output is compared against.
 
-All of them operate per reviewer and only ever move values inside a
-quantization bin (a reviewer's papers sharing one score), preserving the bin
-mean so the adjusted outputs stay centered on the reported score.
+Each returns one float64 value per review, aligned with the dataset's
+reviews (``dataset.pairs()`` order). All of them operate per reviewer and
+only ever move values inside a quantization bin (a reviewer's papers sharing
+one score), preserving the bin mean so the adjusted outputs stay centered on
+the reported score.
 
 Tie breaking inside bins has one rule: the group-wise adjustment of
 ``partial_rankings_adjusted_scores``, which orders a bin by the tie groups
@@ -12,11 +14,9 @@ that rule restricted to total rankings, where every group is one paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import DEFAULT_EPSILON, DequantizedScores, ReviewDataset
+from .model import DEFAULT_EPSILON, ReviewDataset
 
 
 class NotTotalRanking(ValueError):
@@ -31,55 +31,12 @@ class UnequalReviewCounts(ValueError):
     """The closed form requires every paper to have the same review count."""
 
 
-@dataclass(frozen=True)
-class QuantizationBin:
-    """Papers sharing one quantized score within one reviewer's assignment."""
-
-    reviewer_id: str
-    score_value: int
-    members: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class RankedGroup:
-    """Mutually tied papers at one level of a reviewer's group-total order;
-    higher ``group_index`` means ranked better."""
-
-    group_index: int
-    members: tuple[str, ...]
-
-
-def _reviewer(dataset: ReviewDataset, reviewer_id: str) -> int:
-    """The position of ``reviewer_id`` in the dataset's reviewer table."""
-    r = int(dataset.reviewer_ids.searchsorted(reviewer_id))
-    if dataset.reviewer_ids[r : r + 1].tolist() != [reviewer_id]:
-        raise KeyError(reviewer_id)
-    return r
-
-
-def quantization_bins(dataset: ReviewDataset, reviewer_id: str) -> list[QuantizationBin]:
-    reviews = dataset.reviews_of(_reviewer(dataset, reviewer_id))
-    by_score: dict[int, list[str]] = {}
-    for paper, score in zip(
-        dataset.paper_ids[dataset.paper[reviews]], dataset.scores[reviews].tolist()
-    ):
-        by_score.setdefault(score, []).append(paper)
-    return [
-        QuantizationBin(reviewer_id, score, tuple(papers))
-        for score, papers in sorted(by_score.items())
-    ]
-
-
-def quantized_baseline(dataset: ReviewDataset) -> DequantizedScores:
+def quantized_baseline(dataset: ReviewDataset) -> np.ndarray:
     """The reported scores themselves, as reals."""
-    return DequantizedScores(
-        values=dict(zip(dataset.pairs(), dataset.scores.astype(float).tolist()))
-    )
+    return dataset.scores.astype(float)
 
 
-def bre_adjusted_scores(
-    dataset: ReviewDataset, epsilon: float = DEFAULT_EPSILON
-) -> DequantizedScores:
+def bre_adjusted_scores(dataset: ReviewDataset, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """Break ties inside each quantization bin by rank, preserving bin means.
 
     The group-wise rule of ``partial_rankings_adjusted_scores`` restricted to
@@ -104,70 +61,87 @@ def bre_adjusted_scores(
     return partial_rankings_adjusted_scores(dataset, epsilon)
 
 
-def ranked_groups(
-    dataset: ReviewDataset, reviewer_id: str
-) -> list[RankedGroup]:
-    """Recover the tie groups of a reviewer's group-total order.
+def partial_rankings_adjusted_scores(
+    dataset: ReviewDataset, epsilon: float = DEFAULT_EPSILON
+) -> np.ndarray:
+    """Group-wise tie breaking for group-total partial rankings.
 
-    Papers are grouped by how many papers they beat. The ranking is
-    group-total exactly when its reported pairs are the pairs this grouping
-    implies: every paper over every paper that beats fewer. A total ranking
-    is the case where every group is one paper. Raises
-    ``GroupsInconsistent`` naming the least pair reported or implied but not
-    both.
+    A review's level is how many of its reviewer's rows name it as the
+    better paper, counting the rows whose two papers the reviewer scored.
+    Its tie group is the reviewer's papers at its level. The ranking is
+    group-total exactly when its rows are the pairs this grouping implies:
+    every paper over every paper of a lower level. A total ranking is the
+    case where every group is one paper. Otherwise ``GroupsInconsistent``
+    names the first such reviewer, in sorted order, and the least pair
+    reported or implied but not both.
+
+    Within each quantization bin, the t-th lowest level present gets offset
+    t*epsilon (all its papers together) and the bin is recentered onto its
+    score, its members summed in (level, paper) order. A bin spanned by a
+    single group keeps the reported score exactly. On total rankings this is
+    ``bre_adjusted_scores``, bit for bit.
     """
-    r = _reviewer(dataset, reviewer_id)
-    papers = dataset.paper_ids[dataset.paper[dataset.reviews_of(r)]].tolist()
-    rows = dataset.rankings_of(r)
+    reviewer, z = dataset.reviewer, dataset.scores
+    n, width = z.shape[0], dataset.reviewer_ids.shape[0]
+    ends = dataset.ranked_reviews
+    scored = (ends >= 0).all(axis=0)
+    better, worse = ends[:, scored]
+    level = np.bincount(better, minlength=n)
+    # group-total: every row goes down a level, and there are as many rows
+    # as implied pairs, each review over its reviewer's reviews of lower level
+    key = reviewer * (n + 1) + level
+    ordered = np.sort(key)
+    below = np.searchsorted(ordered, key) - np.searchsorted(ordered, key - level)
+    rows = np.bincount(dataset.ranked_by, minlength=width)
+    fallen = np.bincount(dataset.ranked_by[scored][level[better] > level[worse]], minlength=width)
+    failed = (rows != np.bincount(reviewer, below, minlength=width)) | (fallen < rows)
+    failed = np.flatnonzero(failed & (np.bincount(reviewer, minlength=width) > 0))
+    if failed.size:
+        raise GroupsInconsistent(_mismatch(dataset, int(failed[0]), level))
+
+    # bins in (reviewer, score) order, each in (level, paper) order; a
+    # review's t is the number of distinct levels below its own in its bin
+    order = np.lexsort((dataset.paper, level, z, reviewer))
+    r, z, level = reviewer[order], z[order], level[order]
+    change = np.ones((3, n), dtype=bool)
+    change[:, 1:] = np.stack([r[1:] != r[:-1], z[1:] != z[:-1], level[1:] != level[:-1]])
+    opens = change[0] | change[1]
+    starts = np.flatnonzero(opens)
+    bin_of = np.cumsum(opens) - 1
+    group = np.cumsum(opens | change[2])
+    raw = z + (group - group[starts][bin_of]) * epsilon
+    # each bin's total added member by member, in order: one step per
+    # position within a bin
+    size = np.diff(np.append(starts, n))
+    total = np.zeros(starts.shape[0])
+    for j in range(int(size.max(initial=0))):
+        longer = size > j
+        total[longer] += raw[starts[longer] + j]
+    values = np.empty(n)
+    values[order] = raw - (total / size - z[starts])[bin_of]
+    return values
+
+
+def _mismatch(dataset: ReviewDataset, reviewer: int, level: np.ndarray) -> str:
+    """The message of ``GroupsInconsistent`` for the reviewer at
+    ``reviewer_ids[reviewer]``, whose rows are not the pairs its levels
+    imply."""
+    reviews, rows = dataset.reviews_of(reviewer), dataset.rankings_of(reviewer)
+    papers = dataset.paper_ids[dataset.paper[reviews]].tolist()
+    levels = level[reviews].tolist()
     reported = set(
         zip(dataset.paper_ids[dataset.better[rows]], dataset.paper_ids[dataset.worse[rows]])
     )
-    beats = {p: 0 for p in papers}
-    for better, _worse in reported:
-        beats[better] += 1
-    implied = {(p, q) for p in papers for q in papers if beats[p] > beats[q]}
-    if reported != implied:
-        raise GroupsInconsistent(
-            f"reviewer {reviewer_id!r}: the reported pairs are no total order over "
-            f"tie groups; first mismatch {min(reported ^ implied)!r}"
-        )
-    levels: dict[int, list[str]] = {}
-    for p in papers:
-        levels.setdefault(beats[p], []).append(p)
-    return [
-        RankedGroup(group_index=i + 1, members=tuple(sorted(levels[k])))
-        for i, k in enumerate(sorted(levels))
-    ]
+    implied = {
+        (p, q) for p, a in zip(papers, levels) for q, b in zip(papers, levels) if a > b
+    }
+    return (
+        f"reviewer {dataset.reviewer_ids[reviewer]!r}: the reported pairs are no total "
+        f"order over tie groups; first mismatch {min(reported ^ implied)!r}"
+    )
 
 
-def partial_rankings_adjusted_scores(
-    dataset: ReviewDataset, epsilon: float = DEFAULT_EPSILON
-) -> DequantizedScores:
-    """Group-wise tie breaking for group-total partial rankings.
-
-    Within each quantization bin, the t-th lowest tie group present gets
-    offset t*epsilon (all its papers together) and the bin is recentered onto
-    its score, its members summed in group order. A bin spanned by a single
-    group keeps the reported score exactly. On total rankings this is
-    ``bre_adjusted_scores``, bit for bit.
-    """
-    values: dict = {}
-    for reviewer in dataset.reviewer_ids[np.unique(dataset.reviewer)]:
-        level = {
-            p: g.group_index for g in ranked_groups(dataset, reviewer) for p in g.members
-        }
-        for bin_ in quantization_bins(dataset, reviewer):
-            members = sorted(bin_.members, key=level.get)
-            present = sorted({level[p] for p in members})
-            offset_of = {g: t * epsilon for t, g in enumerate(present)}
-            raw = {p: bin_.score_value + offset_of[level[p]] for p in members}
-            excess = sum(raw.values()) / len(members) - bin_.score_value
-            for p in members:
-                values[(reviewer, p)] = raw[p] - excess
-    return DequantizedScores(values=values)
-
-
-def score_only_closed_form(dataset: ReviewDataset, lam: float) -> DequantizedScores:
+def score_only_closed_form(dataset: ReviewDataset, lam: float) -> np.ndarray:
     """Analytic scores-only solution: the exact minimizer of the consensus+fit
     objective when no rankings are reported.
 
@@ -187,16 +161,14 @@ def score_only_closed_form(dataset: ReviewDataset, lam: float) -> DequantizedSco
     counts = set(np.unique(dataset.paper, return_counts=True)[1].tolist())
     if len(counts) != 1:
         raise UnequalReviewCounts(f"papers have differing review counts {sorted(counts)}")
-    pairs = dataset.pairs()
-    values: dict = {}
+    values = np.empty(dataset.num_reviews)
     # one row per paper, its reviews in reviewer order
     by_paper = np.lexsort((dataset.reviewer, dataset.paper)).reshape(-1, counts.pop())
     for reviews in by_paper.tolist():
         z = [float(dataset.scores[i]) for i in reviews]
         m = _output_mean(z, lam)
-        for i, zr in zip(reviews, z):
-            values[pairs[i]] = _boxed_pull(m, zr, lam)
-    return DequantizedScores(values=values)
+        values[reviews] = [_boxed_pull(m, zr, lam) for zr in z]
+    return values
 
 
 def _boxed_pull(m: float, z: float, lam: float) -> float:

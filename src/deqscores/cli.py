@@ -193,12 +193,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_dequantize(args) -> int:
     dataset = _load(args)
-    scores = dequantize(
+    result = dequantize(
         dataset, DequantizerConfig(lam=args.lam, epsilon=args.epsilon, feastol=args.feastol)
     )
-    selected = None if scores.validation is None else scores.lam
-    io.write_scores(scores, dataset, args.output)
-    box_viol, margin = consistency_report(dataset, scores, args.epsilon)
+    selected = None if result.validation is None else result.lam
+    io.write_scores(result.values, dataset, args.output)
+    box_viol, margin = consistency_report(dataset, result.values, args.epsilon)
     print(f"wrote {args.output} ({dataset.num_reviews} reviews)")
     if selected is not None:
         print(f"selected lambda: {selected:.6g}")
@@ -250,12 +250,12 @@ def _cmd_baseline(args) -> int:
     epsilon = DequantizerConfig(epsilon=args.epsilon).epsilon
     dataset = _load(args)
     if args.method == "quantized":
-        scores = baselines.quantized_baseline(dataset)
+        values = baselines.quantized_baseline(dataset)
     elif args.method == "bre_adjusted":
-        scores = baselines.bre_adjusted_scores(dataset, epsilon)
+        values = baselines.bre_adjusted_scores(dataset, epsilon)
     else:
-        scores = baselines.partial_rankings_adjusted_scores(dataset, epsilon)
-    io.write_scores(scores, dataset, args.output)
+        values = baselines.partial_rankings_adjusted_scores(dataset, epsilon)
+    io.write_scores(values, dataset, args.output)
     print(f"wrote {args.output} ({dataset.num_reviews} reviews)")
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
-from .model import DEFAULT_EPSILON, DequantizedScores, ReviewDataset, require_valid
+from .model import DEFAULT_EPSILON, ReviewDataset, require_valid
 from .qp import DEFAULT_FEASTOL, Constraints, InfeasibleProblem, QPProblem, solve, with_data
 
 if TYPE_CHECKING:
@@ -59,14 +59,17 @@ class DequantizerConfig:
         return float(self.lam)
 
 
-@dataclass(frozen=True)
-class DequantizeResult(DequantizedScores):
+@dataclass(frozen=True, eq=False)
+class DequantizeResult:
     """Dequantized scores with the fit weight ``lam`` that produced them.
 
-    ``validation`` is the quantization-validation report when the weight was
-    selected from the data (``lam=AUTO``), None when it was given.
+    ``values`` holds one score per review, aligned with the dataset's reviews
+    (``dataset.pairs()`` order). ``validation`` is the quantization-validation
+    report when the weight was selected from the data (``lam=AUTO``), None
+    when it was given.
     """
 
+    values: np.ndarray
     lam: float
     validation: QVReport | None = None
 
@@ -173,20 +176,18 @@ def dequantize(
         validation = select_lambda(dataset, deq_config=config)
         config = dataclasses.replace(config, lam=validation.selected_lambda)
     solution = solve(assemble(dataset, config), config.feastol)
-    values = dict(zip(dataset.pairs(), solution.values.tolist()))
-    return DequantizeResult(values=values, lam=config.lam, validation=validation)
+    return DequantizeResult(values=solution.values, lam=config.lam, validation=validation)
 
 
-def consistency_report(
-    dataset: ReviewDataset, scores: DequantizedScores, epsilon: float
-) -> tuple[float, float]:
-    """(worst box violation, smallest ranked-pair margin) of an output.
+def consistency_report(dataset: ReviewDataset, values, epsilon: float) -> tuple[float, float]:
+    """(worst box violation, smallest ranked-pair margin) of an output
+    ``values``, aligned with the dataset's reviews.
 
     The margin is y_better - y_worse minimized over reported pairs (inf when
     no pairs exist); a consistent output has violation ~0 and margin >=
     epsilon - tolerance.
     """
-    y = np.array([scores.values[pair] for pair in dataset.pairs()], dtype=float)
+    y = np.asarray(values, dtype=float)
     z = dataset.scores.astype(float)
     worst_box = float(np.max(np.maximum((z - 0.5) - y, y - (z + 0.5)), initial=0.0))
     better, worse = dataset.ranked_reviews

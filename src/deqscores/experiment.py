@@ -27,13 +27,13 @@ from .baselines import (
 from .dequantize import AUTO, DequantizerConfig, dequantize
 from .io import prepare_half_scale
 from .metrics import (
-    kendall_tau_error,
+    kendall_tau_errors,
     l2_error,
     project_to_original_scale,
     tie_fraction,
     trial_statistics,
 )
-from .model import DEFAULT_EPSILON, DequantizedScores, ReviewDataset
+from .model import DEFAULT_EPSILON, ReviewDataset
 from .qp import DEFAULT_FEASTOL
 from .synth import SynthConfig, generate, require_counts, trial_seed
 
@@ -161,7 +161,8 @@ class ExperimentReport:
 
 
 def _instance_for(spec: ExperimentSpec, sweep_value, trial: int):
-    """Build the (dataset, truth, projected-l2 flag) for one trial."""
+    """Build the (dataset, truth, projected-l2 flag) for one trial; the truth
+    is aligned with the dataset's reviews."""
     seed = trial_seed(spec.seed, trial)
     source = _swept_config(spec.base, spec.sweep_parameter, sweep_value)
     if isinstance(source, FileSource):
@@ -189,13 +190,14 @@ def _swept_config(
 
 def _run_method(
     method: str, dataset: ReviewDataset, config: DequantizerConfig
-) -> tuple[DequantizedScores, float | None]:
-    """Returns the method's scores and, for the proposed method under AUTO,
-    the selected fit weight. The baselines read only ``config.epsilon``."""
+) -> tuple[np.ndarray, float | None]:
+    """Returns the method's scores, aligned with the dataset's reviews, and,
+    for the proposed method under AUTO, the selected fit weight. The
+    baselines read only ``config.epsilon``."""
     epsilon = config.epsilon
     if method == "proposed":
-        scores = dequantize(dataset, config)
-        return scores, None if scores.validation is None else scores.lam
+        result = dequantize(dataset, config)
+        return result.values, None if result.validation is None else result.lam
     if method == "quantized":
         return quantized_baseline(dataset), None
     if method == "bre_adjusted":
@@ -210,20 +212,22 @@ def _run_method(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _evaluate(estimate: DequantizedScores, truth, pairs, metrics, project_l2: bool) -> dict:
-    """The metrics of ``estimate`` against ``truth``, both dicts over the
-    review ``pairs``, read in that order."""
-    if set(truth) != set(estimate.values):
-        raise ValueError("truth and estimate must be defined on the same keys")
-    t = np.array([truth[k] for k in pairs], dtype=float)
-    e = np.array([estimate.values[k] for k in pairs], dtype=float)
-    out: dict = {}
+def _evaluate(truth, estimates, metrics, project_l2: bool) -> list[dict]:
+    """The metrics of each of ``estimates`` against ``truth``, vectors
+    aligned with one review order. All Kendall errors come from one call of
+    the batched kernel."""
+    for estimate in estimates:
+        if np.shape(estimate) != np.shape(truth):
+            raise ValueError("truth and estimate must be aligned vectors of one length")
+    out: list[dict] = [{} for _ in estimates]
     if "kendall" in metrics:
-        out["kendall"] = kendall_tau_error(t, e)
-    if "l2" in metrics:
-        out["l2"] = l2_error(t, project_to_original_scale(e) if project_l2 else e)
-    if "ties" in metrics:
-        out["ties"] = tie_fraction(e)
+        for row, error in zip(out, kendall_tau_errors(truth, estimates).tolist()):
+            row["kendall"] = error
+    for row, e in zip(out, estimates):
+        if "l2" in metrics:
+            row["l2"] = l2_error(truth, project_to_original_scale(e) if project_l2 else e)
+        if "ties" in metrics:
+            row["ties"] = tie_fraction(e)
     return out
 
 
@@ -233,15 +237,12 @@ def _run_trial(spec: ExperimentSpec, sweep_value, trial: int) -> dict:
     if spec.sweep_parameter == "lambda":
         lam = float(sweep_value)
     config = DequantizerConfig(lam=lam, epsilon=spec.epsilon, feastol=spec.feasibility_tolerance)
-    pairs = dataset.pairs()
-    row: dict = {}
-    for method in spec.methods:
-        scores, selected = _run_method(method, dataset, config)
-        row[method] = {
-            "metrics": _evaluate(scores, truth, pairs, spec.metrics, project_l2),
-            "selected_lambda": selected,
-        }
-    return row
+    estimates, selected = zip(*(_run_method(m, dataset, config) for m in spec.methods))
+    scored = _evaluate(truth, estimates, spec.metrics, project_l2)
+    return {
+        method: {"metrics": metrics, "selected_lambda": chosen}
+        for method, metrics, chosen in zip(spec.methods, scored, selected)
+    }
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import percentiles
-from .model import DequantizedScores, Pair, ReviewDataset, ScoreScale, require_valid
+from .model import Pair, ReviewDataset, ScoreScale, require_valid
 from .qv import coarsen
 from .synth import random_regular_assignment, require_counts
 
@@ -101,7 +101,7 @@ def load_reviews(
         if not -(2**63) <= score < 2**63:
             raise ParseError(reviews_path, line_no, f"score {score_text!r} does not fit int64")
         if (reviewer, paper) in scores:
-            raise ParseError(reviews_path, line_no, f"duplicate review ({reviewer}, {paper})")
+            raise ParseError(reviews_path, line_no, f"duplicate review ({reviewer!r}, {paper!r})")
         scores[(reviewer, paper)] = score
 
     rankings = []
@@ -141,17 +141,18 @@ def _csv_writer(handle):
     return csv.writer(_LineFeedRows(handle), lineterminator="\r\n")
 
 
-def write_scores(scores: DequantizedScores, dataset: ReviewDataset, path) -> None:
+def write_scores(values, dataset: ReviewDataset, path) -> None:
     """Write per-review output rows, one paper block at a time, best first.
 
-    Floats are printed with 12 significant digits, so rewriting the same
-    result is byte-identical and a reload preserves values. Rows are sorted
-    by (paper_id, printed score descending, reviewer_id) and percentiles
-    are ranks of the printed scores, so reviews that print the same score
-    share one percentile and order by reviewer.
+    ``values`` holds one output score per review, aligned with the dataset's
+    reviews. Floats are printed with 12 significant digits, so rewriting the
+    same result is byte-identical and a reload preserves values. Rows are
+    sorted by (paper_id, printed score descending, reviewer_id) and
+    percentiles are ranks of the printed scores, so reviews that print the
+    same score share one percentile and order by reviewer.
     """
     pairs = dataset.pairs()
-    text = [format(scores.values[pair], ".12g") for pair in pairs]
+    text = [format(y, ".12g") for y in np.asarray(values, dtype=float).tolist()]
     printed = np.array([float(t) for t in text])
     pct = [format(p, ".12g") for p in percentiles(printed).tolist()]
     order = np.lexsort((dataset.reviewer, -printed, dataset.paper)).tolist()
@@ -169,7 +170,7 @@ def prepare_half_scale(
     reviews_per_paper: int = 3,
     papers_per_reviewer: int = 3,
     seed: int = 0,
-) -> tuple[ReviewDataset, dict[Pair, float]]:
+) -> tuple[ReviewDataset, np.ndarray]:
     """Preprocess a raw ten-level score file into a coarse five-level dataset.
 
     Per paper, exactly ``reviews_per_paper`` reviews are retained (surplus
@@ -179,7 +180,7 @@ def prepare_half_scale(
     The retained raw values form a ten-level dataset, which ``coarsen``
     turns into the five-level one (scores ceil(y/2), rankings derived from
     the raw values by strict comparison); the raw values are returned as
-    evaluation truth.
+    evaluation truth, floats aligned with the dataset's reviews.
     """
     require_counts(reviews_per_paper=reviews_per_paper, papers_per_reviewer=papers_per_reviewer)
     raw_by_paper: dict[str, list[int]] = {}
@@ -226,9 +227,8 @@ def prepare_half_scale(
     # each paper's reviewers, in id order, take its retained values in order
     by_paper = sorted(pairs, key=lambda pair: (pair[1], pair[0]))
     values = [value for paper in papers for value in retained[paper]]
-    truth_y = {pair: float(value) for pair, value in zip(by_paper, values)}
     fine = ReviewDataset.from_records(ScoreScale(1, 10), dict(zip(by_paper, values)))
-    return coarsen(fine), truth_y
+    return coarsen(fine), fine.scores.astype(float)
 
 
 def write_synthetic(instance, prefix) -> tuple[Path, Path, Path]:
@@ -252,6 +252,8 @@ def write_synthetic(instance, prefix) -> tuple[Path, Path, Path]:
     with open(truth_path, "w", newline="", encoding="utf-8") as handle:
         writer = _csv_writer(handle)
         writer.writerow(["reviewer_id", "paper_id", "true_value"])
-        for (reviewer, paper), y in sorted(instance.truth_y.items()):
-            writer.writerow([reviewer, paper, format(y, ".12g")])
+        writer.writerows(
+            (*pair, format(y, ".12g"))
+            for pair, y in zip(dataset.pairs(), instance.truth_y.tolist())
+        )
     return reviews_path, rankings_path, truth_path

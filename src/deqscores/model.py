@@ -3,7 +3,9 @@
 Reviewer and paper ids are opaque strings, interned once into sorted id
 tables. Reviews are held in lexicographic (reviewer_id, paper_id) order, the
 order of every dense vector over them, so that matrix layouts are
-reproducible across runs.
+reproducible across runs. Every score vector of the package, from the
+synthetic truth to the dequantized output, is a float array in that order
+(``ReviewDataset.pairs()`` names its entries).
 """
 
 from __future__ import annotations
@@ -149,14 +151,6 @@ class ReviewDataset:
         at = np.searchsorted(keys, query)
         at[np.append(keys, -1)[at] != query] = -1
         return at
-
-
-@dataclass(frozen=True)
-class DequantizedScores:
-    """Real-valued output scores, keyed by the (reviewer_id, paper_id) of each
-    review of the originating dataset."""
-
-    values: dict[Pair, float]
 
 
 def validate(dataset: ReviewDataset) -> list[Violation]:

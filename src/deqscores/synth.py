@@ -62,11 +62,15 @@ class SynthConfig:
         return self.num_papers * self.reviews_per_paper // self.papers_per_reviewer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthInstance:
+    """A generated dataset with its latent truth: each paper's quality by
+    paper id, and each review's unrounded value ``truth_y``, aligned with the
+    dataset's reviews."""
+
     dataset: ReviewDataset
     truth_x_star: dict[str, float]
-    truth_y: dict[Pair, float]
+    truth_y: np.ndarray
 
 
 def _ids(prefix: str, count: int) -> list[str]:
@@ -159,18 +163,16 @@ def generate(config: SynthConfig) -> SynthInstance:
         rng,
     )
     lo_clip, hi_clip = config.clip_range
-    truth_y: dict[Pair, float] = {}
-    for r, p in pairs:
-        value = rng.normal(x_star[p], config.sigma) if config.sigma > 0 else x_star[p]
-        truth_y[(r, p)] = float(min(max(value, lo_clip), hi_clip))
+    draws = [
+        rng.normal(x_star[p], config.sigma) if config.sigma > 0 else x_star[p] for _, p in pairs
+    ]
+    truth_y = np.clip(np.array(draws, dtype=float), lo_clip, hi_clip)
 
     lo_z, hi_z = config.score_range
-    scores = {
-        pair: int(min(max(np.floor(y + 0.5), lo_z), hi_z)) for pair, y in truth_y.items()
-    }
-    dataset = ReviewDataset.from_records(ScoreScale(lo_z, hi_z), scores)
+    scores = np.clip(np.floor(truth_y + 0.5), lo_z, hi_z).astype(np.int64).tolist()
+    dataset = ReviewDataset.from_records(ScoreScale(lo_z, hi_z), dict(zip(pairs, scores)))
     # the records are in review order, so the truth values align with it
-    dataset = derive_rankings_from_raw_scores(dataset, list(truth_y.values()))
+    dataset = derive_rankings_from_raw_scores(dataset, truth_y)
     return SynthInstance(dataset=dataset, truth_x_star=x_star, truth_y=truth_y)
 
 

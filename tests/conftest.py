@@ -24,6 +24,12 @@ def score_records(dataset) -> dict:
     return dict(zip(dataset.pairs(), dataset.scores.tolist()))
 
 
+def by_pair(dataset, values) -> dict:
+    """{(reviewer_id, paper_id): value} of a vector aligned with a dataset's
+    reviews."""
+    return dict(zip(dataset.pairs(), np.asarray(values, dtype=float).tolist()))
+
+
 def ranking_records(dataset) -> list[tuple[str, str, str]]:
     """(reviewer_id, better_paper_id, worse_paper_id) of each ranking row."""
     return list(

@@ -10,9 +10,12 @@ measures how far a point lies outside a problem's constraints.
 ``pairwise_kendall_tau_error`` and ``pairwise_tie_fraction`` decide every
 pair of a vector directly, O(n^2), as the reference for the sort-based
 metrics. ``pairwise_ranked_groups`` checks a grouping against every pair of
-papers, the reference for ``baselines.ranked_groups``, and
-``rank_adjusted_reference`` is the rank-wise tie breaking written directly,
-the reference for ``baselines.bre_adjusted_scores``.
+papers, the reference for the tie groups of
+``baselines.partial_rankings_adjusted_scores``;
+``partial_rankings_reference`` is that group-wise rule written reviewer by
+reviewer over dicts, and ``rank_adjusted_reference`` is the rank-wise tie
+breaking written directly, the reference for
+``baselines.bre_adjusted_scores``.
 ``ranking_cycles_reference`` names ranking cycles from a transitive closure,
 the reference for the RANK_CYCLE cycles of ``model.validate``, and
 ``validate_reference`` walks a dataset's records pair by pair, the reference
@@ -36,13 +39,13 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
 
+from deqscores.baselines import GroupsInconsistent
 from deqscores.metrics import TIE_TOLERANCE, AllTiedError
 from deqscores.model import (
     OUT_OF_RANGE,
     RANK_CYCLE,
     RANK_SCORE_INCONSISTENT,
     UNASSIGNED_PAIR,
-    DequantizedScores,
     ReviewDataset,
 )
 from deqscores.qp import InfeasibleProblem, QPProblem, Solution, SolverError, check_feasibility
@@ -122,11 +125,12 @@ def pairwise_ranked_groups(papers, ordered_pairs) -> list[tuple[str, ...]] | Non
     return groups
 
 
-def rank_adjusted_reference(dataset: ReviewDataset, epsilon: float) -> dict:
+def rank_adjusted_reference(dataset: ReviewDataset, epsilon: float) -> np.ndarray:
     """Rank-wise tie breaking over total rankings: inside each of a
     reviewer's score bins, the paper beating the fewest others gets the
     score, the next one epsilon more, and so on; the bin is then recentered
-    onto its score, summed in that rank order."""
+    onto its score, summed in that rank order. One value per review, in
+    review order."""
     scores = dict(zip(dataset.pairs(), dataset.scores.tolist()))
     beats = {pair: 0 for pair in scores}
     for r, better, worse in zip(
@@ -145,7 +149,59 @@ def rank_adjusted_reference(dataset: ReviewDataset, epsilon: float) -> dict:
         excess = sum(raw) / len(members) - score
         for pair, value in zip(members, raw):
             values[pair] = value - excess
-    return values
+    return np.array([values[pair] for pair in dataset.pairs()])
+
+
+def ranked_groups_reference(dataset: ReviewDataset, reviewer_id: str) -> dict[str, int]:
+    """Level of each paper a reviewer scored in the group-total order of
+    their rows: how many rows with two scored papers name it as the better
+    one. Raises ``GroupsInconsistent`` naming the least pair reported or
+    implied but not both when the rows are not every paper over every paper
+    of a lower level."""
+    reviews = [pair for pair in dataset.pairs() if pair[0] == reviewer_id]
+    papers = [p for _, p in reviews]
+    reported = {
+        (b, w) for r, b, w in zip(
+            dataset.reviewer_ids[dataset.ranked_by],
+            dataset.paper_ids[dataset.better],
+            dataset.paper_ids[dataset.worse],
+        ) if r == reviewer_id
+    }
+    beats = {p: 0 for p in papers}
+    for better, worse in reported:
+        if better in beats and worse in beats:
+            beats[better] += 1
+    implied = {(p, q) for p in papers for q in papers if beats[p] > beats[q]}
+    if reported != implied:
+        raise GroupsInconsistent(
+            f"reviewer {reviewer_id!r}: the reported pairs are no total order over "
+            f"tie groups; first mismatch {min(reported ^ implied)!r}"
+        )
+    return beats
+
+
+def partial_rankings_reference(dataset: ReviewDataset, epsilon: float) -> np.ndarray:
+    """Group-wise tie breaking written reviewer by reviewer and bin by bin:
+    within each of a reviewer's score bins, the t-th lowest level of
+    ``ranked_groups_reference`` present gets offset t*epsilon, and the bin
+    is recentered onto its score, summed in (level, paper) order. One value
+    per review, in review order."""
+    scores = dict(zip(dataset.pairs(), dataset.scores.tolist()))
+    values = {}
+    for reviewer in sorted({r for r, _ in scores}):
+        level = ranked_groups_reference(dataset, reviewer)
+        bins: dict[int, list[str]] = {}
+        for (r, p), score in scores.items():
+            if r == reviewer:
+                bins.setdefault(score, []).append(p)
+        for score, papers in sorted(bins.items()):
+            members = sorted(papers, key=level.get)
+            present = sorted({level[p] for p in members})
+            raw = {p: score + present.index(level[p]) * epsilon for p in members}
+            excess = sum(raw.values()) / len(members) - score
+            for p in members:
+                values[(reviewer, p)] = raw[p] - excess
+    return np.array([values[pair] for pair in dataset.pairs()])
 
 
 def ranking_cycles_reference(scores: dict, rows) -> list[tuple[str, str]]:
@@ -463,11 +519,12 @@ def brute_force_minimize(problem: QPProblem, grid_step: float = 1e-3) -> Solutio
 
 def thurstone_joint_loglikelihood(
     dataset: ReviewDataset,
-    scores: DequantizedScores,
+    values,
     x_star: dict[str, float],
     sigma: float,
 ) -> float:
-    """Joint log-density of latent review values and their quantization.
+    """Joint log-density of latent review values ``values``, aligned with the
+    dataset's reviews, and their quantization.
 
     The quantization factor is an indicator: any value outside its score's
     half-unit box gives -inf. Otherwise the value is Gaussian around the
@@ -478,9 +535,7 @@ def thurstone_joint_loglikelihood(
         raise ValueError("sigma must be positive")
     total = 0.0
     norm = -math.log(sigma * math.sqrt(2.0 * math.pi))
-    reported = dict(zip(dataset.pairs(), dataset.scores.tolist()))
-    for pair, value in scores.values.items():
-        z = reported[pair]
+    for pair, z, value in zip(dataset.pairs(), dataset.scores.tolist(), values):
         if value < z - 0.5 - 1e-9 or value > z + 0.5 + 1e-9:
             return -math.inf
         resid = value - x_star[pair[1]]
@@ -488,14 +543,12 @@ def thurstone_joint_loglikelihood(
     return total
 
 
-def profiled_paper_qualities(
-    dataset: ReviewDataset, scores: DequantizedScores
-) -> dict[str, float]:
+def profiled_paper_qualities(dataset: ReviewDataset, values) -> dict[str, float]:
     """Per-paper quality maximizing the joint log-likelihood: the mean of the
-    paper's review values."""
+    paper's review values ``values``, aligned with the dataset's reviews."""
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
-    for (r, p), value in scores.values.items():
+    for (r, p), value in zip(dataset.pairs(), values):
         sums[p] = sums.get(p, 0.0) + value
         counts[p] = counts.get(p, 0) + 1
     return {p: sums[p] / counts[p] for p in sums}

@@ -33,6 +33,7 @@ from deqscores.qv import LAMBDA_GRID, select_lambda
 from deqscores.synth import SynthConfig, generate, trial_seed
 
 from conftest import (
+    by_pair,
     likelihood_lattice_maximizer,
     make_dataset,
     papers_by_reviewer,
@@ -100,7 +101,7 @@ def test_criterion_01_constraint_consistency():
         )
         config = DequantizerConfig(lam=lam, epsilon=EPSILON)
         scores = dequantize(instance.dataset, config)
-        box, margin = consistency_report(instance.dataset, scores, EPSILON)
+        box, margin = consistency_report(instance.dataset, scores.values, EPSILON)
         worst_box = max(worst_box, box)
         if margin < worst_margin:
             worst_margin = margin
@@ -130,7 +131,7 @@ def test_criterion_02_closed_form_equivalence():
         ds = make_dataset(score_records(instance.dataset))
         deq = dequantize(ds, DequantizerConfig(lam=lam, epsilon=EPSILON))
         closed = score_only_closed_form(ds, lam)
-        diff = max(abs(deq.values[k] - closed.values[k]) for k in deq.values)
+        diff = float(np.max(np.abs(deq.values - closed)))
         worst = max(worst, diff)
         failures += diff > 1e-4
     report(
@@ -158,10 +159,11 @@ def test_criterion_03_limit_equivalence():
         collected += 1
         bre = bre_adjusted_scores(ds, epsilon=EPSILON)
         deq = dequantize(ds, DequantizerConfig(lam=1e6, epsilon=EPSILON))
-        worst = max(worst, max(abs(deq.values[k] - bre.values[k]) for k in deq.values))
+        worst = max(worst, float(np.max(np.abs(deq.values - bre))))
+        deq, bre = by_pair(ds, deq.values), by_pair(ds, bre)
         for reviewer, papers in papers_by_reviewer(ds).items():
-            by_deq = sorted(papers, key=lambda p: deq.values[(reviewer, p)])
-            by_bre = sorted(papers, key=lambda p: bre.values[(reviewer, p)])
+            by_deq = sorted(papers, key=lambda p: deq[(reviewer, p)])
+            by_bre = sorted(papers, key=lambda p: bre[(reviewer, p)])
             order_mismatches += by_deq != by_bre
     report(
         3,
@@ -196,7 +198,8 @@ def test_criterion_04_thurstone_equivalence():
         collected += 1
         deq = dequantize(ds, DequantizerConfig(lam=1e-6))  # consensus only
         oracle = likelihood_lattice_maximizer(ds)
-        worst = max(worst, max(abs(deq.values[k] - oracle[k]) for k in deq.values))
+        deq = by_pair(ds, deq.values)
+        worst = max(worst, max(abs(deq[k] - oracle[k]) for k in deq))
     report(
         4,
         worst <= 1e-3,
@@ -300,7 +303,7 @@ def test_criterion_08_validation_quality():
     gaps = []
     for trial in range(20):
         instance = generate(SynthConfig(seed=trial_seed(7, trial)))
-        truth = np.array([instance.truth_y[pair] for pair in instance.dataset.pairs()])
+        truth = instance.truth_y
         errors = []
         start = None
         for lam in GRID:
@@ -345,7 +348,7 @@ def test_criterion_10_preprocessing_golden():
         test_io.DATA / "raw_ten_level.csv", reviews_per_paper=3,
         papers_per_reviewer=3, seed=0,
     )
-    scores = score_records(dataset)
+    truth, scores = by_pair(dataset, truth), score_records(dataset)
     golden = {k: (truth[k], scores[k]) for k in truth} == test_io.GOLDEN_PREPARED
     halving = all(scores[k] == math.ceil(y / 2.0) for k, y in truth.items())
     retention = all(len(rs) == 3 for rs in reviewers_by_paper(dataset).values())
@@ -389,13 +392,7 @@ def test_criterion_12_epsilon_robustness():
                 instance.dataset,
                 DequantizerConfig(lam=selected.selected_lambda, epsilon=epsilon),
             )
-            index = instance.dataset.pairs()
-            errors.append(
-                kendall_tau_error(
-                    [instance.truth_y[pair] for pair in index],
-                    [scores.values[pair] for pair in index],
-                )
-            )
+            errors.append(kendall_tau_error(instance.truth_y, scores.values))
         means[epsilon] = float(np.mean(errors))
     spread = max(means.values()) - min(means.values())
     report(

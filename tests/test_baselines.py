@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,16 +11,22 @@ from deqscores.baselines import (
     UnequalReviewCounts,
     bre_adjusted_scores,
     partial_rankings_adjusted_scores,
-    quantization_bins,
     quantized_baseline,
-    ranked_groups,
     score_only_closed_form,
 )
 from deqscores.metrics import kendall_tau_error, tie_fraction
+from deqscores.model import derive_rankings_from_raw_scores
 from deqscores.synth import SynthConfig, generate
 
-from conftest import make_dataset, rankings_are_total, rankings_by_reviewer, score_records
-from oracles import pairwise_ranked_groups, rank_adjusted_reference
+from conftest import (
+    by_pair,
+    make_dataset,
+    rankings_are_total,
+    rankings_by_reviewer,
+    score_records,
+)
+from oracles import pairwise_ranked_groups, partial_rankings_reference, rank_adjusted_reference
+from test_model import from_records, small_ranked_records
 
 
 def total_ranking(papers_best_to_worst):
@@ -30,20 +39,18 @@ def total_ranking(papers_best_to_worst):
 class TestQuantizedBaseline:
     def test_identity(self):
         ds = make_dataset({("r1", "A"): 7})
-        assert quantized_baseline(ds).values == {("r1", "A"): 7.0}
+        assert by_pair(ds, quantized_baseline(ds)) == {("r1", "A"): 7.0}
 
     def test_zero_error_against_itself(self):
         ds = make_dataset({("r1", "A"): 7, ("r1", "B"): 5})
-        out = list(quantized_baseline(ds).values.values())
+        out = quantized_baseline(ds)
         assert kendall_tau_error(out, out) == 0.0
 
     def test_tie_fraction_matches_scores(self):
         ds = make_dataset({("r1", "A"): 7, ("r1", "B"): 7, ("r2", "A"): 5})
-        out = quantized_baseline(ds).values
+        out = quantized_baseline(ds)
         scores = score_records(ds)
-        assert tie_fraction([out[k] for k in ds.pairs()]) == tie_fraction(
-            [float(scores[k]) for k in ds.pairs()]
-        )
+        assert tie_fraction(out) == tie_fraction([float(scores[k]) for k in ds.pairs()])
 
 
 class TestRankAdjusted:
@@ -52,7 +59,7 @@ class TestRankAdjusted:
             {("r1", "A"): 5, ("r1", "B"): 5, ("r1", "C"): 5},
             {"r1": total_ranking(["A", "B", "C"])},
         )
-        out = bre_adjusted_scores(ds, epsilon=0.05).values
+        out = by_pair(ds, bre_adjusted_scores(ds, epsilon=0.05))
         assert out[("r1", "A")] == pytest.approx(5.05)
         assert out[("r1", "B")] == pytest.approx(5.00)
         assert out[("r1", "C")] == pytest.approx(4.95)
@@ -61,7 +68,7 @@ class TestRankAdjusted:
         ds = make_dataset(
             {("r1", "A"): 6, ("r1", "B"): 4}, {"r1": total_ranking(["A", "B"])}
         )
-        out = bre_adjusted_scores(ds).values
+        out = by_pair(ds, bre_adjusted_scores(ds))
         assert out[("r1", "A")] == pytest.approx(6.0)
         assert out[("r1", "B")] == pytest.approx(4.0)
 
@@ -69,7 +76,7 @@ class TestRankAdjusted:
         ds = make_dataset(
             {("r1", "A"): 4, ("r1", "B"): 4}, {"r1": total_ranking(["A", "B"])}
         )
-        out = bre_adjusted_scores(ds, epsilon=0.05).values
+        out = by_pair(ds, bre_adjusted_scores(ds, epsilon=0.05))
         assert out[("r1", "A")] == pytest.approx(4.025)
         assert out[("r1", "B")] == pytest.approx(3.975)
 
@@ -95,11 +102,13 @@ class TestRankAdjusted:
         instance = generate(SynthConfig(num_papers=12, reviews_per_paper=3,
                                         papers_per_reviewer=3, seed=8))
         ds = instance.dataset
-        out = bre_adjusted_scores(ds).values
-        for reviewer in ds.reviewer_ids:
-            for bin_ in quantization_bins(ds, reviewer):
-                mean = sum(out[(reviewer, p)] for p in bin_.members) / len(bin_.members)
-                assert mean == pytest.approx(bin_.score_value, abs=1e-12)
+        out = bre_adjusted_scores(ds)
+        bins: dict = {}
+        for (reviewer, score), value in zip(zip(ds.reviewer, ds.scores.tolist()), out):
+            bins.setdefault((reviewer, score), []).append(value)
+        assert any(len(members) > 1 for members in bins.values())
+        for (_reviewer, score), members in bins.items():
+            assert sum(members) / len(members) == pytest.approx(score, abs=1e-12)
 
     def test_epsilon_never_changes_the_order(self):
         ds = make_dataset(
@@ -108,8 +117,7 @@ class TestRankAdjusted:
         )
         orders = []
         for epsilon in (0.01, 0.05, 0.1):
-            out = bre_adjusted_scores(ds, epsilon).values
-            orders.append(sorted(out, key=out.get))
+            orders.append(np.argsort(bre_adjusted_scores(ds, epsilon)).tolist())
         assert orders[0] == orders[1] == orders[2]
 
     def test_adjustment_counts_preceding_minus_succeeding(self):
@@ -118,7 +126,7 @@ class TestRankAdjusted:
             {("r1", "A"): 5, ("r1", "B"): 5, ("r1", "C"): 5, ("r1", "D"): 5},
             {"r1": total_ranking(["A", "B", "C", "D"])},
         )
-        out = bre_adjusted_scores(ds, epsilon).values
+        out = by_pair(ds, bre_adjusted_scores(ds, epsilon))
         ranking = rankings_by_reviewer(ds)["r1"]
         for paper in "ABCD":
             bin_members = {"A", "B", "C", "D"} - {paper}
@@ -131,7 +139,7 @@ class TestRankAdjusted:
         for seed in range(10):
             ds = generate(SynthConfig(num_papers=60, sigma=0.5, seed=seed)).dataset
             expected = rank_adjusted_reference(ds, 0.05)
-            assert bre_adjusted_scores(ds, 0.05).values == expected, f"seed {seed}"
+            assert np.array_equal(bre_adjusted_scores(ds, 0.05), expected), f"seed {seed}"
 
 
 class TestGroupAdjusted:
@@ -140,7 +148,7 @@ class TestGroupAdjusted:
             {("r1", "A"): 5, ("r1", "B"): 5, ("r1", "C"): 5},
             {"r1": [("A", "C"), ("B", "C")]},
         )
-        out = partial_rankings_adjusted_scores(ds, epsilon=0.05).values
+        out = by_pair(ds, partial_rankings_adjusted_scores(ds, epsilon=0.05))
         assert out[("r1", "A")] == pytest.approx(5.0 + 0.05 / 3.0)
         assert out[("r1", "B")] == pytest.approx(5.0 + 0.05 / 3.0)
         assert out[("r1", "C")] == pytest.approx(5.0 - 0.05 * 2.0 / 3.0)
@@ -149,7 +157,7 @@ class TestGroupAdjusted:
 
     def test_single_group_bin_untouched(self):
         ds = make_dataset({("r1", "A"): 5, ("r1", "B"): 5}, {})
-        out = partial_rankings_adjusted_scores(ds).values
+        out = by_pair(ds, partial_rankings_adjusted_scores(ds))
         assert out[("r1", "A")] == pytest.approx(5.0)
         assert out[("r1", "B")] == pytest.approx(5.0)
 
@@ -157,9 +165,9 @@ class TestGroupAdjusted:
         for seed in range(10):
             ds = generate(SynthConfig(num_papers=60, sigma=0.5, seed=seed)).dataset
             assert rankings_are_total(ds), "seed must give a tie-free instance"
-            fine = bre_adjusted_scores(ds).values
-            grouped = partial_rankings_adjusted_scores(ds).values
-            assert grouped == fine, f"seed {seed}"
+            fine = bre_adjusted_scores(ds)
+            grouped = partial_rankings_adjusted_scores(ds)
+            assert np.array_equal(grouped, fine), f"seed {seed}"
 
     def test_inconsistent_pairs_rejected(self):
         # A beats B but neither is compared with C: no group-total order exists
@@ -185,8 +193,58 @@ class TestGroupAdjusted:
             {("r1", "A"): 5, ("r1", "B"): 5, ("r1", "C"): 5}, {"r1": pairs}
         )
         with pytest.raises(GroupsInconsistent, match="'r1'") as err:
-            ranked_groups(ds, "r1")
+            partial_rankings_adjusted_scores(ds)
         assert repr(offending) in str(err.value)
+
+    @pytest.mark.parametrize("method", [partial_rankings_adjusted_scores, bre_adjusted_scores])
+    def test_unscored_better_paper_names_its_pair(self, method):
+        # Z > A names a paper r1 did not score: the row is reported but not
+        # implied, whichever of its papers is missing
+        ds = make_dataset(
+            {("r1", "A"): 3, ("r1", "B"): 3}, {"r1": [("A", "B"), ("Z", "A")]}
+        )
+        message = (
+            "reviewer 'r1': the reported pairs are no total order over tie groups; "
+            "first mismatch ('Z', 'A')"
+        )
+        with pytest.raises(GroupsInconsistent) as err:
+            method(ds)
+        assert str(err.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        records=small_ranked_records(),
+        epsilon=st.sampled_from([0.05, 0.1, 0.3]),
+        derive=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_the_dict_reference(self, records, epsilon, derive, data):
+        ds = from_records(*records)
+        if derive:
+            # rows derived from tied raw values are group-total, so bins
+            # hold several groups
+            size = ds.num_reviews
+            raw = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+            ds = derive_rankings_from_raw_scores(ds, raw)
+        try:
+            expected = partial_rankings_reference(ds, epsilon)
+        except GroupsInconsistent as exc:
+            with pytest.raises(GroupsInconsistent) as err:
+                partial_rankings_adjusted_scores(ds, epsilon)
+            assert str(err.value) == str(exc)
+        else:
+            assert np.array_equal(partial_rankings_adjusted_scores(ds, epsilon), expected)
+
+    def test_matches_the_dict_reference_on_tied_rankings(self):
+        # the rows of a raw-derived ranking tie equal raw values, so bins
+        # hold several groups of several papers
+        for seed in range(10):
+            instance = generate(SynthConfig(num_papers=30, sigma=0.5, seed=seed))
+            ds = replace(instance.dataset, scores=instance.dataset.scores // 3)
+            ds = derive_rankings_from_raw_scores(ds, np.round(instance.truth_y))
+            assert not rankings_are_total(ds)
+            expected = partial_rankings_reference(ds, 0.05)
+            assert np.array_equal(partial_rankings_adjusted_scores(ds, 0.05), expected)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -209,36 +267,45 @@ class TestGroupAdjusted:
         expected = pairwise_ranked_groups(papers, pairs)
         if expected is None:
             with pytest.raises(GroupsInconsistent):
-                ranked_groups(ds, "r1")
+                partial_rankings_adjusted_scores(ds)
         else:
-            groups = ranked_groups(ds, "r1")
-            assert [g.members for g in groups] == expected
-            assert [g.group_index for g in groups] == list(range(1, len(expected) + 1))
+            # one bin: the t-th group gets 5 + t*epsilon before recentering
+            out = by_pair(ds, partial_rankings_adjusted_scores(ds, epsilon=0.05))
+            levels = sorted(set(out.values()))
+            groups = [tuple(p for p in papers if out[("r1", p)] == v) for v in levels]
+            assert groups == expected
+            assert np.diff(levels) == pytest.approx([0.05] * (len(levels) - 1), abs=1e-12)
 
     def test_group_recovery_from_raw_derived_ranking(self):
         ds = make_dataset(
             {("r1", "A"): 5, ("r1", "B"): 5, ("r1", "C"): 4, ("r1", "D"): 4},
             {"r1": [("A", "C"), ("A", "D"), ("B", "C"), ("B", "D")]},
         )
-        groups = ranked_groups(ds, "r1")
-        assert [g.members for g in groups] == [("C", "D"), ("A", "B")]
+        # each bin is spanned by one group, so it keeps its score exactly
+        out = by_pair(ds, partial_rankings_adjusted_scores(ds))
+        assert out == {pair: float(z) for pair, z in score_records(ds).items()}
+        # in one bin, the recovered groups are its two levels
+        ds = make_dataset({("r1", p): 5 for p in "ABCD"}, rankings_by_reviewer(ds))
+        out = by_pair(ds, partial_rankings_adjusted_scores(ds, epsilon=0.05))
+        assert out[("r1", "A")] == out[("r1", "B")] == pytest.approx(5.025, abs=1e-12)
+        assert out[("r1", "C")] == out[("r1", "D")] == pytest.approx(4.975, abs=1e-12)
 
 
 class TestScoreOnlyClosedForm:
     def test_two_reviewers_clip(self):
         ds = make_dataset({("r1", "A"): 7, ("r2", "A"): 4})
-        out = score_only_closed_form(ds, lam=1.0).values
+        out = by_pair(ds, score_only_closed_form(ds, lam=1.0))
         assert out[("r1", "A")] == pytest.approx(6.5)
         assert out[("r2", "A")] == pytest.approx(4.5)
 
     def test_unanimous_scores_unchanged(self):
         ds = make_dataset({("r1", "A"): 6, ("r2", "A"): 6, ("r3", "A"): 6})
-        out = score_only_closed_form(ds, lam=2.0).values
-        assert all(v == pytest.approx(6.0) for v in out.values())
+        out = score_only_closed_form(ds, lam=2.0)
+        assert all(v == pytest.approx(6.0) for v in out)
 
     def test_huge_weight_returns_scores(self):
         ds = make_dataset({("r1", "A"): 7, ("r2", "A"): 4})
-        out = score_only_closed_form(ds, lam=1e6).values
+        out = by_pair(ds, score_only_closed_form(ds, lam=1e6))
         assert out[("r1", "A")] == pytest.approx(7.0, abs=1e-5)
         assert out[("r2", "A")] == pytest.approx(4.0, abs=1e-5)
 
@@ -259,7 +326,7 @@ class TestScoreOnlyClosedForm:
         assert own > 0 and other > 0
         assert own + (mu - 1) * other == pytest.approx(1.0)
         ds = make_dataset({(f"r{i}", "A"): v for i, v in enumerate(z)})
-        out = score_only_closed_form(ds, lam).values
+        out = by_pair(ds, score_only_closed_form(ds, lam))
         # the pre-clip value is a convex combination of the reviewer's own
         # score and the paper's output mean m
         m = sum(out.values()) / mu

@@ -14,12 +14,13 @@ from deqscores.dequantize import (
     consistency_report,
     dequantize,
 )
-from deqscores.model import DequantizedScores, ValidationError
+from deqscores.model import ValidationError
 from deqscores.qp import InfeasibleProblem, solve
 from deqscores.qv import LAMBDA_GRID, coarsen, select_lambda
 from deqscores.synth import SynthConfig, generate, trial_seed
 
 from conftest import (
+    by_pair,
     likelihood_lattice_maximizer,
     make_dataset,
     papers_by_reviewer,
@@ -165,28 +166,30 @@ class TestDequantize:
         ds = make_dataset(
             {("r1", "A"): 6, ("r2", "A"): 6, ("r1", "B"): 3, ("r2", "B"): 3}
         )
-        scores = dequantize(ds, DequantizerConfig(lam=2.0))
+        scores = by_pair(ds, dequantize(ds, DequantizerConfig(lam=2.0)).values)
         for pair, z in score_records(ds).items():
-            assert scores.values[pair] == pytest.approx(z, abs=1e-7)
+            assert scores[pair] == pytest.approx(z, abs=1e-7)
 
     def test_scores_only_two_reviewers(self):
         ds = make_dataset({("r1", "A"): 7, ("r2", "A"): 4})
-        scores = dequantize(ds, DequantizerConfig(lam=1.0))
-        assert scores.values[("r1", "A")] == pytest.approx(6.5, abs=1e-7)
-        assert scores.values[("r2", "A")] == pytest.approx(4.5, abs=1e-7)
+        scores = by_pair(ds, dequantize(ds, DequantizerConfig(lam=1.0)).values)
+        assert scores[("r1", "A")] == pytest.approx(6.5, abs=1e-7)
+        assert scores[("r2", "A")] == pytest.approx(4.5, abs=1e-7)
 
     def test_output_is_consistent_with_inputs(self):
         instance = generate(SynthConfig(num_papers=12, sigma=1.0, seed=9))
         config = DequantizerConfig(lam=2.0)
         scores = dequantize(instance.dataset, config)
-        box_violation, margin = consistency_report(instance.dataset, scores, config.epsilon)
+        box_violation, margin = consistency_report(
+            instance.dataset, scores.values, config.epsilon
+        )
         assert box_violation <= config.feastol
         assert margin >= config.epsilon - config.feastol
 
     def test_single_review_returns_score(self):
         ds = make_dataset({("r1", "A"): 7})
         scores = dequantize(ds, DequantizerConfig(lam=1.0))
-        assert scores.values[("r1", "A")] == pytest.approx(7.0, abs=1e-8)
+        assert scores.values.tolist() == pytest.approx([7.0], abs=1e-8)
 
     def test_overlong_tied_chain_is_infeasible(self):
         scores = {("r1", f"p{i:02d}"): 5 for i in range(22)}
@@ -215,8 +218,7 @@ class TestDequantize:
         report = select_lambda(instance.dataset, DequantizerConfig(lam=1.0))
         auto = dequantize(instance.dataset, DequantizerConfig(lam=AUTO))
         manual = dequantize(instance.dataset, DequantizerConfig(lam=report.selected_lambda))
-        for pair in manual.values:
-            assert auto.values[pair] == pytest.approx(manual.values[pair], abs=1e-9)
+        assert auto.values == pytest.approx(manual.values, abs=1e-9)
 
     def test_auto_compiles_each_dataset_once(self, monkeypatch):
         calls = {"validate": 0, "check_feasibility": 0}
@@ -239,7 +241,7 @@ class TestDequantize:
         assert auto.validation.selected_lambda == auto.lam
         assert len(auto.validation.errors) == 40
         manual = dequantize(instance.dataset, DequantizerConfig(lam=auto.lam))
-        assert manual.values == auto.values
+        assert np.array_equal(manual.values, auto.values)
         assert manual.lam == auto.lam and manual.validation is None
 
     def test_few_output_ties_on_default_instance(self):
@@ -247,7 +249,7 @@ class TestDequantize:
 
         instance = generate(SynthConfig(seed=42))
         scores = dequantize(instance.dataset, DequantizerConfig(lam=AUTO))
-        assert tie_fraction(list(scores.values.values())) < 0.015
+        assert tie_fraction(scores.values) < 0.015
 
 
 class TestLimitBehavior:
@@ -271,9 +273,7 @@ class TestLimitBehavior:
         gaps = []
         for lam in (1e2, 1e4, 1e6):
             deq = dequantize(instance.dataset, DequantizerConfig(lam=lam))
-            gaps.append(
-                max(abs(deq.values[k] - bre.values[k]) for k in deq.values)
-            )
+            gaps.append(float(np.max(np.abs(deq.values - bre))))
         assert gaps[0] >= gaps[1] >= gaps[2]
         assert gaps[2] <= 1e-3
 
@@ -281,9 +281,10 @@ class TestLimitBehavior:
         instance = self._total_ranking_instance(29)
         bre = bre_adjusted_scores(instance.dataset, epsilon=0.05)
         deq = dequantize(instance.dataset, DequantizerConfig(lam=1e6))
+        deq, bre = by_pair(instance.dataset, deq.values), by_pair(instance.dataset, bre)
         for reviewer, papers in papers_by_reviewer(instance.dataset).items():
-            by_deq = sorted(papers, key=lambda p: deq.values[(reviewer, p)])
-            by_bre = sorted(papers, key=lambda p: bre.values[(reviewer, p)])
+            by_deq = sorted(papers, key=lambda p: deq[(reviewer, p)])
+            by_bre = sorted(papers, key=lambda p: bre[(reviewer, p)])
             assert by_deq == by_bre
 
 
@@ -304,8 +305,7 @@ class TestClosedFormAgreement:
             ds = make_dataset(score_records(instance.dataset))
             deq = dequantize(ds, DequantizerConfig(lam=lam))
             closed = score_only_closed_form(ds, lam)
-            for pair in deq.values:
-                assert deq.values[pair] == pytest.approx(closed.values[pair], abs=1e-4)
+            assert deq.values == pytest.approx(closed, abs=1e-4)
 
     def test_unclipped_instances_agree_exactly(self):
         lam = 4.0  # large enough that no score strays past (1+lam)/2 from its mean
@@ -316,14 +316,10 @@ class TestClosedFormAgreement:
             )
             ds = make_dataset(score_records(instance.dataset))
             closed = score_only_closed_form(ds, lam)
-            clipped = any(
-                abs(v - score_records(ds)[k]) >= 0.5 - 1e-12 for k, v in closed.values.items()
-            )
-            if clipped:
+            if np.any(np.abs(closed - ds.scores) >= 0.5 - 1e-12):  # clipped
                 continue
             deq = dequantize(ds, DequantizerConfig(lam=lam))
-            for pair in deq.values:
-                assert deq.values[pair] == pytest.approx(closed.values[pair], abs=1e-6)
+            assert deq.values == pytest.approx(closed, abs=1e-6)
 
     def test_one_sided_clipping_divergence_instance(self):
         # scores (7, 5, 5) at lam=1: only the 7 clips, which lowers the
@@ -333,35 +329,32 @@ class TestClosedFormAgreement:
         # conditions and is reached by both the solver and the analytic form
         ds = make_dataset({("r1", "A"): 7, ("r2", "A"): 5, ("r3", "A"): 5})
         lam = 1.0
-        deq = dequantize(ds, DequantizerConfig(lam=lam))
+        deq = dequantize(ds, DequantizerConfig(lam=lam)).values
         closed = score_only_closed_form(ds, lam)
-        assert deq.values[("r1", "A")] == pytest.approx(6.5, abs=1e-7)
-        assert deq.values[("r2", "A")] == pytest.approx(5.375, abs=1e-7)
-        assert closed.values[("r1", "A")] == pytest.approx(6.5, abs=1e-7)
-        assert closed.values[("r2", "A")] == pytest.approx(5.375, abs=1e-7)
-        assert closed.values[("r3", "A")] == pytest.approx(5.375, abs=1e-7)
+        # the reviews in review order: r1, r2, r3
+        assert deq[:2] == pytest.approx([6.5, 5.375], abs=1e-7)
+        assert closed == pytest.approx([6.5, 5.375, 5.375], abs=1e-7)
         problem = assemble(ds, DequantizerConfig(lam=lam))
-        as_vec = lambda scores: np.array([scores.values[pair] for pair in ds.pairs()])
-        assert problem.objective(as_vec(closed)) <= problem.objective(as_vec(deq)) + 1e-9
+        assert problem.objective(closed) <= problem.objective(deq) + 1e-9
 
 
 class TestThurstoneConnection:
     def test_zero_residual_is_maximal(self):
         ds = make_dataset({("r1", "A"): 5, ("r2", "A"): 5})
         x_star = {"A": 5.0}
-        perfect = DequantizedScores(values={("r1", "A"): 5.0, ("r2", "A"): 5.0})
-        shifted = DequantizedScores(values={("r1", "A"): 5.3, ("r2", "A"): 5.0})
+        perfect = [5.0, 5.0]
+        shifted = [5.3, 5.0]
         best = thurstone_joint_loglikelihood(ds, perfect, x_star, sigma=1.0)
         assert best > thurstone_joint_loglikelihood(ds, shifted, x_star, sigma=1.0)
 
     def test_outside_box_is_minus_infinity(self):
         ds = make_dataset({("r1", "A"): 5})
-        outside = DequantizedScores(values={("r1", "A"): 5.6})
+        outside = [5.6]
         assert thurstone_joint_loglikelihood(ds, outside, {"A": 5.0}, 1.0) == -math.inf
 
     def test_profiled_quality_is_the_mean(self):
         ds = make_dataset({("r1", "A"): 5, ("r2", "A"): 6})
-        scores = DequantizedScores(values={("r1", "A"): 5.4, ("r2", "A"): 5.6})
+        scores = [5.4, 5.6]  # r1, r2
         profile = profiled_paper_qualities(ds, scores)
         assert profile["A"] == pytest.approx(5.5)
         base = thurstone_joint_loglikelihood(ds, scores, profile, 1.0)
@@ -380,5 +373,4 @@ class TestThurstoneConnection:
             ds = make_dataset(scores)
             deq = dequantize(ds, DequantizerConfig(lam=1e-6))  # consensus only
             oracle = likelihood_lattice_maximizer(ds)
-            for pair in deq.values:
-                assert deq.values[pair] == pytest.approx(oracle[pair], abs=1e-3)
+            assert by_pair(ds, deq.values) == pytest.approx(oracle, abs=1e-3)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import deqscores
@@ -10,7 +11,7 @@ from deqscores import experiment
 from deqscores.cli import main
 from deqscores.experiment import ExperimentSpec, FileSource, run_experiment
 from deqscores.io import ParseError
-from deqscores.model import DequantizedScores
+from deqscores.metrics import kendall_tau_error
 from deqscores.qp import MaxIterationsExceeded
 from deqscores.synth import SynthConfig
 
@@ -103,11 +104,31 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown methods"):
             tiny_spec(methods=("nonsense",))
 
-    def test_estimate_on_other_keys_rejected(self):
-        truth = {("r1", "A"): 1.0, ("r1", "B"): 2.0}
-        estimate = DequantizedScores(values={("r1", "A"): 1.0, ("r1", "C"): 2.0})
-        with pytest.raises(ValueError, match="same keys"):
-            experiment._evaluate(estimate, truth, list(truth), ("kendall", "l2", "ties"), False)
+    @pytest.mark.parametrize(
+        "metrics", [("kendall", "l2", "ties"), ("ties",)], ids=["all-metrics", "ties-only"]
+    )
+    def test_estimate_of_other_length_rejected(self, metrics):
+        truth = np.array([1.0, 2.0])
+        estimates = [np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])]
+        with pytest.raises(ValueError, match="aligned vectors of one length"):
+            experiment._evaluate(truth, estimates, metrics, False)
+
+    def test_one_kendall_call_per_trial(self, monkeypatch):
+        calls = []
+        kernel = experiment.kendall_tau_errors
+
+        def recorded(truth, estimates):
+            calls.append((truth, estimates))
+            return kernel(truth, estimates)
+
+        monkeypatch.setattr(experiment, "kendall_tau_errors", recorded)
+        spec = tiny_spec(sweep_values=(0.5,))
+        report = run_experiment(spec)
+        assert [len(estimates) for _, estimates in calls] == [4, 4]
+        # each trial's errors are the single-vector kernel's, bit for bit
+        for i, method in enumerate(spec.methods):
+            singles = [kendall_tau_error(truth, estimates[i]) for truth, estimates in calls]
+            assert report.cell(method, 0.5, "kendall")["trials"] == singles
 
 
 class TestCli:

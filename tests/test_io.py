@@ -15,10 +15,10 @@ from deqscores.io import (
     write_synthetic,
 )
 from deqscores.metrics import percentiles
-from deqscores.model import DequantizedScores, ValidationError
+from deqscores.model import ValidationError
 from deqscores.synth import SynthConfig, generate
 
-from conftest import make_dataset, ranking_records, reviewers_by_paper, score_records
+from conftest import by_pair, make_dataset, ranking_records, reviewers_by_paper, score_records
 from oracles import derive_rankings_reference, load_scores
 
 DATA = Path(__file__).parent / "data"
@@ -160,7 +160,7 @@ class TestCsvRobustness:
         path = tmp_path / "reviews.csv"
         path.write_text(self.HEADER + '"two\nlines",A,5\n"two\nlines",A,4\n', newline="")
         assert self._cli_validate(path, capsys) == (
-            cli.EXIT_VALIDATION, [f"error: {path}:4: duplicate review (two\\nlines, A)"]
+            cli.EXIT_VALIDATION, [f"error: {path}:4: duplicate review ('two\\nlines', 'A')"]
         )
 
     def test_int64_bounds_load_exactly(self, tmp_path):
@@ -183,7 +183,7 @@ class TestWriteScores:
     def test_rows_sorted_per_paper_best_first(self, tmp_path):
         instance = generate(SynthConfig(num_papers=6, reviews_per_paper=2,
                                         papers_per_reviewer=2, seed=4))
-        scores = dequantize(instance.dataset, DequantizerConfig(lam=2.0))
+        scores = dequantize(instance.dataset, DequantizerConfig(lam=2.0)).values
         out = tmp_path / "out.csv"
         write_scores(scores, instance.dataset, out)
         lines = out.read_text().splitlines()
@@ -200,7 +200,7 @@ class TestWriteScores:
     def test_rewrite_is_byte_identical(self, tmp_path):
         instance = generate(SynthConfig(num_papers=6, reviews_per_paper=2,
                                         papers_per_reviewer=2, seed=4))
-        scores = dequantize(instance.dataset, DequantizerConfig(lam=2.0))
+        scores = dequantize(instance.dataset, DequantizerConfig(lam=2.0)).values
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
         write_scores(scores, instance.dataset, first)
@@ -210,31 +210,31 @@ class TestWriteScores:
     def test_round_trip_preserves_twelve_digits(self, tmp_path):
         instance = generate(SynthConfig(num_papers=6, reviews_per_paper=2,
                                         papers_per_reviewer=2, seed=4))
-        scores = dequantize(instance.dataset, DequantizerConfig(lam=2.0))
+        scores = dequantize(instance.dataset, DequantizerConfig(lam=2.0)).values
         out = tmp_path / "out.csv"
         write_scores(scores, instance.dataset, out)
         reloaded = load_scores(out)
-        for pair, value in scores.values.items():
+        for pair, value in by_pair(instance.dataset, scores).items():
             assert reloaded[pair] == pytest.approx(value, rel=1e-11, abs=1e-11)
 
     def test_ids_holding_line_breaks_or_quotes_round_trip(self, tmp_path):
         # a bare carriage return in an id must be quoted like a line feed,
         # or the row splits in two
         scores = {("r\r1", "x\rx"): 3, ("r2", 'a "b", c'): 4, ("r2", "x\rx"): 5}
-        output = DequantizedScores(values={pair: float(z) for pair, z in scores.items()})
+        dataset = make_dataset(scores, scale=(1, 5))
         out = tmp_path / "out.csv"
-        write_scores(output, make_dataset(scores, scale=(1, 5)), out)
-        assert load_scores(out) == output.values
+        write_scores(dataset.scores.astype(float), dataset, out)
+        assert load_scores(out) == {pair: float(z) for pair, z in scores.items()}
         assert b'"r\r1","x\rx",3,3,' in out.read_bytes()
 
     def test_percentile_column_delegates_to_metrics(self, tmp_path):
         instance = generate(SynthConfig(num_papers=6, reviews_per_paper=2,
                                         papers_per_reviewer=2, seed=4))
-        scores = dequantize(instance.dataset, DequantizerConfig(lam=2.0))
+        scores = dequantize(instance.dataset, DequantizerConfig(lam=2.0)).values
         out = tmp_path / "out.csv"
         write_scores(scores, instance.dataset, out)
-        pairs = list(scores.values)
-        printed = [float(format(scores.values[pair], ".12g")) for pair in pairs]
+        pairs = instance.dataset.pairs()
+        printed = [float(format(value, ".12g")) for value in scores.tolist()]
         expected = dict(zip(pairs, percentiles(printed)))
         for line in out.read_text().splitlines()[1:]:
             reviewer, paper, _, _, pct = line.split(",")
@@ -245,11 +245,10 @@ class TestWriteScores:
         # order by reviewer within their paper
         scores = {("r1", "A"): 1, ("r2", "A"): 1, ("r3", "A"): 1, ("r1", "B"): 2}
         above = float(np.nextafter(1.125, 2.0))
-        output = DequantizedScores(
-            values={("r1", "A"): 1.125, ("r2", "A"): above, ("r3", "A"): 1.0, ("r1", "B"): 2.0}
-        )
+        output = {("r1", "A"): 1.125, ("r2", "A"): above, ("r3", "A"): 1.0, ("r1", "B"): 2.0}
+        dataset = make_dataset(scores, scale=(1, 2))
         out = tmp_path / "out.csv"
-        write_scores(output, make_dataset(scores, scale=(1, 2)), out)
+        write_scores([output[pair] for pair in dataset.pairs()], dataset, out)
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [(r, p, y) for r, p, _, y, _ in rows] == [
             ("r1", "A", "1.125"), ("r2", "A", "1.125"), ("r3", "A", "1"), ("r1", "B", "2"),
@@ -263,11 +262,14 @@ class TestPrepareHalfScale:
         ds, truth = prepare_half_scale(
             DATA / "raw_ten_level.csv", reviews_per_paper=3, papers_per_reviewer=3, seed=0
         )
-        scores = score_records(ds)
+        # the truth is the fine scores as floats, aligned with the reviews
+        assert truth.dtype == float and truth.shape == (ds.num_reviews,)
+        truth, scores = by_pair(ds, truth), score_records(ds)
         assert {k: (truth[k], scores[k]) for k in truth} == GOLDEN_PREPARED
 
     def test_half_scale_map_per_row(self):
         ds, truth = prepare_half_scale(DATA / "raw_ten_level.csv", seed=0)
+        truth = by_pair(ds, truth)
         scores = score_records(ds)
         for pair, y in truth.items():
             assert scores[pair] == math.ceil(y / 2.0)
@@ -275,6 +277,7 @@ class TestPrepareHalfScale:
 
     def test_exactly_three_reviews_retained_from_input(self):
         ds, truth = prepare_half_scale(DATA / "raw_ten_level.csv", seed=0)
+        truth = by_pair(ds, truth)
         for paper, reviewers in reviewers_by_paper(ds).items():
             assert len(reviewers) == 3
             kept = sorted(truth[(r, paper)] for r in reviewers)
@@ -284,17 +287,20 @@ class TestPrepareHalfScale:
 
     def test_papers_with_exactly_three_reviews_keep_all(self):
         ds, truth = prepare_half_scale(DATA / "raw_ten_level.csv", seed=0)
+        truth = by_pair(ds, truth)
         for paper in ("paper01", "paper04", "paper06", "paper08"):
             kept = sorted(truth[(r, paper)] for r in reviewers_by_paper(ds)[paper])
             assert kept == sorted(float(v) for v in RAW_INPUT[paper])
 
     def test_rankings_re_derived_from_raw_values(self):
         ds, truth = prepare_half_scale(DATA / "raw_ten_level.csv", seed=0)
+        truth = by_pair(ds, truth)
         assert ranking_records(ds) == derive_rankings_reference(truth)
 
     def test_within_bin_pairs_survive(self):
         # raw 7 vs 8 quantize to the same coarse score but stay ranked
         ds, truth = prepare_half_scale(DATA / "raw_ten_level.csv", seed=0)
+        truth = by_pair(ds, truth)
         found = False
         scores = score_records(ds)
         for r, better, worse in ranking_records(ds):
@@ -306,7 +312,7 @@ class TestPrepareHalfScale:
     def test_deterministic_per_seed(self):
         a = prepare_half_scale(DATA / "raw_ten_level.csv", seed=3)
         b = prepare_half_scale(DATA / "raw_ten_level.csv", seed=3)
-        assert score_records(a[0]) == score_records(b[0]) and a[1] == b[1]
+        assert score_records(a[0]) == score_records(b[0]) and np.array_equal(a[1], b[1])
 
     def test_insufficient_reviews_rejected(self, tmp_path):
         path = tmp_path / "raw.csv"

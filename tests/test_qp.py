@@ -10,7 +10,6 @@ import scipy.optimize
 from deqscores import qp
 from deqscores.baselines import score_only_closed_form
 from deqscores.dequantize import compile_dataset, consistency_report
-from deqscores.model import DequantizedScores
 from deqscores.qp import (
     ConstraintCycle,
     InfeasibleProblem,
@@ -300,8 +299,7 @@ class TestLargeScale:
         dataset = make_dataset(score_records(large_dataset))
         lam = 1.0
         solution = solve(compile_dataset(dataset, 0.05).problem(lam))
-        exact = score_only_closed_form(dataset, lam).values
-        expected = np.array([exact[pair] for pair in dataset.pairs()])
+        expected = score_only_closed_form(dataset, lam)
         assert np.max(np.abs(solution.values - expected)) <= 1e-7
 
     def test_ranked_solve_is_start_independent_and_consistent(self, large_dataset):
@@ -309,10 +307,7 @@ class TestLargeScale:
         a = solve(problem)
         b = solve(problem, start=problem.box_upper.copy())
         assert np.max(np.abs(a.values - b.values)) <= 1e-9
-        scores = DequantizedScores(
-            values=dict(zip(large_dataset.pairs(), a.values.tolist()))
-        )
-        box_violation, margin = consistency_report(large_dataset, scores, 0.05)
+        box_violation, margin = consistency_report(large_dataset, a.values, 0.05)
         assert box_violation <= 1e-6
         assert margin >= 0.05 - 1e-6
 

@@ -11,7 +11,7 @@ from deqscores.synth import (
     trial_seed,
 )
 
-from conftest import ranking_records, score_records
+from conftest import by_pair, ranking_records, score_records
 
 
 def loads(pairs):
@@ -68,15 +68,16 @@ class TestGenerate:
         a = generate(SynthConfig(seed=7))
         b = generate(SynthConfig(seed=7))
         assert score_records(a.dataset) == score_records(b.dataset)
-        assert a.truth_y == b.truth_y
+        assert np.array_equal(a.truth_y, b.truth_y)
         assert ranking_records(a.dataset) == ranking_records(b.dataset)
         c = generate(SynthConfig(seed=8))
-        assert c.truth_y != a.truth_y
+        assert not np.array_equal(c.truth_y, a.truth_y)
 
     def test_zero_noise_reproduces_qualities(self):
         instance = generate(SynthConfig(num_papers=12, sigma=0.0, seed=3))
         scores = score_records(instance.dataset)
-        for (r, p), y in instance.truth_y.items():
+        assert instance.truth_y.shape == (instance.dataset.num_reviews,)
+        for (r, p), y in by_pair(instance.dataset, instance.truth_y).items():
             assert y == instance.truth_x_star[p]
             assert scores[(r, p)] == int(np.floor(y + 0.5))
 
@@ -97,15 +98,16 @@ class TestGenerate:
     def test_rounding_keeps_ranked_pairs_consistent(self):
         instance = generate(SynthConfig(num_papers=10, sigma=2.0, seed=11))
         scores = score_records(instance.dataset)
+        truth = by_pair(instance.dataset, instance.truth_y)
         for r, better, worse in ranking_records(instance.dataset):
-            assert instance.truth_y[(r, better)] > instance.truth_y[(r, worse)]
+            assert truth[(r, better)] > truth[(r, worse)]
             assert scores[(r, better)] >= scores[(r, worse)]
 
     def test_clipping_respects_score_range(self):
         instance = generate(SynthConfig(num_papers=10, sigma=5.0, seed=2))
         values = instance.dataset.scores
         assert values.min() >= 0 and values.max() <= 10
-        assert all(0.0 <= y <= 10.0 for y in instance.truth_y.values())
+        assert all(0.0 <= y <= 10.0 for y in instance.truth_y)
 
     def test_indivisible_load_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
