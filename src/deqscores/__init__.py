@@ -1,6 +1,17 @@
 """Dequantized review scores: merge quantized scores and partial rankings
 into per-review real values by solving a small constrained QP."""
 
+import os
+import sys
+
+# One OpenBLAS thread unless the user sets a count. The solver's BLAS calls
+# are small, and OpenBLAS's worker threads spin between them: they cost CPU
+# in every process and stall solves while another process holds a core.
+# OpenBLAS reads the variable once, when numpy loads, so a process that
+# loaded numpy first is left as it is.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .baselines import (
     GroupsInconsistent,
     NotTotalRanking,

@@ -44,21 +44,27 @@ def bre_adjusted_scores(dataset: ReviewDataset, epsilon: float = DEFAULT_EPSILON
     size m get equally spaced epsilon increments by their rank within the bin
     and are then recentered onto the bin's score, which works out to
     z + epsilon * (rank_in_bin - 1/2 - m/2). Raises ``NotTotalRanking``
-    naming the first reviewer, in sorted order, whose ranking leaves a pair
-    of their papers unordered.
+    naming the first reviewer, in sorted order, whose papers do not all have
+    distinct levels (see ``partial_rankings_adjusted_scores``). On a valid
+    dataset, whose rankings are acyclic, that is the first reviewer whose
+    ranking leaves a pair of their papers unordered: an acyclic ranking of m
+    papers orders every pair exactly when its levels are 0..m-1.
     """
-    # each reviewer's distinct pairs of scored papers that a row orders, one
-    # way or the other, as (lower, higher) review positions
-    ends = np.sort(dataset.ranked_reviews, axis=0)
-    ordered = np.unique(ends[:, (ends[0] >= 0) & (ends[0] != ends[1])], axis=1)
-    width = dataset.reviewer_ids.shape[0]
-    covered = np.bincount(dataset.reviewer[ordered[0]], minlength=width)
-    load = np.bincount(dataset.reviewer, minlength=width)
-    short = np.flatnonzero(covered < load * (load - 1) // 2)
-    if short.size:
-        reviewer = dataset.reviewer_ids[short[0]]
+    n = dataset.num_reviews
+    key = np.sort(dataset.reviewer * (n + 1) + _levels(dataset)[0])
+    tied = key[1:][key[1:] == key[:-1]] // (n + 1)
+    if tied.size:
+        reviewer = dataset.reviewer_ids[tied[0]]
         raise NotTotalRanking(f"reviewer {reviewer!r} has an incomplete ranking")
     return partial_rankings_adjusted_scores(dataset, epsilon)
+
+
+def _levels(dataset: ReviewDataset) -> tuple[np.ndarray, np.ndarray]:
+    """(each review's level, the mask of ranking rows counted in it), as
+    ``partial_rankings_adjusted_scores`` defines levels."""
+    ends = dataset.ranked_reviews
+    scored = (ends >= 0).all(axis=0)
+    return np.bincount(ends[0, scored], minlength=dataset.num_reviews), scored
 
 
 def partial_rankings_adjusted_scores(
@@ -83,10 +89,8 @@ def partial_rankings_adjusted_scores(
     """
     reviewer, z = dataset.reviewer, dataset.scores
     n, width = z.shape[0], dataset.reviewer_ids.shape[0]
-    ends = dataset.ranked_reviews
-    scored = (ends >= 0).all(axis=0)
-    better, worse = ends[:, scored]
-    level = np.bincount(better, minlength=n)
+    level, scored = _levels(dataset)
+    better, worse = dataset.ranked_reviews[:, scored]
     # group-total: every row goes down a level, and there are as many rows
     # as implied pairs, each review over its reviewer's reviews of lower level
     key = reviewer * (n + 1) + level

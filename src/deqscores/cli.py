@@ -198,7 +198,7 @@ def _cmd_dequantize(args) -> int:
     )
     selected = None if result.validation is None else result.lam
     io.write_scores(result.values, dataset, args.output)
-    box_viol, margin = consistency_report(dataset, result.values, args.epsilon)
+    box_viol, margin = consistency_report(dataset, result.values)
     print(f"wrote {args.output} ({dataset.num_reviews} reviews)")
     if selected is not None:
         print(f"selected lambda: {selected:.6g}")

@@ -179,13 +179,13 @@ def dequantize(
     return DequantizeResult(values=solution.values, lam=config.lam, validation=validation)
 
 
-def consistency_report(dataset: ReviewDataset, values, epsilon: float) -> tuple[float, float]:
+def consistency_report(dataset: ReviewDataset, values) -> tuple[float, float]:
     """(worst box violation, smallest ranked-pair margin) of an output
     ``values``, aligned with the dataset's reviews.
 
     The margin is y_better - y_worse minimized over reported pairs (inf when
     no pairs exist); a consistent output has violation ~0 and margin >=
-    epsilon - tolerance.
+    epsilon - tolerance, epsilon being the separation it was solved with.
     """
     y = np.asarray(values, dtype=float)
     z = dataset.scores.astype(float)

@@ -236,7 +236,7 @@ class QPProblem:
 
     def objective(self, y: np.ndarray) -> float:
         y = np.asarray(y, dtype=float)
-        return float(0.5 * y @ (self.quadratic @ y) + self.linear @ y + self.constant)
+        return 0.5 * _dot(y, self.quadratic @ y) + _dot(self.linear, y) + self.constant
 
 
 # ``solve`` accepts a point when its scaled stationarity residual
@@ -502,6 +502,14 @@ _CG_TOLERANCE = 1e-10
 _CG_MAX_STEPS = 1000
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a'b of two 1-D float vectors, summed by numpy's own loop. A 1-D ``@``
+    goes to BLAS ``ddot``, which splits long vectors over its worker threads
+    and so rounds differently with their number; this sum's bits depend on
+    the inputs alone."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _pcg(K, inv_diag, b, x0):
     """Jacobi-preconditioned conjugate gradient for K x = b from ``x0``.
 
@@ -515,16 +523,16 @@ def _pcg(K, inv_diag, b, x0):
         return x, 0
     d = inv_diag * r
     p = d
-    rd = float(r @ d)
+    rd = _dot(r, d)
     for step in range(1, _CG_MAX_STEPS + 1):
         Kp = K @ p
-        a = rd / float(p @ Kp)
+        a = rd / _dot(p, Kp)
         x += a * p
         r -= a * Kp
         if np.abs(r).max() <= tol:
             return x, step
         d = inv_diag * r
-        rd, rd_old = float(r @ d), rd
+        rd, rd_old = _dot(r, d), rd
         p = d + (rd / rd_old) * p
     return x, _CG_MAX_STEPS
 

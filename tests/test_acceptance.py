@@ -101,7 +101,7 @@ def test_criterion_01_constraint_consistency():
         )
         config = DequantizerConfig(lam=lam, epsilon=EPSILON)
         scores = dequantize(instance.dataset, config)
-        box, margin = consistency_report(instance.dataset, scores.values, EPSILON)
+        box, margin = consistency_report(instance.dataset, scores.values)
         worst_box = max(worst_box, box)
         if margin < worst_margin:
             worst_margin = margin

@@ -15,11 +15,12 @@ from deqscores.baselines import (
     score_only_closed_form,
 )
 from deqscores.metrics import kendall_tau_error, tie_fraction
-from deqscores.model import derive_rankings_from_raw_scores
+from deqscores.model import RANK_CYCLE, derive_rankings_from_raw_scores, validate
 from deqscores.synth import SynthConfig, generate
 
 from conftest import (
     by_pair,
+    incomplete_rankings,
     make_dataset,
     rankings_are_total,
     rankings_by_reviewer,
@@ -27,6 +28,14 @@ from conftest import (
 )
 from oracles import pairwise_ranked_groups, partial_rankings_reference, rank_adjusted_reference
 from test_model import from_records, small_ranked_records
+
+
+def outcome(method, dataset):
+    """A method's output bytes, or (class, message) of its ranking error."""
+    try:
+        return method(dataset).tobytes()
+    except (NotTotalRanking, GroupsInconsistent) as exc:
+        return type(exc), str(exc)
 
 
 def total_ranking(papers_best_to_worst):
@@ -97,6 +106,29 @@ class TestRankAdjusted:
         )
         with pytest.raises(NotTotalRanking, match="^reviewer 'r2' has an incomplete ranking$"):
             bre_adjusted_scores(ds)
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=small_ranked_records(), derive=st.booleans(), data=st.data())
+    def test_totality_is_the_pairwise_rule_on_acyclic_rankings(self, records, derive, data):
+        # distinct levels mean "every pair ordered" wherever the rankings are
+        # acyclic, as a valid dataset's are
+        ds = from_records(*records)
+        if derive:
+            size = ds.num_reviews
+            raw = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+            ds = derive_rankings_from_raw_scores(ds, raw)
+        incomplete = incomplete_rankings(ds)
+        if incomplete:
+            expected = NotTotalRanking, f"reviewer {incomplete[0]!r} has an incomplete ranking"
+        else:
+            expected = outcome(partial_rankings_adjusted_scores, ds)
+        actual = outcome(bre_adjusted_scores, ds)
+        if isinstance(expected, tuple) and RANK_CYCLE in {v.code for v in validate(ds)}:
+            # a cycle orders no papers totally: both rules raise, maybe
+            # naming different reviewers or classes
+            assert actual[0] in (NotTotalRanking, GroupsInconsistent)
+        else:
+            assert actual == expected
 
     def test_bin_means_preserved_exactly(self):
         instance = generate(SynthConfig(num_papers=12, reviews_per_paper=3,

@@ -180,9 +180,7 @@ class TestDequantize:
         instance = generate(SynthConfig(num_papers=12, sigma=1.0, seed=9))
         config = DequantizerConfig(lam=2.0)
         scores = dequantize(instance.dataset, config)
-        box_violation, margin = consistency_report(
-            instance.dataset, scores.values, config.epsilon
-        )
+        box_violation, margin = consistency_report(instance.dataset, scores.values)
         assert box_violation <= config.feastol
         assert margin >= config.epsilon - config.feastol
 

@@ -307,7 +307,7 @@ class TestLargeScale:
         a = solve(problem)
         b = solve(problem, start=problem.box_upper.copy())
         assert np.max(np.abs(a.values - b.values)) <= 1e-9
-        box_violation, margin = consistency_report(large_dataset, a.values, 0.05)
+        box_violation, margin = consistency_report(large_dataset, a.values)
         assert box_violation <= 1e-6
         assert margin >= 0.05 - 1e-6
 
