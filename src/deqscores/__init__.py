@@ -15,11 +15,9 @@ if "numpy" not in sys.modules:
 from .baselines import (
     GroupsInconsistent,
     NotTotalRanking,
-    UnequalReviewCounts,
     bre_adjusted_scores,
     partial_rankings_adjusted_scores,
     quantized_baseline,
-    score_only_closed_form,
 )
 from .dequantize import (
     AUTO,
@@ -52,7 +50,6 @@ from .model import (
 )
 from .qp import (
     ActiveSet,
-    ConstraintCycle,
     Constraints,
     InfeasibleProblem,
     MaxIterationsExceeded,

@@ -27,10 +27,6 @@ class GroupsInconsistent(ValueError):
     """The reported pairs do not form a total order over tie groups."""
 
 
-class UnequalReviewCounts(ValueError):
-    """The closed form requires every paper to have the same review count."""
-
-
 def quantized_baseline(dataset: ReviewDataset) -> np.ndarray:
     """The reported scores themselves, as reals."""
     return dataset.scores.astype(float)
@@ -142,63 +138,4 @@ def _mismatch(dataset: ReviewDataset, reviewer: int, level: np.ndarray) -> str:
     return (
         f"reviewer {dataset.reviewer_ids[reviewer]!r}: the reported pairs are no total "
         f"order over tie groups; first mismatch {min(reported ^ implied)!r}"
-    )
-
-
-def score_only_closed_form(dataset: ReviewDataset, lam: float) -> np.ndarray:
-    """Analytic scores-only solution: the exact minimizer of the consensus+fit
-    objective when no rankings are reported.
-
-    Per paper, each output is a convex combination of the reviewer's own
-    score and the paper's output mean m, clipped into the half-unit box:
-    y_r = clip((m + lam*z_r) / (1 + lam), z_r - 1/2, z_r + 1/2). These are the
-    objective's KKT conditions, so for lam > 0 the result is its unique
-    minimizer. m is the fixed point of m = mean_r(y_r), found exactly by
-    ``_output_mean``. When no clip is one-sided, m is the mean score and the
-    form reduces to the published weights: (1 + mu*lam) / (mu*(1 + lam)) on
-    the reviewer's own score and 1 / (mu*(1 + lam)) on each other score of
-    the paper. Requires every paper to have the same review count mu;
-    rankings are ignored.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    counts = set(np.unique(dataset.paper, return_counts=True)[1].tolist())
-    if len(counts) != 1:
-        raise UnequalReviewCounts(f"papers have differing review counts {sorted(counts)}")
-    values = np.empty(dataset.num_reviews)
-    # one row per paper, its reviews in reviewer order
-    by_paper = np.lexsort((dataset.reviewer, dataset.paper)).reshape(-1, counts.pop())
-    for reviews in by_paper.tolist():
-        z = [float(dataset.scores[i]) for i in reviews]
-        m = _output_mean(z, lam)
-        values[reviews] = [_boxed_pull(m, zr, lam) for zr in z]
-    return values
-
-
-def _boxed_pull(m: float, z: float, lam: float) -> float:
-    """The minimizer's value for score z when its paper's output mean is m."""
-    return min(max((m + lam * z) / (1.0 + lam), z - 0.5), z + 0.5)
-
-
-def _output_mean(z: list[float], lam: float) -> float:
-    """The unique root of g(m) = m, g(m) = mean_r _boxed_pull(m, z_r, lam).
-
-    g is piecewise linear with slope at most 1/(1 + lam) < 1, bending at the
-    breakpoints z_r -/+ (1 + lam)/2 where a clip starts or stops, so g(m) - m
-    is strictly decreasing: positive at the lowest breakpoint, negative at
-    the highest. The root is solved exactly on the one linear piece whose
-    breakpoints bracket it.
-    """
-    half = 0.5 * (1.0 + lam)
-    breaks = sorted({zr + side for zr in z for side in (-half, half)})
-    j = next(
-        i for i, b in enumerate(breaks)
-        if sum(_boxed_pull(b, zr, lam) for zr in z) <= len(z) * b
-    )
-    mid = 0.5 * (breaks[j - 1] + breaks[j])
-    clipped = [_boxed_pull(mid, zr, lam) for zr in z if abs(mid - zr) > half]
-    free = [zr for zr in z if abs(mid - zr) <= half]
-    # m * mu = sum(clipped) + sum_free (m + lam*z_r)/(1 + lam), times (1 + lam)
-    return ((1.0 + lam) * sum(clipped) + lam * sum(free)) / (
-        len(clipped) + len(z) * lam
     )

@@ -24,7 +24,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import DEFAULT_EPSILON, ReviewDataset, require_valid
-from .qp import DEFAULT_FEASTOL, Constraints, InfeasibleProblem, QPProblem, solve, with_data
+from .qp import (
+    DEFAULT_FEASTOL,
+    Constraints,
+    InfeasibleProblem,
+    QPProblem,
+    pair_rows,
+    solve,
+    with_data,
+)
 
 if TYPE_CHECKING:
     from .qv import QVReport
@@ -135,9 +143,7 @@ def compile_dataset(dataset: ReviewDataset, epsilon: float) -> CompiledDataset:
     on_diagonal = rows == cols
     consensus.data = 2.0 * (on_diagonal - 1.0 / np.bincount(paper_of)[paper_of[rows]])
 
-    better, worse = dataset.ranked_reviews.tolist()
-    pair_constraints = tuple((i, j, float(epsilon)) for i, j in zip(better, worse))
-    constraints = Constraints(z - 0.5, z + 0.5, pair_constraints)
+    constraints = Constraints(z - 0.5, z + 0.5, pair_rows(*dataset.ranked_reviews, epsilon))
     feasibility = constraints.feasibility
     if not feasibility.feasible:
         chain = list(feasibility.witness)

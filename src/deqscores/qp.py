@@ -10,8 +10,9 @@ with a first-order operator-splitting iteration (over-relaxed ADMM) plus an
 active-set polish step that solves the KKT equality system on the detected
 active constraints, bringing the iterate to near machine precision.
 Feasibility is pre-checked by longest-path propagation of the pairwise gaps
-through the constraint graph, so infeasible inputs fail fast instead of
-iterating.
+through the constraint graph, all pair rows at once per round, so infeasible
+inputs (gaps that overflow a box, or a positive-gap cycle) fail fast instead
+of iterating.
 
 The ADMM x-update solves (Q + sigma I + rho A'A) x = b. It is never
 factored: each iteration runs a Jacobi-preconditioned conjugate gradient,
@@ -95,14 +96,6 @@ class InfeasibleProblem(SolverError):
         self.chain = chain or []
 
 
-class ConstraintCycle(SolverError):
-    """Pair constraints with positive total gap form a cycle."""
-
-    def __init__(self, cycle: list[int]):
-        super().__init__(f"pair constraints form a positive-gap cycle through variables {cycle}")
-        self.cycle = cycle
-
-
 class MaxIterationsExceeded(SolverError):
     def __init__(self, iterations: int, residuals: tuple[float, float]):
         super().__init__(
@@ -124,11 +117,24 @@ class StackedRows(NamedTuple):
     upper: np.ndarray
 
 
+# the record of one pair constraint y_i - y_j >= gap; unpacks as (i, j, gap)
+PAIR_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("gap", np.float64)])
+
+
+def pair_rows(i, j, gap) -> np.ndarray:
+    """The pair constraints y_i - y_j >= gap as ``PAIR_ROW`` records, from
+    index arrays of one length and a gap per row or one for all."""
+    rows = np.empty(len(i), PAIR_ROW)
+    rows["i"], rows["j"], rows["gap"] = i, j, gap
+    return rows
+
+
 @dataclass(frozen=True)
 class Constraints:
     """Boxes and pair constraints of a QP, independent of its objective.
 
-    The feasibility check and the stacked rows are computed on first use and
+    ``pair_constraints`` is a length-m array of ``PAIR_ROW`` records. The
+    feasibility check and the stacked rows are computed on first use and
     cached, so problems sharing one ``Constraints`` (a dataset solved along a
     fit-weight grid) pay for them once. The KKT pattern of the last polish is
     kept too; each pattern is immutable and replacing it is one assignment,
@@ -137,7 +143,7 @@ class Constraints:
 
     box_lower: np.ndarray
     box_upper: np.ndarray
-    pair_constraints: tuple[tuple[int, int, float], ...]
+    pair_constraints: np.ndarray
 
     @property
     def n(self) -> int:
@@ -150,20 +156,16 @@ class Constraints:
     @cached_property
     def rows(self) -> StackedRows:
         n = self.n
-        m = len(self.pair_constraints)
-        blocks = [sp.identity(n, format="csc")]
-        lower = [self.box_lower]
-        upper = [self.box_upper]
-        if m:
-            i, j, gaps = (np.array(col) for col in zip(*self.pair_constraints))
-            cols = np.column_stack([i, j]).ravel()
-            vals = np.tile([1.0, -1.0], m)
-            blocks.append(sp.csc_matrix((vals, (np.repeat(np.arange(m), 2), cols)), shape=(m, n)))
-            lower.append(gaps)
-            upper.append(np.full(m, np.inf))
-        A = sp.vstack(blocks, format="csc")
+        pairs = self.pair_constraints
+        m = pairs.shape[0]
+        cols = np.column_stack([pairs["i"], pairs["j"]]).ravel()
+        vals = np.tile([1.0, -1.0], m)
+        pair_block = sp.csc_matrix((vals, (np.repeat(np.arange(m), 2), cols)), shape=(m, n))
+        A = sp.vstack([sp.identity(n, format="csc"), pair_block], format="csc")
         At = A.T
-        return StackedRows(A, At, (At @ A).tocsc(), np.concatenate(lower), np.concatenate(upper))
+        lower = np.concatenate([self.box_lower, pairs["gap"]])
+        upper = np.concatenate([self.box_upper, np.full(m, np.inf)])
+        return StackedRows(A, At, (At @ A).tocsc(), lower, upper)
 
     @cached_property
     def row_entries(self) -> sp.csr_matrix:
@@ -194,7 +196,7 @@ class QPProblem:
         return self.constraints.n
 
     @property
-    def pair_constraints(self) -> tuple[tuple[int, int, float], ...]:
+    def pair_constraints(self) -> np.ndarray:
         return self.constraints.pair_constraints
 
     @property
@@ -204,35 +206,6 @@ class QPProblem:
     @property
     def box_upper(self) -> np.ndarray:
         return self.constraints.box_upper
-
-    @classmethod
-    def build(cls, quadratic, linear, pair_constraints, box_lower, box_upper, constant=0.0):
-        quadratic = sp.csc_matrix(quadratic)
-        linear = np.asarray(linear, dtype=float)
-        box_lower = np.asarray(box_lower, dtype=float)
-        box_upper = np.asarray(box_upper, dtype=float)
-        n = linear.shape[0]
-        if quadratic.shape != (n, n):
-            raise ValueError(f"quadratic is {quadratic.shape}, expected {(n, n)}")
-        asym = abs(quadratic - quadratic.T)
-        if asym.nnz and asym.max() > 1e-10 * max(1.0, abs(quadratic).max()):
-            raise ValueError("quadratic matrix must be symmetric")
-        if box_lower.shape != (n,) or box_upper.shape != (n,):
-            raise ValueError("box bounds must have one entry per variable")
-        if np.any(box_lower > box_upper):
-            bad = int(np.argmax(box_lower > box_upper))
-            raise ValueError(f"empty box for variable {bad}")
-        pairs = []
-        for i, j, gap in pair_constraints:
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise ValueError(f"bad pair constraint indices ({i}, {j}) for n={n}")
-            pairs.append((int(i), int(j), float(gap)))
-        return cls(
-            quadratic=quadratic,
-            linear=linear,
-            constraints=Constraints(box_lower, box_upper, tuple(pairs)),
-            constant=float(constant),
-        )
 
     def objective(self, y: np.ndarray) -> float:
         y = np.asarray(y, dtype=float)
@@ -283,58 +256,39 @@ def check_feasibility(problem: QPProblem | Constraints) -> FeasibilityResult:
     """Propagate pairwise gaps through the constraint graph and test the boxes.
 
     Lower bounds travel upward along each constraint y_i >= y_j + gap
-    (longest-path relaxation); the system is feasible iff every tightened
-    lower bound stays below its box upper bound. A positive-gap cycle raises
-    ``ConstraintCycle``; an empty interval yields the chain of variables
-    whose accumulated gaps overflow the box as witness. Only the constraints
-    are read, so a problem's ``Constraints`` can be checked directly.
+    (longest-path relaxation), all pair rows at once per round, until a
+    round changes nothing: on acyclic rows, after as many rounds as the
+    longest chain has rows. The system is feasible iff every tightened lower
+    bound stays below its box upper bound. Bounds still rising after n + 1
+    rounds mean a positive-gap cycle, whose constraint set is empty:
+    ``InfeasibleProblem`` with no chain. An overflowing box yields as witness
+    the chain walked back from the first such variable, each step along the
+    first row, in row order, that holds its variable's bound (lo_j + gap ==
+    lo_i). Only the constraints are read, so a problem's ``Constraints`` can
+    be checked directly.
     """
-    n = problem.n
+    pairs = problem.pair_constraints
+    i, j, gap = pairs["i"], pairs["j"], pairs["gap"]
     lo = problem.box_lower.copy()
-    pred: list[int | None] = [None] * n
+    for _ in range(problem.n + 1):
+        candidate = lo[j] + gap
+        if not np.any(candidate > lo[i]):
+            break
+        np.maximum.at(lo, i, candidate)
+    else:
+        raise InfeasibleProblem("pair constraints form a positive-gap cycle")
 
-    changed = True
-    rounds = 0
-    last_changed: int | None = None
-    while changed:
-        changed = False
-        for i, j, gap in problem.pair_constraints:
-            cand = lo[j] + gap
-            if cand > lo[i] + 1e-15:
-                lo[i] = cand
-                pred[i] = j
-                changed = True
-                last_changed = i
-        rounds += 1
-        if changed and rounds > n:
-            cycle = _walk_cycle(pred, last_changed, n)
-            raise ConstraintCycle(cycle)
-
-    bad = np.nonzero(lo > problem.box_upper + 1e-12)[0]
-    if bad.size:
-        start = int(bad[0])
-        chain = [start]
-        node = start
-        while pred[node] is not None and len(chain) <= n:
-            node = pred[node]
-            chain.append(node)
-        return FeasibilityResult(False, tuple(chain), lo)
-    return FeasibilityResult(True, None, lo)
-
-
-def _walk_cycle(pred: list[int | None], start: int, n: int) -> list[int]:
-    seen: dict[int, int] = {}
-    path: list[int] = []
-    node: int | None = start
-    while node is not None and node not in seen:
-        seen[node] = len(path)
-        path.append(node)
-        node = pred[node]
-    if node is None:
-        return path
-    cycle = path[seen[node]:]
-    cycle.reverse()
-    return cycle
+    bad = np.flatnonzero(lo > problem.box_upper + 1e-12)
+    if not bad.size:
+        return FeasibilityResult(True, None, lo)
+    tight = np.flatnonzero(lo[j] + gap == lo[i])
+    chain = [int(bad[0])]
+    while len(chain) <= problem.n:
+        step = tight[i[tight] == chain[-1]]
+        if not step.size:
+            break
+        chain.append(int(j[step[0]]))
+    return FeasibilityResult(False, tuple(chain), lo)
 
 
 # the polish regularizes its KKT system by +delta on Q's diagonal and
@@ -641,9 +595,9 @@ def solve(
     and the set it was polished on as ``active``. Otherwise the solve
     iterates as without the active set, from the previous solution's values
     (from the cold start for an ``ActiveSet``). Raises
-    ``InfeasibleProblem``/``ConstraintCycle`` when the constraint set is
-    empty and ``MaxIterationsExceeded`` when the tolerances are not met
-    within ``MAX_ITERATIONS`` iterations.
+    ``InfeasibleProblem`` when the constraint set is empty (gaps that
+    overflow a box, or a positive-gap cycle) and ``MaxIterationsExceeded``
+    when the tolerances are not met within ``MAX_ITERATIONS`` iterations.
     """
     if not (math.isfinite(feastol) and feastol > 0):
         raise ValueError(f"feastol must be a positive finite number, got {feastol!r}")

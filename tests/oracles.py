@@ -24,6 +24,11 @@ two reviews of a reviewer, the reference for
 ``model.derive_rankings_from_raw_scores``.
 ``polish_kkt_reference`` builds the polish's KKT matrix with ``sp.bmat`` and
 ``sp.diags``, the reference for the solver's direct CSC assembly.
+``build_problem`` makes a ``QPProblem`` from small hand-written data with
+acyclic pair rows. ``feasibility_reference`` is the row-by-row Bellman-Ford
+feasibility pass, the reference for ``qp.check_feasibility``.
+``score_only_closed_form`` is the exact minimizer of the dequantization
+objective when no rankings are reported, solved per paper.
 ``certify`` checks a point's optimality from the KKT conditions alone, with
 multipliers from nonnegative least squares. ``load_scores`` reads an output
 file's dequantized values back.
@@ -38,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from deqscores.baselines import GroupsInconsistent
 from deqscores.metrics import TIE_TOLERANCE, AllTiedError
@@ -48,7 +54,16 @@ from deqscores.model import (
     UNASSIGNED_PAIR,
     ReviewDataset,
 )
-from deqscores.qp import InfeasibleProblem, QPProblem, Solution, SolverError, check_feasibility
+from deqscores.qp import (
+    PAIR_ROW,
+    Constraints,
+    FeasibilityResult,
+    InfeasibleProblem,
+    QPProblem,
+    Solution,
+    SolverError,
+    check_feasibility,
+)
 
 
 class DimensionTooLarge(SolverError):
@@ -283,6 +298,56 @@ def derive_rankings_reference(raw: dict) -> list[tuple[str, str, str]]:
     return sorted(rows)
 
 
+def build_problem(
+    quadratic, linear, pair_constraints, box_lower, box_upper, constant=0.0
+) -> QPProblem:
+    """The QP 0.5*y'Qy + c'y + constant over the boxes and the pair rows
+    ``pair_constraints``, (i, j, gap) each, which must form no cycle: the
+    package's own problems come from ``compile_dataset``, whose rankings
+    ``validate`` has checked for cycles."""
+    linear = np.asarray(linear, dtype=float)
+    n = linear.shape[0]
+    pairs = np.array([tuple(row) for row in pair_constraints], dtype=PAIR_ROW)
+    graph = sp.csr_matrix((np.ones(pairs.shape[0]), (pairs["i"], pairs["j"])), shape=(n, n))
+    components, _ = csgraph.connected_components(graph, connection="strong")
+    assert components == n and not np.any(pairs["i"] == pairs["j"]), "pair rows form a cycle"
+    box_lower = np.asarray(box_lower, dtype=float)
+    box_upper = np.asarray(box_upper, dtype=float)
+    return QPProblem(
+        sp.csc_matrix(quadratic), linear, Constraints(box_lower, box_upper, pairs), float(constant)
+    )
+
+
+def feasibility_reference(constraints: Constraints) -> FeasibilityResult:
+    """The feasibility pass relaxing one pair row at a time: rounds over the
+    rows in row order, each row raising lo_i to lo_j + gap when that is
+    more than 1e-15 higher and recording j as i's predecessor, until a round
+    changes nothing. The witness follows the predecessors back from the
+    first variable whose bound overflows its box. For acyclic rows."""
+    n = constraints.n
+    lo = constraints.box_lower.copy()
+    pred: list[int | None] = [None] * n
+    changed = True
+    rounds = 0
+    while changed:
+        assert rounds <= n, "pair rows form a positive-gap cycle"
+        changed = False
+        for i, j, gap in constraints.pair_constraints.tolist():
+            cand = lo[j] + gap
+            if cand > lo[i] + 1e-15:
+                lo[i] = cand
+                pred[i] = j
+                changed = True
+        rounds += 1
+    bad = np.nonzero(lo > constraints.box_upper + 1e-12)[0]
+    if not bad.size:
+        return FeasibilityResult(True, None, lo)
+    chain = [int(bad[0])]
+    while pred[chain[-1]] is not None and len(chain) <= n:
+        chain.append(pred[chain[-1]])
+    return FeasibilityResult(False, tuple(chain), lo)
+
+
 def constraint_violation(problem: QPProblem, y: np.ndarray) -> float:
     """Largest violation over boxes and pair constraints (0 if feasible)."""
     viol = max(
@@ -440,7 +505,7 @@ def brute_force_minimize(problem: QPProblem, grid_step: float = 1e-3) -> Solutio
     n = problem.n
     lo = feas.tightened_lower
     hi = _tightened_upper(problem, lo)
-    pairs = problem.pair_constraints
+    pairs = problem.pair_constraints.tolist()
     Q = problem.quadratic.toarray()
     c = problem.linear
     budget = 300_000
@@ -515,6 +580,69 @@ def brute_force_minimize(problem: QPProblem, grid_step: float = 1e-3) -> Solutio
     if value > incumbent_val:
         y, value = incumbent, incumbent_val
     return Solution(y, value, iteration + 1, (constraint_violation(problem, y), float("nan")), 0)
+
+
+class UnequalReviewCounts(ValueError):
+    """The closed form requires every paper to have the same review count."""
+
+
+def score_only_closed_form(dataset: ReviewDataset, lam: float) -> np.ndarray:
+    """Analytic scores-only solution: the exact minimizer of the consensus+fit
+    objective when no rankings are reported.
+
+    Per paper, each output is a convex combination of the reviewer's own
+    score and the paper's output mean m, clipped into the half-unit box:
+    y_r = clip((m + lam*z_r) / (1 + lam), z_r - 1/2, z_r + 1/2). These are the
+    objective's KKT conditions, so for lam > 0 the result is its unique
+    minimizer. m is the fixed point of m = mean_r(y_r), found exactly by
+    ``_output_mean``. When no clip is one-sided, m is the mean score and the
+    form reduces to the published weights: (1 + mu*lam) / (mu*(1 + lam)) on
+    the reviewer's own score and 1 / (mu*(1 + lam)) on each other score of
+    the paper. Requires every paper to have the same review count mu;
+    rankings are ignored.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    counts = set(np.unique(dataset.paper, return_counts=True)[1].tolist())
+    if len(counts) != 1:
+        raise UnequalReviewCounts(f"papers have differing review counts {sorted(counts)}")
+    values = np.empty(dataset.num_reviews)
+    # one row per paper, its reviews in reviewer order
+    by_paper = np.lexsort((dataset.reviewer, dataset.paper)).reshape(-1, counts.pop())
+    for reviews in by_paper.tolist():
+        z = [float(dataset.scores[i]) for i in reviews]
+        m = _output_mean(z, lam)
+        values[reviews] = [_boxed_pull(m, zr, lam) for zr in z]
+    return values
+
+
+def _boxed_pull(m: float, z: float, lam: float) -> float:
+    """The minimizer's value for score z when its paper's output mean is m."""
+    return min(max((m + lam * z) / (1.0 + lam), z - 0.5), z + 0.5)
+
+
+def _output_mean(z: list[float], lam: float) -> float:
+    """The unique root of g(m) = m, g(m) = mean_r _boxed_pull(m, z_r, lam).
+
+    g is piecewise linear with slope at most 1/(1 + lam) < 1, bending at the
+    breakpoints z_r -/+ (1 + lam)/2 where a clip starts or stops, so g(m) - m
+    is strictly decreasing: positive at the lowest breakpoint, negative at
+    the highest. The root is solved exactly on the one linear piece whose
+    breakpoints bracket it.
+    """
+    half = 0.5 * (1.0 + lam)
+    breaks = sorted({zr + side for zr in z for side in (-half, half)})
+    j = next(
+        i for i, b in enumerate(breaks)
+        if sum(_boxed_pull(b, zr, lam) for zr in z) <= len(z) * b
+    )
+    mid = 0.5 * (breaks[j - 1] + breaks[j])
+    clipped = [_boxed_pull(mid, zr, lam) for zr in z if abs(mid - zr) > half]
+    free = [zr for zr in z if abs(mid - zr) <= half]
+    # m * mu = sum(clipped) + sum_free (m + lam*z_r)/(1 + lam), times (1 + lam)
+    return ((1.0 + lam) * sum(clipped) + lam * sum(free)) / (
+        len(clipped) + len(z) * lam
+    )
 
 
 def thurstone_joint_loglikelihood(

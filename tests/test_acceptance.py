@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import test_io
-from deqscores.baselines import bre_adjusted_scores, score_only_closed_form
+from deqscores.baselines import bre_adjusted_scores
 from deqscores.dequantize import (
     DequantizerConfig,
     assemble,
@@ -28,7 +28,7 @@ from deqscores.metrics import (
     project_to_original_scale,
     trial_statistics,
 )
-from deqscores.qp import QPProblem, check_feasibility, solve
+from deqscores.qp import check_feasibility, solve
 from deqscores.qv import LAMBDA_GRID, select_lambda
 from deqscores.synth import SynthConfig, generate, trial_seed
 
@@ -42,7 +42,12 @@ from conftest import (
     reviewers_by_paper,
     score_records,
 )
-from oracles import brute_force_minimize, derive_rankings_reference
+from oracles import (
+    brute_force_minimize,
+    build_problem,
+    derive_rankings_reference,
+    score_only_closed_form,
+)
 
 EPSILON = 0.05
 FEASTOL = 1e-6
@@ -223,7 +228,7 @@ def test_criterion_05_solver_vs_oracle():
                 pairs = []
                 if n >= 2 and rng.random() < 0.7:
                     pairs.append((0, 1, float(rng.uniform(0.0, 0.2))))
-                problem = QPProblem.build(quadratic, linear, pairs, lo, hi)
+                problem = build_problem(quadratic, linear, pairs, lo, hi)
                 if check_feasibility(problem).feasible:
                     break
         else:

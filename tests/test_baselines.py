@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from deqscores.baselines import (
     GroupsInconsistent,
     NotTotalRanking,
-    UnequalReviewCounts,
     bre_adjusted_scores,
     partial_rankings_adjusted_scores,
     quantized_baseline,
-    score_only_closed_form,
 )
 from deqscores.metrics import kendall_tau_error, tie_fraction
 from deqscores.model import RANK_CYCLE, derive_rankings_from_raw_scores, validate
@@ -26,7 +24,13 @@ from conftest import (
     rankings_by_reviewer,
     score_records,
 )
-from oracles import pairwise_ranked_groups, partial_rankings_reference, rank_adjusted_reference
+from oracles import (
+    UnequalReviewCounts,
+    pairwise_ranked_groups,
+    partial_rankings_reference,
+    rank_adjusted_reference,
+    score_only_closed_form,
+)
 from test_model import from_records, small_ranked_records
 
 

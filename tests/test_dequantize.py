@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from deqscores import model, qp
-from deqscores.baselines import bre_adjusted_scores, score_only_closed_form
+from deqscores.baselines import bre_adjusted_scores
 from deqscores.dequantize import (
     AUTO,
     DequantizerConfig,
@@ -15,7 +15,7 @@ from deqscores.dequantize import (
     dequantize,
 )
 from deqscores.model import ValidationError
-from deqscores.qp import InfeasibleProblem, solve
+from deqscores.qp import PAIR_ROW, InfeasibleProblem, solve
 from deqscores.qv import LAMBDA_GRID, coarsen, select_lambda
 from deqscores.synth import SynthConfig, generate, trial_seed
 
@@ -28,7 +28,11 @@ from conftest import (
     reviewers_by_paper,
     score_records,
 )
-from oracles import profiled_paper_qualities, thurstone_joint_loglikelihood
+from oracles import (
+    profiled_paper_qualities,
+    score_only_closed_form,
+    thurstone_joint_loglikelihood,
+)
 
 
 def literal_objective(dataset, values, lam):
@@ -63,7 +67,7 @@ class TestAssemble:
         ds = make_dataset({("r1", "A"): 5, ("r1", "B"): 5}, {"r1": [("A", "B")]})
         problem = assemble(ds, DequantizerConfig(lam=1.0, epsilon=0.05))
         i, j = ds.pairs().index(("r1", "A")), ds.pairs().index(("r1", "B"))
-        assert problem.pair_constraints == ((i, j, 0.05),)
+        assert np.array_equal(problem.pair_constraints, np.array([(i, j, 0.05)], dtype=PAIR_ROW))
 
     def test_boxes_are_half_unit_around_scores(self):
         ds = make_dataset({("r1", "A"): 5, ("r1", "B"): 3})

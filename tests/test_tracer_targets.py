@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from deqscores.dequantize import compile_dataset
+from deqscores.synth import SynthConfig, generate
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -26,3 +29,10 @@ def test_traced_binding_is_callable(module, attribute):
     for name in attribute.split("."):
         value = getattr(value, name)
     assert callable(value)
+
+
+def test_pair_count_is_the_number_of_ranking_rows():
+    # the tracer reports ``qp.n_pairs`` as ``len(problem.pair_constraints)``
+    dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
+    problem = compile_dataset(dataset, 0.05).problem(1.0)
+    assert len(problem.pair_constraints) == dataset.ranked_reviews.shape[1]
