@@ -21,29 +21,31 @@ matrix at least rho*I, and for the score-merging QP it is well conditioned,
 so a few CG steps suffice; a sparse LU of it would fill in heavily, because
 consensus and ranking couplings make its graph an expander. The only
 factorization left is the polish's sparse LU of the much smaller active-set
-KKT system, tried at every residual check. Its CSC arrays are written
-directly from Q's and from the constraint rows' arrays, in two steps: a
-pattern step fixed by the active rows and Q's sparsity pattern, and a fill
-step that writes Q's values. The scaled Q keeps the problem's pattern.
+KKT system. Its CSC arrays are written directly from Q's and from the
+constraint rows' arrays, in two steps: a pattern step fixed by the active
+rows and Q's sparsity pattern, and a fill step that writes Q's values. The
+scaled Q keeps the problem's pattern.
+
+One rule accepts a polished point (``_corrected_polish``). The solver
+polishes on a proposed active set; when that point fails, the failed
+polish's own primal and dual values propose a corrected set (a primal-dual
+active-set step, Hintermueller, Ito and Kunisch, SIAM J. Optim. 13(3),
+2002), at most ``PDAS_CORRECTIONS`` times and never twice on one set. A
+point is accepted only when it passes the certificate: multiplier signs,
+primal residual within the caller's ``feastol`` and scaled stationarity
+within ``OPTIMALITY_TOLERANCE``. Sets are proposed by the solve's start,
+before it builds the x-update system, and by the ADMM iterate's multipliers
+every 25 iterations. The unpolished iterate is the last resort: at a check
+where no polished point passes, it is returned when it meets the same
+tolerances.
 
 Along a path of related problems (one dataset solved at increasing fit
 weights) neighbouring minimizers almost always hold the same constraints at
-their bounds. A ``Solution`` therefore records its active set, and passing
-it as the ``start`` of the next solve makes the solver try one polish on that
-active set before it builds the x-update system or iterates at all (the
-parametric active-set warm start of qpOASES). When that point fails, the
-failed polish's own primal and dual values propose a corrected active set
-(a primal-dual active-set step, Hintermueller, Ito and Kunisch, SIAM J.
-Optim. 13(3), 2002) and the solver polishes again, at most
-``PDAS_CORRECTIONS`` times and never twice on one set. A path's first
-problem has no previous solution; an ``ActiveSet`` start (the empty set)
-gives it the same corrections. A polished point is accepted only through the
-same certificate as every other polish: multiplier signs, primal residual
-within the caller's ``feastol`` and scaled stationarity within
-``OPTIMALITY_TOLERANCE``. When no corrected set passes, the solve falls back
-to the ADMM iteration, started from the previous solution's values (from the
-cold start after an ``ActiveSet``). A solve with no start runs ADMM from the
-cold start: on large problems with total rankings, corrections from the
+their bounds, so a ``Solution`` records the active set it was polished on,
+and passing it as the next solve's ``start`` proposes that set first (the
+parametric active-set warm start of qpOASES). A path's first problem starts
+from an ``ActiveSet``, the empty set. A solve with no start runs ADMM from
+the cold start: on large problems with total rankings, corrections from the
 empty set can cycle and cost more than the iteration they would save.
 
 The constraints live in a ``Constraints`` object that problems may share:
@@ -224,9 +226,12 @@ DEFAULT_FEASTOL = 1e-6  # the primal residual ``solve`` accepts unless told othe
 
 @dataclass(frozen=True)
 class Solution:
-    """A certified minimizer. ``active`` marks, per stacked constraint row
-    (the boxes, then the pair rows), whether the solution holds it at its
-    lower bound (-1), its upper bound (+1) or neither (0); None when unknown."""
+    """A minimizer within the solver's tolerances: a certified polished
+    point, or as the last resort an unpolished ADMM iterate. ``active``
+    marks, per stacked constraint row (the boxes, then the pair rows),
+    whether the point was polished holding it at its lower bound (-1), its
+    upper bound (+1) or neither (0), for an iterate the rows its multipliers
+    hold; None when unknown."""
 
     values: np.ndarray
     objective_value: float
@@ -525,20 +530,7 @@ def _active_rows(w: np.ndarray) -> np.ndarray:
     return (w > 1e-12).astype(np.int8) - (w < -1e-12).astype(np.int8)
 
 
-def _certificate(Q, c, rows: StackedRows, signs: np.ndarray, x, w, feastol: float):
-    """The residuals of a point polished on the active set ``signs`` when it
-    is certified optimal, else None. The certificate: every polished
-    multiplier has the sign of the bound it holds, the primal residual is
-    within ``feastol`` and the scaled stationarity within
-    ``OPTIMALITY_TOLERANCE``."""
-    good_signs = np.all(w[signs < -1e-12] <= 1e-9) and np.all(w[signs > 1e-12] >= -1e-9)
-    primal, stat = _residuals(Q, c, rows, x, w)
-    if good_signs and primal <= feastol and stat <= OPTIMALITY_TOLERANCE:
-        return primal, stat
-    return None
-
-
-# A warm start whose active set fails the certificate gets at most this many
+# An active set whose polish fails the certificate gets at most this many
 # primal-dual active-set corrections before the solve iterates.
 PDAS_CORRECTIONS = 3
 
@@ -546,13 +538,16 @@ PDAS_CORRECTIONS = 3
 def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray, feastol: float):
     """Polish on ``active``, then on up to ``PDAS_CORRECTIONS`` primal-dual
     active-set corrections of it; return (x, residuals, active set) of the
-    first certified point, else None.
+    first certified point, else None. This is the one place a polished point
+    is accepted.
 
-    Each correction is the semismooth Newton step of Hintermueller, Ito and
-    Kunisch (SIAM J. Optim. 13(3), 2002) from the failed polish's own
-    (x, w): a row is held at its lower bound iff -w + (l - Ax) > 0 and at its
-    upper bound iff w + (Ax - u) > 0. The corrections stop early when an
-    active set repeats, and every point still has to pass the certificate.
+    The certificate: every polished multiplier has the sign of the bound it
+    holds, the primal residual is within ``feastol`` and the scaled
+    stationarity within ``OPTIMALITY_TOLERANCE``. Each correction is the
+    semismooth Newton step of Hintermueller, Ito and Kunisch (SIAM J. Optim.
+    13(3), 2002) from the failed polish's own (x, w): a row is held at its
+    lower bound iff -w + (l - Ax) > 0 and at its upper bound iff
+    w + (Ax - u) > 0. The corrections stop early when an active set repeats.
     """
     rows = constraints.rows
     tried: list[np.ndarray] = []
@@ -561,8 +556,9 @@ def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray, feasto
         if polished is None:
             return None
         x, w = polished
-        residuals = _certificate(Q, c, rows, active, x, w, feastol)
-        if residuals is not None:
+        good_signs = np.all(w[active < 0] <= 1e-9) and np.all(w[active > 0] >= -1e-9)
+        primal, stat = residuals = _residuals(Q, c, rows, x, w)
+        if good_signs and primal <= feastol and stat <= OPTIMALITY_TOLERANCE:
             return x, residuals, active
         tried.append(active)
         Ax = rows.A @ x
@@ -588,14 +584,15 @@ def solve(
     ``start`` is a starting point, a previous ``Solution`` of a problem
     with the same constraints or an ``ActiveSet`` of such a problem; the
     result is the same minimizer either way, a good start only saves work.
-    A previous solution's active set, or the ``ActiveSet``, is first tried
-    with one polish and, when that fails, with at most ``PDAS_CORRECTIONS``
-    primal-dual active-set corrections: the first polished point that passes
-    the certificate every polish must pass is returned with ``iterations`` 0
-    and the set it was polished on as ``active``. Otherwise the solve
-    iterates as without the active set, from the previous solution's values
-    (from the cold start for an ``ActiveSet``). Raises
-    ``InfeasibleProblem`` when the constraint set is empty (gaps that
+    Every polished point goes through the one acceptance rule (see the
+    module docstring) and is returned with the set it was polished on as
+    ``active``. The start's active set is proposed first and, when
+    accepted, returned with ``iterations`` 0. Otherwise the solve iterates
+    as without it, from the previous solution's values (from the cold start
+    for an ``ActiveSet``), and proposes the set its multipliers mark every
+    25 iterations. At a check where no polished point passes, the unpolished
+    iterate is the last resort, returned when it meets the tolerances.
+    Raises ``InfeasibleProblem`` when the constraint set is empty (gaps that
     overflow a box, or a positive-gap cycle) and ``MaxIterationsExceeded``
     when the tolerances are not met within ``MAX_ITERATIONS`` iterations.
     """
@@ -662,13 +659,12 @@ def solve(
 
         if it % check_every:
             continue
+        certified = _corrected_polish(Q, c, problem.constraints, _active_rows(w), feastol)
+        if certified is not None:
+            xp, residuals, polished_on = certified
+            return Solution(xp, problem.objective(xp), it, residuals, cg_steps, polished_on)
+        # the last resort: the iterate itself, when it meets the tolerances
         primal, stat = _residuals(Q, c, rows, x, w, z)
-        polished = _polish(Q, c, problem.constraints, w)
-        if polished is not None:
-            xp, wp = polished
-            residuals = _certificate(Q, c, rows, w, xp, wp, feastol)
-            if residuals is not None:
-                return Solution(xp, problem.objective(xp), it, residuals, cg_steps, _active_rows(w))
         if primal <= feastol and stat <= OPTIMALITY_TOLERANCE:
             return Solution(x.copy(), problem.objective(x), it, (primal, stat), cg_steps, _active_rows(w))
         if it % 2000 == 0:
@@ -678,7 +674,5 @@ def solve(
                 rho = float(np.clip(rho * np.sqrt(ratio), 1e-4, 1e4))
                 K, inv_diag = _x_update_system(Q, sigma, rho, AtA)
 
-    primal, stat = _residuals(Q, c, rows, x, w, z)
-    if primal <= feastol and stat <= OPTIMALITY_TOLERANCE:
-        return Solution(x.copy(), problem.objective(x), it, (primal, stat), cg_steps, _active_rows(w))
-    raise MaxIterationsExceeded(it, (primal, stat))
+    # MAX_ITERATIONS is a multiple of check_every: its last iteration was a check
+    raise MaxIterationsExceeded(it, _residuals(Q, c, rows, x, w, z))

@@ -74,8 +74,10 @@ def lambda_path(
     with a certified polish, then at most ``qp.PDAS_CORRECTIONS``
     primal-dual active-set corrections of it, and iterates only when none of
     those polished points passes the certificate (the first step then
-    iterates from the cold start). Every returned solution is the certified
-    unique minimizer at its weight, as a solve from no start would be.
+    iterates from the cold start). The iteration's checks accept a point by
+    the same rule, its unpolished iterate being the last resort. Every
+    returned solution is the unique minimizer at its weight within the
+    solver's tolerances, as a solve from no start would be.
 
     Each step is one ``qp.solve`` of ``compiled.problem(lam)``. The problems
     share the dataset's constraints and Q's pattern, so a step the solver

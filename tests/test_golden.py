@@ -22,7 +22,8 @@ package's own ``simulate`` path, plus two small hand-written datasets that
 Printed paths, and the raw-score path the raw-score report names, are
 replaced by ``<tmp>`` before hashing. A change that alters
 an output on purpose regenerates the file with
-``PYTHONPATH=src python tests/test_golden.py`` and says why.
+``PYTHONPATH=src python tests/test_golden.py --regenerate`` and says why;
+any other invocation of the script prints its usage and writes nothing.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ import hashlib
 import importlib.util
 import io as text_io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -182,7 +185,22 @@ def test_outputs_match_golden_digests(tmp_path):
     assert not changed, f"outputs differ from tests/data/golden.json: {changed}"
 
 
+def test_script_regenerates_only_when_asked(tmp_path):
+    # a mistyped invocation must not replace the pins this file compares against
+    before = GOLDEN.read_bytes()
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv in ([], ["--help"], ["--regenerate", "extra"]):
+        run = subprocess.run(
+            [sys.executable, __file__, *argv], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+        assert run.returncode != 0 and run.stderr.startswith("usage:"), argv
+        assert GOLDEN.read_bytes() == before, argv
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit(f"usage: PYTHONPATH=src python tests/test_golden.py --regenerate\n"
+                 f"rewrites {GOLDEN} from the current outputs")
     with tempfile.TemporaryDirectory() as scratch:
         table = digests(Path(scratch))
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")

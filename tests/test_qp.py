@@ -6,13 +6,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deqscores import qp
 from deqscores.dequantize import compile_dataset, consistency_report
 from deqscores.qp import (
     PAIR_ROW,
+    ActiveSet,
     Constraints,
     InfeasibleProblem,
     MaxIterationsExceeded,
@@ -27,6 +28,7 @@ from oracles import (
     DimensionTooLarge,
     brute_force_minimize,
     build_problem,
+    certify,
     constraint_violation,
     feasibility_reference,
     polish_kkt_reference,
@@ -134,6 +136,28 @@ class TestSolve:
         monkeypatch.setattr(qp, "OPTIMALITY_TOLERANCE", 1e-16)
         with pytest.raises(MaxIterationsExceeded):
             solve(problem)
+
+    def test_a_correction_certifies_where_the_first_polish_fails(self, monkeypatch):
+        # found by search: at the first check, the polish on the iterate's own
+        # active set fails the certificate and its first correction passes it
+        problem = compile_dataset(
+            generate(SynthConfig(num_papers=60, seed=0)).dataset, 0.05
+        ).problem(0.1)
+        polished_on = []
+        polish = qp._polish
+
+        def recorded(Q, c, constraints, signs):
+            polished_on.append(np.array(signs))
+            return polish(Q, c, constraints, signs)
+
+        monkeypatch.setattr(qp, "_polish", recorded)
+        solution = solve(problem)
+        assert solution.iterations == 25
+        assert len(polished_on) == 2 and np.array_equal(solution.active, polished_on[1])
+        certificate = certify(problem, solution.values)
+        assert certificate.primal <= 1e-9
+        assert certificate.stationarity <= 1e-9
+        assert certificate.complementarity <= 1e-9
 
     def test_infeasible_raises_before_iterating(self):
         problem = build_problem(
@@ -437,6 +461,109 @@ class TestBruteForce:
         )
         with pytest.raises(DimensionTooLarge):
             brute_force_minimize(problem)
+
+
+@st.composite
+def small_problems(draw):
+    """A strictly convex QP on 2-7 variables whose data are multiples of
+    1/64, so that its degenerate cases are exact. Every box and pair row
+    holds a reference point p; the unconstrained minimizer is p itself or
+    another point. Pair rows run from higher to lower p (no cycle) and are
+    tight at p, slack at p, or weakly active: their gap is the unconstrained
+    minimizer's difference. A chain may be pinned at both ends: its members
+    share one box and its gaps sum exactly to that box's width."""
+    n = draw(st.integers(2, 7))
+    sixty_fourths = st.lists(st.integers(-64, 64), min_size=n, max_size=n)
+    p = np.array(draw(sixty_fourths)) / 64
+    order = np.argsort(-p, kind="stable")
+    off = np.zeros((n, n))
+    above = np.triu_indices(n, 1)
+    off[above] = draw(st.lists(st.integers(-2, 2), min_size=len(above[0]), max_size=len(above[0])))
+    off += off.T
+    margin = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    quadratic = off + np.diag(np.abs(off).sum(axis=1) + margin)  # strictly diagonally dominant
+    target = p if draw(st.booleans()) else np.array(draw(sixty_fourths)) / 64
+    width = np.array(draw(st.lists(st.integers(1, 64), min_size=n, max_size=n)))
+    below = np.array([draw(st.integers(0, w)) for w in width])  # 0 or w: p on a bound
+    lower, upper = p - below / 64, p + (width - below) / 64
+
+    rows = []
+    chain = order[draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n).map(sorted))]
+    if len(chain) >= 2 and p[chain[0]] > p[chain[-1]]:
+        lower[chain], upper[chain] = p[chain[-1]], p[chain[0]]
+        rows += [(i, j, p[i] - p[j]) for i, j in zip(chain, chain[1:])]
+    positions = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(sorted)
+    for a, b in draw(st.lists(positions, max_size=2 * n)):
+        i, j = order[a], order[b]
+        kind = draw(st.sampled_from(["tight", "slack", "weak"]))
+        if kind == "weak":
+            rows.append((i, j, target[i] - target[j]))
+        else:
+            rows.append((i, j, p[i] - p[j] - (kind == "slack") * draw(st.integers(1, 16)) / 64))
+    problem = build_problem(quadratic, -quadratic @ target, rows, lower, upper)
+    assume(check_feasibility(problem).feasible)  # only weak rows can empty the set
+    return problem
+
+
+def exactly_certified(problem, y) -> bool:
+    certificate = certify(problem, y)
+    return max(certificate.primal, certificate.stationarity, certificate.complementarity) <= 1e-9
+
+
+def within_solver_tolerances(problem, y) -> bool:
+    """Primal violation within ``feastol`` and stationarity within
+    ``OPTIMALITY_TOLERANCE``, with every row within ``feastol`` of its bound
+    counted active: what ``solve`` promises of any point it returns."""
+    certificate = certify(problem, y, tolerance=qp.DEFAULT_FEASTOL)
+    return (
+        certificate.primal <= qp.DEFAULT_FEASTOL
+        and certificate.stationarity <= qp.OPTIMALITY_TOLERANCE
+    )
+
+
+def active_rows_dependent(problem, y) -> bool:
+    """Whether the rows within ``feastol`` of their bound at ``y`` are
+    linearly dependent, so that their multipliers are not unique."""
+    rows = problem.constraints.rows
+    Ay = rows.A @ y
+    normals = rows.A[(Ay - rows.lower <= qp.DEFAULT_FEASTOL) | (rows.upper - Ay <= qp.DEFAULT_FEASTOL)]
+    return np.linalg.matrix_rank(normals.toarray()) < normals.shape[0]
+
+
+class TestSmallProblemSweep:
+    """Small generic problems, degenerate ones included, solved cold and from
+    the empty active set: both certified by the KKT oracle, and equal.
+
+    One class of draws is known to fall short: when the minimizer's active
+    rows are linearly dependent (a chain pinned at both ends, a repeated
+    row), the polish's multipliers are the minimum-norm ones, which can have
+    wrong signs although sign-correct ones exist. No polish then passes the
+    certificate, and the solve returns its ADMM iterate, which is within the
+    solver's tolerances only. The two examples are such draws."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=small_problems())
+    @example(problem=build_problem(
+        [[3, 0, 0, -2], [0, 2, 0, 0], [0, 0, 4, 0], [-2, 0, 0, 4]],
+        [3.53125, 1.0, 1.4375, -3.0625],
+        [(0, 3, 0.328125), (3, 1, 0.609375), (1, 2, 0.21875), (3, 1, 0.46875),
+         (0, 2, 1.15625), (0, 2, 1.15625)],
+        [-0.4375] * 4, [0.71875] * 4,
+    ))
+    @example(problem=build_problem(
+        [[2, 0], [0, 3]], [-2.0, 0.375],
+        [(1, 0, 0.5625), (1, 0, -1.125), (1, 0, 0.3125), (1, 0, -1.125), (1, 0, -1.125)],
+        [-0.46875] * 2, [0.09375] * 2,
+    ))
+    def test_cold_and_empty_set_starts_are_certified_and_agree(self, problem):
+        empty = ActiveSet(np.zeros(problem.constraints.rows.lower.shape[0], dtype=np.int8))
+        solutions = [solve(problem), solve(problem, start=empty)]
+        if all(exactly_certified(problem, solution.values) for solution in solutions):
+            assert np.max(np.abs(solutions[0].values - solutions[1].values)) <= 1e-9
+            return
+        for solution in solutions:
+            assert within_solver_tolerances(problem, solution.values)
+            assert active_rows_dependent(problem, solution.values)
 
 
 class TestProblemConstruction:

@@ -177,6 +177,31 @@ class TestLambdaPath:
         assert certify(compiled.problem(LAMBDA_GRID[1]), path[0].values).stationarity > 1e-6
 
 
+def assert_fixed_point(problem, solution):
+    """Re-solved from itself, a polished solution is polished again on the
+    set it records, bit for bit; an unpolished ADMM iterate would move."""
+    again = solve(problem, start=solution)
+    assert again.iterations == 0
+    assert np.array_equal(again.values, solution.values)
+
+
+class TestEveryReturnIsPolished:
+    @pytest.mark.parametrize("num_papers", [60, 600])
+    def test_every_path_step_is_a_fixed_point(self, num_papers):
+        dataset = generate(SynthConfig(num_papers=num_papers, seed=0)).dataset
+        compiled = compile_dataset(coarsen(dataset), 0.05)
+        for lam, solution in zip(LAMBDA_GRID, lambda_path(compiled, LAMBDA_GRID)):
+            assert_fixed_point(compiled.problem(lam), solution)
+
+    def test_the_cold_final_solve_is_a_fixed_point(self):
+        # the solve of an auto run at its selected weight, which has no start
+        dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
+        problem = compile_dataset(dataset, 0.05).problem(select_lambda(dataset).selected_lambda)
+        solution = solve(problem)
+        assert solution.iterations > 0
+        assert_fixed_point(problem, solution)
+
+
 class TestLambdaPathStep:
     """What one warm step of the path builds, and that steps sharing a
     compiled dataset across threads stay exact."""
