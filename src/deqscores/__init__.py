@@ -49,7 +49,6 @@ from .model import (
     validate,
 )
 from .qp import (
-    ActiveSet,
     Constraints,
     InfeasibleProblem,
     MaxIterationsExceeded,

@@ -248,25 +248,22 @@ def _run_trial(spec: ExperimentSpec, sweep_value, trial: int) -> dict:
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run every (sweep value, trial) cell and aggregate with mean/SEM.
 
-    A failing trial aborts the run with an exception of its original class
-    whose message starts with the trial index and sweep value, with or
-    without worker processes.
+    The cells run in order of sweep value, then trial, on one pool of
+    ``spec.jobs`` worker processes when there is more than one job. A
+    failing trial aborts the run with an exception of its original class
+    whose message starts with the trial index and sweep value (the first
+    failing cell in that order), with or without worker processes.
     """
-    per_value_rows: dict = {}
-    for sweep_value in spec.sweep_values:
-        tasks = list(range(spec.trials))
-        if spec.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-                trial_rows = list(
-                    pool.map(_trial_worker, [(spec, sweep_value, t) for t in tasks])
-                )
-        else:
-            trial_rows = [_run_trial_with_context(spec, sweep_value, t) for t in tasks]
-        per_value_rows[sweep_value] = trial_rows
+    tasks = [(spec, value, trial) for value in spec.sweep_values for trial in range(spec.trials)]
+    if spec.jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+            rows = list(pool.map(_trial_worker, tasks))
+    else:
+        rows = [_run_trial_with_context(*task) for task in tasks]
 
     results = []
-    for sweep_value in spec.sweep_values:
-        trial_rows = per_value_rows[sweep_value]
+    for index, sweep_value in enumerate(spec.sweep_values):
+        trial_rows = rows[index * spec.trials:(index + 1) * spec.trials]
         for method in spec.methods:
             metric_cells = {}
             for metric in spec.metrics:

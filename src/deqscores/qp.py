@@ -33,20 +33,21 @@ active-set step, Hintermueller, Ito and Kunisch, SIAM J. Optim. 13(3),
 2002), at most ``PDAS_CORRECTIONS`` times and never twice on one set. A
 point is accepted only when it passes the certificate: multiplier signs,
 primal residual within the caller's ``feastol`` and scaled stationarity
-within ``OPTIMALITY_TOLERANCE``. Sets are proposed by the solve's start,
-before it builds the x-update system, and by the ADMM iterate's multipliers
-every 25 iterations. The unpolished iterate is the last resort: at a check
-where no polished point passes, it is returned when it meets the same
-tolerances.
+within ``OPTIMALITY_TOLERANCE``. One loop proposes every set: the caller's
+``active`` at iteration 0, before the x-update system is built, and the
+ADMM iterate's multipliers every 25 iterations. The ADMM always iterates
+from the same point, so a proposal changes a solve's cost, never its
+answer. The unpolished iterate is the last resort: at a check where no
+polished point passes, it is returned when it meets the same tolerances.
 
 Along a path of related problems (one dataset solved at increasing fit
 weights) neighbouring minimizers almost always hold the same constraints at
 their bounds, so a ``Solution`` records the active set it was polished on,
-and passing it as the next solve's ``start`` proposes that set first (the
-parametric active-set warm start of qpOASES). A path's first problem starts
-from an ``ActiveSet``, the empty set. A solve with no start runs ADMM from
-the cold start: on large problems with total rankings, corrections from the
-empty set can cycle and cost more than the iteration they would save.
+and passing it as the next solve's ``active`` proposes that set first (the
+parametric active-set warm start of qpOASES). A path's first problem is
+given the empty set. A solve given no set runs ADMM from the cold start: on
+large problems with total rankings, corrections from the empty set can
+cycle and cost more than the iteration they would save.
 
 The constraints live in a ``Constraints`` object that problems may share:
 everything the solver derives from the constraints alone (the feasibility
@@ -231,7 +232,7 @@ class Solution:
     marks, per stacked constraint row (the boxes, then the pair rows),
     whether the point was polished holding it at its lower bound (-1), its
     upper bound (+1) or neither (0), for an iterate the rows its multipliers
-    hold; None when unknown."""
+    hold; None when unknown. It is what ``solve`` takes as ``active``."""
 
     values: np.ndarray
     objective_value: float
@@ -239,15 +240,6 @@ class Solution:
     residuals: tuple[float, float]  # (primal infeasibility, scaled stationarity)
     cg_iterations: int  # conjugate-gradient steps over all ADMM x-updates
     active: np.ndarray | None = None
-
-
-class ActiveSet(NamedTuple):
-    """A ``start`` for ``solve`` that is an active set alone, marked per
-    stacked row as in ``Solution.active``. The solve polishes on it and its
-    corrections first and, when none is certified, iterates from the same
-    point as a solve with no start."""
-
-    signs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -571,9 +563,7 @@ def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray, feasto
 
 
 def solve(
-    problem: QPProblem,
-    feastol: float = DEFAULT_FEASTOL,
-    start: np.ndarray | Solution | ActiveSet | None = None,
+    problem: QPProblem, feastol: float = DEFAULT_FEASTOL, active: np.ndarray | None = None
 ) -> Solution:
     """Return the unique minimizer of a strictly convex instance.
 
@@ -581,16 +571,17 @@ def solve(
     finite number, else ``ValueError``) and its scaled stationarity at most
     ``OPTIMALITY_TOLERANCE``.
 
-    ``start`` is a starting point, a previous ``Solution`` of a problem
-    with the same constraints or an ``ActiveSet`` of such a problem; the
-    result is the same minimizer either way, a good start only saves work.
-    Every polished point goes through the one acceptance rule (see the
-    module docstring) and is returned with the set it was polished on as
-    ``active``. The start's active set is proposed first and, when
-    accepted, returned with ``iterations`` 0. Otherwise the solve iterates
-    as without it, from the previous solution's values (from the cold start
-    for an ``ActiveSet``), and proposes the set its multipliers mark every
-    25 iterations. At a check where no polished point passes, the unpolished
+    ``active`` is a proposed active set, marked per stacked row as in
+    ``Solution.active`` (of another length: ``ValueError``), typically the
+    set of a previous solution of a problem with the same constraints. The
+    result is the same minimizer with or without it; a good proposal only
+    saves work. One loop proposes every set to the one acceptance rule (see
+    the module docstring): ``active`` at iteration 0, when given, and the
+    set the iterate's multipliers mark every 25 iterations. A certified
+    point is returned with the set it was polished on as ``active``, and
+    with ``iterations`` 0 when ``active`` was certified. The iteration
+    always starts from the same point, so a failed proposal costs only its
+    polishes. At a check where no polished point passes, the unpolished
     iterate is the last resort, returned when it meets the tolerances.
     Raises ``InfeasibleProblem`` when the constraint set is empty (gaps that
     overflow a box, or a positive-gap cycle) and ``MaxIterationsExceeded``
@@ -607,6 +598,10 @@ def solve(
 
     rows = problem.constraints.rows
     A, At, AtA, l, u = rows
+    if active is not None and active.shape != l.shape:
+        raise ValueError(
+            f"the proposed active set covers {active.shape[0]} rows, the problem has {l.shape[0]}"
+        )
 
     # normalize the objective so rho has a consistent meaning across fit weights;
     # the scaled Q keeps the problem's pattern (data * (1/scale) is what
@@ -616,27 +611,12 @@ def solve(
     Q = with_data(quadratic, quadratic.data * (1.0 / scale))
     c = problem.linear / scale
 
-    active = None
-    if isinstance(start, Solution):
-        active, start = start.active, start.values
-    elif isinstance(start, ActiveSet):
-        active, start = start.signs, None
-    if active is not None:
-        if active.shape != l.shape:
-            raise ValueError(
-                f"start's active set covers {active.shape[0]} rows, the problem has {l.shape[0]}"
-            )
-        certified = _corrected_polish(Q, c, problem.constraints, _active_rows(active), feastol)
-        if certified is not None:
-            xp, residuals, polished_on = certified
-            return Solution(xp, problem.objective(xp), 0, residuals, 0, polished_on)
-
     sigma = 1e-6
     alpha = 1.6
     rho = 1.0
-    K, inv_diag = _x_update_system(Q, sigma, rho, AtA)
+    K = None  # the x-update system, built when the solve first iterates
 
-    x = np.asarray(start, dtype=float).copy() if start is not None else feas.tightened_lower.copy()
+    x = feas.tightened_lower.copy()
     x_tilde = x
     z = np.clip(A @ x, l, u)
     w = np.zeros_like(z)
@@ -645,7 +625,35 @@ def solve(
 
     it = 0
     cg_steps = 0
-    while it < MAX_ITERATIONS:
+    while True:
+        if it % check_every == 0:  # the check schedule
+            # the proposed set: the caller's at iteration 0, then the iterate's
+            proposal = w if it else active
+            if proposal is not None:
+                certified = _corrected_polish(
+                    Q, c, problem.constraints, _active_rows(proposal), feastol
+                )
+                if certified is not None:
+                    xp, residuals, polished_on = certified
+                    return Solution(xp, problem.objective(xp), it, residuals, cg_steps, polished_on)
+            if it:
+                # the last resort: the iterate itself, when it meets the tolerances
+                primal, stat = _residuals(Q, c, rows, x, w, z)
+                if primal <= feastol and stat <= OPTIMALITY_TOLERANCE:
+                    return Solution(
+                        x.copy(), problem.objective(x), it, (primal, stat), cg_steps,
+                        _active_rows(w),
+                    )
+                if it % 2000 == 0:
+                    # slow progress: re-balance the penalty between primal and dual work
+                    ratio = (primal + 1e-16) / (stat + 1e-16)
+                    if ratio > 100.0 or ratio < 0.01:
+                        rho = float(np.clip(rho * np.sqrt(ratio), 1e-4, 1e4))
+                        K = None
+        if it == MAX_ITERATIONS:  # a cap between checks raises without polishing
+            raise MaxIterationsExceeded(it, _residuals(Q, c, rows, x, w, z))
+        if K is None:
+            K, inv_diag = _x_update_system(Q, sigma, rho, AtA)
         it += 1
         rhs = sigma * x - c + At @ (rho * z - w)
         x_tilde, steps = _pcg(K, inv_diag, rhs, x_tilde)
@@ -656,23 +664,3 @@ def solve(
         z_new = np.clip(v, l, u)
         w = w + rho * (alpha * z_tilde + (1.0 - alpha) * z - z_new)
         z = z_new
-
-        if it % check_every:
-            continue
-        certified = _corrected_polish(Q, c, problem.constraints, _active_rows(w), feastol)
-        if certified is not None:
-            xp, residuals, polished_on = certified
-            return Solution(xp, problem.objective(xp), it, residuals, cg_steps, polished_on)
-        # the last resort: the iterate itself, when it meets the tolerances
-        primal, stat = _residuals(Q, c, rows, x, w, z)
-        if primal <= feastol and stat <= OPTIMALITY_TOLERANCE:
-            return Solution(x.copy(), problem.objective(x), it, (primal, stat), cg_steps, _active_rows(w))
-        if it % 2000 == 0:
-            # slow progress: re-balance the penalty between primal and dual work
-            ratio = (primal + 1e-16) / (stat + 1e-16)
-            if ratio > 100.0 or ratio < 0.01:
-                rho = float(np.clip(rho * np.sqrt(ratio), 1e-4, 1e4))
-                K, inv_diag = _x_update_system(Q, sigma, rho, AtA)
-
-    # MAX_ITERATIONS is a multiple of check_every: its last iteration was a check
-    raise MaxIterationsExceeded(it, _residuals(Q, c, rows, x, w, z))

@@ -19,7 +19,7 @@ import numpy as np
 from .dequantize import CompiledDataset, DequantizerConfig, compile_dataset
 from .metrics import kendall_tau_errors
 from .model import ReviewDataset, ScoreScale, derive_rankings_from_raw_scores, require_valid
-from .qp import DEFAULT_FEASTOL, ActiveSet, Solution, solve
+from .qp import DEFAULT_FEASTOL, Solution, solve
 
 
 class DegenerateValidation(ValueError):
@@ -69,30 +69,28 @@ def lambda_path(
     """Solve ``compiled`` at each fit weight in order, as one path, each to
     the feasibility tolerance ``feastol``.
 
-    Every step starts from an active set: the first from the empty one, each
-    later one from the previous weight's solution. The solver tries that set
+    Every step proposes an active set: the first the empty one, each later
+    one the previous weight's ``Solution.active``. The solver tries that set
     with a certified polish, then at most ``qp.PDAS_CORRECTIONS``
-    primal-dual active-set corrections of it, and iterates only when none of
-    those polished points passes the certificate (the first step then
-    iterates from the cold start). The iteration's checks accept a point by
-    the same rule, its unpolished iterate being the last resort. Every
-    returned solution is the unique minimizer at its weight within the
-    solver's tolerances, as a solve from no start would be.
+    primal-dual active-set corrections of it, and iterates from the cold
+    start only when none of those polished points passes the certificate.
+    The iteration's checks accept a point by the same rule, its unpolished
+    iterate being the last resort. Every returned solution is the unique
+    minimizer at its weight within the solver's tolerances, as a solve given
+    no set would be.
 
     Each step is one ``qp.solve`` of ``compiled.problem(lam)``. The problems
     share the dataset's constraints and Q's pattern, so a step the solver
-    certifies on its start's active set constructs no sparse matrix: it pays
+    certifies on its proposed set constructs no sparse matrix: it pays
     for one sparse LU, its solves and the certificate (see ``qp``). Score
     the solutions with one call of the batched Kendall kernel,
     ``metrics.kendall_tau_errors``, as ``select_lambda`` does.
     """
     solutions: list[Solution] = []
-    previous: Solution | ActiveSet = ActiveSet(
-        np.zeros(compiled.constraints.rows.lower.shape[0], dtype=np.int8)
-    )
+    active = np.zeros(compiled.constraints.rows.lower.shape[0], dtype=np.int8)
     for lam in lambdas:
-        previous = solve(compiled.problem(lam), feastol, start=previous)
-        solutions.append(previous)
+        solutions.append(solve(compiled.problem(lam), feastol, active))
+        active = solutions[-1].active
     return solutions
 
 
@@ -105,11 +103,11 @@ def select_lambda(
 
     Only ``epsilon`` and ``feastol`` of ``deq_config`` are used. The
     coarsened dataset is compiled once and the grid is solved in ascending
-    order by ``lambda_path``: the first weight starts from the empty active
-    set, each later one from the previous one's solution and active set, and
-    the solver corrects that set by active-set steps before it would
-    iterate. The start never skips the solver's optimality certificate and
-    the minimizer is unique, so it only saves work. The original scores, in
+    order by ``lambda_path``: the first weight is proposed the empty active
+    set, each later one the previous one's active set, and the solver
+    corrects that set by active-set steps before it would iterate. A
+    proposal never skips the solver's optimality certificate and the
+    minimizer is unique, so it only saves work. The original scores, in
     the solution vectors' review order, act as validation truth with
     exact-tie omission; all-tied originals raise ``DegenerateValidation``.
     The grid's solutions are scored by one call of the batched Kendall

@@ -310,13 +310,13 @@ def test_criterion_08_validation_quality():
         instance = generate(SynthConfig(seed=trial_seed(7, trial)))
         truth = instance.truth_y
         errors = []
-        start = None
+        active = None
         for lam in GRID:
             problem = assemble(
                 instance.dataset, DequantizerConfig(lam=lam, epsilon=EPSILON)
             )
-            solution = solve(problem, start=start)
-            start = solution.values
+            solution = solve(problem, active=active)
+            active = solution.active
             errors.append(kendall_tau_error(truth, solution.values))
         oracle_index = min(range(len(GRID)), key=lambda i: (errors[i], GRID[i]))
         selected = select_lambda(instance.dataset, DequantizerConfig(lam=1.0, epsilon=EPSILON))

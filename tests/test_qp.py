@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -13,7 +12,6 @@ from deqscores import qp
 from deqscores.dequantize import compile_dataset, consistency_report
 from deqscores.qp import (
     PAIR_ROW,
-    ActiveSet,
     Constraints,
     InfeasibleProblem,
     MaxIterationsExceeded,
@@ -65,6 +63,12 @@ def random_problem(rng, n, with_pairs=True):
             return problem
 
 
+def every_row_at(problem, sign):
+    """The proposed active set holding every stacked row at its lower bound
+    (-1), its upper bound (+1) or none of them (0)."""
+    return np.full(problem.constraints.rows.lower.shape, sign, dtype=np.int8)
+
+
 class TestSolve:
     def test_unconstrained_interior_minimum(self):
         solution = solve(single_variable_problem())
@@ -84,8 +88,8 @@ class TestSolve:
     def test_uniqueness_across_starting_points(self):
         rng = np.random.default_rng(3)
         problem = random_problem(rng, 4)
-        a = solve(problem, start=problem.box_lower.copy())
-        b = solve(problem, start=problem.box_upper.copy())
+        a = solve(problem, active=every_row_at(problem, -1))
+        b = solve(problem, active=every_row_at(problem, 1))
         assert np.max(np.abs(a.values - b.values)) <= 10 * qp.OPTIMALITY_TOLERANCE
 
     def test_kkt_gradient_in_active_cone(self):
@@ -192,16 +196,15 @@ class TestWarmStart:
 
     def test_own_active_set_is_certified_without_iterating(self, problem):
         cold = solve(problem)
-        warm = solve(problem, start=cold)
+        warm = solve(problem, active=cold.active)
         assert (warm.iterations, warm.cg_iterations) == (0, 0)
         assert np.max(np.abs(warm.values - cold.values)) <= 1e-9
 
     @pytest.mark.parametrize("guess", [-1, 1, 0], ids=["all-lower", "all-upper", "none"])
     def test_wrong_active_set_falls_back_to_iterating(self, problem, guess, monkeypatch):
         # a wrong set falls back first to at most PDAS_CORRECTIONS corrected
-        # polishes, then to the ADMM loop
+        # polishes, then to the ADMM loop, which runs as in a solve given no set
         cold = solve(problem)
-        wrong = dataclasses.replace(cold, active=np.full_like(cold.active, guess))
         calls = {"polish": 0, "before_iterating": None}
         polish, x_update_system = qp._polish, qp._x_update_system
 
@@ -216,11 +219,14 @@ class TestWarmStart:
 
         monkeypatch.setattr(qp, "_polish", counted_polish)
         monkeypatch.setattr(qp, "_x_update_system", iterating)
-        warm = solve(problem, start=wrong)
+        warm = solve(problem, active=every_row_at(problem, guess))
         polishes_first = calls["polish"] if warm.iterations == 0 else calls["before_iterating"]
         assert 1 <= polishes_first <= 1 + qp.PDAS_CORRECTIONS
         if guess != 0:  # these wrong sets are not corrected in time: the ADMM loop finds the point
             assert warm.iterations > 0
+        if warm.iterations > 0:  # a failed proposal costs only its polishes
+            assert np.array_equal(warm.values, cold.values)
+            assert warm.cg_iterations == cold.cg_iterations
         assert np.max(np.abs(warm.values - cold.values)) <= 1e-9
         primal, stationarity = warm.residuals
         assert primal <= 1e-6
@@ -229,7 +235,7 @@ class TestWarmStart:
     def test_active_set_of_other_constraints_rejected(self, problem):
         other = solve(two_variable_pair_problem())
         with pytest.raises(ValueError, match="active set"):
-            solve(problem, start=other)
+            solve(problem, active=other.active)
 
 
 class TestPolishKKT:
@@ -332,8 +338,8 @@ class TestLargeScale:
 
     def test_ranked_solve_is_start_independent_and_consistent(self, large_dataset):
         problem = compile_dataset(large_dataset, 0.05).problem(1.0)
-        a = solve(problem)
-        b = solve(problem, start=problem.box_upper.copy())
+        a = solve(problem, active=every_row_at(problem, -1))
+        b = solve(problem, active=every_row_at(problem, 1))
         assert np.max(np.abs(a.values - b.values)) <= 1e-9
         box_violation, margin = consistency_report(large_dataset, a.values)
         assert box_violation <= 1e-6
@@ -556,8 +562,7 @@ class TestSmallProblemSweep:
         [-0.46875] * 2, [0.09375] * 2,
     ))
     def test_cold_and_empty_set_starts_are_certified_and_agree(self, problem):
-        empty = ActiveSet(np.zeros(problem.constraints.rows.lower.shape[0], dtype=np.int8))
-        solutions = [solve(problem), solve(problem, start=empty)]
+        solutions = [solve(problem), solve(problem, active=every_row_at(problem, 0))]
         if all(exactly_certified(problem, solution.values) for solution in solutions):
             assert np.max(np.abs(solutions[0].values - solutions[1].values)) <= 1e-9
             return

@@ -178,9 +178,9 @@ class TestLambdaPath:
 
 
 def assert_fixed_point(problem, solution):
-    """Re-solved from itself, a polished solution is polished again on the
-    set it records, bit for bit; an unpolished ADMM iterate would move."""
-    again = solve(problem, start=solution)
+    """Re-solved on the set it records, a polished solution is polished
+    again on that set, bit for bit; an unpolished ADMM iterate would move."""
+    again = solve(problem, active=solution.active)
     assert again.iterations == 0
     assert np.array_equal(again.values, solution.values)
 
@@ -221,7 +221,7 @@ class TestLambdaPathStep:
         warm = 0
         for lam in LAMBDA_GRID[1:]:
             constructed.clear()
-            solution = solve(compiled.problem(lam), start=previous)
+            solution = solve(compiled.problem(lam), active=previous.active)
             # polished on the set it started from: no correction was needed
             if solution.iterations == 0 and np.array_equal(solution.active, previous.active):
                 warm += 1
