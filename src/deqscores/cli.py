@@ -24,7 +24,7 @@ from .experiment import (
     FileSource,
     run_experiment,
 )
-from .model import DEFAULT_EPSILON, ValidationError, validate
+from .model import DEFAULT_EPSILON, ValidationError
 from .qp import DEFAULT_FEASTOL, InfeasibleProblem, SolverError
 from .qv import select_lambda
 from .synth import SynthConfig, generate

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -82,7 +81,7 @@ class DequantizeResult:
     validation: QVReport | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompiledDataset:
     """The part of a dataset's QP that does not depend on the fit weight.
 
@@ -102,24 +101,19 @@ class CompiledDataset:
     constraints: Constraints
 
     def problem(self, lam: float) -> QPProblem:
-        """The QP at fit weight ``lam``: Q = C + 2*lam*I, c = -2*lam*z and
-        constant lam*||z||^2, so 0.5*y'Qy + c'y + constant equals the
-        objective exactly. Q is a copy of C holding C's values with 2*lam
-        added to the stored diagonal (``qp.with_data``: it shares C's pattern
-        arrays), so it equals ``(C + 2*lam*I).tocsc()`` bit for bit."""
+        """The QP at fit weight ``lam``: Q = C + 2*lam*I and c = -2*lam*z, so
+        0.5*y'Qy + c'y is the objective up to lam*||z||^2, a constant that
+        does not move the minimizer. Q is a copy of C holding C's values
+        with 2*lam added to the stored diagonal (``qp.with_data``: it shares
+        C's pattern arrays), so it equals ``(C + 2*lam*I).tocsc()`` bit for
+        bit."""
         data = self.consensus.data.copy()
         data[self.diagonal] += 2.0 * lam
         return QPProblem(
             quadratic=with_data(self.consensus, data),
             linear=-2.0 * lam * self.z,
             constraints=self.constraints,
-            constant=lam * self._squared_norm,
         )
-
-    @cached_property
-    def _squared_norm(self) -> float:
-        """||z||^2, the weight-free factor of every problem's constant."""
-        return float(self.z @ self.z)
 
 
 def compile_dataset(dataset: ReviewDataset, epsilon: float) -> CompiledDataset:
@@ -144,16 +138,17 @@ def compile_dataset(dataset: ReviewDataset, epsilon: float) -> CompiledDataset:
     consensus.data = 2.0 * (on_diagonal - 1.0 / np.bincount(paper_of)[paper_of[rows]])
 
     constraints = Constraints(z - 0.5, z + 0.5, pair_rows(*dataset.ranked_reviews, epsilon))
-    feasibility = constraints.feasibility
-    if not feasibility.feasible:
-        chain = list(feasibility.witness)
-        pairs = dataset.pairs()
+    try:
+        constraints.tightened_lower
+    except InfeasibleProblem as exc:
+        # validated rankings form no cycle, so the check names a chain
+        chain, pairs = exc.chain, dataset.pairs()
         reviews = " > ".join("({!r}, {!r})".format(*pairs[i]) for i in chain)
         raise InfeasibleProblem(
             f"ranked chain of {len(chain)} reviews cannot be separated by epsilon={epsilon:g} "
             f"within their half-unit score boxes: {reviews}",
             chain,
-        )
+        ) from None
     return CompiledDataset(z, consensus, np.nonzero(on_diagonal)[0], constraints)
 
 

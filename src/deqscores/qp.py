@@ -2,7 +2,7 @@
 
 Solves
 
-    minimize    0.5 * y' Q y + c' y + constant
+    minimize    0.5 * y' Q y + c' y
     subject to  lo_i <= y_i <= hi_i          (boxes)
                 y_i - y_j >= gap             (pair constraints)
 
@@ -10,9 +10,10 @@ with a first-order operator-splitting iteration (over-relaxed ADMM) plus an
 active-set polish step that solves the KKT equality system on the detected
 active constraints, bringing the iterate to near machine precision.
 Feasibility is pre-checked by longest-path propagation of the pairwise gaps
-through the constraint graph, all pair rows at once per round, so infeasible
-inputs (gaps that overflow a box, or a positive-gap cycle) fail fast instead
-of iterating.
+through the constraint graph, all pair rows at once per round, which raises
+``InfeasibleProblem`` on an empty constraint set (gaps that overflow a box,
+or a positive-gap cycle), so infeasible inputs fail fast instead of
+iterating. The solver returns the minimizer, never the objective's value.
 
 The ADMM x-update solves (Q + sigma I + rho A'A) x = b. It is never
 factored: each iteration runs a Jacobi-preconditioned conjugate gradient,
@@ -50,12 +51,12 @@ large problems with total rankings, corrections from the empty set can
 cycle and cost more than the iteration they would save.
 
 The constraints live in a ``Constraints`` object that problems may share:
-everything the solver derives from the constraints alone (the feasibility
-check, the stacked constraint matrix, its transpose and A'A) is computed on
-first use and reused by every problem built on the same object. It also
-keeps the KKT pattern of its last polish, so a polish on the same active set
-and the same pattern of Q (the next weight of a path) only writes Q's values
-into it (OSQP-style reuse of what does not change, Stellato et al., Math.
+everything the solver derives from the constraints alone (the tightened
+lower bounds, the stacked constraint matrix, its transpose and A'A) is
+computed on first use and reused by every problem built on the same object.
+It also keeps the KKT pattern of its last polish, so a polish on the same
+active set and the same pattern of Q (the next weight of a path) only writes
+Q's values into it (OSQP-style reuse of what does not change, Stellato et al., Math.
 Prog. Comp. 2020).
 
 What a warm step of a path builds. The problems of one compiled dataset
@@ -69,16 +70,15 @@ and the scaled Q, both copies of the dataset's pattern), finds the KKT
 pattern in the memo by the identity of Q's pattern arrays and by its active
 rows, writes the two KKT copies' values, factors once (``spla.splu``) and
 runs three triangular solves (the solve and two refinement sweeps against
-the unregularized system), then the certificate's residuals and the
-objective. Only a new active set builds a KKT pattern, with the one matrix
-its polishes copy.
+the unregularized system), then the certificate's residuals. Only a new
+active set builds a KKT pattern, with the one matrix its polishes copy.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -111,10 +111,11 @@ class MaxIterationsExceeded(SolverError):
 
 class StackedRows(NamedTuple):
     """Boxes (identity rows) stacked over pair rows as l <= A y <= u, with
-    A' and A'A."""
+    A' and A'A. A is CSR, so the polish gathers each active row's entries
+    from its arrays; A' is its CSC transpose, which shares them."""
 
-    A: sp.csc_matrix
-    At: sp.csr_matrix
+    A: sp.csr_matrix
+    At: sp.csc_matrix
     AtA: sp.csc_matrix
     lower: np.ndarray
     upper: np.ndarray
@@ -132,14 +133,16 @@ def pair_rows(i, j, gap) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constraints:
     """Boxes and pair constraints of a QP, independent of its objective.
 
     ``pair_constraints`` is a length-m array of ``PAIR_ROW`` records. The
-    feasibility check and the stacked rows are computed on first use and
-    cached, so problems sharing one ``Constraints`` (a dataset solved along a
-    fit-weight grid) pay for them once. The KKT pattern of the last polish is
+    tightened lower bounds (``check_feasibility``, which raises
+    ``InfeasibleProblem`` when the set is empty) and the stacked rows are
+    computed on first use and cached, so problems sharing one
+    ``Constraints`` (a dataset solved along a fit-weight grid) pay for them
+    once. The KKT pattern of the last polish is
     kept too; each pattern is immutable and replacing it is one assignment,
     so threads sharing the object at worst build a pattern again.
     """
@@ -153,7 +156,7 @@ class Constraints:
         return self.box_lower.shape[0]
 
     @cached_property
-    def feasibility(self) -> FeasibilityResult:
+    def tightened_lower(self) -> np.ndarray:
         return check_feasibility(self)
 
     @cached_property
@@ -163,18 +166,12 @@ class Constraints:
         m = pairs.shape[0]
         cols = np.column_stack([pairs["i"], pairs["j"]]).ravel()
         vals = np.tile([1.0, -1.0], m)
-        pair_block = sp.csc_matrix((vals, (np.repeat(np.arange(m), 2), cols)), shape=(m, n))
-        A = sp.vstack([sp.identity(n, format="csc"), pair_block], format="csc")
+        pair_block = sp.csr_matrix((vals, (np.repeat(np.arange(m), 2), cols)), shape=(m, n))
+        A = sp.vstack([sp.identity(n, format="csr"), pair_block], format="csr")
         At = A.T
         lower = np.concatenate([self.box_lower, pairs["gap"]])
         upper = np.concatenate([self.box_upper, np.full(m, np.inf)])
         return StackedRows(A, At, (At @ A).tocsc(), lower, upper)
-
-    @cached_property
-    def row_entries(self) -> sp.csr_matrix:
-        """The stacked rows' A in CSR form: the polish gathers each active
-        row's (column, value) pairs from its arrays."""
-        return self.rows.A.tocsr()
 
     @cached_property
     def last_kkt_pattern(self) -> dict:
@@ -183,16 +180,16 @@ class Constraints:
         return {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QPProblem:
     """Data of one QP instance. ``quadratic`` is the Hessian of the objective,
-    i.e. the objective is 0.5*y'Qy + c'y + constant (the factor-of-2 bookkeeping
-    lives with whoever assembles Q, not here)."""
+    i.e. the objective is 0.5*y'Qy + c'y (the factor-of-2 bookkeeping lives
+    with whoever assembles Q, not here; a constant term does not move the
+    minimizer and is left out)."""
 
     quadratic: sp.csc_matrix
     linear: np.ndarray
     constraints: Constraints
-    constant: float = 0.0
 
     @property
     def n(self) -> int:
@@ -201,18 +198,6 @@ class QPProblem:
     @property
     def pair_constraints(self) -> np.ndarray:
         return self.constraints.pair_constraints
-
-    @property
-    def box_lower(self) -> np.ndarray:
-        return self.constraints.box_lower
-
-    @property
-    def box_upper(self) -> np.ndarray:
-        return self.constraints.box_upper
-
-    def objective(self, y: np.ndarray) -> float:
-        y = np.asarray(y, dtype=float)
-        return 0.5 * _dot(y, self.quadratic @ y) + _dot(self.linear, y) + self.constant
 
 
 # ``solve`` accepts a point when its scaled stationarity residual
@@ -225,7 +210,7 @@ MAX_ITERATIONS = 50_000
 DEFAULT_FEASTOL = 1e-6  # the primal residual ``solve`` accepts unless told otherwise
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
     """A minimizer within the solver's tolerances: a certified polished
     point, or as the last resort an unpolished ADMM iterate. ``active``
@@ -235,39 +220,33 @@ class Solution:
     hold; None when unknown. It is what ``solve`` takes as ``active``."""
 
     values: np.ndarray
-    objective_value: float
     iterations: int
     residuals: tuple[float, float]  # (primal infeasibility, scaled stationarity)
     cg_iterations: int  # conjugate-gradient steps over all ADMM x-updates
     active: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    witness: tuple[int, ...] | None
-    tightened_lower: np.ndarray = field(repr=False)
-
-
-def check_feasibility(problem: QPProblem | Constraints) -> FeasibilityResult:
-    """Propagate pairwise gaps through the constraint graph and test the boxes.
+def check_feasibility(constraints: Constraints) -> np.ndarray:
+    """The lower bounds tightened along the pair rows; raises
+    ``InfeasibleProblem`` when the constraint set is empty.
 
     Lower bounds travel upward along each constraint y_i >= y_j + gap
     (longest-path relaxation), all pair rows at once per round, until a
     round changes nothing: on acyclic rows, after as many rounds as the
-    longest chain has rows. The system is feasible iff every tightened lower
-    bound stays below its box upper bound. Bounds still rising after n + 1
-    rounds mean a positive-gap cycle, whose constraint set is empty:
-    ``InfeasibleProblem`` with no chain. An overflowing box yields as witness
-    the chain walked back from the first such variable, each step along the
+    longest chain has rows. The set is nonempty iff every tightened lower
+    bound stays below its box upper bound; the bounds are then a point of
+    it. Bounds still rising after n + 1 rounds mean a positive-gap cycle:
+    ``InfeasibleProblem`` with no chain. An overflowing box raises with the
+    chain walked back from the first such variable, each step along the
     first row, in row order, that holds its variable's bound (lo_j + gap ==
-    lo_i). Only the constraints are read, so a problem's ``Constraints`` can
-    be checked directly.
+    lo_i): its gaps, added up from its last variable's box, overflow its
+    first variable's box.
     """
-    pairs = problem.pair_constraints
+    pairs = constraints.pair_constraints
     i, j, gap = pairs["i"], pairs["j"], pairs["gap"]
-    lo = problem.box_lower.copy()
-    for _ in range(problem.n + 1):
+    lo = constraints.box_lower.copy()
+    n = constraints.n
+    for _ in range(n + 1):
         candidate = lo[j] + gap
         if not np.any(candidate > lo[i]):
             break
@@ -275,17 +254,17 @@ def check_feasibility(problem: QPProblem | Constraints) -> FeasibilityResult:
     else:
         raise InfeasibleProblem("pair constraints form a positive-gap cycle")
 
-    bad = np.flatnonzero(lo > problem.box_upper + 1e-12)
+    bad = np.flatnonzero(lo > constraints.box_upper + 1e-12)
     if not bad.size:
-        return FeasibilityResult(True, None, lo)
+        return lo
     tight = np.flatnonzero(lo[j] + gap == lo[i])
     chain = [int(bad[0])]
-    while len(chain) <= problem.n:
+    while len(chain) <= n:
         step = tight[i[tight] == chain[-1]]
         if not step.size:
             break
         chain.append(int(j[step[0]]))
-    return FeasibilityResult(False, tuple(chain), lo)
+    raise InfeasibleProblem(f"pair-constraint gaps overflow the boxes along chain {chain}", chain)
 
 
 # the polish regularizes its KKT system by +delta on Q's diagonal and
@@ -322,26 +301,26 @@ class _KKTPattern(NamedTuple):
     data0: np.ndarray
 
 
-def _kkt_pattern(Q, rows_csr: sp.csr_matrix, active_rows: np.ndarray) -> _KKTPattern:
+def _kkt_pattern(Q, A: sp.csr_matrix, active_rows: np.ndarray) -> _KKTPattern:
     """The pattern of the polish's KKT matrix [[Q, A_S'], [A_S, 0]], A_S
     being the stacked rows ``active_rows`` in that order.
 
     The arrays are written directly: column j < n holds Q's column j, then
     the active rows that touch variable j in ``active_rows`` order; column
-    n + r holds active row r's entries, gathered from A's CSR arrays
-    ``rows_csr``, then its diagonal (stored even where it is zero, as the
-    last entry of each of those columns).
+    n + r holds active row r's entries, gathered from the CSR arrays of the
+    stacked rows' ``A``, then its diagonal (stored even where it is zero, as
+    the last entry of each of those columns).
     """
     n = Q.shape[0]
     k = active_rows.size
-    starts = rows_csr.indptr[active_rows]
-    counts = rows_csr.indptr[active_rows + 1] - starts
+    starts = A.indptr[active_rows]
+    counts = A.indptr[active_rows + 1] - starts
     ends = np.cumsum(counts)
     total = int(ends[-1]) if k else 0
     # where each active row's entries sit in A's CSR arrays, row after row
     gather = np.arange(total) + np.repeat(starts - (ends - counts), counts)
-    cols = rows_csr.indices[gather]
-    vals = rows_csr.data[gather]
+    cols = A.indices[gather]
+    vals = A.data[gather]
     row_of = np.repeat(np.arange(k), counts)
 
     q_counts = np.diff(Q.indptr)
@@ -405,7 +384,7 @@ def _memoized_kkt_pattern(Q, constraints: Constraints, active_rows: np.ndarray) 
         and _same(last.q_indptr, Q.indptr)
         and _same(last.q_indices, Q.indices)
     ):
-        last = _kkt_pattern(Q, constraints.row_entries, active_rows)
+        last = _kkt_pattern(Q, constraints.rows.A, active_rows)
         constraints.last_kkt_pattern["pattern"] = last
     return last
 
@@ -582,19 +561,16 @@ def solve(
     with ``iterations`` 0 when ``active`` was certified. The iteration
     always starts from the same point, so a failed proposal costs only its
     polishes. At a check where no polished point passes, the unpolished
-    iterate is the last resort, returned when it meets the tolerances.
-    Raises ``InfeasibleProblem`` when the constraint set is empty (gaps that
-    overflow a box, or a positive-gap cycle) and ``MaxIterationsExceeded``
-    when the tolerances are not met within ``MAX_ITERATIONS`` iterations.
+    iterate is the last resort, returned when it meets the tolerances. The
+    result minimizes the problem's 0.5*y'Qy + c'y; its value is not computed.
+    ``InfeasibleProblem`` from ``check_feasibility`` passes through when the
+    constraint set is empty (gaps that overflow a box, or a positive-gap
+    cycle); raises ``MaxIterationsExceeded`` when the tolerances are not met
+    within ``MAX_ITERATIONS`` iterations.
     """
     if not (math.isfinite(feastol) and feastol > 0):
         raise ValueError(f"feastol must be a positive finite number, got {feastol!r}")
-    feas = problem.constraints.feasibility
-    if not feas.feasible:
-        raise InfeasibleProblem(
-            "pair-constraint gaps overflow the boxes along chain "
-            f"{list(feas.witness)}", list(feas.witness),
-        )
+    start = problem.constraints.tightened_lower  # raises on an empty set
 
     rows = problem.constraints.rows
     A, At, AtA, l, u = rows
@@ -616,7 +592,7 @@ def solve(
     rho = 1.0
     K = None  # the x-update system, built when the solve first iterates
 
-    x = feas.tightened_lower.copy()
+    x = start.copy()
     x_tilde = x
     z = np.clip(A @ x, l, u)
     w = np.zeros_like(z)
@@ -635,15 +611,12 @@ def solve(
                 )
                 if certified is not None:
                     xp, residuals, polished_on = certified
-                    return Solution(xp, problem.objective(xp), it, residuals, cg_steps, polished_on)
+                    return Solution(xp, it, residuals, cg_steps, polished_on)
             if it:
                 # the last resort: the iterate itself, when it meets the tolerances
                 primal, stat = _residuals(Q, c, rows, x, w, z)
                 if primal <= feastol and stat <= OPTIMALITY_TOLERANCE:
-                    return Solution(
-                        x.copy(), problem.objective(x), it, (primal, stat), cg_steps,
-                        _active_rows(w),
-                    )
+                    return Solution(x.copy(), it, (primal, stat), cg_steps, _active_rows(w))
                 if it % 2000 == 0:
                     # slow progress: re-balance the penalty between primal and dual work
                     ratio = (primal + 1e-16) / (stat + 1e-16)

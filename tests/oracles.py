@@ -25,8 +25,9 @@ two reviews of a reviewer, the reference for
 ``polish_kkt_reference`` builds the polish's KKT matrix with ``sp.bmat`` and
 ``sp.diags``, the reference for the solver's direct CSC assembly.
 ``build_problem`` makes a ``QPProblem`` from small hand-written data with
-acyclic pair rows. ``feasibility_reference`` is the row-by-row Bellman-Ford
-feasibility pass, the reference for ``qp.check_feasibility``.
+acyclic pair rows, and ``objective`` evaluates its 0.5*y'Qy + c'y.
+``feasibility_reference`` is the row-by-row Bellman-Ford feasibility pass,
+the reference for ``qp.check_feasibility``.
 ``score_only_closed_form`` is the exact minimizer of the dequantization
 objective when no rankings are reported, solved per paper.
 ``certify`` checks a point's optimality from the KKT conditions alone, with
@@ -57,7 +58,6 @@ from deqscores.model import (
 from deqscores.qp import (
     PAIR_ROW,
     Constraints,
-    FeasibilityResult,
     InfeasibleProblem,
     QPProblem,
     Solution,
@@ -298,10 +298,8 @@ def derive_rankings_reference(raw: dict) -> list[tuple[str, str, str]]:
     return sorted(rows)
 
 
-def build_problem(
-    quadratic, linear, pair_constraints, box_lower, box_upper, constant=0.0
-) -> QPProblem:
-    """The QP 0.5*y'Qy + c'y + constant over the boxes and the pair rows
+def build_problem(quadratic, linear, pair_constraints, box_lower, box_upper) -> QPProblem:
+    """The QP 0.5*y'Qy + c'y over the boxes and the pair rows
     ``pair_constraints``, (i, j, gap) each, which must form no cycle: the
     package's own problems come from ``compile_dataset``, whose rankings
     ``validate`` has checked for cycles."""
@@ -313,17 +311,23 @@ def build_problem(
     assert components == n and not np.any(pairs["i"] == pairs["j"]), "pair rows form a cycle"
     box_lower = np.asarray(box_lower, dtype=float)
     box_upper = np.asarray(box_upper, dtype=float)
-    return QPProblem(
-        sp.csc_matrix(quadratic), linear, Constraints(box_lower, box_upper, pairs), float(constant)
-    )
+    return QPProblem(sp.csc_matrix(quadratic), linear, Constraints(box_lower, box_upper, pairs))
 
 
-def feasibility_reference(constraints: Constraints) -> FeasibilityResult:
+def objective(problem: QPProblem, y) -> float:
+    """The problem's objective 0.5*y'Qy + c'y at ``y``."""
+    y = np.asarray(y, dtype=float)
+    return float(0.5 * y @ (problem.quadratic @ y) + problem.linear @ y)
+
+
+def feasibility_reference(constraints: Constraints) -> np.ndarray:
     """The feasibility pass relaxing one pair row at a time: rounds over the
     rows in row order, each row raising lo_i to lo_j + gap when that is
     more than 1e-15 higher and recording j as i's predecessor, until a round
-    changes nothing. The witness follows the predecessors back from the
-    first variable whose bound overflows its box. For acyclic rows."""
+    changes nothing. Returns the tightened lower bounds, or raises
+    ``InfeasibleProblem`` with the chain that follows the predecessors back
+    from the first variable whose bound overflows its box. For acyclic
+    rows."""
     n = constraints.n
     lo = constraints.box_lower.copy()
     pred: list[int | None] = [None] * n
@@ -341,18 +345,19 @@ def feasibility_reference(constraints: Constraints) -> FeasibilityResult:
         rounds += 1
     bad = np.nonzero(lo > constraints.box_upper + 1e-12)[0]
     if not bad.size:
-        return FeasibilityResult(True, None, lo)
+        return lo
     chain = [int(bad[0])]
     while pred[chain[-1]] is not None and len(chain) <= n:
         chain.append(pred[chain[-1]])
-    return FeasibilityResult(False, tuple(chain), lo)
+    raise InfeasibleProblem(f"the chain {chain} overflows its boxes", chain)
 
 
 def constraint_violation(problem: QPProblem, y: np.ndarray) -> float:
     """Largest violation over boxes and pair constraints (0 if feasible)."""
+    constraints = problem.constraints
     viol = max(
-        float(np.max(problem.box_lower - y, initial=0.0)),
-        float(np.max(y - problem.box_upper, initial=0.0)),
+        float(np.max(constraints.box_lower - y, initial=0.0)),
+        float(np.max(y - constraints.box_upper, initial=0.0)),
     )
     for i, j, gap in problem.pair_constraints:
         viol = max(viol, gap - (y[i] - y[j]))
@@ -407,9 +412,10 @@ def certify(problem: QPProblem, y, tolerance: float = 1e-9) -> Certificate:
     """
     y = np.asarray(y, dtype=float)
     n = problem.n
+    lo, hi = problem.constraints.box_lower, problem.constraints.box_upper
     normals, slacks = [], []
     for i in range(n):
-        for sign, slack in ((1.0, y[i] - problem.box_lower[i]), (-1.0, problem.box_upper[i] - y[i])):
+        for sign, slack in ((1.0, y[i] - lo[i]), (-1.0, hi[i] - y[i])):
             if slack <= tolerance:
                 column = np.zeros(n)
                 column[i] = sign
@@ -444,7 +450,7 @@ def _tightened_upper(problem: QPProblem, tightened_lower: np.ndarray) -> np.ndar
     """Upper bounds pushed down along each pair constraint y_i >= y_j + gap
     (the mirror of ``check_feasibility``'s lower-bound pass), never below the
     tightened lower bounds."""
-    hi = problem.box_upper.copy()
+    hi = problem.constraints.box_upper.copy()
     changed = True
     rounds = 0
     while changed and rounds <= problem.n:
@@ -496,15 +502,10 @@ def brute_force_minimize(problem: QPProblem, grid_step: float = 1e-3) -> Solutio
     """
     if problem.n > 6:
         raise DimensionTooLarge(f"brute force limited to n <= 6, got n={problem.n}")
-    feas = check_feasibility(problem)
-    if not feas.feasible:
-        raise InfeasibleProblem(
-            f"pair-constraint gaps overflow the boxes along chain {list(feas.witness)}",
-            list(feas.witness),
-        )
     n = problem.n
-    lo = feas.tightened_lower
+    lo = check_feasibility(problem.constraints)
     hi = _tightened_upper(problem, lo)
+    box_lower, box_upper = problem.constraints.box_lower, problem.constraints.box_upper
     pairs = problem.pair_constraints.tolist()
     Q = problem.quadratic.toarray()
     c = problem.linear
@@ -542,8 +543,8 @@ def brute_force_minimize(problem: QPProblem, grid_step: float = 1e-3) -> Solutio
         step /= 2.0
     step = max(step, grid_step)
 
-    incumbent = feas.tightened_lower.copy()
-    incumbent_val = problem.objective(incumbent)
+    incumbent = lo.copy()
+    incumbent_val = objective(problem, incumbent)
     window_lo, window_hi = lo.copy(), hi.copy()
     while True:
         axes = lattice_axes(window_lo, window_hi, step)
@@ -554,9 +555,9 @@ def brute_force_minimize(problem: QPProblem, grid_step: float = 1e-3) -> Solutio
             pts = points[mask]
             vals = evaluate(pts)
             k = int(np.argmin(vals))
-            if vals[k] + problem.constant < incumbent_val:
+            if vals[k] < incumbent_val:
                 incumbent = pts[k]
-                incumbent_val = float(vals[k]) + problem.constant
+                incumbent_val = float(vals[k])
         if step <= grid_step:
             break
         new_step = max(step / 4.0, grid_step)
@@ -568,18 +569,17 @@ def brute_force_minimize(problem: QPProblem, grid_step: float = 1e-3) -> Solutio
     # fixed 1/L step converges linearly from the lattice incumbent
     L = float(np.linalg.eigvalsh(Q).max())
     t = 1.0 / max(L, 1e-12)
-    y = _dykstra_project(incumbent, problem.box_lower, problem.box_upper, pairs)
+    y = _dykstra_project(incumbent, box_lower, box_upper, pairs)
     for iteration in range(20_000):
         g = Q @ y + c
-        y_new = _dykstra_project(y - t * g, problem.box_lower, problem.box_upper, pairs)
+        y_new = _dykstra_project(y - t * g, box_lower, box_upper, pairs)
         if float(np.max(np.abs(y_new - y))) < 1e-13:
             y = y_new
             break
         y = y_new
-    value = problem.objective(y)
-    if value > incumbent_val:
-        y, value = incumbent, incumbent_val
-    return Solution(y, value, iteration + 1, (constraint_violation(problem, y), float("nan")), 0)
+    if objective(problem, y) > incumbent_val:
+        y = incumbent
+    return Solution(y, iteration + 1, (constraint_violation(problem, y), float("nan")), 0)
 
 
 class UnequalReviewCounts(ValueError):

@@ -29,6 +29,7 @@ from conftest import (
     score_records,
 )
 from oracles import (
+    objective,
     profiled_paper_qualities,
     score_only_closed_form,
     thurstone_joint_loglikelihood,
@@ -55,7 +56,6 @@ class TestAssemble:
             problem.quadratic.toarray(), [[3.0, -1.0], [-1.0, 3.0]], atol=1e-12
         )
         assert problem.linear == pytest.approx([-10.0, -10.0])
-        assert problem.constant == pytest.approx(50.0)
         assert solve(problem).values == pytest.approx([5.0, 5.0], abs=1e-8)
 
     def test_single_review_has_no_consensus_term(self):
@@ -72,8 +72,8 @@ class TestAssemble:
     def test_boxes_are_half_unit_around_scores(self):
         ds = make_dataset({("r1", "A"): 5, ("r1", "B"): 3})
         problem = assemble(ds, DequantizerConfig(lam=1.0))
-        assert problem.box_lower == pytest.approx([4.5, 2.5])
-        assert problem.box_upper == pytest.approx([5.5, 3.5])
+        assert problem.constraints.box_lower == pytest.approx([4.5, 2.5])
+        assert problem.constraints.box_upper == pytest.approx([5.5, 3.5])
 
     def test_objective_value_matches_literal_expression(self):
         instance = generate(SynthConfig(num_papers=10, seed=5))
@@ -81,7 +81,9 @@ class TestAssemble:
         problem = assemble(instance.dataset, DequantizerConfig(lam=lam))
         solution = solve(problem)
         values = dict(zip(instance.dataset.pairs(), solution.values.tolist()))
-        assert solution.objective_value == pytest.approx(
+        z = instance.dataset.scores.astype(float)
+        # the problem leaves out the objective's constant lam*||z||^2
+        assert objective(problem, solution.values) + lam * float(z @ z) == pytest.approx(
             literal_objective(instance.dataset, values, lam), rel=1e-9, abs=1e-9
         )
 
@@ -337,7 +339,7 @@ class TestClosedFormAgreement:
         assert deq[:2] == pytest.approx([6.5, 5.375], abs=1e-7)
         assert closed == pytest.approx([6.5, 5.375, 5.375], abs=1e-7)
         problem = assemble(ds, DequantizerConfig(lam=lam))
-        assert problem.objective(closed) <= problem.objective(deq) + 1e-9
+        assert objective(problem, closed) <= objective(problem, deq) + 1e-9
 
 
 class TestThurstoneConnection:

@@ -29,21 +29,28 @@ from oracles import (
     certify,
     constraint_violation,
     feasibility_reference,
+    objective,
     polish_kkt_reference,
     score_only_closed_form,
 )
 
 
 def single_variable_problem():
-    # fit-only objective (y - 7)^2 with box [6.5, 7.5]
-    return build_problem([[2.0]], [-14.0], [], [6.5], [7.5], constant=49.0)
+    # fit-only objective (y - 7)^2 - 49 with box [6.5, 7.5]
+    return build_problem([[2.0]], [-14.0], [], [6.5], [7.5])
 
 
 def two_variable_pair_problem():
-    # (y1-5)^2 + (y2-5)^2 with y1 - y2 >= 0.05 and boxes [4.5, 5.5]
-    return build_problem(
-        2.0 * np.eye(2), [-10.0, -10.0], [(0, 1, 0.05)], [4.5, 4.5], [5.5, 5.5], constant=50.0
-    )
+    # (y1-5)^2 + (y2-5)^2 - 50 with y1 - y2 >= 0.05 and boxes [4.5, 5.5]
+    return build_problem(2.0 * np.eye(2), [-10.0, -10.0], [(0, 1, 0.05)], [4.5, 4.5], [5.5, 5.5])
+
+
+def feasible(problem) -> bool:
+    try:
+        check_feasibility(problem.constraints)
+    except InfeasibleProblem:
+        return False
+    return True
 
 
 def random_problem(rng, n, with_pairs=True):
@@ -59,7 +66,7 @@ def random_problem(rng, n, with_pairs=True):
         if with_pairs and n >= 3 and rng.random() < 0.5:
             pairs.append((1, 2, float(rng.uniform(0.0, 0.2))))
         problem = build_problem(quadratic, linear, pairs, lo, hi)
-        if check_feasibility(problem).feasible:
+        if feasible(problem):
             return problem
 
 
@@ -71,9 +78,10 @@ def every_row_at(problem, sign):
 
 class TestSolve:
     def test_unconstrained_interior_minimum(self):
-        solution = solve(single_variable_problem())
+        problem = single_variable_problem()
+        solution = solve(problem)
         assert solution.values == pytest.approx([7.0], abs=1e-8)
-        assert solution.objective_value == pytest.approx(0.0, abs=1e-10)
+        assert objective(problem, solution.values) + 49.0 == pytest.approx(0.0, abs=1e-10)
 
     def test_symmetric_pair_split(self):
         solution = solve(two_variable_pair_problem())
@@ -99,13 +107,14 @@ class TestSolve:
         solution = solve(problem)
         y = solution.values
         gradient = problem.quadratic @ y + problem.linear
+        constraints = problem.constraints
         columns = []
         for i in range(problem.n):
-            if y[i] <= problem.box_lower[i] + 1e-6:
+            if y[i] <= constraints.box_lower[i] + 1e-6:
                 col = np.zeros(problem.n)
                 col[i] = 1.0
                 columns.append(col)
-            if y[i] >= problem.box_upper[i] - 1e-6:
+            if y[i] >= constraints.box_upper[i] - 1e-6:
                 col = np.zeros(problem.n)
                 col[i] = -1.0
                 columns.append(col)
@@ -123,12 +132,7 @@ class TestSolve:
         problem = two_variable_pair_problem()
         before = solve(problem).values
         shrunk = build_problem(
-            problem.quadratic,
-            problem.linear,
-            problem.pair_constraints,
-            before - 0.1,
-            before + 0.1,
-            constant=problem.constant,
+            problem.quadratic, problem.linear, problem.pair_constraints, before - 0.1, before + 0.1
         )
         after = solve(shrunk).values
         assert np.max(np.abs(after - before)) <= 1e-7
@@ -174,16 +178,32 @@ class TestSolve:
         lam = 1e6
         quadratic = 2.0 * lam * np.eye(2) + np.array([[1.0, -1.0], [-1.0, 1.0]])
         z = np.array([5.0, 5.0])
-        problem = build_problem(
-            quadratic,
-            -2.0 * lam * z,
-            [(0, 1, 0.05)],
-            z - 0.5,
-            z + 0.5,
-            constant=lam * float(z @ z),
-        )
+        problem = build_problem(quadratic, -2.0 * lam * z, [(0, 1, 0.05)], z - 0.5, z + 0.5)
         solution = solve(problem)
         assert solution.values == pytest.approx([5.025, 4.975], abs=1e-6)
+
+    def test_slow_progress_rebalances_rho(self, monkeypatch):
+        # found by search: at a tiny fit weight no check before iteration
+        # 2000 certifies a point, the residuals are out of balance there, and
+        # the x-update system is built again with a new rho
+        problem = compile_dataset(
+            generate(SynthConfig(num_papers=120, seed=4, sigma=0.0)).dataset, 0.05
+        ).problem(1e-6)
+        rhos = []
+        build = qp._x_update_system
+
+        def recorded(Q, sigma, rho, AtA):
+            rhos.append(rho)
+            return build(Q, sigma, rho, AtA)
+
+        monkeypatch.setattr(qp, "_x_update_system", recorded)
+        solution = solve(problem)
+        assert solution.iterations > 2000
+        assert len(rhos) == 2 and rhos[1] != rhos[0]
+        certificate = certify(problem, solution.values)
+        assert certificate.primal <= 1e-9
+        assert certificate.stationarity <= 1e-9
+        assert certificate.complementarity <= 1e-9
 
 
 class TestWarmStart:
@@ -361,15 +381,15 @@ class TestCheckFeasibility:
             np.zeros(4),
             np.ones(4),
         )
-        assert check_feasibility(problem).feasible
+        assert check_feasibility(problem.constraints) == pytest.approx([0.15, 0.1, 0.05, 0.0])
 
     def test_long_tied_chain_overflows_box(self):
         n = 22
         pairs = [(i, i + 1, 0.05) for i in range(n - 1)]
         problem = build_problem(2.0 * np.eye(n), np.zeros(n), pairs, np.zeros(n), np.ones(n))
-        result = check_feasibility(problem)
-        assert not result.feasible
-        assert len(result.witness) == n  # the whole chain is named
+        with pytest.raises(InfeasibleProblem, match="overflow the boxes") as info:
+            check_feasibility(problem.constraints)
+        assert info.value.chain == list(range(n))  # the whole chain is named
 
     def test_two_cycle_raises(self):
         # rows y_0 >= y_1 + 0.05 and y_1 >= y_0 + 0.05 admit no point; the
@@ -402,19 +422,21 @@ class TestCheckFeasibility:
         rows = [(order[a], order[b], k / 64) for (a, b), k in zip(edges, gaps)]
         constraints = Constraints(z - 0.5, z + 0.5, np.array(rows, dtype=PAIR_ROW))
 
-        result = check_feasibility(constraints)
-        reference = feasibility_reference(constraints)
-        assert result.feasible == reference.feasible
-        assert np.array_equal(result.tightened_lower, reference.tightened_lower)
-        if result.feasible:
-            assert result.witness is None
+        try:
+            reference = feasibility_reference(constraints)
+        except InfeasibleProblem:
+            reference = None
+        if reference is not None:
+            assert np.array_equal(check_feasibility(constraints), reference)
             return
-        # the witness proves the set empty: its rows' gaps, added up from its
+        with pytest.raises(InfeasibleProblem) as info:
+            check_feasibility(constraints)
+        # the chain proves the set empty: its rows' gaps, added up from its
         # last variable's box, overflow its first variable's box
         gap = {}
         for i, j, g in rows:
             gap[(i, j)] = max(g, gap.get((i, j), g))
-        chain = result.witness
+        chain = info.value.chain
         total = constraints.box_lower[chain[-1]]
         for i, j in reversed(list(zip(chain, chain[1:]))):
             assert (i, j) in gap
@@ -427,8 +449,10 @@ class TestCheckFeasibility:
         # the first tight row's
         pairs = np.array([(0, 1, 0.75), (1, 3, 0.75), (0, 2, 1.5)], dtype=PAIR_ROW)
         constraints = Constraints(np.zeros(4), np.ones(4), pairs)
-        assert check_feasibility(constraints).witness == (0, 1, 3)
-        assert feasibility_reference(constraints).witness == (0, 2)
+        for check, chain in ((check_feasibility, [0, 1, 3]), (feasibility_reference, [0, 2])):
+            with pytest.raises(InfeasibleProblem) as info:
+                check(constraints)
+            assert info.value.chain == chain
 
     def test_tightened_lower_point_is_feasible(self):
         problem = build_problem(
@@ -438,8 +462,7 @@ class TestCheckFeasibility:
             np.zeros(3),
             np.ones(3),
         )
-        result = check_feasibility(problem)
-        assert constraint_violation(problem, result.tightened_lower) == 0.0
+        assert constraint_violation(problem, check_feasibility(problem.constraints)) == 0.0
 
 
 class TestBruteForce:
@@ -448,18 +471,19 @@ class TestBruteForce:
         assert solution.values == pytest.approx([7.0], abs=1e-3)
 
     def test_matches_solve_on_pair_example(self):
-        oracle = brute_force_minimize(two_variable_pair_problem(), 1e-3)
-        exact = solve(two_variable_pair_problem())
-        assert abs(oracle.objective_value - exact.objective_value) <= 1e-5
+        problem = two_variable_pair_problem()
+        oracle = brute_force_minimize(problem, 1e-3)
+        exact = solve(problem)
+        assert abs(objective(problem, oracle.values) - objective(problem, exact.values)) <= 1e-5
 
     def test_oracle_agreement_on_random_instances(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             problem = random_problem(rng, 3)
-            exact = solve(problem)
-            oracle = brute_force_minimize(problem, 1e-3)
-            assert exact.objective_value <= oracle.objective_value + 1e-5
-            assert abs(exact.objective_value - oracle.objective_value) <= 1e-5
+            exact = objective(problem, solve(problem).values)
+            oracle = objective(problem, brute_force_minimize(problem, 1e-3).values)
+            assert exact <= oracle + 1e-5
+            assert abs(exact - oracle) <= 1e-5
 
     def test_rejects_large_dimensions(self):
         problem = build_problem(
@@ -507,7 +531,7 @@ def small_problems(draw):
         else:
             rows.append((i, j, p[i] - p[j] - (kind == "slack") * draw(st.integers(1, 16)) / 64))
     problem = build_problem(quadratic, -quadratic @ target, rows, lower, upper)
-    assume(check_feasibility(problem).feasible)  # only weak rows can empty the set
+    assume(feasible(problem))  # only weak rows can empty the set
     return problem
 
 
@@ -578,6 +602,14 @@ class TestProblemConstruction:
         with pytest.raises(ValueError, match="finite"):
             solve(two_variable_pair_problem(), feastol=value)
 
+    def test_problems_and_solutions_compare_by_identity(self):
+        # they hold arrays, whose == is elementwise: equality is identity
+        problem = two_variable_pair_problem()
+        first, second = solve(problem), solve(problem)
+        assert first == first and first != second
+        assert problem.constraints != two_variable_pair_problem().constraints
+        assert len({problem, problem, problem.constraints, two_variable_pair_problem()}) == 3
+
 
 class TestKKTPatternMemo:
     """A polish on the same constraints, active rows and sparsity of Q as the
@@ -589,9 +621,9 @@ class TestKKTPatternMemo:
         built = []
         pattern = qp._kkt_pattern
 
-        def counted(Q, rows_csr, active_rows):
+        def counted(Q, A, active_rows):
             built.append(active_rows.copy())
-            return pattern(Q, rows_csr, active_rows)
+            return pattern(Q, A, active_rows)
 
         monkeypatch.setattr(qp, "_kkt_pattern", counted)
         return built

