@@ -13,12 +13,13 @@ row required, '.' decimal separator):
 from __future__ import annotations
 
 import csv
+from array import array
 from pathlib import Path
 
 import numpy as np
 
 from .metrics import percentiles
-from .model import Pair, ReviewDataset, ScoreScale, require_valid
+from .model import ReviewDataset, ScoreScale, require_valid
 from .qv import coarsen
 from .synth import random_regular_assignment, require_counts
 
@@ -90,7 +91,10 @@ def load_reviews(
     offending line; a dataset violating the model invariants raises
     ``ValidationError`` listing every violation.
     """
-    scores: dict[Pair, int] = {}
+    reviewer_ids: dict[str, int] = {}
+    paper_ids: dict[str, int] = {}
+    reviews = array("q"), array("q"), array("q")  # reviewer, paper, score
+    seen: set[int] = set()  # reviewer << 32 | paper of each review
     for line_no, (reviewer, paper, score_text) in _read_rows(
         reviews_path, ["reviewer_id", "paper_id", "score"]
     ):
@@ -100,23 +104,34 @@ def load_reviews(
             raise ParseError(reviews_path, line_no, f"score {score_text!r} is not an integer")
         if not -(2**63) <= score < 2**63:
             raise ParseError(reviews_path, line_no, f"score {score_text!r} does not fit int64")
-        if (reviewer, paper) in scores:
+        r = reviewer_ids.setdefault(reviewer, len(reviewer_ids))
+        p = paper_ids.setdefault(paper, len(paper_ids))
+        key = r << 32 | p
+        if key in seen:
             raise ParseError(reviews_path, line_no, f"duplicate review ({reviewer!r}, {paper!r})")
-        scores[(reviewer, paper)] = score
+        seen.add(key)
+        reviews[0].append(r)
+        reviews[1].append(p)
+        reviews[2].append(score)
+    del seen  # freed before the columns are sorted, which sets the peak
 
-    rankings = []
+    rows = array("q"), array("q"), array("q")  # ranked_by, better, worse
     if rankings_path is not None:
         header = ["reviewer_id", "better_paper_id", "worse_paper_id"]
-        rankings = [tuple(row) for _, row in _read_rows(rankings_path, header)]
+        for _, (reviewer, better, worse) in _read_rows(rankings_path, header):
+            rows[0].append(reviewer_ids.setdefault(reviewer, len(reviewer_ids)))
+            rows[1].append(paper_ids.setdefault(better, len(paper_ids)))
+            rows[2].append(paper_ids.setdefault(worse, len(paper_ids)))
 
-    if not scores:
+    if not reviews[2]:
         raise ParseError(reviews_path, 2, "no reviews")
     if scale is None:
-        lo = min(scores.values())
-        hi = max(scores.values())
+        lo, hi = min(reviews[2]), max(reviews[2])
         scale = (lo, hi if hi > lo else lo + 1)
 
-    dataset = ReviewDataset.from_records(ScoreScale(*scale), scores, rankings)
+    dataset = ReviewDataset.from_columns(
+        ScoreScale(*scale), list(reviewer_ids), list(paper_ids), *reviews, *rows
+    )
     require_valid(dataset)
     return dataset
 

@@ -74,7 +74,8 @@ class ReviewDataset:
     paper_id) order, so each reviewer's reviews are one contiguous slice.
     Ranking row k says that reviewer ``ranked_by[k]`` put paper ``better[k]``
     over paper ``worse[k]``; the rows are distinct and in lexicographic
-    (reviewer, better, worse) order. ``from_records`` builds a dataset.
+    (reviewer, better, worse) order. ``from_columns`` builds a dataset from
+    interned columns, ``from_records`` from id records.
 
     Invariants such as "a ranked paper has the reviewer's score" are checked
     by ``validate``, not at construction, so that invalid input can be
@@ -92,28 +93,41 @@ class ReviewDataset:
     worse: np.ndarray
 
     @classmethod
+    def from_columns(
+        cls, scale, reviewer_ids, paper_ids, reviewer, paper, scores, ranked_by, better, worse
+    ) -> ReviewDataset:
+        """Sort id tables given in any order and remap the int columns that
+        index them: review i is ``(reviewer[i], paper[i], scores[i])`` and
+        ranking row k ``(ranked_by[k], better[k], worse[k])`` (repeats count
+        once). Scores must fit int64."""
+        tables = [np.array(ids, dtype=object) for ids in (reviewer_ids, paper_ids)]
+        orders = [np.argsort(ids, kind="stable") for ids in tables]
+        r_at, p_at = (np.argsort(order) for order in orders)  # positions in the sorted tables
+        columns = reviewer, paper, scores, ranked_by, better, worse
+        r, p, z, by, b, w = (np.asarray(c, dtype=np.int64) for c in columns)
+        order = np.lexsort((p_at[p], r_at[r]))
+        # np.unique sorts the rows by (reviewer, better, worse)
+        ranked = np.unique(np.stack([r_at[by], p_at[b], p_at[w]]), axis=1)
+        ids = (ids[order] for ids, order in zip(tables, orders))
+        return cls(scale, *ids, r_at[r[order]], p_at[p[order]], z[order], *ranked)
+
+    @classmethod
     def from_records(
         cls, scale: ScoreScale, scores: dict[Pair, int], rankings=()
     ) -> ReviewDataset:
-        """Intern ``{(reviewer_id, paper_id): score}`` and ranking rows
-        ``(reviewer_id, better_paper_id, worse_paper_id)`` (repeats count
-        once) into the sorted array layout. Scores must fit int64."""
-        rows = set(rankings)
-        reviewer_ids = sorted({r for r, _ in scores} | {r for r, _, _ in rows})
-        paper_ids = sorted({p for _, p in scores} | {p for _, *papers in rows for p in papers})
-        r_index = {r: i for i, r in enumerate(reviewer_ids)}
-        p_index = {p: i for i, p in enumerate(paper_ids)}
-        reviews = np.array(
-            [(r_index[r], p_index[p], z) for (r, p), z in scores.items()], dtype=np.int64
-        ).reshape(-1, 3)
-        ranked = np.array(
-            [(r_index[r], p_index[b], p_index[w]) for r, b, w in rows], dtype=np.int64
-        ).reshape(-1, 3)
-        # reviews by (reviewer, paper), rows by (reviewer, better, worse)
-        reviews = reviews[np.lexsort(reviews.T[1::-1])]
-        ranked = ranked[np.lexsort(ranked.T[::-1])]
-        ids = np.array(reviewer_ids, dtype=object), np.array(paper_ids, dtype=object)
-        return cls(scale, *ids, *reviews.T, *ranked.T)
+        """``from_columns`` of ``{(reviewer_id, paper_id): score}`` and
+        ranking rows ``(reviewer_id, better_paper_id, worse_paper_id)``."""
+        reviewer_ids: dict[str, int] = {}
+        paper_ids: dict[str, int] = {}
+
+        def intern(records, width: int) -> list[list[int]]:
+            columns = zip((reviewer_ids, paper_ids, paper_ids), zip(*records))
+            return [[t.setdefault(i, len(t)) for i in ids] for t, ids in columns] or [[]] * width
+
+        reviews, rows = intern(scores, 2), intern(rankings, 3)
+        return cls.from_columns(
+            scale, list(reviewer_ids), list(paper_ids), *reviews, list(scores.values()), *rows
+        )
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:

@@ -30,6 +30,13 @@ def score_records(dataset) -> dict:
     return dict(zip(dataset.pairs(), dataset.scores.tolist()))
 
 
+def dataset_layout(dataset: ReviewDataset) -> dict[str, list]:
+    """A dataset's id tables and columns as lists, keyed by field name."""
+    names = ("reviewer_ids", "paper_ids", "reviewer", "paper", "scores")
+    names += ("ranked_by", "better", "worse")
+    return {name: getattr(dataset, name).tolist() for name in names}
+
+
 def by_pair(dataset, values) -> dict:
     """{(reviewer_id, paper_id): value} of a vector aligned with a dataset's
     reviews."""

@@ -21,7 +21,9 @@ the reference for the RANK_CYCLE cycles of ``model.validate``, and
 ``validate_reference`` walks a dataset's records pair by pair, the reference
 for all of ``model.validate``. ``derive_rankings_reference`` compares every
 two reviews of a reviewer, the reference for
-``model.derive_rankings_from_raw_scores``.
+``model.derive_rankings_from_raw_scores``. ``layout_reference`` sorts a
+dataset's records as tuples, the reference for the sorted id tables and
+columns that ``ReviewDataset.from_columns`` builds.
 ``polish_kkt_reference`` builds the polish's KKT matrix with ``sp.bmat`` and
 ``sp.diags``, the reference for the solver's direct CSC assembly.
 ``build_problem`` makes a ``QPProblem`` from small hand-written data with
@@ -296,6 +298,24 @@ def derive_rankings_reference(raw: dict) -> list[tuple[str, str, str]]:
                 elif vq > vp:
                     rows.add((r, q, p))
     return sorted(rows)
+
+
+def layout_reference(scores: dict, rows) -> dict[str, list]:
+    """The sorted id tables and the columns, as lists, of the dataset of
+    ``{(reviewer_id, paper_id): score}`` and ranking rows, repeats counted
+    once: reviews in (reviewer_id, paper_id) order, rows in (reviewer,
+    better, worse) order."""
+    rows = set(rows)
+    reviewer_ids = sorted({r for r, _ in scores} | {r for r, _, _ in rows})
+    paper_ids = sorted({p for _, p in scores} | {p for _, b, w in rows for p in (b, w)})
+    r_index = {r: i for i, r in enumerate(reviewer_ids)}
+    p_index = {p: i for i, p in enumerate(paper_ids)}
+    reviews = sorted((r_index[r], p_index[p], z) for (r, p), z in scores.items())
+    ranked = sorted((r_index[r], p_index[b], p_index[w]) for r, b, w in rows)
+    names = ("reviewer", "paper", "scores", "ranked_by", "better", "worse")
+    columns = [list(c) for c in zip(*reviews)] or [[], [], []]
+    columns += [list(c) for c in zip(*ranked)] or [[], [], []]
+    return {"reviewer_ids": reviewer_ids, "paper_ids": paper_ids, **dict(zip(names, columns))}
 
 
 def build_problem(quadratic, linear, pair_constraints, box_lower, box_upper) -> QPProblem:

@@ -14,8 +14,19 @@ from deqscores.model import (
     validate,
 )
 
-from conftest import make_dataset, ranking_records, rankings_by_reviewer, score_records
-from oracles import derive_rankings_reference, ranking_cycles_reference, validate_reference
+from conftest import (
+    dataset_layout,
+    make_dataset,
+    ranking_records,
+    rankings_by_reviewer,
+    score_records,
+)
+from oracles import (
+    derive_rankings_reference,
+    layout_reference,
+    ranking_cycles_reference,
+    validate_reference,
+)
 
 REVIEWERS = ("r0", "r1", "r2")
 PAPERS = ("A", "B", "C", "D", "E")
@@ -209,6 +220,27 @@ class TestTypes:
         assert [ds.rankings_of(r) for r in range(3)] == [slice(0, 2), slice(2, 2), slice(2, 3)]
         better, worse = ds.ranked_reviews
         assert (better.tolist(), worse.tolist()) == ([0, 1, -1], [1, 0, -1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_ranked_records(), st.randoms(use_true_random=False))
+    def test_records_match_the_sorted_tuple_layout(self, records, rng):
+        # rows in any order, named by reviewers and papers with no score too
+        scores, rows = records
+        shuffled = list(scores.items())
+        rng.shuffle(shuffled)
+        ds = from_records(dict(shuffled), rows)
+        assert dataset_layout(ds) == layout_reference(scores, rows)
+        assert all(getattr(ds, f).dtype == np.int64 for f in ("reviewer", "scores", "worse"))
+
+    def test_columns_index_tables_in_any_order(self):
+        ds = ReviewDataset.from_columns(
+            ScoreScale(0, 9), ["r2", "r1"], ["B", "A"],
+            [1, 0, 1], [0, 1, 1], [4, 5, 3], [1, 1, 1], [1, 0, 1], [0, 1, 0],
+        )
+        assert dataset_layout(ds) == layout_reference(
+            {("r1", "B"): 4, ("r2", "A"): 5, ("r1", "A"): 3},
+            [("r1", "A", "B"), ("r1", "B", "A"), ("r1", "A", "B")],
+        )
 
     def test_pair_index_is_lexicographic(self):
         ds = make_dataset({("r2", "A"): 5, ("r1", "B"): 4, ("r1", "A"): 3})
