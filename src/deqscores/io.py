@@ -13,6 +13,7 @@ row required, '.' decimal separator):
 from __future__ import annotations
 
 import csv
+import re
 from array import array
 from pathlib import Path
 
@@ -35,6 +36,9 @@ class InsufficientReviews(ValueError):
     pass
 
 
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # an undecodable byte, as "surrogateescape" reads it
+
+
 def _read_rows(path, expected_header: list[str]):
     """Yield (line number, stripped fields) of every non-blank data row.
 
@@ -43,39 +47,40 @@ def _read_rows(path, expected_header: list[str]):
     not UTF-8 and anything the CSV reader rejects (an unterminated quote, a
     field over its size limit) raise ``ParseError`` with the line.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
+    # undecodable bytes are escaped, not raised: the text layer decodes ahead
+    # of the reader, and each row's own check keeps the faults in line order
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         reader = csv.reader(handle, strict=True)
+        end = 0
         try:
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(path, 1, "empty file") from None
-            if [h.strip() for h in header] != expected_header:
-                raise ParseError(path, 1, f"expected header {','.join(expected_header)}")
-            end = reader.line_num
             for row in reader:  # a quoted field may span lines: a row's first counts
                 line_no, end = end + 1, reader.line_num
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != len(expected_header):
-                    raise ParseError(path, line_no, f"expected {len(expected_header)} fields")
-                yield line_no, [cell.strip() for cell in row]
+                text = "".join(row)
+                if not text.isascii() and _ESCAPED_BYTE.search(text):
+                    line, reason = _undecodable_line(path)
+                    raise ParseError(path, line, f"not UTF-8 text ({reason})")
+                if line_no == 1:
+                    if [h.strip() for h in row] != expected_header:
+                        raise ParseError(path, 1, f"expected header {','.join(expected_header)}")
+                elif text.strip():
+                    if len(row) != len(expected_header):
+                        raise ParseError(path, line_no, f"expected {len(expected_header)} fields")
+                    yield line_no, [cell.strip() for cell in row]
         except csv.Error as exc:
             raise ParseError(path, reader.line_num, str(exc)) from None
-        except UnicodeDecodeError as exc:
-            line = _undecodable_line(path)
-            raise ParseError(path, line, f"not UTF-8 text ({exc.reason})") from None
+        if not end:
+            raise ParseError(path, 1, "empty file")
 
 
-def _undecodable_line(path) -> int:
-    """The line of the first byte of ``path`` that is not UTF-8 (the file is
-    decoded in chunks, ahead of the reader's line count)."""
+def _undecodable_line(path) -> tuple[int, str]:
+    """The line of the first byte of ``path`` that is not UTF-8, and why it
+    is not (a quoted field may span lines, so it can differ from the row's)."""
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1
-    return 1
+        return data.count(b"\n", 0, exc.start) + 1, exc.reason
+    return 1, "the file changed while it was read"
 
 
 def load_reviews(

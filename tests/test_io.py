@@ -172,8 +172,8 @@ class TestParseErrorOrder:
 
     HEADER = "reviewer_id,paper_id,score\n"
     DUPLICATE = "r1,A,5\nr1,A,4\n"
-    # the reader decodes ahead in chunks of a few KB, so an undecodable byte
-    # comes after a duplicate only when a chunk lies between them
+    # the text layer decodes ahead of the reader in chunks of a few KB: the
+    # byte after a duplicate lies in its chunk, or with PADDING a chunk later
     PADDING = "\n" * 20_000
 
     @pytest.mark.parametrize(
@@ -183,10 +183,15 @@ class TestParseErrorOrder:
             ("r2,B,x\n" + DUPLICATE, 2, "score 'x' is not an integer"),
             (DUPLICATE + "r2,B\n", 3, "duplicate review ('r1', 'A')"),
             ("r2,B\n" + DUPLICATE, 2, "expected 3 fields"),
+            (DUPLICATE + "r2,\udcff,3\n", 3, "duplicate review ('r1', 'A')"),
             (DUPLICATE + PADDING + "r2,\udcff,3\n", 3, "duplicate review ('r1', 'A')"),
             ("r2,\udcff,3\n" + DUPLICATE, 2, "not UTF-8 text (invalid start byte)"),
+            ("\nr2,\udce9,3\n" + DUPLICATE, 3, "not UTF-8 text (invalid continuation byte)"),
         ],
-        ids=["dup-score", "score-dup", "dup-fields", "fields-dup", "dup-byte", "byte-dup"],
+        ids=[
+            "dup-score", "score-dup", "dup-fields", "fields-dup", "dup-byte",
+            "dup-padding-byte", "byte-dup", "blank-byte-dup",
+        ],
     )
     def test_first_fault_wins(self, tmp_path, body, line, message):
         path = tmp_path / "reviews.csv"
@@ -286,6 +291,16 @@ class TestCsvRobustness:
         assert err.value.line == 3
         assert self._cli_validate(path, capsys) == (
             cli.EXIT_VALIDATION, [f"error: {path}:3: not UTF-8 text (invalid start byte)"]
+        )
+
+    def test_undecodable_header_is_a_parse_error_on_line_1(self, tmp_path, capsys):
+        path = tmp_path / "reviews.csv"
+        path.write_bytes(b"reviewer_id,\xffpaper_id,score\nr1,A,5\n")
+        with pytest.raises(ParseError) as err:
+            load_reviews(path)
+        assert err.value.line == 1
+        assert self._cli_validate(path, capsys) == (
+            cli.EXIT_VALIDATION, [f"error: {path}:1: not UTF-8 text (invalid start byte)"]
         )
 
 
