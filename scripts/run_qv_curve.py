@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from deqscores.dequantize import DequantizerConfig, compile_dataset
+from deqscores.dequantize import compile_dataset
 from deqscores.metrics import kendall_tau_errors
 from deqscores.model import DEFAULT_EPSILON
 from deqscores.qv import lambda_path, select_lambda
@@ -32,7 +32,7 @@ def main() -> int:
     args = parser.parse_args()
 
     instance = generate(SynthConfig(num_papers=args.papers, sigma=args.sigma, seed=args.seed))
-    qv_report = select_lambda(instance.dataset, deq_config=DequantizerConfig(epsilon=args.epsilon))
+    qv_report = select_lambda(instance.dataset, args.epsilon)
 
     compiled = compile_dataset(instance.dataset, args.epsilon)
     path = lambda_path(compiled, qv_report.lambdas)

@@ -16,17 +16,25 @@ import sys
 from pathlib import Path
 
 from . import baselines, io
-from .dequantize import AUTO, DequantizerConfig, compile_dataset, consistency_report, dequantize
+from .dequantize import (
+    AUTO,
+    DequantizerConfig,
+    compile_dataset,
+    consistency_report,
+    dequantize,
+    require_epsilon,
+)
 from .experiment import (
     METHODS,
     METRIC_NAMES,
+    REPORT_VERSION,
     SWEEPABLE,
     ExperimentSpec,
     FileSource,
     run_experiment,
 )
 from .model import DEFAULT_EPSILON, ValidationError
-from .qp import DEFAULT_FEASTOL, InfeasibleProblem, SolverError
+from .qp import InfeasibleProblem, SolverError
 from .qv import select_lambda
 from .synth import SynthConfig, generate
 
@@ -74,19 +82,16 @@ def _add_dataset_args(parser: _Parser) -> None:
     )
 
 
-def _add_shared_args(parser: _Parser) -> None:
-    parser.add_argument(
-        "--epsilon", type=float, default=DEFAULT_EPSILON,
-        help=f"ranking separation (default {_default(DEFAULT_EPSILON)})",
-    )
+def _add_epsilon_arg(
+    parser: _Parser, text: str = f"ranking separation (default {_default(DEFAULT_EPSILON)})"
+) -> None:
+    parser.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help=text)
+
+
+def _add_lambda_arg(parser: _Parser) -> None:
     parser.add_argument(
         "--lambda", dest="lam", type=_parse_lambda, default=AUTO,
         help="fit weight, or 'auto' to select by quantization validation (default auto)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    parser.add_argument(
-        "--feastol", type=float, default=DEFAULT_FEASTOL,
-        help=f"solver feasibility tolerance (default {_default(DEFAULT_FEASTOL)})",
     )
 
 
@@ -95,18 +100,10 @@ def _load(args):
     return io.load_reviews(args.reviews, args.rankings, scale=scale)
 
 
-def _write_report(path, args, **fields) -> None:
-    """Write a JSON run report: the shared run parameters plus ``fields``."""
-    report = {
-        "report_version": 1,
-        "parameters": {
-            "epsilon": args.epsilon,
-            "seed": args.seed,
-            "feastol": args.feastol,
-            "lambda": args.lam,
-        },
-        **fields,
-    }
+def _write_report(path, parameters: dict, **fields) -> None:
+    """Write a JSON run report: the command's options ``parameters`` plus
+    ``fields``."""
+    report = {"report_version": REPORT_VERSION, "parameters": parameters, **fields}
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
@@ -116,15 +113,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="check a dataset against the model invariants")
     _add_dataset_args(p)
-    p.add_argument(
-        "--epsilon", type=float, default=DEFAULT_EPSILON,
-        help="ranking separation the score boxes must leave room for "
+    _add_epsilon_arg(
+        p,
+        "ranking separation the score boxes must leave room for "
         f"(default {_default(DEFAULT_EPSILON)})",
     )
 
     p = sub.add_parser("dequantize", help="merge scores and rankings into real-valued scores")
     _add_dataset_args(p)
-    _add_shared_args(p)
+    _add_epsilon_arg(p)
+    _add_lambda_arg(p)
     p.add_argument("--output", required=True, help="output CSV path")
     p.add_argument("--report", help="optional JSON run report path")
 
@@ -138,7 +136,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("qv", help="select the fit weight by quantization validation")
     _add_dataset_args(p)
-    _add_shared_args(p)
+    _add_epsilon_arg(p)
     p.add_argument("--output", help="optional JSON report path")
 
     p = sub.add_parser("baseline", help="run a reference method")
@@ -146,11 +144,13 @@ def build_parser() -> _Parser:
         "--method", required=True, choices=[m for m in METHODS if m != "proposed"],
     )
     _add_dataset_args(p)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    _add_epsilon_arg(p)
     p.add_argument("--output", required=True, help="output CSV path")
 
     p = sub.add_parser("experiment", help="run trial sweeps and aggregate errors")
-    _add_shared_args(p)
+    _add_epsilon_arg(p)
+    _add_lambda_arg(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--sweep", default="sigma", choices=SWEEPABLE)
     p.add_argument("--values", default="0.1,0.5,1.0", help="comma-separated sweep values")
     p.add_argument("--trials", type=int, default=20)
@@ -178,9 +178,9 @@ def build_parser() -> _Parser:
 
 
 def _cmd_validate(args) -> int:
-    config = DequantizerConfig(epsilon=args.epsilon)
+    require_epsilon(args.epsilon)
     try:
-        compile_dataset(_load(args), config.epsilon)
+        compile_dataset(_load(args), args.epsilon)
     except ValidationError as exc:
         for violation in exc.violations:
             print(violation)
@@ -194,9 +194,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_dequantize(args) -> int:
     dataset = _load(args)
-    result = dequantize(
-        dataset, DequantizerConfig(lam=args.lam, epsilon=args.epsilon, feastol=args.feastol)
-    )
+    result = dequantize(dataset, DequantizerConfig(lam=args.lam, epsilon=args.epsilon))
     selected = None if result.validation is None else result.lam
     io.write_scores(result.values, dataset, args.output)
     box_viol, margin = consistency_report(dataset, result.values)
@@ -206,7 +204,7 @@ def _cmd_dequantize(args) -> int:
     print(f"max box violation: {box_viol:.3g}; min ranked-pair margin: {margin:.6g}")
     if args.report:
         _write_report(
-            args.report, args,
+            args.report, {"epsilon": args.epsilon, "lambda": args.lam},
             selected_lambda=selected, max_box_violation=box_viol,
             min_pair_margin=margin if math.isfinite(margin) else None,  # inf is not JSON
         )
@@ -230,16 +228,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_qv(args) -> int:
     dataset = _load(args)
-    report = select_lambda(
-        dataset, deq_config=DequantizerConfig(epsilon=args.epsilon, feastol=args.feastol)
-    )
+    report = select_lambda(dataset, args.epsilon)
     print("lambda      validation_error")
     for lam, err in zip(report.lambdas, report.errors):
         marker = "  <- selected" if lam == report.selected_lambda else ""
         print(f"{lam:<12.6g}{err:.6f}{marker}")
     if args.output:
         _write_report(
-            args.output, args,
+            args.output, {"epsilon": args.epsilon},
             lambdas=list(report.lambdas),
             errors=list(report.errors),
             selected_lambda=report.selected_lambda,
@@ -248,14 +244,14 @@ def _cmd_qv(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    epsilon = DequantizerConfig(epsilon=args.epsilon).epsilon
+    require_epsilon(args.epsilon)
     dataset = _load(args)
     if args.method == "quantized":
         values = baselines.quantized_baseline(dataset)
     elif args.method == "bre_adjusted":
-        values = baselines.bre_adjusted_scores(dataset, epsilon)
+        values = baselines.bre_adjusted_scores(dataset, args.epsilon)
     else:
-        values = baselines.partial_rankings_adjusted_scores(dataset, epsilon)
+        values = baselines.partial_rankings_adjusted_scores(dataset, args.epsilon)
     io.write_scores(values, dataset, args.output)
     print(f"wrote {args.output} ({dataset.num_reviews} reviews)")
     return EXIT_OK
@@ -286,7 +282,6 @@ def _cmd_experiment(args) -> int:
         epsilon=args.epsilon,
         lam=args.lam,
         seed=args.seed,
-        feasibility_tolerance=args.feastol,
         jobs=args.jobs,
     )
     report = run_experiment(spec)

@@ -23,15 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import DEFAULT_EPSILON, ReviewDataset, require_valid
-from .qp import (
-    DEFAULT_FEASTOL,
-    Constraints,
-    InfeasibleProblem,
-    QPProblem,
-    pair_rows,
-    solve,
-    with_data,
-)
+from .qp import Constraints, InfeasibleProblem, QPProblem, pair_rows, solve, with_data
 
 if TYPE_CHECKING:
     from .qv import QVReport
@@ -39,15 +31,19 @@ if TYPE_CHECKING:
 AUTO = "auto"
 
 
+def require_epsilon(epsilon: float) -> None:
+    """Raise ``ValueError`` unless the ranking separation lies in (0, 1)."""
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie strictly between 0 and 1")
+
+
 @dataclass(frozen=True)
 class DequantizerConfig:
-    """Hyperparameters: fit weight ``lam`` (or AUTO for data-driven selection),
-    ranking separation ``epsilon``, and the solver's feasibility tolerance
-    ``feastol``."""
+    """Hyperparameters: fit weight ``lam`` (or AUTO for data-driven selection)
+    and ranking separation ``epsilon``."""
 
     lam: float | str = AUTO
     epsilon: float = DEFAULT_EPSILON
-    feastol: float = DEFAULT_FEASTOL
 
     def __post_init__(self) -> None:
         if isinstance(self.lam, str):
@@ -55,10 +51,7 @@ class DequantizerConfig:
                 raise ValueError(f"lam must be a positive number or {AUTO!r}")
         elif not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError("lam must be a positive finite number")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie strictly between 0 and 1")
-        if not (math.isfinite(self.feastol) and self.feastol > 0):
-            raise ValueError("feastol must be a positive finite number")
+        require_epsilon(self.epsilon)
 
     def fit_weight(self) -> float:
         if isinstance(self.lam, str):
@@ -168,15 +161,15 @@ def dequantize(
     the validation report. The output is the unique minimizer of the
     assembled QP: every value stays within half a unit of its reported
     score and every reported ranking pair is separated by at least epsilon
-    (both up to ``feastol``).
+    (both up to ``qp.FEASTOL``).
     """
     validation = None
     if config.lam == AUTO:
         from .qv import select_lambda
 
-        validation = select_lambda(dataset, deq_config=config)
+        validation = select_lambda(dataset, config.epsilon)
         config = dataclasses.replace(config, lam=validation.selected_lambda)
-    solution = solve(assemble(dataset, config), config.feastol)
+    solution = solve(assemble(dataset, config))
     return DequantizeResult(values=solution.values, lam=config.lam, validation=validation)
 
 

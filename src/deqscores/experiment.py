@@ -34,10 +34,9 @@ from .metrics import (
     trial_statistics,
 )
 from .model import DEFAULT_EPSILON, ReviewDataset
-from .qp import DEFAULT_FEASTOL
 from .synth import SynthConfig, generate, require_counts, trial_seed
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2  # of experiment and CLI reports alike
 
 METHODS = ("proposed", "quantized", "bre_adjusted", "partial_rankings_adjusted")
 SWEEPABLE = ("sigma", "papers_per_reviewer", "reviews_per_paper", "lambda")
@@ -73,7 +72,6 @@ class ExperimentSpec:
     epsilon: float = DEFAULT_EPSILON
     lam: float | str = AUTO
     seed: int = 0
-    feasibility_tolerance: float = DEFAULT_FEASTOL
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -119,10 +117,8 @@ class ExperimentSpec:
         # would reject
         for value in self.sweep_values:
             _swept_config(self.base, self.sweep_parameter, value)
-        # fail before any trial runs on a bad weight, separation or tolerance
-        DequantizerConfig(
-            lam=self.lam, epsilon=self.epsilon, feastol=self.feasibility_tolerance
-        )
+        # fail before any trial runs on a bad weight or separation
+        DequantizerConfig(lam=self.lam, epsilon=self.epsilon)
 
 
 @dataclass
@@ -236,7 +232,7 @@ def _run_trial(spec: ExperimentSpec, sweep_value, trial: int) -> dict:
     lam = spec.lam
     if spec.sweep_parameter == "lambda":
         lam = float(sweep_value)
-    config = DequantizerConfig(lam=lam, epsilon=spec.epsilon, feastol=spec.feasibility_tolerance)
+    config = DequantizerConfig(lam=lam, epsilon=spec.epsilon)
     estimates, selected = zip(*(_run_method(m, dataset, config) for m in spec.methods))
     scored = _evaluate(truth, estimates, spec.metrics, project_l2)
     return {
@@ -289,7 +285,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         "epsilon": spec.epsilon,
         "lambda": spec.lam,
         "seed": spec.seed,
-        "feasibility_tolerance": spec.feasibility_tolerance,
         "base": dataclasses.asdict(spec.base),
         "base_kind": "file" if isinstance(spec.base, FileSource) else "synthetic",
     }

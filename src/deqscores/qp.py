@@ -33,8 +33,8 @@ polish's own primal and dual values propose a corrected set (a primal-dual
 active-set step, Hintermueller, Ito and Kunisch, SIAM J. Optim. 13(3),
 2002), at most ``PDAS_CORRECTIONS`` times and never twice on one set. A
 point is accepted only when it passes the certificate: multiplier signs,
-primal residual within the caller's ``feastol`` and scaled stationarity
-within ``OPTIMALITY_TOLERANCE``. One loop proposes every set: the caller's
+primal residual within ``FEASTOL`` and scaled stationarity within
+``OPTIMALITY_TOLERANCE``. One loop proposes every set: the caller's
 ``active`` at iteration 0, before the x-update system is built, and the
 ADMM iterate's multipliers every 25 iterations. The ADMM always iterates
 from the same point, so a proposal changes a solve's cost, never its
@@ -77,7 +77,6 @@ active set builds a KKT pattern, with the one matrix its polishes copy.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -206,8 +205,8 @@ class QPProblem:
 # the criterion meaningful when the fit weight (and hence Q) spans several
 # orders of magnitude.
 OPTIMALITY_TOLERANCE = 1e-8
+FEASTOL = 1e-6  # the largest primal residual ``solve`` accepts
 MAX_ITERATIONS = 50_000
-DEFAULT_FEASTOL = 1e-6  # the primal residual ``solve`` accepts unless told otherwise
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,14 +505,14 @@ def _active_rows(w: np.ndarray) -> np.ndarray:
 PDAS_CORRECTIONS = 3
 
 
-def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray, feastol: float):
+def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray):
     """Polish on ``active``, then on up to ``PDAS_CORRECTIONS`` primal-dual
     active-set corrections of it; return (x, residuals, active set) of the
     first certified point, else None. This is the one place a polished point
     is accepted.
 
     The certificate: every polished multiplier has the sign of the bound it
-    holds, the primal residual is within ``feastol`` and the scaled
+    holds, the primal residual is within ``FEASTOL`` and the scaled
     stationarity within ``OPTIMALITY_TOLERANCE``. Each correction is the
     semismooth Newton step of Hintermueller, Ito and Kunisch (SIAM J. Optim.
     13(3), 2002) from the failed polish's own (x, w): a row is held at its
@@ -529,7 +528,7 @@ def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray, feasto
         x, w = polished
         good_signs = np.all(w[active < 0] <= 1e-9) and np.all(w[active > 0] >= -1e-9)
         primal, stat = residuals = _residuals(Q, c, rows, x, w)
-        if good_signs and primal <= feastol and stat <= OPTIMALITY_TOLERANCE:
+        if good_signs and primal <= FEASTOL and stat <= OPTIMALITY_TOLERANCE:
             return x, residuals, active
         tried.append(active)
         Ax = rows.A @ x
@@ -541,14 +540,11 @@ def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray, feasto
     return None
 
 
-def solve(
-    problem: QPProblem, feastol: float = DEFAULT_FEASTOL, active: np.ndarray | None = None
-) -> Solution:
+def solve(problem: QPProblem, active: np.ndarray | None = None) -> Solution:
     """Return the unique minimizer of a strictly convex instance.
 
-    The result's primal infeasibility is at most ``feastol`` (a positive
-    finite number, else ``ValueError``) and its scaled stationarity at most
-    ``OPTIMALITY_TOLERANCE``.
+    The result's primal infeasibility is at most ``FEASTOL`` and its scaled
+    stationarity at most ``OPTIMALITY_TOLERANCE``.
 
     ``active`` is a proposed active set, marked per stacked row as in
     ``Solution.active`` (of another length: ``ValueError``), typically the
@@ -568,8 +564,6 @@ def solve(
     cycle); raises ``MaxIterationsExceeded`` when the tolerances are not met
     within ``MAX_ITERATIONS`` iterations.
     """
-    if not (math.isfinite(feastol) and feastol > 0):
-        raise ValueError(f"feastol must be a positive finite number, got {feastol!r}")
     start = problem.constraints.tightened_lower  # raises on an empty set
 
     rows = problem.constraints.rows
@@ -606,16 +600,14 @@ def solve(
             # the proposed set: the caller's at iteration 0, then the iterate's
             proposal = w if it else active
             if proposal is not None:
-                certified = _corrected_polish(
-                    Q, c, problem.constraints, _active_rows(proposal), feastol
-                )
+                certified = _corrected_polish(Q, c, problem.constraints, _active_rows(proposal))
                 if certified is not None:
                     xp, residuals, polished_on = certified
                     return Solution(xp, it, residuals, cg_steps, polished_on)
             if it:
                 # the last resort: the iterate itself, when it meets the tolerances
                 primal, stat = _residuals(Q, c, rows, x, w, z)
-                if primal <= feastol and stat <= OPTIMALITY_TOLERANCE:
+                if primal <= FEASTOL and stat <= OPTIMALITY_TOLERANCE:
                     return Solution(x.copy(), it, (primal, stat), cg_steps, _active_rows(w))
                 if it % 2000 == 0:
                     # slow progress: re-balance the penalty between primal and dual work

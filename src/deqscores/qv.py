@@ -16,10 +16,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .dequantize import CompiledDataset, DequantizerConfig, compile_dataset
+from .dequantize import CompiledDataset, compile_dataset, require_epsilon
 from .metrics import kendall_tau_errors
-from .model import ReviewDataset, ScoreScale, derive_rankings_from_raw_scores, require_valid
-from .qp import DEFAULT_FEASTOL, Solution, solve
+from .model import (
+    DEFAULT_EPSILON,
+    ReviewDataset,
+    ScoreScale,
+    derive_rankings_from_raw_scores,
+    require_valid,
+)
+from .qp import Solution, solve
 
 
 class DegenerateValidation(ValueError):
@@ -61,13 +67,8 @@ def coarsen(dataset: ReviewDataset) -> ReviewDataset:
     return derive_rankings_from_raw_scores(coarse, dataset.scores)
 
 
-def lambda_path(
-    compiled: CompiledDataset,
-    lambdas: Sequence[float],
-    feastol: float = DEFAULT_FEASTOL,
-) -> list[Solution]:
-    """Solve ``compiled`` at each fit weight in order, as one path, each to
-    the feasibility tolerance ``feastol``.
+def lambda_path(compiled: CompiledDataset, lambdas: Sequence[float]) -> list[Solution]:
+    """Solve ``compiled`` at each fit weight in order, as one path.
 
     Every step proposes an active set: the first the empty one, each later
     one the previous weight's ``Solution.active``. The solver tries that set
@@ -89,20 +90,18 @@ def lambda_path(
     solutions: list[Solution] = []
     active = np.zeros(compiled.constraints.rows.lower.shape[0], dtype=np.int8)
     for lam in lambdas:
-        solutions.append(solve(compiled.problem(lam), feastol, active))
+        solutions.append(solve(compiled.problem(lam), active))
         active = solutions[-1].active
     return solutions
 
 
-def select_lambda(
-    dataset: ReviewDataset, deq_config: DequantizerConfig = DequantizerConfig()
-) -> QVReport:
-    """Evaluate every weight of ``LAMBDA_GRID`` on the coarsened dataset and
-    pick the one whose dequantization best recovers the original score
-    ordering.
+def select_lambda(dataset: ReviewDataset, epsilon: float = DEFAULT_EPSILON) -> QVReport:
+    """Evaluate every weight of ``LAMBDA_GRID`` on the coarsened dataset,
+    dequantized at ranking separation ``epsilon`` (outside (0, 1):
+    ``ValueError``, before any solve), and pick the one whose dequantization
+    best recovers the original score ordering.
 
-    Only ``epsilon`` and ``feastol`` of ``deq_config`` are used. The
-    coarsened dataset is compiled once and the grid is solved in ascending
+    The coarsened dataset is compiled once and the grid is solved in ascending
     order by ``lambda_path``: the first weight is proposed the empty active
     set, each later one the previous one's active set, and the solver
     corrects that set by active-set steps before it would iterate. A
@@ -114,6 +113,7 @@ def select_lambda(
     kernel, ``kendall_tau_errors``, equal bit for bit to one
     ``kendall_tau_error`` per weight.
     """
+    require_epsilon(epsilon)
     require_valid(dataset)
     if np.unique(dataset.scores).shape[0] < 2:
         raise DegenerateValidation("all original scores are tied; loss is undefined")
@@ -122,9 +122,7 @@ def select_lambda(
     # compiled data and of the solution records serves the Kendall batches
     values = [
         solution.values
-        for solution in lambda_path(
-            compile_dataset(coarsen(dataset), deq_config.epsilon), LAMBDA_GRID, deq_config.feastol
-        )
+        for solution in lambda_path(compile_dataset(coarsen(dataset), epsilon), LAMBDA_GRID)
     ]
     errors = kendall_tau_errors(dataset.scores, values).tolist()
 

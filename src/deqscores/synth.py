@@ -1,10 +1,10 @@
 """Synthetic review data from a latent-quality model, with regular assignments.
 
-Paper qualities are uniform on a truth range; each review value is Gaussian
-around its paper's quality, clipped, and rounded half-up to an integer
-score. Rankings are derived from the unrounded values by strict comparison,
-which makes them consistent with the scores by construction (rounding is
-monotone).
+Paper qualities are uniform on ``TRUTH_RANGE``; each review value is
+Gaussian around its paper's quality, clipped to ``CLIP_RANGE``, and rounded
+half-up to an integer score on ``SCORE_RANGE``. Rankings are derived from
+the unrounded values by strict comparison, which makes them consistent with
+the scores by construction (rounding is monotone).
 
 All randomness flows through numpy's default PCG64 generator seeded from the
 config, so (config, seed) fully determines the instance on any platform.
@@ -32,6 +32,11 @@ def require_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
+TRUTH_RANGE = (1.0, 9.0)
+CLIP_RANGE = (0.0, 10.0)
+SCORE_RANGE = (0, 10)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     num_papers: int = 60
@@ -39,9 +44,6 @@ class SynthConfig:
     reviews_per_paper: int = 4
     papers_per_reviewer: int = 4
     seed: int = 0
-    truth_range: tuple[float, float] = (1.0, 9.0)
-    clip_range: tuple[float, float] = (0.0, 10.0)
-    score_range: tuple[int, int] = (0, 10)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
@@ -151,9 +153,7 @@ def generate(config: SynthConfig) -> SynthInstance:
     paper_ids = _ids("p", config.num_papers)
     x_star = {
         paper_ids[i]: float(v)
-        for i, v in enumerate(
-            rng.uniform(config.truth_range[0], config.truth_range[1], config.num_papers)
-        )
+        for i, v in enumerate(rng.uniform(*TRUTH_RANGE, config.num_papers))
     }
     pairs = random_regular_assignment(
         config.num_papers,
@@ -162,13 +162,12 @@ def generate(config: SynthConfig) -> SynthInstance:
         config.reviews_per_paper,
         rng,
     )
-    lo_clip, hi_clip = config.clip_range
     draws = [
         rng.normal(x_star[p], config.sigma) if config.sigma > 0 else x_star[p] for _, p in pairs
     ]
-    truth_y = np.clip(np.array(draws, dtype=float), lo_clip, hi_clip)
+    truth_y = np.clip(np.array(draws, dtype=float), *CLIP_RANGE)
 
-    lo_z, hi_z = config.score_range
+    lo_z, hi_z = SCORE_RANGE
     scores = np.clip(np.floor(truth_y + 0.5), lo_z, hi_z).astype(np.int64).tolist()
     dataset = ReviewDataset.from_records(ScoreScale(lo_z, hi_z), dict(zip(pairs, scores)))
     # the records are in review order, so the truth values align with it

@@ -323,7 +323,7 @@ def test_criterion_08_validation_quality():
             active = solution.active
             errors.append(kendall_tau_error(truth, solution.values))
         oracle_index = min(range(len(GRID)), key=lambda i: (errors[i], GRID[i]))
-        selected = select_lambda(instance.dataset, DequantizerConfig(lam=1.0, epsilon=EPSILON))
+        selected = select_lambda(instance.dataset, EPSILON)
         gaps.append(errors[selected.selected_index] - errors[oracle_index])
     mean_gap, _ = trial_statistics(gaps)
     report(
@@ -395,8 +395,7 @@ def test_criterion_12_epsilon_robustness():
         errors = []
         for trial in range(20):
             instance = generate(SynthConfig(seed=trial_seed(121, trial)))
-            config = DequantizerConfig(lam=1.0, epsilon=epsilon)
-            selected = select_lambda(instance.dataset, config)
+            selected = select_lambda(instance.dataset, epsilon)
             scores = dequantize(
                 instance.dataset,
                 DequantizerConfig(lam=selected.selected_lambda, epsilon=epsilon),

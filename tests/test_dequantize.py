@@ -187,8 +187,8 @@ class TestDequantize:
         config = DequantizerConfig(lam=2.0)
         scores = dequantize(instance.dataset, config)
         box_violation, margin = consistency_report(instance.dataset, scores.values)
-        assert box_violation <= config.feastol
-        assert margin >= config.epsilon - config.feastol
+        assert box_violation <= qp.FEASTOL
+        assert margin >= config.epsilon - qp.FEASTOL
 
     def test_single_review_returns_score(self):
         ds = make_dataset({("r1", "A"): 7})
@@ -219,7 +219,7 @@ class TestDequantize:
 
     def test_auto_matches_explicit_selection(self):
         instance = generate(SynthConfig(num_papers=12, seed=21))
-        report = select_lambda(instance.dataset, DequantizerConfig(lam=1.0))
+        report = select_lambda(instance.dataset)
         auto = dequantize(instance.dataset, DequantizerConfig(lam=AUTO))
         manual = dequantize(instance.dataset, DequantizerConfig(lam=report.selected_lambda))
         assert auto.values == pytest.approx(manual.values, abs=1e-9)

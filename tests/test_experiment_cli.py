@@ -8,7 +8,7 @@ import pytest
 
 import deqscores
 from deqscores import experiment
-from deqscores.cli import main
+from deqscores.cli import build_parser, main
 from deqscores.experiment import ExperimentSpec, FileSource, run_experiment
 from deqscores.io import ParseError
 from deqscores.metrics import kendall_tau_error
@@ -168,6 +168,8 @@ class TestCli:
 
         payload = json.loads(report.read_text(), parse_constant=reject)
         assert payload["min_pair_margin"] is None
+        assert payload["report_version"] == 2
+        assert set(payload["parameters"]) == {"epsilon", "lambda"}
 
     def test_validation_failure_exits_two(self, tmp_path, capsys):
         reviews = tmp_path / "reviews.csv"
@@ -248,17 +250,40 @@ class TestCli:
         assert exit_info.value.code == 1
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_feastol_exits_one(self, tmp_path, capsys, value):
-        reviews = tmp_path / "reviews.csv"
-        reviews.write_text("reviewer_id,paper_id,score\nr1,A,5\nr2,A,4\n")
-        rc = self.run(
-            "dequantize", "--reviews", str(reviews), "--lambda", "1",
-            "--feastol", value, "--output", str(tmp_path / "o.csv"),
-        )
-        assert rc == 1
-        assert "finite" in capsys.readouterr().err
-        assert not (tmp_path / "o.csv").exists()
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("dequantize", "--seed"),
+            ("dequantize", "--feastol"),
+            ("qv", "--seed"),
+            ("qv", "--lambda"),
+            ("qv", "--feastol"),
+            ("experiment", "--feastol"),
+        ],
+    )
+    def test_flag_that_changes_nothing_is_unknown(
+        self, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiment, "_run_trial", no_trial)
+        out = tmp_path / "out"
+        argv = [command, flag, "1", "--output", str(out)]
+        if command != "experiment":
+            reviews = tmp_path / "reviews.csv"
+            reviews.write_text("reviewer_id,paper_id,score\nr1,A,5\nr2,A,4\n")
+            argv += ["--reviews", str(reviews)]
+        with pytest.raises(SystemExit) as exit_info:
+            self.run(*argv)
+        assert exit_info.value.code == 1
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_parses_where_it_draws_data(self):
+        parser = build_parser()
+        assert parser.parse_args(["simulate", "--seed", "3", "--output-prefix", "x"]).seed == 3
+        assert parser.parse_args(["experiment", "--seed", "3", "--output", "x"]).seed == 3
 
     @pytest.mark.parametrize(
         "argv",
@@ -413,6 +438,8 @@ class TestCli:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["selected_lambda"] in payload["lambdas"]
+        assert payload["report_version"] == 2
+        assert set(payload["parameters"]) == {"epsilon"}
         assert "<- selected" in capsys.readouterr().out
 
     def test_baseline_command(self, tmp_path, capsys):
@@ -441,8 +468,10 @@ class TestCli:
         )
         assert rc == 0
         payload = json.loads(report_path.read_text())
-        assert payload["report_version"] == 1
+        assert payload["report_version"] == 2
         assert payload["parameters"]["epsilon"] == 0.05
+        assert "feasibility_tolerance" not in payload["parameters"]
+        assert not [key for key in payload["parameters"]["base"] if key.endswith("_range")]
         header = table_path.read_text().splitlines()[0]
         assert header == "method,sweep_value,metric,mean,sem"
         capsys.readouterr()

@@ -22,8 +22,9 @@ package's own ``simulate`` path, plus two small hand-written datasets that
 Printed paths, and the raw-score path the raw-score report names, are
 replaced by ``<tmp>`` before hashing. A change that alters
 an output on purpose regenerates the file with
-``PYTHONPATH=src python tests/test_golden.py --regenerate`` and says why;
-any other invocation of the script prints its usage and writes nothing.
+``PYTHONPATH=src python tests/test_golden.py --regenerate``, which prints
+the names of the digests that changed, were added or were removed, and says
+why; any other invocation of the script prints its usage and writes nothing.
 """
 
 from __future__ import annotations
@@ -201,7 +202,15 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(f"usage: PYTHONPATH=src python tests/test_golden.py --regenerate\n"
                  f"rewrites {GOLDEN} from the current outputs")
+    pinned = json.loads(GOLDEN.read_text())
     with tempfile.TemporaryDirectory() as scratch:
         table = digests(Path(scratch))
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN} ({len(table)} digests)", file=sys.stderr)
+    for kind, names in (
+        ("changed", [name for name in table.keys() & pinned.keys() if table[name] != pinned[name]]),
+        ("added", table.keys() - pinned.keys()),
+        ("removed", pinned.keys() - table.keys()),
+    ):
+        for name in sorted(names):
+            print(f"{kind}: {name}", file=sys.stderr)

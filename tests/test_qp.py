@@ -541,22 +541,19 @@ def exactly_certified(problem, y) -> bool:
 
 
 def within_solver_tolerances(problem, y) -> bool:
-    """Primal violation within ``feastol`` and stationarity within
-    ``OPTIMALITY_TOLERANCE``, with every row within ``feastol`` of its bound
-    counted active: what ``solve`` promises of any point it returns."""
-    certificate = certify(problem, y, tolerance=qp.DEFAULT_FEASTOL)
-    return (
-        certificate.primal <= qp.DEFAULT_FEASTOL
-        and certificate.stationarity <= qp.OPTIMALITY_TOLERANCE
-    )
+    """Primal violation within ``qp.FEASTOL`` and stationarity within
+    ``OPTIMALITY_TOLERANCE``, with every row within ``qp.FEASTOL`` of its
+    bound counted active: what ``solve`` promises of any point it returns."""
+    certificate = certify(problem, y, tolerance=qp.FEASTOL)
+    return certificate.primal <= qp.FEASTOL and certificate.stationarity <= qp.OPTIMALITY_TOLERANCE
 
 
 def active_rows_dependent(problem, y) -> bool:
-    """Whether the rows within ``feastol`` of their bound at ``y`` are
+    """Whether the rows within ``qp.FEASTOL`` of their bound at ``y`` are
     linearly dependent, so that their multipliers are not unique."""
     rows = problem.constraints.rows
     Ay = rows.A @ y
-    normals = rows.A[(Ay - rows.lower <= qp.DEFAULT_FEASTOL) | (rows.upper - Ay <= qp.DEFAULT_FEASTOL)]
+    normals = rows.A[(Ay - rows.lower <= qp.FEASTOL) | (rows.upper - Ay <= qp.FEASTOL)]
     return np.linalg.matrix_rank(normals.toarray()) < normals.shape[0]
 
 
@@ -596,12 +593,6 @@ class TestSmallProblemSweep:
 
 
 class TestProblemConstruction:
-    @pytest.mark.parametrize("value", [0.0, -1e-6, float("nan"), float("inf")])
-    def test_settings_must_be_finite(self, value):
-        # feastol, the solver's one setting, must be a positive finite number
-        with pytest.raises(ValueError, match="finite"):
-            solve(two_variable_pair_problem(), feastol=value)
-
     def test_problems_and_solutions_compare_by_identity(self):
         # they hold arrays, whose == is elementwise: equality is identity
         problem = two_variable_pair_problem()

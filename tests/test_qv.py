@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from deqscores.dequantize import compile_dataset
+from deqscores import qv
+from deqscores.dequantize import DequantizerConfig, compile_dataset
 from deqscores.metrics import kendall_tau_error
 from deqscores.qp import solve
 from deqscores.qv import (
@@ -95,6 +96,19 @@ class TestSelectLambda:
         a = select_lambda(instance.dataset)
         b = select_lambda(instance.dataset)
         assert a == b
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, float("nan")])
+    def test_epsilon_outside_unit_interval_rejected_before_any_solve(self, monkeypatch, epsilon):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a problem was solved")
+
+        monkeypatch.setattr(qv, "solve", no_solve)
+        instance = generate(SynthConfig(num_papers=8, seed=2))
+        with pytest.raises(ValueError) as error:
+            select_lambda(instance.dataset, epsilon)
+        with pytest.raises(ValueError) as config_error:
+            DequantizerConfig(epsilon=epsilon)
+        assert str(error.value) == str(config_error.value)
 
     def test_all_tied_scores_degenerate(self):
         ds = make_dataset({("r1", "A"): 5, ("r2", "A"): 5}, scale=(0, 10))

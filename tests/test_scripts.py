@@ -34,7 +34,7 @@ def test_synthetic_sweeps_write_report(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     report = json.loads((tmp_path / "sweep_sigma.json").read_text())
-    assert report["report_version"] == 1
+    assert report["report_version"] == 2
     assert report["parameters"]["sweep_parameter"] == "sigma"
     assert report["parameters"]["sweep_values"] == [0.1, 0.5, 1.0]
     assert len(report["results"]) == 3 * 3  # sweep values x methods
