@@ -24,12 +24,25 @@ SWEEPS = {
 }
 
 
+def sweep_names(text: str) -> list[str]:
+    """The comma-separated names of ``--sweeps``, all of them known."""
+    names = text.split(",")
+    unknown = [name for name in names if name not in SWEEPS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown sweeps {', '.join(unknown)}; known: {', '.join(SWEEPS)}"
+        )
+    return names
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--sweeps", default=",".join(SWEEPS), help="comma-separated sweep names")
+    parser.add_argument(
+        "--sweeps", type=sweep_names, default=",".join(SWEEPS), help="comma-separated sweep names"
+    )
     parser.add_argument("--out", default=None, help="directory for JSON reports")
     args = parser.parse_args()
 
@@ -37,7 +50,7 @@ def main() -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    for name in args.sweeps.split(","):
+    for name in args.sweeps:
         values = SWEEPS[name]
         spec = ExperimentSpec(
             methods=("proposed", "quantized", "bre_adjusted"),

@@ -23,7 +23,6 @@ from .dequantize import (
     AUTO,
     CompiledDataset,
     DequantizeResult,
-    DequantizerConfig,
     assemble,
     compile_dataset,
     consistency_report,

@@ -126,7 +126,7 @@ def _mismatch(dataset: ReviewDataset, reviewer: int, level: np.ndarray) -> str:
     """The message of ``GroupsInconsistent`` for the reviewer at
     ``reviewer_ids[reviewer]``, whose rows are not the pairs its levels
     imply."""
-    reviews, rows = dataset.reviews_of(reviewer), dataset.rankings_of(reviewer)
+    reviews, rows = dataset.reviewer == reviewer, dataset.ranked_by == reviewer
     papers = dataset.paper_ids[dataset.paper[reviews]].tolist()
     levels = level[reviews].tolist()
     reported = set(

@@ -18,11 +18,11 @@ from pathlib import Path
 from . import baselines, io
 from .dequantize import (
     AUTO,
-    DequantizerConfig,
     compile_dataset,
     consistency_report,
     dequantize,
     require_epsilon,
+    require_lambda,
 )
 from .experiment import (
     METHODS,
@@ -60,9 +60,11 @@ def _parse_lambda(text: str):
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"--lambda must be a positive number or 'auto', got {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"--lambda must be a positive finite number, got {text!r}")
+        value = text  # rejected below, with the message of every bad weight
+    try:
+        require_lambda(value)
+    except ValueError as exc:  # "lambda must be ..." becomes "--lambda must be ..."
+        raise argparse.ArgumentTypeError(f"--{exc}, got {text!r}") from None
     return value
 
 
@@ -194,7 +196,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_dequantize(args) -> int:
     dataset = _load(args)
-    result = dequantize(dataset, DequantizerConfig(lam=args.lam, epsilon=args.epsilon))
+    result = dequantize(dataset, args.lam, args.epsilon)
     selected = None if result.validation is None else result.lam
     io.write_scores(result.values, dataset, args.output)
     box_viol, margin = consistency_report(dataset, result.values)

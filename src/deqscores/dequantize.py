@@ -14,7 +14,6 @@ reported rankings strict in the output.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -31,32 +30,17 @@ if TYPE_CHECKING:
 AUTO = "auto"
 
 
+def require_lambda(lam: float) -> None:
+    """Raise ``ValueError`` unless the fit weight is a positive finite
+    number. ``AUTO`` is no weight: select one first."""
+    if isinstance(lam, str) or not (math.isfinite(lam) and lam > 0):
+        raise ValueError("lambda must be a positive finite number")
+
+
 def require_epsilon(epsilon: float) -> None:
     """Raise ``ValueError`` unless the ranking separation lies in (0, 1)."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-
-
-@dataclass(frozen=True)
-class DequantizerConfig:
-    """Hyperparameters: fit weight ``lam`` (or AUTO for data-driven selection)
-    and ranking separation ``epsilon``."""
-
-    lam: float | str = AUTO
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self) -> None:
-        if isinstance(self.lam, str):
-            if self.lam != AUTO:
-                raise ValueError(f"lam must be a positive number or {AUTO!r}")
-        elif not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("lam must be a positive finite number")
-        require_epsilon(self.epsilon)
-
-    def fit_weight(self) -> float:
-        if isinstance(self.lam, str):
-            raise ValueError("fit weight is unresolved (AUTO); select a value first")
-        return float(self.lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,14 +129,15 @@ def compile_dataset(dataset: ReviewDataset, epsilon: float) -> CompiledDataset:
     return CompiledDataset(z, consensus, np.nonzero(on_diagonal)[0], constraints)
 
 
-def assemble(dataset: ReviewDataset, config: DequantizerConfig) -> QPProblem:
-    """Build the QP for a valid dataset and a concrete fit weight."""
-    lam = config.fit_weight()
-    return compile_dataset(dataset, config.epsilon).problem(lam)
+def assemble(dataset: ReviewDataset, lam: float, epsilon: float) -> QPProblem:
+    """Build the QP for a valid dataset, a fit weight and a separation."""
+    require_lambda(lam)
+    require_epsilon(epsilon)
+    return compile_dataset(dataset, epsilon).problem(float(lam))
 
 
 def dequantize(
-    dataset: ReviewDataset, config: DequantizerConfig = DequantizerConfig()
+    dataset: ReviewDataset, lam: float | str = AUTO, epsilon: float = DEFAULT_EPSILON
 ) -> DequantizeResult:
     """Merge scores and rankings into per-review real values.
 
@@ -164,13 +149,13 @@ def dequantize(
     (both up to ``qp.FEASTOL``).
     """
     validation = None
-    if config.lam == AUTO:
+    if lam == AUTO:
         from .qv import select_lambda
 
-        validation = select_lambda(dataset, config.epsilon)
-        config = dataclasses.replace(config, lam=validation.selected_lambda)
-    solution = solve(assemble(dataset, config))
-    return DequantizeResult(values=solution.values, lam=config.lam, validation=validation)
+        validation = select_lambda(dataset, epsilon)
+        lam = validation.selected_lambda
+    solution = solve(assemble(dataset, lam, epsilon))
+    return DequantizeResult(values=solution.values, lam=lam, validation=validation)
 
 
 def consistency_report(dataset: ReviewDataset, values) -> tuple[float, float]:

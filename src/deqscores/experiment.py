@@ -12,7 +12,6 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .baselines import (
     partial_rankings_adjusted_scores,
     quantized_baseline,
 )
-from .dequantize import AUTO, DequantizerConfig, dequantize
+from .dequantize import AUTO, dequantize, require_epsilon, require_lambda
 from .io import prepare_half_scale
 from .metrics import (
     kendall_tau_errors,
@@ -102,10 +101,17 @@ class ExperimentSpec:
             )
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.sweep_parameter == "lambda" and not all(
-            math.isfinite(v) and v > 0 for v in self.sweep_values
-        ):
-            raise ValueError("swept lambda values must be positive and finite")
+        if self.sweep_parameter == "lambda":
+            if self.lam != AUTO:
+                # each trial runs at its swept weight, so a given one is inert
+                raise ValueError(
+                    f"a lambda sweep sets each trial's fit weight; lam must stay {AUTO!r}, "
+                    f"got {self.lam!r}"
+                )
+            for value in self.sweep_values:
+                require_lambda(value)
+        elif self.lam != AUTO:
+            require_lambda(self.lam)
         if isinstance(self.base, FileSource) and self.sweep_parameter not in FILE_SWEEPS:
             # a score file fixes the review values, so every row would
             # repeat the same trials under another label
@@ -117,8 +123,7 @@ class ExperimentSpec:
         # would reject
         for value in self.sweep_values:
             _swept_config(self.base, self.sweep_parameter, value)
-        # fail before any trial runs on a bad weight or separation
-        DequantizerConfig(lam=self.lam, epsilon=self.epsilon)
+        require_epsilon(self.epsilon)
 
 
 @dataclass
@@ -185,14 +190,13 @@ def _swept_config(
 
 
 def _run_method(
-    method: str, dataset: ReviewDataset, config: DequantizerConfig
+    method: str, dataset: ReviewDataset, lam: float | str, epsilon: float
 ) -> tuple[np.ndarray, float | None]:
     """Returns the method's scores, aligned with the dataset's reviews, and,
     for the proposed method under AUTO, the selected fit weight. The
-    baselines read only ``config.epsilon``."""
-    epsilon = config.epsilon
+    baselines read only ``epsilon``."""
     if method == "proposed":
-        result = dequantize(dataset, config)
+        result = dequantize(dataset, lam, epsilon)
         return result.values, None if result.validation is None else result.lam
     if method == "quantized":
         return quantized_baseline(dataset), None
@@ -229,11 +233,8 @@ def _evaluate(truth, estimates, metrics, project_l2: bool) -> list[dict]:
 
 def _run_trial(spec: ExperimentSpec, sweep_value, trial: int) -> dict:
     dataset, truth, project_l2 = _instance_for(spec, sweep_value, trial)
-    lam = spec.lam
-    if spec.sweep_parameter == "lambda":
-        lam = float(sweep_value)
-    config = DequantizerConfig(lam=lam, epsilon=spec.epsilon)
-    estimates, selected = zip(*(_run_method(m, dataset, config) for m in spec.methods))
+    lam = float(sweep_value) if spec.sweep_parameter == "lambda" else spec.lam
+    estimates, selected = zip(*(_run_method(m, dataset, lam, spec.epsilon) for m in spec.methods))
     scored = _evaluate(truth, estimates, spec.metrics, project_l2)
     return {
         method: {"metrics": metrics, "selected_lambda": chosen}

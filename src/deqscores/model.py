@@ -142,19 +142,6 @@ class ReviewDataset:
         """The (reviewer_id, paper_id) of each review, in review order."""
         return list(zip(self.reviewer_ids[self.reviewer], self.paper_ids[self.paper]))
 
-    def reviews_of(self, reviewer: int) -> slice:
-        """The reviews of the reviewer at ``reviewer_ids[reviewer]``."""
-        return slice(*self._bounds[0][reviewer : reviewer + 2])
-
-    def rankings_of(self, reviewer: int) -> slice:
-        """The ranking rows of the reviewer at ``reviewer_ids[reviewer]``."""
-        return slice(*self._bounds[1][reviewer : reviewer + 2])
-
-    @cached_property
-    def _bounds(self) -> list[list[int]]:
-        everyone = np.arange(self.reviewer_ids.shape[0] + 1)
-        return [np.searchsorted(a, everyone).tolist() for a in (self.reviewer, self.ranked_by)]
-
     @cached_property
     def ranked_reviews(self) -> np.ndarray:
         """The review positions of each ranking row's better paper (row 0)

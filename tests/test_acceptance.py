@@ -14,12 +14,7 @@ import pytest
 
 import test_io
 from deqscores.baselines import bre_adjusted_scores
-from deqscores.dequantize import (
-    DequantizerConfig,
-    assemble,
-    consistency_report,
-    dequantize,
-)
+from deqscores.dequantize import assemble, consistency_report, dequantize
 from deqscores.experiment import ExperimentSpec, run_experiment
 from deqscores.io import prepare_half_scale
 from deqscores.metrics import (
@@ -105,8 +100,7 @@ def test_criterion_01_constraint_consistency():
         instance = generate(
             SynthConfig(num_papers=papers, sigma=sigma, seed=trial_seed(1001, i))
         )
-        config = DequantizerConfig(lam=lam, epsilon=EPSILON)
-        scores = dequantize(instance.dataset, config)
+        scores = dequantize(instance.dataset, lam=lam, epsilon=EPSILON)
         box, margin = consistency_report(instance.dataset, scores.values)
         worst_box = max(worst_box, box)
         if margin < worst_margin:
@@ -135,7 +129,7 @@ def test_criterion_02_closed_form_equivalence():
             )
         )
         ds = make_dataset(score_records(instance.dataset))
-        deq = dequantize(ds, DequantizerConfig(lam=lam, epsilon=EPSILON))
+        deq = dequantize(ds, lam=lam, epsilon=EPSILON)
         closed = score_only_closed_form(ds, lam)
         diff = float(np.max(np.abs(deq.values - closed)))
         worst = max(worst, diff)
@@ -164,7 +158,7 @@ def test_criterion_03_limit_equivalence():
             continue
         collected += 1
         bre = bre_adjusted_scores(ds, epsilon=EPSILON)
-        deq = dequantize(ds, DequantizerConfig(lam=1e6, epsilon=EPSILON))
+        deq = dequantize(ds, lam=1e6, epsilon=EPSILON)
         worst = max(worst, float(np.max(np.abs(deq.values - bre))))
         deq, bre = by_pair(ds, deq.values), by_pair(ds, bre)
         for reviewer, papers in papers_by_reviewer(ds).items():
@@ -202,7 +196,7 @@ def test_criterion_04_thurstone_equivalence():
         if degenerate:  # a flat direction would make the argmax non-unique
             continue
         collected += 1
-        deq = dequantize(ds, DequantizerConfig(lam=1e-6))  # consensus only
+        deq = dequantize(ds, lam=1e-6)  # consensus only
         oracle = likelihood_lattice_maximizer(ds)
         deq = by_pair(ds, deq.values)
         worst = max(worst, max(abs(deq[k] - oracle[k]) for k in deq))
@@ -241,9 +235,7 @@ def test_criterion_05_solver_vs_oracle():
                 SynthConfig(num_papers=1, reviews_per_paper=mu, papers_per_reviewer=1,
                             sigma=1.0, seed=trial_seed(53, i))
             )
-            problem = assemble(
-                instance.dataset, DequantizerConfig(lam=GRID[i % 40], epsilon=EPSILON)
-            )
+            problem = assemble(instance.dataset, lam=GRID[i % 40], epsilon=EPSILON)
         exact = objective(problem, solve(problem).values)
         oracle = objective(problem, brute_force_minimize(problem, 1e-3).values)
         worst = max(worst, abs(exact - oracle))
@@ -316,9 +308,7 @@ def test_criterion_08_validation_quality():
         errors = []
         active = None
         for lam in GRID:
-            problem = assemble(
-                instance.dataset, DequantizerConfig(lam=lam, epsilon=EPSILON)
-            )
+            problem = assemble(instance.dataset, lam=lam, epsilon=EPSILON)
             solution = solve(problem, active=active)
             active = solution.active
             errors.append(kendall_tau_error(truth, solution.values))
@@ -397,8 +387,7 @@ def test_criterion_12_epsilon_robustness():
             instance = generate(SynthConfig(seed=trial_seed(121, trial)))
             selected = select_lambda(instance.dataset, epsilon)
             scores = dequantize(
-                instance.dataset,
-                DequantizerConfig(lam=selected.selected_lambda, epsilon=epsilon),
+                instance.dataset, lam=selected.selected_lambda, epsilon=epsilon
             )
             errors.append(kendall_tau_error(instance.truth_y, scores.values))
         means[epsilon] = float(np.mean(errors))

@@ -1,20 +1,22 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from deqscores import model, qp
+from deqscores import cli, model, qp, qv
 from deqscores.baselines import bre_adjusted_scores
 from deqscores.dequantize import (
     AUTO,
-    DequantizerConfig,
     assemble,
     compile_dataset,
     consistency_report,
     dequantize,
+    require_lambda,
 )
-from deqscores.model import ValidationError
+from deqscores.experiment import ExperimentSpec
+from deqscores.model import DEFAULT_EPSILON, ValidationError
 from deqscores.qp import PAIR_ROW, InfeasibleProblem, solve
 from deqscores.qv import LAMBDA_GRID, coarsen, select_lambda
 from deqscores.synth import SynthConfig, generate, trial_seed
@@ -35,6 +37,9 @@ from oracles import (
     thurstone_joint_loglikelihood,
 )
 
+# the module, whose name the package's ``dequantize`` function shadows
+DEQUANTIZE = importlib.import_module("deqscores.dequantize")
+
 
 def literal_objective(dataset, values, lam):
     """The consensus + fit objective computed straight from its definition."""
@@ -51,7 +56,7 @@ def literal_objective(dataset, values, lam):
 class TestAssemble:
     def test_one_paper_two_reviewers(self):
         ds = make_dataset({("r1", "A"): 5, ("r2", "A"): 5})
-        problem = assemble(ds, DequantizerConfig(lam=1.0))
+        problem = assemble(ds, lam=1.0, epsilon=DEFAULT_EPSILON)
         np.testing.assert_allclose(
             problem.quadratic.toarray(), [[3.0, -1.0], [-1.0, 3.0]], atol=1e-12
         )
@@ -60,25 +65,25 @@ class TestAssemble:
 
     def test_single_review_has_no_consensus_term(self):
         ds = make_dataset({("r1", "A"): 7})
-        problem = assemble(ds, DequantizerConfig(lam=2.5))
+        problem = assemble(ds, lam=2.5, epsilon=DEFAULT_EPSILON)
         np.testing.assert_allclose(problem.quadratic.toarray(), [[5.0]], atol=1e-12)
 
     def test_ranking_pair_becomes_one_constraint(self):
         ds = make_dataset({("r1", "A"): 5, ("r1", "B"): 5}, {"r1": [("A", "B")]})
-        problem = assemble(ds, DequantizerConfig(lam=1.0, epsilon=0.05))
+        problem = assemble(ds, lam=1.0, epsilon=0.05)
         i, j = ds.pairs().index(("r1", "A")), ds.pairs().index(("r1", "B"))
         assert np.array_equal(problem.pair_constraints, np.array([(i, j, 0.05)], dtype=PAIR_ROW))
 
     def test_boxes_are_half_unit_around_scores(self):
         ds = make_dataset({("r1", "A"): 5, ("r1", "B"): 3})
-        problem = assemble(ds, DequantizerConfig(lam=1.0))
+        problem = assemble(ds, lam=1.0, epsilon=DEFAULT_EPSILON)
         assert problem.constraints.box_lower == pytest.approx([4.5, 2.5])
         assert problem.constraints.box_upper == pytest.approx([5.5, 3.5])
 
     def test_objective_value_matches_literal_expression(self):
         instance = generate(SynthConfig(num_papers=10, seed=5))
         lam = 3.7
-        problem = assemble(instance.dataset, DequantizerConfig(lam=lam))
+        problem = assemble(instance.dataset, lam=lam, epsilon=DEFAULT_EPSILON)
         solution = solve(problem)
         values = dict(zip(instance.dataset.pairs(), solution.values.tolist()))
         z = instance.dataset.scores.astype(float)
@@ -90,17 +95,21 @@ class TestAssemble:
     def test_invalid_dataset_rejected(self):
         ds = make_dataset({("r1", "A"): 99})
         with pytest.raises(ValidationError):
-            assemble(ds, DequantizerConfig(lam=1.0))
+            assemble(ds, lam=1.0, epsilon=DEFAULT_EPSILON)
 
     def test_auto_lam_needs_resolution(self):
+        # dequantize resolves AUTO; assemble takes only a weight
         ds = make_dataset({("r1", "A"): 5})
-        with pytest.raises(ValueError, match="AUTO"):
-            assemble(ds, DequantizerConfig(lam=AUTO))
+        with pytest.raises(ValueError, match="positive finite number"):
+            assemble(ds, lam=AUTO, epsilon=DEFAULT_EPSILON)
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_lam_rejected(self, lam):
+        ds = make_dataset({("r1", "A"): 5})
         with pytest.raises(ValueError, match="finite"):
-            DequantizerConfig(lam=lam)
+            dequantize(ds, lam=lam)
+        with pytest.raises(ValueError, match="finite"):
+            assemble(ds, lam=lam, epsilon=DEFAULT_EPSILON)
 
 
 def consensus_plus_fit(dataset, lam):
@@ -172,27 +181,26 @@ class TestDequantize:
         ds = make_dataset(
             {("r1", "A"): 6, ("r2", "A"): 6, ("r1", "B"): 3, ("r2", "B"): 3}
         )
-        scores = by_pair(ds, dequantize(ds, DequantizerConfig(lam=2.0)).values)
+        scores = by_pair(ds, dequantize(ds, lam=2.0).values)
         for pair, z in score_records(ds).items():
             assert scores[pair] == pytest.approx(z, abs=1e-7)
 
     def test_scores_only_two_reviewers(self):
         ds = make_dataset({("r1", "A"): 7, ("r2", "A"): 4})
-        scores = by_pair(ds, dequantize(ds, DequantizerConfig(lam=1.0)).values)
+        scores = by_pair(ds, dequantize(ds, lam=1.0).values)
         assert scores[("r1", "A")] == pytest.approx(6.5, abs=1e-7)
         assert scores[("r2", "A")] == pytest.approx(4.5, abs=1e-7)
 
     def test_output_is_consistent_with_inputs(self):
         instance = generate(SynthConfig(num_papers=12, sigma=1.0, seed=9))
-        config = DequantizerConfig(lam=2.0)
-        scores = dequantize(instance.dataset, config)
+        scores = dequantize(instance.dataset, lam=2.0)
         box_violation, margin = consistency_report(instance.dataset, scores.values)
         assert box_violation <= qp.FEASTOL
-        assert margin >= config.epsilon - qp.FEASTOL
+        assert margin >= DEFAULT_EPSILON - qp.FEASTOL
 
     def test_single_review_returns_score(self):
         ds = make_dataset({("r1", "A"): 7})
-        scores = dequantize(ds, DequantizerConfig(lam=1.0))
+        scores = dequantize(ds, lam=1.0)
         assert scores.values.tolist() == pytest.approx([7.0], abs=1e-8)
 
     def test_overlong_tied_chain_is_infeasible(self):
@@ -201,7 +209,7 @@ class TestDequantize:
         pairs = [(order[i], order[i + 1]) for i in range(21)]
         ds = make_dataset(scores, {"r1": pairs})
         with pytest.raises(InfeasibleProblem) as info:
-            dequantize(ds, DequantizerConfig(lam=1.0, epsilon=0.05))
+            dequantize(ds, lam=1.0, epsilon=0.05)
         # the chain is named by (reviewer, paper) ids, best first
         message = str(info.value)
         assert "('r1', 'p00') > ('r1', 'p01') > " in message
@@ -214,14 +222,14 @@ class TestDequantize:
             {"r 1": [(papers[0], papers[1]), (papers[1], papers[2])]},
         )
         with pytest.raises(InfeasibleProblem) as info:
-            dequantize(ds, DequantizerConfig(lam=1.0, epsilon=0.6))
+            dequantize(ds, lam=1.0, epsilon=0.6)
         assert str(info.value).endswith("('r 1', 'A > B') > ('r 1', 'C') > ('r 1', 'D\\nE')")
 
     def test_auto_matches_explicit_selection(self):
         instance = generate(SynthConfig(num_papers=12, seed=21))
         report = select_lambda(instance.dataset)
-        auto = dequantize(instance.dataset, DequantizerConfig(lam=AUTO))
-        manual = dequantize(instance.dataset, DequantizerConfig(lam=report.selected_lambda))
+        auto = dequantize(instance.dataset, lam=AUTO)
+        manual = dequantize(instance.dataset, lam=report.selected_lambda)
         assert auto.values == pytest.approx(manual.values, abs=1e-9)
 
     def test_auto_compiles_each_dataset_once(self, monkeypatch):
@@ -237,14 +245,14 @@ class TestDequantize:
         monkeypatch.setattr(model, "validate", counting("validate", model.validate))
         monkeypatch.setattr(qp, "check_feasibility", counting("check_feasibility", qp.check_feasibility))
         instance = generate(SynthConfig(num_papers=12, seed=21))
-        auto = dequantize(instance.dataset, DequantizerConfig(lam=AUTO))
+        auto = dequantize(instance.dataset, lam=AUTO)
         # one feasibility check for the coarsened copy's whole grid, one for
         # the final solve on the dataset itself
         assert calls["validate"] <= 3
         assert calls["check_feasibility"] == 2
         assert auto.validation.selected_lambda == auto.lam
         assert len(auto.validation.errors) == 40
-        manual = dequantize(instance.dataset, DequantizerConfig(lam=auto.lam))
+        manual = dequantize(instance.dataset, lam=auto.lam)
         assert np.array_equal(manual.values, auto.values)
         assert manual.lam == auto.lam and manual.validation is None
 
@@ -252,8 +260,58 @@ class TestDequantize:
         from deqscores.metrics import tie_fraction
 
         instance = generate(SynthConfig(seed=42))
-        scores = dequantize(instance.dataset, DequantizerConfig(lam=AUTO))
+        scores = dequantize(instance.dataset, lam=AUTO)
         assert tie_fraction(scores.values) < 0.015
+
+    @pytest.mark.parametrize("lam", [2.0, AUTO])
+    def test_one_assemble_per_call(self, monkeypatch, lam):
+        # the bench's dequantize.assemble_calls counts one per dequantize
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(DEQUANTIZE, "assemble", counted)
+        dequantize(generate(SynthConfig(num_papers=12, seed=21)).dataset, lam=lam)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("lam", [0, -3, float("nan"), float("inf"), "fast"])
+def test_bad_fit_weight_rejected_everywhere_with_one_message(
+    monkeypatch, capsys, tmp_path, lam
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a problem was solved")
+
+    for module in (qp, qv, DEQUANTIZE):
+        monkeypatch.setattr(module, "solve", no_solve)
+    with pytest.raises(ValueError) as rule:
+        require_lambda(lam)
+    message = str(rule.value)
+    ds = make_dataset({("r1", "A"): 5, ("r2", "A"): 4})
+    entries = [
+        lambda: dequantize(ds, lam=lam),
+        lambda: assemble(ds, lam=lam, epsilon=DEFAULT_EPSILON),
+        lambda: ExperimentSpec(lam=lam),
+        lambda: ExperimentSpec(sweep_parameter="lambda", sweep_values=(lam,)),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError) as error:
+            entry()
+        assert str(error.value) == message
+
+    reviews = tmp_path / "reviews.csv"
+    reviews.write_text("reviewer_id,paper_id,score\nr1,A,5\n")
+    text = str(lam)
+    argv = ["dequantize", "--reviews", str(reviews), f"--lambda={text}",
+            "--output", str(tmp_path / "out.csv")]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"deqscores dequantize: error: argument --lambda: --{message}, got {text!r}"
+    )
 
 
 class TestLimitBehavior:
@@ -276,7 +334,7 @@ class TestLimitBehavior:
         bre = bre_adjusted_scores(instance.dataset, epsilon=0.05)
         gaps = []
         for lam in (1e2, 1e4, 1e6):
-            deq = dequantize(instance.dataset, DequantizerConfig(lam=lam))
+            deq = dequantize(instance.dataset, lam=lam)
             gaps.append(float(np.max(np.abs(deq.values - bre))))
         assert gaps[0] >= gaps[1] >= gaps[2]
         assert gaps[2] <= 1e-3
@@ -284,7 +342,7 @@ class TestLimitBehavior:
     def test_per_reviewer_ordering_matches_at_large_weight(self):
         instance = self._total_ranking_instance(29)
         bre = bre_adjusted_scores(instance.dataset, epsilon=0.05)
-        deq = dequantize(instance.dataset, DequantizerConfig(lam=1e6))
+        deq = dequantize(instance.dataset, lam=1e6)
         deq, bre = by_pair(instance.dataset, deq.values), by_pair(instance.dataset, bre)
         for reviewer, papers in papers_by_reviewer(instance.dataset).items():
             by_deq = sorted(papers, key=lambda p: deq[(reviewer, p)])
@@ -307,7 +365,7 @@ class TestClosedFormAgreement:
                             sigma=1.0, seed=trial_seed(3, i))
             )
             ds = make_dataset(score_records(instance.dataset))
-            deq = dequantize(ds, DequantizerConfig(lam=lam))
+            deq = dequantize(ds, lam=lam)
             closed = score_only_closed_form(ds, lam)
             assert deq.values == pytest.approx(closed, abs=1e-4)
 
@@ -322,7 +380,7 @@ class TestClosedFormAgreement:
             closed = score_only_closed_form(ds, lam)
             if np.any(np.abs(closed - ds.scores) >= 0.5 - 1e-12):  # clipped
                 continue
-            deq = dequantize(ds, DequantizerConfig(lam=lam))
+            deq = dequantize(ds, lam=lam)
             assert deq.values == pytest.approx(closed, abs=1e-6)
 
     def test_one_sided_clipping_divergence_instance(self):
@@ -333,12 +391,12 @@ class TestClosedFormAgreement:
         # conditions and is reached by both the solver and the analytic form
         ds = make_dataset({("r1", "A"): 7, ("r2", "A"): 5, ("r3", "A"): 5})
         lam = 1.0
-        deq = dequantize(ds, DequantizerConfig(lam=lam)).values
+        deq = dequantize(ds, lam=lam).values
         closed = score_only_closed_form(ds, lam)
         # the reviews in review order: r1, r2, r3
         assert deq[:2] == pytest.approx([6.5, 5.375], abs=1e-7)
         assert closed == pytest.approx([6.5, 5.375, 5.375], abs=1e-7)
-        problem = assemble(ds, DequantizerConfig(lam=lam))
+        problem = assemble(ds, lam=lam, epsilon=DEFAULT_EPSILON)
         assert objective(problem, closed) <= objective(problem, deq) + 1e-9
 
 
@@ -375,6 +433,6 @@ class TestThurstoneConnection:
         ]
         for scores in cases:
             ds = make_dataset(scores)
-            deq = dequantize(ds, DequantizerConfig(lam=1e-6))  # consensus only
+            deq = dequantize(ds, lam=1e-6)  # consensus only
             oracle = likelihood_lattice_maximizer(ds)
             assert by_pair(ds, deq.values) == pytest.approx(oracle, abs=1e-3)

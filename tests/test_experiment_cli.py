@@ -65,7 +65,7 @@ class TestRunExperiment:
 
     def test_lambda_sweep_controls_fit_weight(self):
         report = run_experiment(
-            tiny_spec(sweep_parameter="lambda", sweep_values=(1.0, 1e6),
+            tiny_spec(sweep_parameter="lambda", sweep_values=(1.0, 1e6), lam="auto",
                       methods=("proposed", "quantized"), trials=1)
         )
         # at huge weight the output hugs the scores, so the kendall error of
@@ -333,10 +333,12 @@ class TestCli:
                  "--sweep", "papers_per_reviewer", "--values", "3,-1"],
                 "papers_per_reviewer must be at least 1, got -1",
             ),
+            (["--sweep", "lambda", "--values", "1,2"], "lam must stay 'auto', got 2.0"),
         ],
         ids=[
             "fractional-load", "repeated-value", "zero-jobs", "negative-jobs",
             "nan-sigma", "zero-load", "file-sigma", "file-zero-load", "file-negative-load",
+            "lambda-sweep-with-weight",
         ],
     )
     def test_mislabelled_sweep_rejected_before_any_trial(

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deqscores import cli
-from deqscores.dequantize import DequantizerConfig, dequantize
+from deqscores.dequantize import dequantize
 from deqscores.io import (
     InsufficientReviews,
     ParseError,
@@ -308,7 +308,7 @@ class TestWriteScores:
     def test_rows_sorted_per_paper_best_first(self, tmp_path):
         instance = generate(SynthConfig(num_papers=6, reviews_per_paper=2,
                                         papers_per_reviewer=2, seed=4))
-        scores = dequantize(instance.dataset, DequantizerConfig(lam=2.0)).values
+        scores = dequantize(instance.dataset, lam=2.0).values
         out = tmp_path / "out.csv"
         write_scores(scores, instance.dataset, out)
         lines = out.read_text().splitlines()
@@ -325,7 +325,7 @@ class TestWriteScores:
     def test_rewrite_is_byte_identical(self, tmp_path):
         instance = generate(SynthConfig(num_papers=6, reviews_per_paper=2,
                                         papers_per_reviewer=2, seed=4))
-        scores = dequantize(instance.dataset, DequantizerConfig(lam=2.0)).values
+        scores = dequantize(instance.dataset, lam=2.0).values
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
         write_scores(scores, instance.dataset, first)
@@ -335,7 +335,7 @@ class TestWriteScores:
     def test_round_trip_preserves_twelve_digits(self, tmp_path):
         instance = generate(SynthConfig(num_papers=6, reviews_per_paper=2,
                                         papers_per_reviewer=2, seed=4))
-        scores = dequantize(instance.dataset, DequantizerConfig(lam=2.0)).values
+        scores = dequantize(instance.dataset, lam=2.0).values
         out = tmp_path / "out.csv"
         write_scores(scores, instance.dataset, out)
         reloaded = load_scores(out)
@@ -355,7 +355,7 @@ class TestWriteScores:
     def test_percentile_column_delegates_to_metrics(self, tmp_path):
         instance = generate(SynthConfig(num_papers=6, reviews_per_paper=2,
                                         papers_per_reviewer=2, seed=4))
-        scores = dequantize(instance.dataset, DequantizerConfig(lam=2.0)).values
+        scores = dequantize(instance.dataset, lam=2.0).values
         out = tmp_path / "out.csv"
         write_scores(scores, instance.dataset, out)
         pairs = instance.dataset.pairs()

@@ -216,8 +216,6 @@ class TestTypes:
         assert ds.scores.dtype == np.int64 and ds.scores.tolist() == [3, 4, 5]
         # repeated rows count once
         assert ranking_records(ds) == [("r1", "A", "B"), ("r1", "B", "A"), ("r3", "C", "A")]
-        assert [ds.reviews_of(r) for r in range(3)] == [slice(0, 2), slice(2, 3), slice(3, 3)]
-        assert [ds.rankings_of(r) for r in range(3)] == [slice(0, 2), slice(2, 2), slice(2, 3)]
         better, worse = ds.ranked_reviews
         assert (better.tolist(), worse.tolist()) == ([0, 1, -1], [1, 0, -1])
 

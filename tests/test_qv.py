@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from deqscores import qv
-from deqscores.dequantize import DequantizerConfig, compile_dataset
+from deqscores.dequantize import compile_dataset, require_epsilon
 from deqscores.metrics import kendall_tau_error
 from deqscores.qp import solve
 from deqscores.qv import (
@@ -106,9 +106,9 @@ class TestSelectLambda:
         instance = generate(SynthConfig(num_papers=8, seed=2))
         with pytest.raises(ValueError) as error:
             select_lambda(instance.dataset, epsilon)
-        with pytest.raises(ValueError) as config_error:
-            DequantizerConfig(epsilon=epsilon)
-        assert str(error.value) == str(config_error.value)
+        with pytest.raises(ValueError) as rule_error:
+            require_epsilon(epsilon)
+        assert str(error.value) == str(rule_error.value)
 
     def test_all_tied_scores_degenerate(self):
         ds = make_dataset({("r1", "A"): 5, ("r2", "A"): 5}, scale=(0, 10))

@@ -38,3 +38,16 @@ def test_synthetic_sweeps_write_report(tmp_path):
     assert report["parameters"]["sweep_parameter"] == "sigma"
     assert report["parameters"]["sweep_values"] == [0.1, 0.5, 1.0]
     assert len(report["results"]) == 3 * 3  # sweep values x methods
+
+
+def test_synthetic_sweeps_reject_an_unknown_name_before_any_sweep(tmp_path):
+    result = run_script(
+        "run_synthetic_sweeps.py", "--sweeps", "sigma,foo", "--trials", "1", "--out", str(tmp_path)
+    )
+    assert result.returncode == 2
+    assert result.stdout == "" and not list(tmp_path.iterdir())
+    errors = [line for line in result.stderr.splitlines() if "error:" in line]
+    assert errors == [
+        "run_synthetic_sweeps.py: error: argument --sweeps: unknown sweeps foo; "
+        "known: sigma, papers_per_reviewer, reviews_per_paper"
+    ]

@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module. The package's
-``__init__.py`` imports names to export them, so it is left out."""
+"""Every name a package module or script imports is used in that file. The
+package's ``__init__.py`` imports names to export them, so it is left out."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ import deqscores
 
 PACKAGE = Path(deqscores.__file__).resolve().parent
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,6 +32,6 @@ def test_the_rule_finds_an_unused_name():
     assert unused_imports(source) == ["b"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
