@@ -129,8 +129,8 @@ def build_parser() -> _Parser:
     p.add_argument("--report", help="optional JSON run report path")
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
-    p.add_argument("--papers", type=int, default=60)
-    p.add_argument("--sigma", type=float, default=0.5)
+    p.add_argument("--papers", type=int, default=SynthConfig.num_papers)
+    p.add_argument("--sigma", type=float, default=SynthConfig.sigma)
     p.add_argument("--reviews-per-paper", type=int, default=4)
     p.add_argument("--papers-per-reviewer", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
@@ -164,8 +164,14 @@ def build_parser() -> _Parser:
         "--metrics", default="kendall,l2,ties",
         help=f"comma-separated subset of {','.join(METRIC_NAMES)}",
     )
-    p.add_argument("--papers", type=int, default=60, help="synthetic papers (default 60)")
-    p.add_argument("--sigma", type=float, default=0.5, help="synthetic noise level (default 0.5)")
+    # unset by default, so that one given with --raw-scores is seen and rejected
+    p.add_argument(
+        "--papers", type=int, help=f"synthetic papers (default {SynthConfig.num_papers})"
+    )
+    p.add_argument(
+        "--sigma", type=float,
+        help=f"synthetic noise level (default {_default(SynthConfig.sigma)})",
+    )
     p.add_argument("--reviews-per-paper", type=int, default=4)
     p.add_argument("--papers-per-reviewer", type=int, default=4)
     p.add_argument(
@@ -261,6 +267,8 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_experiment(args) -> int:
     values = tuple(float(v) for v in args.values.split(","))
+    # the synthetic data's options; one not given takes SynthConfig's default
+    options = {"--papers": ("num_papers", args.papers), "--sigma": ("sigma", args.sigma)}
     if args.raw_scores:
         base = FileSource(
             raw_path=args.raw_scores,
@@ -269,10 +277,9 @@ def _cmd_experiment(args) -> int:
         )
     else:
         base = SynthConfig(
-            num_papers=args.papers,
-            sigma=args.sigma,
             reviews_per_paper=args.reviews_per_paper,
             papers_per_reviewer=args.papers_per_reviewer,
+            **{field: value for field, value in options.values() if value is not None},
         )
     spec = ExperimentSpec(
         methods=tuple(args.methods.split(",")),
@@ -286,6 +293,12 @@ def _cmd_experiment(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
     )
+    given = [flag for flag, (_, value) in options.items() if value is not None]
+    if args.raw_scores and given:  # after the spec's own checks of the sweep
+        raise ValueError(
+            f"{' and '.join(given)} cannot be used with --raw-scores, "
+            "which replaces the synthetic data"
+        )
     report = run_experiment(spec)
     report.save(args.output)
     print(report.table())

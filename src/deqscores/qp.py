@@ -20,12 +20,29 @@ factored: each iteration runs a Jacobi-preconditioned conjugate gradient,
 warm-started from the previous iteration's solution. The box rows make the
 matrix at least rho*I, and for the score-merging QP it is well conditioned,
 so a few CG steps suffice; a sparse LU of it would fill in heavily, because
-consensus and ranking couplings make its graph an expander. The only
-factorization left is the polish's sparse LU of the much smaller active-set
-KKT system. Its CSC arrays are written directly from Q's and from the
-constraint rows' arrays, in two steps: a pattern step fixed by the active
-rows and Q's sparsity pattern, and a fill step that writes Q's values. The
-scaled Q keeps the problem's pattern.
+consensus and ranking couplings make its graph an expander.
+
+Two polishes solve the KKT system on an active set. The LU polish
+(``_polish``) factors it: its CSC arrays are written directly from Q's and
+from the constraint rows' arrays, in two steps, a pattern step fixed by the
+active rows and Q's sparsity pattern and a fill step that writes Q's
+values. The forest polish (``_forest_polish``) factors nothing. The stacked
+rows are the incidence matrix of a graph: a pair row joins its two
+variables, a box row joins its variable to a ground node. On a spanning
+forest of the active rows, x = offset + Z t: the bounds carried along the
+tree edges, and one value of t per component the ground does not fix; t
+solves the reduced system H t = -Z'(Q offset + c), H = Z'QZ, by
+Jacobi-preconditioned conjugate gradient (the null-space method: Nocedal
+and Wright, Numerical Optimization, 2006, section 16.2). For the
+score-merging QP the preconditioned H has condition number at most
+1 + 1/lambda, so on the weight grid (lambda >= 1) a few steps reach 1e-15
+(Saad, Iterative Methods for Sparse Linear Systems, 2003, section 6.11).
+The multipliers come from one pass over the forest's subtrees; rows that
+close a cycle take the minimum-norm combination of their fundamental
+cycles. A set the forest cannot take goes to the LU polish: closing rows
+whose bounds disagree, a pair row held at its upper bound (+inf), more
+closing rows than ``_MAX_CLOSING_ROWS``. The scaled Q keeps the problem's
+pattern.
 
 One rule accepts a polished point (``_corrected_polish``). The solver
 polishes on a proposed active set; when that point fails, the failed
@@ -40,6 +57,10 @@ ADMM iterate's multipliers every 25 iterations. The ADMM always iterates
 from the same point, so a proposal changes a solve's cost, never its
 answer. The unpolished iterate is the last resort: at a check where no
 polished point passes, it is returned when it meets the same tolerances.
+The forest polishes the caller's ``active`` and its corrections; the
+ADMM's checks polish with the LU. The two agree to about 1e-14, and a
+solve given no proposal (every solve whose values a command writes) is
+polished by the LU alone, so its values keep their bits.
 
 Along a path of related problems (one dataset solved at increasing fit
 weights) neighbouring minimizers almost always hold the same constraints at
@@ -54,10 +75,10 @@ The constraints live in a ``Constraints`` object that problems may share:
 everything the solver derives from the constraints alone (the tightened
 lower bounds, the stacked constraint matrix, its transpose and A'A) is
 computed on first use and reused by every problem built on the same object.
-It also keeps the KKT pattern of its last polish, so a polish on the same
-active set and the same pattern of Q (the next weight of a path) only writes
-Q's values into it (OSQP-style reuse of what does not change, Stellato et al., Math.
-Prog. Comp. 2020).
+It also keeps the forest of its last forest polish, so a polish on the same
+active set and the same pattern of Q (the next weight of a path) only sums
+Q's values into H (OSQP-style reuse of what does not change, Stellato et
+al., Math. Prog. Comp. 2020).
 
 What a warm step of a path builds. The problems of one compiled dataset
 share their ``Constraints`` and the very arrays of Q's pattern, and a
@@ -65,13 +86,14 @@ problem's arrays are never written after it is built. A matrix whose values
 change and whose pattern does not is a shallow copy holding new values
 (``with_data``: no scipy constructor, and nothing shared is written, so
 threads may share a ``Constraints``). A step that its first polish certifies
-therefore constructs no scipy matrix: it writes Q's values (the problem's
-and the scaled Q, both copies of the dataset's pattern), finds the KKT
-pattern in the memo by the identity of Q's pattern arrays and by its active
-rows, writes the two KKT copies' values, factors once (``spla.splu``) and
-runs three triangular solves (the solve and two refinement sweeps against
-the unregularized system), then the certificate's residuals. Only a new
-active set builds a KKT pattern, with the one matrix its polishes copy.
+therefore constructs no scipy matrix and factors nothing: it writes Q's
+values (the problem's and the scaled Q, both copies of the dataset's
+pattern), finds the forest in the memo by the identity of Q's pattern
+arrays and by its rows at each bound, sums Q's values into H and the
+reduced right-hand side, runs the conjugate gradient (a few sparse
+products), takes the multipliers (two more), then the certificate's
+residuals (three). Each product goes straight to scipy's kernel
+(``_matvec``). Only a new active set builds a forest.
 """
 
 from __future__ import annotations
@@ -141,9 +163,9 @@ class Constraints:
     ``InfeasibleProblem`` when the set is empty) and the stacked rows are
     computed on first use and cached, so problems sharing one
     ``Constraints`` (a dataset solved along a fit-weight grid) pay for them
-    once. The KKT pattern of the last polish is
-    kept too; each pattern is immutable and replacing it is one assignment,
-    so threads sharing the object at worst build a pattern again.
+    once. The forest of the last forest polish is
+    kept too; each forest is immutable and replacing it is one assignment,
+    so threads sharing the object at worst build a forest again.
     """
 
     box_lower: np.ndarray
@@ -173,9 +195,9 @@ class Constraints:
         return StackedRows(A, At, (At @ A).tocsc(), lower, upper)
 
     @cached_property
-    def last_kkt_pattern(self) -> dict:
-        """One slot, ``"pattern"``, for the KKT pattern of the last polish on
-        these constraints (see ``qp._memoized_kkt_pattern``)."""
+    def last_forest(self) -> dict:
+        """One slot, ``"forest"``, for the forest of the last forest polish
+        on these constraints (see ``qp._memoized_forest``)."""
         return {}
 
 
@@ -282,17 +304,12 @@ def with_data(matrix, data: np.ndarray):
 
 class _KKTPattern(NamedTuple):
     """What a polish's KKT matrix takes from its active rows and from Q's
-    sparsity pattern alone: ``matrix``, the KKT matrix whose values each
+    sparsity pattern alone: ``matrix``, the KKT matrix whose values the
     polish replaces (see ``with_data``), where Q's entries go in its values
     (``q_dest``) and which of them are its diagonal (``q_diagonal``), the
     lower-right diagonal's positions, and ``data0``, the unregularized values
-    with the active rows' entries in place and zeros for Q's. The first three
-    fields are the key it was built for: Q's pattern arrays themselves, which
-    like every array of a problem are never written after it is built."""
+    with the active rows' entries in place and zeros for Q's."""
 
-    active_rows: np.ndarray
-    q_indptr: np.ndarray
-    q_indices: np.ndarray
     matrix: sp.csc_matrix
     q_dest: np.ndarray
     q_diagonal: np.ndarray
@@ -343,12 +360,10 @@ def _kkt_pattern(Q, A: sp.csr_matrix, active_rows: np.ndarray) -> _KKTPattern:
     indices[lower_diagonal] = np.arange(n, n + k)
     q_diagonal = q_dest[Q.indices == np.repeat(np.arange(n), q_counts)]
     matrix = sp.csc_matrix((data0, indices, indptr), shape=(n + k, n + k))
-    # scipy caches this check on the matrix, so each copy a polish factors
-    # carries it and the LU does not scan the arrays again
+    # scipy caches this check on the matrix, so the copies a polish factors
+    # carry it and the LU does not scan the arrays again
     matrix.has_canonical_format
-    return _KKTPattern(
-        active_rows, Q.indptr, Q.indices, matrix, q_dest, q_diagonal, lower_diagonal, data0,
-    )
+    return _KKTPattern(matrix, q_dest, q_diagonal, lower_diagonal, data0)
 
 
 def _kkt(Q, pattern: _KKTPattern):
@@ -366,28 +381,6 @@ def _kkt(Q, pattern: _KKTPattern):
     return with_data(pattern.matrix, data), with_data(pattern.matrix, data0)
 
 
-def _same(key: np.ndarray, array: np.ndarray) -> bool:
-    return key is array or np.array_equal(key, array)
-
-
-def _memoized_kkt_pattern(Q, constraints: Constraints, active_rows: np.ndarray) -> _KKTPattern:
-    """The KKT pattern of the last polish on ``constraints`` when it had the
-    same active rows and the same sparsity of Q, else a new one, which then
-    replaces it. Along a path of weights Q's pattern stays put (its arrays
-    are the very same objects) and one active set usually serves several
-    polishes in a row."""
-    last = constraints.last_kkt_pattern.get("pattern")
-    if not (
-        last is not None
-        and np.array_equal(last.active_rows, active_rows)
-        and _same(last.q_indptr, Q.indptr)
-        and _same(last.q_indices, Q.indices)
-    ):
-        last = _kkt_pattern(Q, constraints.rows.A, active_rows)
-        constraints.last_kkt_pattern["pattern"] = last
-    return last
-
-
 def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     """Solve the KKT equality system on the active set ``signs`` marks (rows
     below -1e-12 held at their lower bound, above 1e-12 at their upper
@@ -401,7 +394,7 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     upper = np.nonzero(signs > 1e-12)[0]
     active_rows = np.concatenate([lower, upper])
     n = Q.shape[0]
-    kkt, kkt0 = _kkt(Q, _memoized_kkt_pattern(Q, constraints, active_rows))
+    kkt, kkt0 = _kkt(Q, _kkt_pattern(Q, rows.A, active_rows))
     rhs = np.concatenate([-c, rows.lower[lower], rows.upper[upper]])
     try:
         lu = spla.splu(kkt)
@@ -410,13 +403,332 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     sol = lu.solve(rhs)
     # a couple of refinement sweeps against the unregularized system
     for _ in range(2):
-        resid = rhs - kkt0 @ sol
+        resid = rhs - _matvec(kkt0, sol)
         if np.abs(resid).max() < 1e-14:
             break
         sol = sol + lu.solve(resid)
     x = sol[:n]
     w_full = np.zeros(rows.lower.shape[0])
     w_full[active_rows] = sol[n:]
+    return x, w_full
+
+
+class _Sparse(NamedTuple):
+    """A compressed sparse matrix held as its arrays, with the attributes
+    ``_matvec`` reads of a scipy matrix; building one constructs none."""
+
+    format: str  # "csr" or "csc"
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _matvec(matrix, x: np.ndarray) -> np.ndarray:
+    """``matrix @ x`` for a CSR or CSC matrix (scipy's or a ``_Sparse``) of
+    float values and a float vector, by the kernel that scipy's ``@`` calls
+    itself (``scipy.sparse._sparsetools``): the same sums bit for bit,
+    without the dispatch, which at the solver's sizes costs more than the
+    product."""
+    y = np.zeros(matrix.shape[0])
+    kernel = sp._sparsetools.csr_matvec if matrix.format == "csr" else sp._sparsetools.csc_matvec
+    kernel(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, x, y)
+    return y
+
+
+class _Forest(NamedTuple):
+    """What the forest polish takes from an active set and Q's sparsity
+    pattern alone (see ``_forest``). ``tree`` and ``closing`` are the active
+    rows on the spanning forest and those closing a cycle. ``offset`` is x
+    with every free component at 0, ``free`` the variables the ground does
+    not fix and ``component`` their component, which indexes H. ``h`` is
+    H = Z'QZ with zeros for values: Q's entries ``h_source`` sum into its
+    values at ``h_dest``, and ``h_diagonal`` are its diagonal's positions.
+    The reduced right-hand side sums, at ``shift_index``, Q's entries
+    ``shift_source`` (in a free row, their column's offset ``shift_offset``
+    nonzero) times that offset, then c on the free variables. ``start`` is
+    the conjugate gradient's start, ``subtree`` maps a gradient to the tree
+    rows' multipliers, and ``cycles`` (B), its transpose ``cycles_t`` and
+    ``cycle_inverse`` ((I + B'B)^-1) are the cycle-space step, None without
+    closing rows."""
+
+    tree: np.ndarray
+    closing: np.ndarray
+    offset: np.ndarray
+    free: np.ndarray
+    component: np.ndarray
+    h: _Sparse
+    h_source: np.ndarray
+    h_dest: np.ndarray
+    h_diagonal: np.ndarray
+    shift_source: np.ndarray
+    shift_offset: np.ndarray
+    shift_index: np.ndarray
+    start: np.ndarray
+    subtree: _Sparse
+    cycles: sp.csr_matrix | None
+    cycles_t: sp.csc_matrix | None
+    cycle_inverse: np.ndarray | None
+
+
+# the largest cycle space the forest polish takes; a set closing more cycles
+# goes to the LU polish
+_MAX_CLOSING_ROWS = 256
+
+
+def _forest(Q, constraints: Constraints, lower: np.ndarray, upper: np.ndarray) -> _Forest | None:
+    """The spanning forest of the rows ``lower`` and ``upper`` hold at a
+    bound, with the reduced system it gives; None when the forest polish
+    cannot take the set: a pair row held at its upper bound (+inf) or any
+    infinite bound, closing rows whose bounds disagree with the forest's,
+    more than ``_MAX_CLOSING_ROWS`` of them, or a free component without a
+    diagonal entry of Q.
+
+    The rows are graph edges: row e holds x[head] - x[tail] = bound, a pair
+    row between its two variables, a box row from its variable to the
+    ground, a node n whose value is 0. A union-find over the rows in order
+    puts each on the forest or, when its ends are already joined, among the
+    closing rows. A breadth-first pass from each tree's root (the ground
+    first) carries the bounds down the tree, so x = offset + Z t with one
+    value of t per free component (Z their 0/1 membership) and the ground's
+    component fixed. Stationarity on the active rows then gives each tree
+    row's multiplier as the gradient summed over the subtree below it, less
+    what the closing rows' multipliers send through it; the cycle-space step
+    picks the minimum-norm multipliers."""
+    n = constraints.n
+    rows = constraints.rows
+    active = np.concatenate([lower, upper])
+    bound = np.concatenate([rows.lower[lower], rows.upper[upper]])
+    if np.any(upper >= n) or not np.all(np.isfinite(bound)):
+        return None
+    pairs = constraints.pair_constraints
+    on_pair = active >= n
+    head = active.copy()
+    tail = np.full(active.size, n)
+    head[on_pair] = pairs["i"][active[on_pair] - n]
+    tail[on_pair] = pairs["j"][active[on_pair] - n]
+    heads, tails, bounds = head.tolist(), tail.tolist(), bound.tolist()
+
+    link: dict[int, int] = {}  # union-find parents; a node absent is a root
+
+    def find(v):
+        root = v
+        while root in link:
+            root = link[root]
+        while v != root:
+            link[v], v = root, link[v]
+        return root
+
+    neighbours: dict[int, list] = {}
+    closing = []
+    for e, (u, v) in enumerate(zip(heads, tails)):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            closing.append(e)
+            continue
+        if ru == n:  # the ground stays a root
+            ru, rv = rv, ru
+        link[ru] = rv
+        neighbours.setdefault(u, []).append((e, v))
+        neighbours.setdefault(v, []).append((e, u))
+    if len(closing) > _MAX_CLOSING_ROWS:
+        return None
+
+    offset = {}  # each node's value at t = 0
+    root_of = {}
+    up_row = {}  # each non-root node's tree row towards its root
+    for root in ([n] if n in neighbours else []) + list(neighbours):
+        if root in offset:
+            continue
+        offset[root], root_of[root] = 0.0, root
+        queue = [root]
+        for u in queue:
+            for e, v in neighbours[u]:
+                if v not in offset:
+                    offset[v] = offset[u] + (bounds[e] if v == heads[e] else -bounds[e])
+                    root_of[v], up_row[v] = root, e
+                    queue.append(v)
+    for e in closing:
+        misfit = offset[heads[e]] - offset.get(tails[e], 0.0) - bounds[e]
+        if abs(misfit) > 1e-12 * (1.0 + abs(bounds[e]) + abs(offset[heads[e]])):
+            return None
+
+    nodes = np.fromiter(offset, np.int64, len(offset))
+    x0 = np.zeros(n + 1)
+    x0[nodes] = np.fromiter(offset.values(), float, nodes.size)
+    x0 = x0[:n]
+    comp_root = np.arange(n + 1)
+    comp_root[nodes] = np.fromiter(root_of.values(), np.int64, nodes.size)
+    # every component but the ground's is free; they are numbered in their
+    # roots' order
+    free = np.flatnonzero(comp_root[:n] != n)
+    roots = np.flatnonzero(comp_root[:n] == np.arange(n))
+    k = roots.size
+    comp_of = np.full(n + 1, -1)
+    comp_of[roots] = np.arange(k)
+    component = comp_of[comp_root[free]]
+    comp_of[free] = component
+
+    # H = Z'QZ: Q's entries inside free components, summed per pair of them.
+    # Q is symmetric, so H's rows are taken from Q's columns, whose entries
+    # come nearly in order: a stable sort of the keys is almost a pass
+    cols = np.repeat(np.arange(n), np.diff(Q.indptr))
+    comp_row, comp_col = comp_of[Q.indices], comp_of[cols]
+    h_source = np.flatnonzero((comp_row >= 0) & (comp_col >= 0))
+    keys = comp_col[h_source] * k + comp_row[h_source]
+    order = np.argsort(keys, kind="stable")
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[order[1:]] != keys[order[:-1]]
+    h_dest = np.empty(keys.size, dtype=np.int64)
+    h_dest[order] = np.cumsum(first) - 1
+    h_rows, h_cols = np.divmod(keys[order[first]], k)
+    h_indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(h_rows, minlength=k), out=h_indptr[1:])
+    h = _Sparse("csr", (k, k), h_indptr, h_cols, np.zeros(h_cols.size))
+    h_diagonal = np.flatnonzero(h_rows == h_cols)
+    if h_diagonal.size != k:
+        return None
+    shift_source = np.flatnonzero((comp_row >= 0) & (x0[cols] != 0.0))
+
+    box_mid = 0.5 * (constraints.box_lower + constraints.box_upper)
+    box_mid[~np.isfinite(box_mid)] = 0.0
+    start = np.bincount(component, box_mid[free] - x0[free], k) / np.bincount(component, minlength=k)
+
+    # the subtree below each tree row, by walking every node up to its root:
+    # the row's sign at its child, the lower end, on each node under it
+    child = np.fromiter(up_row, np.int64, len(up_row))
+    up = np.fromiter(up_row.values(), np.int64, child.size)
+    sign = np.where(head[up] == child, 1.0, -1.0)
+    position = np.full(n + 1, -1)
+    position[child] = np.arange(child.size)
+    parent = np.full(n + 1, n)
+    parent[child] = head[up] + tail[up] - child
+    entry_rows, entry_cols = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    below, at = child, child
+    while at.size:
+        entry_rows.append(position[at])
+        entry_cols.append(below)
+        at = parent[at]
+        keep = position[at] >= 0
+        below, at = below[keep], at[keep]
+    entry_rows = np.concatenate(entry_rows)
+    by_row = np.argsort(entry_rows, kind="stable")
+    subtree_indptr = np.zeros(child.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(entry_rows, minlength=child.size), out=subtree_indptr[1:])
+    subtree = _Sparse(
+        "csr", (child.size, n), subtree_indptr, np.concatenate(entry_cols)[by_row],
+        sign[entry_rows[by_row]],
+    )
+
+    cycles = cycles_t = cycle_inverse = None
+    closing = np.array(closing, dtype=np.int64)
+    if closing.size:
+        # column c of A_C' is the closing row's normal, +1 at its head and -1
+        # at its tail (the ground's column, n, multiplies nothing)
+        normals = sp.csc_matrix(
+            (
+                np.tile([1.0, -1.0], closing.size),
+                (np.column_stack([head[closing], tail[closing]]).ravel(),
+                 np.repeat(np.arange(closing.size), 2)),
+            ),
+            shape=(n + 1, closing.size),
+        )
+        subtree_matrix = sp.csr_matrix(
+            (subtree.data, subtree.indices, subtree.indptr), shape=(child.size, n + 1)
+        )
+        cycles = (subtree_matrix @ normals).tocsr()
+        cycles_t = cycles.T
+        cycle_inverse = _spd_inverse((cycles_t @ cycles).toarray() + np.eye(closing.size))
+    return _Forest(
+        active[up], active[closing], x0, free, component, h, h_source, h_dest, h_diagonal,
+        shift_source, x0[cols[shift_source]], np.concatenate([comp_row[shift_source], component]),
+        start, subtree, cycles, cycles_t, cycle_inverse,
+    )
+
+
+def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
+    """The inverse of a small symmetric positive definite matrix by
+    Gauss-Jordan elimination without pivoting, in numpy's own loops: no
+    LAPACK, so its bits do not depend on a thread count."""
+    size = matrix.shape[0]
+    work = np.hstack([matrix, np.eye(size)])
+    for k in range(size):
+        work[k] /= work[k, k]
+        column = work[:, k].copy()
+        column[k] = 0.0
+        work -= np.multiply.outer(column, work[k])
+    return work[:, size:]
+
+
+class _ForestMemo(NamedTuple):
+    """The forest of the last forest polish on a ``Constraints`` (None when
+    it declined the set) with the key it was built for: the rows at each
+    bound and Q's pattern arrays, which are never written."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    q_indptr: np.ndarray
+    q_indices: np.ndarray
+    forest: _Forest | None
+
+
+def _memoized_forest(Q, constraints: Constraints, lower, upper) -> _Forest | None:
+    """The forest of the last forest polish on ``constraints`` when it had
+    the same rows at each bound and the very same pattern arrays of Q, else
+    a new one, which replaces it in one assignment."""
+    last = constraints.last_forest.get("forest")
+    if not (
+        last is not None
+        and last.q_indptr is Q.indptr
+        and last.q_indices is Q.indices
+        and np.array_equal(last.lower, lower)
+        and np.array_equal(last.upper, upper)
+    ):
+        last = _ForestMemo(lower, upper, Q.indptr, Q.indices, _forest(Q, constraints, lower, upper))
+        constraints.last_forest["forest"] = last
+    return last.forest
+
+
+# the forest polish's conjugate gradient runs to this relative residual
+_FOREST_CG_TOLERANCE = 1e-15
+
+
+def _forest_polish(Q, c, constraints: Constraints, signs: np.ndarray):
+    """``_polish``'s contract without a factorization: (x, w_full) on the
+    rows ``signs`` marks, or None when the forest cannot take the set (see
+    ``_forest``) or its conjugate gradient does not converge, so the caller
+    polishes with the LU instead.
+
+    x = offset + Z t, where t solves H t = -Z'(Q offset + c) by ``_pcg``.
+    Since Q = (C + 2 lam I) / scale with 0 <= C <= 2I for the score-merging
+    QP, the Jacobi-preconditioned H has condition number at most 1 + 1/lam,
+    so a few steps converge on the weight grid (lam >= 1). The multipliers
+    sum the gradient -(Qx + c) over each tree row's subtree, then take the
+    cycle-space step when rows close a cycle."""
+    lower = np.nonzero(signs < -1e-12)[0]
+    upper = np.nonzero(signs > 1e-12)[0]
+    forest = _memoized_forest(Q, constraints, lower, upper)
+    if forest is None:
+        return None
+    data = Q.data
+    h_data = np.bincount(forest.h_dest, weights=data[forest.h_source], minlength=forest.h.data.size)
+    shift = np.concatenate([data[forest.shift_source] * forest.shift_offset, c[forest.free]])
+    b = -np.bincount(forest.shift_index, weights=shift, minlength=forest.start.size)
+    t, steps = _pcg(
+        forest.h._replace(data=h_data), 1.0 / h_data[forest.h_diagonal], b, forest.start,
+        _FOREST_CG_TOLERANCE,
+    )
+    if steps == _CG_MAX_STEPS:
+        return None
+    x = forest.offset.copy()
+    x[forest.free] += t[forest.component]
+    w_tree = _matvec(forest.subtree, -(_matvec(Q, x) + c))
+    w_full = np.zeros(constraints.rows.lower.shape[0])
+    if forest.cycles is not None:
+        w_cycle = np.einsum("ij,j->i", forest.cycle_inverse, _matvec(forest.cycles_t, w_tree))
+        w_tree -= _matvec(forest.cycles, w_cycle)
+        w_full[forest.closing] = w_cycle
+    w_full[forest.tree] = w_tree
     return x, w_full
 
 
@@ -439,22 +751,22 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _pcg(K, inv_diag, b, x0):
+def _pcg(K, inv_diag, b, x0, tolerance=_CG_TOLERANCE):
     """Jacobi-preconditioned conjugate gradient for K x = b from ``x0``.
 
-    Stops once ||b - K x||_inf <= 1e-10 * max(1, ||b||_inf), or after a fixed
-    number of steps. Returns (x, steps taken).
+    Stops once ||b - K x||_inf <= tolerance * max(1, ||b||_inf), or after a
+    fixed number of steps. Returns (x, steps taken).
     """
-    tol = _CG_TOLERANCE * max(1.0, float(np.abs(b).max()))
+    tol = tolerance * max(1.0, float(np.abs(b).max(initial=0.0)))
     x = x0.copy()
-    r = b - K @ x
-    if np.abs(r).max() <= tol:
+    r = b - _matvec(K, x)
+    if np.abs(r).max(initial=0.0) <= tol:
         return x, 0
     d = inv_diag * r
     p = d
     rd = _dot(r, d)
     for step in range(1, _CG_MAX_STEPS + 1):
-        Kp = K @ p
+        Kp = _matvec(K, p)
         a = rd / _dot(p, Kp)
         x += a * p
         r -= a * Kp
@@ -475,7 +787,7 @@ def _residuals(Q, c, rows: StackedRows, x, w, z=None):
     (polished candidates, where w is nonzero only on rows pinned to their
     bound) the true constraint violation alone is the right measure.
     """
-    Ax = rows.A @ x
+    Ax = _matvec(rows.A, x)
     primal = max(
         float((rows.lower - Ax).max(initial=0.0)),
         float((Ax - rows.upper).max(initial=0.0)),
@@ -483,8 +795,8 @@ def _residuals(Q, c, rows: StackedRows, x, w, z=None):
     )
     if z is not None:
         primal = max(primal, float(np.abs(Ax - z).max()))
-    Qx = Q @ x
-    Atw = rows.At @ w
+    Qx = _matvec(Q, x)
+    Atw = _matvec(rows.At, w)
     stat_num = float(np.abs(Qx + c + Atw).max())
     stat_den = max(
         1.0,
@@ -505,11 +817,12 @@ def _active_rows(w: np.ndarray) -> np.ndarray:
 PDAS_CORRECTIONS = 3
 
 
-def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray):
+def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray, forest: bool = False):
     """Polish on ``active``, then on up to ``PDAS_CORRECTIONS`` primal-dual
     active-set corrections of it; return (x, residuals, active set) of the
     first certified point, else None. This is the one place a polished point
-    is accepted.
+    is accepted. With ``forest`` every set goes to the forest polish first
+    and to the LU polish when the forest declines it; without, to the LU.
 
     The certificate: every polished multiplier has the sign of the bound it
     holds, the primal residual is within ``FEASTOL`` and the scaled
@@ -522,7 +835,9 @@ def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray):
     rows = constraints.rows
     tried: list[np.ndarray] = []
     for _ in range(1 + PDAS_CORRECTIONS):
-        polished = _polish(Q, c, constraints, active)
+        polished = _forest_polish(Q, c, constraints, active) if forest else None
+        if polished is None:
+            polished = _polish(Q, c, constraints, active)
         if polished is None:
             return None
         x, w = polished
@@ -531,7 +846,7 @@ def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray):
         if good_signs and primal <= FEASTOL and stat <= OPTIMALITY_TOLERANCE:
             return x, residuals, active
         tried.append(active)
-        Ax = rows.A @ x
+        Ax = _matvec(rows.A, x)
         active = (w + (Ax - rows.upper) > 0).astype(np.int8) - (
             -w + (rows.lower - Ax) > 0
         ).astype(np.int8)
@@ -554,7 +869,10 @@ def solve(problem: QPProblem, active: np.ndarray | None = None) -> Solution:
     the module docstring): ``active`` at iteration 0, when given, and the
     set the iterate's multipliers mark every 25 iterations. A certified
     point is returned with the set it was polished on as ``active``, and
-    with ``iterations`` 0 when ``active`` was certified. The iteration
+    with ``iterations`` 0 when ``active`` was certified. ``active`` and its
+    corrections are polished on the forest of their rows, the iterate's
+    sets with the LU, so a solve given no proposal polishes with the LU
+    alone. The iteration
     always starts from the same point, so a failed proposal costs only its
     polishes. At a check where no polished point passes, the unpolished
     iterate is the last resort, returned when it meets the tolerances. The
@@ -588,8 +906,7 @@ def solve(problem: QPProblem, active: np.ndarray | None = None) -> Solution:
 
     x = start.copy()
     x_tilde = x
-    z = np.clip(A @ x, l, u)
-    w = np.zeros_like(z)
+    z = w = None  # the projected constraint copy and multipliers, once it iterates
 
     check_every = 25
 
@@ -600,7 +917,9 @@ def solve(problem: QPProblem, active: np.ndarray | None = None) -> Solution:
             # the proposed set: the caller's at iteration 0, then the iterate's
             proposal = w if it else active
             if proposal is not None:
-                certified = _corrected_polish(Q, c, problem.constraints, _active_rows(proposal))
+                certified = _corrected_polish(
+                    Q, c, problem.constraints, _active_rows(proposal), forest=not it
+                )
                 if certified is not None:
                     xp, residuals, polished_on = certified
                     return Solution(xp, it, residuals, cg_steps, polished_on)
@@ -615,15 +934,18 @@ def solve(problem: QPProblem, active: np.ndarray | None = None) -> Solution:
                     if ratio > 100.0 or ratio < 0.01:
                         rho = float(np.clip(rho * np.sqrt(ratio), 1e-4, 1e4))
                         K = None
+        if z is None:
+            z = np.clip(_matvec(A, x), l, u)
+            w = np.zeros_like(z)
         if it == MAX_ITERATIONS:  # a cap between checks raises without polishing
             raise MaxIterationsExceeded(it, _residuals(Q, c, rows, x, w, z))
         if K is None:
             K, inv_diag = _x_update_system(Q, sigma, rho, AtA)
         it += 1
-        rhs = sigma * x - c + At @ (rho * z - w)
+        rhs = sigma * x - c + _matvec(At, rho * z - w)
         x_tilde, steps = _pcg(K, inv_diag, rhs, x_tilde)
         cg_steps += steps
-        z_tilde = A @ x_tilde
+        z_tilde = _matvec(A, x_tilde)
         x = alpha * x_tilde + (1.0 - alpha) * x
         v = alpha * z_tilde + (1.0 - alpha) * z + w / rho
         z_new = np.clip(v, l, u)

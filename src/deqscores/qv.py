@@ -81,11 +81,15 @@ def lambda_path(compiled: CompiledDataset, lambdas: Sequence[float]) -> list[Sol
     no set would be.
 
     Each step is one ``qp.solve`` of ``compiled.problem(lam)``. The problems
-    share the dataset's constraints and Q's pattern, so a step the solver
-    certifies on its proposed set constructs no sparse matrix: it pays
-    for one sparse LU, its solves and the certificate (see ``qp``). Score
-    the solutions with one call of the batched Kendall kernel,
-    ``metrics.kendall_tau_errors``, as ``select_lambda`` does.
+    share the dataset's constraints and Q's pattern, and a proposed set is
+    polished on the spanning forest of its rows, so a step the solver
+    certifies on its proposed set constructs no sparse matrix and factors
+    nothing: it pays for a few conjugate-gradient steps on the reduced
+    system, the multipliers and the certificate (see ``qp``). Its values
+    may differ from an LU polish's in the last digits (about 1e-14); they
+    feed only the validation errors. Score the solutions with one call of
+    the batched Kendall kernel, ``metrics.kendall_tau_errors``, as
+    ``select_lambda`` does.
     """
     solutions: list[Solution] = []
     active = np.zeros(compiled.constraints.rows.lower.shape[0], dtype=np.int8)
@@ -104,9 +108,10 @@ def select_lambda(dataset: ReviewDataset, epsilon: float = DEFAULT_EPSILON) -> Q
     The coarsened dataset is compiled once and the grid is solved in ascending
     order by ``lambda_path``: the first weight is proposed the empty active
     set, each later one the previous one's active set, and the solver
-    corrects that set by active-set steps before it would iterate. A
-    proposal never skips the solver's optimality certificate and the
-    minimizer is unique, so it only saves work. The original scores, in
+    corrects that set by active-set steps before it would iterate, each
+    polished without a factorization. A proposal never skips the solver's
+    optimality certificate and the minimizer is unique, so it only saves
+    work. The original scores, in
     the solution vectors' review order, act as validation truth with
     exact-tie omission; all-tied originals raise ``DegenerateValidation``.
     The grid's solutions are scored by one call of the batched Kendall

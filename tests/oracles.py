@@ -33,7 +33,8 @@ the reference for ``qp.check_feasibility``.
 ``score_only_closed_form`` is the exact minimizer of the dequantization
 objective when no rankings are reported, solved per paper.
 ``certify`` checks a point's optimality from the KKT conditions alone, with
-multipliers from nonnegative least squares. ``load_scores`` reads an output
+multipliers from nonnegative least squares; ``kkt_check`` checks a point
+with given multipliers, in O(nnz) and with no slack threshold. ``load_scores`` reads an output
 file's dequantized values back.
 """
 
@@ -463,6 +464,72 @@ def certify(problem: QPProblem, y, tolerance: float = 1e-9) -> Certificate:
         active=len(normals),
         stationarity=float(np.max(np.abs(residual))) / scale,
         complementarity=complementarity,
+    )
+
+
+@dataclass(frozen=True)
+class KKTCheck:
+    """KKT residuals of a point x with given multipliers w, one per stacked
+    row (the boxes, then the pair rows; stationarity is Qx + c + A'w = 0, so
+    a row held at its lower bound has w <= 0 and at its upper bound w >= 0):
+    ``primal`` the largest constraint violation, ``sign`` the largest
+    multiplier pushing towards an infinite bound, ``complementarity``
+    max_r |w_r| * slack_r, the slack measured to the bound w_r's sign holds,
+    and ``stationarity`` ||Qx + c + A'w||_inf / max(1, ||Qx||_inf,
+    ||c||_inf, ||A'w||_inf), the solver's scaling."""
+
+    primal: float
+    sign: float
+    complementarity: float
+    stationarity: float
+
+    def certifies(self, tolerance: float = 1e-9) -> bool:
+        """A feasible point whose multipliers have the right signs, are
+        complementary and make it stationary: optimal for a convex QP
+        (Nocedal and Wright 2006, Thm. 16.4), whatever found w."""
+        return (
+            self.sign <= 0.0
+            and max(self.primal, self.complementarity, self.stationarity) <= tolerance
+        )
+
+
+def kkt_check(problem: QPProblem, x, w) -> KKTCheck:
+    """The KKT residuals of (x, w), in O(nnz) and without a slack threshold.
+
+    A is built here from the box bounds and the ``PAIR_ROW`` records (row
+    n + r is e_i - e_j), by array operations only; nothing of the solver's
+    stacked rows is used."""
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    constraints = problem.constraints
+    n = problem.n
+    pairs = constraints.pair_constraints
+    i, j = pairs["i"], pairs["j"]
+    Ax = np.concatenate([x, x[i] - x[j]])
+    lower = np.concatenate([constraints.box_lower, pairs["gap"]])
+    upper = np.concatenate([constraints.box_upper, np.full(len(pairs), np.inf)])
+    primal = float(np.max(np.concatenate([lower - Ax, Ax - upper, [0.0]])))
+
+    held_low, held_up = w < 0, w > 0
+    sign = float(np.max(np.concatenate([
+        np.abs(w[held_low & ~np.isfinite(lower)]), np.abs(w[held_up & ~np.isfinite(upper)]), [0.0],
+    ])))
+    slack = np.zeros_like(w)
+    slack[held_low] = (Ax - lower)[held_low]
+    slack[held_up] = (upper - Ax)[held_up]
+    finite = np.isfinite(slack)
+    complementarity = float(np.max(np.abs(w[finite] * slack[finite]), initial=0.0))
+
+    w_box, w_pair = w[:n], w[n:]
+    Atw = w_box + np.bincount(i, w_pair, n) - np.bincount(j, w_pair, n)
+    Qx = problem.quadratic @ x
+    c = np.asarray(problem.linear, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(Qx))), float(np.max(np.abs(c))), float(np.max(np.abs(Atw))))
+    return KKTCheck(
+        primal=primal,
+        sign=sign,
+        complementarity=complementarity,
+        stationarity=float(np.max(np.abs(Qx + c + Atw))) / scale,
     )
 
 

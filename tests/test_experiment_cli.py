@@ -280,6 +280,34 @@ class TestCli:
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "given", [["--papers", "999"], ["--sigma", "7"], ["--papers", "999", "--sigma", "7"]],
+        ids=["papers", "sigma", "both"],
+    )
+    def test_synthetic_option_with_raw_scores_exits_one(self, tmp_path, capsys, monkeypatch, given):
+        # the file replaces the synthetic data, so these options would change nothing
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiment, "_run_trial", no_trial)
+        out = tmp_path / "report.json"
+        rc = self.run(
+            "experiment", "--raw-scores", str(DATA / "raw_ten_level.csv"),
+            "--reviews-per-paper", "3", "--papers-per-reviewer", "3", "--sweep", "lambda",
+            "--values", "1", "--trials", "1", "--methods", "quantized", "--output", str(out),
+            *given,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert all(flag in err for flag in given if flag.startswith("--"))
+        assert not out.exists()
+
+    def test_synthetic_defaults_come_from_synth_config(self):
+        parser = build_parser()
+        simulate = parser.parse_args(["simulate", "--output-prefix", "x"])
+        assert (simulate.papers, simulate.sigma) == (SynthConfig.num_papers, SynthConfig.sigma)
+
     def test_seed_parses_where_it_draws_data(self):
         parser = build_parser()
         assert parser.parse_args(["simulate", "--seed", "3", "--output-prefix", "x"]).seed == 3

@@ -1,5 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,23 +223,31 @@ class TestWarmStart:
         # a wrong set falls back first to at most PDAS_CORRECTIONS corrected
         # polishes, then to the ADMM loop, which runs as in a solve given no set
         cold = solve(problem)
-        calls = {"polish": 0, "before_iterating": None}
-        polish, x_update_system = qp._polish, qp._x_update_system
+        calls = {"polish": 0, "lu": 0, "before_iterating": None}
+        forest_polish, polish, x_update_system = qp._forest_polish, qp._polish, qp._x_update_system
 
-        def counted_polish(*args):
+        def counted_polish(*args):  # a proposed or corrected set goes to the forest first
             calls["polish"] += 1
+            return forest_polish(*args)
+
+        def counted_lu(*args):  # then to the LU, when the forest declines it
+            calls["lu"] += 1
             return polish(*args)
 
         def iterating(*args):  # the solve builds this system before its first iteration
             if calls["before_iterating"] is None:
-                calls["before_iterating"] = calls["polish"]
+                calls["before_iterating"] = (calls["polish"], calls["lu"])
             return x_update_system(*args)
 
-        monkeypatch.setattr(qp, "_polish", counted_polish)
+        monkeypatch.setattr(qp, "_forest_polish", counted_polish)
+        monkeypatch.setattr(qp, "_polish", counted_lu)
         monkeypatch.setattr(qp, "_x_update_system", iterating)
         warm = solve(problem, active=every_row_at(problem, guess))
-        polishes_first = calls["polish"] if warm.iterations == 0 else calls["before_iterating"]
+        polishes_first, lu_first = (
+            (calls["polish"], calls["lu"]) if warm.iterations == 0 else calls["before_iterating"]
+        )
         assert 1 <= polishes_first <= 1 + qp.PDAS_CORRECTIONS
+        assert lu_first <= polishes_first
         if guess != 0:  # these wrong sets are not corrected in time: the ADMM loop finds the point
             assert warm.iterations > 0
         if warm.iterations > 0:  # a failed proposal costs only its polishes
@@ -289,6 +295,9 @@ class TestPolishKKT:
             assert np.array_equal(getattr(matrix, name), getattr(reference, name)), name
 
     def test_every_set_of_the_lambda_path(self, monkeypatch):
+        # the forest polish takes every set of this path; declining them all,
+        # it hands each to the LU, as it does the sets it cannot take
+        monkeypatch.setattr(qp, "_forest_polish", lambda *args: None)
         seen = self._factored(monkeypatch)
         dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
         path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
@@ -600,76 +609,3 @@ class TestProblemConstruction:
         assert first == first and first != second
         assert problem.constraints != two_variable_pair_problem().constraints
         assert len({problem, problem, problem.constraints, two_variable_pair_problem()}) == 3
-
-
-class TestKKTPatternMemo:
-    """A polish on the same constraints, active rows and sparsity of Q as the
-    polish before it reuses that polish's KKT pattern and only writes Q's
-    values."""
-
-    @staticmethod
-    def _counted(monkeypatch):
-        built = []
-        pattern = qp._kkt_pattern
-
-        def counted(Q, A, active_rows):
-            built.append(active_rows.copy())
-            return pattern(Q, A, active_rows)
-
-        monkeypatch.setattr(qp, "_kkt_pattern", counted)
-        return built
-
-    def test_a_repeated_active_set_builds_the_pattern_once(self, monkeypatch):
-        compiled = compile_dataset(generate(SynthConfig(num_papers=60, seed=0)).dataset, 0.05)
-        signs = solve(compiled.problem(1.0)).active
-        compiled.constraints.last_kkt_pattern.clear()  # that solve's last polish was on signs
-        built = self._counted(monkeypatch)
-        results = [
-            qp._polish(problem.quadratic, problem.linear, compiled.constraints, signs)
-            for problem in (compiled.problem(lam) for lam in LAMBDA_GRID[:5])
-        ]
-        assert len(built) == 1
-        # reused or built afresh, the pattern gives the same polish
-        for lam, (x, w) in zip(LAMBDA_GRID[:5], results):
-            compiled.constraints.last_kkt_pattern.clear()
-            problem = compiled.problem(lam)
-            fresh_x, fresh_w = qp._polish(
-                problem.quadratic, problem.linear, compiled.constraints, signs
-            )
-            assert np.array_equal(x, fresh_x) and np.array_equal(w, fresh_w)
-
-    def test_a_changed_set_or_pattern_builds_anew(self, monkeypatch):
-        problem = two_variable_pair_problem()
-        signs = np.array([0.0, 0.0, -1.0])
-        built = self._counted(monkeypatch)
-        Q, c, constraints = problem.quadratic, problem.linear, problem.constraints
-        qp._polish(Q, c, constraints, signs)
-        qp._polish(Q, c, constraints, np.zeros(3))  # another active set
-        qp._polish(Q, c, constraints, signs)  # one slot: the first set is gone
-        dense = qp.sp.csc_matrix(np.array([[2.0, 0.5], [0.5, 2.0]]))
-        qp._polish(dense, c, constraints, signs)  # another pattern of Q
-        assert [rows.tolist() for rows in built] == [[2], [], [2], [2]]
-
-    def test_threads_sharing_constraints_get_the_serial_polishes(self):
-        # the memo is shared state: threads that keep replacing each other's
-        # pattern must still polish exactly as one thread does
-        compiled = compile_dataset(generate(SynthConfig(num_papers=60, seed=0)).dataset, 0.05)
-        sets = [solve(compiled.problem(lam)).active for lam in (LAMBDA_GRID[0], LAMBDA_GRID[-1])]
-        assert not np.array_equal(*sets)
-        jobs = [(lam, signs) for lam in LAMBDA_GRID[::4] for signs in sets]
-
-        def polish(job):
-            lam, signs = job
-            problem = compiled.problem(lam)
-            return qp._polish(problem.quadratic, problem.linear, compiled.constraints, signs)
-
-        expected = [polish(job) for job in jobs]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                for _ in range(5):
-                    for (x, w), (ex, ew) in zip(pool.map(polish, jobs, timeout=60), expected):
-                        assert np.array_equal(x, ex) and np.array_equal(w, ew)
-        finally:
-            sys.setswitchinterval(interval)
