@@ -68,6 +68,13 @@ def _parse_lambda(text: str):
     return value
 
 
+def _require_epsilon_option(epsilon: float) -> None:
+    try:
+        require_epsilon(epsilon)
+    except ValueError as exc:  # "epsilon must ..." becomes "--epsilon must ..."
+        raise ValueError(f"--{exc}, got {epsilon:g}") from None
+
+
 def _default(value: float) -> str:
     """``value`` for a help string: ``%g`` without the exponent's leading zero."""
     return f"{value:g}".replace("e-0", "e-")
@@ -186,7 +193,6 @@ def build_parser() -> _Parser:
 
 
 def _cmd_validate(args) -> int:
-    require_epsilon(args.epsilon)
     try:
         compile_dataset(_load(args), args.epsilon)
     except ValidationError as exc:
@@ -252,7 +258,6 @@ def _cmd_qv(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    require_epsilon(args.epsilon)
     dataset = _load(args)
     if args.method == "quantized":
         values = baselines.quantized_baseline(dataset)
@@ -336,6 +341,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "epsilon" in args:  # every command but simulate; before any input is read
+            _require_epsilon_option(args.epsilon)
         return _COMMANDS[args.command](args)
     except (io.ParseError, ValidationError) as exc:
         print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)

@@ -214,9 +214,12 @@ def kendall_tau_error(truth, estimate) -> float:
 
 
 def l2_error(truth, estimate) -> float:
-    """Euclidean distance between two aligned 1-D vectors."""
+    """Euclidean distance between two aligned 1-D vectors. The squares are
+    summed by numpy's own loop, not by BLAS, whose threads split a long sum
+    and round it differently with their number."""
     t, e = _aligned(truth, estimate)
-    return float(np.linalg.norm(t - e))
+    d = t - e
+    return float(np.sqrt(np.einsum("i,i->", d, d)))
 
 
 def project_to_original_scale(y_hat):

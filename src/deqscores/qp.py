@@ -23,10 +23,9 @@ so a few CG steps suffice; a sparse LU of it would fill in heavily, because
 consensus and ranking couplings make its graph an expander.
 
 Two polishes solve the KKT system on an active set. The LU polish
-(``_polish``) factors it: its CSC arrays are written directly from Q's and
-from the constraint rows' arrays, in two steps, a pattern step fixed by the
-active rows and Q's sparsity pattern and a fill step that writes Q's
-values. The forest polish (``_forest_polish``) factors nothing. The stacked
+(``_polish``) factors it, built from the triplets of Q and of the active
+rows; it runs only for the ADMM's checks and for the sets the forest
+declines. The forest polish (``_forest_polish``) factors nothing. The stacked
 rows are the incidence matrix of a graph: a pair row joins its two
 variables, a box row joins its variable to a ground node. On a spanning
 forest of the active rows, x = offset + Z t: the bounds carried along the
@@ -302,90 +301,14 @@ def with_data(matrix, data: np.ndarray):
     return copied
 
 
-class _KKTPattern(NamedTuple):
-    """What a polish's KKT matrix takes from its active rows and from Q's
-    sparsity pattern alone: ``matrix``, the KKT matrix whose values the
-    polish replaces (see ``with_data``), where Q's entries go in its values
-    (``q_dest``) and which of them are its diagonal (``q_diagonal``), the
-    lower-right diagonal's positions, and ``data0``, the unregularized values
-    with the active rows' entries in place and zeros for Q's."""
-
-    matrix: sp.csc_matrix
-    q_dest: np.ndarray
-    q_diagonal: np.ndarray
-    lower_diagonal: np.ndarray
-    data0: np.ndarray
-
-
-def _kkt_pattern(Q, A: sp.csr_matrix, active_rows: np.ndarray) -> _KKTPattern:
-    """The pattern of the polish's KKT matrix [[Q, A_S'], [A_S, 0]], A_S
-    being the stacked rows ``active_rows`` in that order.
-
-    The arrays are written directly: column j < n holds Q's column j, then
-    the active rows that touch variable j in ``active_rows`` order; column
-    n + r holds active row r's entries, gathered from the CSR arrays of the
-    stacked rows' ``A``, then its diagonal (stored even where it is zero, as
-    the last entry of each of those columns).
-    """
-    n = Q.shape[0]
-    k = active_rows.size
-    starts = A.indptr[active_rows]
-    counts = A.indptr[active_rows + 1] - starts
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if k else 0
-    # where each active row's entries sit in A's CSR arrays, row after row
-    gather = np.arange(total) + np.repeat(starts - (ends - counts), counts)
-    cols = A.indices[gather]
-    vals = A.data[gather]
-    row_of = np.repeat(np.arange(k), counts)
-
-    q_counts = np.diff(Q.indptr)
-    indptr = np.zeros(n + k + 1, dtype=np.int32)
-    np.cumsum(
-        np.concatenate([q_counts + np.bincount(cols, minlength=n), counts + 1]), out=indptr[1:]
-    )
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data0 = np.zeros(indptr[-1])
-
-    q_dest = np.arange(Q.nnz) + np.repeat(indptr[:n] - Q.indptr[:n], q_counts)
-    indices[q_dest] = Q.indices
-    by_column = np.argsort(cols, kind="stable")
-    right_dest = Q.indptr[1:][cols[by_column]] + np.arange(total)
-    indices[right_dest] = n + row_of[by_column]
-    data0[right_dest] = vals[by_column]
-    lower_dest = indptr[n] + np.arange(total) + row_of
-    indices[lower_dest] = cols
-    data0[lower_dest] = vals
-    lower_diagonal = indptr[n + 1:] - 1
-    indices[lower_diagonal] = np.arange(n, n + k)
-    q_diagonal = q_dest[Q.indices == np.repeat(np.arange(n), q_counts)]
-    matrix = sp.csc_matrix((data0, indices, indptr), shape=(n + k, n + k))
-    # scipy caches this check on the matrix, so the copies a polish factors
-    # carry it and the LU does not scan the arrays again
-    matrix.has_canonical_format
-    return _KKTPattern(matrix, q_dest, q_diagonal, lower_diagonal, data0)
-
-
-def _kkt(Q, pattern: _KKTPattern):
-    """The polish's KKT matrix [[Q + delta I, A_S'], [A_S, -delta I]] and its
-    unregularized part [[Q, A_S'], [A_S, 0]] on ``pattern``, as two copies of
-    its matrix (no matrix is constructed). Only Q's values are written; for a
-    Q that stores its whole diagonal and no zero, this is
-    ``(bmat([[Q, A_S'], [A_S, None]]) + diags(...))`` in CSC form, bit for
-    bit."""
-    data0 = pattern.data0.copy()
-    data0[pattern.q_dest] = Q.data
-    data = data0.copy()
-    data[pattern.q_diagonal] += _REGULARIZATION
-    data[pattern.lower_diagonal] = -_REGULARIZATION
-    return with_data(pattern.matrix, data), with_data(pattern.matrix, data0)
-
-
 def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     """Solve the KKT equality system on the active set ``signs`` marks (rows
     below -1e-12 held at their lower bound, above 1e-12 at their upper
     bound; it may be empty: the system is then Q x = -c alone).
 
+    The system [[Q, A_S'], [A_S, 0]], A_S being the marked rows in that
+    order, is built from the triplets of Q and of A_S, and factored
+    regularized: +delta on Q's diagonal, -delta on the active rows'.
     Returns (x, w_full) or None when the regularized system cannot be solved.
     Verification against the full problem is the caller's job.
     """
@@ -393,8 +316,21 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     lower = np.nonzero(signs < -1e-12)[0]
     upper = np.nonzero(signs > 1e-12)[0]
     active_rows = np.concatenate([lower, upper])
-    n = Q.shape[0]
-    kkt, kkt0 = _kkt(Q, _kkt_pattern(Q, rows.A, active_rows))
+    n, k = Q.shape[0], active_rows.size
+    q, a = Q.tocoo(copy=False), rows.A[active_rows].tocoo(copy=False)
+    row = np.concatenate([q.row, a.col, a.row + n])
+    col = np.concatenate([q.col, a.row + n, a.col])
+    data = np.concatenate([q.data, a.data, a.data])
+    shape = (n + k, n + k)
+    diagonal = np.arange(n + k, dtype=row.dtype)
+    delta = np.concatenate([np.full(n, _REGULARIZATION), np.full(k, -_REGULARIZATION)])
+    kkt = sp.csc_matrix(
+        (
+            np.concatenate([data, delta]),
+            (np.concatenate([row, diagonal]), np.concatenate([col, diagonal])),
+        ),
+        shape=shape,
+    )
     rhs = np.concatenate([-c, rows.lower[lower], rows.upper[upper]])
     try:
         lu = spla.splu(kkt)
@@ -402,6 +338,7 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
         return None
     sol = lu.solve(rhs)
     # a couple of refinement sweeps against the unregularized system
+    kkt0 = sp.csc_matrix((data, (row, col)), shape=shape)
     for _ in range(2):
         resid = rhs - _matvec(kkt0, sol)
         if np.abs(resid).max() < 1e-14:

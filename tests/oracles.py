@@ -25,7 +25,7 @@ two reviews of a reviewer, the reference for
 dataset's records as tuples, the reference for the sorted id tables and
 columns that ``ReviewDataset.from_columns`` builds.
 ``polish_kkt_reference`` builds the polish's KKT matrix with ``sp.bmat`` and
-``sp.diags``, the reference for the solver's direct CSC assembly.
+``sp.diags``, the reference for the LU polish's triplet assembly.
 ``build_problem`` makes a ``QPProblem`` from small hand-written data with
 acyclic pair rows, and ``objective`` evaluates its 0.5*y'Qy + c'y.
 ``feasibility_reference`` is the row-by-row Bellman-Ford feasibility pass,

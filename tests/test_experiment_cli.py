@@ -454,6 +454,35 @@ class TestCli:
         assert "epsilon" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["dequantize"],
+            ["qv"],
+            ["baseline", "--method", "quantized"],
+            ["experiment", "--trials", "1", "--values", "0.5"],
+        ],
+        ids=["validate", "dequantize", "qv", "baseline", "experiment"],
+    )
+    def test_bad_epsilon_is_rejected_before_any_input_is_read(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        trials = []
+        monkeypatch.setattr(experiment, "_run_trial", lambda *args: trials.append(args))
+        out = tmp_path / "out"
+        argv = [*argv, "--epsilon", "2"]
+        if argv[0] != "validate":
+            argv += ["--output", str(out)]
+        if argv[0] != "experiment":
+            reviews = tmp_path / "reviews.csv"
+            reviews.write_text("reviewer_id,paper_id,score\nr1,A,five\n")  # a parse error
+            argv += ["--reviews", str(reviews)]
+        assert self.run(*argv) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["error: --epsilon must lie strictly between 0 and 1, got 2"]
+        assert not trials and not out.exists()
+
     def test_qv_command_reports_selection(self, tmp_path, capsys):
         prefix = tmp_path / "demo"
         self.run(

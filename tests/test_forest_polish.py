@@ -154,7 +154,9 @@ class TestCycleSpaceStep:
 
 
 class TestKKTCheck:
-    @pytest.mark.parametrize("num_papers, seed", [(60, 0), (60, 1), (60, 2), (600, 0)])
+    @pytest.mark.parametrize(
+        "num_papers, seed", [(60, 0), (60, 1), (60, 2), (600, 0), (3000, 0)]
+    )
     def test_every_forest_polished_path_step(self, num_papers, seed):
         # w comes from re-polishing the step's set, which gives its values again
         dataset = generate(SynthConfig(num_papers=num_papers, seed=seed)).dataset
@@ -172,6 +174,19 @@ class TestKKTCheck:
             if num_papers == 60:  # where certify's dense NNLS is affordable
                 assert certified(problem, solution.values), lam
         assert forest_steps == len(LAMBDA_GRID)
+
+    @pytest.mark.parametrize("num_papers, lam", [(600, np.exp(3.0)), (1500, 1.0)])
+    def test_the_lu_polish_of_a_cold_solve(self, num_papers, lam):
+        # re-polishing the returned set gives the returned values again
+        problem = compile_dataset(
+            generate(SynthConfig(num_papers=num_papers, seed=0)).dataset, 0.05
+        ).problem(lam)
+        solution = solve(problem)
+        Q, c = scaled(problem)
+        x, w = qp._polish(Q, c, problem.constraints, solution.active)
+        assert np.array_equal(x, solution.values)
+        check = kkt_check(QPProblem(Q, c, problem.constraints), x, w)
+        assert check.certifies(), check
 
     def test_a_moved_point_fails_it_as_certify_does(self):
         dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
@@ -226,6 +241,16 @@ class TestWhoUsesIt:
         forest.clear()
         solve(compiled.problem(1.0), active=cold.active)
         assert len(forest) == 1
+
+    def test_the_lu_polishes_only_cold_solves(self, monkeypatch):
+        # why the LU's cost stays off the path: a path's proposals all go to
+        # the forest, and only a solve that iterates factors
+        compiled = compile_dataset(coarsen(generate(SynthConfig()).dataset), 0.05)
+        lu = counted(monkeypatch, "_polish")
+        lambda_path(compiled, LAMBDA_GRID)
+        assert not lu
+        solve(compiled.problem(1.0))
+        assert lu
 
 
 

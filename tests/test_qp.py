@@ -265,8 +265,9 @@ class TestWarmStart:
 
 
 class TestPolishKKT:
-    """The polish's directly assembled KKT equals the bmat/diags construction
-    bit for bit, so the matrix factored and its LU are unchanged."""
+    """The LU polish's KKT, built from triplets, equals the bmat/diags
+    construction bit for bit, so the matrix factored and its LU are
+    unchanged."""
 
     @staticmethod
     def _factored(monkeypatch):

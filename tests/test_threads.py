@@ -1,7 +1,7 @@
 """OpenBLAS threads: ``import deqscores`` pins one thread unless the user set
-a count or numpy loaded first, and the CLI's output bytes do not depend on
-the count. Each case runs in a fresh interpreter, because OpenBLAS reads the
-variable once, when numpy loads."""
+a count or numpy loaded first, and neither the CLI's output bytes nor
+``metrics.l2_error`` depend on the count. Each case runs in a fresh
+interpreter, because OpenBLAS reads the variable once, when numpy loads."""
 
 import os
 import subprocess
@@ -62,3 +62,17 @@ def test_csv_bytes_do_not_depend_on_the_thread_count(tmp_path):
         )
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_l2_error_does_not_depend_on_the_thread_count():
+    # numpy loads first, so the variable sets OpenBLAS's count; 60 000
+    # elements are split over its threads
+    code = (
+        "import numpy as np; from deqscores.metrics import l2_error\n"
+        "for seed in range(5):\n"
+        "    rng = np.random.default_rng(seed)\n"
+        "    truth = rng.uniform(1.0, 10.0, 60_000)\n"
+        "    print(repr(l2_error(truth, truth + rng.normal(0.0, 1.5, 60_000))))\n"
+    )
+    one, two = (run(["-c", code], threads).stdout for threads in ("1", "2"))
+    assert one == two
