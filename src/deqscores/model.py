@@ -14,8 +14,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 Pair = tuple[str, str]
 
@@ -200,17 +198,78 @@ def validate(dataset: ReviewDataset) -> list[Violation]:
 
     # rankings never link two reviewers, so each strong component of the
     # whole dataset's ranking graph lies inside one reviewer's reviews
-    n = z.shape[0]
-    edges = (np.ones(int(usable.sum())), (better[usable], worse[usable]))
-    _, labels = connected_components(sp.csr_matrix(edges, shape=(n, n)), connection="strong")
-    cycles: dict[int, list[int]] = {}
-    for node in np.flatnonzero(np.bincount(labels)[labels] > 1).tolist():
-        cycles.setdefault(labels[node], []).append(node)
-    for members in sorted(cycles.values()):
+    for members in _cycles(z.shape[0], better[usable], worse[usable]):
         detail = "cycle through " + " > ".join(map(repr, paper_ids[dataset.paper[members]]))
         found.append((dataset.reviewer[members[0]], 1, RANK_CYCLE, detail))
     found.sort(key=lambda entry: entry[:2])
     return violations + [Violation(code, reviewer_ids[r], detail) for r, _, code, detail in found]
+
+
+def _cycles(n: int, tail: np.ndarray, head: np.ndarray) -> list[list[int]]:
+    """The strong components of more than one node of the graph on nodes
+    0..n-1 with an edge from each ``tail`` to its ``head``, as sorted node
+    lists, sorted. A node without in- or out-edges lies on no cycle: such
+    nodes are peeled in vectorized rounds, each looking only at the far ends
+    of the last round's edges, so every edge is touched once. An iterative
+    Tarjan search (SIAM J. Comput. 1(2), 1972) takes what is left, in
+    linear time and without recursion."""
+    # each node's out-edges, then its in-edges, as runs of their far ends
+    degree = [np.bincount(tail, minlength=n), np.bincount(head, minlength=n)]
+    runs = [np.concatenate([[0], np.cumsum(count)]) for count in degree]
+    ends = [head[np.argsort(tail, kind="stable")], tail[np.argsort(head, kind="stable")]]
+    peeled = np.zeros(n, dtype=bool)
+    frontier = np.flatnonzero((degree[0] == 0) | (degree[1] == 0))
+    while frontier.size:
+        peeled[frontier] = True
+        touched = []
+        for start, end, other_degree in zip(runs, ends, degree[::-1]):
+            # an edge out of (into) the frontier is its far end's in- (out-)edge
+            counts = start[frontier + 1] - start[frontier]
+            first = np.repeat(start[frontier] - np.cumsum(counts) + counts, counts)
+            far = end[first + np.arange(first.size)]
+            np.subtract.at(other_degree, far, 1)
+            touched.append(far)
+        touched = np.concatenate(touched)
+        touched = np.sort(touched[~peeled[touched] & (degree[0][touched] * degree[1][touched] == 0)])
+        frontier = touched[np.diff(touched, prepend=-1) != 0]
+
+    kept = ~peeled[tail] & ~peeled[head]
+    successors: dict[int, list[int]] = {}
+    for u, v in zip(tail[kept].tolist(), head[kept].tolist()):
+        successors.setdefault(u, []).append(v)
+    # Tarjan's search; a node whose component is taken gets index n, so
+    # that only nodes still on the stack lower a low link
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    components = []
+    for root in successors:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        path = [(root, iter(successors[root]))]
+        while path:
+            v, children = path[-1]
+            for w in children:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    path.append((w, iter(successors[w])))
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                path.pop()
+                if path:
+                    low[path[-1][0]] = min(low[path[-1][0]], low[v])
+                if low[v] == index[v]:
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    index.update(dict.fromkeys(component, n))
+                    if len(component) > 1:
+                        components.append(sorted(component))
+    return sorted(components)
 
 
 def require_valid(dataset: ReviewDataset) -> None:

@@ -22,26 +22,24 @@ matrix at least rho*I, and for the score-merging QP it is well conditioned,
 so a few CG steps suffice; a sparse LU of it would fill in heavily, because
 consensus and ranking couplings make its graph an expander.
 
-Two polishes solve the KKT system on an active set. The LU polish
-(``_polish``) factors it, built from the triplets of Q and of the active
-rows; it runs only for the ADMM's checks and for the sets the forest
-declines. The forest polish (``_forest_polish``) factors nothing. The stacked
-rows are the incidence matrix of a graph: a pair row joins its two
-variables, a box row joins its variable to a ground node. On a spanning
-forest of the active rows, x = offset + Z t: the bounds carried along the
-tree edges, and one value of t per component the ground does not fix; t
-solves the reduced system H t = -Z'(Q offset + c), H = Z'QZ, by
-Jacobi-preconditioned conjugate gradient (the null-space method: Nocedal
-and Wright, Numerical Optimization, 2006, section 16.2). For the
+One polish (``_polish``) solves the KKT system on an active set, and it
+factors nothing. The stacked rows are the incidence matrix of a graph: a
+pair row joins its two variables, a box row joins its variable to a ground
+node. On a spanning forest of the active rows, x = offset + Z t: the bounds
+carried along the tree edges, and one value of t per component the ground
+does not fix; t solves the reduced system H t = -Z'(Q offset + c), H =
+Z'QZ, by Jacobi-preconditioned conjugate gradient (the null-space method:
+Nocedal and Wright, Numerical Optimization, 2006, section 16.2). For the
 score-merging QP the preconditioned H has condition number at most
 1 + 1/lambda, so on the weight grid (lambda >= 1) a few steps reach 1e-15
 (Saad, Iterative Methods for Sparse Linear Systems, 2003, section 6.11).
 The multipliers come from one pass over the forest's subtrees; rows that
 close a cycle take the minimum-norm combination of their fundamental
-cycles. A set the forest cannot take goes to the LU polish: closing rows
-whose bounds disagree, a pair row held at its upper bound (+inf), more
-closing rows than ``_MAX_CLOSING_ROWS``. The scaled Q keeps the problem's
-pattern.
+cycles. The polish declines a set it cannot take: closing rows whose bounds
+disagree, a pair row held at its upper bound (+inf), more closing rows than
+``_MAX_CLOSING_ROWS``, or a conjugate gradient that does not converge. No
+correction follows a declined set, and the solve goes on iterating. The
+scaled Q keeps the problem's pattern.
 
 One rule accepts a polished point (``_corrected_polish``). The solver
 polishes on a proposed active set; when that point fails, the failed
@@ -56,10 +54,6 @@ ADMM iterate's multipliers every 25 iterations. The ADMM always iterates
 from the same point, so a proposal changes a solve's cost, never its
 answer. The unpolished iterate is the last resort: at a check where no
 polished point passes, it is returned when it meets the same tolerances.
-The forest polishes the caller's ``active`` and its corrections; the
-ADMM's checks polish with the LU. The two agree to about 1e-14, and a
-solve given no proposal (every solve whose values a command writes) is
-polished by the LU alone, so its values keep their bits.
 
 Along a path of related problems (one dataset solved at increasing fit
 weights) neighbouring minimizers almost always hold the same constraints at
@@ -74,7 +68,7 @@ The constraints live in a ``Constraints`` object that problems may share:
 everything the solver derives from the constraints alone (the tightened
 lower bounds, the stacked constraint matrix, its transpose and A'A) is
 computed on first use and reused by every problem built on the same object.
-It also keeps the forest of its last forest polish, so a polish on the same
+It also keeps the forest of its last polish, so a polish on the same
 active set and the same pattern of Q (the next weight of a path) only sums
 Q's values into H (OSQP-style reuse of what does not change, Stellato et
 al., Math. Prog. Comp. 2020).
@@ -85,13 +79,12 @@ problem's arrays are never written after it is built. A matrix whose values
 change and whose pattern does not is a shallow copy holding new values
 (``with_data``: no scipy constructor, and nothing shared is written, so
 threads may share a ``Constraints``). A step that its first polish certifies
-therefore constructs no scipy matrix and factors nothing: it writes Q's
-values (the problem's and the scaled Q, both copies of the dataset's
-pattern), finds the forest in the memo by the identity of Q's pattern
-arrays and by its rows at each bound, sums Q's values into H and the
-reduced right-hand side, runs the conjugate gradient (a few sparse
-products), takes the multipliers (two more), then the certificate's
-residuals (three). Each product goes straight to scipy's kernel
+therefore constructs no scipy matrix: it writes Q's values (the problem's
+and the scaled Q, both copies of the dataset's pattern), finds the forest
+in the memo by the identity of Q's pattern arrays and by its rows at each
+bound, sums Q's values into H and the reduced right-hand side, runs the
+conjugate gradient (a few sparse products), takes the multipliers (two
+more), then the certificate's residuals (three). Each product goes straight to scipy's kernel
 (``_matvec``). Only a new active set builds a forest.
 """
 
@@ -104,7 +97,17 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+
+def __getattr__(name):
+    # ``qp.spla`` exists only for the LU binding that ``perfbench/tracer.py``
+    # wraps; nothing here factors, so scipy's sparse linear algebra is
+    # imported only when that binding is asked for
+    if name == "spla":
+        import scipy.sparse.linalg
+
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolverError(Exception):
@@ -131,8 +134,7 @@ class MaxIterationsExceeded(SolverError):
 
 class StackedRows(NamedTuple):
     """Boxes (identity rows) stacked over pair rows as l <= A y <= u, with
-    A' and A'A. A is CSR, so the polish gathers each active row's entries
-    from its arrays; A' is its CSC transpose, which shares them."""
+    A' (A's CSC transpose, which shares its arrays) and A'A."""
 
     A: sp.csr_matrix
     At: sp.csc_matrix
@@ -162,9 +164,9 @@ class Constraints:
     ``InfeasibleProblem`` when the set is empty) and the stacked rows are
     computed on first use and cached, so problems sharing one
     ``Constraints`` (a dataset solved along a fit-weight grid) pay for them
-    once. The forest of the last forest polish is
-    kept too; each forest is immutable and replacing it is one assignment,
-    so threads sharing the object at worst build a forest again.
+    once. The forest of the last polish is kept too; each forest is
+    immutable and replacing it is one assignment, so threads sharing the
+    object at worst build a forest again.
     """
 
     box_lower: np.ndarray
@@ -195,7 +197,7 @@ class Constraints:
 
     @cached_property
     def last_forest(self) -> dict:
-        """One slot, ``"forest"``, for the forest of the last forest polish
+        """One slot, ``"forest"``, for the forest of the last polish
         on these constraints (see ``qp._memoized_forest``)."""
         return {}
 
@@ -287,11 +289,6 @@ def check_feasibility(constraints: Constraints) -> np.ndarray:
     raise InfeasibleProblem(f"pair-constraint gaps overflow the boxes along chain {chain}", chain)
 
 
-# the polish regularizes its KKT system by +delta on Q's diagonal and
-# -delta on the active rows' diagonal, then refines against the exact system
-_REGULARIZATION = 1e-9
-
-
 def with_data(matrix, data: np.ndarray):
     """A shallow copy of the CSC ``matrix`` holding ``data`` in place of its
     values: it shares the pattern arrays, constructs no matrix and leaves
@@ -299,55 +296,6 @@ def with_data(matrix, data: np.ndarray):
     copied = copy.copy(matrix)
     copied.data = data
     return copied
-
-
-def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
-    """Solve the KKT equality system on the active set ``signs`` marks (rows
-    below -1e-12 held at their lower bound, above 1e-12 at their upper
-    bound; it may be empty: the system is then Q x = -c alone).
-
-    The system [[Q, A_S'], [A_S, 0]], A_S being the marked rows in that
-    order, is built from the triplets of Q and of A_S, and factored
-    regularized: +delta on Q's diagonal, -delta on the active rows'.
-    Returns (x, w_full) or None when the regularized system cannot be solved.
-    Verification against the full problem is the caller's job.
-    """
-    rows = constraints.rows
-    lower = np.nonzero(signs < -1e-12)[0]
-    upper = np.nonzero(signs > 1e-12)[0]
-    active_rows = np.concatenate([lower, upper])
-    n, k = Q.shape[0], active_rows.size
-    q, a = Q.tocoo(copy=False), rows.A[active_rows].tocoo(copy=False)
-    row = np.concatenate([q.row, a.col, a.row + n])
-    col = np.concatenate([q.col, a.row + n, a.col])
-    data = np.concatenate([q.data, a.data, a.data])
-    shape = (n + k, n + k)
-    diagonal = np.arange(n + k, dtype=row.dtype)
-    delta = np.concatenate([np.full(n, _REGULARIZATION), np.full(k, -_REGULARIZATION)])
-    kkt = sp.csc_matrix(
-        (
-            np.concatenate([data, delta]),
-            (np.concatenate([row, diagonal]), np.concatenate([col, diagonal])),
-        ),
-        shape=shape,
-    )
-    rhs = np.concatenate([-c, rows.lower[lower], rows.upper[upper]])
-    try:
-        lu = spla.splu(kkt)
-    except RuntimeError:
-        return None
-    sol = lu.solve(rhs)
-    # a couple of refinement sweeps against the unregularized system
-    kkt0 = sp.csc_matrix((data, (row, col)), shape=shape)
-    for _ in range(2):
-        resid = rhs - _matvec(kkt0, sol)
-        if np.abs(resid).max() < 1e-14:
-            break
-        sol = sol + lu.solve(resid)
-    x = sol[:n]
-    w_full = np.zeros(rows.lower.shape[0])
-    w_full[active_rows] = sol[n:]
-    return x, w_full
 
 
 class _Sparse(NamedTuple):
@@ -374,9 +322,9 @@ def _matvec(matrix, x: np.ndarray) -> np.ndarray:
 
 
 class _Forest(NamedTuple):
-    """What the forest polish takes from an active set and Q's sparsity
-    pattern alone (see ``_forest``). ``tree`` and ``closing`` are the active
-    rows on the spanning forest and those closing a cycle. ``offset`` is x
+    """What the polish takes from an active set and Q's sparsity pattern
+    alone (see ``_forest``). ``tree`` and ``closing`` are the active rows on
+    the spanning forest and those closing a cycle. ``offset`` is x
     with every free component at 0, ``free`` the variables the ground does
     not fix and ``component`` their component, which indexes H. ``h`` is
     H = Z'QZ with zeros for values: Q's entries ``h_source`` sum into its
@@ -408,15 +356,14 @@ class _Forest(NamedTuple):
     cycle_inverse: np.ndarray | None
 
 
-# the largest cycle space the forest polish takes; a set closing more cycles
-# goes to the LU polish
+# the largest cycle space the polish takes; it declines a set closing more
 _MAX_CLOSING_ROWS = 256
 
 
 def _forest(Q, constraints: Constraints, lower: np.ndarray, upper: np.ndarray) -> _Forest | None:
     """The spanning forest of the rows ``lower`` and ``upper`` hold at a
-    bound, with the reduced system it gives; None when the forest polish
-    cannot take the set: a pair row held at its upper bound (+inf) or any
+    bound, with the reduced system it gives; None when the polish cannot
+    take the set: a pair row held at its upper bound (+inf) or any
     infinite bound, closing rows whose bounds disagree with the forest's,
     more than ``_MAX_CLOSING_ROWS`` of them, or a free component without a
     diagonal entry of Q.
@@ -598,9 +545,9 @@ def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
 
 
 class _ForestMemo(NamedTuple):
-    """The forest of the last forest polish on a ``Constraints`` (None when
-    it declined the set) with the key it was built for: the rows at each
-    bound and Q's pattern arrays, which are never written."""
+    """The forest of the last polish on a ``Constraints`` (None when it
+    declined the set) with the key it was built for: the rows at each bound
+    and Q's pattern arrays, which are never written."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -610,9 +557,9 @@ class _ForestMemo(NamedTuple):
 
 
 def _memoized_forest(Q, constraints: Constraints, lower, upper) -> _Forest | None:
-    """The forest of the last forest polish on ``constraints`` when it had
-    the same rows at each bound and the very same pattern arrays of Q, else
-    a new one, which replaces it in one assignment."""
+    """The forest of the last polish on ``constraints`` when it had the
+    same rows at each bound and the very same pattern arrays of Q, else a
+    new one, which replaces it in one assignment."""
     last = constraints.last_forest.get("forest")
     if not (
         last is not None
@@ -626,22 +573,24 @@ def _memoized_forest(Q, constraints: Constraints, lower, upper) -> _Forest | Non
     return last.forest
 
 
-# the forest polish's conjugate gradient runs to this relative residual
+# the polish's conjugate gradient runs to this relative residual
 _FOREST_CG_TOLERANCE = 1e-15
 
 
-def _forest_polish(Q, c, constraints: Constraints, signs: np.ndarray):
-    """``_polish``'s contract without a factorization: (x, w_full) on the
-    rows ``signs`` marks, or None when the forest cannot take the set (see
-    ``_forest``) or its conjugate gradient does not converge, so the caller
-    polishes with the LU instead.
+def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
+    """Solve the KKT equality system on the active set ``signs`` marks (rows
+    below -1e-12 held at their lower bound, above 1e-12 at their upper
+    bound; it may be empty: the system is then Q x = -c alone), on the
+    spanning forest of its rows. Returns (x, w_full), or None when the
+    forest cannot take the set (see ``_forest``) or its conjugate gradient
+    does not converge. Verification against the full problem is the
+    caller's job.
 
-    x = offset + Z t, where t solves H t = -Z'(Q offset + c) by ``_pcg``.
-    Since Q = (C + 2 lam I) / scale with 0 <= C <= 2I for the score-merging
-    QP, the Jacobi-preconditioned H has condition number at most 1 + 1/lam,
-    so a few steps converge on the weight grid (lam >= 1). The multipliers
-    sum the gradient -(Qx + c) over each tree row's subtree, then take the
-    cycle-space step when rows close a cycle."""
+    x = offset + Z t, where t solves H t = -Z'(Q offset + c) by ``_pcg``
+    (Q = (C + 2 lam I) / scale with 0 <= C <= 2I for the score-merging QP,
+    so the Jacobi-preconditioned H has condition number at most
+    1 + 1/lam). The multipliers sum the gradient -(Qx + c) over each tree
+    row's subtree, then take the cycle-space step when rows close a cycle."""
     lower = np.nonzero(signs < -1e-12)[0]
     upper = np.nonzero(signs > 1e-12)[0]
     forest = _memoized_forest(Q, constraints, lower, upper)
@@ -754,12 +703,11 @@ def _active_rows(w: np.ndarray) -> np.ndarray:
 PDAS_CORRECTIONS = 3
 
 
-def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray, forest: bool = False):
+def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray):
     """Polish on ``active``, then on up to ``PDAS_CORRECTIONS`` primal-dual
     active-set corrections of it; return (x, residuals, active set) of the
-    first certified point, else None. This is the one place a polished point
-    is accepted. With ``forest`` every set goes to the forest polish first
-    and to the LU polish when the forest declines it; without, to the LU.
+    first certified point, else None, also when ``_polish`` declines a set.
+    This is the one place a polished point is accepted.
 
     The certificate: every polished multiplier has the sign of the bound it
     holds, the primal residual is within ``FEASTOL`` and the scaled
@@ -772,9 +720,7 @@ def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray, forest
     rows = constraints.rows
     tried: list[np.ndarray] = []
     for _ in range(1 + PDAS_CORRECTIONS):
-        polished = _forest_polish(Q, c, constraints, active) if forest else None
-        if polished is None:
-            polished = _polish(Q, c, constraints, active)
+        polished = _polish(Q, c, constraints, active)
         if polished is None:
             return None
         x, w = polished
@@ -806,14 +752,13 @@ def solve(problem: QPProblem, active: np.ndarray | None = None) -> Solution:
     the module docstring): ``active`` at iteration 0, when given, and the
     set the iterate's multipliers mark every 25 iterations. A certified
     point is returned with the set it was polished on as ``active``, and
-    with ``iterations`` 0 when ``active`` was certified. ``active`` and its
-    corrections are polished on the forest of their rows, the iterate's
-    sets with the LU, so a solve given no proposal polishes with the LU
-    alone. The iteration
-    always starts from the same point, so a failed proposal costs only its
-    polishes. At a check where no polished point passes, the unpolished
-    iterate is the last resort, returned when it meets the tolerances. The
-    result minimizes the problem's 0.5*y'Qy + c'y; its value is not computed.
+    with ``iterations`` 0 when ``active`` was certified. Every set is
+    polished on the spanning forest of its rows, without a factorization.
+    The iteration always starts from the same point, so a failed proposal
+    costs only its polishes. At a check where no polished point passes, the
+    unpolished iterate is the last resort, returned when it meets the
+    tolerances. The result minimizes the problem's 0.5*y'Qy + c'y; its value
+    is not computed.
     ``InfeasibleProblem`` from ``check_feasibility`` passes through when the
     constraint set is empty (gaps that overflow a box, or a positive-gap
     cycle); raises ``MaxIterationsExceeded`` when the tolerances are not met
@@ -854,9 +799,7 @@ def solve(problem: QPProblem, active: np.ndarray | None = None) -> Solution:
             # the proposed set: the caller's at iteration 0, then the iterate's
             proposal = w if it else active
             if proposal is not None:
-                certified = _corrected_polish(
-                    Q, c, problem.constraints, _active_rows(proposal), forest=not it
-                )
+                certified = _corrected_polish(Q, c, problem.constraints, _active_rows(proposal))
                 if certified is not None:
                     xp, residuals, polished_on = certified
                     return Solution(xp, it, residuals, cg_steps, polished_on)

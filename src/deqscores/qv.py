@@ -81,13 +81,11 @@ def lambda_path(compiled: CompiledDataset, lambdas: Sequence[float]) -> list[Sol
     no set would be.
 
     Each step is one ``qp.solve`` of ``compiled.problem(lam)``. The problems
-    share the dataset's constraints and Q's pattern, and a proposed set is
+    share the dataset's constraints and Q's pattern, and every set is
     polished on the spanning forest of its rows, so a step the solver
-    certifies on its proposed set constructs no sparse matrix and factors
-    nothing: it pays for a few conjugate-gradient steps on the reduced
-    system, the multipliers and the certificate (see ``qp``). Its values
-    may differ from an LU polish's in the last digits (about 1e-14); they
-    feed only the validation errors. Score the solutions with one call of
+    certifies on its proposed set constructs no sparse matrix: it pays for
+    a few conjugate-gradient steps on the reduced system, the multipliers
+    and the certificate (see ``qp``). Score the solutions with one call of
     the batched Kendall kernel, ``metrics.kendall_tau_errors``, as
     ``select_lambda`` does.
     """

@@ -24,8 +24,6 @@ two reviews of a reviewer, the reference for
 ``model.derive_rankings_from_raw_scores``. ``layout_reference`` sorts a
 dataset's records as tuples, the reference for the sorted id tables and
 columns that ``ReviewDataset.from_columns`` builds.
-``polish_kkt_reference`` builds the polish's KKT matrix with ``sp.bmat`` and
-``sp.diags``, the reference for the LU polish's triplet assembly.
 ``build_problem`` makes a ``QPProblem`` from small hand-written data with
 acyclic pair rows, and ``objective`` evaluates its 0.5*y'Qy + c'y.
 ``feasibility_reference`` is the row-by-row Bellman-Ford feasibility pass,
@@ -394,18 +392,6 @@ def load_scores(path) -> dict[tuple[str, str], float]:
         "reviewer_id", "paper_id", "quantized_score", "dequantized_score", "percentile"
     ]
     return {(row[0], row[1]): float(row[3]) for row in rows}
-
-
-def polish_kkt_reference(Q, A, signs, delta: float = 1e-9) -> sp.csc_matrix:
-    """The polish's regularized KKT matrix on the rows ``signs`` marks (below
-    -1e-12 at the lower bound, above 1e-12 at the upper, lower-bound rows
-    first), built from scipy's block and diagonal constructors:
-    (bmat([[Q, A_S'], [A_S, None]]) + diags(delta on n, -delta on k)) in CSC."""
-    rows = np.concatenate([np.nonzero(signs < -1e-12)[0], np.nonzero(signs > 1e-12)[0]])
-    A_act = A[rows]
-    kkt0 = sp.bmat([[Q, A_act.T], [A_act, None]], format="csc")
-    n, k = Q.shape[0], rows.size
-    return (kkt0 + sp.diags(np.concatenate([np.full(n, delta), np.full(k, -delta)]))).tocsc()
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def run_entry(argv):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "deqscores.cli", *argv],
-        capture_output=True, env=env, timeout=300,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=300)
+
+
+def run_entry(argv):
+    return run_python("-m", "deqscores.cli", *argv)
 
 
 def run_in_process(argv, capsys):
@@ -116,3 +117,34 @@ def test_script_and_module_share_one_entry():
     (call,) = block.body
     assert ast.unparse(call) == f"{script[1]}()"
     assert callable(getattr(cli, script[1]))
+
+
+# scipy modules a command has no use for: the solver factors nothing and
+# ``validate`` finds rank cycles by itself
+UNUSED_SCIPY = ("scipy.sparse.linalg", "scipy.linalg", "scipy.sparse.csgraph")
+
+
+def test_no_command_loads_scipy_linear_algebra(p60, tmp_path):
+    # the CLI's import, an auto run and the validate of a dataset with a rank
+    # cycle, in one process
+    reviews, rankings = tmp_path / "reviews.csv", tmp_path / "rankings.csv"
+    reviews.write_text("reviewer_id,paper_id,score\nr1,A,5\nr1,B,5\nr1,C,5\n")
+    rankings.write_text("reviewer_id,better_paper_id,worse_paper_id\nr1,A,B\nr1,B,C\nr1,C,A\n")
+    commands = [
+        ["dequantize", *p60, "--lambda", "auto", "--output", str(tmp_path / "out.csv")],
+        ["validate", "--reviews", str(reviews), "--rankings", str(rankings)],
+    ]
+    code = (
+        "import sys\n"
+        "import deqscores.cli as cli\n"
+        f"unused = set({UNUSED_SCIPY!r})\n"
+        "loaded = [sorted(unused & set(sys.modules))]\n"
+        f"for argv in {commands!r}:\n"
+        "    loaded.append((cli.main(argv), sorted(unused & set(sys.modules))))\n"
+        "print(loaded)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert b"cycle through 'A' > 'B' > 'C'" in proc.stdout + proc.stderr
+    expected = [[], (cli.EXIT_OK, []), (cli.EXIT_VALIDATION, [])]
+    assert proc.stdout.decode().splitlines()[-1] == repr(expected)

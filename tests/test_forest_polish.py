@@ -1,8 +1,7 @@
-"""The forest polish: a proposed active set polished on the spanning forest
-of its rows, with conjugate gradient on the reduced system, checked against
-the LU polish, against the KKT conditions and against ``certify``."""
+"""The polish: an active set polished on the spanning forest of its rows,
+with conjugate gradient on the reduced system, checked against the KKT
+conditions (``kkt_check``) and against ``certify``."""
 
-import importlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,16 +9,13 @@ import numpy as np
 import pytest
 
 from deqscores import qp
-from deqscores.dequantize import compile_dataset, dequantize
+from deqscores.dequantize import compile_dataset
 from deqscores.model import ReviewDataset, ScoreScale
 from deqscores.qp import QPProblem, solve
 from deqscores.qv import LAMBDA_GRID, coarsen, lambda_path
 from deqscores.synth import SynthConfig, generate, trial_seed
 
 from oracles import build_problem, certify, kkt_check
-
-# the module; the package's ``dequantize`` is its function
-dequantize_module = importlib.import_module("deqscores.dequantize")
 
 
 def scaled(problem):
@@ -61,55 +57,72 @@ def k22_tie_block():
 
 
 class TestAgainstTheLUPolish:
+    """``kkt_check`` (and ``certify`` on small problems) decides what these
+    tests once decided by comparison with an LU polish, whose name they
+    keep: every polish solves the KKT system of its set, and a set the
+    polish declines returns None, after which the solve still returns a
+    certified minimizer."""
+
     def test_every_set_of_the_sweep_cell_paths(self, monkeypatch):
         # the 20 trial datasets of one seed-0 sweep cell (sigma 0.5, P=60),
         # coarsened as quantization validation solves them
-        seen = counted(monkeypatch, "_forest_polish")
+        seen = counted(monkeypatch, "_polish")
         for trial in range(20):
             dataset = generate(SynthConfig(seed=trial_seed(0, trial))).dataset
             lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
         assert len(seen) > 20 * len(LAMBDA_GRID)  # proposals and their corrections
         verdicts = set()
-        for Q, c, constraints, signs, forest in seen:
-            assert forest is not None  # no set of these paths goes to the LU
-            lu = qp._polish(Q, c, constraints, signs)
-            assert np.max(np.abs(forest[0] - lu[0])) <= 1e-12
-            problem = QPProblem(Q, c, constraints)
-            verdict = kkt_check(problem, *forest).certifies()
-            assert verdict == kkt_check(problem, *lu).certifies()
-            verdicts.add(verdict)
-        assert verdicts == {True, False}  # the corrected proposals failed both
+        for Q, c, constraints, signs, polished in seen:
+            assert polished is not None  # the polish takes every set of these paths
+            check = kkt_check(QPProblem(Q, c, constraints), *polished)
+            # the KKT system of the set is solved, whether or not its
+            # point is the minimizer
+            assert check.stationarity <= 1e-12, check
+            verdicts.add(check.certifies())
+        assert verdicts == {True, False}  # some proposals needed a correction
 
     def test_closing_rows_whose_bounds_disagree_go_to_the_lu_polish(self, monkeypatch):
-        # y0 - y1 = 0.1 and y0 - y1 = 0.2 close a cycle no point satisfies
+        # y0 - y1 = 0.1 and y0 - y1 = 0.2 close a cycle no point satisfies:
+        # the polish declines the set and the solve iterates
         problem = build_problem(
             2.0 * np.eye(2), [-10.0, -10.0], [(0, 1, 0.1), (0, 1, 0.2)], [4.5, 4.5], [5.5, 5.5]
         )
         signs = np.array([0, 0, -1, -1], dtype=np.int8)
-        assert qp._forest_polish(*scaled(problem), problem.constraints, signs) is None
-        lu = counted(monkeypatch, "_polish")
-        forest = counted(monkeypatch, "_forest_polish")
-        solve(problem, active=signs)
-        assert forest[0][3].tolist() == signs.tolist() and forest[0][4] is None
-        assert lu[0][3].tolist() == signs.tolist()
+        assert qp._polish(*scaled(problem), problem.constraints, signs) is None
+        polished = counted(monkeypatch, "_polish")
+        solution = solve(problem, active=signs)
+        assert polished[0][3].tolist() == signs.tolist() and polished[0][4] is None
+        assert solution.iterations > 0 and certified(problem, solution.values)
 
     def test_a_set_it_declines_goes_to_the_lu_polish(self, monkeypatch):
         # more closing rows than it takes, or a reduced system whose
-        # conjugate gradient stops at the step cap
+        # conjugate gradient stops at the step cap: the polish declines the
+        # set, and the solve iterates to the minimizer it certifies unpatched
         compiled = compile_dataset(k22_tie_block(), 0.05)
         n = compiled.constraints.n
         signs = np.zeros(n + 4, dtype=np.int8)
         signs[n:] = -1
-        Q, c = scaled(compiled.problem(1.0))
-        assert qp._forest_polish(Q, c, compiled.constraints, signs) is not None
-        for name in ("_MAX_CLOSING_ROWS", "_CG_MAX_STEPS"):
+        problem = compiled.problem(1.0)
+        Q, c = scaled(problem)
+        assert qp._polish(Q, c, compiled.constraints, signs) is not None
+        expected = solve(problem, active=signs)
+        assert expected.iterations == 0 and certified(problem, expected.values)
+        pcg = qp._pcg
+
+        def stalled(K, inv_diag, b, x0, tolerance=qp._CG_TOLERANCE):
+            # the polish's conjugate gradient reports the step cap
+            x, steps = pcg(K, inv_diag, b, x0, tolerance)
+            return x, qp._CG_MAX_STEPS if tolerance == qp._FOREST_CG_TOLERANCE else steps
+
+        for name, value in (("_MAX_CLOSING_ROWS", 0), ("_pcg", stalled)):
             with monkeypatch.context() as patch:
-                patch.setattr(qp, name, 0)
+                patch.setattr(qp, name, value)
                 compiled.constraints.last_forest.clear()
-                assert qp._forest_polish(Q, c, compiled.constraints, signs) is None, name
-                lu = counted(patch, "_polish")
-                solution = solve(compiled.problem(1.0), active=signs)
-                assert solution.iterations == 0 and lu, name
+                assert qp._polish(Q, c, compiled.constraints, signs) is None, name
+                solution = solve(problem, active=signs)
+                assert solution.iterations > 0, name
+                assert np.max(np.abs(solution.values - expected.values)) <= 1e-9, name
+                assert certified(problem, solution.values), name
 
     def test_a_repeated_row_with_the_same_bound_is_the_forests(self):
         # the second row closes a cycle that agrees: its multiplier shares the load
@@ -118,7 +131,7 @@ class TestAgainstTheLUPolish:
         )
         signs = np.array([0, 0, -1, -1], dtype=np.int8)
         Q, c = scaled(problem)
-        x, w = qp._forest_polish(Q, c, problem.constraints, signs)
+        x, w = qp._polish(Q, c, problem.constraints, signs)
         assert np.allclose(x, [5.05, 4.95], rtol=0, atol=1e-12)
         assert w[2] == w[3] < 0  # the minimum-norm split
         assert kkt_check(QPProblem(Q, c, problem.constraints), x, w).certifies()
@@ -139,7 +152,7 @@ class TestCycleSpaceStep:
         signs = np.zeros(n + 4, dtype=np.int8)
         signs[n:] = -1  # all four pair rows tight
         Q, c = scaled(problem)
-        x, w = qp._forest_polish(Q, c, constraints, signs)
+        x, w = qp._polish(Q, c, constraints, signs)
         lower = np.flatnonzero(signs < 0)
         forest = qp._forest(Q, constraints, lower, np.zeros(0, dtype=np.int64))
         assert forest.closing.tolist() == [n + 3]  # B > D closes the cycle
@@ -165,9 +178,9 @@ class TestKKTCheck:
         for lam, solution in zip(LAMBDA_GRID, lambda_path(compiled, LAMBDA_GRID)):
             problem = compiled.problem(lam)
             Q, c = scaled(problem)
-            polished = qp._forest_polish(Q, c, compiled.constraints, solution.active)
+            polished = qp._polish(Q, c, compiled.constraints, solution.active)
             if polished is None or not np.array_equal(polished[0], solution.values):
-                continue  # an LU polish
+                continue  # the unpolished last resort
             forest_steps += 1
             check = kkt_check(QPProblem(Q, c, compiled.constraints), *polished)
             assert check.certifies(), (lam, check)
@@ -177,11 +190,15 @@ class TestKKTCheck:
 
     @pytest.mark.parametrize("num_papers, lam", [(600, np.exp(3.0)), (1500, 1.0)])
     def test_the_lu_polish_of_a_cold_solve(self, num_papers, lam):
-        # re-polishing the returned set gives the returned values again
+        # named for the LU polish cold solves once had: a cold solve's check
+        # polishes on the forest as a path step does, re-polishing the
+        # returned set gives the returned values again, and ``kkt_check``
+        # certifies them
         problem = compile_dataset(
             generate(SynthConfig(num_papers=num_papers, seed=0)).dataset, 0.05
         ).problem(lam)
         solution = solve(problem)
+        assert solution.iterations > 0
         Q, c = scaled(problem)
         x, w = qp._polish(Q, c, problem.constraints, solution.active)
         assert np.array_equal(x, solution.values)
@@ -194,7 +211,7 @@ class TestKKTCheck:
         solution = lambda_path(compiled, LAMBDA_GRID[:1])[0]
         problem = compiled.problem(LAMBDA_GRID[0])
         Q, c = scaled(problem)
-        x, w = qp._forest_polish(Q, c, compiled.constraints, solution.active)
+        x, w = qp._polish(Q, c, compiled.constraints, solution.active)
         moved = x.copy()
         moved[0] += 1e-3
         assert not kkt_check(QPProblem(Q, c, compiled.constraints), moved, w).certifies()
@@ -203,76 +220,33 @@ class TestKKTCheck:
     def test_a_wrong_sign_or_a_slack_row_with_a_multiplier_fails(self):
         problem = build_problem(2.0 * np.eye(2), [-10.0, -10.0], [(0, 1, 0.1)], [4.5, 4.5], [5.5, 5.5])
         Q, c = scaled(problem)
-        x, w = qp._forest_polish(Q, c, problem.constraints, np.array([0, 0, -1], dtype=np.int8))
+        x, w = qp._polish(Q, c, problem.constraints, np.array([0, 0, -1], dtype=np.int8))
         scaled_problem = QPProblem(Q, c, problem.constraints)
         assert kkt_check(scaled_problem, x, w).certifies()
         assert kkt_check(scaled_problem, x, -w).sign > 0  # a pair row pushed towards +inf
         assert not kkt_check(scaled_problem, x + np.array([0.01, 0.0]), w).certifies()
 
 
-class TestWhoUsesIt:
-    """The forest polishes a solve's proposal and its corrections; the
-    ADMM's checks, and so every solve given no proposal, polish with the LU."""
-
-    def test_a_solve_given_no_proposal_never_calls_the_forest_polish(self, monkeypatch):
-        # what keeps every written byte: the solves whose values are written
-        # polish with the LU alone
-        dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
-        compiled = compile_dataset(dataset, 0.05)
-        forest = counted(monkeypatch, "_forest_polish")
-        cold = solve(compiled.problem(1.0))
-        assert cold.iterations > 0 and not forest
-        dequantize(dataset, 1.0)
-        assert not forest
-
-        final = []
-        solve_in_dequantize = dequantize_module.solve
-
-        def final_solve(problem, active=None):
-            before = len(forest)
-            solution = solve_in_dequantize(problem, active)
-            final.append(len(forest) - before)
-            return solution
-
-        monkeypatch.setattr(dequantize_module, "solve", final_solve)
-        dequantize(dataset)  # lam=auto: the path proposes, the final solve does not
-        assert forest and final == [0]
-
-        forest.clear()
-        solve(compiled.problem(1.0), active=cold.active)
-        assert len(forest) == 1
-
-    def test_the_lu_polishes_only_cold_solves(self, monkeypatch):
-        # why the LU's cost stays off the path: a path's proposals all go to
-        # the forest, and only a solve that iterates factors
-        compiled = compile_dataset(coarsen(generate(SynthConfig()).dataset), 0.05)
-        lu = counted(monkeypatch, "_polish")
-        lambda_path(compiled, LAMBDA_GRID)
-        assert not lu
-        solve(compiled.problem(1.0))
-        assert lu
-
-
-
 class TestForestMemo:
-    """A forest polish on the same constraints, rows and pattern of Q as the
-    forest polish before it reuses that polish's forest."""
+    """A polish on the same constraints, rows and pattern of Q as the polish
+    before it reuses that polish's forest."""
 
     def test_a_repeated_set_builds_its_forest_once(self, monkeypatch):
         compiled = compile_dataset(generate(SynthConfig(num_papers=60, seed=0)).dataset, 0.05)
         signs = solve(compiled.problem(1.0)).active
+        compiled.constraints.last_forest.clear()  # the solve's own polish left its forest
         built = []
         forest = qp._forest
         monkeypatch.setattr(qp, "_forest", lambda *args: built.append(1) or forest(*args))
         polished = [
-            qp._forest_polish(*scaled(compiled.problem(lam)), compiled.constraints, signs)
+            qp._polish(*scaled(compiled.problem(lam)), compiled.constraints, signs)
             for lam in LAMBDA_GRID[:5]
         ]
         assert len(built) == 1
         # reused or built afresh, the forest gives the same polish
         for lam, (x, w) in zip(LAMBDA_GRID[:5], polished):
             compiled.constraints.last_forest.clear()
-            fresh_x, fresh_w = qp._forest_polish(
+            fresh_x, fresh_w = qp._polish(
                 *scaled(compiled.problem(lam)), compiled.constraints, signs
             )
             assert np.array_equal(x, fresh_x) and np.array_equal(w, fresh_w)
@@ -287,7 +261,7 @@ class TestForestMemo:
 
         def polish(job):
             lam, signs = job
-            return qp._forest_polish(*scaled(compiled.problem(lam)), compiled.constraints, signs)
+            return qp._polish(*scaled(compiled.problem(lam)), compiled.constraints, signs)
 
         expected = [polish(job) for job in jobs]
         interval = sys.getswitchinterval()

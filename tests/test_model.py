@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,33 @@ def small_ranked_records(draw):
     scores = {p: draw(st.integers(-1, 4)) for p in sorted(draw(st.sets(pair, min_size=1)))}
     row = st.tuples(st.sampled_from(REVIEWERS), st.sampled_from(PAPERS), st.sampled_from(PAPERS))
     return scores, draw(st.lists(row, max_size=20))
+
+
+@st.composite
+def cyclic_records(draw):
+    """Random datasets as records whose reviewers each hold several ranking
+    cycles, some through unscored papers. Consecutive cycles are joined by
+    a path through a paper on no cycle, which has in- and out-edges, so
+    peeling leaves it for the component search; random rows add self pairs,
+    pairs against the scores and tails into and out of the cycles."""
+    papers = [f"p{k:02d}" for k in range(14)]
+    scores, rows = {}, []
+    for r in REVIEWERS[:2]:
+        order = draw(st.permutations(papers))
+        unscored = set(draw(st.lists(st.sampled_from(papers), max_size=3)))
+        scores.update({(r, p): draw(st.integers(-1, 4)) for p in papers if p not in unscored})
+        cycles, at = [], 0
+        for size in draw(st.lists(st.integers(2, 4), max_size=3)):
+            cycle = order[at : at + size]
+            at += size
+            rows += [(r, a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+            cycles.append(cycle)
+        for first, second in zip(cycles, cycles[1:]):
+            rows += [(r, first[-1], order[at]), (r, order[at], second[0])]
+            at += 1
+        row = st.tuples(st.just(r), st.sampled_from(papers), st.sampled_from(papers))
+        rows += draw(st.lists(row, max_size=8))
+    return scores, rows
 
 
 def from_records(scores, rows):
@@ -119,6 +148,48 @@ class TestValidate:
     def test_violations_match_the_record_walk_reference(self, records):
         found = [(v.code, v.reviewer_id, v.detail) for v in validate(from_records(*records))]
         assert found == validate_reference(SCALE, *records)
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=cyclic_records())
+    def test_several_cycles_per_reviewer_match_the_record_walk_reference(self, records):
+        found = [(v.code, v.reviewer_id, v.detail) for v in validate(from_records(*records))]
+        assert found == validate_reference(SCALE, *records)
+
+    @staticmethod
+    def _one_cycle(size: int) -> ReviewDataset:
+        # one reviewer's papers 0 > 1 > ... > size - 1 > 0, all scored alike
+        papers = [f"p{k:06d}" for k in range(size)]
+        ids = np.arange(size)
+        return ReviewDataset.from_columns(
+            ScoreScale(0, 3), ["r"], papers, np.zeros(size), ids, np.full(size, 2),
+            np.zeros(size), ids, np.roll(ids, -1),
+        )
+
+    def test_a_cycle_through_twenty_thousand_papers_is_one_cycle_in_linear_time(self):
+        # the component search recurses nowhere, and its work grows with the
+        # size, not its square: four times the papers make at most four
+        # times the calls of built-in functions (12 per paper), counted by a
+        # profile hook, which unlike a clock gives the same count every run
+        calls = []
+        for size in (5_000, 20_000):
+            dataset = self._one_cycle(size)
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event == "c_call"
+
+            sys.setprofile(profile)
+            try:
+                found = validate(dataset)
+            finally:
+                sys.setprofile(None)
+            calls.append(count)
+            papers = " > ".join(repr(p) for p in dataset.paper_ids.tolist())
+            assert [(v.code, v.reviewer_id, v.detail) for v in found] == [
+                (RANK_CYCLE, "r", "cycle through " + papers)
+            ]
+        assert calls[1] <= 4 * calls[0], calls
 
     def test_all_violations_reported_together(self):
         ds = make_dataset(

@@ -1,4 +1,3 @@
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from oracles import (
     constraint_violation,
     feasibility_reference,
     objective,
-    polish_kkt_reference,
     score_only_closed_form,
 )
 
@@ -223,31 +221,23 @@ class TestWarmStart:
         # a wrong set falls back first to at most PDAS_CORRECTIONS corrected
         # polishes, then to the ADMM loop, which runs as in a solve given no set
         cold = solve(problem)
-        calls = {"polish": 0, "lu": 0, "before_iterating": None}
-        forest_polish, polish, x_update_system = qp._forest_polish, qp._polish, qp._x_update_system
+        calls = {"polish": 0, "before_iterating": None}
+        polish, x_update_system = qp._polish, qp._x_update_system
 
-        def counted_polish(*args):  # a proposed or corrected set goes to the forest first
+        def counted_polish(*args):
             calls["polish"] += 1
-            return forest_polish(*args)
-
-        def counted_lu(*args):  # then to the LU, when the forest declines it
-            calls["lu"] += 1
             return polish(*args)
 
         def iterating(*args):  # the solve builds this system before its first iteration
             if calls["before_iterating"] is None:
-                calls["before_iterating"] = (calls["polish"], calls["lu"])
+                calls["before_iterating"] = calls["polish"]
             return x_update_system(*args)
 
-        monkeypatch.setattr(qp, "_forest_polish", counted_polish)
-        monkeypatch.setattr(qp, "_polish", counted_lu)
+        monkeypatch.setattr(qp, "_polish", counted_polish)
         monkeypatch.setattr(qp, "_x_update_system", iterating)
         warm = solve(problem, active=every_row_at(problem, guess))
-        polishes_first, lu_first = (
-            (calls["polish"], calls["lu"]) if warm.iterations == 0 else calls["before_iterating"]
-        )
+        polishes_first = calls["polish"] if warm.iterations == 0 else calls["before_iterating"]
         assert 1 <= polishes_first <= 1 + qp.PDAS_CORRECTIONS
-        assert lu_first <= polishes_first
         if guess != 0:  # these wrong sets are not corrected in time: the ADMM loop finds the point
             assert warm.iterations > 0
         if warm.iterations > 0:  # a failed proposal costs only its polishes
@@ -264,71 +254,6 @@ class TestWarmStart:
             solve(problem, active=other.active)
 
 
-class TestPolishKKT:
-    """The LU polish's KKT, built from triplets, equals the bmat/diags
-    construction bit for bit, so the matrix factored and its LU are
-    unchanged."""
-
-    @staticmethod
-    def _factored(monkeypatch):
-        """Record every matrix given to the LU, as it arrives (the LU may
-        sort a matrix's indices in place), and the (Q, A, active set) of
-        every polish."""
-        seen = {"matrices": [], "polishes": []}
-        linalg, polish = qp.spla, qp._polish
-
-        def splu(matrix, *args, **kwargs):
-            seen["matrices"].append(matrix.copy())
-            return linalg.splu(matrix, *args, **kwargs)
-
-        def recorded(Q, c, constraints, signs):
-            seen["polishes"].append((Q, constraints.rows.A, np.array(signs)))
-            return polish(Q, c, constraints, signs)
-
-        monkeypatch.setattr(qp, "spla", SimpleNamespace(**{**vars(linalg), "splu": splu}))
-        monkeypatch.setattr(qp, "_polish", recorded)
-        return seen
-
-    @staticmethod
-    def _assert_identical(matrix, reference):
-        assert matrix.shape == reference.shape
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(matrix, name), getattr(reference, name)), name
-
-    def test_every_set_of_the_lambda_path(self, monkeypatch):
-        # the forest polish takes every set of this path; declining them all,
-        # it hands each to the LU, as it does the sets it cannot take
-        monkeypatch.setattr(qp, "_forest_polish", lambda *args: None)
-        seen = self._factored(monkeypatch)
-        dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
-        path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
-        # warm polishes, corrections and the cold first step's polishes
-        assert len(seen["polishes"]) > len(path)
-        assert len(seen["matrices"]) == len(seen["polishes"])
-        for matrix, (Q, A, signs) in zip(seen["matrices"], seen["polishes"]):
-            self._assert_identical(matrix, polish_kkt_reference(Q, A, signs))
-
-    @pytest.mark.parametrize(
-        "num_papers, guess", [(60, "empty"), (60, "boxes-lower"), (1500, "accepted")]
-    )
-    def test_chosen_sets(self, num_papers, guess, monkeypatch):
-        problem = compile_dataset(
-            generate(SynthConfig(num_papers=num_papers, seed=0)).dataset, 0.05
-        ).problem(1.0)
-        constraints = problem.constraints
-        signs = np.zeros(constraints.rows.lower.shape[0])
-        if guess == "boxes-lower":
-            signs[: problem.n] = -1.0
-        elif guess == "accepted":
-            signs = solve(problem).active
-        seen = self._factored(monkeypatch)
-        qp._polish(problem.quadratic, problem.linear, constraints, signs)
-        [matrix] = seen["matrices"]
-        self._assert_identical(
-            matrix, polish_kkt_reference(problem.quadratic, constraints.rows.A, signs)
-        )
-
-
 @pytest.fixture(scope="module")
 def large_dataset():
     """A default synthetic instance at P=1500: n = 6 000 reviews."""
@@ -337,25 +262,6 @@ def large_dataset():
 
 class TestLargeScale:
     """The x-update at a scale where a sparse LU of it fills in heavily."""
-
-    def test_only_the_polish_factors(self, large_dataset, monkeypatch):
-        calls = {"splu": 0, "polish": 0}
-
-        def counting(name, fn):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return counted
-
-        linalg = qp.spla
-        monkeypatch.setattr(
-            qp, "spla", SimpleNamespace(**{**vars(linalg), "splu": counting("splu", linalg.splu)})
-        )
-        monkeypatch.setattr(qp, "_polish", counting("polish", qp._polish))
-        solve(compile_dataset(large_dataset, 0.05).problem(1.0))
-        assert calls["polish"] >= 1
-        assert calls["splu"] <= calls["polish"]
 
     def test_ranking_free_matches_closed_form(self, large_dataset):
         # an independent certificate at n = 6 000: without rankings the

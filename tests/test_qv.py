@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from deqscores import qp, qv
+from deqscores import qv
 from deqscores.dequantize import compile_dataset, require_epsilon
 from deqscores.metrics import kendall_tau_error
 from deqscores.qp import solve
@@ -207,15 +207,13 @@ class TestEveryReturnIsPolished:
         for lam, solution in zip(LAMBDA_GRID, lambda_path(compiled, LAMBDA_GRID)):
             assert_fixed_point(compiled.problem(lam), solution)
 
-    def test_the_cold_final_solve_is_a_fixed_point(self, monkeypatch):
+    def test_the_cold_final_solve_is_a_fixed_point(self):
         # the solve of an auto run at its selected weight, which has no start
-        # and is polished by the LU; with the forest polish declining every
-        # set, a proposal goes to the LU too, which polishes that set again
+        # and is polished at one of the iteration's checks
         dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
         problem = compile_dataset(dataset, 0.05).problem(select_lambda(dataset).selected_lambda)
         solution = solve(problem)
         assert solution.iterations > 0
-        monkeypatch.setattr(qp, "_forest_polish", lambda *args: None)
         assert_fixed_point(problem, solution)
 
 
