@@ -205,21 +205,28 @@ def validate(dataset: ReviewDataset) -> list[Violation]:
     return violations + [Violation(code, reviewer_ids[r], detail) for r, _, code, detail in found]
 
 
+# peeling stops at a round with fewer nodes than this: a round costs about
+# 50 us of numpy calls however few nodes it peels, more than Tarjan's
+# search spends on that many nodes, so a long chain is left to the search
+_MIN_PEEL = 64
+
+
 def _cycles(n: int, tail: np.ndarray, head: np.ndarray) -> list[list[int]]:
     """The strong components of more than one node of the graph on nodes
     0..n-1 with an edge from each ``tail`` to its ``head``, as sorted node
     lists, sorted. A node without in- or out-edges lies on no cycle: such
     nodes are peeled in vectorized rounds, each looking only at the far ends
-    of the last round's edges, so every edge is touched once. An iterative
-    Tarjan search (SIAM J. Comput. 1(2), 1972) takes what is left, in
-    linear time and without recursion."""
+    of the last round's edges, so every edge is touched once, until a round
+    would peel fewer than ``_MIN_PEEL``. An iterative Tarjan search (SIAM J.
+    Comput. 1(2), 1972) takes what is left, in linear time and without
+    recursion."""
     # each node's out-edges, then its in-edges, as runs of their far ends
     degree = [np.bincount(tail, minlength=n), np.bincount(head, minlength=n)]
     runs = [np.concatenate([[0], np.cumsum(count)]) for count in degree]
     ends = [head[np.argsort(tail, kind="stable")], tail[np.argsort(head, kind="stable")]]
     peeled = np.zeros(n, dtype=bool)
     frontier = np.flatnonzero((degree[0] == 0) | (degree[1] == 0))
-    while frontier.size:
+    while frontier.size >= _MIN_PEEL:
         peeled[frontier] = True
         touched = []
         for start, end, other_degree in zip(runs, ends, degree[::-1]):
@@ -255,7 +262,7 @@ def _cycles(n: int, tail: np.ndarray, head: np.ndarray) -> list[list[int]]:
                 if w not in index:
                     index[w] = low[w] = len(index)
                     stack.append(w)
-                    path.append((w, iter(successors[w])))
+                    path.append((w, iter(successors.get(w, ()))))
                     break
                 low[v] = min(low[v], index[w])
             else:

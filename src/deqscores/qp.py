@@ -28,18 +28,20 @@ pair row joins its two variables, a box row joins its variable to a ground
 node. On a spanning forest of the active rows, x = offset + Z t: the bounds
 carried along the tree edges, and one value of t per component the ground
 does not fix; t solves the reduced system H t = -Z'(Q offset + c), H =
-Z'QZ, by Jacobi-preconditioned conjugate gradient (the null-space method:
-Nocedal and Wright, Numerical Optimization, 2006, section 16.2). For the
-score-merging QP the preconditioned H has condition number at most
-1 + 1/lambda, so on the weight grid (lambda >= 1) a few steps reach 1e-15
+Z'QZ, by conjugate gradient (the null-space method: Nocedal and Wright,
+Numerical Optimization, 2006, section 16.2). H is never formed: each
+product scatters t onto the variables, multiplies by Q and sums back per
+component. The preconditioner is D^-1 = (Z'Z)^-1, one over each
+component's size: for the score-merging QP, 2 lambda D <= scale H <=
+(2 + 2 lambda) D, so the preconditioned H has condition number at most
+1 + 1/lambda, and on the weight grid (lambda >= 1) a few steps reach 1e-15
 (Saad, Iterative Methods for Sparse Linear Systems, 2003, section 6.11).
 The multipliers come from one pass over the forest's subtrees; rows that
 close a cycle take the minimum-norm combination of their fundamental
 cycles. The polish declines a set it cannot take: closing rows whose bounds
 disagree, a pair row held at its upper bound (+inf), more closing rows than
 ``_MAX_CLOSING_ROWS``, or a conjugate gradient that does not converge. No
-correction follows a declined set, and the solve goes on iterating. The
-scaled Q keeps the problem's pattern.
+correction follows a declined set, and the solve goes on iterating.
 
 One rule accepts a polished point (``_corrected_polish``). The solver
 polishes on a proposed active set; when that point fails, the failed
@@ -66,33 +68,33 @@ cycle and cost more than the iteration they would save.
 
 The constraints live in a ``Constraints`` object that problems may share:
 everything the solver derives from the constraints alone (the tightened
-lower bounds, the stacked constraint matrix, its transpose and A'A) is
-computed on first use and reused by every problem built on the same object.
-It also keeps the forest of its last polish, so a polish on the same
-active set and the same pattern of Q (the next weight of a path) only sums
-Q's values into H (OSQP-style reuse of what does not change, Stellato et
-al., Math. Prog. Comp. 2020).
+lower bounds, the stacked constraint matrix and its transpose) is computed
+on first use and reused by every problem built on the same object. It also
+keeps the forest of its last polish, which depends on the active set alone,
+so a polish on the same active set (the next weight of a path) reuses it
+whatever its Q (OSQP-style reuse of what does not change, Stellato et al.,
+Math. Prog. Comp. 2020).
 
 What a warm step of a path builds. The problems of one compiled dataset
-share their ``Constraints`` and the very arrays of Q's pattern, and a
-problem's arrays are never written after it is built. A matrix whose values
-change and whose pattern does not is a shallow copy holding new values
-(``with_data``: no scipy constructor, and nothing shared is written, so
-threads may share a ``Constraints``). A step that its first polish certifies
-therefore constructs no scipy matrix: it writes Q's values (the problem's
-and the scaled Q, both copies of the dataset's pattern), finds the forest
-in the memo by the identity of Q's pattern arrays and by its rows at each
-bound, sums Q's values into H and the reduced right-hand side, runs the
-conjugate gradient (a few sparse products), takes the multipliers (two
-more), then the certificate's residuals (three). Each product goes straight to scipy's kernel
-(``_matvec``). Only a new active set builds a forest.
+share their ``Constraints`` and Q's pattern, and a problem's arrays are
+never written after it is built. A matrix whose values change and whose
+pattern does not is a shallow copy holding new values (``with_data``: no
+scipy constructor, and nothing shared is written, so threads may share a
+``Constraints``). A step that its first polish certifies therefore
+constructs no scipy matrix: it writes Q's values (the problem's and the
+scaled Q, both copies of the dataset's pattern), finds the forest in the
+memo by its rows at each bound, forms the reduced right-hand side (one
+product with Q), runs the conjugate gradient (one product with Q per step),
+takes the multipliers (two more products), then the certificate's residuals
+(three). Each product goes straight to scipy's kernel (``_matvec``). Only a
+new active set builds a forest.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -134,11 +136,10 @@ class MaxIterationsExceeded(SolverError):
 
 class StackedRows(NamedTuple):
     """Boxes (identity rows) stacked over pair rows as l <= A y <= u, with
-    A' (A's CSC transpose, which shares its arrays) and A'A."""
+    A' (A's CSC transpose, which shares its arrays)."""
 
     A: sp.csr_matrix
     At: sp.csc_matrix
-    AtA: sp.csc_matrix
     lower: np.ndarray
     upper: np.ndarray
 
@@ -193,7 +194,7 @@ class Constraints:
         At = A.T
         lower = np.concatenate([self.box_lower, pairs["gap"]])
         upper = np.concatenate([self.box_upper, np.full(m, np.inf)])
-        return StackedRows(A, At, (At @ A).tocsc(), lower, upper)
+        return StackedRows(A, At, lower, upper)
 
     @cached_property
     def last_forest(self) -> dict:
@@ -322,33 +323,22 @@ def _matvec(matrix, x: np.ndarray) -> np.ndarray:
 
 
 class _Forest(NamedTuple):
-    """What the polish takes from an active set and Q's sparsity pattern
-    alone (see ``_forest``). ``tree`` and ``closing`` are the active rows on
-    the spanning forest and those closing a cycle. ``offset`` is x
-    with every free component at 0, ``free`` the variables the ground does
-    not fix and ``component`` their component, which indexes H. ``h`` is
-    H = Z'QZ with zeros for values: Q's entries ``h_source`` sum into its
-    values at ``h_dest``, and ``h_diagonal`` are its diagonal's positions.
-    The reduced right-hand side sums, at ``shift_index``, Q's entries
-    ``shift_source`` (in a free row, their column's offset ``shift_offset``
-    nonzero) times that offset, then c on the free variables. ``start`` is
-    the conjugate gradient's start, ``subtree`` maps a gradient to the tree
-    rows' multipliers, and ``cycles`` (B), its transpose ``cycles_t`` and
-    ``cycle_inverse`` ((I + B'B)^-1) are the cycle-space step, None without
-    closing rows."""
+    """What the polish takes from an active set alone (see ``_forest``).
+    ``tree`` and ``closing`` are the active rows on the spanning forest and
+    those closing a cycle. ``offset`` is x with every free component at 0,
+    and ``slot`` holds each variable's free component, or their number k
+    where the ground fixes it: x = offset + Z t scatters t through it, and
+    Z' sums back by it. ``inverse_size`` is D^-1 = (Z'Z)^-1, the reduced
+    system's preconditioner. ``start`` is the conjugate gradient's start,
+    ``subtree`` maps a gradient to the tree rows' multipliers, and
+    ``cycles`` (B), its transpose ``cycles_t`` and ``cycle_inverse``
+    ((I + B'B)^-1) are the cycle-space step, None without closing rows."""
 
     tree: np.ndarray
     closing: np.ndarray
     offset: np.ndarray
-    free: np.ndarray
-    component: np.ndarray
-    h: _Sparse
-    h_source: np.ndarray
-    h_dest: np.ndarray
-    h_diagonal: np.ndarray
-    shift_source: np.ndarray
-    shift_offset: np.ndarray
-    shift_index: np.ndarray
+    slot: np.ndarray
+    inverse_size: np.ndarray
     start: np.ndarray
     subtree: _Sparse
     cycles: sp.csr_matrix | None
@@ -360,13 +350,11 @@ class _Forest(NamedTuple):
 _MAX_CLOSING_ROWS = 256
 
 
-def _forest(Q, constraints: Constraints, lower: np.ndarray, upper: np.ndarray) -> _Forest | None:
+def _forest(constraints: Constraints, lower: np.ndarray, upper: np.ndarray) -> _Forest | None:
     """The spanning forest of the rows ``lower`` and ``upper`` hold at a
-    bound, with the reduced system it gives; None when the polish cannot
-    take the set: a pair row held at its upper bound (+inf) or any
-    infinite bound, closing rows whose bounds disagree with the forest's,
-    more than ``_MAX_CLOSING_ROWS`` of them, or a free component without a
-    diagonal entry of Q.
+    bound; None when the polish cannot take the set: a pair row held at its
+    upper bound (+inf) or any infinite bound, closing rows whose bounds
+    disagree with the forest's, or more than ``_MAX_CLOSING_ROWS`` of them.
 
     The rows are graph edges: row e holds x[head] - x[tail] = bound, a pair
     row between its two variables, a box row from its variable to the
@@ -444,39 +432,17 @@ def _forest(Q, constraints: Constraints, lower: np.ndarray, upper: np.ndarray) -
     comp_root = np.arange(n + 1)
     comp_root[nodes] = np.fromiter(root_of.values(), np.int64, nodes.size)
     # every component but the ground's is free; they are numbered in their
-    # roots' order
-    free = np.flatnonzero(comp_root[:n] != n)
+    # roots' order, and the ground's variables take slot k
     roots = np.flatnonzero(comp_root[:n] == np.arange(n))
     k = roots.size
-    comp_of = np.full(n + 1, -1)
+    comp_of = np.full(n + 1, k)
     comp_of[roots] = np.arange(k)
-    component = comp_of[comp_root[free]]
-    comp_of[free] = component
-
-    # H = Z'QZ: Q's entries inside free components, summed per pair of them.
-    # Q is symmetric, so H's rows are taken from Q's columns, whose entries
-    # come nearly in order: a stable sort of the keys is almost a pass
-    cols = np.repeat(np.arange(n), np.diff(Q.indptr))
-    comp_row, comp_col = comp_of[Q.indices], comp_of[cols]
-    h_source = np.flatnonzero((comp_row >= 0) & (comp_col >= 0))
-    keys = comp_col[h_source] * k + comp_row[h_source]
-    order = np.argsort(keys, kind="stable")
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[order[1:]] != keys[order[:-1]]
-    h_dest = np.empty(keys.size, dtype=np.int64)
-    h_dest[order] = np.cumsum(first) - 1
-    h_rows, h_cols = np.divmod(keys[order[first]], k)
-    h_indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(h_rows, minlength=k), out=h_indptr[1:])
-    h = _Sparse("csr", (k, k), h_indptr, h_cols, np.zeros(h_cols.size))
-    h_diagonal = np.flatnonzero(h_rows == h_cols)
-    if h_diagonal.size != k:
-        return None
-    shift_source = np.flatnonzero((comp_row >= 0) & (x0[cols] != 0.0))
+    slot = comp_of[comp_root[:n]]
+    size = np.bincount(slot, minlength=k + 1)[:k]
 
     box_mid = 0.5 * (constraints.box_lower + constraints.box_upper)
     box_mid[~np.isfinite(box_mid)] = 0.0
-    start = np.bincount(component, box_mid[free] - x0[free], k) / np.bincount(component, minlength=k)
+    start = np.bincount(slot, box_mid - x0, k + 1)[:k] / size
 
     # the subtree below each tree row, by walking every node up to its root:
     # the row's sign at its child, the lower end, on each node under it
@@ -524,9 +490,8 @@ def _forest(Q, constraints: Constraints, lower: np.ndarray, upper: np.ndarray) -
         cycles_t = cycles.T
         cycle_inverse = _spd_inverse((cycles_t @ cycles).toarray() + np.eye(closing.size))
     return _Forest(
-        active[up], active[closing], x0, free, component, h, h_source, h_dest, h_diagonal,
-        shift_source, x0[cols[shift_source]], np.concatenate([comp_row[shift_source], component]),
-        start, subtree, cycles, cycles_t, cycle_inverse,
+        active[up], active[closing], x0, slot, 1.0 / size, start, subtree,
+        cycles, cycles_t, cycle_inverse,
     )
 
 
@@ -546,29 +511,24 @@ def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
 
 class _ForestMemo(NamedTuple):
     """The forest of the last polish on a ``Constraints`` (None when it
-    declined the set) with the key it was built for: the rows at each bound
-    and Q's pattern arrays, which are never written."""
+    declined the set) with the rows at each bound it was built for."""
 
     lower: np.ndarray
     upper: np.ndarray
-    q_indptr: np.ndarray
-    q_indices: np.ndarray
     forest: _Forest | None
 
 
-def _memoized_forest(Q, constraints: Constraints, lower, upper) -> _Forest | None:
+def _memoized_forest(constraints: Constraints, lower, upper) -> _Forest | None:
     """The forest of the last polish on ``constraints`` when it had the
-    same rows at each bound and the very same pattern arrays of Q, else a
-    new one, which replaces it in one assignment."""
+    same rows at each bound, else a new one, which replaces it in one
+    assignment."""
     last = constraints.last_forest.get("forest")
     if not (
         last is not None
-        and last.q_indptr is Q.indptr
-        and last.q_indices is Q.indices
         and np.array_equal(last.lower, lower)
         and np.array_equal(last.upper, upper)
     ):
-        last = _ForestMemo(lower, upper, Q.indptr, Q.indices, _forest(Q, constraints, lower, upper))
+        last = _ForestMemo(lower, upper, _forest(constraints, lower, upper))
         constraints.last_forest["forest"] = last
     return last.forest
 
@@ -586,28 +546,29 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     does not converge. Verification against the full problem is the
     caller's job.
 
-    x = offset + Z t, where t solves H t = -Z'(Q offset + c) by ``_pcg``
-    (Q = (C + 2 lam I) / scale with 0 <= C <= 2I for the score-merging QP,
-    so the Jacobi-preconditioned H has condition number at most
-    1 + 1/lam). The multipliers sum the gradient -(Qx + c) over each tree
-    row's subtree, then take the cycle-space step when rows close a cycle."""
+    x = offset + Z t, where t solves H t = -Z'(Q offset + c), H = Z'QZ, by
+    ``_pcg``. H is never formed: H t scatters t onto the variables, takes
+    one product with Q and sums it back per component. Q = (C + 2 lam I) /
+    scale with 0 <= C <= 2I for the score-merging QP, so 2 lam D <= scale H
+    <= (2 + 2 lam) D with D = Z'Z, the component sizes, and the
+    D-preconditioned H has condition number at most 1 + 1/lam. The
+    multipliers sum the gradient -(Qx + c) over each tree row's subtree,
+    then take the cycle-space step when rows close a cycle."""
     lower = np.nonzero(signs < -1e-12)[0]
     upper = np.nonzero(signs > 1e-12)[0]
-    forest = _memoized_forest(Q, constraints, lower, upper)
+    forest = _memoized_forest(constraints, lower, upper)
     if forest is None:
         return None
-    data = Q.data
-    h_data = np.bincount(forest.h_dest, weights=data[forest.h_source], minlength=forest.h.data.size)
-    shift = np.concatenate([data[forest.shift_source] * forest.shift_offset, c[forest.free]])
-    b = -np.bincount(forest.shift_index, weights=shift, minlength=forest.start.size)
-    t, steps = _pcg(
-        forest.h._replace(data=h_data), 1.0 / h_data[forest.h_diagonal], b, forest.start,
-        _FOREST_CG_TOLERANCE,
-    )
+    slot, k = forest.slot, forest.start.size
+
+    def reduced(t):  # Z'(Q(Z t))
+        return np.bincount(slot, _matvec(Q, np.append(t, 0.0)[slot]), k + 1)[:k]
+
+    b = -np.bincount(slot, _matvec(Q, forest.offset) + c, k + 1)[:k]
+    t, steps = _pcg(reduced, forest.inverse_size, b, forest.start, _FOREST_CG_TOLERANCE)
     if steps == _CG_MAX_STEPS:
         return None
-    x = forest.offset.copy()
-    x[forest.free] += t[forest.component]
+    x = forest.offset + np.append(t, 0.0)[slot]
     w_tree = _matvec(forest.subtree, -(_matvec(Q, x) + c))
     w_full = np.zeros(constraints.rows.lower.shape[0])
     if forest.cycles is not None:
@@ -618,11 +579,12 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     return x, w_full
 
 
-def _x_update_system(Q, sigma: float, rho: float, AtA):
-    """The ADMM x-update matrix Q + sigma I + rho A'A as CSR, with the
-    inverse of its diagonal (the Jacobi preconditioner)."""
-    K = (Q + sigma * sp.identity(Q.shape[0], format="csc") + rho * AtA).tocsr()
-    return K, 1.0 / K.diagonal()
+def _x_update_system(Q, sigma: float, rho: float, rows: StackedRows):
+    """The ADMM x-update matrix Q + sigma I + rho A'A as an operator (a
+    product with the CSR matrix), with the inverse of its diagonal (the
+    Jacobi preconditioner)."""
+    K = (Q + sigma * sp.identity(Q.shape[0], format="csc") + rho * (rows.At @ rows.A)).tocsr()
+    return partial(_matvec, K), 1.0 / K.diagonal()
 
 
 _CG_TOLERANCE = 1e-10
@@ -638,21 +600,22 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _pcg(K, inv_diag, b, x0, tolerance=_CG_TOLERANCE):
-    """Jacobi-preconditioned conjugate gradient for K x = b from ``x0``.
+    """Conjugate gradient for K x = b from ``x0``, with K applied by the
+    operator ``K`` and preconditioned by the diagonal ``inv_diag``.
 
     Stops once ||b - K x||_inf <= tolerance * max(1, ||b||_inf), or after a
     fixed number of steps. Returns (x, steps taken).
     """
     tol = tolerance * max(1.0, float(np.abs(b).max(initial=0.0)))
     x = x0.copy()
-    r = b - _matvec(K, x)
+    r = b - K(x)
     if np.abs(r).max(initial=0.0) <= tol:
         return x, 0
     d = inv_diag * r
     p = d
     rd = _dot(r, d)
     for step in range(1, _CG_MAX_STEPS + 1):
-        Kp = _matvec(K, p)
+        Kp = K(p)
         a = rd / _dot(p, Kp)
         x += a * p
         r -= a * Kp
@@ -767,7 +730,7 @@ def solve(problem: QPProblem, active: np.ndarray | None = None) -> Solution:
     start = problem.constraints.tightened_lower  # raises on an empty set
 
     rows = problem.constraints.rows
-    A, At, AtA, l, u = rows
+    A, At, l, u = rows
     if active is not None and active.shape != l.shape:
         raise ValueError(
             f"the proposed active set covers {active.shape[0]} rows, the problem has {l.shape[0]}"
@@ -820,7 +783,7 @@ def solve(problem: QPProblem, active: np.ndarray | None = None) -> Solution:
         if it == MAX_ITERATIONS:  # a cap between checks raises without polishing
             raise MaxIterationsExceeded(it, _residuals(Q, c, rows, x, w, z))
         if K is None:
-            K, inv_diag = _x_update_system(Q, sigma, rho, AtA)
+            K, inv_diag = _x_update_system(Q, sigma, rho, rows)
         it += 1
         rhs = sigma * x - c + _matvec(At, rho * z - w)
         x_tilde, steps = _pcg(K, inv_diag, rhs, x_tilde)

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from deqscores import qp
 from deqscores.dequantize import compile_dataset
@@ -56,12 +57,11 @@ def k22_tie_block():
     return coarsen(ReviewDataset.from_records(ScoreScale(1, 10), raw))
 
 
-class TestAgainstTheLUPolish:
-    """``kkt_check`` (and ``certify`` on small problems) decides what these
-    tests once decided by comparison with an LU polish, whose name they
-    keep: every polish solves the KKT system of its set, and a set the
-    polish declines returns None, after which the solve still returns a
-    certified minimizer."""
+class TestEachSetIsSolvedOrDeclined:
+    """``kkt_check`` (and ``certify`` on small problems) decides: every
+    polish solves the KKT system of its set, and a set the polish declines
+    returns None, after which the solve still returns a certified
+    minimizer."""
 
     def test_every_set_of_the_sweep_cell_paths(self, monkeypatch):
         # the 20 trial datasets of one seed-0 sweep cell (sigma 0.5, P=60),
@@ -81,7 +81,7 @@ class TestAgainstTheLUPolish:
             verdicts.add(check.certifies())
         assert verdicts == {True, False}  # some proposals needed a correction
 
-    def test_closing_rows_whose_bounds_disagree_go_to_the_lu_polish(self, monkeypatch):
+    def test_closing_rows_whose_bounds_disagree_are_declined(self, monkeypatch):
         # y0 - y1 = 0.1 and y0 - y1 = 0.2 close a cycle no point satisfies:
         # the polish declines the set and the solve iterates
         problem = build_problem(
@@ -94,7 +94,7 @@ class TestAgainstTheLUPolish:
         assert polished[0][3].tolist() == signs.tolist() and polished[0][4] is None
         assert solution.iterations > 0 and certified(problem, solution.values)
 
-    def test_a_set_it_declines_goes_to_the_lu_polish(self, monkeypatch):
+    def test_a_declined_set_leaves_the_solve_to_iterate(self, monkeypatch):
         # more closing rows than it takes, or a reduced system whose
         # conjugate gradient stops at the step cap: the polish declines the
         # set, and the solve iterates to the minimizer it certifies unpatched
@@ -154,7 +154,7 @@ class TestCycleSpaceStep:
         Q, c = scaled(problem)
         x, w = qp._polish(Q, c, constraints, signs)
         lower = np.flatnonzero(signs < 0)
-        forest = qp._forest(Q, constraints, lower, np.zeros(0, dtype=np.int64))
+        forest = qp._forest(constraints, lower, np.zeros(0, dtype=np.int64))
         assert forest.closing.tolist() == [n + 3]  # B > D closes the cycle
         # the tree rows alone would carry a multiplier of the wrong sign
         assert np.max(qp._matvec(forest.subtree, -(Q @ x + c))) > 0.1
@@ -166,6 +166,44 @@ class TestCycleSpaceStep:
         assert certified(problem, x)
 
 
+class TestReducedSystem:
+    def test_the_polish_is_the_dense_null_space_solve(self):
+        # variables 0-2 form one free component through three pair rows, the
+        # last closing a cycle; 3 and 4 are fixed through 3's box row; 5 is
+        # free alone. Q couples them all, so the fixed component's offset
+        # enters the free components' right-hand side
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(6, 6))
+        quadratic = m @ m.T + 6.0 * np.eye(6)
+        c = rng.normal(size=6)
+        problem = build_problem(
+            quadratic, c, [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3), (3, 4, 0.5)],
+            np.zeros(6), np.full(6, 10.0),
+        )
+        signs = np.array([0, 0, 0, -1, 0, 0, -1, -1, -1, -1], dtype=np.int8)
+        forest = qp._forest(problem.constraints, np.flatnonzero(signs < 0), np.zeros(0, np.int64))
+        assert forest.slot.tolist() == [0, 0, 0, 2, 2, 1] and forest.closing.tolist() == [8]
+        x, w = qp._polish(problem.quadratic, c, problem.constraints, signs)
+
+        # the held rows: 3's box at its lower bound 0, then the four pair rows
+        held = np.flatnonzero(signs < 0)
+        a_held = np.zeros((5, 6))
+        a_held[0, 3] = 1.0
+        for row, (i, j) in enumerate([(0, 1), (1, 2), (0, 2), (3, 4)], start=1):
+            a_held[row, i], a_held[row, j] = 1.0, -1.0
+        bound = np.array([0.0, 0.1, 0.2, 0.3, 0.5])
+        particular = np.linalg.lstsq(a_held, bound, rcond=None)[0]
+        _, singular, vt = np.linalg.svd(a_held)
+        z = vt[np.sum(singular > 1e-10):].T  # an orthonormal null-space basis
+        t = np.linalg.solve(z.T @ quadratic @ z, -z.T @ (quadratic @ particular + c))
+        expected = particular + z @ t
+        assert np.max(np.abs(x - expected)) <= 1e-12
+        # the cycle-space step gives the minimum-norm multipliers
+        w_expected = np.linalg.lstsq(a_held.T, -(quadratic @ expected + c), rcond=None)[0]
+        assert np.max(np.abs(w[held] - w_expected)) <= 1e-12
+        assert not np.any(np.delete(w, held))
+
+
 class TestKKTCheck:
     @pytest.mark.parametrize(
         "num_papers, seed", [(60, 0), (60, 1), (60, 2), (600, 0), (3000, 0)]
@@ -174,26 +212,22 @@ class TestKKTCheck:
         # w comes from re-polishing the step's set, which gives its values again
         dataset = generate(SynthConfig(num_papers=num_papers, seed=seed)).dataset
         compiled = compile_dataset(coarsen(dataset), 0.05)
-        forest_steps = 0
         for lam, solution in zip(LAMBDA_GRID, lambda_path(compiled, LAMBDA_GRID)):
             problem = compiled.problem(lam)
             Q, c = scaled(problem)
             polished = qp._polish(Q, c, compiled.constraints, solution.active)
-            if polished is None or not np.array_equal(polished[0], solution.values):
-                continue  # the unpolished last resort
-            forest_steps += 1
+            # no step falls back to the unpolished iterate
+            assert polished is not None and np.array_equal(polished[0], solution.values), lam
             check = kkt_check(QPProblem(Q, c, compiled.constraints), *polished)
             assert check.certifies(), (lam, check)
             if num_papers == 60:  # where certify's dense NNLS is affordable
                 assert certified(problem, solution.values), lam
-        assert forest_steps == len(LAMBDA_GRID)
 
     @pytest.mark.parametrize("num_papers, lam", [(600, np.exp(3.0)), (1500, 1.0)])
-    def test_the_lu_polish_of_a_cold_solve(self, num_papers, lam):
-        # named for the LU polish cold solves once had: a cold solve's check
-        # polishes on the forest as a path step does, re-polishing the
-        # returned set gives the returned values again, and ``kkt_check``
-        # certifies them
+    def test_a_cold_solve_is_forest_polished(self, num_papers, lam):
+        # a cold solve's check polishes on the forest as a path step does,
+        # re-polishing the returned set gives the returned values again, and
+        # ``kkt_check`` certifies them
         problem = compile_dataset(
             generate(SynthConfig(num_papers=num_papers, seed=0)).dataset, 0.05
         ).problem(lam)
@@ -228,8 +262,8 @@ class TestKKTCheck:
 
 
 class TestForestMemo:
-    """A polish on the same constraints, rows and pattern of Q as the polish
-    before it reuses that polish's forest."""
+    """A polish on the same constraints and rows at each bound as the polish
+    before it reuses that polish's forest, whatever its Q."""
 
     def test_a_repeated_set_builds_its_forest_once(self, monkeypatch):
         compiled = compile_dataset(generate(SynthConfig(num_papers=60, seed=0)).dataset, 0.05)
@@ -250,6 +284,23 @@ class TestForestMemo:
                 *scaled(compiled.problem(lam)), compiled.constraints, signs
             )
             assert np.array_equal(x, fresh_x) and np.array_equal(w, fresh_w)
+
+    def test_problems_of_other_patterns_share_the_forest_of_their_set(self, monkeypatch):
+        # the forest depends on the constraints and the active set alone: a
+        # diagonal Q and a coupled one on the same constraints and set build
+        # one forest, and both polishes are certified
+        constraints = build_problem(
+            np.eye(2), [0.0, 0.0], [(0, 1, 0.1)], [4.5, 4.5], [5.5, 5.5]
+        ).constraints
+        signs = np.array([0, 0, -1], dtype=np.int8)
+        built = []
+        forest = qp._forest
+        monkeypatch.setattr(qp, "_forest", lambda *args: built.append(1) or forest(*args))
+        for quadratic in (2.0 * np.eye(2), np.array([[2.0, -0.5], [-0.5, 2.0]])):
+            problem = QPProblem(sp.csc_matrix(quadratic), -quadratic @ [5.0, 5.0], constraints)
+            polished = qp._polish(problem.quadratic, problem.linear, constraints, signs)
+            assert kkt_check(problem, *polished).certifies()
+        assert len(built) == 1
 
     def test_threads_sharing_constraints_get_the_serial_polishes(self):
         # the memo is shared state: threads that keep replacing each other's

@@ -1,10 +1,12 @@
 import sys
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deqscores import model
 from deqscores.model import (
     OUT_OF_RANGE,
     RANK_CYCLE,
@@ -155,6 +157,15 @@ class TestValidate:
         found = [(v.code, v.reviewer_id, v.detail) for v in validate(from_records(*records))]
         assert found == validate_reference(SCALE, *records)
 
+    @settings(max_examples=300, deadline=None)
+    @given(records=cyclic_records())
+    def test_peeling_every_round_names_the_same_violations(self, records):
+        # small graphs go to the component search unpeeled; peeling them
+        # down to single nodes must leave the same cycles
+        with patch.object(model, "_MIN_PEEL", 1):
+            found = [(v.code, v.reviewer_id, v.detail) for v in validate(from_records(*records))]
+        assert found == validate_reference(SCALE, *records)
+
     @staticmethod
     def _one_cycle(size: int) -> ReviewDataset:
         # one reviewer's papers 0 > 1 > ... > size - 1 > 0, all scored alike
@@ -190,6 +201,24 @@ class TestValidate:
                 (RANK_CYCLE, "r", "cycle through " + papers)
             ]
         assert calls[1] <= 4 * calls[0], calls
+
+    def test_a_three_cycle_at_the_end_of_a_long_chain_is_named_alone(self):
+        # peeling stops where the chain's frontier thins out, so the search
+        # gets the whole chain, its sink without successors too, and names
+        # the one cycle its last rows close: 19996 > 19997 > 19998 > 19996,
+        # then 19998 > 19999, the sink
+        size = 20_000
+        papers = [f"p{k:06d}" for k in range(size)]
+        ids = np.arange(size)
+        better = np.append(ids[:-1], size - 2)
+        worse = np.append(ids[1:], size - 4)
+        dataset = ReviewDataset.from_columns(
+            ScoreScale(0, 3), ["r"], papers, np.zeros(size), ids, np.full(size, 2),
+            np.zeros(size), better, worse,
+        )
+        assert [(v.code, v.reviewer_id, v.detail) for v in validate(dataset)] == [
+            (RANK_CYCLE, "r", "cycle through 'p019996' > 'p019997' > 'p019998'")
+        ]
 
     def test_all_violations_reported_together(self):
         ds = make_dataset(

@@ -188,9 +188,9 @@ class TestSolve:
         rhos = []
         build = qp._x_update_system
 
-        def recorded(Q, sigma, rho, AtA):
+        def recorded(Q, sigma, rho, rows):
             rhos.append(rho)
-            return build(Q, sigma, rho, AtA)
+            return build(Q, sigma, rho, rows)
 
         monkeypatch.setattr(qp, "_x_update_system", recorded)
         solution = solve(problem)
