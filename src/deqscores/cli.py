@@ -357,9 +357,9 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """Process entry of ``deqscores`` and ``python -m deqscores.cli``."""
-    # freeze what the imports built: exit then leaves the numpy and scipy graph
-    # to the OS instead of collecting it, about 0.1 s of every process. Not in
-    # main, which tests and library callers run in process
+    # freeze what the imports built: exit then leaves numpy's object graph to
+    # the OS instead of collecting it. Not in main, which tests and library
+    # callers run in process
     gc.freeze()
     sys.exit(main())
 

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import DEFAULT_EPSILON, ReviewDataset, require_valid
-from .qp import Constraints, InfeasibleProblem, QPProblem, pair_rows, solve, with_data
+from .qp import Constraints, InfeasibleProblem, QPProblem, pair_rows, solve
 
 if TYPE_CHECKING:
     from .qv import QVReport
@@ -59,35 +58,50 @@ class DequantizeResult:
 
 
 @dataclass(frozen=True, eq=False)
+class ConsensusPlusFit:
+    """The objective's Hessian as the ``qp.QPProblem`` operator: Qy =
+    identity*y - (weight * per-paper sums of y)[paper]. At fit weight lam,
+    identity is 2 + 2*lam and a paper of mu reviews weighs 2/mu: per paper
+    the centering block 2*(I - (1/mu) 11') plus 2*lam*I."""
+
+    paper: np.ndarray
+    weight: np.ndarray
+    identity: float
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        sums = np.bincount(self.paper, y, self.weight.size)
+        return self.identity * y - (self.weight * sums)[self.paper]
+
+    def diagonal(self) -> np.ndarray:
+        return self.identity - self.weight[self.paper]
+
+    def scaled(self, factor: float) -> ConsensusPlusFit:
+        return ConsensusPlusFit(self.paper, self.weight * factor, self.identity * factor)
+
+
+@dataclass(frozen=True, eq=False)
 class CompiledDataset:
     """The part of a dataset's QP that does not depend on the fit weight.
 
-    ``z`` holds the reported scores in review order, ``consensus`` the
-    Hessian C of the consensus term (per paper the centering block
-    2*(I - (1/mu) 11'), with its whole diagonal stored, as explicit zeros
-    for single-review papers), ``diagonal`` the positions of that diagonal
-    in ``consensus.data``, and ``constraints`` the half-unit boxes and
+    ``z`` holds the reported scores in review order, ``paper`` each review's
+    paper and ``inverse_count`` one over each paper's review count, the
+    consensus term's data, and ``constraints`` the half-unit boxes and
     epsilon-gap ranking rows. Every problem built by ``problem`` shares
-    ``constraints`` and C's pattern, so the solver derives its constraint
-    data once per dataset, however many weights are solved.
+    ``constraints``, so the solver derives its constraint data once per
+    dataset, however many weights are solved.
     """
 
     z: np.ndarray
-    consensus: sp.csc_matrix
-    diagonal: np.ndarray
+    paper: np.ndarray
+    inverse_count: np.ndarray
     constraints: Constraints
 
     def problem(self, lam: float) -> QPProblem:
         """The QP at fit weight ``lam``: Q = C + 2*lam*I and c = -2*lam*z, so
         0.5*y'Qy + c'y is the objective up to lam*||z||^2, a constant that
-        does not move the minimizer. Q is a copy of C holding C's values
-        with 2*lam added to the stored diagonal (``qp.with_data``: it shares
-        C's pattern arrays), so it equals ``(C + 2*lam*I).tocsc()`` bit for
-        bit."""
-        data = self.consensus.data.copy()
-        data[self.diagonal] += 2.0 * lam
+        does not move the minimizer. Q is a ``ConsensusPlusFit``."""
         return QPProblem(
-            quadratic=with_data(self.consensus, data),
+            quadratic=ConsensusPlusFit(self.paper, 2.0 * self.inverse_count, 2.0 + 2.0 * lam),
             linear=-2.0 * lam * self.z,
             constraints=self.constraints,
         )
@@ -102,18 +116,6 @@ def compile_dataset(dataset: ReviewDataset, epsilon: float) -> CompiledDataset:
     """
     require_valid(dataset)
     z = dataset.scores.astype(float)
-    n = z.shape[0]
-    paper_of = dataset.paper
-    shape = (n, dataset.paper_ids.shape[0])
-    membership = sp.csr_matrix((np.ones(n), (np.arange(n), paper_of)), shape=shape)
-    # the pattern of C: every two reviews of one paper, the diagonal included
-    consensus = (membership @ membership.T).tocsc()
-    consensus.sort_indices()
-    rows = consensus.indices
-    cols = np.repeat(np.arange(n), np.diff(consensus.indptr))
-    on_diagonal = rows == cols
-    consensus.data = 2.0 * (on_diagonal - 1.0 / np.bincount(paper_of)[paper_of[rows]])
-
     constraints = Constraints(z - 0.5, z + 0.5, pair_rows(*dataset.ranked_reviews, epsilon))
     try:
         constraints.tightened_lower
@@ -126,7 +128,7 @@ def compile_dataset(dataset: ReviewDataset, epsilon: float) -> CompiledDataset:
             f"within their half-unit score boxes: {reviews}",
             chain,
         ) from None
-    return CompiledDataset(z, consensus, np.nonzero(on_diagonal)[0], constraints)
+    return CompiledDataset(z, dataset.paper, 1.0 / np.bincount(dataset.paper), constraints)
 
 
 def assemble(dataset: ReviewDataset, lam: float, epsilon: float) -> QPProblem:

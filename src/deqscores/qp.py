@@ -16,11 +16,12 @@ or a positive-gap cycle), so infeasible inputs fail fast instead of
 iterating. The solver returns the minimizer, never the objective's value.
 
 The ADMM x-update solves (Q + sigma I + rho A'A) x = b. It is never
-factored: each iteration runs a Jacobi-preconditioned conjugate gradient,
-warm-started from the previous iteration's solution. The box rows make the
-matrix at least rho*I, and for the score-merging QP it is well conditioned,
-so a few CG steps suffice; a sparse LU of it would fill in heavily, because
-consensus and ranking couplings make its graph an expander.
+formed or factored: each iteration runs a Jacobi-preconditioned conjugate
+gradient, warm-started from the previous iteration's solution, that applies
+it as Qv + sigma v + rho A'(Av). The box rows make the matrix at least
+rho*I, and for the score-merging QP it is well conditioned, so a few CG
+steps suffice; a sparse LU of it would fill in heavily, because consensus
+and ranking couplings make its graph an expander.
 
 One polish (``_polish``) solves the KKT system on an active set, and it
 factors nothing. The stacked rows are the incidence matrix of a graph: a
@@ -68,43 +69,35 @@ cycle and cost more than the iteration they would save.
 
 The constraints live in a ``Constraints`` object that problems may share:
 everything the solver derives from the constraints alone (the tightened
-lower bounds, the stacked constraint matrix and its transpose) is computed
-on first use and reused by every problem built on the same object. It also
-keeps the forest of its last polish, which depends on the active set alone,
-so a polish on the same active set (the next weight of a path) reuses it
-whatever its Q (OSQP-style reuse of what does not change, Stellato et al.,
-Math. Prog. Comp. 2020).
+lower bounds and the stacked rows) is computed on first use and reused by
+every problem built on the same object. It also keeps the forest of its
+last polish, which depends on the active set alone, so a polish on the same
+active set (the next weight of a path) reuses it whatever its Q (OSQP-style
+reuse of what does not change, Stellato et al., Math. Prog. Comp. 2020).
 
-What a warm step of a path builds. The problems of one compiled dataset
-share their ``Constraints`` and Q's pattern, and a problem's arrays are
-never written after it is built. A matrix whose values change and whose
-pattern does not is a shallow copy holding new values (``with_data``: no
-scipy constructor, and nothing shared is written, so threads may share a
-``Constraints``). A step that its first polish certifies therefore
-constructs no scipy matrix: it writes Q's values (the problem's and the
-scaled Q, both copies of the dataset's pattern), finds the forest in the
-memo by its rows at each bound, forms the reduced right-hand side (one
-product with Q), runs the conjugate gradient (one product with Q per step),
-takes the multipliers (two more products), then the certificate's residuals
-(three). Each product goes straight to scipy's kernel (``_matvec``). Only a
-new active set builds a forest.
+What a warm step of a path builds. No matrix is formed: Q is an operator
+its problem supplies, the stacked rows and the forest's maps are index
+arrays applied by ``np.bincount``, and nothing shared is written after it
+is built, so threads may share a ``Constraints``. A step that its first
+polish certifies builds no forest: it finds it in the memo by its rows at
+each bound, then takes one product with Q for the reduced right-hand side,
+one per conjugate-gradient step and one for the multipliers, which the
+certificate reuses with one product with A and one with A'.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def __getattr__(name):
-    # ``qp.spla`` exists only for the LU binding that ``perfbench/tracer.py``
-    # wraps; nothing here factors, so scipy's sparse linear algebra is
-    # imported only when that binding is asked for
+    # kept only for the bench tracer's ``spla.splu`` binding, and goes with it
+    # (ROADMAP item 1): nothing here factors, and scipy is imported only when
+    # that binding is asked for
     if name == "spla":
         import scipy.sparse.linalg
 
@@ -135,13 +128,31 @@ class MaxIterationsExceeded(SolverError):
 
 
 class StackedRows(NamedTuple):
-    """Boxes (identity rows) stacked over pair rows as l <= A y <= u, with
-    A' (A's CSC transpose, which shares its arrays)."""
+    """Boxes (identity rows) stacked over pair rows as l <= A y <= u, held
+    as index arrays: the pair rows' ends ``i`` and ``j``, so A y is y over
+    y_i - y_j; ``ends``, the column of each of A's entries in A's row order,
+    so A'w is one ``bincount`` that adds in a CSR kernel's order; and each
+    variable's pair ``degree``, so diag(A'A) = 1 + degree."""
 
-    A: sp.csr_matrix
-    At: sp.csc_matrix
+    i: np.ndarray
+    j: np.ndarray
+    ends: np.ndarray
+    degree: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+
+    def times(self, y: np.ndarray) -> np.ndarray:
+        """A y."""
+        return np.concatenate([y, y[self.i] - y[self.j]])
+
+    def transpose_times(self, w: np.ndarray) -> np.ndarray:
+        """A'w."""
+        n = self.degree.size
+        signed = np.empty(self.ends.size)
+        signed[:n] = w[:n]
+        signed[n::2] = w[n:]
+        np.negative(w[n:], out=signed[n + 1 :: 2])
+        return np.bincount(self.ends, signed, n)
 
 
 # the record of one pair constraint y_i - y_j >= gap; unpacks as (i, j, gap)
@@ -184,17 +195,15 @@ class Constraints:
 
     @cached_property
     def rows(self) -> StackedRows:
+        """The boxes over the pair rows, as ``StackedRows``."""
         n = self.n
         pairs = self.pair_constraints
-        m = pairs.shape[0]
-        cols = np.column_stack([pairs["i"], pairs["j"]]).ravel()
-        vals = np.tile([1.0, -1.0], m)
-        pair_block = sp.csr_matrix((vals, (np.repeat(np.arange(m), 2), cols)), shape=(m, n))
-        A = sp.vstack([sp.identity(n, format="csr"), pair_block], format="csr")
-        At = A.T
+        i, j = pairs["i"].copy(), pairs["j"].copy()  # contiguous: faster to gather by
+        ends = np.concatenate([np.arange(n), np.column_stack([i, j]).ravel()])
+        degree = np.bincount(ends[n:], minlength=n)
         lower = np.concatenate([self.box_lower, pairs["gap"]])
-        upper = np.concatenate([self.box_upper, np.full(m, np.inf)])
-        return StackedRows(A, At, lower, upper)
+        upper = np.concatenate([self.box_upper, np.full(i.size, np.inf)])
+        return StackedRows(i, j, ends, degree, lower, upper)
 
     @cached_property
     def last_forest(self) -> dict:
@@ -205,12 +214,13 @@ class Constraints:
 
 @dataclass(frozen=True, eq=False)
 class QPProblem:
-    """Data of one QP instance. ``quadratic`` is the Hessian of the objective,
-    i.e. the objective is 0.5*y'Qy + c'y (the factor-of-2 bookkeeping lives
-    with whoever assembles Q, not here; a constant term does not move the
-    minimizer and is left out)."""
+    """Data of one QP instance, the objective 0.5*y'Qy + c'y (whoever
+    assembles Q keeps the factor-of-2 bookkeeping; a constant term does not
+    move the minimizer and is left out). ``quadratic`` is Q as an operator:
+    ``Q @ y``, ``Q.diagonal()`` and ``Q.scaled(f)`` (the operator f*Q) are
+    all the solver uses of it."""
 
-    quadratic: sp.csc_matrix
+    quadratic: object
     linear: np.ndarray
     constraints: Constraints
 
@@ -290,36 +300,20 @@ def check_feasibility(constraints: Constraints) -> np.ndarray:
     raise InfeasibleProblem(f"pair-constraint gaps overflow the boxes along chain {chain}", chain)
 
 
-def with_data(matrix, data: np.ndarray):
-    """A shallow copy of the CSC ``matrix`` holding ``data`` in place of its
-    values: it shares the pattern arrays, constructs no matrix and leaves
-    ``matrix`` as it was."""
-    copied = copy.copy(matrix)
-    copied.data = data
-    return copied
+class _Entries(NamedTuple):
+    """A sparse matrix as its entries in row order; each product is one
+    ``bincount``, adding in the order of a CSR kernel and its transpose."""
 
-
-class _Sparse(NamedTuple):
-    """A compressed sparse matrix held as its arrays, with the attributes
-    ``_matvec`` reads of a scipy matrix; building one constructs none."""
-
-    format: str  # "csr" or "csc"
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     shape: tuple[int, int]
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
 
+    def times(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, self.values * x[self.cols], self.shape[0])
 
-def _matvec(matrix, x: np.ndarray) -> np.ndarray:
-    """``matrix @ x`` for a CSR or CSC matrix (scipy's or a ``_Sparse``) of
-    float values and a float vector, by the kernel that scipy's ``@`` calls
-    itself (``scipy.sparse._sparsetools``): the same sums bit for bit,
-    without the dispatch, which at the solver's sizes costs more than the
-    product."""
-    y = np.zeros(matrix.shape[0])
-    kernel = sp._sparsetools.csr_matvec if matrix.format == "csr" else sp._sparsetools.csc_matvec
-    kernel(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, x, y)
-    return y
+    def transpose_times(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.cols, self.values * y[self.rows], self.shape[1])
 
 
 class _Forest(NamedTuple):
@@ -331,8 +325,8 @@ class _Forest(NamedTuple):
     Z' sums back by it. ``inverse_size`` is D^-1 = (Z'Z)^-1, the reduced
     system's preconditioner. ``start`` is the conjugate gradient's start,
     ``subtree`` maps a gradient to the tree rows' multipliers, and
-    ``cycles`` (B), its transpose ``cycles_t`` and ``cycle_inverse``
-    ((I + B'B)^-1) are the cycle-space step, None without closing rows."""
+    ``cycles`` (B) and ``cycle_inverse`` ((I + B'B)^-1) are the cycle-space
+    step, None without closing rows."""
 
     tree: np.ndarray
     closing: np.ndarray
@@ -340,9 +334,8 @@ class _Forest(NamedTuple):
     slot: np.ndarray
     inverse_size: np.ndarray
     start: np.ndarray
-    subtree: _Sparse
-    cycles: sp.csr_matrix | None
-    cycles_t: sp.csc_matrix | None
+    subtree: _Entries
+    cycles: _Entries | None
     cycle_inverse: np.ndarray | None
 
 
@@ -453,46 +446,47 @@ def _forest(constraints: Constraints, lower: np.ndarray, upper: np.ndarray) -> _
     position[child] = np.arange(child.size)
     parent = np.full(n + 1, n)
     parent[child] = head[up] + tail[up] - child
-    entry_rows, entry_cols = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    below, at = child, child
-    while at.size:
-        entry_rows.append(position[at])
-        entry_cols.append(below)
-        at = parent[at]
-        keep = position[at] >= 0
-        below, at = below[keep], at[keep]
-    entry_rows = np.concatenate(entry_rows)
+    entry_rows, below = _paths_up(child, position, parent)
     by_row = np.argsort(entry_rows, kind="stable")
-    subtree_indptr = np.zeros(child.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(entry_rows, minlength=child.size), out=subtree_indptr[1:])
-    subtree = _Sparse(
-        "csr", (child.size, n), subtree_indptr, np.concatenate(entry_cols)[by_row],
-        sign[entry_rows[by_row]],
-    )
+    entry_rows = entry_rows[by_row]
+    subtree = _Entries(entry_rows, child[below[by_row]], sign[entry_rows], (child.size, n))
 
-    cycles = cycles_t = cycle_inverse = None
+    cycles = cycle_inverse = None
     closing = np.array(closing, dtype=np.int64)
     if closing.size:
-        # column c of A_C' is the closing row's normal, +1 at its head and -1
-        # at its tail (the ground's column, n, multiplies nothing)
-        normals = sp.csc_matrix(
-            (
-                np.tile([1.0, -1.0], closing.size),
-                (np.column_stack([head[closing], tail[closing]]).ravel(),
-                 np.repeat(np.arange(closing.size), 2)),
-            ),
-            shape=(n + 1, closing.size),
-        )
-        subtree_matrix = sp.csr_matrix(
-            (subtree.data, subtree.indices, subtree.indptr), shape=(child.size, n + 1)
-        )
-        cycles = (subtree_matrix @ normals).tocsr()
-        cycles_t = cycles.T
-        cycle_inverse = _spd_inverse((cycles_t @ cycles).toarray() + np.eye(closing.size))
+        # column c of B is the subtree map's column at the closing row's head
+        # less its column at its tail: the tree rows on the two ends' paths
+        # up, those they share cancelling (the ground's column is empty)
+        m = closing.size
+        on_path, end = _paths_up(np.concatenate([head[closing], tail[closing]]), position, parent)
+        key, at_key = np.unique(on_path * m + end % m, return_inverse=True)
+        values = np.bincount(at_key, np.where(end < m, 1.0, -1.0) * sign[on_path])
+        key, values = key[values != 0], values[values != 0]
+        cycles = _Entries(key // m, key % m, values, (child.size, m))
+        # B'B in numpy's own loops, not BLAS, whose idle worker threads spin;
+        # its sums are exact in any order, since B's entries are +-1
+        touched, at_row = np.unique(cycles.rows, return_inverse=True)
+        dense = np.zeros((touched.size, m))
+        dense[at_row, cycles.cols] = values
+        cycle_inverse = _spd_inverse(np.einsum("rc,rd->cd", dense, dense) + np.eye(m))
     return _Forest(
-        active[up], active[closing], x0, slot, 1.0 / size, start, subtree,
-        cycles, cycles_t, cycle_inverse,
+        active[up], active[closing], x0, slot, 1.0 / size, start, subtree, cycles, cycle_inverse
     )
+
+
+def _paths_up(start: np.ndarray, position: np.ndarray, parent: np.ndarray):
+    """(tree row, index into ``start``) of each row on the paths from the
+    nodes ``start`` up to their roots, a level at a time; a node's row
+    towards ``parent`` is ``position`` (-1 at a root)."""
+    rows, origins = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    at, origin = start, np.arange(start.size)
+    while at.size:
+        keep = position[at] >= 0
+        at, origin = at[keep], origin[keep]
+        rows.append(position[at])
+        origins.append(origin)
+        at = parent[at]
+    return np.concatenate(rows), np.concatenate(origins)
 
 
 def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
@@ -541,10 +535,10 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     """Solve the KKT equality system on the active set ``signs`` marks (rows
     below -1e-12 held at their lower bound, above 1e-12 at their upper
     bound; it may be empty: the system is then Q x = -c alone), on the
-    spanning forest of its rows. Returns (x, w_full), or None when the
+    spanning forest of its rows. Returns (x, w_full, Qx), or None when the
     forest cannot take the set (see ``_forest``) or its conjugate gradient
     does not converge. Verification against the full problem is the
-    caller's job.
+    caller's job; Qx, formed for the multipliers, is returned for it.
 
     x = offset + Z t, where t solves H t = -Z'(Q offset + c), H = Z'QZ, by
     ``_pcg``. H is never formed: H t scatters t onto the variables, takes
@@ -560,31 +554,38 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     if forest is None:
         return None
     slot, k = forest.slot, forest.start.size
+    scattered = np.zeros(k + 1)  # t, then the ground's 0: Z t is scattered[slot]
 
     def reduced(t):  # Z'(Q(Z t))
-        return np.bincount(slot, _matvec(Q, np.append(t, 0.0)[slot]), k + 1)[:k]
+        scattered[:k] = t
+        return np.bincount(slot, Q @ scattered[slot], k + 1)[:k]
 
-    b = -np.bincount(slot, _matvec(Q, forest.offset) + c, k + 1)[:k]
+    b = -np.bincount(slot, Q @ forest.offset + c, k + 1)[:k]
     t, steps = _pcg(reduced, forest.inverse_size, b, forest.start, _FOREST_CG_TOLERANCE)
     if steps == _CG_MAX_STEPS:
         return None
-    x = forest.offset + np.append(t, 0.0)[slot]
-    w_tree = _matvec(forest.subtree, -(_matvec(Q, x) + c))
+    scattered[:k] = t
+    x = forest.offset + scattered[slot]
+    Qx = Q @ x
+    w_tree = forest.subtree.times(-(Qx + c))
     w_full = np.zeros(constraints.rows.lower.shape[0])
     if forest.cycles is not None:
-        w_cycle = np.einsum("ij,j->i", forest.cycle_inverse, _matvec(forest.cycles_t, w_tree))
-        w_tree -= _matvec(forest.cycles, w_cycle)
+        w_cycle = np.einsum("ij,j->i", forest.cycle_inverse, forest.cycles.transpose_times(w_tree))
+        w_tree -= forest.cycles.times(w_cycle)
         w_full[forest.closing] = w_cycle
     w_full[forest.tree] = w_tree
-    return x, w_full
+    return x, w_full, Qx
 
 
 def _x_update_system(Q, sigma: float, rho: float, rows: StackedRows):
-    """The ADMM x-update matrix Q + sigma I + rho A'A as an operator (a
-    product with the CSR matrix), with the inverse of its diagonal (the
-    Jacobi preconditioner)."""
-    K = (Q + sigma * sp.identity(Q.shape[0], format="csc") + rho * (rows.At @ rows.A)).tocsr()
-    return partial(_matvec, K), 1.0 / K.diagonal()
+    """The ADMM x-update matrix K = Q + sigma I + rho A'A as an operator,
+    Kv = Qv + sigma v + rho A'(Av), never formed, with the inverse of its
+    diagonal diag(Q) + sigma + rho (1 + degree) (the Jacobi preconditioner)."""
+
+    def K(v):
+        return Q @ v + sigma * v + rho * rows.transpose_times(rows.times(v))
+
+    return K, 1.0 / (Q.diagonal() + sigma + rho * (1.0 + rows.degree))
 
 
 _CG_TOLERANCE = 1e-10
@@ -627,8 +628,8 @@ def _pcg(K, inv_diag, b, x0, tolerance=_CG_TOLERANCE):
     return x, _CG_MAX_STEPS
 
 
-def _residuals(Q, c, rows: StackedRows, x, w, z=None):
-    """(primal infeasibility, scaled stationarity) of a primal-dual pair.
+def _residuals(Qx, Ax, c, rows: StackedRows, w, z=None):
+    """(primal infeasibility, scaled stationarity) of (x, w), from Qx and Ax.
 
     When ``z`` (the projected constraint copy) is given, the primal residual
     also counts the splitting gap ||Ax - z||; w is complementary to z by
@@ -636,7 +637,6 @@ def _residuals(Q, c, rows: StackedRows, x, w, z=None):
     (polished candidates, where w is nonzero only on rows pinned to their
     bound) the true constraint violation alone is the right measure.
     """
-    Ax = _matvec(rows.A, x)
     primal = max(
         float((rows.lower - Ax).max(initial=0.0)),
         float((Ax - rows.upper).max(initial=0.0)),
@@ -644,8 +644,7 @@ def _residuals(Q, c, rows: StackedRows, x, w, z=None):
     )
     if z is not None:
         primal = max(primal, float(np.abs(Ax - z).max()))
-    Qx = _matvec(Q, x)
-    Atw = _matvec(rows.At, w)
+    Atw = rows.transpose_times(w)
     stat_num = float(np.abs(Qx + c + Atw).max())
     stat_den = max(
         1.0,
@@ -686,13 +685,13 @@ def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray):
         polished = _polish(Q, c, constraints, active)
         if polished is None:
             return None
-        x, w = polished
+        x, w, Qx = polished
         good_signs = np.all(w[active < 0] <= 1e-9) and np.all(w[active > 0] >= -1e-9)
-        primal, stat = residuals = _residuals(Q, c, rows, x, w)
+        Ax = rows.times(x)
+        primal, stat = residuals = _residuals(Qx, Ax, c, rows, w)
         if good_signs and primal <= FEASTOL and stat <= OPTIMALITY_TOLERANCE:
             return x, residuals, active
         tried.append(active)
-        Ax = _matvec(rows.A, x)
         active = (w + (Ax - rows.upper) > 0).astype(np.int8) - (
             -w + (rows.lower - Ax) > 0
         ).astype(np.int8)
@@ -730,18 +729,15 @@ def solve(problem: QPProblem, active: np.ndarray | None = None) -> Solution:
     start = problem.constraints.tightened_lower  # raises on an empty set
 
     rows = problem.constraints.rows
-    A, At, l, u = rows
+    l, u = rows.lower, rows.upper
     if active is not None and active.shape != l.shape:
         raise ValueError(
             f"the proposed active set covers {active.shape[0]} rows, the problem has {l.shape[0]}"
         )
 
-    # normalize the objective so rho has a consistent meaning across fit weights;
-    # the scaled Q keeps the problem's pattern (data * (1/scale) is what
-    # scipy's division by a scalar computes)
-    quadratic = problem.quadratic.tocsc()
-    scale = max(1.0, float(quadratic.diagonal().max()) / 2.0)
-    Q = with_data(quadratic, quadratic.data * (1.0 / scale))
+    # normalize the objective so rho has a consistent meaning across fit weights
+    scale = max(1.0, float(problem.quadratic.diagonal().max()) / 2.0)
+    Q = problem.quadratic.scaled(1.0 / scale)
     c = problem.linear / scale
 
     sigma = 1e-6
@@ -768,7 +764,7 @@ def solve(problem: QPProblem, active: np.ndarray | None = None) -> Solution:
                     return Solution(xp, it, residuals, cg_steps, polished_on)
             if it:
                 # the last resort: the iterate itself, when it meets the tolerances
-                primal, stat = _residuals(Q, c, rows, x, w, z)
+                primal, stat = _residuals(Q @ x, rows.times(x), c, rows, w, z)
                 if primal <= FEASTOL and stat <= OPTIMALITY_TOLERANCE:
                     return Solution(x.copy(), it, (primal, stat), cg_steps, _active_rows(w))
                 if it % 2000 == 0:
@@ -778,17 +774,17 @@ def solve(problem: QPProblem, active: np.ndarray | None = None) -> Solution:
                         rho = float(np.clip(rho * np.sqrt(ratio), 1e-4, 1e4))
                         K = None
         if z is None:
-            z = np.clip(_matvec(A, x), l, u)
+            z = np.clip(rows.times(x), l, u)
             w = np.zeros_like(z)
         if it == MAX_ITERATIONS:  # a cap between checks raises without polishing
-            raise MaxIterationsExceeded(it, _residuals(Q, c, rows, x, w, z))
+            raise MaxIterationsExceeded(it, _residuals(Q @ x, rows.times(x), c, rows, w, z))
         if K is None:
             K, inv_diag = _x_update_system(Q, sigma, rho, rows)
         it += 1
-        rhs = sigma * x - c + _matvec(At, rho * z - w)
+        rhs = sigma * x - c + rows.transpose_times(rho * z - w)
         x_tilde, steps = _pcg(K, inv_diag, rhs, x_tilde)
         cg_steps += steps
-        z_tilde = _matvec(A, x_tilde)
+        z_tilde = rows.times(x_tilde)
         x = alpha * x_tilde + (1.0 - alpha) * x
         v = alpha * z_tilde + (1.0 - alpha) * z + w / rho
         z_new = np.clip(v, l, u)

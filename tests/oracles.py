@@ -25,7 +25,10 @@ two reviews of a reviewer, the reference for
 dataset's records as tuples, the reference for the sorted id tables and
 columns that ``ReviewDataset.from_columns`` builds.
 ``build_problem`` makes a ``QPProblem`` from small hand-written data with
-acyclic pair rows, and ``objective`` evaluates its 0.5*y'Qy + c'y.
+acyclic pair rows, its Q a general matrix wrapped as the solver's operator
+(``MatrixOperator``); ``objective`` evaluates a problem's 0.5*y'Qy + c'y
+and ``dense_quadratic`` forms its Q by products with the identity's
+columns.
 ``feasibility_reference`` is the row-by-row Bellman-Ford feasibility pass,
 the reference for ``qp.check_feasibility``.
 ``score_only_closed_form`` is the exact minimizer of the dequantization
@@ -317,6 +320,28 @@ def layout_reference(scores: dict, rows) -> dict[str, list]:
     return {"reviewer_ids": reviewer_ids, "paper_ids": paper_ids, **dict(zip(names, columns))}
 
 
+@dataclass(frozen=True, eq=False)
+class MatrixOperator:
+    """A general Q, a numpy array or a scipy sparse matrix, as the operator
+    ``qp.QPProblem`` takes: its product, its diagonal and a scaled copy."""
+
+    matrix: object
+
+    def __matmul__(self, y):
+        return self.matrix @ y
+
+    def diagonal(self):
+        return self.matrix.diagonal()
+
+    def scaled(self, factor):
+        return MatrixOperator(self.matrix * factor)
+
+
+def dense_quadratic(problem: QPProblem) -> np.ndarray:
+    """The problem's Q as a dense matrix, column by column of the identity."""
+    return np.column_stack([problem.quadratic @ column for column in np.eye(problem.n)])
+
+
 def build_problem(quadratic, linear, pair_constraints, box_lower, box_upper) -> QPProblem:
     """The QP 0.5*y'Qy + c'y over the boxes and the pair rows
     ``pair_constraints``, (i, j, gap) each, which must form no cycle: the
@@ -330,7 +355,9 @@ def build_problem(quadratic, linear, pair_constraints, box_lower, box_upper) -> 
     assert components == n and not np.any(pairs["i"] == pairs["j"]), "pair rows form a cycle"
     box_lower = np.asarray(box_lower, dtype=float)
     box_upper = np.asarray(box_upper, dtype=float)
-    return QPProblem(sp.csc_matrix(quadratic), linear, Constraints(box_lower, box_upper, pairs))
+    return QPProblem(
+        MatrixOperator(sp.csc_matrix(quadratic)), linear, Constraints(box_lower, box_upper, pairs)
+    )
 
 
 def objective(problem: QPProblem, y) -> float:
@@ -580,7 +607,7 @@ def brute_force_minimize(problem: QPProblem, grid_step: float = 1e-3) -> Solutio
     hi = _tightened_upper(problem, lo)
     box_lower, box_upper = problem.constraints.box_lower, problem.constraints.box_upper
     pairs = problem.pair_constraints.tolist()
-    Q = problem.quadratic.toarray()
+    Q = dense_quadratic(problem)
     c = problem.linear
     budget = 300_000
 

@@ -31,6 +31,7 @@ from conftest import (
     score_records,
 )
 from oracles import (
+    dense_quadratic,
     objective,
     profiled_paper_qualities,
     score_only_closed_form,
@@ -58,7 +59,7 @@ class TestAssemble:
         ds = make_dataset({("r1", "A"): 5, ("r2", "A"): 5})
         problem = assemble(ds, lam=1.0, epsilon=DEFAULT_EPSILON)
         np.testing.assert_allclose(
-            problem.quadratic.toarray(), [[3.0, -1.0], [-1.0, 3.0]], atol=1e-12
+            dense_quadratic(problem), [[3.0, -1.0], [-1.0, 3.0]], atol=1e-12
         )
         assert problem.linear == pytest.approx([-10.0, -10.0])
         assert solve(problem).values == pytest.approx([5.0, 5.0], abs=1e-8)
@@ -66,7 +67,7 @@ class TestAssemble:
     def test_single_review_has_no_consensus_term(self):
         ds = make_dataset({("r1", "A"): 7})
         problem = assemble(ds, lam=2.5, epsilon=DEFAULT_EPSILON)
-        np.testing.assert_allclose(problem.quadratic.toarray(), [[5.0]], atol=1e-12)
+        np.testing.assert_allclose(dense_quadratic(problem), [[5.0]], atol=1e-12)
 
     def test_ranking_pair_becomes_one_constraint(self):
         ds = make_dataset({("r1", "A"): 5, ("r1", "B"): 5}, {"r1": [("A", "B")]})
@@ -134,14 +135,17 @@ SINGLE_REVIEW_PAPER = make_dataset(
 
 
 class TestCompiledStructure:
-    """Q's pattern is built once per compiled dataset; each weight only
-    writes values, which equal scipy's own construction bit for bit."""
+    """Each weight's Q is an operator over the compiled dataset's papers:
+    column by column of the identity, it is the matrix scipy sums, to
+    within one rounding of its largest entry."""
 
     @staticmethod
-    def _assert_identical(matrix, reference):
-        assert matrix.shape == reference.shape
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(matrix, name), getattr(reference, name)), name
+    def _assert_equal(operator, reference):
+        columns = np.column_stack([operator @ column for column in np.eye(reference.shape[0])])
+        reference = reference.toarray()
+        assert columns.shape == reference.shape
+        bound = np.finfo(float).eps * np.max(np.abs(reference))
+        assert np.max(np.abs(columns - reference)) <= bound
 
     @pytest.mark.parametrize("source", ["single-review paper", "coarsened P=60"])
     def test_problem_equals_consensus_plus_fit_on_every_grid_weight(self, source):
@@ -151,9 +155,7 @@ class TestCompiledStructure:
             dataset = coarsen(generate(SynthConfig(num_papers=60, seed=0)).dataset)
         compiled = compile_dataset(dataset, 0.05)
         for lam in LAMBDA_GRID:
-            self._assert_identical(
-                compiled.problem(lam).quadratic, consensus_plus_fit(dataset, lam)
-            )
+            self._assert_equal(compiled.problem(lam).quadratic, consensus_plus_fit(dataset, lam))
 
     def test_solver_scales_q_as_scipy_divides(self, monkeypatch):
         compiled = compile_dataset(SINGLE_REVIEW_PAPER, 0.05)
@@ -173,7 +175,7 @@ class TestCompiledStructure:
             solve(problem)
             assert seen
             for Q in seen:
-                self._assert_identical(Q, (problem.quadratic / scale).tocsc())
+                self._assert_equal(Q, consensus_plus_fit(SINGLE_REVIEW_PAPER, lam) / scale)
 
 
 class TestDequantize:

@@ -7,7 +7,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from deqscores import qp
 from deqscores.dequantize import compile_dataset
@@ -16,14 +15,13 @@ from deqscores.qp import QPProblem, solve
 from deqscores.qv import LAMBDA_GRID, coarsen, lambda_path
 from deqscores.synth import SynthConfig, generate, trial_seed
 
-from oracles import build_problem, certify, kkt_check
+from oracles import MatrixOperator, build_problem, certify, kkt_check
 
 
 def scaled(problem):
     """(Q, c) as ``qp.solve`` polishes them: divided by max(1, max diag(Q) / 2)."""
-    Q = problem.quadratic.tocsc()
-    scale = max(1.0, float(Q.diagonal().max()) / 2.0)
-    return qp.with_data(Q, Q.data * (1.0 / scale)), problem.linear / scale
+    scale = max(1.0, float(problem.quadratic.diagonal().max()) / 2.0)
+    return problem.quadratic.scaled(1.0 / scale), problem.linear / scale
 
 
 def certified(problem, y) -> bool:
@@ -74,7 +72,7 @@ class TestEachSetIsSolvedOrDeclined:
         verdicts = set()
         for Q, c, constraints, signs, polished in seen:
             assert polished is not None  # the polish takes every set of these paths
-            check = kkt_check(QPProblem(Q, c, constraints), *polished)
+            check = kkt_check(QPProblem(Q, c, constraints), *polished[:2])
             # the KKT system of the set is solved, whether or not its
             # point is the minimizer
             assert check.stationarity <= 1e-12, check
@@ -131,7 +129,7 @@ class TestEachSetIsSolvedOrDeclined:
         )
         signs = np.array([0, 0, -1, -1], dtype=np.int8)
         Q, c = scaled(problem)
-        x, w = qp._polish(Q, c, problem.constraints, signs)
+        x, w, _ = qp._polish(Q, c, problem.constraints, signs)
         assert np.allclose(x, [5.05, 4.95], rtol=0, atol=1e-12)
         assert w[2] == w[3] < 0  # the minimum-norm split
         assert kkt_check(QPProblem(Q, c, problem.constraints), x, w).certifies()
@@ -152,12 +150,12 @@ class TestCycleSpaceStep:
         signs = np.zeros(n + 4, dtype=np.int8)
         signs[n:] = -1  # all four pair rows tight
         Q, c = scaled(problem)
-        x, w = qp._polish(Q, c, constraints, signs)
+        x, w, _ = qp._polish(Q, c, constraints, signs)
         lower = np.flatnonzero(signs < 0)
         forest = qp._forest(constraints, lower, np.zeros(0, dtype=np.int64))
         assert forest.closing.tolist() == [n + 3]  # B > D closes the cycle
         # the tree rows alone would carry a multiplier of the wrong sign
-        assert np.max(qp._matvec(forest.subtree, -(Q @ x + c))) > 0.1
+        assert np.max(forest.subtree.times(-(Q @ x + c))) > 0.1
         assert np.all(w[n:] < -0.05)
         assert kkt_check(QPProblem(Q, c, constraints), x, w).certifies()
         solution = solve(problem, active=signs)
@@ -183,7 +181,7 @@ class TestReducedSystem:
         signs = np.array([0, 0, 0, -1, 0, 0, -1, -1, -1, -1], dtype=np.int8)
         forest = qp._forest(problem.constraints, np.flatnonzero(signs < 0), np.zeros(0, np.int64))
         assert forest.slot.tolist() == [0, 0, 0, 2, 2, 1] and forest.closing.tolist() == [8]
-        x, w = qp._polish(problem.quadratic, c, problem.constraints, signs)
+        x, w, _ = qp._polish(problem.quadratic, c, problem.constraints, signs)
 
         # the held rows: 3's box at its lower bound 0, then the four pair rows
         held = np.flatnonzero(signs < 0)
@@ -218,7 +216,7 @@ class TestKKTCheck:
             polished = qp._polish(Q, c, compiled.constraints, solution.active)
             # no step falls back to the unpolished iterate
             assert polished is not None and np.array_equal(polished[0], solution.values), lam
-            check = kkt_check(QPProblem(Q, c, compiled.constraints), *polished)
+            check = kkt_check(QPProblem(Q, c, compiled.constraints), *polished[:2])
             assert check.certifies(), (lam, check)
             if num_papers == 60:  # where certify's dense NNLS is affordable
                 assert certified(problem, solution.values), lam
@@ -234,7 +232,7 @@ class TestKKTCheck:
         solution = solve(problem)
         assert solution.iterations > 0
         Q, c = scaled(problem)
-        x, w = qp._polish(Q, c, problem.constraints, solution.active)
+        x, w, _ = qp._polish(Q, c, problem.constraints, solution.active)
         assert np.array_equal(x, solution.values)
         check = kkt_check(QPProblem(Q, c, problem.constraints), x, w)
         assert check.certifies(), check
@@ -245,7 +243,7 @@ class TestKKTCheck:
         solution = lambda_path(compiled, LAMBDA_GRID[:1])[0]
         problem = compiled.problem(LAMBDA_GRID[0])
         Q, c = scaled(problem)
-        x, w = qp._polish(Q, c, compiled.constraints, solution.active)
+        x, w, _ = qp._polish(Q, c, compiled.constraints, solution.active)
         moved = x.copy()
         moved[0] += 1e-3
         assert not kkt_check(QPProblem(Q, c, compiled.constraints), moved, w).certifies()
@@ -254,7 +252,7 @@ class TestKKTCheck:
     def test_a_wrong_sign_or_a_slack_row_with_a_multiplier_fails(self):
         problem = build_problem(2.0 * np.eye(2), [-10.0, -10.0], [(0, 1, 0.1)], [4.5, 4.5], [5.5, 5.5])
         Q, c = scaled(problem)
-        x, w = qp._polish(Q, c, problem.constraints, np.array([0, 0, -1], dtype=np.int8))
+        x, w, _ = qp._polish(Q, c, problem.constraints, np.array([0, 0, -1], dtype=np.int8))
         scaled_problem = QPProblem(Q, c, problem.constraints)
         assert kkt_check(scaled_problem, x, w).certifies()
         assert kkt_check(scaled_problem, x, -w).sign > 0  # a pair row pushed towards +inf
@@ -278,9 +276,9 @@ class TestForestMemo:
         ]
         assert len(built) == 1
         # reused or built afresh, the forest gives the same polish
-        for lam, (x, w) in zip(LAMBDA_GRID[:5], polished):
+        for lam, (x, w, _) in zip(LAMBDA_GRID[:5], polished):
             compiled.constraints.last_forest.clear()
-            fresh_x, fresh_w = qp._polish(
+            fresh_x, fresh_w, _ = qp._polish(
                 *scaled(compiled.problem(lam)), compiled.constraints, signs
             )
             assert np.array_equal(x, fresh_x) and np.array_equal(w, fresh_w)
@@ -297,9 +295,9 @@ class TestForestMemo:
         forest = qp._forest
         monkeypatch.setattr(qp, "_forest", lambda *args: built.append(1) or forest(*args))
         for quadratic in (2.0 * np.eye(2), np.array([[2.0, -0.5], [-0.5, 2.0]])):
-            problem = QPProblem(sp.csc_matrix(quadratic), -quadratic @ [5.0, 5.0], constraints)
+            problem = QPProblem(MatrixOperator(quadratic), -quadratic @ [5.0, 5.0], constraints)
             polished = qp._polish(problem.quadratic, problem.linear, constraints, signs)
-            assert kkt_check(problem, *polished).certifies()
+            assert kkt_check(problem, *polished[:2]).certifies()
         assert len(built) == 1
 
     def test_threads_sharing_constraints_get_the_serial_polishes(self):
@@ -320,7 +318,7 @@ class TestForestMemo:
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 for _ in range(5):
-                    for (x, w), (ex, ew) in zip(pool.map(polish, jobs, timeout=60), expected):
+                    for (x, w, _), (ex, ew, _) in zip(pool.map(polish, jobs, timeout=60), expected):
                         assert np.array_equal(x, ex) and np.array_equal(w, ew)
         finally:
             sys.setswitchinterval(interval)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -128,7 +129,8 @@ class TestSolve:
         problem = two_variable_pair_problem()
         before = solve(problem).values
         shrunk = build_problem(
-            problem.quadratic, problem.linear, problem.pair_constraints, before - 0.1, before + 0.1
+            problem.quadratic.matrix, problem.linear, problem.pair_constraints,
+            before - 0.1, before + 0.1,
         )
         after = solve(shrunk).values
         assert np.max(np.abs(after - before)) <= 1e-7
@@ -468,9 +470,10 @@ def active_rows_dependent(problem, y) -> bool:
     """Whether the rows within ``qp.FEASTOL`` of their bound at ``y`` are
     linearly dependent, so that their multipliers are not unique."""
     rows = problem.constraints.rows
-    Ay = rows.A @ y
-    normals = rows.A[(Ay - rows.lower <= qp.FEASTOL) | (rows.upper - Ay <= qp.FEASTOL)]
-    return np.linalg.matrix_rank(normals.toarray()) < normals.shape[0]
+    A = np.column_stack([rows.times(column) for column in np.eye(problem.n)])
+    Ay = A @ y
+    normals = A[(Ay - rows.lower <= qp.FEASTOL) | (rows.upper - Ay <= qp.FEASTOL)]
+    return np.linalg.matrix_rank(normals) < normals.shape[0]
 
 
 class TestSmallProblemSweep:
@@ -516,3 +519,28 @@ class TestProblemConstruction:
         assert first == first and first != second
         assert problem.constraints != two_variable_pair_problem().constraints
         assert len({problem, problem, problem.constraints, two_variable_pair_problem()}) == 3
+
+
+class TestStackedRows:
+    @pytest.mark.parametrize("num_papers", [60, 1500])
+    def test_products_equal_scipys_bit_for_bit(self, num_papers):
+        # A built as a scipy CSR matrix from the pair records: the identity
+        # over one row (e_i - e_j) per pair
+        constraints = compile_dataset(
+            generate(SynthConfig(num_papers=num_papers, seed=0)).dataset, 0.05
+        ).constraints
+        n, pairs = constraints.n, constraints.pair_constraints
+        m = pairs.shape[0]
+        pair_block = sp.csr_matrix(
+            (np.tile([1.0, -1.0], m),
+             (np.repeat(np.arange(m), 2), np.column_stack([pairs["i"], pairs["j"]]).ravel())),
+            shape=(m, n),
+        )
+        A = sp.vstack([sp.identity(n, format="csr"), pair_block], format="csr")
+        rng = np.random.default_rng(num_papers)
+        rows = constraints.rows
+        for _ in range(3):
+            x, w = rng.normal(size=n), rng.normal(size=n + m)
+            assert np.array_equal(rows.times(x), A @ x)
+            assert np.array_equal(rows.transpose_times(w), A.T @ w)
+        assert np.array_equal(rows.degree + 1, (A.T @ A).diagonal())

@@ -4,9 +4,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from deqscores import qv
+from deqscores import qp, qv
 from deqscores.dequantize import compile_dataset, require_epsilon
 from deqscores.metrics import kendall_tau_error
 from deqscores.qp import solve
@@ -221,26 +220,21 @@ class TestLambdaPathStep:
     """What one warm step of the path builds, and that steps sharing a
     compiled dataset across threads stay exact."""
 
-    def test_a_certified_warm_step_constructs_at_most_one_matrix(self, monkeypatch):
+    def test_a_certified_warm_step_builds_no_forest(self, monkeypatch):
         dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
         compiled = compile_dataset(coarsen(dataset), 0.05)
         previous = lambda_path(compiled, LAMBDA_GRID[:1])[0]
-        constructed = []
-        init = sp.csc_matrix.__init__
-
-        def counted(self, *args, **kwargs):
-            constructed.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(sp.csc_matrix, "__init__", counted)
+        built = []
+        forest = qp._forest
+        monkeypatch.setattr(qp, "_forest", lambda *args: built.append(1) or forest(*args))
         warm = 0
         for lam in LAMBDA_GRID[1:]:
-            constructed.clear()
+            built.clear()
             solution = solve(compiled.problem(lam), active=previous.active)
             # polished on the set it started from: no correction was needed
             if solution.iterations == 0 and np.array_equal(solution.active, previous.active):
                 warm += 1
-                assert len(constructed) <= 1, lam
+                assert not built, lam
             previous = solution
         assert warm >= len(LAMBDA_GRID) // 2
 
