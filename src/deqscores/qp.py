@@ -37,12 +37,13 @@ component's size: for the score-merging QP, 2 lambda D <= scale H <=
 (2 + 2 lambda) D, so the preconditioned H has condition number at most
 1 + 1/lambda, and on the weight grid (lambda >= 1) a few steps reach 1e-15
 (Saad, Iterative Methods for Sparse Linear Systems, 2003, section 6.11).
-The multipliers come from one pass over the forest's subtrees; rows that
-close a cycle take the minimum-norm combination of their fundamental
-cycles. The polish declines a set it cannot take: closing rows whose bounds
-disagree, a pair row held at its upper bound (+inf), more closing rows than
-``_MAX_CLOSING_ROWS``, or a conjugate gradient that does not converge. No
-correction follows a declined set, and the solve goes on iterating.
+The multipliers are the gradient's sums over the forest's subtrees, taken
+a level at a time from the deepest; rows that close a cycle take the
+minimum-norm combination of their fundamental cycles. The polish declines
+a set it cannot take: closing rows whose bounds disagree, a pair row held
+at its upper bound (+inf), more closing rows than ``_MAX_CLOSING_ROWS``, or
+a conjugate gradient that does not converge. No correction follows a
+declined set, and the solve goes on iterating.
 
 One rule accepts a polished point (``_corrected_polish``). The solver
 polishes on a proposed active set; when that point fails, the failed
@@ -76,7 +77,7 @@ active set (the next weight of a path) reuses it whatever its Q (OSQP-style
 reuse of what does not change, Stellato et al., Math. Prog. Comp. 2020).
 
 What a warm step of a path builds. No matrix is formed: Q is an operator
-its problem supplies, the stacked rows and the forest's maps are index
+its problem supplies, the stacked rows and the forest's levels are index
 arrays applied by ``np.bincount``, and nothing shared is written after it
 is built, so threads may share a ``Constraints``. A step that its first
 polish certifies builds no forest: it finds it in the memo by its rows at
@@ -291,42 +292,27 @@ def check_feasibility(constraints: Constraints) -> np.ndarray:
     if not bad.size:
         return lo
     tight = np.flatnonzero(lo[j] + gap == lo[i])
+    held, first = np.unique(i[tight], return_index=True)  # first tight row per variable
+    step = dict(zip(held.tolist(), j[tight[first]].tolist()))
     chain = [int(bad[0])]
-    while len(chain) <= n:
-        step = tight[i[tight] == chain[-1]]
-        if not step.size:
-            break
-        chain.append(int(j[step[0]]))
+    while len(chain) <= n and chain[-1] in step:
+        chain.append(step[chain[-1]])
     raise InfeasibleProblem(f"pair-constraint gaps overflow the boxes along chain {chain}", chain)
-
-
-class _Entries(NamedTuple):
-    """A sparse matrix as its entries in row order; each product is one
-    ``bincount``, adding in the order of a CSR kernel and its transpose."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    shape: tuple[int, int]
-
-    def times(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, self.values * x[self.cols], self.shape[0])
-
-    def transpose_times(self, y: np.ndarray) -> np.ndarray:
-        return np.bincount(self.cols, self.values * y[self.rows], self.shape[1])
 
 
 class _Forest(NamedTuple):
     """What the polish takes from an active set alone (see ``_forest``).
-    ``tree`` and ``closing`` are the active rows on the spanning forest and
-    those closing a cycle. ``offset`` is x with every free component at 0,
-    and ``slot`` holds each variable's free component, or their number k
-    where the ground fixes it: x = offset + Z t scatters t through it, and
-    Z' sums back by it. ``inverse_size`` is D^-1 = (Z'Z)^-1, the reduced
-    system's preconditioner. ``start`` is the conjugate gradient's start,
-    ``subtree`` maps a gradient to the tree rows' multipliers, and
-    ``cycles`` (B) and ``cycle_inverse`` ((I + B'B)^-1) are the cycle-space
-    step, None without closing rows."""
+    ``tree`` and ``closing`` are the active rows on the spanning forest, a
+    level at a time, and those closing a cycle. ``offset`` is x with every
+    free component at 0, and ``slot`` holds each variable's free component,
+    or their number k where the ground fixes it: x = offset + Z t scatters t
+    through it, and Z' sums back by it. ``inverse_size`` is D^-1 =
+    (Z'Z)^-1, the reduced system's preconditioner. ``start`` is the
+    conjugate gradient's start. ``levels`` holds, for each level below the
+    roots, its nodes, each one's parent as an index into the level above,
+    and each one's sign in its tree row. ``cycles`` (B, dense on the tree
+    rows ``touched``) and ``cycle_inverse`` ((I + B'B)^-1) are the
+    cycle-space step, None without closing rows."""
 
     tree: np.ndarray
     closing: np.ndarray
@@ -334,9 +320,24 @@ class _Forest(NamedTuple):
     slot: np.ndarray
     inverse_size: np.ndarray
     start: np.ndarray
-    subtree: _Entries
-    cycles: _Entries | None
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    touched: np.ndarray | None
+    cycles: np.ndarray | None
     cycle_inverse: np.ndarray | None
+
+    def tree_multipliers(self, gradient: np.ndarray) -> np.ndarray:
+        """The tree rows' multipliers as if no row closed a cycle: each
+        row's sign at its child times the gradient summed over the child's
+        subtree, the sums taken from the deepest level up, one ``bincount``
+        onto the parents per level."""
+        if not self.levels:
+            return np.zeros(0)
+        sums, parts = gradient[self.levels[-1][0]], []
+        for (_, up, sign), (above, _, _) in zip(self.levels[:0:-1], self.levels[-2::-1]):
+            parts.append(sign * sums)
+            sums = gradient[above] + np.bincount(up, sums, above.size)
+        parts.append(self.levels[0][2] * sums)
+        return np.concatenate(parts[::-1])
 
 
 # the largest cycle space the polish takes; it declines a set closing more
@@ -351,142 +352,132 @@ def _forest(constraints: Constraints, lower: np.ndarray, upper: np.ndarray) -> _
 
     The rows are graph edges: row e holds x[head] - x[tail] = bound, a pair
     row between its two variables, a box row from its variable to the
-    ground, a node n whose value is 0. A union-find over the rows in order
-    puts each on the forest or, when its ends are already joined, among the
-    closing rows. A breadth-first pass from each tree's root (the ground
-    first) carries the bounds down the tree, so x = offset + Z t with one
-    value of t per free component (Z their 0/1 membership) and the ground's
-    component fixed. Stationarity on the active rows then gives each tree
-    row's multiplier as the gradient summed over the subtree below it, less
-    what the closing rows' multipliers send through it; the cycle-space step
-    picks the minimum-norm multipliers."""
+    ground, a node n whose value is 0. Min-label propagation with pointer
+    jumping finds the components (Shiloach and Vishkin, J. Algorithms 3,
+    1982); the ground roots its own, the head of its first row each other
+    one. One breadth-first search from all roots at once then takes a level
+    per round (Buluc and Madduri, SC 2011): a node reached first takes the
+    first frontier row that reaches it as its tree row, and the bound
+    carried from its parent; the rows left over close a cycle. So x =
+    offset + Z t with one value of t per free component (Z their 0/1
+    membership) and the ground's component fixed. Stationarity on the
+    active rows then gives each tree row's multiplier as the gradient
+    summed over the subtree below it, less what the closing rows'
+    multipliers send through it; the cycle-space step picks the
+    minimum-norm multipliers."""
     n = constraints.n
     rows = constraints.rows
     active = np.concatenate([lower, upper])
     bound = np.concatenate([rows.lower[lower], rows.upper[upper]])
     if np.any(upper >= n) or not np.all(np.isfinite(bound)):
         return None
-    pairs = constraints.pair_constraints
     on_pair = active >= n
     head = active.copy()
     tail = np.full(active.size, n)
-    head[on_pair] = pairs["i"][active[on_pair] - n]
-    tail[on_pair] = pairs["j"][active[on_pair] - n]
-    heads, tails, bounds = head.tolist(), tail.tolist(), bound.tolist()
+    head[on_pair] = rows.i[active[on_pair] - n]
+    tail[on_pair] = rows.j[active[on_pair] - n]
 
-    link: dict[int, int] = {}  # union-find parents; a node absent is a root
+    # each round hooks the two roots of every row onto the smaller, then
+    # jumps every node's pointer to its root
+    label = np.arange(n + 1)
+    while not np.array_equal(at_head := label[head], at_tail := label[tail]):
+        smaller = np.minimum(at_head, at_tail)
+        np.minimum.at(label, at_head, smaller)
+        np.minimum.at(label, at_tail, smaller)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    # the ground roots its component, the head of its first row each other
+    # one: a ranking's better end, from which fewer tight free rows round
+    # infeasible (and reach the PDAS corrections) than from its least node
+    lead, first_row = np.unique(label[head], return_index=True)
+    head_of = np.arange(n + 1)
+    head_of[lead] = head[first_row]
+    root = np.where(label == label[n], n, head_of[label])
 
-    def find(v):
-        root = v
-        while root in link:
-            root = link[root]
-        while v != root:
-            link[v], v = root, link[v]
-        return root
+    # the rows at each node, by one sort of their ends (CSR layout)
+    ends = np.concatenate([head, tail])
+    by_end = np.argsort(ends, kind="stable")
+    edge, other = by_end % active.size, np.concatenate([tail, head])[by_end]
+    first = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n + 1))])
 
-    neighbours: dict[int, list] = {}
-    closing = []
-    for e, (u, v) in enumerate(zip(heads, tails)):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            closing.append(e)
-            continue
-        if ru == n:  # the ground stays a root
-            ru, rv = rv, ru
-        link[ru] = rv
-        neighbours.setdefault(u, []).append((e, v))
-        neighbours.setdefault(v, []).append((e, u))
-    if len(closing) > _MAX_CLOSING_ROWS:
+    offset = np.zeros(n + 1)  # each node's value at t = 0
+    levels, tree = [], []
+    reached = np.zeros(n + 1, dtype=bool)
+    reached[root[head]] = True
+    frontier = np.flatnonzero(reached)
+    while True:
+        count = first[frontier + 1] - first[frontier]
+        source = np.repeat(np.arange(frontier.size), count)
+        at = np.arange(source.size) + (first[frontier] + count - np.cumsum(count))[source]
+        new = ~reached[other[at]]
+        nodes, pick = np.unique(other[at][new], return_index=True)
+        if not nodes.size:
+            break
+        e, up = edge[at][new][pick], source[new][pick]
+        sign = np.where(head[e] == nodes, 1.0, -1.0)
+        offset[nodes] = offset[frontier[up]] + sign * bound[e]
+        reached[nodes] = True
+        levels.append((nodes, up, sign))
+        tree.append(e)
+        frontier = nodes
+    tree = np.concatenate([np.zeros(0, np.int64), *tree])
+
+    on_tree = np.zeros(active.size, dtype=bool)
+    on_tree[tree] = True
+    closing = np.flatnonzero(~on_tree)
+    if closing.size > _MAX_CLOSING_ROWS:
+        return None
+    h, t = head[closing], tail[closing]
+    misfit = offset[h] - offset[t] - bound[closing]
+    if np.any(np.abs(misfit) > 1e-12 * (1.0 + np.abs(bound[closing]) + np.abs(offset[h]))):
         return None
 
-    offset = {}  # each node's value at t = 0
-    root_of = {}
-    up_row = {}  # each non-root node's tree row towards its root
-    for root in ([n] if n in neighbours else []) + list(neighbours):
-        if root in offset:
-            continue
-        offset[root], root_of[root] = 0.0, root
-        queue = [root]
-        for u in queue:
-            for e, v in neighbours[u]:
-                if v not in offset:
-                    offset[v] = offset[u] + (bounds[e] if v == heads[e] else -bounds[e])
-                    root_of[v], up_row[v] = root, e
-                    queue.append(v)
-    for e in closing:
-        misfit = offset[heads[e]] - offset.get(tails[e], 0.0) - bounds[e]
-        if abs(misfit) > 1e-12 * (1.0 + abs(bounds[e]) + abs(offset[heads[e]])):
-            return None
-
-    nodes = np.fromiter(offset, np.int64, len(offset))
-    x0 = np.zeros(n + 1)
-    x0[nodes] = np.fromiter(offset.values(), float, nodes.size)
-    x0 = x0[:n]
-    comp_root = np.arange(n + 1)
-    comp_root[nodes] = np.fromiter(root_of.values(), np.int64, nodes.size)
+    x0 = offset[:n]
     # every component but the ground's is free; they are numbered in their
     # roots' order, and the ground's variables take slot k
-    roots = np.flatnonzero(comp_root[:n] == np.arange(n))
-    k = roots.size
-    comp_of = np.full(n + 1, k)
-    comp_of[roots] = np.arange(k)
-    slot = comp_of[comp_root[:n]]
+    free = np.flatnonzero(root[:n] == np.arange(n))
+    k = free.size
+    number = np.full(n + 1, k)
+    number[free] = np.arange(k)
+    slot = number[root[:n]]
     size = np.bincount(slot, minlength=k + 1)[:k]
 
     box_mid = 0.5 * (constraints.box_lower + constraints.box_upper)
     box_mid[~np.isfinite(box_mid)] = 0.0
     start = np.bincount(slot, box_mid - x0, k + 1)[:k] / size
 
-    # the subtree below each tree row, by walking every node up to its root:
-    # the row's sign at its child, the lower end, on each node under it
-    child = np.fromiter(up_row, np.int64, len(up_row))
-    up = np.fromiter(up_row.values(), np.int64, child.size)
-    sign = np.where(head[up] == child, 1.0, -1.0)
-    position = np.full(n + 1, -1)
-    position[child] = np.arange(child.size)
-    parent = np.full(n + 1, n)
-    parent[child] = head[up] + tail[up] - child
-    entry_rows, below = _paths_up(child, position, parent)
-    by_row = np.argsort(entry_rows, kind="stable")
-    entry_rows = entry_rows[by_row]
-    subtree = _Entries(entry_rows, child[below[by_row]], sign[entry_rows], (child.size, n))
-
-    cycles = cycle_inverse = None
-    closing = np.array(closing, dtype=np.int64)
+    touched = cycles = cycle_inverse = None
     if closing.size:
-        # column c of B is the subtree map's column at the closing row's head
-        # less its column at its tail: the tree rows on the two ends' paths
-        # up, those they share cancelling (the ground's column is empty)
+        # column c of B is the tree rows on the path up from the closing
+        # row's head less those on the path up from its tail, each with its
+        # sign at its child; the rows both paths share cancel
         m = closing.size
-        on_path, end = _paths_up(np.concatenate([head[closing], tail[closing]]), position, parent)
-        key, at_key = np.unique(on_path * m + end % m, return_inverse=True)
-        values = np.bincount(at_key, np.where(end < m, 1.0, -1.0) * sign[on_path])
-        key, values = key[values != 0], values[values != 0]
-        cycles = _Entries(key // m, key % m, values, (child.size, m))
+        child = np.concatenate([nodes for nodes, _, _ in levels])
+        position = np.full(n + 1, -1)
+        position[child] = np.arange(child.size)
+        parent = np.full(n + 1, n)
+        parent[child] = head[tree] + tail[tree] - child
+        paths, at, end = [], np.concatenate([h, t]), np.arange(2 * m)
+        while at.size:  # the tree rows up from the 2m ends, a level at a time
+            keep = position[at] >= 0
+            at, end = at[keep], end[keep]
+            paths.append((position[at], end))
+            at = parent[at]
+        on_path, end = (np.concatenate(part) for part in zip(*paths))
+        at_child = np.where(head[tree] == child, 1.0, -1.0)[on_path]
+        touched, at_row = np.unique(on_path, return_inverse=True)
+        cycles = np.bincount(
+            at_row * m + end % m, np.where(end < m, at_child, -at_child), touched.size * m
+        ).reshape(touched.size, m)
+        keep = np.any(cycles != 0.0, axis=1)
+        touched, cycles = touched[keep], cycles[keep]
         # B'B in numpy's own loops, not BLAS, whose idle worker threads spin;
         # its sums are exact in any order, since B's entries are +-1
-        touched, at_row = np.unique(cycles.rows, return_inverse=True)
-        dense = np.zeros((touched.size, m))
-        dense[at_row, cycles.cols] = values
-        cycle_inverse = _spd_inverse(np.einsum("rc,rd->cd", dense, dense) + np.eye(m))
+        cycle_inverse = _spd_inverse(np.einsum("rc,rd->cd", cycles, cycles) + np.eye(m))
     return _Forest(
-        active[up], active[closing], x0, slot, 1.0 / size, start, subtree, cycles, cycle_inverse
+        active[tree], active[closing], x0, slot, 1.0 / size, start, tuple(levels), touched,
+        cycles, cycle_inverse,
     )
-
-
-def _paths_up(start: np.ndarray, position: np.ndarray, parent: np.ndarray):
-    """(tree row, index into ``start``) of each row on the paths from the
-    nodes ``start`` up to their roots, a level at a time; a node's row
-    towards ``parent`` is ``position`` (-1 at a root)."""
-    rows, origins = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    at, origin = start, np.arange(start.size)
-    while at.size:
-        keep = position[at] >= 0
-        at, origin = at[keep], origin[keep]
-        rows.append(position[at])
-        origins.append(origin)
-        at = parent[at]
-    return np.concatenate(rows), np.concatenate(origins)
 
 
 def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
@@ -546,8 +537,9 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     scale with 0 <= C <= 2I for the score-merging QP, so 2 lam D <= scale H
     <= (2 + 2 lam) D with D = Z'Z, the component sizes, and the
     D-preconditioned H has condition number at most 1 + 1/lam. The
-    multipliers sum the gradient -(Qx + c) over each tree row's subtree,
-    then take the cycle-space step when rows close a cycle."""
+    multipliers sum the gradient -(Qx + c) over each tree row's subtree, a
+    level at a time, then take the cycle-space step, two products with the
+    dense B, when rows close a cycle."""
     lower = np.nonzero(signs < -1e-12)[0]
     upper = np.nonzero(signs > 1e-12)[0]
     forest = _memoized_forest(constraints, lower, upper)
@@ -567,11 +559,12 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     scattered[:k] = t
     x = forest.offset + scattered[slot]
     Qx = Q @ x
-    w_tree = forest.subtree.times(-(Qx + c))
+    w_tree = forest.tree_multipliers(-(Qx + c))
     w_full = np.zeros(constraints.rows.lower.shape[0])
     if forest.cycles is not None:
-        w_cycle = np.einsum("ij,j->i", forest.cycle_inverse, forest.cycles.transpose_times(w_tree))
-        w_tree -= forest.cycles.times(w_cycle)
+        B, touched = forest.cycles, forest.touched
+        w_cycle = np.einsum("ij,j->i", forest.cycle_inverse, np.einsum("rc,r->c", B, w_tree[touched]))
+        w_tree[touched] -= np.einsum("rc,c->r", B, w_cycle)
         w_full[forest.closing] = w_cycle
     w_full[forest.tree] = w_tree
     return x, w_full, Qx

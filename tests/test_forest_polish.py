@@ -3,10 +3,12 @@ with conjugate gradient on the reduced system, checked against the KKT
 conditions (``kkt_check``) and against ``certify``."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from deqscores import qp
 from deqscores.dequantize import compile_dataset
@@ -15,7 +17,7 @@ from deqscores.qp import QPProblem, solve
 from deqscores.qv import LAMBDA_GRID, coarsen, lambda_path
 from deqscores.synth import SynthConfig, generate, trial_seed
 
-from oracles import MatrixOperator, build_problem, certify, kkt_check
+from oracles import MatrixOperator, build_problem, certify, dense_quadratic, kkt_check
 
 
 def scaled(problem):
@@ -53,6 +55,37 @@ def k22_tie_block():
     raw = {("r0", "A"): 6, ("r0", "B"): 6, ("r0", "C"): 5, ("r0", "D"): 5}
     raw.update({("r1", "A"): 4, ("r2", "B"): 4, ("r3", "C"): 5, ("r4", "D"): 8})
     return coarsen(ReviewDataset.from_records(ScoreScale(1, 10), raw))
+
+
+def reduced_system():
+    """(problem, signs): variables 0-2 form one free component through three
+    pair rows, one of them closing a cycle; 3 and 4 are fixed through 3's
+    box row; 5 is free alone. Q couples them all, so the fixed component's
+    offset enters the free components' right-hand side."""
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(6, 6))
+    problem = build_problem(
+        m @ m.T + 6.0 * np.eye(6), rng.normal(size=6),
+        [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3), (3, 4, 0.5)], np.zeros(6), np.full(6, 10.0),
+    )
+    return problem, np.array([0, 0, 0, -1, 0, 0, -1, -1, -1, -1], dtype=np.int8)
+
+
+def relabelled(problem, variable, pair_order):
+    """The same QP with variable v renamed ``variable[v]`` and its pair rows
+    taken in the order ``pair_order``, Q as a dense matrix."""
+    inverse = np.argsort(variable)
+    constraints = problem.constraints
+    pairs = constraints.pair_constraints[pair_order]
+    return QPProblem(
+        MatrixOperator(dense_quadratic(problem)[np.ix_(inverse, inverse)]),
+        problem.linear[inverse],
+        qp.Constraints(
+            constraints.box_lower[inverse],
+            constraints.box_upper[inverse],
+            qp.pair_rows(variable[pairs["i"]], variable[pairs["j"]], pairs["gap"]),
+        ),
+    )
 
 
 class TestEachSetIsSolvedOrDeclined:
@@ -155,7 +188,7 @@ class TestCycleSpaceStep:
         forest = qp._forest(constraints, lower, np.zeros(0, dtype=np.int64))
         assert forest.closing.tolist() == [n + 3]  # B > D closes the cycle
         # the tree rows alone would carry a multiplier of the wrong sign
-        assert np.max(forest.subtree.times(-(Q @ x + c))) > 0.1
+        assert np.max(forest.tree_multipliers(-(Q @ x + c))) > 0.1
         assert np.all(w[n:] < -0.05)
         assert kkt_check(QPProblem(Q, c, constraints), x, w).certifies()
         solution = solve(problem, active=signs)
@@ -166,21 +199,11 @@ class TestCycleSpaceStep:
 
 class TestReducedSystem:
     def test_the_polish_is_the_dense_null_space_solve(self):
-        # variables 0-2 form one free component through three pair rows, the
-        # last closing a cycle; 3 and 4 are fixed through 3's box row; 5 is
-        # free alone. Q couples them all, so the fixed component's offset
-        # enters the free components' right-hand side
-        rng = np.random.default_rng(7)
-        m = rng.normal(size=(6, 6))
-        quadratic = m @ m.T + 6.0 * np.eye(6)
-        c = rng.normal(size=6)
-        problem = build_problem(
-            quadratic, c, [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3), (3, 4, 0.5)],
-            np.zeros(6), np.full(6, 10.0),
-        )
-        signs = np.array([0, 0, 0, -1, 0, 0, -1, -1, -1, -1], dtype=np.int8)
+        problem, signs = reduced_system()
+        quadratic, c = dense_quadratic(problem), problem.linear
         forest = qp._forest(problem.constraints, np.flatnonzero(signs < 0), np.zeros(0, np.int64))
-        assert forest.slot.tolist() == [0, 0, 0, 2, 2, 1] and forest.closing.tolist() == [8]
+        assert forest.slot.tolist() == [0, 0, 0, 2, 2, 1]
+        assert forest.closing.size == 1 and 6 <= forest.closing[0] <= 8
         x, w, _ = qp._polish(problem.quadratic, c, problem.constraints, signs)
 
         # the held rows: 3's box at its lower bound 0, then the four pair rows
@@ -200,6 +223,58 @@ class TestReducedSystem:
         w_expected = np.linalg.lstsq(a_held.T, -(quadratic @ expected + c), rcond=None)[0]
         assert np.max(np.abs(w[held] - w_expected)) <= 1e-12
         assert not np.any(np.delete(w, held))
+
+    def test_the_polish_does_not_depend_on_the_spanning_tree(self):
+        # renaming the variables and reordering the pair rows changes which
+        # rows the forest takes, never the polished x or the minimum-norm w
+        rng = np.random.default_rng(0)
+        k22 = compile_dataset(k22_tie_block(), 0.05)
+        k22_signs = np.zeros(k22.constraints.n + 4, dtype=np.int8)
+        k22_signs[k22.constraints.n:] = -1
+        k22_problem = QPProblem(*scaled(k22.problem(1.0)), k22.constraints)
+        for problem, signs in (reduced_system(), (k22_problem, k22_signs)):
+            n, m = problem.n, problem.pair_constraints.size
+            x, w, _ = qp._polish(problem.quadratic, problem.linear, problem.constraints, signs)
+            closing = set()
+            for _ in range(8):
+                variable, pair_order = rng.permutation(n), rng.permutation(m)
+                moved = relabelled(problem, variable, pair_order)
+                moved_signs = np.concatenate([signs[np.argsort(variable)], signs[n + pair_order]])
+                moved_x, moved_w, _ = qp._polish(
+                    moved.quadratic, moved.linear, moved.constraints, moved_signs
+                )
+                assert np.max(np.abs(moved_x[variable] - x)) <= 1e-12
+                back = np.concatenate([moved_w[variable], np.zeros(m)])
+                back[n + pair_order] = moved_w[n:]
+                assert np.max(np.abs(back - w)) <= 1e-12
+                (row,) = moved.constraints.last_forest["forest"].forest.closing
+                closing.add(int(pair_order[row - n]))
+            assert len(closing) > 1  # the renamings gave other spanning trees
+
+
+class TestDeepForest:
+    def test_an_all_binding_chain_is_polished_in_linear_memory(self):
+        # one ranking of 4 000 variables with every pair row binding: the
+        # forest is one path, 3 999 levels deep. The middle multipliers are
+        # about n^2 eps / 4, and kkt_check's complementarity is |w| times a
+        # slack of rounding size, so eps = 0.01 keeps it within 1e-9
+        n, eps = 4000, 0.01
+        problem = build_problem(
+            2.0 * sp.identity(n), np.zeros(n), [(k, k + 1, eps) for k in range(n - 1)],
+            np.full(n, -1e3), np.full(n, 1e3),
+        )
+        tracemalloc.start()
+        try:
+            solution = solve(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = ((n - 1) / 2 - np.arange(n)) * eps
+        assert np.max(np.abs(solution.values - expected)) <= 1e-9
+        assert peak <= 16 * 2**20, peak
+        Q, c = scaled(problem)
+        x, w, _ = qp._polish(Q, c, problem.constraints, solution.active)
+        assert kkt_check(QPProblem(Q, c, problem.constraints), x, w).certifies()
 
 
 class TestKKTCheck:
