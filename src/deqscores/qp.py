@@ -39,11 +39,13 @@ component's size: for the score-merging QP, 2 lambda D <= scale H <=
 (Saad, Iterative Methods for Sparse Linear Systems, 2003, section 6.11).
 The multipliers are the gradient's sums over the forest's subtrees, taken
 a level at a time from the deepest; rows that close a cycle take the
-minimum-norm combination of their fundamental cycles. The polish declines
-a set it cannot take: closing rows whose bounds disagree, a pair row held
-at its upper bound (+inf), more closing rows than ``_MAX_CLOSING_ROWS``, or
-a conjugate gradient that does not converge. No correction follows a
-declined set, and the solve goes on iterating.
+minimum-norm combination of their fundamental cycles, s = (I + B'B)^-1
+B'w with B the cycles held as their nonzeros, again by conjugate gradient.
+So one solver, ``_pcg``, serves all three linear systems: the x-update,
+the reduced system and the cycle step. The polish declines a set it cannot
+take: closing rows whose bounds disagree, a pair row held at its upper
+bound (+inf), or a conjugate gradient that does not converge. No
+correction follows a declined set, and the solve goes on iterating.
 
 One rule accepts a polished point (``_corrected_polish``). The solver
 polishes on a proposed active set; when that point fails, the failed
@@ -77,9 +79,9 @@ active set (the next weight of a path) reuses it whatever its Q (OSQP-style
 reuse of what does not change, Stellato et al., Math. Prog. Comp. 2020).
 
 What a warm step of a path builds. No matrix is formed: Q is an operator
-its problem supplies, the stacked rows and the forest's levels are index
-arrays applied by ``np.bincount``, and nothing shared is written after it
-is built, so threads may share a ``Constraints``. A step that its first
+its problem supplies, the stacked rows and the forest's levels and cycles
+are index arrays applied by ``np.bincount``, and nothing shared is written
+after it is built, so threads may share a ``Constraints``. A step that its first
 polish certifies builds no forest: it finds it in the memo by its rows at
 each bound, then takes one product with Q for the reduced right-hand side,
 one per conjugate-gradient step and one for the multipliers, which the
@@ -310,9 +312,9 @@ class _Forest(NamedTuple):
     (Z'Z)^-1, the reduced system's preconditioner. ``start`` is the
     conjugate gradient's start. ``levels`` holds, for each level below the
     roots, its nodes, each one's parent as an index into the level above,
-    and each one's sign in its tree row. ``cycles`` (B, dense on the tree
-    rows ``touched``) and ``cycle_inverse`` ((I + B'B)^-1) are the
-    cycle-space step, None without closing rows."""
+    and each one's sign in its tree row. ``cycles`` is B, the closing rows'
+    cycles on the tree rows, as its nonzeros: their positions in ``tree``
+    and in ``closing`` and their signs; None without closing rows."""
 
     tree: np.ndarray
     closing: np.ndarray
@@ -321,9 +323,7 @@ class _Forest(NamedTuple):
     inverse_size: np.ndarray
     start: np.ndarray
     levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    touched: np.ndarray | None
-    cycles: np.ndarray | None
-    cycle_inverse: np.ndarray | None
+    cycles: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
     def tree_multipliers(self, gradient: np.ndarray) -> np.ndarray:
         """The tree rows' multipliers as if no row closed a cycle: each
@@ -340,15 +340,11 @@ class _Forest(NamedTuple):
         return np.concatenate(parts[::-1])
 
 
-# the largest cycle space the polish takes; it declines a set closing more
-_MAX_CLOSING_ROWS = 256
-
-
 def _forest(constraints: Constraints, lower: np.ndarray, upper: np.ndarray) -> _Forest | None:
     """The spanning forest of the rows ``lower`` and ``upper`` hold at a
     bound; None when the polish cannot take the set: a pair row held at its
-    upper bound (+inf) or any infinite bound, closing rows whose bounds
-    disagree with the forest's, or more than ``_MAX_CLOSING_ROWS`` of them.
+    upper bound (+inf) or any infinite bound, or closing rows whose bounds
+    disagree with the forest's.
 
     The rows are graph edges: row e holds x[head] - x[tail] = bound, a pair
     row between its two variables, a box row from its variable to the
@@ -425,8 +421,6 @@ def _forest(constraints: Constraints, lower: np.ndarray, upper: np.ndarray) -> _
     on_tree = np.zeros(active.size, dtype=bool)
     on_tree[tree] = True
     closing = np.flatnonzero(~on_tree)
-    if closing.size > _MAX_CLOSING_ROWS:
-        return None
     h, t = head[closing], tail[closing]
     misfit = offset[h] - offset[t] - bound[closing]
     if np.any(np.abs(misfit) > 1e-12 * (1.0 + np.abs(bound[closing]) + np.abs(offset[h]))):
@@ -446,7 +440,7 @@ def _forest(constraints: Constraints, lower: np.ndarray, upper: np.ndarray) -> _
     box_mid[~np.isfinite(box_mid)] = 0.0
     start = np.bincount(slot, box_mid - x0, k + 1)[:k] / size
 
-    touched = cycles = cycle_inverse = None
+    cycles = None
     if closing.size:
         # column c of B is the tree rows on the path up from the closing
         # row's head less those on the path up from its tail, each with its
@@ -465,33 +459,13 @@ def _forest(constraints: Constraints, lower: np.ndarray, upper: np.ndarray) -> _
             at = parent[at]
         on_path, end = (np.concatenate(part) for part in zip(*paths))
         at_child = np.where(head[tree] == child, 1.0, -1.0)[on_path]
-        touched, at_row = np.unique(on_path, return_inverse=True)
-        cycles = np.bincount(
-            at_row * m + end % m, np.where(end < m, at_child, -at_child), touched.size * m
-        ).reshape(touched.size, m)
-        keep = np.any(cycles != 0.0, axis=1)
-        touched, cycles = touched[keep], cycles[keep]
-        # B'B in numpy's own loops, not BLAS, whose idle worker threads spin;
-        # its sums are exact in any order, since B's entries are +-1
-        cycle_inverse = _spd_inverse(np.einsum("rc,rd->cd", cycles, cycles) + np.eye(m))
+        entry, at_entry = np.unique(on_path * m + end % m, return_inverse=True)
+        sign = np.bincount(at_entry, np.where(end < m, at_child, -at_child), entry.size)
+        entry, sign = entry[sign != 0.0], sign[sign != 0.0]
+        cycles = (entry // m, entry % m, sign)
     return _Forest(
-        active[tree], active[closing], x0, slot, 1.0 / size, start, tuple(levels), touched,
-        cycles, cycle_inverse,
+        active[tree], active[closing], x0, slot, 1.0 / size, start, tuple(levels), cycles
     )
-
-
-def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
-    """The inverse of a small symmetric positive definite matrix by
-    Gauss-Jordan elimination without pivoting, in numpy's own loops: no
-    LAPACK, so its bits do not depend on a thread count."""
-    size = matrix.shape[0]
-    work = np.hstack([matrix, np.eye(size)])
-    for k in range(size):
-        work[k] /= work[k, k]
-        column = work[:, k].copy()
-        column[k] = 0.0
-        work -= np.multiply.outer(column, work[k])
-    return work[:, size:]
 
 
 class _ForestMemo(NamedTuple):
@@ -527,9 +501,10 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     below -1e-12 held at their lower bound, above 1e-12 at their upper
     bound; it may be empty: the system is then Q x = -c alone), on the
     spanning forest of its rows. Returns (x, w_full, Qx), or None when the
-    forest cannot take the set (see ``_forest``) or its conjugate gradient
-    does not converge. Verification against the full problem is the
-    caller's job; Qx, formed for the multipliers, is returned for it.
+    forest cannot take the set (see ``_forest``) or a conjugate gradient,
+    the reduced system's or the cycle space's, does not converge.
+    Verification against the full problem is the caller's job; Qx, formed
+    for the multipliers, is returned for it.
 
     x = offset + Z t, where t solves H t = -Z'(Q offset + c), H = Z'QZ, by
     ``_pcg``. H is never formed: H t scatters t onto the variables, takes
@@ -538,8 +513,10 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     <= (2 + 2 lam) D with D = Z'Z, the component sizes, and the
     D-preconditioned H has condition number at most 1 + 1/lam. The
     multipliers sum the gradient -(Qx + c) over each tree row's subtree, a
-    level at a time, then take the cycle-space step, two products with the
-    dense B, when rows close a cycle."""
+    level at a time. Rows closing a cycle take s, the solution of (I + B'B)
+    s = B'w_tree by ``_pcg`` preconditioned by its diagonal, 1 plus each
+    cycle's length, and the tree rows w_tree - B s: stationary for any s,
+    so the tolerance decides only how near the split is to minimum-norm."""
     lower = np.nonzero(signs < -1e-12)[0]
     upper = np.nonzero(signs > 1e-12)[0]
     forest = _memoized_forest(constraints, lower, upper)
@@ -562,10 +539,21 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     w_tree = forest.tree_multipliers(-(Qx + c))
     w_full = np.zeros(constraints.rows.lower.shape[0])
     if forest.cycles is not None:
-        B, touched = forest.cycles, forest.touched
-        w_cycle = np.einsum("ij,j->i", forest.cycle_inverse, np.einsum("rc,r->c", B, w_tree[touched]))
-        w_tree[touched] -= np.einsum("rc,c->r", B, w_cycle)
-        w_full[forest.closing] = w_cycle
+        row, column, sign = forest.cycles
+        m = forest.closing.size
+
+        def B(s):
+            return np.bincount(row, sign * s[column], w_tree.size)
+
+        def Bt(v):
+            return np.bincount(column, sign * v[row], m)
+
+        inverse_diagonal = 1.0 / (1.0 + np.bincount(column, minlength=m))
+        s, steps = _pcg(lambda s: s + Bt(B(s)), inverse_diagonal, Bt(w_tree), np.zeros(m))
+        if steps == _CG_MAX_STEPS:
+            return None
+        w_tree -= B(s)
+        w_full[forest.closing] = s
     w_full[forest.tree] = w_tree
     return x, w_full, Qx
 
@@ -595,7 +583,9 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def _pcg(K, inv_diag, b, x0, tolerance=_CG_TOLERANCE):
     """Conjugate gradient for K x = b from ``x0``, with K applied by the
-    operator ``K`` and preconditioned by the diagonal ``inv_diag``.
+    operator ``K`` and preconditioned by the diagonal ``inv_diag``: the
+    package's one linear solver, for the x-update, the polish's reduced
+    system and its cycle-space step.
 
     Stops once ||b - K x||_inf <= tolerance * max(1, ||b||_inf), or after a
     fixed number of steps. Returns (x, steps taken).

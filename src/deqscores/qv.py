@@ -83,9 +83,11 @@ def lambda_path(compiled: CompiledDataset, lambdas: Sequence[float]) -> list[Sol
     Each step is one ``qp.solve`` of ``compiled.problem(lam)``. The problems
     share the dataset's constraints and Q's pattern, and every set is
     polished on the spanning forest of its rows, so a step the solver
-    certifies on its proposed set constructs no sparse matrix: it pays for
-    a few conjugate-gradient steps on the reduced system, the multipliers
-    and the certificate (see ``qp``). Score the solutions with one call of
+    certifies on its proposed set forms no matrix: it builds the forest's
+    index arrays, unless the previous step's polish left them for the same
+    set, and pays for a few conjugate-gradient steps on the reduced system,
+    the multipliers (a few more steps when rows close a cycle) and the
+    certificate (see ``qp``). Score the solutions with one call of
     the batched Kendall kernel, ``metrics.kendall_tau_errors``, as
     ``select_lambda`` does.
     """

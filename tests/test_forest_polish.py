@@ -47,13 +47,16 @@ def counted(monkeypatch, name):
     return calls
 
 
-def k22_tie_block():
-    """One reviewer scores papers A-D 6, 6, 5, 5 on a ten-level scale, so on
-    the coarse scale all four tie at 3 and the original scores rank A and B
-    over C and D: the four pair rows of a K_{2,2}. One other review per
-    paper pulls A and B down and C and D up, B and D the hardest."""
-    raw = {("r0", "A"): 6, ("r0", "B"): 6, ("r0", "C"): 5, ("r0", "D"): 5}
-    raw.update({("r1", "A"): 4, ("r2", "B"): 4, ("r3", "C"): 5, ("r4", "D"): 8})
+def tie_block(a):
+    """One reviewer, r0, scores papers A0..A{a-1} 6 and C0..C{a-1} 5 on a
+    ten-level scale, so on the coarse scale all tie at 3 and the original
+    scores rank every A over every C: the a^2 pair rows of a K_{a,a}. One
+    other review per paper pulls the A papers down to 4 and the C papers up
+    to 5 or 8, alternately."""
+    raw = {}
+    for p in range(a):
+        raw.update({("r0", f"A{p}"): 6, ("r0", f"C{p}"): 5})
+        raw.update({(f"r{1 + p}", f"A{p}"): 4, (f"r{1 + a + p}", f"C{p}"): (5, 8)[p % 2]})
     return coarsen(ReviewDataset.from_records(ScoreScale(1, 10), raw))
 
 
@@ -126,10 +129,10 @@ class TestEachSetIsSolvedOrDeclined:
         assert solution.iterations > 0 and certified(problem, solution.values)
 
     def test_a_declined_set_leaves_the_solve_to_iterate(self, monkeypatch):
-        # more closing rows than it takes, or a reduced system whose
-        # conjugate gradient stops at the step cap: the polish declines the
-        # set, and the solve iterates to the minimizer it certifies unpatched
-        compiled = compile_dataset(k22_tie_block(), 0.05)
+        # a conjugate gradient that stops at the step cap, the reduced
+        # system's or the cycle space's: the polish declines the set, and
+        # the solve iterates to the minimizer it certifies unpatched
+        compiled = compile_dataset(tie_block(2), 0.05)
         n = compiled.constraints.n
         signs = np.zeros(n + 4, dtype=np.int8)
         signs[n:] = -1
@@ -140,14 +143,21 @@ class TestEachSetIsSolvedOrDeclined:
         assert expected.iterations == 0 and certified(problem, expected.values)
         pcg = qp._pcg
 
-        def stalled(K, inv_diag, b, x0, tolerance=qp._CG_TOLERANCE):
-            # the polish's conjugate gradient reports the step cap
-            x, steps = pcg(K, inv_diag, b, x0, tolerance)
-            return x, qp._CG_MAX_STEPS if tolerance == qp._FOREST_CG_TOLERANCE else steps
+        def stalled(system):
+            # the conjugate gradient on ``system`` reports the step cap
+            def cg(K, inv_diag, b, x0, tolerance=qp._CG_TOLERANCE):
+                x, steps = pcg(K, inv_diag, b, x0, tolerance)
+                return x, qp._CG_MAX_STEPS if system(b, tolerance) else steps
 
-        for name, value in (("_MAX_CLOSING_ROWS", 0), ("_pcg", stalled)):
+            return cg
+
+        for name, system in (
+            ("reduced", lambda b, tolerance: tolerance == qp._FOREST_CG_TOLERANCE),
+            # the one closing row's: the x-update has 8 unknowns, the reduced system 5
+            ("cycle space", lambda b, tolerance: b.size == 1),
+        ):
             with monkeypatch.context() as patch:
-                patch.setattr(qp, name, value)
+                patch.setattr(qp, "_pcg", stalled(system))
                 compiled.constraints.last_forest.clear()
                 assert qp._polish(Q, c, compiled.constraints, signs) is None, name
                 solution = solve(problem, active=signs)
@@ -172,13 +182,13 @@ class TestEachSetIsSolvedOrDeclined:
 
 class TestCycleSpaceStep:
     def test_a_k22_tie_block_is_certified_with_sign_correct_multipliers(self):
-        dataset = k22_tie_block()
+        dataset = tie_block(2)
         compiled = compile_dataset(dataset, 0.05)
         constraints = compiled.constraints
         n = constraints.n
         assert [tuple(row)[:2] for row in constraints.pair_constraints] == [
             (0, 2), (0, 3), (1, 2), (1, 3)
-        ]  # A > C, A > D, B > C, B > D
+        ]  # A0 > C0, A0 > C1, A1 > C0, A1 > C1
         problem = compiled.problem(1.0)
         signs = np.zeros(n + 4, dtype=np.int8)
         signs[n:] = -1  # all four pair rows tight
@@ -186,7 +196,7 @@ class TestCycleSpaceStep:
         x, w, _ = qp._polish(Q, c, constraints, signs)
         lower = np.flatnonzero(signs < 0)
         forest = qp._forest(constraints, lower, np.zeros(0, dtype=np.int64))
-        assert forest.closing.tolist() == [n + 3]  # B > D closes the cycle
+        assert forest.closing.tolist() == [n + 3]  # A1 > C1 closes the cycle
         # the tree rows alone would carry a multiplier of the wrong sign
         assert np.max(forest.tree_multipliers(-(Q @ x + c))) > 0.1
         assert np.all(w[n:] < -0.05)
@@ -195,6 +205,38 @@ class TestCycleSpaceStep:
         assert solution.iterations == 0 and np.array_equal(solution.active, signs)
         assert np.array_equal(solution.values, x)
         assert certified(problem, x)
+
+    @pytest.mark.parametrize("a", [20, 150])
+    def test_a_tie_block_of_any_size_is_certified(self, a):
+        # a K_{a,a} closes (a - 1)^2 rows, 361 and 22 201: B holds about
+        # three nonzeros per closing row, where a dense I + B'B alone would
+        # be 8 (a - 1)^4 bytes, 3.9 GB at a = 150
+        compiled = compile_dataset(tie_block(a), 0.05)
+        constraints = compiled.constraints
+        n = constraints.n
+        signs = np.zeros(n + a * a, dtype=np.int8)
+        signs[n:] = -1  # all a^2 pair rows tight
+        problem = compiled.problem(1.0)
+        tracemalloc.start()
+        try:
+            proposed = solve(problem, active=signs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert proposed.iterations == 0 and np.array_equal(proposed.active, signs)
+        assert peak <= 32 * 2**20, peak
+        assert constraints.last_forest["forest"].forest.closing.size == (a - 1) ** 2
+        Q, c = scaled(problem)
+        x, w, _ = qp._polish(Q, c, constraints, signs)
+        assert np.array_equal(x, proposed.values)
+        assert kkt_check(QPProblem(Q, c, constraints), x, w).certifies()
+        # a cold solve returns a polished point, not the unpolished iterate,
+        # whose primal residual is of the iteration's size (about 1e-11)
+        constraints.last_forest.clear()
+        cold = solve(problem)
+        assert cold.residuals[0] <= 1e-14
+        assert np.array_equal(qp._polish(Q, c, constraints, cold.active)[0], cold.values)
+        assert np.max(np.abs(cold.values - x)) <= 1e-12
 
 
 class TestReducedSystem:
@@ -228,7 +270,7 @@ class TestReducedSystem:
         # renaming the variables and reordering the pair rows changes which
         # rows the forest takes, never the polished x or the minimum-norm w
         rng = np.random.default_rng(0)
-        k22 = compile_dataset(k22_tie_block(), 0.05)
+        k22 = compile_dataset(tie_block(2), 0.05)
         k22_signs = np.zeros(k22.constraints.n + 4, dtype=np.int8)
         k22_signs[k22.constraints.n:] = -1
         k22_problem = QPProblem(*scaled(k22.problem(1.0)), k22.constraints)
