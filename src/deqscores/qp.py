@@ -10,9 +10,9 @@ with a first-order operator-splitting iteration (over-relaxed ADMM) plus an
 active-set polish step that solves the KKT equality system on the detected
 active constraints, bringing the iterate to near machine precision.
 Feasibility is pre-checked by longest-path propagation of the pairwise gaps
-through the constraint graph, all pair rows at once per round, which raises
-``InfeasibleProblem`` on an empty constraint set (gaps that overflow a box,
-or a positive-gap cycle), so infeasible inputs fail fast instead of
+through the constraint graph, each round over the rows out of bounds that
+rose, raising ``InfeasibleProblem`` on an empty set (gaps that overflow a
+box, or a positive-gap cycle), so infeasible inputs fail fast instead of
 iterating. The solver returns the minimizer, never the objective's value.
 
 The ADMM x-update solves (Q + sigma I + rho A'A) x = b. It is never
@@ -24,8 +24,8 @@ steps suffice; a sparse LU of it would fill in heavily, because consensus
 and ranking couplings make its graph an expander.
 
 One polish (``_polish``) solves the KKT system on an active set, and it
-factors nothing. The stacked rows are the incidence matrix of a graph: a
-pair row joins its two variables, a box row joins its variable to a ground
+factors nothing. A, A' and the forest read the stacked rows as one graph:
+a pair row joins its two variables, a box row its variable to a ground
 node. On a spanning forest of the active rows, x = offset + Z t: the bounds
 carried along the tree edges, and one value of t per component the ground
 does not fix; t solves the reduced system H t = -Z'(Q offset + c), H =
@@ -79,12 +79,12 @@ active set (the next weight of a path) reuses it whatever its Q (OSQP-style
 reuse of what does not change, Stellato et al., Math. Prog. Comp. 2020).
 
 What a warm step of a path builds. No matrix is formed: Q is an operator
-its problem supplies, the stacked rows and the forest's levels and cycles
-are index arrays applied by ``np.bincount``, and nothing shared is written
-after it is built, so threads may share a ``Constraints``. A step that its first
-polish certifies builds no forest: it finds it in the memo by its rows at
-each bound, then takes one product with Q for the reduced right-hand side,
-one per conjugate-gradient step and one for the multipliers, which the
+its problem supplies, the rows' edge list and the forest's levels and
+cycles are index arrays, and nothing shared is written after it is built,
+so threads may share a ``Constraints``. A step that its first polish
+certifies builds no forest: it finds it in the memo by its rows at each
+bound, then takes one product with Q for the reduced right-hand side, one
+per conjugate-gradient step and one for the multipliers, which the
 certificate reuses with one product with A and one with A'.
 """
 
@@ -132,30 +132,25 @@ class MaxIterationsExceeded(SolverError):
 
 class StackedRows(NamedTuple):
     """Boxes (identity rows) stacked over pair rows as l <= A y <= u, held
-    as index arrays: the pair rows' ends ``i`` and ``j``, so A y is y over
-    y_i - y_j; ``ends``, the column of each of A's entries in A's row order,
-    so A'w is one ``bincount`` that adds in a CSR kernel's order; and each
-    variable's pair ``degree``, so diag(A'A) = 1 + degree."""
+    as one edge list: row e is y[head] - y[tail] on the variables and a
+    ground node n of value 0, which every box row has as its tail. A'w adds
+    each pair row's w at its head and takes it from its tail."""
 
-    i: np.ndarray
-    j: np.ndarray
-    ends: np.ndarray
-    degree: np.ndarray
+    n: int
+    head: np.ndarray
+    tail: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
     def times(self, y: np.ndarray) -> np.ndarray:
         """A y."""
-        return np.concatenate([y, y[self.i] - y[self.j]])
+        return np.concatenate([y, y[self.head[self.n :]] - y[self.tail[self.n :]]])
 
     def transpose_times(self, w: np.ndarray) -> np.ndarray:
         """A'w."""
-        n = self.degree.size
-        signed = np.empty(self.ends.size)
-        signed[:n] = w[:n]
-        signed[n::2] = w[n:]
-        np.negative(w[n:], out=signed[n + 1 :: 2])
-        return np.bincount(self.ends, signed, n)
+        n = self.n
+        at_head = np.bincount(self.head[n:], w[n:], n)
+        return w[:n] + at_head - np.bincount(self.tail[n:], w[n:], n)
 
 
 # the record of one pair constraint y_i - y_j >= gap; unpacks as (i, j, gap)
@@ -198,15 +193,15 @@ class Constraints:
 
     @cached_property
     def rows(self) -> StackedRows:
-        """The boxes over the pair rows, as ``StackedRows``."""
+        """The boxes over the pair rows, as ``StackedRows``: box row v is
+        the edge (v, n), pair row (i, j, gap) the edge (i, j)."""
         n = self.n
         pairs = self.pair_constraints
-        i, j = pairs["i"].copy(), pairs["j"].copy()  # contiguous: faster to gather by
-        ends = np.concatenate([np.arange(n), np.column_stack([i, j]).ravel()])
-        degree = np.bincount(ends[n:], minlength=n)
+        head = np.concatenate([np.arange(n), pairs["i"]])
+        tail = np.concatenate([np.full(n, n), pairs["j"]])
         lower = np.concatenate([self.box_lower, pairs["gap"]])
-        upper = np.concatenate([self.box_upper, np.full(i.size, np.inf)])
-        return StackedRows(i, j, ends, degree, lower, upper)
+        upper = np.concatenate([self.box_upper, np.full(pairs.shape[0], np.inf)])
+        return StackedRows(n, head, tail, lower, upper)
 
     @cached_property
     def last_forest(self) -> dict:
@@ -262,31 +257,48 @@ class Solution:
     active: np.ndarray | None = None
 
 
+def _slices(first: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index in ``nodes``, position) of each entry of the groups of
+    ``nodes`` in an array grouped by node, group v at first[v]:first[v + 1]."""
+    count = first[nodes + 1] - first[nodes]
+    source = np.repeat(np.arange(nodes.size), count)
+    return source, np.arange(source.size) + (first[nodes] + count - np.cumsum(count))[source]
+
+
 def check_feasibility(constraints: Constraints) -> np.ndarray:
     """The lower bounds tightened along the pair rows; raises
     ``InfeasibleProblem`` when the constraint set is empty.
 
     Lower bounds travel upward along each constraint y_i >= y_j + gap
-    (longest-path relaxation), all pair rows at once per round, until a
-    round changes nothing: on acyclic rows, after as many rounds as the
-    longest chain has rows. The set is nonempty iff every tightened lower
-    bound stays below its box upper bound; the bounds are then a point of
-    it. Bounds still rising after n + 1 rounds mean a positive-gap cycle:
-    ``InfeasibleProblem`` with no chain. An overflowing box raises with the
-    chain walked back from the first such variable, each step along the
-    first row, in row order, that holds its variable's bound (lo_j + gap ==
-    lo_i): its gaps, added up from its last variable's box, overflow its
-    first variable's box.
+    (longest-path relaxation) until a round changes nothing: on acyclic
+    rows, after as many rounds as the longest chain has rows. After the
+    first, a round takes only the rows whose tail's bound rose in the round
+    before (by a by-tail layout); the others offer what they offered then.
+    The set is nonempty iff every tightened lower bound stays below its box
+    upper bound; the bounds are then a point of it. Bounds still rising
+    after n + 1 rounds mean a positive-gap cycle: ``InfeasibleProblem``
+    with no chain. An overflowing box raises with the chain walked back
+    from the first such variable, each step along the first row, in row
+    order, that holds its variable's bound (lo_j + gap == lo_i): its gaps,
+    added up from its last variable's box, overflow its first variable's
+    box.
     """
     pairs = constraints.pair_constraints
     i, j, gap = pairs["i"], pairs["j"], pairs["gap"]
     lo = constraints.box_lower.copy()
     n = constraints.n
+    by_tail = np.argsort(j, kind="stable")
+    first = np.concatenate([[0], np.cumsum(np.bincount(j, minlength=n))])
+    row = slice(None)  # the first round takes every row
     for _ in range(n + 1):
-        candidate = lo[j] + gap
-        if not np.any(candidate > lo[i]):
+        candidate, raised = lo[j[row]] + gap[row], i[row]
+        up = candidate > lo[raised]
+        if not np.any(up):
             break
-        np.maximum.at(lo, i, candidate)
+        np.maximum.at(lo, raised[up], candidate[up])
+        rose = np.zeros(n, dtype=bool)
+        rose[raised[up]] = True
+        row = by_tail[_slices(first, np.flatnonzero(rose))[1]]
     else:
         raise InfeasibleProblem("pair constraints form a positive-gap cycle")
 
@@ -346,9 +358,8 @@ def _forest(constraints: Constraints, lower: np.ndarray, upper: np.ndarray) -> _
     upper bound (+inf) or any infinite bound, or closing rows whose bounds
     disagree with the forest's.
 
-    The rows are graph edges: row e holds x[head] - x[tail] = bound, a pair
-    row between its two variables, a box row from its variable to the
-    ground, a node n whose value is 0. Min-label propagation with pointer
+    The active rows are the stacked rows' edges, row e holding x[head] -
+    x[tail] = bound (see ``StackedRows``). Min-label propagation with pointer
     jumping finds the components (Shiloach and Vishkin, J. Algorithms 3,
     1982); the ground roots its own, the head of its first row each other
     one. One breadth-first search from all roots at once then takes a level
@@ -361,17 +372,12 @@ def _forest(constraints: Constraints, lower: np.ndarray, upper: np.ndarray) -> _
     summed over the subtree below it, less what the closing rows'
     multipliers send through it; the cycle-space step picks the
     minimum-norm multipliers."""
-    n = constraints.n
-    rows = constraints.rows
+    n, rows = constraints.n, constraints.rows
     active = np.concatenate([lower, upper])
     bound = np.concatenate([rows.lower[lower], rows.upper[upper]])
     if np.any(upper >= n) or not np.all(np.isfinite(bound)):
         return None
-    on_pair = active >= n
-    head = active.copy()
-    tail = np.full(active.size, n)
-    head[on_pair] = rows.i[active[on_pair] - n]
-    tail[on_pair] = rows.j[active[on_pair] - n]
+    head, tail = rows.head[active], rows.tail[active]
 
     # each round hooks the two roots of every row onto the smaller, then
     # jumps every node's pointer to its root
@@ -402,9 +408,7 @@ def _forest(constraints: Constraints, lower: np.ndarray, upper: np.ndarray) -> _
     reached[root[head]] = True
     frontier = np.flatnonzero(reached)
     while True:
-        count = first[frontier + 1] - first[frontier]
-        source = np.repeat(np.arange(frontier.size), count)
-        at = np.arange(source.size) + (first[frontier] + count - np.cumsum(count))[source]
+        source, at = _slices(first, frontier)
         new = ~reached[other[at]]
         nodes, pick = np.unique(other[at][new], return_index=True)
         if not nodes.size:
@@ -498,13 +502,13 @@ _FOREST_CG_TOLERANCE = 1e-15
 
 def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     """Solve the KKT equality system on the active set ``signs`` marks (rows
-    below -1e-12 held at their lower bound, above 1e-12 at their upper
-    bound; it may be empty: the system is then Q x = -c alone), on the
-    spanning forest of its rows. Returns (x, w_full, Qx), or None when the
-    forest cannot take the set (see ``_forest``) or a conjugate gradient,
-    the reduced system's or the cycle space's, does not converge.
-    Verification against the full problem is the caller's job; Qx, formed
-    for the multipliers, is returned for it.
+    at -1 held at their lower bound, at +1 at their upper bound; it may be
+    empty: the system is then Q x = -c alone), on the spanning forest of
+    its rows. Returns (x, w_full, Qx), or None when the forest cannot take
+    the set (see ``_forest``) or a conjugate gradient, the reduced system's
+    or the cycle space's, does not converge. Verification against the full
+    problem is the caller's job; Qx, formed for the multipliers, is
+    returned for it.
 
     x = offset + Z t, where t solves H t = -Z'(Q offset + c), H = Z'QZ, by
     ``_pcg``. H is never formed: H t scatters t onto the variables, takes
@@ -517,8 +521,8 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
     s = B'w_tree by ``_pcg`` preconditioned by its diagonal, 1 plus each
     cycle's length, and the tree rows w_tree - B s: stationary for any s,
     so the tolerance decides only how near the split is to minimum-norm."""
-    lower = np.nonzero(signs < -1e-12)[0]
-    upper = np.nonzero(signs > 1e-12)[0]
+    lower = np.nonzero(signs < 0)[0]
+    upper = np.nonzero(signs > 0)[0]
     forest = _memoized_forest(constraints, lower, upper)
     if forest is None:
         return None
@@ -561,12 +565,14 @@ def _polish(Q, c, constraints: Constraints, signs: np.ndarray):
 def _x_update_system(Q, sigma: float, rho: float, rows: StackedRows):
     """The ADMM x-update matrix K = Q + sigma I + rho A'A as an operator,
     Kv = Qv + sigma v + rho A'(Av), never formed, with the inverse of its
-    diagonal diag(Q) + sigma + rho (1 + degree) (the Jacobi preconditioner)."""
+    diagonal (the Jacobi preconditioner), A'A's being 1 + pair-row ends."""
 
     def K(v):
         return Q @ v + sigma * v + rho * rows.transpose_times(rows.times(v))
 
-    return K, 1.0 / (Q.diagonal() + sigma + rho * (1.0 + rows.degree))
+    n = rows.n
+    pair_ends = np.bincount(rows.head[n:], minlength=n) + np.bincount(rows.tail[n:], minlength=n)
+    return K, 1.0 / (Q.diagonal() + sigma + rho * (1.0 + pair_ends))
 
 
 _CG_TOLERANCE = 1e-10
@@ -620,27 +626,20 @@ def _residuals(Qx, Ax, c, rows: StackedRows, w, z=None):
     (polished candidates, where w is nonzero only on rows pinned to their
     bound) the true constraint violation alone is the right measure.
     """
-    primal = max(
-        float((rows.lower - Ax).max(initial=0.0)),
-        float((Ax - rows.upper).max(initial=0.0)),
-        0.0,
-    )
+    primal = float(np.maximum(rows.lower - Ax, Ax - rows.upper).max(initial=0.0))
     if z is not None:
         primal = max(primal, float(np.abs(Ax - z).max()))
     Atw = rows.transpose_times(w)
     stat_num = float(np.abs(Qx + c + Atw).max())
-    stat_den = max(
-        1.0,
-        float(np.abs(Qx).max()),
-        float(np.abs(c).max()),
-        float(np.abs(Atw).max()),
-    )
+    stat_den = max(1.0, *(float(np.abs(v).max()) for v in (Qx, c, Atw)))
     return primal, stat_num / stat_den
 
 
-def _active_rows(w: np.ndarray) -> np.ndarray:
-    """Rows a multiplier vector holds at a bound: -1 lower, +1 upper, 0 free."""
-    return (w > 1e-12).astype(np.int8) - (w < -1e-12).astype(np.int8)
+def _held(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """The rows held at their upper bound (+1) where ``upper`` exceeds
+    1e-12, at their lower bound (-1) where ``lower`` is below -1e-12, else
+    free (0): the one rule; multipliers w hold the rows ``_held(w, w)``."""
+    return (upper > 1e-12).astype(np.int8) - (lower < -1e-12).astype(np.int8)
 
 
 # An active set whose polish fails the certificate gets at most this many
@@ -659,8 +658,9 @@ def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray):
     stationarity within ``OPTIMALITY_TOLERANCE``. Each correction is the
     semismooth Newton step of Hintermueller, Ito and Kunisch (SIAM J. Optim.
     13(3), 2002) from the failed polish's own (x, w): a row is held at its
-    lower bound iff -w + (l - Ax) > 0 and at its upper bound iff
-    w + (Ax - u) > 0. The corrections stop early when an active set repeats.
+    lower bound iff w + (Ax - l) < 0 and at its upper bound iff
+    w + (Ax - u) > 0, beyond rounding by ``_held``. The corrections
+    stop early when an active set repeats.
     """
     rows = constraints.rows
     tried: list[np.ndarray] = []
@@ -675,9 +675,7 @@ def _corrected_polish(Q, c, constraints: Constraints, active: np.ndarray):
         if good_signs and primal <= FEASTOL and stat <= OPTIMALITY_TOLERANCE:
             return x, residuals, active
         tried.append(active)
-        active = (w + (Ax - rows.upper) > 0).astype(np.int8) - (
-            -w + (rows.lower - Ax) > 0
-        ).astype(np.int8)
+        active = _held(w + (Ax - rows.upper), w + (Ax - rows.lower))
         if any(np.array_equal(active, seen) for seen in tried):
             return None
     return None
@@ -741,7 +739,7 @@ def solve(problem: QPProblem, active: np.ndarray | None = None) -> Solution:
             # the proposed set: the caller's at iteration 0, then the iterate's
             proposal = w if it else active
             if proposal is not None:
-                certified = _corrected_polish(Q, c, problem.constraints, _active_rows(proposal))
+                certified = _corrected_polish(Q, c, problem.constraints, _held(proposal, proposal))
                 if certified is not None:
                     xp, residuals, polished_on = certified
                     return Solution(xp, it, residuals, cg_steps, polished_on)
@@ -749,7 +747,7 @@ def solve(problem: QPProblem, active: np.ndarray | None = None) -> Solution:
                 # the last resort: the iterate itself, when it meets the tolerances
                 primal, stat = _residuals(Q @ x, rows.times(x), c, rows, w, z)
                 if primal <= FEASTOL and stat <= OPTIMALITY_TOLERANCE:
-                    return Solution(x.copy(), it, (primal, stat), cg_steps, _active_rows(w))
+                    return Solution(x.copy(), it, (primal, stat), cg_steps, _held(w, w))
                 if it % 2000 == 0:
                     # slow progress: re-balance the penalty between primal and dual work
                     ratio = (primal + 1e-16) / (stat + 1e-16)

@@ -169,6 +169,14 @@ class TestLambdaPath:
         path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
         assert [solution.iterations for solution in path] == [0] * len(path)
 
+    def test_no_step_of_a_large_path_iterates(self):
+        # the PDAS corrections hold a row by the rule that reads multipliers:
+        # a violation of rounding size no longer takes a free row in, which
+        # made steps 0 and 9 of this path iterate
+        dataset = generate(SynthConfig(num_papers=6000, seed=2)).dataset
+        path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
+        assert [solution.iterations for solution in path] == [0] * len(path)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_step_passes_an_independent_certificate(self, seed):
         # the KKT conditions checked from scratch, with no solver code, at

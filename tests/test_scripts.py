@@ -51,3 +51,13 @@ def test_synthetic_sweeps_reject_an_unknown_name_before_any_sweep(tmp_path):
         "run_synthetic_sweeps.py: error: argument --sweeps: unknown sweeps foo; "
         "known: sigma, papers_per_reviewer, reviews_per_paper"
     ]
+
+
+def test_compare_outputs_finds_a_tree_identical_to_itself():
+    result = run_script("compare_outputs.py", "--against", str(SCRIPTS.parent), "12:0")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "P=12 seed=0 lambda=auto: identical",
+        "P=12 seed=0 lambda=1: identical",
+        "0 different",
+    ]
