@@ -1,6 +1,7 @@
 """Dequantized review scores: merge quantized scores and partial rankings
 into per-review real values by solving a small constrained QP."""
 
+import importlib
 import os
 import sys
 
@@ -12,13 +13,8 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .baselines import (
-    GroupsInconsistent,
-    NotTotalRanking,
-    bre_adjusted_scores,
-    partial_rankings_adjusted_scores,
-    quantized_baseline,
-)
+# the solver core loads with the package, as every command needs it; binding
+# ``dequantize`` here also keeps that name the function, never the module
 from .dequantize import (
     AUTO,
     CompiledDataset,
@@ -28,7 +24,6 @@ from .dequantize import (
     consistency_report,
     dequantize,
 )
-from .experiment import ExperimentReport, ExperimentSpec, FileSource, run_experiment
 from .metrics import (
     AllTiedError,
     kendall_tau_error,
@@ -56,7 +51,28 @@ from .qp import (
     check_feasibility,
     solve,
 )
-from .qv import DegenerateValidation, QVReport, coarsen, lambda_path, select_lambda
-from .synth import SynthConfig, SynthInstance, generate, random_regular_assignment, trial_seed
+
+# the other modules load on first use of one of their names, so that a
+# command loads only what it runs
+_LAZY = {
+    "baselines": (
+        "GroupsInconsistent",
+        "NotTotalRanking",
+        "bre_adjusted_scores",
+        "partial_rankings_adjusted_scores",
+        "quantized_baseline",
+    ),
+    "experiment": ("ExperimentReport", "ExperimentSpec", "FileSource", "run_experiment"),
+    "qv": ("DegenerateValidation", "QVReport", "coarsen", "lambda_path", "select_lambda"),
+    "synth": ("SynthConfig", "SynthInstance", "generate", "random_regular_assignment", "trial_seed"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+
 
 __version__ = "0.1.0"

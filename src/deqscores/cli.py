@@ -15,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import baselines, io
+from . import io
 from .dequantize import (
     AUTO,
     compile_dataset,
@@ -24,19 +24,8 @@ from .dequantize import (
     require_epsilon,
     require_lambda,
 )
-from .experiment import (
-    METHODS,
-    METRIC_NAMES,
-    REPORT_VERSION,
-    SWEEPABLE,
-    ExperimentSpec,
-    FileSource,
-    run_experiment,
-)
 from .model import DEFAULT_EPSILON, ValidationError
 from .qp import InfeasibleProblem, SolverError
-from .qv import select_lambda
-from .synth import SynthConfig, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -112,15 +101,11 @@ def _load(args):
 def _write_report(path, parameters: dict, **fields) -> None:
     """Write a JSON run report: the command's options ``parameters`` plus
     ``fields``."""
-    report = {"report_version": REPORT_VERSION, "parameters": parameters, **fields}
+    report = {"report_version": io.REPORT_VERSION, "parameters": parameters, **fields}
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="deqscores", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a dataset against the model invariants")
+def _validate_options(p: _Parser) -> None:
     _add_dataset_args(p)
     _add_epsilon_arg(
         p,
@@ -128,14 +113,18 @@ def build_parser() -> _Parser:
         f"(default {_default(DEFAULT_EPSILON)})",
     )
 
-    p = sub.add_parser("dequantize", help="merge scores and rankings into real-valued scores")
+
+def _dequantize_options(p: _Parser) -> None:
     _add_dataset_args(p)
     _add_epsilon_arg(p)
     _add_lambda_arg(p)
     p.add_argument("--output", required=True, help="output CSV path")
     p.add_argument("--report", help="optional JSON run report path")
 
-    p = sub.add_parser("simulate", help="generate a synthetic dataset")
+
+def _simulate_options(p: _Parser) -> None:
+    from .synth import SynthConfig
+
     p.add_argument("--papers", type=int, default=SynthConfig.num_papers)
     p.add_argument("--sigma", type=float, default=SynthConfig.sigma)
     p.add_argument("--reviews-per-paper", type=int, default=4)
@@ -143,12 +132,16 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-prefix", required=True, help="prefix for *_reviews/_rankings/_truth.csv")
 
-    p = sub.add_parser("qv", help="select the fit weight by quantization validation")
+
+def _qv_options(p: _Parser) -> None:
     _add_dataset_args(p)
     _add_epsilon_arg(p)
     p.add_argument("--output", help="optional JSON report path")
 
-    p = sub.add_parser("baseline", help="run a reference method")
+
+def _baseline_options(p: _Parser) -> None:
+    from .experiment import METHODS
+
     p.add_argument(
         "--method", required=True, choices=[m for m in METHODS if m != "proposed"],
     )
@@ -156,7 +149,11 @@ def build_parser() -> _Parser:
     _add_epsilon_arg(p)
     p.add_argument("--output", required=True, help="output CSV path")
 
-    p = sub.add_parser("experiment", help="run trial sweeps and aggregate errors")
+
+def _experiment_options(p: _Parser) -> None:
+    from .experiment import METHODS, METRIC_NAMES, SWEEPABLE
+    from .synth import SynthConfig
+
     _add_epsilon_arg(p)
     _add_lambda_arg(p)
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
@@ -189,6 +186,19 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1, help="parallel trial workers (default 1)")
     p.add_argument("--output", required=True, help="JSON report path")
     p.add_argument("--table", help="optional per-sweep CSV (method,sweep_value,metric,mean,sem)")
+
+
+def build_parser(commands=None) -> _Parser:
+    """The command-line parser. Every command is listed, but only those in
+    ``commands`` (default: all) take their options: building a command's
+    options imports the modules they name, so ``main`` builds only the
+    command it runs."""
+    parser = _Parser(prog="deqscores", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_options, _body) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if commands is None or name in commands:
+            add_options(p)
     return parser
 
 
@@ -226,6 +236,8 @@ def _cmd_dequantize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .synth import SynthConfig, generate
+
     config = SynthConfig(
         num_papers=args.papers,
         sigma=args.sigma,
@@ -241,6 +253,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_qv(args) -> int:
+    from .qv import select_lambda
+
     dataset = _load(args)
     report = select_lambda(dataset, args.epsilon)
     print("lambda      validation_error")
@@ -258,6 +272,8 @@ def _cmd_qv(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    from . import baselines
+
     dataset = _load(args)
     if args.method == "quantized":
         values = baselines.quantized_baseline(dataset)
@@ -271,6 +287,9 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiment import ExperimentSpec, FileSource, run_experiment
+    from .synth import SynthConfig
+
     values = tuple(float(v) for v in args.values.split(","))
     # the synthetic data's options; one not given takes SynthConfig's default
     options = {"--papers": ("num_papers", args.papers), "--sigma": ("sigma", args.sigma)}
@@ -327,23 +346,32 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+# each command's help line, option builder and body, which import the
+# modules only that command uses
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "dequantize": _cmd_dequantize,
-    "simulate": _cmd_simulate,
-    "qv": _cmd_qv,
-    "baseline": _cmd_baseline,
-    "experiment": _cmd_experiment,
+    "validate": (
+        "check a dataset against the model invariants", _validate_options, _cmd_validate
+    ),
+    "dequantize": (
+        "merge scores and rankings into real-valued scores", _dequantize_options, _cmd_dequantize
+    ),
+    "simulate": ("generate a synthetic dataset", _simulate_options, _cmd_simulate),
+    "qv": ("select the fit weight by quantization validation", _qv_options, _cmd_qv),
+    "baseline": ("run a reference method", _baseline_options, _cmd_baseline),
+    "experiment": ("run trial sweeps and aggregate errors", _experiment_options, _cmd_experiment),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the command is the first argument that is no option: only --help may
+    # come before it, and that lists the commands without their options
+    args = build_parser([arg for arg in argv if not arg.startswith("-")][:1]).parse_args(argv)
     try:
         if "epsilon" in args:  # every command but simulate; before any input is read
             _require_epsilon_option(args.epsilon)
-        return _COMMANDS[args.command](args)
+        _text, _options, body = _COMMANDS[args.command]
+        return body(args)
     except (io.ParseError, ValidationError) as exc:
         print(f"error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -9,7 +9,6 @@ number in the report.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from .baselines import (
     quantized_baseline,
 )
 from .dequantize import AUTO, dequantize, require_epsilon, require_lambda
-from .io import prepare_half_scale
+from .io import REPORT_VERSION, prepare_half_scale
 from .metrics import (
     kendall_tau_errors,
     l2_error,
@@ -34,8 +33,6 @@ from .metrics import (
 )
 from .model import DEFAULT_EPSILON, ReviewDataset
 from .synth import SynthConfig, generate, require_counts, trial_seed
-
-REPORT_VERSION = 2  # of experiment and CLI reports alike
 
 METHODS = ("proposed", "quantized", "bre_adjusted", "partial_rankings_adjusted")
 SWEEPABLE = ("sigma", "papers_per_reviewer", "reviews_per_paper", "lambda")
@@ -253,6 +250,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """
     tasks = [(spec, value, trial) for value in spec.sweep_values for trial in range(spec.trials)]
     if spec.jobs > 1:
+        # imported here: a serial run would carry the pool module's memory
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             rows = list(pool.map(_trial_worker, tasks))
     else:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .metrics import percentiles
 from .model import ReviewDataset, ScoreScale, require_valid
-from .qv import coarsen
-from .synth import random_regular_assignment, require_counts
+
+REPORT_VERSION = 2  # of experiment and CLI reports alike
 
 
 class ParseError(Exception):
@@ -202,6 +202,11 @@ def prepare_half_scale(
     the raw values by strict comparison); the raw values are returned as
     evaluation truth, floats aligned with the dataset's reviews.
     """
+    # imported here, so that a command reading or writing score CSVs loads
+    # neither the validation nor the synthesis module
+    from .qv import coarsen
+    from .synth import random_regular_assignment, require_counts
+
     require_counts(reviews_per_paper=reviews_per_paper, papers_per_reviewer=papers_per_reviewer)
     raw_by_paper: dict[str, list[int]] = {}
     for line_no, (paper, score_text) in _read_rows(raw_path, ["paper_id", "score"]):

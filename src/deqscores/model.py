@@ -104,10 +104,14 @@ class ReviewDataset:
         columns = reviewer, paper, scores, ranked_by, better, worse
         r, p, z, by, b, w = (np.asarray(c, dtype=np.int64) for c in columns)
         order = np.lexsort((p_at[p], r_at[r]))
-        # np.unique sorts the rows by (reviewer, better, worse)
-        ranked = np.unique(np.stack([r_at[by], p_at[b], p_at[w]]), axis=1)
+        # ranking rows sorted by (reviewer, better, worse), each repeat after
+        # its first dropped (np.unique of columns would load numpy.ma)
+        ranked = np.stack([r_at[by], p_at[b], p_at[w]])
+        ranked = ranked[:, np.lexsort(ranked[::-1])]
+        first = np.ones(ranked.shape[1], dtype=bool)
+        first[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
         ids = (ids[order] for ids, order in zip(tables, orders))
-        return cls(scale, *ids, r_at[r[order]], p_at[p[order]], z[order], *ranked)
+        return cls(scale, *ids, r_at[r[order]], p_at[p[order]], z[order], *ranked[:, first])
 
     @classmethod
     def from_records(

@@ -120,7 +120,8 @@ def select_lambda(dataset: ReviewDataset, epsilon: float = DEFAULT_EPSILON) -> Q
     """
     require_epsilon(epsilon)
     require_valid(dataset)
-    if np.unique(dataset.scores).shape[0] < 2:
+    scores = dataset.scores
+    if not scores.size or scores.min() == scores.max():
         raise DegenerateValidation("all original scores are tied; loss is undefined")
 
     # only the solutions' values outlive the path, so the memory of the
@@ -129,7 +130,7 @@ def select_lambda(dataset: ReviewDataset, epsilon: float = DEFAULT_EPSILON) -> Q
         solution.values
         for solution in lambda_path(compile_dataset(coarsen(dataset), epsilon), LAMBDA_GRID)
     ]
-    errors = kendall_tau_errors(dataset.scores, values).tolist()
+    errors = kendall_tau_errors(scores, values).tolist()
 
     selected = errors.index(min(errors))  # the grid ascends: ties go to the smallest
     return QVReport(

@@ -1,7 +1,9 @@
 """The process entry: ``python -m deqscores.cli`` and the ``deqscores``
 script run ``cli.run``, which freezes the imported objects before ``main``.
 A command run as its own process prints, writes and exits as ``cli.main``
-does in process, and ``main`` leaves the caller's collector alone."""
+does in process, and ``main`` leaves the caller's collector alone. A solver
+command loads only the solver's modules, and the package's root names
+resolve whatever was imported first."""
 
 import ast
 import gc
@@ -119,28 +121,80 @@ def test_script_and_module_share_one_entry():
     assert callable(getattr(cli, script[1]))
 
 
-def test_no_command_loads_scipy(p60, tmp_path):
-    # the CLI's import, an auto run and the validate of a dataset with a rank
-    # cycle, in one process: the package runs on numpy alone
+# what a solver command never runs: the experiment stack, the process pool,
+# numpy's masked arrays and random generators, and scipy
+UNUSED_BY_SOLVER_COMMANDS = (
+    "deqscores.experiment",
+    "deqscores.baselines",
+    "deqscores.synth",
+    "numpy.ma",
+    "numpy.random",
+    "concurrent.futures",
+)
+
+
+def test_a_solver_command_loads_only_the_solver_stack(p60, tmp_path):
+    # the CLI's import, an auto run, the validate of a dataset with a rank
+    # cycle and a qv run, in one process
     reviews, rankings = tmp_path / "reviews.csv", tmp_path / "rankings.csv"
     reviews.write_text("reviewer_id,paper_id,score\nr1,A,5\nr1,B,5\nr1,C,5\n")
     rankings.write_text("reviewer_id,better_paper_id,worse_paper_id\nr1,A,B\nr1,B,C\nr1,C,A\n")
     commands = [
         ["dequantize", *p60, "--lambda", "auto", "--output", str(tmp_path / "out.csv")],
         ["validate", "--reviews", str(reviews), "--rankings", str(rankings)],
+        ["qv", *p60],
     ]
     code = (
         "import sys\n"
         "import deqscores.cli as cli\n"
-        "def scipy():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-        "loaded = [scipy()]\n"
+        "def unused():\n"
+        "    return sorted(\n"
+        f"        m for m in sys.modules if m in {UNUSED_BY_SOLVER_COMMANDS!r} or m.startswith('scipy')\n"
+        "    )\n"
+        "loaded = [unused()]\n"
         f"for argv in {commands!r}:\n"
-        "    loaded.append((cli.main(argv), scipy()))\n"
+        "    loaded.append((cli.main(argv), unused()))\n"
         "print(loaded)\n"
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert b"cycle through 'A' > 'B' > 'C'" in proc.stdout + proc.stderr
-    expected = [[], (cli.EXIT_OK, []), (cli.EXIT_VALIDATION, [])]
+    expected = [[], (cli.EXIT_OK, []), (cli.EXIT_VALIDATION, []), (cli.EXIT_OK, [])]
     assert proc.stdout.decode().splitlines()[-1] == repr(expected)
+
+
+def test_the_cli_import_loads_what_run_freezes():
+    # run() freezes what the imports built before main runs; numpy and the
+    # solver core must be among it
+    code = "import sys, deqscores.cli; print([m in sys.modules for m in ('numpy', 'deqscores.qp')])"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[True, True]"
+
+
+@pytest.mark.parametrize(
+    "first", ["", "import deqscores.dequantize", "import deqscores.cli"],
+    ids=["alone", "after-the-module", "after-the-cli"],
+)
+def test_the_root_dequantize_is_the_function(first):
+    code = f"{first}\nimport inspect\nfrom deqscores import dequantize\nprint(inspect.isfunction(dequantize))"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "True"
+
+
+def test_the_readme_names_resolve_from_the_package():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = [
+        name.strip()
+        for line in re.findall(r"^from deqscores import (.+)$", readme, re.MULTILINE)
+        for name in line.split(",")
+    ]
+    assert "dequantize" in names
+    code = (
+        "import deqscores\n"
+        f"print([name for name in {names!r} if not hasattr(deqscores, name)])\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"

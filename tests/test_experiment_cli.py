@@ -602,12 +602,17 @@ def test_worker_failure_keeps_class_and_attributes(tmp_path):
     assert info.value.line == 2
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone costs most of a second of every command's start-up
+def test_a_serial_experiment_loads_no_process_pool():
+    # the pool module is imported only for jobs > 1: it costs every serial
+    # run memory and start-up time
     src = str(Path(deqscores.__file__).resolve().parent.parent)
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import deqscores.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from deqscores.experiment import ExperimentSpec, run_experiment\n"
+        "from deqscores.synth import SynthConfig\n"
+        "config = SynthConfig(num_papers=8, reviews_per_paper=2, papers_per_reviewer=2)\n"
+        "run_experiment(ExperimentSpec(sweep_values=(0.5,), trials=2, base=config))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120

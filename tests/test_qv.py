@@ -113,6 +113,8 @@ class TestSelectLambda:
         ds = make_dataset({("r1", "A"): 5, ("r2", "A"): 5}, scale=(0, 10))
         with pytest.raises(DegenerateValidation):
             select_lambda(ds)
+        with pytest.raises(DegenerateValidation):  # no score at all
+            select_lambda(make_dataset({}))
 
     def test_selection_tracks_noise_level(self):
         # more reviewer noise should shift the chosen weight away from
