@@ -121,6 +121,33 @@ def test_script_and_module_share_one_entry():
     assert callable(getattr(cli, script[1]))
 
 
+def test_no_command_loads_scipy(p60, tmp_path):
+    # the CLI's import, an auto run and the validate of a dataset with a rank
+    # cycle, in one process: the package runs on numpy alone
+    reviews, rankings = tmp_path / "reviews.csv", tmp_path / "rankings.csv"
+    reviews.write_text("reviewer_id,paper_id,score\nr1,A,5\nr1,B,5\nr1,C,5\n")
+    rankings.write_text("reviewer_id,better_paper_id,worse_paper_id\nr1,A,B\nr1,B,C\nr1,C,A\n")
+    commands = [
+        ["dequantize", *p60, "--lambda", "auto", "--output", str(tmp_path / "out.csv")],
+        ["validate", "--reviews", str(reviews), "--rankings", str(rankings)],
+    ]
+    code = (
+        "import sys\n"
+        "import deqscores.cli as cli\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "loaded = [scipy()]\n"
+        f"for argv in {commands!r}:\n"
+        "    loaded.append((cli.main(argv), scipy()))\n"
+        "print(loaded)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert b"cycle through 'A' > 'B' > 'C'" in proc.stdout + proc.stderr
+    expected = [[], (cli.EXIT_OK, []), (cli.EXIT_VALIDATION, [])]
+    assert proc.stdout.decode().splitlines()[-1] == repr(expected)
+
+
 # what a solver command never runs: the experiment stack, the process pool,
 # numpy's masked arrays and random generators, and scipy
 UNUSED_BY_SOLVER_COMMANDS = (

@@ -602,6 +602,20 @@ def test_worker_failure_keeps_class_and_attributes(tmp_path):
     assert info.value.line == 2
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone costs most of a second of every command's start-up
+    src = str(Path(deqscores.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import deqscores.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_a_serial_experiment_loads_no_process_pool():
     # the pool module is imported only for jobs > 1: it costs every serial
     # run memory and start-up time
