@@ -18,6 +18,10 @@ import numpy as np
 
 from .model import DEFAULT_EPSILON, ReviewDataset
 
+# the baselines' method names, as the experiment harness and the
+# ``baseline`` command take them
+BASELINES = ("quantized", "bre_adjusted", "partial_rankings_adjusted")
+
 
 class NotTotalRanking(ValueError):
     """A reviewer's ranking does not order every pair of their papers."""

@@ -140,11 +140,9 @@ def _qv_options(p: _Parser) -> None:
 
 
 def _baseline_options(p: _Parser) -> None:
-    from .experiment import METHODS
+    from .baselines import BASELINES
 
-    p.add_argument(
-        "--method", required=True, choices=[m for m in METHODS if m != "proposed"],
-    )
+    p.add_argument("--method", required=True, choices=BASELINES)
     _add_dataset_args(p)
     _add_epsilon_arg(p)
     p.add_argument("--output", required=True, help="output CSV path")

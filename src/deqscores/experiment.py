@@ -2,9 +2,16 @@
 
 Each (sweep value, trial) draws a fresh instance from a per-trial seed
 derived from the master seed, runs every requested method against the latent
-truth, and aggregates mean and standard error per method and metric. Trials
-are independent, so they can run on worker processes without changing any
-number in the report.
+truth, and aggregates mean and standard error per method and metric.
+
+Under ``lam=AUTO`` the proposed method's fit weight is selected per trial by
+quantization validation. Consecutive trials of one sweep value form a group
+of at most ``_UNION_REVIEWS`` reviews, and ``qv.select_lambdas`` selects the
+group's weights on one path over the union of its trials; each trial's
+output is then its own ``dequantize`` at its own selected weight, so the
+report is the one trial-by-trial selection would give (see ``qv``). Groups
+depend on the spec alone and draw their instances from per-trial seeds, so
+they can run on worker processes without changing any number in the report.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import (
+    BASELINES,
     NotTotalRanking,
     bre_adjusted_scores,
     partial_rankings_adjusted_scores,
@@ -34,11 +42,21 @@ from .metrics import (
 from .model import DEFAULT_EPSILON, ReviewDataset
 from .synth import SynthConfig, generate, require_counts, trial_seed
 
-METHODS = ("proposed", "quantized", "bre_adjusted", "partial_rankings_adjusted")
+METHODS = ("proposed", *BASELINES)
 SWEEPABLE = ("sigma", "papers_per_reviewer", "reviews_per_paper", "lambda")
 INTEGER_SWEEPS = ("papers_per_reviewer", "reviews_per_paper")
 FILE_SWEEPS = ("papers_per_reviewer", "reviews_per_paper", "lambda")
 METRIC_NAMES = ("kendall", "l2", "ties")
+
+# The most reviews one selection path joins: consecutive trials of a sweep
+# value share a path up to this many reviews, and a trial this large is
+# solved alone. A cell of 20 P=60 trials (240 reviews each) makes three
+# paths, of 8, 8 and 4 trials. On 2 vCPUs (medians of 9 runs of the bench's
+# sweep-p60) that cell took 0.36 s and peaked at 38.9 MB, against 0.53 s
+# and 38.1 MB for 20 paths. One path of all 20 trials took 0.32 s but
+# peaked at 40.9 MB, 7 % above 20 paths: a path's working memory grows
+# with its size.
+_UNION_REVIEWS = 2048
 
 
 @dataclass(frozen=True)
@@ -190,11 +208,11 @@ def _run_method(
     method: str, dataset: ReviewDataset, lam: float | str, epsilon: float
 ) -> tuple[np.ndarray, float | None]:
     """Returns the method's scores, aligned with the dataset's reviews, and,
-    for the proposed method under AUTO, the selected fit weight. The
-    baselines read only ``epsilon``."""
+    for the proposed method, the fit weight it ran at. The baselines read
+    only ``epsilon``."""
     if method == "proposed":
         result = dequantize(dataset, lam, epsilon)
-        return result.values, None if result.validation is None else result.lam
+        return result.values, result.lam
     if method == "quantized":
         return quantized_baseline(dataset), None
     if method == "bre_adjusted":
@@ -228,35 +246,84 @@ def _evaluate(truth, estimates, metrics, project_l2: bool) -> list[dict]:
     return out
 
 
-def _run_trial(spec: ExperimentSpec, sweep_value, trial: int) -> dict:
-    dataset, truth, project_l2 = _instance_for(spec, sweep_value, trial)
-    lam = float(sweep_value) if spec.sweep_parameter == "lambda" else spec.lam
-    estimates, selected = zip(*(_run_method(m, dataset, lam, spec.epsilon) for m in spec.methods))
+def _selects(spec: ExperimentSpec) -> bool:
+    """Whether the proposed method's trials select their fit weight."""
+    return "proposed" in spec.methods and spec.lam == AUTO and spec.sweep_parameter != "lambda"
+
+
+def _groups(spec: ExperimentSpec, sweep_value) -> list[range]:
+    """The trials of ``sweep_value`` in groups that share a selection path:
+    consecutive trials up to ``_UNION_REVIEWS`` reviews, each trial alone
+    when nothing is selected. A score file's size is known only once a
+    trial reads it, so its trials are solved alone too."""
+    source = _swept_config(spec.base, spec.sweep_parameter, sweep_value)
+    size = 1
+    if _selects(spec) and isinstance(source, SynthConfig):
+        size = max(1, _UNION_REVIEWS // (source.num_papers * source.reviews_per_paper))
+    return [range(first, min(first + size, spec.trials)) for first in range(0, spec.trials, size)]
+
+
+def _run_trial(spec: ExperimentSpec, sweep_value, trial: int, instance=None, lam=None) -> dict:
+    """One trial's metrics per method, with the proposed method's selected
+    fit weight under AUTO. ``instance`` and ``lam`` are the trial's data
+    and fit weight when its group drew and selected them; otherwise the
+    trial draws its data and ``dequantize`` resolves the spec's weight."""
+    if instance is None:
+        instance = _instance_for(spec, sweep_value, trial)
+    dataset, truth, project_l2 = instance
+    if lam is None:
+        lam = float(sweep_value) if spec.sweep_parameter == "lambda" else spec.lam
+    estimates, weights = zip(*(_run_method(m, dataset, lam, spec.epsilon) for m in spec.methods))
     scored = _evaluate(truth, estimates, spec.metrics, project_l2)
+    selects = _selects(spec)
     return {
-        method: {"metrics": metrics, "selected_lambda": chosen}
-        for method, metrics, chosen in zip(spec.methods, scored, selected)
+        method: {"metrics": metrics, "selected_lambda": weight if selects else None}
+        for method, metrics, weight in zip(spec.methods, scored, weights)
     }
+
+
+def _run_group(spec: ExperimentSpec, sweep_value, trials: range) -> list[dict]:
+    """The rows of a group of trials. A group of several selects its fit
+    weights on one path (``select_lambdas``); if it raises anywhere, the
+    group runs again one trial at a time, so the first failing trial raises
+    as it would alone."""
+    if len(trials) > 1:
+        # imported here, as ``dequantize`` does: the harness's import loads
+        # no validation module
+        from .qv import select_lambdas
+
+        try:
+            instances = [_instance_for(spec, sweep_value, trial) for trial in trials]
+            reports = select_lambdas([instance[0] for instance in instances], spec.epsilon)
+            return [
+                _run_trial(spec, sweep_value, trial, instance, report.selected_lambda)
+                for trial, instance, report in zip(trials, instances, reports)
+            ]
+        except Exception:
+            pass  # alone, the first failing trial raises with its context
+    return [_run_trial_with_context(spec, sweep_value, trial) for trial in trials]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run every (sweep value, trial) cell and aggregate with mean/SEM.
 
-    The cells run in order of sweep value, then trial, on one pool of
-    ``spec.jobs`` worker processes when there is more than one job. A
-    failing trial aborts the run with an exception of its original class
-    whose message starts with the trial index and sweep value (the first
-    failing cell in that order), with or without worker processes.
+    The cells run in order of sweep value, then trial, a group of trials
+    (``_groups``) at a time, on one pool of ``spec.jobs`` worker processes
+    when there is more than one job. A failing trial aborts the run with an
+    exception of its original class whose message starts with the trial
+    index and sweep value (the first failing cell in that order), with or
+    without worker processes.
     """
-    tasks = [(spec, value, trial) for value in spec.sweep_values for trial in range(spec.trials)]
+    tasks = [(spec, value, trials) for value in spec.sweep_values for trials in _groups(spec, value)]
     if spec.jobs > 1:
         # imported here: a serial run would carry the pool module's memory
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            rows = list(pool.map(_trial_worker, tasks))
+            groups = list(pool.map(_group_worker, tasks))
     else:
-        rows = [_run_trial_with_context(*task) for task in tasks]
+        groups = [_run_group(*task) for task in tasks]
+    rows = [row for group in groups for row in group]
 
     results = []
     for index, sweep_value in enumerate(spec.sweep_values):
@@ -332,9 +399,8 @@ class _PortableError(Exception):
         return _rebuild_exception, (type(self.exc), self.exc.args, vars(self.exc))
 
 
-def _trial_worker(args) -> dict:
-    spec, sweep_value, trial = args
+def _group_worker(args) -> list[dict]:
     try:
-        return _run_trial_with_context(spec, sweep_value, trial)
+        return _run_group(*args)
     except Exception as exc:
         raise _PortableError(exc) from None

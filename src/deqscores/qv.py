@@ -6,18 +6,34 @@ coarser bins survives as ranking pairs). Each weight of ``LAMBDA_GRID`` then
 dequantizes the coarsened data, scored by how well it recovers the ordering
 of the original scores. The winner is the weight with the smallest
 validation error, ties broken toward the smallest value.
+
+``select_lambdas`` selects for several datasets at once, as one path: their
+compiled QPs share no variable and no row, so their union is one
+block-diagonal QP whose minimizer at each weight is theirs side by side
+(OptNet's batch of small QPs solved as one: Amos and Kolter, ICML 2017).
+Each union step is accepted by the joint certificate, which bounds each
+dataset's own residuals. Its primal residual and multiplier signs are taken
+row by row, and each row belongs to one dataset. Its scaled stationarity is
+the largest of the slices' numerators over the largest of their
+denominators (see ``qp.solve``), so a slice's own scaled stationarity is
+within the tolerance times the joint denominator over its own. Datasets
+drawn from one configuration have the same review count on every paper, so
+``solve`` scales the union by the same ``scale`` as each of them, and with
+scores on one scale their denominators are alike. The path only scores the
+validation: each dataset's output is its own certified solve at its own
+selected weight.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .dequantize import CompiledDataset, compile_dataset, require_epsilon
-from .metrics import kendall_tau_errors
+from .metrics import kendall_batch, kendall_tau_errors
 from .model import (
     DEFAULT_EPSILON,
     ReviewDataset,
@@ -25,7 +41,7 @@ from .model import (
     derive_rankings_from_raw_scores,
     require_valid,
 )
-from .qp import Solution, solve
+from .qp import Constraints, Solution, solve
 
 
 class DegenerateValidation(ValueError):
@@ -67,8 +83,10 @@ def coarsen(dataset: ReviewDataset) -> ReviewDataset:
     return derive_rankings_from_raw_scores(coarse, dataset.scores)
 
 
-def lambda_path(compiled: CompiledDataset, lambdas: Sequence[float]) -> list[Solution]:
-    """Solve ``compiled`` at each fit weight in order, as one path.
+def lambda_path(compiled: CompiledDataset, lambdas: Sequence[float]) -> Iterator[Solution]:
+    """Solve ``compiled`` at each fit weight in order, as one path, and
+    yield each step's ``Solution`` as it is solved: a caller that keeps
+    only what it needs of a step holds no other.
 
     Every step proposes an active set: the first the empty one, each later
     one the previous weight's ``Solution.active``. The solver tries that set
@@ -87,51 +105,95 @@ def lambda_path(compiled: CompiledDataset, lambdas: Sequence[float]) -> list[Sol
     index arrays, unless the previous step's polish left them for the same
     set, and pays for a few conjugate-gradient steps on the reduced system,
     the multipliers (a few more steps when rows close a cycle) and the
-    certificate (see ``qp``). Score the solutions with one call of
-    the batched Kendall kernel, ``metrics.kendall_tau_errors``, as
-    ``select_lambda`` does.
+    certificate (see ``qp``). ``select_lambdas`` scores the steps with the
+    batched Kendall kernel, ``metrics.kendall_tau_errors``, as they arrive.
     """
-    solutions: list[Solution] = []
     active = np.zeros(compiled.constraints.rows.lower.shape[0], dtype=np.int8)
     for lam in lambdas:
-        solutions.append(solve(compiled.problem(lam), active))
-        active = solutions[-1].active
-    return solutions
+        solution = solve(compiled.problem(lam), active)
+        active = solution.active
+        yield solution
 
 
-def select_lambda(dataset: ReviewDataset, epsilon: float = DEFAULT_EPSILON) -> QVReport:
-    """Evaluate every weight of ``LAMBDA_GRID`` on the coarsened dataset,
+def _block_diagonal(parts: Sequence[CompiledDataset]) -> CompiledDataset:
+    """The union of compiled datasets as one: reviews, papers, boxes and
+    pair rows side by side, each part's indices shifted past the parts
+    before it. One part is returned as it is, with no copy."""
+    if len(parts) == 1:
+        return parts[0]
+    reviews = np.cumsum([0] + [part.z.size for part in parts[:-1]])
+    papers = np.cumsum([0] + [part.inverse_count.size for part in parts[:-1]])
+    pairs = np.concatenate([part.constraints.pair_constraints for part in parts])
+    shift = np.repeat(reviews, [part.constraints.pair_constraints.size for part in parts])
+    pairs["i"] += shift
+    pairs["j"] += shift
+    constraints = Constraints(
+        np.concatenate([part.constraints.box_lower for part in parts]),
+        np.concatenate([part.constraints.box_upper for part in parts]),
+        pairs,
+    )
+    return CompiledDataset(
+        np.concatenate([part.z for part in parts]),
+        np.concatenate([part.paper + first for part, first in zip(parts, papers)]),
+        np.concatenate([part.inverse_count for part in parts]),
+        constraints,
+    )
+
+
+def select_lambdas(
+    datasets: Sequence[ReviewDataset], epsilon: float = DEFAULT_EPSILON
+) -> list[QVReport]:
+    """Evaluate every weight of ``LAMBDA_GRID`` on each coarsened dataset,
     dequantized at ranking separation ``epsilon`` (outside (0, 1):
-    ``ValueError``, before any solve), and pick the one whose dequantization
-    best recovers the original score ordering.
+    ``ValueError``, before any solve), and pick for each the weight whose
+    dequantization best recovers its original score ordering; one report
+    per dataset, in order.
 
-    The coarsened dataset is compiled once and the grid is solved in ascending
-    order by ``lambda_path``: the first weight is proposed the empty active
-    set, each later one the previous one's active set, and the solver
-    corrects that set by active-set steps before it would iterate, each
-    polished without a factorization. A proposal never skips the solver's
+    Each dataset is checked, coarsened and compiled on its own, in order,
+    so the first that cannot be raises as it would alone: all-tied original
+    scores ``DegenerateValidation``, a chain its boxes cannot separate
+    ``InfeasibleProblem`` by its (reviewer, paper) ids. The compiled
+    datasets are then joined block-diagonally (see the module docstring)
+    and the grid is solved on the union in ascending order by
+    ``lambda_path``: the first weight is proposed the empty active set,
+    each later one the previous one's active set, and the solver corrects
+    that set by active-set steps before it would iterate, each polished
+    without a factorization. A proposal never skips the solver's
     optimality certificate and the minimizer is unique, so it only saves
-    work. The original scores, in
-    the solution vectors' review order, act as validation truth with
-    exact-tie omission; all-tied originals raise ``DegenerateValidation``.
-    The grid's solutions are scored by one call of the batched Kendall
-    kernel, ``kendall_tau_errors``, equal bit for bit to one
-    ``kendall_tau_error`` per weight.
+    work. Each dataset's original scores, in its slice of the solution
+    vectors, act as its validation truth with exact-tie omission. The
+    steps are scored as they arrive, a batch of the Kendall kernel
+    ``kendall_tau_errors`` at a time, so only the values of the steps not
+    yet scored are held; the errors equal one ``kendall_tau_error`` per
+    weight, bit for bit.
     """
     require_epsilon(epsilon)
-    require_valid(dataset)
-    scores = dataset.scores
-    if not scores.size or scores.min() == scores.max():
-        raise DegenerateValidation("all original scores are tied; loss is undefined")
+    truths, parts = [], []
+    for dataset in datasets:
+        require_valid(dataset)
+        scores = dataset.scores
+        if not scores.size or scores.min() == scores.max():
+            raise DegenerateValidation("all original scores are tied; loss is undefined")
+        truths.append(scores)
+        parts.append(compile_dataset(coarsen(dataset), epsilon))
+    ends = np.cumsum([truth.size for truth in truths]).tolist()
+    union = _block_diagonal(parts)
+    del parts  # the union holds what the path reads
+    per_batch = kendall_batch(max(truth.size for truth in truths))
 
-    # only the solutions' values outlive the path, so the memory of the
-    # compiled data and of the solution records serves the Kendall batches
-    values = [
-        solution.values
-        for solution in lambda_path(compile_dataset(coarsen(dataset), epsilon), LAMBDA_GRID)
-    ]
-    errors = kendall_tau_errors(scores, values).tolist()
+    errors: list[list[float]] = [[] for _ in truths]
+    pending: list[np.ndarray] = []  # the values of the steps not yet scored
+    for step, solution in enumerate(lambda_path(union, LAMBDA_GRID), 1):
+        pending.append(solution.values)
+        if len(pending) == per_batch or step == len(LAMBDA_GRID):
+            for truth, scored, start, end in zip(truths, errors, [0, *ends], ends):
+                batch = [values[start:end] for values in pending]
+                scored.extend(kendall_tau_errors(truth, batch).tolist())
+            pending.clear()
+    return [_report(scored) for scored in errors]
 
+
+def _report(errors: list[float]) -> QVReport:
     selected = errors.index(min(errors))  # the grid ascends: ties go to the smallest
     return QVReport(
         lambdas=LAMBDA_GRID,
@@ -139,3 +201,9 @@ def select_lambda(dataset: ReviewDataset, epsilon: float = DEFAULT_EPSILON) -> Q
         selected_lambda=LAMBDA_GRID[selected],
         selected_index=selected,
     )
+
+
+def select_lambda(dataset: ReviewDataset, epsilon: float = DEFAULT_EPSILON) -> QVReport:
+    """``select_lambdas`` of the one dataset: the grid solved on its own
+    compiled dataset, with no copy."""
+    return select_lambdas([dataset], epsilon)[0]

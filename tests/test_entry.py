@@ -190,6 +190,27 @@ def test_a_solver_command_loads_only_the_solver_stack(p60, tmp_path):
     assert proc.stdout.decode().splitlines()[-1] == repr(expected)
 
 
+def test_the_baseline_command_loads_no_experiment_stack(p60, tmp_path):
+    # the CLI's import and a baseline run, in one process: of the modules a
+    # solver command never runs, it loads the baselines alone
+    argv = ["baseline", "--method", "bre_adjusted", *p60, "--output", str(tmp_path / "out.csv")]
+    code = (
+        "import sys\n"
+        "import deqscores.cli as cli\n"
+        "def unused():\n"
+        "    return sorted(\n"
+        f"        m for m in sys.modules if m in {UNUSED_BY_SOLVER_COMMANDS!r} or m.startswith('scipy')\n"
+        "    )\n"
+        "loaded = [unused()]\n"
+        f"loaded.append((cli.main({argv!r}), unused()))\n"
+        "print(loaded)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    expected = [[], (cli.EXIT_OK, ["deqscores.baselines"])]
+    assert proc.stdout.decode().splitlines()[-1] == repr(expected)
+
+
 def test_the_cli_import_loads_what_run_freezes():
     # run() freezes what the imports built before main runs; numpy and the
     # solver core must be among it

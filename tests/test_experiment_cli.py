@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,13 +8,13 @@ import numpy as np
 import pytest
 
 import deqscores
-from deqscores import experiment
+from deqscores import experiment, qv
 from deqscores.cli import build_parser, main
 from deqscores.experiment import ExperimentSpec, FileSource, run_experiment
 from deqscores.io import ParseError
 from deqscores.metrics import kendall_tau_error
 from deqscores.qp import MaxIterationsExceeded
-from deqscores.synth import SynthConfig
+from deqscores.synth import SynthConfig, generate, trial_seed
 
 DATA = Path(__file__).parent / "data"
 
@@ -55,6 +56,17 @@ class TestRunExperiment:
         serial["parameters"].pop("jobs", None)
         parallel["parameters"].pop("jobs", None)
         assert serial == parallel
+
+    def test_workers_do_not_change_auto_lambda_results(self, monkeypatch):
+        # nine P=60 trials are two selection paths, of 8 trials and of 1:
+        # one or two workers, and trials grouped or alone, give one report
+        spec = tiny_spec(base=SynthConfig(), lam="auto", sweep_values=(0.5,), trials=9)
+        assert experiment._groups(spec, 0.5) == [range(0, 8), range(8, 9)]
+        serial = run_experiment(spec).to_json()
+        assert serial == run_experiment(dataclasses.replace(spec, jobs=2)).to_json()
+        monkeypatch.setattr(experiment, "_UNION_REVIEWS", 0)
+        assert experiment._groups(spec, 0.5) == [range(trial, trial + 1) for trial in range(9)]
+        assert serial == run_experiment(spec).to_json()
 
     def test_auto_lambda_records_selection(self):
         report = run_experiment(tiny_spec(lam="auto", trials=1, sweep_values=(0.5,)))
@@ -586,6 +598,72 @@ class TestCli:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("solver error: trial 0 at sigma=0.5 failed: no solution")
+
+
+class TestFailureInAGroup:
+    """A group of trials selects its weights on one path; a failure anywhere
+    in it is reported as the first failing trial, run alone, would be."""
+
+    ARGV = ("experiment", "--values", "0.5", "--trials", "6")
+
+    @staticmethod
+    def run(tmp_path, jobs, capsys):
+        rc = main([*TestFailureInAGroup.ARGV, "--jobs", jobs, "--output", str(tmp_path / "r.json")])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_an_all_tied_trial_is_named_as_alone(self, tmp_path, capsys, monkeypatch, jobs):
+        draw = experiment._instance_for
+
+        def tie_trial_3(spec, sweep_value, trial):
+            dataset, truth, project_l2 = draw(spec, sweep_value, trial)
+            if trial == 3:
+                dataset = dataclasses.replace(dataset, scores=np.full_like(dataset.scores, 5))
+            return dataset, truth, project_l2
+
+        monkeypatch.setattr(experiment, "_instance_for", tie_trial_3)
+        assert experiment._groups(experiment.ExperimentSpec(trials=6), 0.5) == [range(6)]
+        rc, err = self.run(tmp_path, jobs, capsys)
+        assert rc == 1
+        assert err == (
+            "error: trial 3 at sigma=0.5 failed: all original scores are tied; "
+            "loss is undefined\n"
+        )
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_solver_failure_of_one_trial_is_named_as_alone(
+        self, tmp_path, capsys, monkeypatch, jobs
+    ):
+        trial_3 = generate(SynthConfig(seed=trial_seed(0, 3))).dataset
+        solve = experiment.dequantize
+
+        def fail_trial_3(dataset, lam, epsilon):
+            if np.array_equal(dataset.scores, trial_3.scores):
+                raise MaxIterationsExceeded(7, (1e-3, 2e-3))
+            return solve(dataset, lam, epsilon)
+
+        monkeypatch.setattr(experiment, "dequantize", fail_trial_3)
+        rc, err = self.run(tmp_path, jobs, capsys)
+        assert rc == 3
+        assert err == (
+            "solver error: trial 3 at sigma=0.5 failed: no solution at requested tolerances "
+            "after 7 iterations (primal 1.00e-03, stationarity 2.00e-03)\n"
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failing_union_path_runs_the_trials_alone(self, monkeypatch, jobs):
+        spec = ExperimentSpec(trials=3, sweep_values=(0.5,), jobs=jobs)
+        assert experiment._groups(spec, 0.5) == [range(3)]
+        grouped = run_experiment(dataclasses.replace(spec, jobs=1)).to_json()
+        path = qv.lambda_path
+
+        def fail_unions(compiled, lambdas):
+            if compiled.z.size > 240:
+                raise MaxIterationsExceeded(7, (1e-3, 2e-3))
+            return path(compiled, lambdas)
+
+        monkeypatch.setattr(qv, "lambda_path", fail_unions)
+        assert run_experiment(spec).to_json() == grouped
 
 
 def test_worker_failure_keeps_class_and_attributes(tmp_path):

@@ -16,8 +16,9 @@ from deqscores.qv import (
     halve_score,
     lambda_path,
     select_lambda,
+    select_lambdas,
 )
-from deqscores.synth import SynthConfig, generate
+from deqscores.synth import SynthConfig, generate, trial_seed
 
 from conftest import make_dataset, ranking_records, score_records
 from oracles import certify
@@ -131,10 +132,71 @@ class TestSelectLambda:
         # the batched Kendall kernel scores the path as one call per grid
         # step would, bit for bit
         dataset = generate(SynthConfig(num_papers=60, seed=seed)).dataset
-        path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
+        path = list(lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID))
         truth = dataset.scores.astype(float)
         errors = tuple(kendall_tau_error(truth, solution.values) for solution in path)
         assert select_lambda(dataset).errors == errors
+
+
+def sweep_group(seed, sigma, trials=8):
+    """The datasets of trials 0.. of a P=60 sweep cell, as the experiment
+    harness draws them: one selection path's group."""
+    return [
+        generate(SynthConfig(sigma=sigma, seed=trial_seed(seed, trial))).dataset
+        for trial in range(trials)
+    ]
+
+
+class TestSelectLambdas:
+    """One path over the block-diagonal union of a group of datasets selects
+    what each dataset's own path would."""
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_group_selects_as_each_dataset_alone(self, seed, sigma):
+        datasets = sweep_group(seed, sigma)
+        for report, dataset in zip(select_lambdas(datasets), datasets):
+            alone = select_lambda(dataset)
+            assert report.errors == alone.errors
+            assert report.selected_lambda == alone.selected_lambda
+            assert report.selected_index == alone.selected_index
+
+        parts = [compile_dataset(coarsen(dataset), 0.05) for dataset in datasets]
+        ends = np.cumsum([part.z.size for part in parts])
+        union = qv._block_diagonal(parts)
+        paths = [lambda_path(part, LAMBDA_GRID) for part in parts]
+        iterated = False
+        for step, *alone in zip(lambda_path(union, LAMBDA_GRID), *paths):
+            iterated |= step.iterations > 0
+            for part, end, solution in zip(parts, ends, alone):
+                assert np.max(np.abs(step.values[end - part.z.size:end] - solution.values)) <= 1e-12
+        if (seed, sigma) == (0, 1.0):
+            # step 0 of trial 1 iterates alone, and so the union's step 0 does
+            assert iterated
+
+    def test_each_slice_of_an_iterating_union_passes_its_own_certificate(self):
+        # the joint certificate accepted each step; each trial's slice is
+        # checked from scratch against its own problem
+        parts = [compile_dataset(coarsen(dataset), 0.05) for dataset in sweep_group(0, 1.0, 2)]
+        union = qv._block_diagonal(parts)
+        path = list(lambda_path(union, LAMBDA_GRID))
+        assert path[0].iterations > 0
+        for lam, step in zip(LAMBDA_GRID, path):
+            for part, values in zip(parts, np.split(step.values, [parts[0].z.size])):
+                certificate = certify(part.problem(lam), values)
+                assert certificate.primal <= 1e-9
+                assert certificate.stationarity <= 1e-9
+                assert certificate.complementarity <= 1e-9
+
+    def test_the_union_of_one_is_the_compiled_dataset(self):
+        compiled = compile_dataset(coarsen(sweep_group(0, 0.5, 1)[0]), 0.05)
+        assert qv._block_diagonal([compiled]) is compiled
+
+    def test_the_first_failing_dataset_raises_as_alone(self):
+        datasets = sweep_group(0, 0.5, 3)
+        datasets[1] = make_dataset({("r1", "A"): 5, ("r2", "A"): 5}, scale=(0, 10))
+        with pytest.raises(DegenerateValidation, match="all original scores are tied"):
+            select_lambdas(datasets)
 
 
 class TestLambdaPath:
@@ -146,7 +208,7 @@ class TestLambdaPath:
         coarse = coarsen(dataset)
         compiled = compile_dataset(coarse, 0.05)
         grid = LAMBDA_GRID
-        warm = lambda_path(compiled, grid)
+        warm = list(lambda_path(compiled, grid))
         cold = [solve(compiled.problem(lam)) for lam in grid]
         assert max(np.max(np.abs(w.values - c.values)) for w, c in zip(warm, cold)) <= 1e-9
 
@@ -160,7 +222,7 @@ class TestLambdaPath:
     def test_most_grid_solves_skip_the_iteration(self):
         # every grid step after the first is certified without iterating
         dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
-        path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
+        path = list(lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID))
         assert [solution.iterations for solution in path[1:]] == [0] * (len(path) - 1)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -168,7 +230,7 @@ class TestLambdaPath:
         # the first step starts from the empty active set and is certified
         # after active-set corrections, like every later step
         dataset = generate(SynthConfig(num_papers=60, seed=seed)).dataset
-        path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
+        path = list(lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID))
         assert [solution.iterations for solution in path] == [0] * len(path)
 
     def test_no_step_of_a_large_path_iterates(self):
@@ -176,7 +238,7 @@ class TestLambdaPath:
         # a violation of rounding size no longer takes a free row in, which
         # made steps 0 and 9 of this path iterate
         dataset = generate(SynthConfig(num_papers=6000, seed=2)).dataset
-        path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
+        path = list(lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID))
         assert [solution.iterations for solution in path] == [0] * len(path)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -185,7 +247,7 @@ class TestLambdaPath:
         # every step, including those a corrected active set was accepted on
         dataset = generate(SynthConfig(num_papers=60, seed=seed)).dataset
         compiled = compile_dataset(coarsen(dataset), 0.05)
-        path = lambda_path(compiled, LAMBDA_GRID)
+        path = list(lambda_path(compiled, LAMBDA_GRID))
         corrected = 0
         for lam, previous, solution in zip(LAMBDA_GRID, [None, *path], path):
             certificate = certify(compiled.problem(lam), solution.values)
@@ -233,7 +295,7 @@ class TestLambdaPathStep:
     def test_a_certified_warm_step_builds_no_forest(self, monkeypatch):
         dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
         compiled = compile_dataset(coarsen(dataset), 0.05)
-        previous = lambda_path(compiled, LAMBDA_GRID[:1])[0]
+        previous = next(lambda_path(compiled, LAMBDA_GRID))
         built = []
         forest = qp._forest
         monkeypatch.setattr(qp, "_forest", lambda *args: built.append(1) or forest(*args))
@@ -251,12 +313,12 @@ class TestLambdaPathStep:
     def test_threads_sharing_a_compiled_dataset_get_the_serial_path(self):
         dataset = generate(SynthConfig(num_papers=60, seed=1)).dataset
         compiled = compile_dataset(coarsen(dataset), 0.05)
-        serial = lambda_path(compiled, LAMBDA_GRID)
+        serial = list(lambda_path(compiled, LAMBDA_GRID))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
-                jobs = [pool.submit(lambda_path, compiled, LAMBDA_GRID) for _ in range(2)]
+                jobs = [pool.submit(list, lambda_path(compiled, LAMBDA_GRID)) for _ in range(2)]
                 paths = [job.result(timeout=120) for job in jobs]
         finally:
             sys.setswitchinterval(interval)
