@@ -8,10 +8,13 @@ Under ``lam=AUTO`` the proposed method's fit weight is selected per trial by
 quantization validation. Consecutive trials of one sweep value form a group
 of at most ``_UNION_REVIEWS`` reviews, and ``qv.select_lambdas`` selects the
 group's weights on one path over the union of its trials; each trial's
-output is then its own ``dequantize`` at its own selected weight, so the
-report is the one trial-by-trial selection would give (see ``qv``). Groups
-depend on the spec alone and draw their instances from per-trial seeds, so
-they can run on worker processes without changing any number in the report.
+output is then its own ``dequantize`` at its own selected weight. So the
+report is the one trial-by-trial selection gives wherever a trial's slice
+of the union's path selects the weight its own path would, which held on
+every seed measured (see ``qv``). The groups depend on the spec alone,
+never on the worker count, and draw their instances from per-trial seeds,
+so they can run on worker processes without changing any number in the
+report.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from .metrics import (
     tie_fraction,
     trial_statistics,
 )
-from .model import DEFAULT_EPSILON, ReviewDataset
+from .model import DEFAULT_EPSILON, ReviewDataset, ValidationError
+from .qp import SolverError
 from .synth import SynthConfig, generate, require_counts, trial_seed
 
 METHODS = ("proposed", *BASELINES)
@@ -49,13 +53,16 @@ FILE_SWEEPS = ("papers_per_reviewer", "reviews_per_paper", "lambda")
 METRIC_NAMES = ("kendall", "l2", "ties")
 
 # The most reviews one selection path joins: consecutive trials of a sweep
-# value share a path up to this many reviews, and a trial this large is
-# solved alone. A cell of 20 P=60 trials (240 reviews each) makes three
-# paths, of 8, 8 and 4 trials. On 2 vCPUs (medians of 9 runs of the bench's
-# sweep-p60) that cell took 0.36 s and peaked at 38.9 MB, against 0.53 s
-# and 38.1 MB for 20 paths. One path of all 20 trials took 0.32 s but
-# peaked at 40.9 MB, 7 % above 20 paths: a path's working memory grows
-# with its size.
+# value share a path up to this many reviews, so a trial of more than half
+# of it (P >= 257 at 4 reviews per paper) is solved alone. A cell of 20 P=60
+# trials (240 reviews each) makes three paths, of 8, 8 and 4 trials. On 2
+# vCPUs (medians of 9 runs of the bench's sweep-p60) that cell took 0.36 s
+# and peaked at 39.2 MB, against 0.51 s and 38.1 MB for 20 paths. One path
+# of all 20 trials took 0.35 s but peaked at 41.8 MB, 10 % above 20 paths:
+# a path holds every step's values, and its working memory grows with its
+# size. A group's selection took 0.47-0.49 of its trials' time alone at 240
+# reviews a trial, 0.71-0.72 at 512 and 0.85-0.90 at 1 000 (sigma 0.5 and
+# 1.0, medians of 5 runs).
 _UNION_REVIEWS = 2048
 
 
@@ -284,9 +291,11 @@ def _run_trial(spec: ExperimentSpec, sweep_value, trial: int, instance=None, lam
 
 def _run_group(spec: ExperimentSpec, sweep_value, trials: range) -> list[dict]:
     """The rows of a group of trials. A group of several selects its fit
-    weights on one path (``select_lambdas``); if it raises anywhere, the
-    group runs again one trial at a time, so the first failing trial raises
-    as it would alone."""
+    weights on one path (``select_lambdas``). If that raises one of the
+    errors a trial can raise, each trial selects its own weight, so the
+    first failing trial raises as it would alone; the group's selection is
+    then paid for twice, up to that trial. Any other exception propagates."""
+    selected = [(None, None)] * len(trials)
     if len(trials) > 1:
         # imported here, as ``dequantize`` does: the harness's import loads
         # no validation module
@@ -295,13 +304,16 @@ def _run_group(spec: ExperimentSpec, sweep_value, trials: range) -> list[dict]:
         try:
             instances = [_instance_for(spec, sweep_value, trial) for trial in trials]
             reports = select_lambdas([instance[0] for instance in instances], spec.epsilon)
-            return [
-                _run_trial(spec, sweep_value, trial, instance, report.selected_lambda)
-                for trial, instance, report in zip(trials, instances, reports)
-            ]
-        except Exception:
+        except (ValueError, ValidationError, SolverError):
             pass  # alone, the first failing trial raises with its context
-    return [_run_trial_with_context(spec, sweep_value, trial) for trial in trials]
+        else:
+            selected = [
+                (instance, report.selected_lambda) for instance, report in zip(instances, reports)
+            ]
+    return [
+        _run_trial_with_context(spec, sweep_value, trial, *chosen)
+        for trial, chosen in zip(trials, selected)
+    ]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -359,9 +371,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     return ExperimentReport(parameters=parameters, results=results)
 
 
-def _run_trial_with_context(spec: ExperimentSpec, sweep_value, trial: int) -> dict:
+def _run_trial_with_context(
+    spec: ExperimentSpec, sweep_value, trial: int, instance=None, lam=None
+) -> dict:
     try:
-        return _run_trial(spec, sweep_value, trial)
+        return _run_trial(spec, sweep_value, trial, instance, lam)
     except Exception as exc:
         message = f"trial {trial} at {spec.sweep_parameter}={sweep_value} failed: {exc}"
         raise _with_message(exc, message) from exc

@@ -90,16 +90,10 @@ def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
 # ``kendall_tau_errors`` works on batches of at most this many entries (the
 # vectors' length padded to a power of two, times their number; one vector
 # when it is longer). A batch's working memory is about a dozen arrays of
-# its size: at n = 240 eight vectors take about 200 KB, and larger batches
-# were little faster. From n = 2 400 up a batch is one vector.
+# its size: at n = 240 eight vectors take about 200 KB, no more than the
+# memory ``select_lambda`` frees before scoring, and larger batches were
+# little faster. From n = 2 400 up a batch is one vector.
 _BATCH_ENTRIES = 1 << 11
-
-
-def kendall_batch(n: int) -> int:
-    """The number of vectors of length ``n`` in one batch of
-    ``kendall_tau_errors``: a caller that scores vectors as they arrive
-    holds this many at a time."""
-    return max(1, _BATCH_ENTRIES // (1 << (n - 1).bit_length()))
 
 
 def kendall_tau_errors(truth, estimates) -> np.ndarray:
@@ -122,7 +116,7 @@ def kendall_tau_errors(truth, estimates) -> np.ndarray:
     ordered = n * (n - 1) // 2 - int((run_sizes * (run_sizes - 1) // 2).sum())
     if ordered == 0:
         raise AllTiedError("no strictly ordered truth pair")
-    per_batch = kendall_batch(n)
+    per_batch = max(1, _BATCH_ENTRIES // (1 << (n - 1).bit_length()))
     disagreement = np.empty(len(rows))
     for first in range(0, len(rows), per_batch):
         batch = np.stack(rows[first:first + per_batch])

@@ -11,29 +11,37 @@ validation error, ties broken toward the smallest value.
 compiled QPs share no variable and no row, so their union is one
 block-diagonal QP whose minimizer at each weight is theirs side by side
 (OptNet's batch of small QPs solved as one: Amos and Kolter, ICML 2017).
-Each union step is accepted by the joint certificate, which bounds each
-dataset's own residuals. Its primal residual and multiplier signs are taken
-row by row, and each row belongs to one dataset. Its scaled stationarity is
-the largest of the slices' numerators over the largest of their
-denominators (see ``qp.solve``), so a slice's own scaled stationarity is
-within the tolerance times the joint denominator over its own. Datasets
-drawn from one configuration have the same review count on every paper, so
-``solve`` scales the union by the same ``scale`` as each of them, and with
-scores on one scale their denominators are alike. The path only scores the
-validation: each dataset's output is its own certified solve at its own
-selected weight.
+Each union step is accepted by the joint certificate. Its primal residual
+and multiplier signs are taken row by row, and each row belongs to one
+dataset, so they bound each dataset's own. Its scaled stationarity is the
+largest of the slices' numerators over the largest of their denominators
+(see ``qp.solve``), so a slice's own scaled stationarity is bounded only by
+the tolerance times the joint denominator over its own. Datasets drawn from
+one configuration have the same review count on every paper, so ``solve``
+scales the union by the same ``scale`` as each of them, and with scores on
+one scale their denominators are alike.
+
+So a slice of a union step is the dataset's own step within the solver's
+tolerances, not bit for bit (within 1.6e-14 on the P=60 seeds measured),
+and two values that nearly tie can order differently in it. A dataset's
+errors, and so its selected weight, can then differ from its own path's,
+and depend on which datasets share its union. On every seed measured they
+did not (``tests/test_qv.py``), but nothing guarantees it. A union can also
+be certified where a dataset's own path would raise, or raise where it
+would not. The path only scores the validation: each dataset's output is
+its own certified solve at its own selected weight.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dequantize import CompiledDataset, compile_dataset, require_epsilon
-from .metrics import kendall_batch, kendall_tau_errors
+from .metrics import kendall_tau_errors
 from .model import (
     DEFAULT_EPSILON,
     ReviewDataset,
@@ -83,10 +91,8 @@ def coarsen(dataset: ReviewDataset) -> ReviewDataset:
     return derive_rankings_from_raw_scores(coarse, dataset.scores)
 
 
-def lambda_path(compiled: CompiledDataset, lambdas: Sequence[float]) -> Iterator[Solution]:
-    """Solve ``compiled`` at each fit weight in order, as one path, and
-    yield each step's ``Solution`` as it is solved: a caller that keeps
-    only what it needs of a step holds no other.
+def lambda_path(compiled: CompiledDataset, lambdas: Sequence[float]) -> list[Solution]:
+    """Solve ``compiled`` at each fit weight in order, as one path.
 
     Every step proposes an active set: the first the empty one, each later
     one the previous weight's ``Solution.active``. The solver tries that set
@@ -105,14 +111,16 @@ def lambda_path(compiled: CompiledDataset, lambdas: Sequence[float]) -> Iterator
     index arrays, unless the previous step's polish left them for the same
     set, and pays for a few conjugate-gradient steps on the reduced system,
     the multipliers (a few more steps when rows close a cycle) and the
-    certificate (see ``qp``). ``select_lambdas`` scores the steps with the
-    batched Kendall kernel, ``metrics.kendall_tau_errors``, as they arrive.
+    certificate (see ``qp``). Score the solutions with one call of
+    the batched Kendall kernel, ``metrics.kendall_tau_errors``, as
+    ``select_lambdas`` does.
     """
+    solutions: list[Solution] = []
     active = np.zeros(compiled.constraints.rows.lower.shape[0], dtype=np.int8)
     for lam in lambdas:
-        solution = solve(compiled.problem(lam), active)
-        active = solution.active
-        yield solution
+        solutions.append(solve(compiled.problem(lam), active))
+        active = solutions[-1].active
+    return solutions
 
 
 def _block_diagonal(parts: Sequence[CompiledDataset]) -> CompiledDataset:
@@ -161,36 +169,37 @@ def select_lambdas(
     without a factorization. A proposal never skips the solver's
     optimality certificate and the minimizer is unique, so it only saves
     work. Each dataset's original scores, in its slice of the solution
-    vectors, act as its validation truth with exact-tie omission. The
-    steps are scored as they arrive, a batch of the Kendall kernel
-    ``kendall_tau_errors`` at a time, so only the values of the steps not
-    yet scored are held; the errors equal one ``kendall_tau_error`` per
-    weight, bit for bit.
+    vectors, act as its validation truth with exact-tie omission. Each
+    dataset's slices are scored by one call of the batched Kendall kernel,
+    ``kendall_tau_errors``, equal bit for bit to one ``kendall_tau_error``
+    per weight.
     """
     require_epsilon(epsilon)
-    truths, parts = [], []
-    for dataset in datasets:
-        require_valid(dataset)
-        scores = dataset.scores
-        if not scores.size or scores.min() == scores.max():
-            raise DegenerateValidation("all original scores are tied; loss is undefined")
-        truths.append(scores)
-        parts.append(compile_dataset(coarsen(dataset), epsilon))
-    ends = np.cumsum([truth.size for truth in truths]).tolist()
+    parts = [_validation_problem(dataset, epsilon) for dataset in datasets]
     union = _block_diagonal(parts)
     del parts  # the union holds what the path reads
-    per_batch = kendall_batch(max(truth.size for truth in truths))
+    # only the solutions' values outlive the path, so the memory of the
+    # compiled data and of the solution records serves the Kendall batches
+    values = [solution.values for solution in lambda_path(union, LAMBDA_GRID)]
+    del union
 
-    errors: list[list[float]] = [[] for _ in truths]
-    pending: list[np.ndarray] = []  # the values of the steps not yet scored
-    for step, solution in enumerate(lambda_path(union, LAMBDA_GRID), 1):
-        pending.append(solution.values)
-        if len(pending) == per_batch or step == len(LAMBDA_GRID):
-            for truth, scored, start, end in zip(truths, errors, [0, *ends], ends):
-                batch = [values[start:end] for values in pending]
-                scored.extend(kendall_tau_errors(truth, batch).tolist())
-            pending.clear()
-    return [_report(scored) for scored in errors]
+    reports, start = [], 0
+    for dataset in datasets:
+        end = start + dataset.scores.size
+        errors = kendall_tau_errors(dataset.scores, [step[start:end] for step in values])
+        reports.append(_report(errors.tolist()))
+        start = end
+    return reports
+
+
+def _validation_problem(dataset: ReviewDataset, epsilon: float) -> CompiledDataset:
+    """The compiled coarsening of ``dataset``, whose original scores must
+    not all be tied."""
+    require_valid(dataset)
+    scores = dataset.scores
+    if not scores.size or scores.min() == scores.max():
+        raise DegenerateValidation("all original scores are tied; loss is undefined")
+    return compile_dataset(coarsen(dataset), epsilon)
 
 
 def _report(errors: list[float]) -> QVReport:

@@ -68,6 +68,33 @@ class TestRunExperiment:
         assert experiment._groups(spec, 0.5) == [range(trial, trial + 1) for trial in range(9)]
         assert serial == run_experiment(spec).to_json()
 
+    def test_a_group_selects_its_weights_on_one_path(self, monkeypatch):
+        # nine P=60 trials make two paths, over the 1 920 reviews of trials
+        # 0-7 and over the 240 of trial 8, and one final solve per trial:
+        # 2 x 40 + 9 solves, where trials alone make 9 x 41
+        paths, solves = [], {"path": 0, "final": 0}
+        path = qv.lambda_path
+
+        def recorded(compiled, lambdas):
+            paths.append(compiled.z.size)
+            return path(compiled, lambdas)
+
+        def counted(module, name):
+            solve = module.solve
+
+            def wrapped(problem, active=None):
+                solves[name] += 1
+                return solve(problem, active)
+
+            monkeypatch.setattr(module, "solve", wrapped)
+
+        monkeypatch.setattr(qv, "lambda_path", recorded)
+        counted(qv, "path")
+        counted(sys.modules["deqscores.dequantize"], "final")
+        run_experiment(tiny_spec(base=SynthConfig(), lam="auto", sweep_values=(0.5,), trials=9))
+        assert paths == [8 * 240, 240]
+        assert solves == {"path": 2 * 40, "final": 9}
+
     def test_auto_lambda_records_selection(self):
         report = run_experiment(tiny_spec(lam="auto", trials=1, sweep_values=(0.5,)))
         rows = [r for r in report.results if r["method"] == "proposed"]
@@ -665,6 +692,17 @@ class TestFailureInAGroup:
         monkeypatch.setattr(qv, "lambda_path", fail_unions)
         assert run_experiment(spec).to_json() == grouped
 
+
+    def test_an_error_no_trial_raises_is_not_retried(self, monkeypatch):
+        # a fault in the grouping itself propagates as it is: the trials
+        # are not run again one at a time, which would hide it
+        def broken(datasets, epsilon):
+            raise TypeError("broken grouping")
+
+        monkeypatch.setattr(qv, "select_lambdas", broken)
+        monkeypatch.setattr(experiment, "_run_trial", None)  # never reached
+        with pytest.raises(TypeError, match="^broken grouping$"):
+            run_experiment(ExperimentSpec(trials=3, sweep_values=(0.5,)))
 
 def test_worker_failure_keeps_class_and_attributes(tmp_path):
     # ParseError's constructor takes (path, line, message), so it only

@@ -103,7 +103,7 @@ class TestEachSetIsSolvedOrDeclined:
         seen = counted(monkeypatch, "_polish")
         for trial in range(20):
             dataset = generate(SynthConfig(seed=trial_seed(0, trial))).dataset
-            list(lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID))
+            lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
         assert len(seen) > 20 * len(LAMBDA_GRID)  # proposals and their corrections
         verdicts = set()
         for Q, c, constraints, signs, polished in seen:
@@ -357,7 +357,7 @@ class TestKKTCheck:
     def test_a_moved_point_fails_it_as_certify_does(self):
         dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
         compiled = compile_dataset(coarsen(dataset), 0.05)
-        solution = next(lambda_path(compiled, LAMBDA_GRID))
+        solution = lambda_path(compiled, LAMBDA_GRID[:1])[0]
         problem = compiled.problem(LAMBDA_GRID[0])
         Q, c = scaled(problem)
         x, w, _ = qp._polish(Q, c, compiled.constraints, solution.active)

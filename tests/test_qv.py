@@ -132,7 +132,7 @@ class TestSelectLambda:
         # the batched Kendall kernel scores the path as one call per grid
         # step would, bit for bit
         dataset = generate(SynthConfig(num_papers=60, seed=seed)).dataset
-        path = list(lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID))
+        path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
         truth = dataset.scores.astype(float)
         errors = tuple(kendall_tau_error(truth, solution.values) for solution in path)
         assert select_lambda(dataset).errors == errors
@@ -179,7 +179,7 @@ class TestSelectLambdas:
         # checked from scratch against its own problem
         parts = [compile_dataset(coarsen(dataset), 0.05) for dataset in sweep_group(0, 1.0, 2)]
         union = qv._block_diagonal(parts)
-        path = list(lambda_path(union, LAMBDA_GRID))
+        path = lambda_path(union, LAMBDA_GRID)
         assert path[0].iterations > 0
         for lam, step in zip(LAMBDA_GRID, path):
             for part, values in zip(parts, np.split(step.values, [parts[0].z.size])):
@@ -208,7 +208,7 @@ class TestLambdaPath:
         coarse = coarsen(dataset)
         compiled = compile_dataset(coarse, 0.05)
         grid = LAMBDA_GRID
-        warm = list(lambda_path(compiled, grid))
+        warm = lambda_path(compiled, grid)
         cold = [solve(compiled.problem(lam)) for lam in grid]
         assert max(np.max(np.abs(w.values - c.values)) for w, c in zip(warm, cold)) <= 1e-9
 
@@ -222,7 +222,7 @@ class TestLambdaPath:
     def test_most_grid_solves_skip_the_iteration(self):
         # every grid step after the first is certified without iterating
         dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
-        path = list(lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID))
+        path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
         assert [solution.iterations for solution in path[1:]] == [0] * (len(path) - 1)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -230,7 +230,7 @@ class TestLambdaPath:
         # the first step starts from the empty active set and is certified
         # after active-set corrections, like every later step
         dataset = generate(SynthConfig(num_papers=60, seed=seed)).dataset
-        path = list(lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID))
+        path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
         assert [solution.iterations for solution in path] == [0] * len(path)
 
     def test_no_step_of_a_large_path_iterates(self):
@@ -238,7 +238,7 @@ class TestLambdaPath:
         # a violation of rounding size no longer takes a free row in, which
         # made steps 0 and 9 of this path iterate
         dataset = generate(SynthConfig(num_papers=6000, seed=2)).dataset
-        path = list(lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID))
+        path = lambda_path(compile_dataset(coarsen(dataset), 0.05), LAMBDA_GRID)
         assert [solution.iterations for solution in path] == [0] * len(path)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -247,7 +247,7 @@ class TestLambdaPath:
         # every step, including those a corrected active set was accepted on
         dataset = generate(SynthConfig(num_papers=60, seed=seed)).dataset
         compiled = compile_dataset(coarsen(dataset), 0.05)
-        path = list(lambda_path(compiled, LAMBDA_GRID))
+        path = lambda_path(compiled, LAMBDA_GRID)
         corrected = 0
         for lam, previous, solution in zip(LAMBDA_GRID, [None, *path], path):
             certificate = certify(compiled.problem(lam), solution.values)
@@ -295,7 +295,7 @@ class TestLambdaPathStep:
     def test_a_certified_warm_step_builds_no_forest(self, monkeypatch):
         dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
         compiled = compile_dataset(coarsen(dataset), 0.05)
-        previous = next(lambda_path(compiled, LAMBDA_GRID))
+        previous = lambda_path(compiled, LAMBDA_GRID[:1])[0]
         built = []
         forest = qp._forest
         monkeypatch.setattr(qp, "_forest", lambda *args: built.append(1) or forest(*args))
@@ -313,12 +313,12 @@ class TestLambdaPathStep:
     def test_threads_sharing_a_compiled_dataset_get_the_serial_path(self):
         dataset = generate(SynthConfig(num_papers=60, seed=1)).dataset
         compiled = compile_dataset(coarsen(dataset), 0.05)
-        serial = list(lambda_path(compiled, LAMBDA_GRID))
+        serial = lambda_path(compiled, LAMBDA_GRID)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
-                jobs = [pool.submit(list, lambda_path(compiled, LAMBDA_GRID)) for _ in range(2)]
+                jobs = [pool.submit(lambda_path, compiled, LAMBDA_GRID) for _ in range(2)]
                 paths = [job.result(timeout=120) for job in jobs]
         finally:
             sys.setswitchinterval(interval)
