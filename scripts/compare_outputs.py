@@ -5,8 +5,8 @@ synthetic datasets; each tree simulates every one of them and dequantizes it
 with ``--lambda auto`` and ``--lambda 1``, both with ``--report``, as its own
 ``python -m deqscores.cli`` process. Prints one line per dataset and weight:
 identical (inputs, CSV and report byte for byte), or different with the
-largest move of a dequantized value and the report fields that moved. Exits
-1 on any difference.
+largest move of a dequantized value and the report fields that moved, each
+with its value in both trees. Exits 1 on any difference.
 
 Usage:
   python scripts/compare_outputs.py --against ../parent-checkout
@@ -71,6 +71,12 @@ def values(text: bytes) -> dict:
     return {(row["reviewer_id"], row["paper_id"]): float(row["dequantized_score"]) for row in rows}
 
 
+def shown(report: dict, key: str) -> str:
+    """A report field's value as JSON writes it (a float to its last
+    digit), or 'absent'."""
+    return json.dumps(report[key], sort_keys=True) if key in report else "absent"
+
+
 def verdict(ours: list, theirs: list) -> str:
     """'identical', or what moved between two runs' (exit code, CSV, report)."""
     if ours == theirs:
@@ -80,10 +86,11 @@ def verdict(ours: list, theirs: list) -> str:
     ours_values, theirs_values = values(ours[1]), values(theirs[1])
     moves = [abs(ours_values[key] - theirs_values[key]) for key in ours_values]
     ours_report, theirs_report = json.loads(ours[2]), json.loads(theirs[2])
-    moved = [key for key in sorted(ours_report | theirs_report)
-             if ours_report.get(key) != theirs_report.get(key)]
+    sides = [(key, shown(ours_report, key), shown(theirs_report, key))
+             for key in sorted(ours_report | theirs_report)]
+    moved = [f"{key} {here} here, {there} there" for key, here, there in sides if here != there]
     return (f"different: largest value move {max(moves, default=0.0):.3g}; "
-            f"report fields moved: {', '.join(moved) or 'none'}")
+            f"report fields moved: {'; '.join(moved) or 'none'}")
 
 
 def main() -> int:

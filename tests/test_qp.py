@@ -16,7 +16,7 @@ from deqscores.qp import (
     check_feasibility,
     solve,
 )
-from deqscores.qv import LAMBDA_GRID, coarsen, lambda_path
+from deqscores.qv import LAMBDA_GRID, coarsen, lambda_path, select_lambdas
 from deqscores.synth import SynthConfig, generate
 
 from conftest import make_dataset, score_records
@@ -136,9 +136,10 @@ class TestSolve:
         assert np.max(np.abs(after - before)) <= 1e-7
 
     def test_max_iterations_raises(self, monkeypatch):
+        # a cap below the first check raises before any polish could certify
         rng = np.random.default_rng(5)
         problem = random_problem(rng, 4)
-        monkeypatch.setattr(qp, "MAX_ITERATIONS", 20)
+        monkeypatch.setattr(qp, "MAX_ITERATIONS", 3)
         monkeypatch.setattr(qp, "OPTIMALITY_TOLERANCE", 1e-16)
         with pytest.raises(MaxIterationsExceeded):
             solve(problem)
@@ -148,7 +149,7 @@ class TestSolve:
         # active set fails the certificate and its first correction passes it
         problem = compile_dataset(
             generate(SynthConfig(num_papers=60, seed=0)).dataset, 0.05
-        ).problem(0.1)
+        ).problem(1.0)
         polished_on = []
         polish = qp._polish
 
@@ -158,7 +159,7 @@ class TestSolve:
 
         monkeypatch.setattr(qp, "_polish", recorded)
         solution = solve(problem)
-        assert solution.iterations == 25
+        assert solution.iterations == 5
         assert len(polished_on) == 2 and np.array_equal(solution.active, polished_on[1])
         certificate = certify(problem, solution.values)
         assert certificate.primal <= 1e-9
@@ -202,6 +203,77 @@ class TestSolve:
         assert certificate.primal <= 1e-9
         assert certificate.stationarity <= 1e-9
         assert certificate.complementarity <= 1e-9
+
+
+class TestCheckSchedule:
+    """A cold solve's first check, at iteration ``FIRST_CHECK``, changes what
+    the solve costs, never what it returns; the last resort waits for the
+    checks every 25 iterations."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        return [
+            generate(SynthConfig(num_papers=60, sigma=sigma, seed=seed)).dataset
+            for seed in range(3)
+            for sigma in (0.1, 0.5, 1.0)
+        ]
+
+    @staticmethod
+    def solved_with_and_without_the_first_check(problem, monkeypatch):
+        early = solve(problem)
+        with monkeypatch.context() as patch:
+            patch.setattr(qp, "FIRST_CHECK", 25)
+            late = solve(problem)
+        return early, late
+
+    def test_selected_weights_certify_at_the_first_check_with_equal_bits(
+        self, datasets, monkeypatch
+    ):
+        for dataset, report in zip(datasets, select_lambdas(datasets)):
+            problem = compile_dataset(dataset, 0.05).problem(report.selected_lambda)
+            early, late = self.solved_with_and_without_the_first_check(problem, monkeypatch)
+            assert early.iterations == 5
+            assert np.array_equal(early.values, late.values)
+
+    def test_unit_weight_agrees_to_rounding(self, datasets, monkeypatch):
+        # another set may certify the same minimizer at the first check
+        for dataset in datasets:
+            problem = compile_dataset(dataset, 0.05).problem(1.0)
+            early, late = self.solved_with_and_without_the_first_check(problem, monkeypatch)
+            assert np.max(np.abs(early.values - late.values)) <= 1e-12
+
+    def test_a_failed_first_check_costs_no_bits(self, monkeypatch):
+        dataset = generate(SynthConfig(num_papers=1500, seed=0)).dataset
+        problem = compile_dataset(dataset, 0.05).problem(1.0)
+        early, late = self.solved_with_and_without_the_first_check(problem, monkeypatch)
+        assert early.iterations == late.iterations == 25
+        assert np.array_equal(early.values, late.values)
+
+    def test_the_last_resort_comes_only_at_multiples_of_25(self, monkeypatch):
+        # every polish declines, so each solve ends on the unpolished iterate
+        checks, last_resorts = [], []
+        residuals = qp._residuals
+
+        def recorded(*args):
+            last_resorts.append(args)
+            return residuals(*args)
+
+        monkeypatch.setattr(qp, "_corrected_polish", lambda *args: checks.append(args))
+        monkeypatch.setattr(qp, "_residuals", recorded)
+        rng = np.random.default_rng(0)
+        dataset = generate(SynthConfig(num_papers=60, seed=0)).dataset
+        problems = [random_problem(rng, n) for n in (3, 4, 6, 10)] + [
+            compile_dataset(dataset, 0.05).problem(lam) for lam in (1.0, 42.52108200006278)
+        ]
+        for problem in problems:
+            checks.clear()
+            last_resorts.clear()
+            solution = solve(problem)
+            assert solution.iterations % 25 == 0
+            # a check at 5, then one every 25 iterations, each but the first
+            # trying the iterate itself
+            assert len(checks) == 1 + solution.iterations // 25
+            assert len(last_resorts) == solution.iterations // 25
 
 
 class TestWarmStart:

@@ -2,6 +2,7 @@
 a small input and must exit 0 with its documented outputs."""
 
 import csv
+import importlib.util
 import json
 import subprocess
 import sys
@@ -61,3 +62,25 @@ def test_compare_outputs_finds_a_tree_identical_to_itself():
         "P=12 seed=0 lambda=1: identical",
         "0 different",
     ]
+
+
+def test_compare_outputs_verdict_shows_what_moved_and_by_how_much():
+    spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPTS / "compare_outputs.py")
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+
+    def run(value, report):
+        header = b"reviewer_id,paper_id,quantized_score,dequantized_score,percentile\n"
+        rows = b"r0,p0,5,5.05,50\n" + b"r1,p0,4,%s,25\n" % value.encode()
+        return [0, header + rows, json.dumps(report, sort_keys=True).encode()]
+
+    report = {"max_box_violation": 0.0, "min_pair_margin": 0.05, "selected_lambda": None}
+    assert compare.verdict(run("4.5", report), run("4.5", report)) == "identical"
+    assert compare.verdict(run("4.5", report), run("4.25", report)) == (
+        "different: largest value move 0.25; report fields moved: none"
+    )
+    moved = dict(report, max_box_violation=4.440892098500626e-16)
+    assert compare.verdict(run("4.5", moved), run("4.5", report)) == (
+        "different: largest value move 0; "
+        "report fields moved: max_box_violation 4.440892098500626e-16 here, 0.0 there"
+    )
